@@ -208,8 +208,7 @@ impl Adversary<BirthdayCounting> for CollisionFakerAdversary {
 
     /// This strategy never inspects the in-flight honest traffic
     /// ([`FullInfoView::honest_outgoing`]) — it works off states, inboxes,
-    /// and topology — so it licenses the engine's fused merge→delivery
-    /// pipeline.
+    /// and topology — so it licenses the engine's outbox feed.
     fn observes_traffic(&self) -> bool {
         false
     }

@@ -5,50 +5,42 @@
 //! elements = rounds per iteration), so the perf trajectory of the engine
 //! is one number per graph size. The `reuse_buffers` benchmarks measure
 //! the steady-state round loop alone (one long-lived simulation stepped
-//! in place — the zero-alloc hot path); since PR 5 the default
-//! configuration auto-selects the **SoA arena** message plane (the benign
-//! `NullAdversary` licenses it), so `reuse_buffers` is the arena number,
-//! `reuse_buffers_arena` pins that layout explicitly,
-//! `reuse_buffers_pernode` pins the legacy per-node layout under the PR 4
-//! fused pipeline (the arena win's denominator), and `reuse_buffers_flat`
-//! pins the flat (pre-fusion) pipeline. `reuse_buffers_sharded` requests
-//! the sharded arena merge — since PR 7 the shard count is autotuned to
-//! the pool width, so in this serial lane it collapses to one shard and
-//! delegates to the unsharded arena pipeline (the number documents that
-//! requesting sharding costs nothing when there are no workers to feed);
-//! the `full_execution` benchmarks include construction, pid assignment,
-//! and buffer warm-up. With `--features parallel` the same workloads are
-//! additionally run through the parallel honest phase, and
-//! `reuse_buffers_parallel_sharded` exercises the real multi-shard
-//! owner-computes delivery (`BCOUNT_POOL_THREADS` sizes the pool — with
-//! ≥ 2 workers the autotune hands out one destination range per worker).
+//! in place — the zero-alloc hot path). `reuse_buffers` runs the
+//! **outbox feed** of the engine's one message plane (the benign
+//! `NullAdversary` licenses it: it never observes traffic and there is no
+//! fault plan); `reuse_buffers_flat` runs the **flat feed** under an
+//! adversary that observes the round's traffic (and otherwise stays
+//! silent), the price of materializing the node-order vector a rushing
+//! adversary reads; `reuse_buffers_faulty` adds a mixed fault plan to the
+//! flat feed. The `full_execution` benchmarks include construction, pid
+//! assignment, and buffer warm-up. With `--features parallel` the same
+//! workload additionally runs as `reuse_buffers_parallel`: parallel
+//! compute and merge scan, plus the sharded owner-computes delivery once
+//! the pool has two or more workers (`BCOUNT_POOL_THREADS` sizes the pool
+//! — the shard count autotunes to one destination range per worker).
 //!
-//! The `engine_phases` group decomposes one round. Legacy phases: `merge`
-//! is honest compute + the deterministic *flat* merge with delivery
-//! skipped (traffic dropped), `fused_partition` is the same half-round
-//! through the per-node fused scatter, and the `delivery_*` benchmarks
-//! re-deliver one snapshotted round of merged traffic per iteration
-//! (messages/sec; snapshot refill requires the flat pipeline, so these
-//! pin `fused_merge: false`). Arena phases: `compute` is the honest phase
-//! alone (traffic dropped), `count_pass` adds the two-pass merge's
-//! per-destination counting pass (forced — the production fast path skips
-//! it on monotone rounds), `placement` measures the prefix-sum placement
-//! alone from a counts snapshot (messages placed/sec), and
-//! `arena_scatter` is the whole *production* arena round minus the empty
-//! adversary phase — on this all-broadcast workload that is the
-//! broadcast-table fast path (merge scan + table scatter; no count, no
-//! placement, no sort), so the production scatter cost is
-//! `arena_scatter` minus `compute` (minus the scan share of
-//! `count_pass`), while the forced-count delta `count_pass` minus
-//! `compute` prices the two-pass fallback's extra pass. The two groups
-//! deliberately measure different paths — don't difference
-//! `arena_scatter` against `count_pass`.
+//! The `engine_phases` group decomposes one round. `merge` is honest
+//! compute + the flat feed's node-order merge with delivery skipped
+//! (traffic dropped), under the same observing adversary. Outbox-feed
+//! phases: `compute` is the honest phase alone (traffic dropped),
+//! `count_pass` adds the two-pass merge's per-destination counting pass
+//! (forced — the production fast path skips it on monotone rounds),
+//! `placement` measures the prefix-sum placement alone from a counts
+//! snapshot (messages placed/sec), and `arena_scatter` is the whole
+//! *production* outbox-feed round minus the empty adversary phase — on
+//! this all-broadcast workload that is the broadcast-table fast path
+//! (merge scan + table scatter; no count, no placement, no sort), so the
+//! production scatter cost is `arena_scatter` minus `compute` (minus the
+//! scan share of `count_pass`), while the forced-count delta `count_pass`
+//! minus `compute` prices the two-pass fallback's extra pass. The two
+//! measure different paths — don't difference `arena_scatter` against
+//! `count_pass`.
 
 use bcount_bench::runners::network;
 use bcount_daemon::Server;
 use bcount_sim::{
-    CrashEvent, DeliveryMode, FaultPlan, InboxLayout, MessageSize, NodeContext, NullAdversary,
-    Protocol, SimConfig, Simulation, StopWhen,
+    Adversary, ByzantineContext, CrashEvent, FaultPlan, FullInfoView, MessageSize, NodeContext,
+    NullAdversary, Protocol, SimConfig, Simulation, StopWhen,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
@@ -89,11 +81,26 @@ fn chatter_config(parallel: bool) -> SimConfig {
     }
 }
 
-fn warmed(
+/// Silent, but it keeps the default `observes_traffic() == true` and
+/// reads the round's in-flight traffic — which selects the flat feed.
+struct Observer;
+
+impl Adversary<Chatter> for Observer {
+    fn on_round(
+        &mut self,
+        view: &FullInfoView<'_, Chatter>,
+        _ctx: &mut ByzantineContext<'_, Counter>,
+    ) {
+        criterion::black_box(view.honest_outgoing().len());
+    }
+}
+
+fn warmed<A: Adversary<Chatter>>(
     g: &bcount_graph::Graph,
     cfg: SimConfig,
-) -> Simulation<&bcount_graph::Graph, Chatter, NullAdversary> {
-    let mut sim = Simulation::new(g, &[], |_, _| Chatter(0), NullAdversary, cfg);
+    adversary: A,
+) -> Simulation<&bcount_graph::Graph, Chatter, A> {
+    let mut sim = Simulation::new(g, &[], |_, _| Chatter(0), adversary, cfg);
     for _ in 0..10 {
         sim.step();
     }
@@ -127,10 +134,9 @@ fn bench_engine(c: &mut Criterion) {
         });
 
         // The steady-state hot path: one long-lived simulation, buffers
-        // warmed, stepped ROUNDS more rounds per iteration. Default
-        // config — the fused merge→delivery pipeline (NullAdversary
-        // licenses it).
-        let mut sim = warmed(&g, chatter_config(false));
+        // warmed, stepped ROUNDS more rounds per iteration. The outbox
+        // feed (NullAdversary licenses it).
+        let mut sim = warmed(&g, chatter_config(false), NullAdversary);
         group.bench_with_input(BenchmarkId::new("reuse_buffers", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..ROUNDS {
@@ -140,52 +146,9 @@ fn bench_engine(c: &mut Criterion) {
             });
         });
 
-        // The arena lane, pinned explicitly (today identical to the
-        // default `reuse_buffers`; stays meaningful if the default layout
-        // ever changes).
-        let mut asim = warmed(
-            &g,
-            SimConfig {
-                layout: InboxLayout::Arena,
-                ..chatter_config(false)
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("reuse_buffers_arena", n), &n, |b, _| {
-            b.iter(|| {
-                for _ in 0..ROUNDS {
-                    asim.step();
-                }
-                asim.round()
-            });
-        });
-
-        // The legacy per-node layout under the fused pipeline — the PR 4
-        // default, and the arena win's denominator.
-        let mut nsim = warmed(
-            &g,
-            SimConfig {
-                layout: InboxLayout::PerNode,
-                ..chatter_config(false)
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("reuse_buffers_pernode", n), &n, |b, _| {
-            b.iter(|| {
-                for _ in 0..ROUNDS {
-                    nsim.step();
-                }
-                nsim.round()
-            });
-        });
-
-        // Same loop forced onto the flat (pre-fusion) pipeline — the
-        // serial reference number, and the fusion win's denominator.
-        let mut fsim = warmed(
-            &g,
-            SimConfig {
-                fused_merge: false,
-                ..chatter_config(false)
-            },
-        );
+        // Same loop on the flat feed: an observing adversary needs the
+        // node-order traffic vector.
+        let mut fsim = warmed(&g, chatter_config(false), Observer);
         group.bench_with_input(BenchmarkId::new("reuse_buffers_flat", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..ROUNDS {
@@ -197,7 +160,7 @@ fn bench_engine(c: &mut Criterion) {
 
         // The fault-injection overhead lane: the same steady-state loop
         // under a mixed drop/dup/delay plan with two early crashes. A
-        // non-empty plan pins the flat oracle pipeline, so the honest
+        // non-empty plan selects the flat feed, so the honest
         // denominator for this lane is `reuse_buffers_flat` — the delta
         // is the per-message fault roll plus the pending-delivery queue.
         let mut xsim = warmed(
@@ -216,6 +179,7 @@ fn bench_engine(c: &mut Criterion) {
                 },
                 ..chatter_config(false)
             },
+            NullAdversary,
         );
         group.bench_with_input(BenchmarkId::new("reuse_buffers_faulty", n), &n, |b, _| {
             b.iter(|| {
@@ -226,27 +190,9 @@ fn bench_engine(c: &mut Criterion) {
             });
         });
 
-        // Same loop through the fused sharded merge (per-destination-range
-        // queues; serial without the `parallel` feature).
-        let mut ssim = warmed(
-            &g,
-            SimConfig {
-                sharded_merge: true,
-                ..chatter_config(false)
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("reuse_buffers_sharded", n), &n, |b, _| {
-            b.iter(|| {
-                for _ in 0..ROUNDS {
-                    ssim.step();
-                }
-                ssim.round()
-            });
-        });
-
         #[cfg(feature = "parallel")]
         {
-            let mut psim = warmed(&g, chatter_config(true));
+            let mut psim = warmed(&g, chatter_config(true), NullAdversary);
             group.bench_with_input(BenchmarkId::new("reuse_buffers_parallel", n), &n, |b, _| {
                 b.iter(|| {
                     for _ in 0..ROUNDS {
@@ -255,33 +201,13 @@ fn bench_engine(c: &mut Criterion) {
                     psim.round()
                 });
             });
-
-            let mut bsim = warmed(
-                &g,
-                SimConfig {
-                    sharded_merge: true,
-                    ..chatter_config(true)
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new("reuse_buffers_parallel_sharded", n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        for _ in 0..ROUNDS {
-                            bsim.step();
-                        }
-                        bsim.round()
-                    });
-                },
-            );
         }
     }
 
     // Scale tier: the compact-plane steady state at 2^16 and 2^20 nodes,
-    // default (arena) configuration only — the small-n lanes above already
-    // price the layout alternatives, and one long-lived simulation per
-    // size keeps the group's footprint bounded. Fewer rounds per
+    // outbox feed only — the small-n lanes above already price the flat
+    // feed, and one long-lived simulation per size keeps the group's
+    // footprint bounded. Fewer rounds per
     // iteration than the small lanes: a full-broadcast round at n = 2^20
     // moves ~8.4M messages, so 4 rounds is already a meaty iteration.
     // With BCOUNT_BENCH_JSON set, the artifact's top-level `peak_rss_kb`
@@ -289,7 +215,7 @@ fn bench_engine(c: &mut Criterion) {
     for &(n, rounds) in &[(65_536usize, 10u64), (1_048_576, 4)] {
         let g = network(n, 8, n as u64);
         group.throughput(Throughput::Elements(rounds));
-        let mut sim = warmed(&g, chatter_config(false));
+        let mut sim = warmed(&g, chatter_config(false), NullAdversary);
         group.bench_with_input(BenchmarkId::new("reuse_buffers", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..rounds {
@@ -302,10 +228,7 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// Decomposes one round into its halves: merge (compute + deterministic
-/// flat merge, delivery dropped) and fused_partition (compute + fused
-/// scatter, staging dropped) per round, and delivery alone re-run from
-/// one snapshotted round of merged traffic (messages/sec).
+/// Decomposes one round into its phases; see the module docs.
 fn bench_phases(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_phases");
     group.sample_size(10);
@@ -314,14 +237,9 @@ fn bench_phases(c: &mut Criterion) {
     for &n in &[1024usize, 4096] {
         let g = network(n, 8, n as u64);
 
-        // compute + flat merge only, ROUNDS rounds per iteration.
-        let mut msim = warmed(
-            &g,
-            SimConfig {
-                fused_merge: false,
-                ..chatter_config(false)
-            },
-        );
+        // compute + the flat feed's merge only, ROUNDS rounds per
+        // iteration.
+        let mut msim = warmed(&g, chatter_config(false), Observer);
         group.throughput(Throughput::Elements(ROUNDS));
         group.bench_with_input(BenchmarkId::new("merge", n), &n, |b, _| {
             b.iter(|| {
@@ -333,32 +251,10 @@ fn bench_phases(c: &mut Criterion) {
             });
         });
 
-        // compute + fused scatter (merge fused straight into delivery
-        // staging), ROUNDS rounds per iteration. The delta vs `merge`
-        // plus `delivery_counting` is the fusion win. Pinned to the
-        // legacy per-node layout — the arena has its own decomposition
-        // below.
-        let mut fsim = warmed(
-            &g,
-            SimConfig {
-                layout: InboxLayout::PerNode,
-                ..chatter_config(false)
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("fused_partition", n), &n, |b, _| {
-            b.iter(|| {
-                for _ in 0..ROUNDS {
-                    fsim.bench_compute_merge();
-                    fsim.drop_round_traffic();
-                }
-                fsim.round()
-            });
-        });
-
-        // --- Arena (two-pass merge) decomposition. ---------------------
+        // --- Outbox-feed decomposition. ---------------------------------
         // compute alone: the honest phase with the round's outboxes
         // discarded — the baseline every other arena phase adds onto.
-        let mut csim = warmed(&g, chatter_config(false));
+        let mut csim = warmed(&g, chatter_config(false), NullAdversary);
         group.bench_with_input(BenchmarkId::new("compute", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..ROUNDS {
@@ -372,7 +268,7 @@ fn bench_phases(c: &mut Criterion) {
         // compute + the arena count pass (two-pass merge, pass 1 — forced
         // even though the production fast path would skip it for this
         // monotone broadcast workload).
-        let mut ksim = warmed(&g, chatter_config(false));
+        let mut ksim = warmed(&g, chatter_config(false), NullAdversary);
         group.bench_with_input(BenchmarkId::new("count_pass", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..ROUNDS {
@@ -383,10 +279,10 @@ fn bench_phases(c: &mut Criterion) {
             });
         });
 
-        // The whole production arena round minus the (empty) adversary
+        // The whole production outbox-feed round minus the (empty) adversary
         // phase — the broadcast-table fast path on this workload (see
         // the module docs for what may and may not be differenced).
-        let mut ssim = warmed(&g, chatter_config(false));
+        let mut ssim = warmed(&g, chatter_config(false), NullAdversary);
         group.bench_with_input(BenchmarkId::new("arena_scatter", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..ROUNDS {
@@ -399,7 +295,7 @@ fn bench_phases(c: &mut Criterion) {
 
         // Prefix-sum placement alone, from a snapshotted count-pass
         // tally: tallies → exact spans, reported per message placed.
-        let mut psim = warmed(&g, chatter_config(false));
+        let mut psim = warmed(&g, chatter_config(false), NullAdversary);
         psim.bench_compute_merge();
         let counts = psim.bench_snapshot_counts();
         let placed: u64 = counts.iter().map(|&c| u64::from(c)).sum();
@@ -408,35 +304,6 @@ fn bench_phases(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("placement", n), &n, |b, _| {
             b.iter(|| psim.bench_arena_placement(&counts));
         });
-        group.throughput(Throughput::Elements(ROUNDS));
-
-        // Delivery alone: refill the merge buffers from a snapshot and
-        // deliver, once per iteration. The refill clone is identical for
-        // all three modes, so the deltas are pure delivery cost. Snapshot
-        // refill needs the flat pipeline (fusion never materializes one).
-        let delivery_modes = [
-            ("delivery_counting", DeliveryMode::CountingSort, false),
-            ("delivery_sharded", DeliveryMode::CountingSort, true),
-            ("delivery_reference", DeliveryMode::ReferenceSort, false),
-        ];
-        for (label, delivery, sharded_merge) in delivery_modes {
-            let mut dsim = warmed(
-                &g,
-                SimConfig {
-                    delivery,
-                    sharded_merge,
-                    fused_merge: false,
-                    ..chatter_config(false)
-                },
-            );
-            dsim.bench_compute_merge();
-            let snapshot = dsim.bench_snapshot_traffic();
-            dsim.drop_round_traffic();
-            group.throughput(Throughput::Elements(snapshot.len() as u64));
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| dsim.bench_deliver_snapshot(&snapshot));
-            });
-        }
     }
     group.finish();
 }

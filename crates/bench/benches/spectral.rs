@@ -1,6 +1,6 @@
 //! Cost of the spectral toolkit — the tractable substitute for
-//! Algorithm 1's exponential subset check (DESIGN.md §3), so its price is
-//! the price of the substitution.
+//! Algorithm 1's exponential subset check (`bcount_core::local::checks`),
+//! so its price is the price of the substitution.
 
 use bcount_graph::analysis::spectral::{min_sweep_expansion, spectral_gap};
 use bcount_graph::gen::hnd;

@@ -1,4 +1,5 @@
-//! The experiment suite E1–E14 (see DESIGN.md §5 for the per-claim index).
+//! The experiment suite E1–E14; each `eN` function's doc names the claim
+//! of the paper it measures.
 //!
 //! Sweep-style experiments (E1–E6, E9, E13, E14) are declarative
 //! [`Scenario`]s executed by the generic matrix runner in
@@ -8,8 +9,9 @@
 //! phantom-copy graphs, E10's pipeline, E11/E12's ablations) run their own
 //! loops and carry no cells.
 //!
-//! `quick = true` shrinks the sweeps for smoke-testing; the reference run
-//! recorded in EXPERIMENTS.md uses `quick = false` in release mode.
+//! `quick = true` shrinks the sweeps for smoke-testing; a full run
+//! (`experiments -- all`, see the README's "Machine-readable experiment
+//! pipeline") uses `quick = false` in release mode.
 
 use bcount_apps::{counting_then_agreement, AgreementParams, AgreementProtocol};
 use bcount_core::adversary::phantom::phantom_copies;
@@ -32,11 +34,11 @@ use crate::table::Table;
 
 /// The acceptance band used for Algorithm 1 (decides near
 /// `diam ≈ log_Δ n`, with mute cascades shortening near-Byzantine
-/// decisions; constants documented in EXPERIMENTS.md).
+/// decisions).
 pub const LOCAL_BAND: Band = Band { lo: 0.2, hi: 2.0 };
 
 /// The acceptance band used for Algorithm 2 (decides near
-/// `log_d n + O(1)`; constants documented in EXPERIMENTS.md).
+/// `log_d n + O(1)`).
 pub const CONGEST_BAND: Band = Band { lo: 0.15, hi: 3.0 };
 
 const D: usize = 8;

@@ -2,13 +2,12 @@
 //!
 //! The paper is a theory paper — its "tables and figures" are the
 //! quantitative statements of Theorems 1–3, Lemma 2, Corollary 1, and
-//! Remarks 1–2. Each experiment E1–E14 (see DESIGN.md §5 for the index)
-//! measures one of those statements on simulated networks and prints a
-//! paper-style table; the binary `experiments` runs them
-//! (`cargo run --release -p bcount-bench --bin experiments -- all`).
-//!
-//! EXPERIMENTS.md in the repository root records a reference run with
-//! paper-vs-measured commentary.
+//! Remarks 1–2. Each experiment E1–E14 (the [`experiments`] module indexes
+//! them by claim) measures one of those statements on simulated networks
+//! and prints a paper-style table; the binary `experiments` runs them
+//! (`cargo run --release -p bcount-bench --bin experiments -- all`), and
+//! the README's "Machine-readable experiment pipeline" covers the JSON
+//! artifacts and their gates.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

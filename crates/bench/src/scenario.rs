@@ -342,10 +342,10 @@ pub struct Scenario {
     /// full decision (E6's termination study).
     pub run_to_halt: bool,
     /// Deterministic fault plan applied to every cell (`None` = the
-    /// fault-free matrix). A non-empty plan pins the engine to the
-    /// flat oracle pipeline, so faulty sweeps are slower but stay
-    /// byte-deterministic (the plan's own seed drives the fault RNG;
-    /// the cell seed never feeds it).
+    /// fault-free matrix). A non-empty plan selects the engine's flat
+    /// feed, so faulty sweeps are slower but stay byte-deterministic
+    /// (the plan's own seed drives the fault RNG; the cell seed never
+    /// feeds it).
     pub fault: Option<FaultPlan>,
 }
 

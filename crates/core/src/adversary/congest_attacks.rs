@@ -62,8 +62,7 @@ impl Adversary<CongestCounting> for BeaconSpamAdversary {
 
     /// This strategy never inspects the in-flight honest traffic
     /// ([`FullInfoView::honest_outgoing`]) — it works off states, inboxes,
-    /// and topology — so it licenses the engine's fused merge→delivery
-    /// pipeline.
+    /// and topology — so it licenses the engine's outbox feed.
     fn observes_traffic(&self) -> bool {
         false
     }
@@ -128,8 +127,7 @@ impl Adversary<CongestCounting> for PathTamperAdversary {
 
     /// This strategy never inspects the in-flight honest traffic
     /// ([`FullInfoView::honest_outgoing`]) — it works off states, inboxes,
-    /// and topology — so it licenses the engine's fused merge→delivery
-    /// pipeline.
+    /// and topology — so it licenses the engine's outbox feed.
     fn observes_traffic(&self) -> bool {
         false
     }
@@ -171,8 +169,7 @@ impl Adversary<CongestCounting> for OscillatingSpamAdversary {
 
     /// This strategy never inspects the in-flight honest traffic
     /// ([`FullInfoView::honest_outgoing`]) — it works off states, inboxes,
-    /// and topology — so it licenses the engine's fused merge→delivery
-    /// pipeline.
+    /// and topology — so it licenses the engine's outbox feed.
     fn observes_traffic(&self) -> bool {
         false
     }

@@ -175,8 +175,7 @@ impl Adversary<LocalCounting> for FakeExpanderAdversary {
 
     /// This strategy never inspects the in-flight honest traffic
     /// ([`FullInfoView::honest_outgoing`]) — it works off states, inboxes,
-    /// and topology — so it licenses the engine's fused merge→delivery
-    /// pipeline.
+    /// and topology — so it licenses the engine's outbox feed.
     fn observes_traffic(&self) -> bool {
         false
     }
@@ -233,8 +232,7 @@ impl Adversary<LocalCounting> for EdgeInjectorAdversary {
 
     /// This strategy never inspects the in-flight honest traffic
     /// ([`FullInfoView::honest_outgoing`]) — it works off states, inboxes,
-    /// and topology — so it licenses the engine's fused merge→delivery
-    /// pipeline.
+    /// and topology — so it licenses the engine's outbox feed.
     fn observes_traffic(&self) -> bool {
         false
     }

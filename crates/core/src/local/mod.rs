@@ -22,7 +22,7 @@
 //! The paper's check quantifies over **all** subsets, which the LOCAL
 //! model's free local computation permits but no real machine does. This
 //! implementation substitutes a polynomial family that provably catches
-//! sparse cuts (see [`checks`] and DESIGN.md §3): exhaustive enumeration
+//! sparse cuts (see [`checks`]): exhaustive enumeration
 //! for small views, and BFS-prefix plus Fiedler sweep cuts for large ones.
 
 pub mod checks;

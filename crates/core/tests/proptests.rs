@@ -109,12 +109,12 @@ proptest! {
         );
     }
 
-    /// Soundness of the check-family substitution (DESIGN.md §3): the
+    /// Soundness of the check-family substitution (`local::checks`): the
     /// polynomial family only sweeps subsets of announced nodes, so any
     /// failure it reports is witnessed by a *real* low-expansion subset —
     /// whenever the sweeps fail, the paper's exhaustive check must fail
     /// too. (The converse is the approximation direction and is validated
-    /// statistically in EXPERIMENTS.md.)
+    /// statistically by the LOCAL approximation experiment, E1.)
     #[test]
     fn polynomial_check_failures_are_sound(
         edges in proptest::collection::vec((0u64..10, 0u64..10), 3..25),

@@ -6,7 +6,7 @@
 //!   expansion per Definition 1 of the paper.
 //! * [`spectral`] — power iteration, spectral gap, Fiedler vectors, and
 //!   Cheeger sweep cuts (the tractable stand-in for Algorithm 1's
-//!   all-subsets expansion check; see DESIGN.md §3).
+//!   all-subsets expansion check; see `bcount-core`'s `local::checks`).
 //! * [`treelike`] — the "locally tree-like" test of Definition 3.
 //! * [`clustering`] — clustering coefficients (the structural property the
 //!   prior work \[14\] needed and this paper removes).

@@ -2,10 +2,11 @@
 //! Cheeger sweep cuts.
 //!
 //! This module is the tractable stand-in for Algorithm 1's exponential
-//! "check every vertex subset" expansion test (see DESIGN.md §3): if *any*
-//! subset of a graph has small vertex expansion, the graph has a sparse
-//! cut, the spectral gap of the lazy random walk is small (Cheeger), and a
-//! sweep over the Fiedler embedding finds a certifiably sparse cut. The
+//! "check every vertex subset" expansion test (see `bcount-core`'s
+//! `local::checks` for the substitution): if *any* subset of a graph has
+//! small vertex expansion, the graph has a sparse cut, the spectral gap
+//! of the lazy random walk is small (Cheeger), and a sweep over the
+//! Fiedler embedding finds a certifiably sparse cut. The
 //! deterministic counting protocol uses [`min_sweep_expansion`] on its
 //! local view, and the unit tests cross-validate the sweep against
 //! [`crate::analysis::expansion::vertex_expansion_exact`] on small graphs.

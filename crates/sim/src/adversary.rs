@@ -17,7 +17,8 @@
 //!
 //! The paper's adversary also knows the honest nodes' *future* coin flips;
 //! no implementation can offer that generically, but none of the concrete
-//! strategies the proofs consider needs it (see DESIGN.md §3). What the
+//! strategies the proofs consider needs it (they are implemented in
+//! `bcount-core`'s `adversary` module). What the
 //! view does offer is strictly more than any real attacker has: full state
 //! introspection via [`FullInfoView::honest_state`].
 
@@ -45,8 +46,7 @@ pub struct FullInfoView<'a, P: Protocol> {
     /// observable before the adversary commits (rushing).
     pub(crate) honest_outgoing: &'a [(NodeId, NodeId, P::Message)],
     /// What every node received at the end of last round (the adversary
-    /// sees all channels — full information), in whichever physical
-    /// layout the engine selected.
+    /// sees all channels — full information).
     pub(crate) inboxes: InboxesView<'a, P::Message>,
 }
 
@@ -177,17 +177,17 @@ pub trait Adversary<P: Protocol> {
     /// The default is `true` — the full rushing view, with the round's
     /// honest traffic materialized as a flat `(from, to, msg)` vector
     /// before the adversary runs. An adversary that never inspects that
-    /// slice may override this to return `false`, which licenses the
-    /// engine to **fuse** the merge with the delivery scatter and skip
-    /// building the flat vector entirely (the slice the view exposes is
-    /// then empty). Everything else in the view (honest states, inboxes,
-    /// pids, topology) is unaffected.
+    /// slice may override this to return `false`, which (absent a fault
+    /// plan) lets the engine run its **outbox feed**: delivery reads the
+    /// outboxes directly and the flat vector is never built (the slice
+    /// the view exposes is then empty). Everything else in the view
+    /// (honest states, inboxes, pids, topology) is unaffected.
     ///
     /// Contract: return `false` **only if** `on_round` never calls
     /// [`FullInfoView::honest_outgoing`]. The engine trusts this
-    /// declaration; `crates/sim/tests/adversary_view.rs` pins the inverse
-    /// guarantee (observing adversaries always get the flat vector, even
-    /// when fusion is requested).
+    /// declaration; an observing adversary always gets the node-order
+    /// vector, which the crate's reference-executor tests diff round by
+    /// round.
     fn observes_traffic(&self) -> bool {
         true
     }
@@ -208,7 +208,7 @@ impl<P: Protocol> Adversary<P> for NullAdversary {
     ) {
     }
 
-    /// Silence observes nothing — the engine may fuse merge with delivery.
+    /// Silence observes nothing — the engine may run its outbox feed.
     fn observes_traffic(&self) -> bool {
         false
     }

@@ -4,15 +4,17 @@
 //!
 //! The engine is built around a **zero-allocation steady state**: after the
 //! first few rounds have sized every buffer, executing a round performs no
-//! inbox/outbox heap allocation. Four mechanisms make that hold:
+//! inbox/outbox heap allocation. Five mechanisms make that hold:
 //!
-//! * **Double-buffered inboxes** — messages are staged into
-//!   [`Simulation::staged`] and the whole buffer is *swapped* with the live
-//!   inboxes at the end of the round instead of being reallocated.
+//! * **One double-buffered message plane** — every delivered message lives
+//!   in a flat structure-of-arrays arena (`InboxArena`):
+//!   sender, payload, and counting-sort rank in parallel arrays, node `v`'s
+//!   inbox the span `offsets[v]..offsets[v] + lens[v]`. Delivery fills the
+//!   staged arena, which is *swapped* with the live one at round end
+//!   instead of being reallocated.
 //! * **Reusable outbox scratch** — each node owns a persistent outgoing
 //!   buffer which [`NodeContext`] borrows for the duration of
-//!   [`Protocol::on_round`]; it is drained (capacity kept) by the merge
-//!   step.
+//!   [`Protocol::on_round`]; delivery drains it (capacity kept).
 //! * **Slot-addressed routing** — outboxes store sends as *neighbour
 //!   slots*; a precomputed [`DeliveryMap`] resolves a slot to its
 //!   destination node and counting-sort rank with one flat-array load, so
@@ -24,113 +26,78 @@
 //!   once-built [`SenderRanks`] table (an in-place permutation; no
 //!   allocation, no comparisons).
 //! * **Persistent phase scratch** — the honest- and Byzantine-outgoing
-//!   staging vectors, shard queues, and per-inbox rank/permutation buffers
-//!   live on the simulation and are drained, not rebuilt.
+//!   staging vectors, shard queues, and per-span permutation buffers live
+//!   on the simulation and are drained, not rebuilt.
 //!
 //! The honest phase itself is split into an embarrassingly parallel
 //! *compute* step (each node reads only its own inbox and private RNG) and
-//! a deterministic node-order *merge* step that assigns message order and
-//! metrics. With the `parallel` crate feature the compute step fans out
-//! over threads via `rayon`; because ordering is decided entirely by the
-//! serial merge, the resulting [`SimReport`] is bit-identical to the serial
-//! path (the default, which remains the reference transcript).
+//! a deterministic *merge* step that assigns message order and metrics.
+//! With the `parallel` crate feature and [`SimConfig::parallel`] the
+//! compute step — and the outbox feed's merge scan, whose per-chunk
+//! accumulators are combined **left-before-right whatever the scheduling**
+//! ([`crate::pool::map_split`]) — fan out over [`crate::pool`]; the
+//! resulting [`SimReport`] is bit-identical to the serial path.
 //!
-//! Delivery can additionally be **sharded** ([`SimConfig::sharded_merge`]):
-//! the merged traffic is partitioned into per-destination-range queues, and
-//! each shard scatters and counting-sorts its own slice of the inboxes —
-//! independently, so with the `parallel` feature the shards fan out over
-//! the same `rayon` fork-join used by the compute phase. Because the serial
-//! merge already fixed the global message order and the partition preserves
-//! per-destination order, sharded transcripts are bit-identical too (the
-//! determinism suite enforces the full serial/parallel/sharded matrix).
+//! # One plane, two feeds
 //!
-//! # The fused merge→delivery pipeline
+//! The arena is the only delivered-message plane. What differs between
+//! executions is how a round's honest traffic *reaches* it, and the engine
+//! picks that **feed** once, at construction, from what it can observe:
 //!
-//! The flat `honest_outgoing` vector between merge and delivery exists for
-//! exactly one consumer: a rushing adversary inspecting
-//! [`FullInfoView::honest_outgoing`]. When the configured adversary
-//! declares it never reads that slice
-//! ([`Adversary::observes_traffic`]` == false` — e.g.
-//! [`crate::NullAdversary`] and every attack strategy shipped in this
-//! workspace), the engine
-//! **fuses** the merge with the delivery scatter
-//! ([`SimConfig::fused_merge`], on by default): each outbox send is routed
-//! through the [`DeliveryMap`] and written *directly* into its staged
-//! inbox (or, under [`SimConfig::sharded_merge`], its destination-range
-//! shard queue), skipping the intermediate flat vector entirely — one
-//! write per message instead of write + re-read + re-write.
+//! * **Outbox feed** — the adversary declares
+//!   [`Adversary::observes_traffic`]` == false` (e.g.
+//!   [`crate::NullAdversary`] and every attack strategy shipped in this
+//!   workspace) *and* the [`SimConfig::fault`] plan is empty. Nobody needs
+//!   the round's traffic as a flat vector, so delivery reads the outboxes
+//!   directly, visiting senders in **increasing-pid order**. The canonical
+//!   inbox order is stable-by-sender-pid, so every span is then sorted as
+//!   scattered, and the counting sort (and its rank tag) runs only at
+//!   Byzantine-adjacent spans — edge locality bounds that set at
+//!   construction. The merge only scans the outboxes (metrics, slot
+//!   monotonicity, broadcast shape), and the round's shape picks the
+//!   placement:
+//!   1. a **broadcast round** (every node broadcasting exactly once — the
+//!      steady state of flooding protocols) scatters through a position
+//!      table precomputed by a pid-order dry run: one table load and one
+//!      payload write per message;
+//!   2. a **monotone round** (at most one message per directed edge, and
+//!      Byzantine traffic within one message per Byzantine-incident edge)
+//!      places through the static **degree-prefix** offsets — no counting,
+//!      no prefix sum;
+//!   3. anything else runs the exact **two-pass** merge: count messages
+//!      per destination, prefix-sum the tallies into packed spans and
+//!      write cursors, scatter every message once into its final slot.
 //!
-//! The fused scatter additionally visits senders in **increasing-pid
-//! order** (a precomputed permutation). Since the canonical inbox order is
-//! stable-by-sender-pid, every inbox is then *already sorted as
-//! scattered*: the counting sort — and its per-message rank tag — runs
-//! only at inboxes that can receive Byzantine traffic (nodes with a
-//! Byzantine neighbour; edge locality bounds the set at construction).
-//! None of this is observable: a stable sort's output does not depend on
-//! visitation order, metrics are per-sender sums, and there is no
-//! adversary view of the flat vector in fused mode — so fused transcripts
-//! are bit-identical to flat ones (the determinism suite enforces it
-//! across the full serial/parallel/sharded/fused × pool-size matrix).
-//! Whenever the adversary *does* observe — or
-//! [`DeliveryMode::ReferenceSort`] is selected — the engine silently keeps
-//! the flat path: observation always wins over fusion.
+//!   With [`SimConfig::parallel`] set, delivery is also **sharded**: the
+//!   shard count autotunes to `min(pool workers, slot_total / 512)`, so a
+//!   serial run or a one-worker pool keeps a single shard and the
+//!   unsharded paths above. With two or more shards each delivery lane
+//!   owns a contiguous destination range and scans all outboxes
+//!   **owner-computes** on monotone rounds (no queues, no cross-lane
+//!   writes), or drains a pid-ordered per-range queue otherwise. Finally,
+//!   a protocol declaring [`Protocol::QUIESCENT_ON_SILENCE`] on the
+//!   single-shard outbox feed runs the **active-set schedule**: only nodes
+//!   with pending inbox traffic are driven, scanned, and drained, so round
+//!   cost scales with traffic instead of `n`.
+//! * **Flat feed** — everything else: a rushing adversary that observes
+//!   [`FullInfoView::honest_outgoing`], or a fault plan that rewrites that
+//!   same traffic. The merge drains every outbox **in node order** into
+//!   the flat `honest_outgoing` vector; the fault pass and the adversary
+//!   run on it exactly as built (fault rolls and the adversary's view are
+//!   defined on node order, so it is never reordered); then the vector
+//!   and the Byzantine traffic go through the same count → prefix-sum →
+//!   scatter as the two-pass merge. Node order is not pid order, so
+//!   *every* non-empty span is counting-sorted, not only the
+//!   Byzantine-adjacent ones.
 //!
-//! # The flat SoA message plane (arena layout)
-//!
-//! [`InboxLayout::Arena`] (the default) replaces the per-node
-//! `Vec<Envelope>` inboxes with **one contiguous structure-of-arrays
-//! arena per buffer generation** ([`crate::message::InboxArena`]): sender,
-//! payload, and counting-sort rank live in parallel arrays, and node `v`'s
-//! inbox is the span `offsets[v]..offsets[v] + lens[v]`. The spans are
-//! computed fresh each round by a **two-pass count/prefix-sum merge**:
-//!
-//! 1. **Count pass** — the merge tallies the round's honest messages per
-//!    destination (one [`DeliveryMap`] load and one counter increment per
-//!    message; per-node metrics are recorded here). The adversary's sends
-//!    join the tallies at delivery time.
-//! 2. **Prefix-sum placement** — a single scan turns the tallies into
-//!    exact per-node spans and write cursors. Capacity is exact by
-//!    construction: the scatter performs *no growth checks and no
-//!    per-node allocations*, and the arena arrays are degree-presized at
-//!    start-up (capacity = the delivery map's slot total).
-//! 3. **Scatter** — outboxes are drained in increasing-pid order and every
-//!    message is written once, directly into its final arena position;
-//!    Byzantine traffic follows in emission order. As in the fused
-//!    pipeline, the counting sort then runs only at Byzantine-adjacent
-//!    spans — permuting the small parallel arrays through the same
-//!    index-based cycle walk instead of whole envelopes.
-//!
-//! The merge's metrics/monotonicity scan itself fans out over
-//! [`crate::pool`] when [`SimConfig::parallel`] is set: disjoint node
-//! chunks each fold a stack-local accumulator (message count,
-//! monotonicity, broadcast-shape flags) and write their own
-//! [`crate::metrics::NodeMetrics`] rows, with the partial accumulators
-//! combined **left-before-right whatever the scheduling**
-//! ([`crate::pool::map_split`]) so the result is bit-identical to the
-//! serial sweep.
-//!
-//! Under [`SimConfig::sharded_merge`] the shard count is **autotuned**:
-//! `min(pool workers, slot_total / 512)`, clamped to at least 1 — shards
-//! exist to feed workers, so a serial run (or a tiny graph) gets exactly
-//! one shard and silently **delegates to the unsharded arena pipeline
-//! above**, which is faster than any queue-partitioned schedule when
-//! nothing runs concurrently. With two or more shards, delivery runs
-//! **owner-computes**: on monotone rounds each lane owns a contiguous
-//! destination range of the arena and scans *all* outboxes in
-//! increasing-pid order, cloning only the messages destined for its
-//! range — no intermediate shard queues, no cross-lane writes, and the
-//! same per-destination write order as the serial scatter. Non-monotone
-//! rounds (or Byzantine floods past the arena's slack) fall back to a
-//! pid-ordered partition into per-range queues drained by the same
-//! lanes. The arena rides on the fused pipeline's license:
-//! it activates only when the adversary declares
-//! [`Adversary::observes_traffic`]` == false` and the counting sort is
-//! selected; an observing adversary (or the reference oracle) silently
-//! pins the legacy per-node layout and the flat merge, so the
-//! [`FullInfoView::honest_outgoing`] slice is always intact whenever
-//! someone can look at it. Transcripts are bit-identical across the full
-//! layout × merge × pool-size matrix (`tests/determinism_parallel.rs`),
-//! and the steady state stays allocation-free (`tests/zero_alloc.rs`).
+//! Transcripts never depend on the feed, the round shape, the shard count,
+//! or the pool size: every path is stable per sender and lands each inbox
+//! in the canonical order. The crate's unit tests diff the engine, inbox
+//! by inbox at every round, against a literal reference executor that
+//! uses none of this machinery (no delivery map, ranks, arena, or active
+//! set); `tests/determinism_parallel.rs` and `tests/fault_plan.rs` pin
+//! serial/parallel equality across pool sizes, and `tests/zero_alloc.rs`
+//! proves every steady-state pipeline allocation-free.
 
 use bcount_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
@@ -139,7 +106,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::adversary::{Adversary, ByzantineContext, FullInfoView};
 use crate::fault::{CrashEvent, FaultPlan};
 use crate::idspace::{assign_pids, Pid, PidIndex, SenderRanks};
-use crate::message::{DeliveryMap, Envelope, Inbox, InboxArena, InboxesView, MessageSize};
+use crate::message::{DeliveryMap, Inbox, InboxArena, MessageSize};
 use crate::metrics::{Metrics, NodeMetrics};
 use crate::protocol::{NodeContext, Protocol};
 
@@ -200,44 +167,6 @@ pub enum StopReason {
     MaxRounds,
 }
 
-/// How delivery orders each inbox by sender.
-///
-/// Both modes produce **byte-identical inboxes**: each is stable (messages
-/// from one sender keep their merged order), so the result is determined
-/// entirely by the merged traffic order — a property the delivery
-/// equivalence suite checks across random graphs, adversaries, and seeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeliveryMode {
-    /// Stable counting sort over precomputed [`SenderRanks`] (the default):
-    /// no comparisons, no allocation, in-place permutation.
-    #[default]
-    CountingSort,
-    /// Reference implementation: stable comparison sort by sender [`Pid`].
-    /// Allocates (merge-sort scratch); exists as the oracle for the
-    /// equivalence property tests, not for production runs.
-    ReferenceSort,
-}
-
-/// Physical storage layout of the delivered-message plane.
-///
-/// Both layouts expose identical [`Inbox`] views and produce bit-identical
-/// transcripts; the switch selects where the bytes live and how delivery
-/// places them. The arena additionally requires the fused pipeline's
-/// license (a non-observing adversary and the counting sort) — when the
-/// flat pipeline is pinned, the engine silently falls back to the per-node
-/// layout, which remains the property-tested oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InboxLayout {
-    /// One contiguous structure-of-arrays arena per buffer generation,
-    /// filled by the two-pass count/prefix-sum merge (the default; see
-    /// the [module docs](self)).
-    #[default]
-    Arena,
-    /// Per-node `Vec<Envelope>` buffers filled by push + counting sort —
-    /// the pre-arena layout, kept as the equivalence oracle.
-    PerNode,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
@@ -251,48 +180,18 @@ pub struct SimConfig {
     pub stop_when: StopWhen,
     /// Record per-round message counts in [`Metrics::messages_per_round`].
     pub record_round_stats: bool,
-    /// Run the honest compute phase on worker threads. Requires the
-    /// `parallel` crate feature — without it the flag is ignored and the
-    /// serial path runs. Transcripts are bit-identical either way: message
-    /// ordering and metrics are decided by the serial node-order merge.
+    /// Run the engine's data-parallel phases on worker threads: the
+    /// honest compute phase and — on the outbox feed — the merge's
+    /// metrics scan and sharded delivery (the shard count autotunes to
+    /// the pool width, so a one-worker pool keeps a single shard). Requires
+    /// the `parallel` crate feature — without it the flag is ignored and
+    /// the serial path runs. Transcripts are bit-identical either way:
+    /// message order and metrics never depend on the schedule.
     pub parallel: bool,
-    /// Partition delivery into per-destination-range shard queues. Each
-    /// shard scatters and sorts a disjoint slice of the inboxes, so with
-    /// the `parallel` feature *and* [`SimConfig::parallel`] set the shards
-    /// run on worker threads; without them the shards run serially (same
-    /// transcript — sharding never changes per-destination order).
-    pub sharded_merge: bool,
-    /// Fuse the merge with the delivery scatter, skipping the flat
-    /// `honest_outgoing` vector, **whenever the adversary permits it**:
-    /// fusion is auto-selected only when the configured adversary's
-    /// [`Adversary::observes_traffic`] returns `false` and the delivery
-    /// mode is the counting sort; otherwise the flat path runs regardless
-    /// of this flag. On by default (transcripts are bit-identical either
-    /// way); set to `false` to force the flat pipeline, e.g. for
-    /// equivalence tests or merge-phase benchmarks.
-    pub fused_merge: bool,
-    /// Inbox ordering implementation; see [`DeliveryMode`].
-    pub delivery: DeliveryMode,
-    /// Physical message-plane layout; see [`InboxLayout`]. The arena is
-    /// auto-selected only under the fused pipeline's license (like
-    /// [`SimConfig::fused_merge`], observation pins the legacy flat
-    /// path); transcripts are bit-identical either way.
-    pub layout: InboxLayout,
-    /// Run rounds over the **active set** only — the nodes with pending
-    /// inbox traffic — instead of sweeping all `n` nodes. Takes effect
-    /// only when the protocol declares
-    /// [`Protocol::QUIESCENT_ON_SILENCE`] *and* the unsharded arena
-    /// pipeline is licensed (the same silent-fallback rule as
-    /// [`SimConfig::layout`]); otherwise the dense schedule — the
-    /// byte-identical oracle — runs regardless of this flag. On by
-    /// default.
-    pub sparse_rounds: bool,
     /// Deterministic fault-injection plan; see [`crate::fault::FaultPlan`].
-    /// A non-empty plan revokes the fused/arena/sparse licenses and pins
-    /// the dense flat per-node oracle pipeline (like an observing
-    /// adversary does), so faulty transcripts stay byte-identical across
-    /// the layout × merge × sharding × pool-size matrix. The empty
-    /// default is inert.
+    /// A non-empty plan selects the flat feed (the fault pass rewrites
+    /// the node-order traffic vector; see the [module docs](self)). The
+    /// empty default is inert.
     pub fault: FaultPlan,
 }
 
@@ -305,11 +204,6 @@ impl Default for SimConfig {
             stop_when: StopWhen::AllHonestHalted,
             record_round_stats: false,
             parallel: false,
-            sharded_merge: false,
-            fused_merge: true,
-            delivery: DeliveryMode::CountingSort,
-            layout: InboxLayout::Arena,
-            sparse_rounds: true,
             fault: FaultPlan::default(),
         }
     }
@@ -388,36 +282,31 @@ pub struct Simulation<G, P: Protocol, A> {
     protocols: Vec<Option<P>>,
     rngs: Vec<ChaCha8Rng>,
     adversary_rng: ChaCha8Rng,
-    /// Live inboxes: what each node received at the end of last round
-    /// (legacy per-node layout; empty under the arena layout).
-    inboxes: Vec<Vec<Envelope<P::Message>>>,
-    /// Delivery staging for the round in flight; swapped with `inboxes`
-    /// each round instead of being reallocated.
-    staged: Vec<Vec<Envelope<P::Message>>>,
-    /// Live SoA message arena (arena layout; empty under the legacy
-    /// layout). Double-buffered with `arena_staged`, swapped each round.
+    /// Live SoA message arena: what each node received at the end of last
+    /// round. Double-buffered with `arena_staged`, swapped each round.
     arena: InboxArena<P::Message>,
     /// Arena staging for the round in flight.
     arena_staged: InboxArena<P::Message>,
     /// Per-destination message tallies of a two-pass round — the count
     /// pass's output, consumed (as write cursors) by the prefix-sum
-    /// placement and scatter, then re-zeroed. Arena layout only.
+    /// placement and scatter, then re-zeroed.
     dest_counts: Vec<u32>,
     /// Arena start position of each shard's contiguous slice (prefix over
-    /// shard-queue lengths; `num_shards + 1` entries). Sharded arena only.
+    /// shard-queue lengths; `num_shards + 1` entries). Multi-shard only.
     shard_bases: Vec<u32>,
     /// The static per-node arena offsets, precomputed once per execution
     /// as the prefix sums of the [`DeliveryMap`] in-degrees — the fast
     /// path's exact-capacity placement (a monotone-slot round delivers at
-    /// most in-degree messages per node). Arena layout only.
+    /// most in-degree messages per node).
     deg_offsets: Vec<u32>,
     /// Per-node count of incident edges whose other endpoint is Byzantine
     /// (with multiplicity) — the fast path's bound on how much Byzantine
-    /// traffic a degree-presized span can still absorb.
+    /// traffic a degree-presized span can still absorb. Outbox feed only.
     byz_in_degree: Vec<u32>,
     /// The slots [`NodeContext::broadcast`] selects for each node (first
     /// slot of every distinct neighbour), flattened;
-    /// `bcast_bases[u]..bcast_bases[u + 1]` spans node `u`'s. Arena only.
+    /// `bcast_bases[u]..bcast_bases[u + 1]` spans node `u`'s. Outbox feed
+    /// only.
     bcast_slots: Vec<u32>,
     /// Per-node spans into `bcast_slots`/`bcast_pos`, length `n + 1`.
     bcast_bases: Vec<u32>,
@@ -425,15 +314,15 @@ pub struct Simulation<G, P: Protocol, A> {
     /// **broadcast round** (every node broadcasting once — the steady
     /// state of flooding protocols): precomputed once per execution by a
     /// pid-order dry run of the scatter, aligned with `bcast_slots`.
-    /// Arena only.
+    /// Outbox feed only.
     bcast_pos: Vec<u32>,
     /// Per-node inbox length of a broadcast round (distinct in-degree).
-    /// Arena only.
+    /// Outbox feed only.
     bcast_lens: Vec<u32>,
     /// The sender plane of a broadcast round — the dense sender node id
     /// at every broadcast-round arena position (the [`Pid`] table widens
     /// at the inbox boundary). Copied into an arena once and then
-    /// invariant across consecutive broadcast rounds. Arena only.
+    /// invariant across consecutive broadcast rounds. Outbox feed only.
     static_senders: Vec<NodeId>,
     /// Whether this round's honest outboxes are *exactly* the broadcast
     /// pattern, every node included (set by the merge's scan) — the
@@ -447,7 +336,8 @@ pub struct Simulation<G, P: Protocol, A> {
     /// Per-node outgoing scratch lent to [`NodeContext`] each round;
     /// entries are (neighbour slot, message).
     outboxes: Vec<Vec<(u32, P::Message)>>,
-    /// Merged honest traffic of the round in flight, in node order.
+    /// Merged honest traffic of the round in flight, in node order (flat
+    /// feed only; always empty on the outbox feed).
     honest_outgoing: Vec<(NodeId, NodeId, P::Message)>,
     /// Destination sender-ranks aligned entry-for-entry with
     /// `honest_outgoing` (kept separate so the adversary's view of the
@@ -457,46 +347,39 @@ pub struct Simulation<G, P: Protocol, A> {
     byz_outgoing: Vec<(NodeId, NodeId, P::Message)>,
     /// Destination sender-ranks aligned with `byz_outgoing`.
     byz_ranks: Vec<u32>,
-    /// Per-shard routed-message queues (sharded merge only).
+    /// Per-shard routed-message queues (the multi-shard fallback only).
     shard_queues: Vec<Vec<Routed<P::Message>>>,
-    /// Per-inbox sender ranks of the staged messages, in staging order.
-    inbox_ranks: Vec<Vec<u32>>,
-    /// Per-inbox permutation scratch for the in-place counting sort.
+    /// Per-node permutation scratch for the in-place counting sort of
+    /// that node's span.
     inbox_pos: Vec<Vec<u32>>,
     /// Flat per-(destination, distinct sender) counters, CSR-aligned with
     /// `sender_ranks`; zeroed between uses.
     sender_counts: Vec<u32>,
-    /// Whether the fused merge→delivery pipeline is active for this
-    /// execution (resolved once at construction from
-    /// [`SimConfig::fused_merge`], the delivery mode, and the adversary's
-    /// [`Adversary::observes_traffic`] declaration).
-    fused: bool,
-    /// Whether the SoA arena message plane is active for this execution
-    /// (resolved once at construction: [`InboxLayout::Arena`] requested
-    /// *and* the fused pipeline licensed). Mutually exclusive with
-    /// `fused` — the arena subsumes the fused scatter.
-    arena_active: bool,
+    /// Which feed carries honest traffic into the arena (resolved once at
+    /// construction): `true` for the outbox feed — the adversary declared
+    /// [`Adversary::observes_traffic`]` == false` and the fault plan is
+    /// empty — `false` for the flat feed. See the [module docs](self).
+    outbox_feed: bool,
     /// Honest messages merged this round — tracked explicitly because the
-    /// fused pipeline never materializes them as a flat vector.
+    /// outbox feed never materializes them as a flat vector.
     round_honest_messages: u64,
     /// Node ids in increasing-[`Pid`] order (flattened from
-    /// [`PidIndex::nodes_by_pid`]). The fused merge drains outboxes in
+    /// [`PidIndex::nodes_by_pid`]). The outbox feed drains outboxes in
     /// this order, so every inbox receives its honest traffic already in
     /// canonical (sender-pid) order — which is what lets the counting
     /// sort be skipped wherever no Byzantine message can land.
     pid_order: Vec<u32>,
     /// Per node: whether any graph neighbour is Byzantine — i.e. whether
     /// this inbox can *ever* receive Byzantine traffic (edge locality).
-    /// Only these inboxes need rank tags and a counting sort under the
-    /// identity-ordered fused merge.
+    /// Only these inboxes need rank tags and a counting sort on the
+    /// outbox feed.
     byz_adjacent: Vec<bool>,
     /// The indices where `byz_adjacent` holds, so the per-round sort loop
     /// walks only the nodes that need sorting.
     byz_adjacent_nodes: Vec<u32>,
     /// Whether the active-set round schedule is live for this execution
-    /// (resolved once at construction: [`SimConfig::sparse_rounds`], the
-    /// unsharded arena pipeline, and a protocol declaring
-    /// [`Protocol::QUIESCENT_ON_SILENCE`]).
+    /// (resolved once at construction: the single-shard outbox feed and a
+    /// protocol declaring [`Protocol::QUIESCENT_ON_SILENCE`]).
     sparse_active: bool,
     /// The nodes whose *live-arena* inbox is non-empty — exactly the
     /// nodes the sparse schedule drives and drains this round — kept in
@@ -521,9 +404,9 @@ pub struct Simulation<G, P: Protocol, A> {
     /// Honest halted nodes so far; counterpart of `decided_count`.
     halted_count: usize,
     /// Whether [`SimConfig::fault`] is non-empty — resolved once at
-    /// construction. A non-empty plan revokes the fast-path licenses
-    /// (so all fault logic lives in the flat oracle pipeline) and turns
-    /// on the crash/fault hooks in [`Simulation::step`].
+    /// construction. A non-empty plan selects the flat feed (so all fault
+    /// logic runs on the node-order traffic vector) and turns on the
+    /// crash/fault hooks in [`Simulation::step`].
     faults_active: bool,
     /// The dedicated fault stream ([`FaultPlan::seed`]); untouched when
     /// the plan is empty, so no-fault transcripts are unchanged.
@@ -631,26 +514,7 @@ where
                 }
             })
             .collect();
-        // Shard count for the sharded merge: one delivery lane per pool
-        // worker (there is no one else to run a finer partition), trimmed
-        // so each shard keeps at least [`MIN_SLOTS_PER_SHARD`] arena
-        // slots of scatter work — a serial run (or a tiny graph) gets a
-        // single shard and skips the partition entirely. The count never
-        // affects transcripts (sharding preserves per-destination order),
-        // only how delivery work is partitioned.
-        let slot_total = g.degree_sum();
-        let num_shards = if config.sharded_merge {
-            pool_workers(config.parallel)
-                .min(slot_total.div_ceil(MIN_SLOTS_PER_SHARD))
-                .max(1)
-        } else {
-            1
-        };
         let sender_counts = vec![0; sender_ranks.total()];
-        // The fault plane exists only in the flat oracle pipeline, so a
-        // non-empty plan revokes the fast-path licenses below — which is
-        // precisely what makes faulty transcripts byte-identical across
-        // the whole layout/merge/sharding/pool matrix.
         let faults_active = !config.fault.is_empty();
         let mut crash_schedule = config.fault.crashes.clone();
         crash_schedule.sort_unstable_by_key(|ev| (ev.round, ev.node));
@@ -662,26 +526,31 @@ where
             );
         }
         let fault_rng = ChaCha8Rng::seed_from_u64(config.fault.seed);
-        // Fusion is licensed by the adversary (it gives up the flat
-        // honest-traffic view) and only implemented for the counting sort;
-        // observation, the reference oracle, or an active fault plan force
-        // the flat pipeline. The arena layout rides on the same license
-        // (it, too, never materializes the flat vector) and subsumes the
-        // fused scatter.
-        let licensed = config.fused_merge
-            && config.delivery == DeliveryMode::CountingSort
-            && !adversary.observes_traffic()
-            && !faults_active;
-        let arena_active = licensed && config.layout == InboxLayout::Arena;
-        let fused = licensed && !arena_active;
+        // Delivery may read the outboxes directly only when nobody needs
+        // the round's traffic as the node-order flat vector: neither the
+        // adversary (it declared it never observes it) nor the fault pass
+        // (the plan is empty).
+        let outbox_feed = !adversary.observes_traffic() && !faults_active;
+        // Shard count of the outbox feed's delivery: one lane per pool
+        // worker (there is no one else to run a finer partition), trimmed
+        // so each shard keeps at least [`MIN_SLOTS_PER_SHARD`] arena
+        // slots of scatter work — a serial run (or a tiny graph) gets a
+        // single shard. The count never affects transcripts, only how
+        // delivery work is partitioned. The flat feed delivers unsharded.
+        let slot_total = g.degree_sum();
+        let num_shards = if outbox_feed {
+            pool_workers(config.parallel)
+                .min(slot_total.div_ceil(MIN_SLOTS_PER_SHARD))
+                .max(1)
+        } else {
+            1
+        };
         let pid_order: Vec<u32> = pid_index.nodes_by_pid().map(|node| node.0).collect();
-        // The active-set schedule needs the unsharded arena (its worklist
-        // tracks arena spans) and a protocol promising that silence is a
-        // no-op; anything else silently keeps the dense oracle schedule.
-        let sparse_active = config.sparse_rounds
-            && arena_active
-            && !config.sharded_merge
-            && P::QUIESCENT_ON_SILENCE;
+        // The active-set schedule needs the single-shard outbox feed (its
+        // worklist tracks spans scattered in pid order) and a protocol
+        // promising that silence is a no-op; anything else runs the dense
+        // schedule.
+        let sparse_active = outbox_feed && num_shards == 1 && P::QUIESCENT_ON_SILENCE;
         let honest_total = is_byzantine.iter().filter(|b| !**b).count();
         // Round 1 drives everyone (inboxes start empty by definition), so
         // the initial worklist is the full pid-ordered node set.
@@ -713,17 +582,11 @@ where
         // one message per adjacent edge in the ubiquitous
         // broadcast-per-round workloads, so `degree` capacity skips every
         // warm-up growth check on those paths; heavier protocols still
-        // grow amortized. The per-node buffers are only presized when the
-        // legacy layout can actually run (the arena keeps them empty).
+        // grow amortized.
         let degree = |v: usize| g.degree(NodeId(v as u32));
-        let per_node_cap = |v: usize| if arena_active { 0 } else { degree(v) };
-        // The queues carry traffic whenever the legacy sharded paths run,
-        // and on the multi-shard arena's non-monotone fallback; a
-        // single-shard arena delegates to the unsharded pipeline and
-        // never touches them.
-        let shard_queues_used = config.sharded_merge && (num_shards > 1 || !arena_active);
+        // The queues carry traffic only on the multi-shard fallback.
         let shard_cap = |s: usize| {
-            if shard_queues_used {
+            if num_shards > 1 {
                 (shard_start(s, n, num_shards)..shard_start(s + 1, n, num_shards))
                     .map(degree)
                     .sum()
@@ -731,11 +594,10 @@ where
                 0
             }
         };
-        let arena_cap = if arena_active { slot_total } else { 0 };
-        let flat_cap = if licensed { 0 } else { slot_total };
-        // The fast path's static placement: node v's span starts at the
-        // prefix sum of in-degrees (undirected: degree) before it.
-        let deg_offsets: Vec<u32> = if arena_active {
+        // The fast path's static placement (and the arena's initial
+        // layout): node v's span starts at the prefix sum of in-degrees
+        // (undirected: degree) before it.
+        let deg_offsets: Vec<u32> = {
             let mut running = 0u32;
             (0..n)
                 .map(|v| {
@@ -744,10 +606,8 @@ where
                     start
                 })
                 .collect()
-        } else {
-            Vec::new()
         };
-        let byz_in_degree: Vec<u32> = if arena_active {
+        let byz_in_degree: Vec<u32> = if outbox_feed {
             (0..n)
                 .map(|v| {
                     g.neighbors(NodeId(v as u32))
@@ -762,7 +622,7 @@ where
         // picks per node (first slot of each distinct neighbour), and a
         // pid-order dry run of the scatter assigning each such message
         // its final arena position (and sender), once per execution.
-        let (bcast_slots, bcast_bases) = if arena_active {
+        let (bcast_slots, bcast_bases) = if outbox_feed {
             let mut slots = Vec::new();
             let mut bases = Vec::with_capacity(n + 1);
             bases.push(0u32);
@@ -780,7 +640,7 @@ where
         } else {
             (Vec::new(), Vec::new())
         };
-        let (bcast_pos, bcast_lens, static_senders) = if arena_active {
+        let (bcast_pos, bcast_lens, static_senders) = if outbox_feed {
             let mut cursor = deg_offsets.clone();
             let mut pos_table = vec![0u32; bcast_slots.len()];
             let mut slot_senders = vec![NodeId(0); slot_total];
@@ -802,27 +662,19 @@ where
         } else {
             (Vec::new(), Vec::new(), Vec::new())
         };
+        let flat_cap = if outbox_feed { 0 } else { slot_total };
         // Built before the struct literal: these capacity closures borrow
         // the graph through `g`, and the literal moves `graph` itself.
-        let inboxes: Vec<Vec<Envelope<P::Message>>> = (0..n)
-            .map(|v| Vec::with_capacity(per_node_cap(v)))
-            .collect();
-        let staged: Vec<Vec<Envelope<P::Message>>> = (0..n)
-            .map(|v| Vec::with_capacity(per_node_cap(v)))
-            .collect();
         let outboxes: Vec<Vec<(u32, P::Message)>> =
             (0..n).map(|v| Vec::with_capacity(degree(v))).collect();
         let shard_queues: Vec<Vec<Routed<P::Message>>> = (0..num_shards)
             .map(|s| Vec::with_capacity(shard_cap(s)))
             .collect();
-        let inbox_ranks: Vec<Vec<u32>> = (0..n)
-            .map(|v| Vec::with_capacity(per_node_cap(v)))
-            .collect();
         let inbox_pos: Vec<Vec<u32>> = (0..n)
             .map(|v| {
-                // Sort scratch: under the licensed pipelines only
-                // Byzantine-adjacent inboxes ever sort.
-                if !licensed || byz_adjacent[v] {
+                // Sort scratch: the flat feed sorts every span, the outbox
+                // feed only the Byzantine-adjacent ones.
+                if !outbox_feed || byz_adjacent[v] {
                     Vec::with_capacity(degree(v))
                 } else {
                     Vec::new()
@@ -842,12 +694,10 @@ where
             protocols,
             rngs,
             adversary_rng,
-            inboxes,
-            staged,
             outboxes,
-            arena: InboxArena::new(n, &deg_offsets, arena_cap),
-            arena_staged: InboxArena::new(n, &deg_offsets, arena_cap),
-            dest_counts: vec![0; if arena_active { n } else { 0 }],
+            arena: InboxArena::new(n, &deg_offsets, slot_total),
+            arena_staged: InboxArena::new(n, &deg_offsets, slot_total),
+            dest_counts: vec![0; n],
             shard_bases: vec![0; num_shards + 1],
             deg_offsets,
             byz_in_degree,
@@ -863,11 +713,9 @@ where
             byz_outgoing: Vec::new(),
             byz_ranks: Vec::new(),
             shard_queues,
-            inbox_ranks,
             inbox_pos,
             sender_counts,
-            fused,
-            arena_active,
+            outbox_feed,
             round_honest_messages: 0,
             pid_order,
             byz_adjacent,
@@ -932,11 +780,11 @@ where
     }
 
     /// Executes one synchronous round: honest compute, deterministic
-    /// merge (flat, or fused straight into delivery staging), rushing
-    /// adversary phase, delivery. With a non-empty [`SimConfig::fault`]
-    /// plan, scheduled crashes are applied at round start, and the
-    /// link-fault pass (drop/duplicate/delay) rewrites the merged honest
-    /// traffic before the rushing adversary observes it.
+    /// merge (the outbox feed's scan, or the flat feed's node-order
+    /// vector), rushing adversary phase, delivery. With a non-empty
+    /// [`SimConfig::fault`] plan, scheduled crashes are applied at round
+    /// start, and the link-fault pass (drop/duplicate/delay) rewrites the
+    /// merged honest traffic before the rushing adversary observes it.
     pub fn step(&mut self) {
         self.round += 1;
         if self.faults_active {
@@ -975,12 +823,11 @@ where
     /// message decides drop / duplicate / delay / pass (partitioned in
     /// that order over `[0, 1000)`), then every delayed message that has
     /// come due is appended after the fresh traffic. Runs on the flat
-    /// pipeline only (a non-empty plan revokes the fused/arena
-    /// licenses), after the merge fixed the canonical order and before
-    /// the rushing adversary observes the traffic — the adversary sees
-    /// what the faulty links actually carry. Redelivered messages are
-    /// never re-faulted. Crash-only plans (all rates zero) make no RNG
-    /// draws at all.
+    /// feed (a non-empty plan selects it), after the merge fixed the
+    /// node-order vector and before the rushing adversary observes the
+    /// traffic — the adversary sees what the faulty links actually
+    /// carry. Redelivered messages are never re-faulted. Crash-only plans
+    /// (all rates zero) make no RNG draws at all.
     fn fault_phase(&mut self) {
         let plan = &self.config.fault;
         let drop_below = u32::from(plan.drop_per_mille);
@@ -1053,38 +900,24 @@ where
             .retain(|(from, _, _)| !crashed[from.index()]);
     }
 
-    /// Dispatches the deterministic merge: the arena count pass (or shard
-    /// partition) when the SoA arena is active, the fused scatter (direct
-    /// to staged inboxes, or to shard queues) when the adversary licensed
-    /// fusion on the legacy layout, else the flat node-order merge into
-    /// `honest_outgoing`.
+    /// Dispatches the deterministic merge: on the outbox feed, the
+    /// metrics + shape scan over the outboxes (which stay full for
+    /// delivery — over the active worklist under the sparse schedule);
+    /// on the flat feed, the node-order merge into `honest_outgoing`.
     fn merge_phase(&mut self) {
-        if self.arena_active {
-            // All arena shapes (sharded or not) run the same metrics +
-            // monotonicity scan — parallel over sender chunks when
-            // configured — and leave the outboxes full for delivery; the
-            // sharded variants partition (or scatter owner-computes) at
-            // delivery time instead of pushing queues here.
-            if self.sparse_active {
-                self.merge_arena_count_sparse();
-            } else {
-                self.merge_arena_count();
-            }
-        } else if self.fused {
-            if self.config.sharded_merge {
-                self.merge_fused_sharded();
-            } else {
-                self.merge_fused();
-            }
-        } else {
+        if !self.outbox_feed {
             self.merge_outboxes();
+        } else if self.sparse_active {
+            self.merge_arena_count_sparse();
+        } else {
+            self.merge_arena_count();
         }
     }
 
     /// Honest compute: every scheduled node runs [`Protocol::on_round`]
     /// against its own inbox, RNG, and outbox scratch. No cross-node data
     /// is written, so the `parallel` feature may fan this out over
-    /// threads; ordering is restored by [`Simulation::merge_outboxes`].
+    /// threads; message order is fixed by the merge that follows.
     fn honest_phase(&mut self) {
         if self.sparse_active {
             // The active set is usually far smaller than a worker
@@ -1137,11 +970,7 @@ where
     }
 
     fn honest_phase_serial(&mut self) {
-        let inboxes = if self.arena_active {
-            InboxesView::Arena(&self.arena, &self.pids)
-        } else {
-            InboxesView::PerNode(&self.inboxes)
-        };
+        let inboxes = self.arena.view(&self.pids);
         for u in 0..self.graph().len() {
             if self.is_byzantine[u] || self.halted[u] || self.crashed[u] {
                 continue;
@@ -1172,11 +1001,7 @@ where
             round: self.round,
             pids: &self.pids,
             neighbor_pids: &self.neighbor_pids,
-            inboxes: if self.arena_active {
-                InboxesView::Arena(&self.arena, &self.pids)
-            } else {
-                InboxesView::PerNode(&self.inboxes)
-            },
+            inboxes: self.arena.view(&self.pids),
             is_byzantine: &self.is_byzantine,
             crashed: &self.crashed,
         };
@@ -1191,13 +1016,13 @@ where
         run_lane(shared, lane, chunk);
     }
 
-    /// Deterministic merge: drains every honest outbox in node order,
-    /// resolving each slot-addressed send to its destination and
-    /// counting-sort rank through the precomputed [`DeliveryMap`] (one
-    /// flat-array load — no per-message identity search) and recording
-    /// per-node metrics. This single-threaded step fixes the global
-    /// message order, which is why neither the parallel compute phase nor
-    /// the sharded delivery can perturb transcripts.
+    /// The flat feed's merge: drains every honest outbox in node order
+    /// into `honest_outgoing`, resolving each slot-addressed send to its
+    /// destination and counting-sort rank through the precomputed
+    /// [`DeliveryMap`] (one flat-array load — no per-message identity
+    /// search) and recording per-node metrics. This single-threaded step
+    /// fixes the order the fault pass and the adversary see, which is why
+    /// the parallel compute phase cannot perturb transcripts.
     fn merge_outboxes(&mut self) {
         debug_assert!(self.honest_outgoing.is_empty());
         debug_assert!(self.honest_ranks.is_empty());
@@ -1214,104 +1039,8 @@ where
         self.round_honest_messages = self.honest_outgoing.len() as u64;
     }
 
-    /// Fused merge, unsharded: drains every honest outbox **in
-    /// increasing-pid order** and writes each send *directly* into its
-    /// destination's staged inbox, skipping the flat `honest_outgoing`
-    /// vector. Because senders arrive in pid order and the canonical inbox
-    /// order *is* stable-by-sender-pid, every inbox is already sorted as
-    /// scattered — the counting sort (and even its rank tag) is needed
-    /// only where Byzantine traffic can interleave later, i.e. at nodes
-    /// with a Byzantine neighbour. Visitation order is unobservable here
-    /// (no adversary view of the flat vector, metrics are per-sender
-    /// sums), so transcripts remain bit-identical to the flat path's.
-    /// Metrics are accumulated per node and committed in one batch.
-    fn merge_fused(&mut self) {
-        let id_bits = self.config.id_bits;
-        let staged = &mut self.staged;
-        let inbox_ranks = &mut self.inbox_ranks;
-        let outboxes = &mut self.outboxes;
-        let metrics = &mut self.metrics;
-        let byz_adjacent = &self.byz_adjacent;
-        for (inbox, ranks) in staged.iter_mut().zip(inbox_ranks.iter_mut()) {
-            inbox.clear();
-            ranks.clear();
-        }
-        let mut sent = 0u64;
-        for &u in &self.pid_order {
-            let u = u as usize;
-            let outbox = &mut outboxes[u];
-            if outbox.is_empty() {
-                continue;
-            }
-            let sender = self.pids[u];
-            let targets = self.delivery_map.targets_of(u);
-            let count = outbox.len() as u64;
-            let mut bits = 0u64;
-            let mut max_bits = 0u64;
-            for (slot, msg) in outbox.drain(..) {
-                let target = targets[slot as usize];
-                let size = msg.size_bits(id_bits);
-                bits += size;
-                max_bits = max_bits.max(size);
-                let v = target.to.index();
-                staged[v].push(Envelope { sender, msg });
-                if byz_adjacent[v] {
-                    inbox_ranks[v].push(target.rank);
-                }
-            }
-            metrics.per_node[u].record_batch(count, bits, max_bits);
-            sent += count;
-        }
-        self.round_honest_messages = sent;
-    }
-
-    /// Fused merge, sharded: same increasing-pid drain as
-    /// [`Simulation::merge_fused`], but each send lands in its
-    /// destination-range shard queue as a pre-stamped [`Routed`] message —
-    /// the partition [`Simulation::deliver_sharded`] would have built from
-    /// the flat vector, produced without ever materializing it. Queues
-    /// inherit the pid order per destination, so the shard leaves can skip
-    /// the counting sort at Byzantine-free inboxes exactly like the
-    /// unsharded path. The per-shard scatter (+ sort where needed) then
-    /// runs in delivery, in parallel when configured.
-    fn merge_fused_sharded(&mut self) {
-        let n = self.graph().len();
-        let id_bits = self.config.id_bits;
-        let num_shards = self.shard_queues.len();
-        let shard_queues = &mut self.shard_queues;
-        let outboxes = &mut self.outboxes;
-        let metrics = &mut self.metrics;
-        let mut sent = 0u64;
-        for &u in &self.pid_order {
-            let u = u as usize;
-            let outbox = &mut outboxes[u];
-            if outbox.is_empty() {
-                continue;
-            }
-            let sender = NodeId(u as u32);
-            let targets = self.delivery_map.targets_of(u);
-            let count = outbox.len() as u64;
-            let mut bits = 0u64;
-            let mut max_bits = 0u64;
-            for (slot, msg) in outbox.drain(..) {
-                let target = targets[slot as usize];
-                let size = msg.size_bits(id_bits);
-                bits += size;
-                max_bits = max_bits.max(size);
-                shard_queues[shard_of(target.to.index(), n, num_shards)].push(Routed {
-                    sender,
-                    to: target.to,
-                    rank: target.rank,
-                    msg,
-                });
-            }
-            metrics.per_node[u].record_batch(count, bits, max_bits);
-            sent += count;
-        }
-        self.round_honest_messages = sent;
-    }
-
-    /// Arena merge: records per-node metrics and scans every outbox's slot
+    /// The outbox feed's merge: records per-node metrics and scans every
+    /// outbox's slot
     /// sequence for strict monotonicity. A monotone round sends at most
     /// one message per directed edge, so every destination fits its
     /// **degree-presized** span and the fast path can place messages with
@@ -1473,7 +1202,8 @@ where
     /// same. Either way every message is written once, into its final
     /// position in the parallel sender/payload/rank arrays, and only
     /// Byzantine-adjacent spans need the counting sort — everything else
-    /// is final as scattered (same argument as the fused pipeline's).
+    /// is final as scattered (senders are visited in increasing-pid
+    /// order).
     fn deliver_arena(&mut self) {
         if self.arena_fast_round {
             // A **broadcast** round — every node broadcasting exactly
@@ -1769,29 +1499,14 @@ where
     }
 
     /// Arena delivery, exact two-pass variant — passes 2 and 3 of the
-    /// count/prefix-sum merge, for rounds whose shape exceeds the
-    /// degree-presized bound.
+    /// count/prefix-sum merge, for outbox-feed rounds whose shape exceeds
+    /// the degree-presized bound.
     fn deliver_arena_two_pass(&mut self) {
-        let n = self.graph().len();
         for (_, to, _) in &self.byz_outgoing {
             self.dest_counts[to.index()] += 1;
         }
-        // Prefix-sum placement: packed spans into the staged arena, and
-        // the tallies become per-destination write cursors.
-        let arena = &mut self.arena_staged;
-        arena.offsets_static = false;
-        arena.senders_static = false;
-        arena.lens_full = false;
-        let mut running = 0u32;
-        for v in 0..n {
-            arena.offsets[v] = running;
-            let c = self.dest_counts[v];
-            arena.lens[v] = c;
-            self.dest_counts[v] = running;
-            running += c;
-        }
-        let total = running as usize;
-        if arena.msgs.len() < total {
+        let total = self.place_spans();
+        if self.arena_staged.msgs.len() < total {
             // High-water growth only (warm-up; within the degree-presized
             // capacity this does not even reallocate). The filler clone is
             // a placeholder: every slot below `total` is overwritten by
@@ -1802,8 +1517,9 @@ where
                 .find_map(|ob| ob.first().map(|(_, m)| m.clone()))
                 .or_else(|| self.byz_outgoing.first().map(|(_, _, m)| m.clone()))
                 .expect("a positive total implies at least one message in flight");
-            arena.grow_to(total, filler);
+            self.arena_staged.grow_to(total, filler);
         }
+        let arena = &mut self.arena_staged;
         // Scatter pass: honest traffic in increasing-pid order...
         for &u in &self.pid_order {
             let u = u as usize;
@@ -1848,35 +1564,112 @@ where
         self.sort_byz_adjacent_spans();
     }
 
-    /// Counting sort of the staged arena where Byzantine traffic can
-    /// interleave — an index-permuting cycle walk over the small parallel
-    /// arrays.
-    fn sort_byz_adjacent_spans(&mut self) {
+    /// The flat feed's delivery: the node-order `honest_outgoing` vector
+    /// (exactly as the fault pass and the adversary saw it) and the
+    /// Byzantine traffic go through the two-pass count → prefix-sum →
+    /// scatter, then **every** non-empty span is counting-sorted — node
+    /// order is not pid order, so no span is sorted as scattered. The
+    /// sort is stable, so a sender's messages keep their merged order.
+    fn deliver_flat(&mut self) {
+        for (_, to, _) in self.honest_outgoing.iter().chain(&self.byz_outgoing) {
+            self.dest_counts[to.index()] += 1;
+        }
+        let total = self.place_spans();
+        if self.arena_staged.msgs.len() < total {
+            // High-water growth only; see `deliver_arena_two_pass`.
+            let filler = self
+                .honest_outgoing
+                .iter()
+                .chain(&self.byz_outgoing)
+                .map(|(_, _, m)| m.clone())
+                .next()
+                .expect("a positive total implies at least one message in flight");
+            self.arena_staged.grow_to(total, filler);
+        }
         let arena = &mut self.arena_staged;
-        for &v in &self.byz_adjacent_nodes {
-            let v = v as usize;
-            let o0 = arena.offsets[v] as usize;
-            let o1 = o0 + arena.lens[v] as usize;
-            let c0 = self.sender_ranks.offset(v);
-            let c1 = self.sender_ranks.offset(v + 1);
-            finish_inbox_soa(
-                &mut arena.senders[o0..o1],
-                &mut arena.msgs[o0..o1],
-                &arena.ranks[o0..o1],
-                &mut self.inbox_pos[v],
-                &mut self.sender_counts[c0..c1],
-            );
+        let honest = self
+            .honest_outgoing
+            .drain(..)
+            .zip(self.honest_ranks.drain(..));
+        let byzantine = self.byz_outgoing.drain(..).zip(self.byz_ranks.drain(..));
+        for ((from, to, msg), rank) in honest.chain(byzantine) {
+            let v = to.index();
+            let pos = self.dest_counts[v];
+            self.dest_counts[v] = pos + 1;
+            let pos = pos as usize;
+            arena.senders[pos] = from;
+            arena.msgs[pos] = msg;
+            arena.ranks[pos] = rank;
+        }
+        for c in &mut self.dest_counts {
+            *c = 0;
+        }
+        for v in 0..self.graph().len() {
+            self.sort_staged_span(v);
         }
     }
 
-    /// Whether the multi-shard arena delivery lanes are engaged: sharding
-    /// requested **and** more than one shard derived from the pool size.
-    /// A single-shard run delegates merge and delivery to the unsharded
-    /// arena pipeline wholesale — byte-identical transcripts without the
-    /// partition overhead, which is what recovered the serial
-    /// `reuse_buffers_sharded` throughput.
+    /// The two-pass merge's prefix-sum placement: turns the
+    /// per-destination tallies in `dest_counts` into packed spans of the
+    /// staged arena, replaces each tally with its span's write cursor, and
+    /// returns the round's message total.
+    fn place_spans(&mut self) -> usize {
+        let arena = &mut self.arena_staged;
+        arena.offsets_static = false;
+        arena.senders_static = false;
+        arena.lens_full = false;
+        let mut running = 0u32;
+        for ((offset, len), count) in arena
+            .offsets
+            .iter_mut()
+            .zip(arena.lens.iter_mut())
+            .zip(self.dest_counts.iter_mut())
+        {
+            *offset = running;
+            *len = *count;
+            running += *count;
+            *count = *offset;
+        }
+        running as usize
+    }
+
+    /// Counting sort of the staged spans where Byzantine traffic can
+    /// interleave with the pid-ordered honest scatter — the outbox feed's
+    /// only spans not sorted as scattered.
+    fn sort_byz_adjacent_spans(&mut self) {
+        for i in 0..self.byz_adjacent_nodes.len() {
+            let v = self.byz_adjacent_nodes[i] as usize;
+            self.sort_staged_span(v);
+        }
+    }
+
+    /// Stable counting sort of node `v`'s staged span by sender rank — an
+    /// index-permuting cycle walk over the small parallel arrays.
+    fn sort_staged_span(&mut self, v: usize) {
+        let arena = &mut self.arena_staged;
+        if arena.lens[v] <= 1 {
+            return;
+        }
+        let o0 = arena.offsets[v] as usize;
+        let o1 = o0 + arena.lens[v] as usize;
+        let c0 = self.sender_ranks.offset(v);
+        let c1 = self.sender_ranks.offset(v + 1);
+        finish_inbox_soa(
+            &mut arena.senders[o0..o1],
+            &mut arena.msgs[o0..o1],
+            &arena.ranks[o0..o1],
+            &mut self.inbox_pos[v],
+            &mut self.sender_counts[c0..c1],
+        );
+    }
+
+    /// Whether the multi-shard delivery lanes are engaged: more than one
+    /// shard derived from the pool size, which only the outbox feed under
+    /// [`SimConfig::parallel`] can get. A single-shard run takes the
+    /// unsharded arena paths wholesale — byte-identical transcripts
+    /// without the partition overhead.
     fn sharded_lanes_active(&self) -> bool {
-        self.config.sharded_merge && self.shard_queues.len() > 1
+        self.shard_queues.len() > 1
     }
 
     /// Arena delivery, sharded. A monotone round with fitting Byzantine
@@ -1898,8 +1691,7 @@ where
 
     /// The queue partition of the sharded fallback: drains every honest
     /// outbox in increasing-pid order into its destination-range shard
-    /// queue — [`Simulation::merge_fused_sharded`]'s routing without the
-    /// metrics pass (the merge scan already recorded them).
+    /// queue (the merge scan already recorded the metrics).
     fn partition_shard_queues(&mut self) {
         let n = self.graph().len();
         let num_shards = self.shard_queues.len();
@@ -2100,11 +1892,7 @@ where
             is_byzantine: &self.is_byzantine,
             honest_states: &self.protocols,
             honest_outgoing: &self.honest_outgoing,
-            inboxes: if self.arena_active {
-                InboxesView::Arena(&self.arena, &self.pids)
-            } else {
-                InboxesView::PerNode(&self.inboxes)
-            },
+            inboxes: self.arena.view(&self.pids),
         };
         let mut ctx = ByzantineContext {
             graph: self.graph.borrow(),
@@ -2115,67 +1903,39 @@ where
         self.adversary.on_round(&view, &mut ctx);
     }
 
-    /// Delivery: stamps authenticated senders, stages envelopes, orders
-    /// each inbox by sender (stable counting sort over precomputed ranks,
-    /// optionally sharded by destination range), and swaps the double
-    /// buffer.
+    /// Delivery: accounts and rank-resolves the Byzantine traffic, places
+    /// the round's messages into the staged arena through the execution's
+    /// feed, sorts what needs sorting, and swaps the double buffer.
     fn deliver(&mut self) {
-        debug_assert!(self.fused || self.honest_ranks.len() == self.honest_outgoing.len());
-        debug_assert!(!self.fused || self.honest_outgoing.is_empty());
+        debug_assert_eq!(self.honest_ranks.len(), self.honest_outgoing.len());
+        debug_assert!(!self.outbox_feed || self.honest_outgoing.is_empty());
         debug_assert!(self.byz_ranks.is_empty());
         let honest_message_count = self.round_honest_messages;
         let message_count = honest_message_count + self.byz_outgoing.len() as u64;
         // Account and rank-resolve the Byzantine traffic up front, serially:
         // per-sender metrics writes would race under the sharded scatter,
         // and the adversary's (from, to) pairs carry no precomputed slot.
-        // The reference sort orders by pid directly, so it skips the ranks.
-        let needs_ranks = self.config.delivery != DeliveryMode::ReferenceSort;
         for (from, to, msg) in &self.byz_outgoing {
             self.metrics.per_node[from.index()].record(msg.size_bits(self.config.id_bits));
-            if needs_ranks {
-                let rank = self
-                    .sender_ranks
-                    .rank_of(*to, self.pids[from.index()])
-                    .expect("byzantine sender is a graph neighbor");
-                self.byz_ranks.push(rank);
-            }
+            let rank = self
+                .sender_ranks
+                .rank_of(*to, self.pids[from.index()])
+                .expect("byzantine sender is a graph neighbor");
+            self.byz_ranks.push(rank);
         }
-        if self.arena_active {
-            // The merge scan already ran (and, unsharded, the count pass
-            // where needed); place, scatter, and sort into the staged
-            // arena. A single-shard "sharded" run delegates to the
-            // unsharded pipeline outright — same transcripts, none of the
-            // partition overhead.
-            if self.sharded_lanes_active() {
-                self.deliver_arena_sharded();
-            } else if self.sparse_active {
-                self.deliver_arena_sparse();
-            } else {
-                self.deliver_arena();
-            }
-        } else if self.fused {
-            // The honest traffic was already scattered by the fused merge;
-            // only the Byzantine traffic and the counting sorts remain.
-            if self.config.sharded_merge {
-                self.deliver_fused_sharded();
-            } else {
-                self.deliver_fused();
-            }
+        if !self.outbox_feed {
+            self.deliver_flat();
+        } else if self.sharded_lanes_active() {
+            self.deliver_arena_sharded();
+        } else if self.sparse_active {
+            self.deliver_arena_sparse();
         } else {
-            match self.config.delivery {
-                DeliveryMode::ReferenceSort => self.deliver_reference(),
-                DeliveryMode::CountingSort if self.config.sharded_merge => self.deliver_sharded(),
-                DeliveryMode::CountingSort => self.deliver_counting(),
-            }
+            self.deliver_arena();
         }
-        if self.arena_active {
-            std::mem::swap(&mut self.arena, &mut self.arena_staged);
-            if self.sparse_active {
-                // The worklists travel with their buffers.
-                std::mem::swap(&mut self.arena_actives, &mut self.staged_actives);
-            }
-        } else {
-            std::mem::swap(&mut self.inboxes, &mut self.staged);
+        std::mem::swap(&mut self.arena, &mut self.arena_staged);
+        if self.sparse_active {
+            // The worklists travel with their buffers.
+            std::mem::swap(&mut self.arena_actives, &mut self.staged_actives);
         }
         self.metrics.rounds = self.round;
         if self.config.record_round_stats {
@@ -2208,206 +1968,17 @@ where
         }
     }
 
-    /// Reference delivery: stage in merged order, then stable-sort each
-    /// inbox by sender pid. Allocates (merge-sort scratch) — this is the
-    /// oracle the counting-sort path is property-tested against, not a
-    /// production path.
-    fn deliver_reference(&mut self) {
-        for inbox in &mut self.staged {
-            inbox.clear();
-        }
-        self.honest_ranks.clear();
-        self.byz_ranks.clear();
-        for (from, to, msg) in self.honest_outgoing.drain(..) {
-            self.staged[to.index()].push(Envelope {
-                sender: self.pids[from.index()],
-                msg,
-            });
-        }
-        for (from, to, msg) in self.byz_outgoing.drain(..) {
-            self.staged[to.index()].push(Envelope {
-                sender: self.pids[from.index()],
-                msg,
-            });
-        }
-        for inbox in &mut self.staged {
-            // Stable: several messages from one sender in one round keep
-            // their merged order — exactly what the counting sort produces.
-            inbox.sort_by_key(|e| e.sender);
-        }
-    }
-
-    /// Counting-sort delivery, unsharded: one scatter pass over the merged
-    /// traffic (envelope + rank tag per message), then a stable in-place
-    /// counting permutation per inbox. Allocation-free in steady state.
-    fn deliver_counting(&mut self) {
-        for (inbox, ranks) in self.staged.iter_mut().zip(self.inbox_ranks.iter_mut()) {
-            inbox.clear();
-            ranks.clear();
-        }
-        for ((from, to, msg), rank) in self
-            .honest_outgoing
-            .drain(..)
-            .zip(self.honest_ranks.drain(..))
-        {
-            self.staged[to.index()].push(Envelope {
-                sender: self.pids[from.index()],
-                msg,
-            });
-            self.inbox_ranks[to.index()].push(rank);
-        }
-        for ((from, to, msg), rank) in self.byz_outgoing.drain(..).zip(self.byz_ranks.drain(..)) {
-            self.staged[to.index()].push(Envelope {
-                sender: self.pids[from.index()],
-                msg,
-            });
-            self.inbox_ranks[to.index()].push(rank);
-        }
-        self.finish_all_inboxes();
-    }
-
-    /// Fused delivery, unsharded: the fused merge already scattered the
-    /// honest traffic into the staged inboxes *in canonical sender-pid
-    /// order*, so only the Byzantine append and a counting sort of the
-    /// Byzantine-adjacent inboxes remain — every other inbox is already in
-    /// its final order. Per-inbox contents are byte-identical to
-    /// [`Simulation::deliver_counting`]'s: a stable sort's output is
-    /// visitation-order independent.
-    fn deliver_fused(&mut self) {
-        for ((from, to, msg), rank) in self.byz_outgoing.drain(..).zip(self.byz_ranks.drain(..)) {
-            debug_assert!(
-                self.byz_adjacent[to.index()],
-                "edge locality: Byzantine traffic only reaches Byzantine-adjacent inboxes"
-            );
-            self.staged[to.index()].push(Envelope {
-                sender: self.pids[from.index()],
-                msg,
-            });
-            self.inbox_ranks[to.index()].push(rank);
-        }
-        for v in 0..self.graph().len() {
-            if !self.byz_adjacent[v] {
-                continue;
-            }
-            let c0 = self.sender_ranks.offset(v);
-            let c1 = self.sender_ranks.offset(v + 1);
-            finish_inbox(
-                &mut self.staged[v],
-                &self.inbox_ranks[v],
-                &mut self.inbox_pos[v],
-                &mut self.sender_counts[c0..c1],
-            );
-        }
-    }
-
-    /// Stable in-place counting sort of every staged inbox (the shared
-    /// tail of the unsharded counting-sort paths).
-    fn finish_all_inboxes(&mut self) {
-        for v in 0..self.graph().len() {
-            let c0 = self.sender_ranks.offset(v);
-            let c1 = self.sender_ranks.offset(v + 1);
-            finish_inbox(
-                &mut self.staged[v],
-                &self.inbox_ranks[v],
-                &mut self.inbox_pos[v],
-                &mut self.sender_counts[c0..c1],
-            );
-        }
-    }
-
-    /// Counting-sort delivery, sharded: the merged traffic is partitioned
-    /// (serially, order preserved) into per-destination-range queues, then
-    /// each shard scatters and counting-sorts its own disjoint slice of
-    /// the inboxes. With the `parallel` feature and
-    /// [`SimConfig::parallel`], shards fan out via `rayon::join`.
-    fn deliver_sharded(&mut self) {
-        let n = self.graph().len();
-        let num_shards = self.shard_queues.len();
-        for ((from, to, msg), rank) in self
-            .honest_outgoing
-            .drain(..)
-            .zip(self.honest_ranks.drain(..))
-        {
-            self.shard_queues[shard_of(to.index(), n, num_shards)].push(Routed {
-                sender: from,
-                to,
-                rank,
-                msg,
-            });
-        }
-        for ((from, to, msg), rank) in self.byz_outgoing.drain(..).zip(self.byz_ranks.drain(..)) {
-            self.shard_queues[shard_of(to.index(), n, num_shards)].push(Routed {
-                sender: from,
-                to,
-                rank,
-                msg,
-            });
-        }
-        self.run_shard_lanes();
-    }
-
-    /// Fused delivery, sharded: the fused merge already partitioned the
-    /// honest traffic into the shard queues; append the Byzantine traffic
-    /// (order preserved) and run the per-shard scatter + counting sort.
-    fn deliver_fused_sharded(&mut self) {
-        let n = self.graph().len();
-        let num_shards = self.shard_queues.len();
-        for ((from, to, msg), rank) in self.byz_outgoing.drain(..).zip(self.byz_ranks.drain(..)) {
-            self.shard_queues[shard_of(to.index(), n, num_shards)].push(Routed {
-                sender: from,
-                to,
-                rank,
-                msg,
-            });
-        }
-        self.run_shard_lanes();
-    }
-
-    /// Scatters and counting-sorts every shard's queue into its inbox
-    /// range — with the `parallel` feature and [`SimConfig::parallel`],
-    /// shards fan out over the worker pool. Under the fused pipeline the
-    /// queues arrive in canonical pid order, so the leaves skip the rank
-    /// tags and the sort at Byzantine-free inboxes.
-    fn run_shard_lanes(&mut self) {
-        let geometry = ShardGeometry {
-            n: self.graph().len(),
-            shards: self.shard_queues.len(),
-            senders: &self.sender_ranks,
-            pids: &self.pids,
-            presorted: if self.fused {
-                Some(&self.byz_adjacent)
-            } else {
-                None
-            },
-        };
-        let lane = DeliveryLane {
-            first_shard: 0,
-            base_node: 0,
-            queues: &mut self.shard_queues,
-            staged: &mut self.staged,
-            ranks: &mut self.inbox_ranks,
-            pos: &mut self.inbox_pos,
-            counts: &mut self.sender_counts,
-        };
-        let parallel = self.config.parallel;
-        run_delivery_lane(geometry, lane, parallel);
-    }
-
     /// The messages node `u` received at the end of the last executed
     /// round, sorted by sender — the same view the node's
     /// [`NodeContext::inbox`] will expose next round. Public for
     /// instrumentation and equivalence testing; [`Inbox`] comparisons are
-    /// by content, so views are comparable across physical layouts.
+    /// by content.
     pub fn inbox(&self, u: NodeId) -> Inbox<'_, P::Message> {
-        if self.arena_active {
-            self.arena.inbox(u.index(), &self.pids)
-        } else {
-            Inbox::Packed(&self.inboxes[u.index()])
-        }
+        self.arena.inbox(u.index(), &self.pids)
     }
 
     /// Runs the compute + deterministic-merge half of the next round (the
-    /// configured merge — flat, fused, or the arena count pass), leaving
+    /// outbox feed's scan or the flat feed's node-order merge), leaving
     /// the merged traffic staged (benchmark/instrumentation hook; pair
     /// with [`Simulation::step`]-equivalent completion or
     /// [`Simulation::drop_round_traffic`], never with a bare repeat).
@@ -2420,21 +1991,20 @@ where
     }
 
     /// Runs the honest compute phase alone (benchmark hook; reset the
-    /// filled outboxes with [`Simulation::drop_round_traffic`] — arena
-    /// pipeline only, which is where outboxes outlive the merge).
+    /// filled outboxes with [`Simulation::drop_round_traffic`] — outbox
+    /// feed only, which is where outboxes outlive the merge).
     #[cfg(feature = "bench-probes")]
     #[doc(hidden)]
     pub fn bench_compute_only(&mut self) {
-        debug_assert!(self.arena_active);
+        debug_assert!(self.outbox_feed);
         self.round += 1;
         self.honest_phase();
     }
 
-    /// Discards the round's merged-but-undelivered traffic — total
-    /// omission fault injection, and the reset half of the merge
-    /// micro-benchmark. Covers every merge variant: the flat vector, the
-    /// fused-scattered staging, the shard queues, and the arena's counted
-    /// (but not yet scattered) outboxes.
+    /// Discards the round's merged-but-undelivered traffic — the reset
+    /// half of the phase micro-benchmarks. Covers both feeds: the flat
+    /// vector, and the outbox feed's counted (but not yet scattered)
+    /// outboxes and tallies.
     #[cfg(feature = "bench-probes")]
     #[doc(hidden)]
     pub fn drop_round_traffic(&mut self) {
@@ -2442,25 +2012,13 @@ where
         self.honest_ranks.clear();
         self.byz_outgoing.clear();
         self.byz_ranks.clear();
-        for queue in &mut self.shard_queues {
-            queue.clear();
+        // The outbox feed's merge leaves the outboxes full (delivery is
+        // what drains them) and possibly the tallies populated.
+        for outbox in &mut self.outboxes {
+            outbox.clear();
         }
-        if self.fused && !self.config.sharded_merge {
-            for (inbox, ranks) in self.staged.iter_mut().zip(self.inbox_ranks.iter_mut()) {
-                inbox.clear();
-                ranks.clear();
-            }
-        }
-        if self.arena_active {
-            // The merge left the outboxes full (delivery is what drains
-            // them on every arena shape) and possibly the tallies
-            // populated; discard both.
-            for outbox in &mut self.outboxes {
-                outbox.clear();
-            }
-            for c in &mut self.dest_counts {
-                *c = 0;
-            }
+        for c in &mut self.dest_counts {
+            *c = 0;
         }
         self.round_honest_messages = 0;
     }
@@ -2472,7 +2030,7 @@ where
     #[cfg(feature = "bench-probes")]
     #[doc(hidden)]
     pub fn bench_count_pass(&mut self) {
-        debug_assert!(self.arena_active && !self.config.sharded_merge);
+        debug_assert!(self.outbox_feed && !self.sharded_lanes_active());
         self.bench_compute_merge();
         if self.arena_fast_round {
             self.count_dests();
@@ -2482,13 +2040,13 @@ where
     /// Clones the per-destination tallies of the staged round, forcing
     /// the count pass if the fast path skipped it (benchmark hook; call
     /// after [`Simulation::bench_compute_merge`], reset afterwards).
-    /// Requires the unsharded arena pipeline.
+    /// Requires the unsharded outbox feed.
     #[cfg(feature = "bench-probes")]
     #[doc(hidden)]
     pub fn bench_snapshot_counts(&mut self) -> Vec<u32> {
         debug_assert!(
-            self.arena_active && !self.config.sharded_merge,
-            "count tallies exist only on the unsharded arena pipeline"
+            self.outbox_feed && !self.sharded_lanes_active(),
+            "count tallies exist only on the unsharded outbox feed"
         );
         if self.arena_fast_round {
             self.count_dests();
@@ -2507,7 +2065,7 @@ where
     #[cfg(feature = "bench-probes")]
     #[doc(hidden)]
     pub fn bench_arena_placement(&mut self, counts: &[u32]) {
-        debug_assert!(self.arena_active && !self.config.sharded_merge);
+        debug_assert!(self.outbox_feed && !self.sharded_lanes_active());
         let n = self.graph().len();
         debug_assert_eq!(counts.len(), n);
         let arena = &mut self.arena_staged;
@@ -2535,36 +2093,6 @@ where
         self.deliver();
     }
 
-    /// Clones the currently merged honest traffic (benchmark hook).
-    /// Requires the flat pipeline — the fused merge never materializes a
-    /// snapshot-able flat vector.
-    #[cfg(feature = "bench-probes")]
-    #[doc(hidden)]
-    pub fn bench_snapshot_traffic(&self) -> TrafficSnapshot<P::Message> {
-        debug_assert!(!self.fused, "snapshotting requires the flat pipeline");
-        TrafficSnapshot {
-            honest: self.honest_outgoing.clone(),
-            ranks: self.honest_ranks.clone(),
-        }
-    }
-
-    /// Refills the merge buffers from a snapshot and runs delivery alone —
-    /// the delivery micro-benchmark (the refill clone is the same for
-    /// every delivery mode, so mode-to-mode deltas are delivery cost).
-    /// Requires the flat pipeline, like [`Simulation::bench_snapshot_traffic`].
-    #[cfg(feature = "bench-probes")]
-    #[doc(hidden)]
-    pub fn bench_deliver_snapshot(&mut self, snapshot: &TrafficSnapshot<P::Message>) {
-        debug_assert!(!self.fused, "snapshot delivery requires the flat pipeline");
-        debug_assert!(self.honest_outgoing.is_empty());
-        self.honest_outgoing.clone_from(&snapshot.honest);
-        self.honest_ranks.clone_from(&snapshot.ranks);
-        self.round_honest_messages = self.honest_outgoing.len() as u64;
-        self.byz_outgoing.clear();
-        self.byz_ranks.clear();
-        self.deliver();
-    }
-
     /// Whether the configured stop condition holds. Only the census the
     /// condition actually needs is computed; under the sparse schedule
     /// the maintained counters answer in O(1), and the dense scans
@@ -2572,7 +2100,7 @@ where
     pub(crate) fn stop_reason(&self) -> Option<StopReason> {
         // Crashed nodes leave the census: the stop condition is about
         // the *surviving* honest nodes (the sparse counters never
-        // coexist with faults — a non-empty plan revokes that license).
+        // coexist with faults — a non-empty plan selects the flat feed).
         let all_halted = || {
             if self.sparse_active {
                 self.halted_count == self.honest_total
@@ -2600,12 +2128,10 @@ where
     }
 
     /// Whether the active-set (sparse) round schedule is driving this
-    /// execution: [`SimConfig::sparse_rounds`] was requested **and** the
-    /// license held — the protocol declares
-    /// [`Protocol::QUIESCENT_ON_SILENCE`] and the arena fast path is
-    /// live. Lets tests and benchmark harnesses prove the schedule they
-    /// measured is the one that actually ran rather than a silent
-    /// fallback to the dense oracle.
+    /// execution: the protocol declares [`Protocol::QUIESCENT_ON_SILENCE`]
+    /// and the single-shard outbox feed is live. Lets tests and benchmark
+    /// harnesses prove the schedule they measured is the one that
+    /// actually ran.
     pub fn sparse_schedule_active(&self) -> bool {
         self.sparse_active
     }
@@ -2638,28 +2164,6 @@ where
             metrics: self.metrics.clone(),
             stop_reason,
         }
-    }
-}
-
-/// A clone of one round's merged honest traffic; see
-/// [`Simulation::bench_snapshot_traffic`].
-#[cfg(feature = "bench-probes")]
-#[doc(hidden)]
-pub struct TrafficSnapshot<M> {
-    honest: Vec<(NodeId, NodeId, M)>,
-    ranks: Vec<u32>,
-}
-
-#[cfg(feature = "bench-probes")]
-impl<M> TrafficSnapshot<M> {
-    /// Number of messages in the snapshot.
-    pub fn len(&self) -> usize {
-        self.honest.len()
-    }
-
-    /// Whether the snapshot holds no messages.
-    pub fn is_empty(&self) -> bool {
-        self.honest.is_empty()
     }
 }
 
@@ -2699,60 +2203,17 @@ fn shard_start(s: usize, n: usize, shards: usize) -> usize {
     (s * n).div_ceil(shards)
 }
 
-/// Stable in-place counting sort of one staged inbox by precomputed sender
+/// Stable in-place counting sort of one arena span by precomputed sender
 /// rank. Produces exactly the output of a *stable* comparison sort by
 /// sender pid (ranks are order-isomorphic to pids per destination, and
-/// `pos[i] = start[rank[i]]++` preserves staging order within a rank), with
-/// no comparisons and no allocation once `pos` has warmed up.
-///
-/// `counts` is the destination's slice of the flat per-sender counter
-/// array; it must arrive zeroed and is re-zeroed before returning.
-fn finish_inbox<M>(
-    inbox: &mut [Envelope<M>],
-    ranks: &[u32],
-    pos: &mut Vec<u32>,
-    counts: &mut [u32],
-) {
-    let k = inbox.len();
-    debug_assert_eq!(ranks.len(), k);
-    if k <= 1 {
-        return;
-    }
-    debug_assert!(counts.iter().all(|&c| c == 0));
-    for &r in ranks {
-        counts[r as usize] += 1;
-    }
-    let mut sum = 0u32;
-    for c in counts.iter_mut() {
-        let start = sum;
-        sum += *c;
-        *c = start;
-    }
-    pos.clear();
-    for &r in ranks {
-        pos.push(counts[r as usize]);
-        counts[r as usize] += 1;
-    }
-    for c in counts.iter_mut() {
-        *c = 0;
-    }
-    // Apply the permutation in place by cycle-walking: element `i` belongs
-    // at `pos[i]`; each swap settles one element.
-    for i in 0..k {
-        while pos[i] as usize != i {
-            let j = pos[i] as usize;
-            inbox.swap(i, j);
-            pos.swap(i, j);
-        }
-    }
-}
-
-/// Stable in-place counting sort of one arena span by precomputed sender
-/// rank — [`finish_inbox`]'s structure-of-arrays twin. The permutation is
-/// computed over the small `ranks`/`pos` index arrays and applied by
-/// cycle-walking the parallel `senders`/`msgs` slices, so no whole
-/// envelope is ever moved. `ranks` is read-only (keys in staging order);
-/// `counts` must arrive zeroed and is re-zeroed before returning.
+/// `pos[i] = start[rank[i]]++` preserves staging order within a rank),
+/// with no comparisons and no allocation once `pos` has warmed up. The
+/// permutation is computed over the small `ranks`/`pos` index arrays and
+/// applied by cycle-walking the parallel `senders`/`msgs` slices, so no
+/// whole envelope is ever moved. `ranks` is read-only (keys in staging
+/// order); `counts` is the destination's slice of the flat per-sender
+/// counter array — it must arrive zeroed and is re-zeroed before
+/// returning.
 fn finish_inbox_soa<M>(
     senders: &mut [NodeId],
     msgs: &mut [M],
@@ -3268,145 +2729,6 @@ fn arena_fast_lane_leaf<M: Clone>(geometry: ArenaFastGeometry<'_, M>, lane: Aren
     }
 }
 
-/// Read-only geometry shared by every delivery lane.
-#[derive(Clone, Copy)]
-struct ShardGeometry<'a> {
-    n: usize,
-    shards: usize,
-    senders: &'a SenderRanks,
-    /// The [`Pid`] of each node — widens [`Routed::sender`]'s dense id at
-    /// the staged-envelope boundary.
-    pids: &'a [Pid],
-    /// `Some(byz_adjacent)` when the queues were filled by the fused merge
-    /// in canonical pid order: only flagged inboxes need rank tags and a
-    /// counting sort. `None` (the flat partition, node order) sorts all.
-    presorted: Option<&'a [bool]>,
-}
-
-/// The contiguous span of shards (queues + destination-range state) one
-/// delivery worker owns. All slices cover exactly the nodes
-/// `base_node..base_node + staged.len()`.
-struct DeliveryLane<'a, M> {
-    first_shard: usize,
-    base_node: usize,
-    queues: &'a mut [Vec<Routed<M>>],
-    staged: &'a mut [Vec<Envelope<M>>],
-    ranks: &'a mut [Vec<u32>],
-    pos: &'a mut [Vec<u32>],
-    counts: &'a mut [u32],
-}
-
-/// Drives the shard lanes through the generic [`crate::pool`] splitter:
-/// the span is halved (forking onto the worker pool when the `parallel`
-/// feature and flag are on) until each lane is one shard, and each leaf
-/// scatters its queue into its inboxes and counting-sorts them.
-fn run_delivery_lane<M: PhaseShared>(
-    geometry: ShardGeometry<'_>,
-    lane: DeliveryLane<'_, M>,
-    parallel: bool,
-) {
-    crate::pool::for_each_split(
-        lane,
-        parallel,
-        &|lane: DeliveryLane<'_, M>| split_delivery_lane(geometry, lane),
-        &|lane: DeliveryLane<'_, M>| delivery_lane_leaf(geometry, lane),
-    );
-}
-
-/// Halves a delivery lane along its shard span (all six parallel slices
-/// split at the same destination-node boundary), or declares it a leaf
-/// when it covers a single shard.
-fn split_delivery_lane<'a, M>(
-    geometry: ShardGeometry<'_>,
-    lane: DeliveryLane<'a, M>,
-) -> crate::pool::Split<DeliveryLane<'a, M>> {
-    if lane.queues.len() <= 1 {
-        return crate::pool::Split::Leaf(lane);
-    }
-    let mid = lane.queues.len() / 2;
-    let split_node = shard_start(lane.first_shard + mid, geometry.n, geometry.shards);
-    let node_mid = split_node - lane.base_node;
-    let count_mid = geometry.senders.offset(split_node) - geometry.senders.offset(lane.base_node);
-    let (queue_l, queue_r) = lane.queues.split_at_mut(mid);
-    let (staged_l, staged_r) = lane.staged.split_at_mut(node_mid);
-    let (ranks_l, ranks_r) = lane.ranks.split_at_mut(node_mid);
-    let (pos_l, pos_r) = lane.pos.split_at_mut(node_mid);
-    let (counts_l, counts_r) = lane.counts.split_at_mut(count_mid);
-    let left = DeliveryLane {
-        first_shard: lane.first_shard,
-        base_node: lane.base_node,
-        queues: queue_l,
-        staged: staged_l,
-        ranks: ranks_l,
-        pos: pos_l,
-        counts: counts_l,
-    };
-    let right = DeliveryLane {
-        first_shard: lane.first_shard + mid,
-        base_node: split_node,
-        queues: queue_r,
-        staged: staged_r,
-        ranks: ranks_r,
-        pos: pos_r,
-        counts: counts_r,
-    };
-    crate::pool::Split::Fork(left, right)
-}
-
-/// One shard's delivery: scatter its queue (order preserved — the
-/// partition pass pushed in merged order), then sort each inbox in its
-/// range. When the queue is presorted (fused merge, canonical pid order)
-/// only Byzantine-adjacent inboxes take rank tags and a counting sort;
-/// the rest are final as scattered.
-fn delivery_lane_leaf<M>(geometry: ShardGeometry<'_>, lane: DeliveryLane<'_, M>) {
-    for (inbox, ranks) in lane.staged.iter_mut().zip(lane.ranks.iter_mut()) {
-        inbox.clear();
-        ranks.clear();
-    }
-    let queue = &mut lane.queues[0];
-    match geometry.presorted {
-        None => {
-            for routed in queue.drain(..) {
-                let i = routed.to.index() - lane.base_node;
-                lane.staged[i].push(Envelope {
-                    sender: geometry.pids[routed.sender.index()],
-                    msg: routed.msg,
-                });
-                lane.ranks[i].push(routed.rank);
-            }
-        }
-        Some(byz_adjacent) => {
-            for routed in queue.drain(..) {
-                let v = routed.to.index();
-                let i = v - lane.base_node;
-                lane.staged[i].push(Envelope {
-                    sender: geometry.pids[routed.sender.index()],
-                    msg: routed.msg,
-                });
-                if byz_adjacent[v] {
-                    lane.ranks[i].push(routed.rank);
-                }
-            }
-        }
-    }
-    let base_count = geometry.senders.offset(lane.base_node);
-    for i in 0..lane.staged.len() {
-        if let Some(byz_adjacent) = geometry.presorted {
-            if !byz_adjacent[lane.base_node + i] {
-                continue;
-            }
-        }
-        let c0 = geometry.senders.offset(lane.base_node + i) - base_count;
-        let c1 = geometry.senders.offset(lane.base_node + i + 1) - base_count;
-        finish_inbox(
-            &mut lane.staged[i],
-            &lane.ranks[i],
-            &mut lane.pos[i],
-            &mut lane.counts[c0..c1],
-        );
-    }
-}
-
 /// Runs one node's round against its own state slices. Shared between the
 /// serial and parallel compute paths so they are behaviourally identical
 /// by construction.
@@ -3476,7 +2798,7 @@ struct PhaseInputs<'a, P: Protocol> {
     round: u64,
     pids: &'a [Pid],
     neighbor_pids: &'a [Vec<Pid>],
-    inboxes: InboxesView<'a, P::Message>,
+    inboxes: crate::message::InboxesView<'a, P::Message>,
     is_byzantine: &'a [bool],
     crashed: &'a [bool],
 }
@@ -3640,18 +2962,16 @@ mod tests {
         byz: &[NodeId],
         cfg: SimConfig,
     ) -> Simulation<&'g Graph, FloodMax, NullAdversary> {
-        Simulation::new(
-            g,
-            byz,
-            |_, init| FloodMax {
-                best: init.pid,
-                changed: false,
-                stable_rounds: 0,
-                budget: 30,
-            },
-            NullAdversary,
-            cfg,
-        )
+        Simulation::new(g, byz, flood_factory, NullAdversary, cfg)
+    }
+
+    fn flood_factory(_: NodeId, init: &NodeInit) -> FloodMax {
+        FloodMax {
+            best: init.pid,
+            changed: false,
+            stable_rounds: 0,
+            budget: 30,
+        }
     }
 
     #[test]
@@ -3961,440 +3281,23 @@ mod tests {
     }
 
     #[test]
-    fn inboxes_are_sorted_by_sender() {
-        // Structural property relied upon for determinism: after round 1
-        // (in which every node broadcasts unconditionally), the middle of
-        // a 3-path heard both ends, in sorted order — whatever the seed
-        // and whichever physical layout holds the bytes.
-        for layout in [InboxLayout::Arena, InboxLayout::PerNode] {
-            let g = path(3).unwrap();
-            let mut sim = flood_sim(
-                &g,
-                &[],
-                SimConfig {
-                    layout,
-                    ..SimConfig::default()
-                },
-            );
-            sim.step();
-            let inbox = sim.inbox(NodeId(1));
-            assert_eq!(inbox.len(), 2, "{layout:?}");
-            assert!(inbox.get(0).sender <= inbox.get(1).sender, "{layout:?}");
-        }
-    }
-
-    #[test]
-    fn steady_state_reuses_buffers() {
-        // The zero-alloc contract, observed structurally: once FloodMax
-        // settles into its steady chatter, inbox/outbox/staging capacities
-        // stop changing — buffers are swapped and drained, never rebuilt.
-        // (tests/zero_alloc.rs additionally proves it with a counting
-        // global allocator.)
-        let g = cycle(12).unwrap();
-        for sharded in [false, true] {
-            let cfg = SimConfig {
-                max_rounds: 1_000,
-                stop_when: StopWhen::MaxRoundsOnly,
-                sharded_merge: sharded,
-                layout: InboxLayout::PerNode,
-                ..SimConfig::default()
-            };
-            let mut sim = flood_sim(&g, &[], cfg);
-            for _ in 0..10 {
-                sim.step();
-            }
-            let snapshot = |sim: &Simulation<&Graph, FloodMax, NullAdversary>| {
-                (
-                    sim.inboxes.iter().map(Vec::capacity).collect::<Vec<_>>(),
-                    sim.staged.iter().map(Vec::capacity).collect::<Vec<_>>(),
-                    sim.outboxes.iter().map(Vec::capacity).collect::<Vec<_>>(),
-                    sim.inbox_ranks
-                        .iter()
-                        .map(Vec::capacity)
-                        .collect::<Vec<_>>(),
-                    sim.inbox_pos.iter().map(Vec::capacity).collect::<Vec<_>>(),
-                    sim.shard_queues
-                        .iter()
-                        .map(Vec::capacity)
-                        .collect::<Vec<_>>(),
-                    (sim.honest_outgoing.capacity(), sim.honest_ranks.capacity()),
-                )
-            };
-            let before = snapshot(&sim);
-            for _ in 0..50 {
-                sim.step();
-            }
-            assert_eq!(before, snapshot(&sim), "sharded={sharded}");
-        }
-    }
-
-    #[test]
-    fn delivery_modes_agree_on_inboxes_and_reports() {
-        // Counting sort (default), sharded merge, and the reference
-        // comparison sort must produce byte-identical inboxes every round
-        // and identical final reports — with Byzantine traffic in flight.
-        let g = cycle(17).unwrap();
-        let byz = [NodeId(4)];
-        let cfg = |sharded_merge, delivery| SimConfig {
-            sharded_merge,
-            delivery,
-            max_rounds: 25,
-            stop_when: StopWhen::MaxRoundsOnly,
+    fn feed_follows_observation_and_faults() {
+        let g = cycle(8).unwrap();
+        let byz = [NodeId(0)];
+        // NullAdversary never observes: the outbox feed.
+        let sim = flood_sim(&g, &byz, SimConfig::default());
+        assert!(sim.outbox_feed);
+        // An observing adversary needs the node-order vector.
+        let sim = Simulation::new(&g, &byz, flood_factory, MaxFaker, SimConfig::default());
+        assert!(!sim.outbox_feed);
+        // So does a non-empty fault plan, whatever the adversary.
+        let faulty = SimConfig {
+            fault: FaultPlan {
+                drop_per_mille: 1,
+                ..FaultPlan::default()
+            },
             ..SimConfig::default()
         };
-        let factory = |_: NodeId, init: &NodeInit| FloodMax {
-            best: init.pid,
-            changed: false,
-            stable_rounds: 0,
-            budget: 10,
-        };
-        let mut counting = Simulation::new(
-            &g,
-            &byz,
-            factory,
-            MaxFaker,
-            cfg(false, DeliveryMode::CountingSort),
-        );
-        let mut sharded = Simulation::new(
-            &g,
-            &byz,
-            factory,
-            MaxFaker,
-            cfg(true, DeliveryMode::CountingSort),
-        );
-        let mut reference = Simulation::new(
-            &g,
-            &byz,
-            factory,
-            MaxFaker,
-            cfg(false, DeliveryMode::ReferenceSort),
-        );
-        for _ in 0..25 {
-            counting.step();
-            sharded.step();
-            reference.step();
-            for u in 0..g.len() {
-                let u = NodeId(u as u32);
-                assert_eq!(
-                    counting.inbox(u),
-                    reference.inbox(u),
-                    "counting vs reference"
-                );
-                assert_eq!(sharded.inbox(u), reference.inbox(u), "sharded vs reference");
-            }
-        }
-        let (a, b, c) = (
-            counting.report(StopReason::MaxRounds),
-            sharded.report(StopReason::MaxRounds),
-            reference.report(StopReason::MaxRounds),
-        );
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.metrics, c.metrics);
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.outputs, c.outputs);
-    }
-
-    /// Sends a run of *distinct* payloads to one neighbour in one round, so
-    /// tie ordering (several messages from one sender) is observable.
-    struct TaggedSpray;
-    impl Protocol for TaggedSpray {
-        type Message = Pid;
-        type Output = ();
-        fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
-            if ctx.round() == 1 {
-                let to = ctx.neighbors()[0];
-                ctx.send(to, Pid(100));
-                ctx.send(to, Pid(200));
-                ctx.send(to, Pid(300));
-            }
-        }
-        fn output(&self) -> Option<()> {
-            None
-        }
-    }
-
-    #[test]
-    fn delivery_is_stable_per_sender() {
-        // The counting sort is stable: a sender's messages arrive in send
-        // order, in every delivery mode.
-        for (sharded, delivery) in [
-            (false, DeliveryMode::CountingSort),
-            (true, DeliveryMode::CountingSort),
-            (false, DeliveryMode::ReferenceSort),
-        ] {
-            let g = path(2).unwrap();
-            let cfg = SimConfig {
-                max_rounds: 1,
-                stop_when: StopWhen::MaxRoundsOnly,
-                sharded_merge: sharded,
-                delivery,
-                ..SimConfig::default()
-            };
-            let mut sim = Simulation::new(&g, &[], |_, _| TaggedSpray, NullAdversary, cfg);
-            sim.step();
-            for u in 0..2 {
-                let inbox = sim.inbox(NodeId(u));
-                assert_eq!(inbox.len(), 3);
-                assert_eq!(
-                    inbox.iter().map(|e| *e.msg).collect::<Vec<_>>(),
-                    vec![Pid(100), Pid(200), Pid(300)],
-                    "stable delivery keeps send order (sharded={sharded}, {delivery:?})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fused_pipeline_matches_flat_per_round() {
-        // NullAdversary licenses fusion (observes_traffic == false), so
-        // the default config fuses; forcing fused_merge = false runs the
-        // flat reference. Inboxes and reports must agree byte-for-byte
-        // every round, in both the unsharded and sharded pipelines, with
-        // a silent Byzantine node in the mix.
-        let g = cycle(19).unwrap();
-        let byz = [NodeId(6)];
-        for sharded in [false, true] {
-            let cfg = |fused_merge| SimConfig {
-                fused_merge,
-                sharded_merge: sharded,
-                max_rounds: 25,
-                stop_when: StopWhen::MaxRoundsOnly,
-                layout: InboxLayout::PerNode,
-                ..SimConfig::default()
-            };
-            let mut fused = flood_sim(&g, &byz, cfg(true));
-            let mut flat = flood_sim(&g, &byz, cfg(false));
-            assert!(fused.fused, "NullAdversary must license fusion");
-            assert!(!flat.fused, "fused_merge=false must force the flat path");
-            for _ in 0..25 {
-                fused.step();
-                flat.step();
-                for u in 0..g.len() {
-                    let u = NodeId(u as u32);
-                    assert_eq!(fused.inbox(u), flat.inbox(u), "sharded={sharded}");
-                }
-            }
-            let (a, b) = (
-                fused.report(StopReason::MaxRounds),
-                flat.report(StopReason::MaxRounds),
-            );
-            assert_eq!(a.metrics, b.metrics, "sharded={sharded}");
-            assert_eq!(a.outputs, b.outputs, "sharded={sharded}");
-        }
-    }
-
-    #[test]
-    fn arena_layout_matches_pernode_per_round() {
-        // The SoA arena (default) against the legacy per-node layout —
-        // fused and flat — must agree byte-for-byte on every inbox every
-        // round and on the final reports, in both the unsharded and
-        // sharded pipelines, with a silent Byzantine node in the mix.
-        let g = cycle(19).unwrap();
-        let byz = [NodeId(6)];
-        for sharded in [false, true] {
-            let cfg = |layout, fused_merge| SimConfig {
-                layout,
-                fused_merge,
-                sharded_merge: sharded,
-                max_rounds: 25,
-                stop_when: StopWhen::MaxRoundsOnly,
-                ..SimConfig::default()
-            };
-            let mut arena = flood_sim(&g, &byz, cfg(InboxLayout::Arena, true));
-            let mut fused = flood_sim(&g, &byz, cfg(InboxLayout::PerNode, true));
-            let mut flat = flood_sim(&g, &byz, cfg(InboxLayout::PerNode, false));
-            assert!(arena.arena_active, "NullAdversary must license the arena");
-            assert!(!arena.fused, "the arena subsumes the fused scatter");
-            assert!(fused.fused && !fused.arena_active);
-            for _ in 0..25 {
-                arena.step();
-                fused.step();
-                flat.step();
-                for u in 0..g.len() {
-                    let u = NodeId(u as u32);
-                    assert_eq!(arena.inbox(u), fused.inbox(u), "sharded={sharded}");
-                    assert_eq!(arena.inbox(u), flat.inbox(u), "sharded={sharded}");
-                }
-            }
-            let (a, b) = (
-                arena.report(StopReason::MaxRounds),
-                flat.report(StopReason::MaxRounds),
-            );
-            assert_eq!(a.metrics, b.metrics, "sharded={sharded}");
-            assert_eq!(a.outputs, b.outputs, "sharded={sharded}");
-        }
-    }
-
-    #[test]
-    fn arena_steady_state_reuses_the_arena() {
-        // The arena's zero-alloc contract, observed structurally: once the
-        // chatter settles, the parallel arrays stop growing — spans are
-        // recomputed, bytes overwritten in place, buffers swapped.
-        let g = cycle(12).unwrap();
-        for sharded in [false, true] {
-            let cfg = SimConfig {
-                max_rounds: 1_000,
-                stop_when: StopWhen::MaxRoundsOnly,
-                sharded_merge: sharded,
-                ..SimConfig::default()
-            };
-            let mut sim = flood_sim(&g, &[NodeId(3)], cfg);
-            assert!(sim.arena_active);
-            for _ in 0..10 {
-                sim.step();
-            }
-            let snapshot = |sim: &Simulation<&Graph, FloodMax, NullAdversary>| {
-                let arena = |a: &InboxArena<Pid>| {
-                    (
-                        a.offsets.len(),
-                        a.senders.capacity(),
-                        a.msgs.capacity(),
-                        a.ranks.capacity(),
-                        a.msgs.len(), // high-water mark, not per-round
-                    )
-                };
-                (
-                    arena(&sim.arena),
-                    arena(&sim.arena_staged),
-                    sim.outboxes.iter().map(Vec::capacity).collect::<Vec<_>>(),
-                    sim.shard_queues
-                        .iter()
-                        .map(Vec::capacity)
-                        .collect::<Vec<_>>(),
-                    sim.dest_counts.len(),
-                )
-            };
-            let before = snapshot(&sim);
-            for _ in 0..50 {
-                sim.step();
-            }
-            assert_eq!(before, snapshot(&sim), "sharded={sharded}");
-        }
-    }
-
-    #[test]
-    fn arena_handles_multi_sends_beyond_degree_capacity() {
-        // The degree pre-sizing is a capacity hint, not a bound: a
-        // protocol spraying several messages per edge per round must grow
-        // the arena past its slot total and still deliver canonically.
-        struct Spray3;
-        impl Protocol for Spray3 {
-            type Message = Pid;
-            type Output = usize;
-            fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
-                let me = ctx.my_id();
-                let neighbors: Vec<Pid> = ctx.neighbors().to_vec();
-                let mut last = None;
-                for to in neighbors {
-                    if last == Some(to) {
-                        continue;
-                    }
-                    last = Some(to);
-                    for k in 0..3u64 {
-                        ctx.send(to, Pid(me.0.wrapping_add(k)));
-                    }
-                }
-            }
-            fn output(&self) -> Option<usize> {
-                None
-            }
-        }
-        for sharded in [false, true] {
-            let g = cycle(9).unwrap();
-            let cfg = |layout| SimConfig {
-                max_rounds: 4,
-                stop_when: StopWhen::MaxRoundsOnly,
-                sharded_merge: sharded,
-                layout,
-                ..SimConfig::default()
-            };
-            let mut arena = Simulation::new(
-                &g,
-                &[],
-                |_, _| Spray3,
-                NullAdversary,
-                cfg(InboxLayout::Arena),
-            );
-            let mut legacy = Simulation::new(
-                &g,
-                &[],
-                |_, _| Spray3,
-                NullAdversary,
-                cfg(InboxLayout::PerNode),
-            );
-            for _ in 0..4 {
-                arena.step();
-                legacy.step();
-                for u in 0..g.len() {
-                    let u = NodeId(u as u32);
-                    assert_eq!(arena.inbox(u).len(), 6, "sharded={sharded}");
-                    assert_eq!(arena.inbox(u), legacy.inbox(u), "sharded={sharded}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn observing_adversary_disables_fusion() {
-        // MaxFaker keeps the default observes_traffic == true, so even
-        // with fused_merge requested the engine must stay on the flat
-        // path (the adversary's view depends on it) — and the arena
-        // layout, which also forgoes the flat vector, must fall back to
-        // the per-node oracle layout.
-        let g = cycle(8).unwrap();
-        let sim = Simulation::new(
-            &g,
-            &[NodeId(0)],
-            |_, init| FloodMax {
-                best: init.pid,
-                changed: false,
-                stable_rounds: 0,
-                budget: 5,
-            },
-            MaxFaker,
-            SimConfig::default(),
-        );
-        assert!(!sim.fused, "observation must win over fusion");
-        assert!(
-            !sim.arena_active,
-            "observation must pin the per-node layout"
-        );
-        // ReferenceSort also forces the flat pipeline, whatever the flags.
-        let sim = flood_sim(
-            &g,
-            &[],
-            SimConfig {
-                delivery: DeliveryMode::ReferenceSort,
-                ..SimConfig::default()
-            },
-        );
-        assert!(!sim.fused, "the reference oracle runs the flat pipeline");
-        assert!(
-            !sim.arena_active,
-            "the reference oracle runs the per-node layout"
-        );
-    }
-
-    #[test]
-    fn parallel_flag_without_feature_is_serial() {
-        // With the `parallel` feature compiled out, the flag must be a
-        // no-op (identical transcript); with it compiled in, the
-        // determinism suite (tests/determinism_parallel.rs) asserts
-        // bit-identical reports, so either way this holds.
-        let g = cycle(10).unwrap();
-        let serial = flood_sim(&g, &[], SimConfig::default()).run();
-        let flagged = flood_sim(
-            &g,
-            &[],
-            SimConfig {
-                parallel: true,
-                ..SimConfig::default()
-            },
-        )
-        .run();
-        assert_eq!(serial.pids, flagged.pids);
-        assert_eq!(serial.rounds, flagged.rounds);
-        assert_eq!(serial.metrics, flagged.metrics);
-        assert_eq!(serial.outputs, flagged.outputs);
+        assert!(!flood_sim(&g, &byz, faulty).outbox_feed);
     }
 }

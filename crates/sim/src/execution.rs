@@ -6,11 +6,10 @@
 //! on top of it, redesigned for long-lived hosts:
 //!
 //! * [`SimConfigBuilder`] — constructs a [`SimConfig`] while rejecting
-//!   combinations the engine would otherwise only resolve by silent
-//!   fallback. Field-poking a `SimConfig` still works (every fallback is
-//!   documented and byte-identical); the builder exists for callers that
-//!   want a hard error when they *explicitly* request contradictory
-//!   modes, e.g. an arena layout under the reference sort.
+//!   values the engine cannot run meaningfully (a zero round budget, an
+//!   ID width outside `1..=64`, an inconsistent fault plan).
+//!   Field-poking a `SimConfig` still works; the builder exists for
+//!   callers that want a hard error at construction time instead.
 //! * [`Execution`] — a steppable facade over `Simulation` whose stepping
 //!   discipline is exactly [`Simulation::run`]'s loop (stop-check
 //!   *before* each round), so an execution driven round-by-round — or
@@ -30,35 +29,16 @@ use bcount_graph::{Graph, NodeId};
 
 use crate::adversary::Adversary;
 use crate::engine::{
-    DeliveryMode, InboxLayout, NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, Simulation,
-    StopReason, StopWhen,
+    NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, Simulation, StopReason, StopWhen,
 };
 use crate::fault::FaultPlan;
 use crate::message::Inbox;
 use crate::metrics::Metrics;
 use crate::protocol::Protocol;
 
-/// A mode combination [`SimConfigBuilder::build`] refuses.
-///
-/// The engine itself never needs these errors — every unlicensed
-/// combination falls back to a byte-identical safe pipeline — but a
-/// caller that *explicitly* set both sides of a contradiction almost
-/// certainly believes a mode is running that is not, so the builder
-/// turns the silent fallback into a hard error at construction time.
+/// A configuration [`SimConfigBuilder::build`] refuses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `layout(Arena)` with `delivery(ReferenceSort)`: the arena requires
-    /// the counting sort; the reference sort would silently pin the
-    /// per-node layout.
-    ArenaNeedsCountingSort,
-    /// `layout(Arena)` with `fused_merge(false)`: the arena is licensed
-    /// only by the fused pipeline; forcing the flat merge would silently
-    /// pin the per-node layout.
-    ArenaNeedsFusedMerge,
-    /// `sparse_rounds(true)` with `sharded_merge(true)`: the active-set
-    /// schedule requires the unsharded arena pipeline and would silently
-    /// fall back to the dense schedule.
-    SparseNeedsUnsharded,
     /// `max_rounds(0)`: the execution could never take a step.
     ZeroMaxRounds,
     /// `id_bits` outside `1..=64`: [`crate::idspace::Pid`] is a 64-bit
@@ -81,15 +61,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ArenaNeedsCountingSort => {
-                write!(f, "layout(Arena) requires delivery(CountingSort)")
-            }
-            ConfigError::ArenaNeedsFusedMerge => {
-                write!(f, "layout(Arena) requires fused_merge(true)")
-            }
-            ConfigError::SparseNeedsUnsharded => {
-                write!(f, "sparse_rounds(true) requires sharded_merge(false)")
-            }
             ConfigError::ZeroMaxRounds => write!(f, "max_rounds must be at least 1"),
             ConfigError::BadIdBits => write!(f, "id_bits must be in 1..=64"),
             ConfigError::FaultRatesExceedUnity => {
@@ -113,14 +84,9 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Builds a [`SimConfig`], validating mode combinations.
+/// Builds a [`SimConfig`], validating the options set.
 ///
-/// Unset options keep their [`SimConfig::default`] values. Validation is
-/// deliberately scoped to *explicit* contradictions: the engine's
-/// documented silent fallbacks (e.g. an observing adversary pinning the
-/// flat pipeline despite the default arena layout) remain silent,
-/// because the caller never asked for the combination — only options the
-/// caller actually set participate in the cross-checks.
+/// Unset options keep their [`SimConfig::default`] values.
 ///
 /// ```
 /// use bcount_sim::prelude::*;
@@ -133,14 +99,9 @@ impl std::error::Error for ConfigError {}
 ///     .unwrap();
 /// assert_eq!(config.seed, 42);
 ///
-/// // Explicitly requesting the arena under the reference sort is an
-/// // error — the engine would silently run the per-node layout instead.
-/// let err = SimConfig::builder()
-///     .layout(InboxLayout::Arena)
-///     .delivery(DeliveryMode::ReferenceSort)
-///     .build()
-///     .unwrap_err();
-/// assert_eq!(err, ConfigError::ArenaNeedsCountingSort);
+/// // A zero round budget could never take a step.
+/// let err = SimConfig::builder().max_rounds(0).build().unwrap_err();
+/// assert_eq!(err, ConfigError::ZeroMaxRounds);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SimConfigBuilder {
@@ -150,11 +111,6 @@ pub struct SimConfigBuilder {
     stop_when: Option<StopWhen>,
     record_round_stats: Option<bool>,
     parallel: Option<bool>,
-    sharded_merge: Option<bool>,
-    fused_merge: Option<bool>,
-    delivery: Option<DeliveryMode>,
-    layout: Option<InboxLayout>,
-    sparse_rounds: Option<bool>,
     fault: Option<FaultPlan>,
 }
 
@@ -201,48 +157,15 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Shard the delivery lanes; see [`SimConfig::sharded_merge`].
-    pub fn sharded_merge(mut self, on: bool) -> Self {
-        self.sharded_merge = Some(on);
-        self
-    }
-
-    /// Fuse merge with delivery staging; see [`SimConfig::fused_merge`].
-    pub fn fused_merge(mut self, on: bool) -> Self {
-        self.fused_merge = Some(on);
-        self
-    }
-
-    /// Inbox ordering implementation; see [`SimConfig::delivery`].
-    pub fn delivery(mut self, delivery: DeliveryMode) -> Self {
-        self.delivery = Some(delivery);
-        self
-    }
-
-    /// Message-plane layout; see [`SimConfig::layout`].
-    pub fn layout(mut self, layout: InboxLayout) -> Self {
-        self.layout = Some(layout);
-        self
-    }
-
-    /// Active-set round schedule; see [`SimConfig::sparse_rounds`].
-    pub fn sparse_rounds(mut self, on: bool) -> Self {
-        self.sparse_rounds = Some(on);
-        self
-    }
-
     /// Fault-injection plan, validated by [`SimConfigBuilder::build`];
-    /// see [`SimConfig::fault`]. A non-empty plan pins the flat per-node
-    /// pipeline (this is a documented silent fallback, not a
-    /// contradiction — any explicit layout/merge choices keep meaning
-    /// "use this mode whenever a round has no faults to model").
+    /// see [`SimConfig::fault`].
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
     }
 
-    /// Validates the explicitly-set options against each other and
-    /// produces the config (unset options keep their defaults).
+    /// Validates the explicitly-set options and produces the config
+    /// (unset options keep their defaults).
     pub fn build(self) -> Result<SimConfig, ConfigError> {
         if self.max_rounds == Some(0) {
             return Err(ConfigError::ZeroMaxRounds);
@@ -251,17 +174,6 @@ impl SimConfigBuilder {
             if bits == 0 || bits > 64 {
                 return Err(ConfigError::BadIdBits);
             }
-        }
-        if self.layout == Some(InboxLayout::Arena) {
-            if self.delivery == Some(DeliveryMode::ReferenceSort) {
-                return Err(ConfigError::ArenaNeedsCountingSort);
-            }
-            if self.fused_merge == Some(false) {
-                return Err(ConfigError::ArenaNeedsFusedMerge);
-            }
-        }
-        if self.sparse_rounds == Some(true) && self.sharded_merge == Some(true) {
-            return Err(ConfigError::SparseNeedsUnsharded);
         }
         if let Some(plan) = &self.fault {
             plan.validate()?;
@@ -274,11 +186,6 @@ impl SimConfigBuilder {
             stop_when: self.stop_when.unwrap_or(d.stop_when),
             record_round_stats: self.record_round_stats.unwrap_or(d.record_round_stats),
             parallel: self.parallel.unwrap_or(d.parallel),
-            sharded_merge: self.sharded_merge.unwrap_or(d.sharded_merge),
-            fused_merge: self.fused_merge.unwrap_or(d.fused_merge),
-            delivery: self.delivery.unwrap_or(d.delivery),
-            layout: self.layout.unwrap_or(d.layout),
-            sparse_rounds: self.sparse_rounds.unwrap_or(d.sparse_rounds),
             fault: self.fault.unwrap_or(d.fault),
         })
     }
@@ -770,30 +677,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_contradictions() {
+    fn builder_rejects_invalid_options() {
         use ConfigError::*;
         let cases = [
-            (
-                SimConfig::builder()
-                    .layout(InboxLayout::Arena)
-                    .delivery(DeliveryMode::ReferenceSort)
-                    .build(),
-                ArenaNeedsCountingSort,
-            ),
-            (
-                SimConfig::builder()
-                    .layout(InboxLayout::Arena)
-                    .fused_merge(false)
-                    .build(),
-                ArenaNeedsFusedMerge,
-            ),
-            (
-                SimConfig::builder()
-                    .sparse_rounds(true)
-                    .sharded_merge(true)
-                    .build(),
-                SparseNeedsUnsharded,
-            ),
             (SimConfig::builder().max_rounds(0).build(), ZeroMaxRounds),
             (SimConfig::builder().id_bits(0).build(), BadIdBits),
             (SimConfig::builder().id_bits(65).build(), BadIdBits),
@@ -833,20 +719,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_and_fallbacks_stay_silent() {
+    fn builder_defaults_to_the_default_config() {
         // No options set: the default config verbatim.
         assert_eq!(SimConfig::builder().build().unwrap(), SimConfig::default());
-        // One side of a contradiction set explicitly, the other left to
-        // its default: the engine's documented silent fallback applies,
-        // so the builder must not error.
-        let c = SimConfig::builder()
-            .delivery(DeliveryMode::ReferenceSort)
-            .build()
-            .unwrap();
-        assert_eq!(c.delivery, DeliveryMode::ReferenceSort);
-        assert_eq!(c.layout, InboxLayout::Arena);
-        let c = SimConfig::builder().sharded_merge(true).build().unwrap();
-        assert!(c.sharded_merge && c.sparse_rounds);
+        let c = SimConfig::builder().parallel(true).build().unwrap();
+        assert!(c.parallel);
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //!   the draw count equals the merged message count, independent of the
 //!   rates, so tweaking one rate never shifts another message's draw.
 //!
-//! A non-empty plan pins the engine's flat per-node oracle pipeline
-//! (exactly like an observing adversary does), which is what keeps the
-//! transcript byte-identical across the layout × merge × sharding ×
-//! pool-size matrix: the fault logic exists in one pipeline only, and
-//! every configuration under a non-empty plan runs that pipeline.
+//! A non-empty plan selects the engine's flat feed (exactly like an
+//! observing adversary does): the fault pass rolls over the node-order
+//! traffic vector, so the transcript is the one the model defines
+//! whatever the pool size — the reference-executor unit tests diff it
+//! round by round.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,8 +43,8 @@ pub struct CrashEvent {
 /// A deterministic fault-injection plan; see the [module docs](self).
 ///
 /// The empty plan (no crashes, all rates zero — [`FaultPlan::is_empty`])
-/// is inert: the engine skips the fault phase entirely and keeps its
-/// fast-path licenses. [`FaultPlan::validate`] is enforced by
+/// is inert: the engine skips the fault phase entirely and keeps the
+/// outbox feed when the adversary allows it. [`FaultPlan::validate`] is enforced by
 /// [`crate::SimConfigBuilder::build`]; field-poked configs fall back to
 /// the same documented semantics (rates are capped by the partition).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,8 +82,8 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// Whether the plan injects nothing — the engine treats an empty
-    /// plan exactly like no plan at all (fast-path licenses intact, no
-    /// fault RNG draws, byte-identical to a config without the field).
+    /// plan exactly like no plan at all (same feed, no fault RNG draws,
+    /// byte-identical to a config without the field).
     pub fn is_empty(&self) -> bool {
         self.crashes.is_empty() && self.link_rate_total() == 0
     }

@@ -74,8 +74,8 @@ impl PidIndex {
     }
 
     /// The graph nodes in increasing-[`Pid`] order — the index's sorted
-    /// backbone, exposed so callers (the engine's identity-ordered fused
-    /// merge) never re-derive the same permutation.
+    /// backbone, exposed so callers (the engine's pid-ordered outbox
+    /// feed) never re-derive the same permutation.
     pub fn nodes_by_pid(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.entries.iter().map(|&(_, node)| node)
     }

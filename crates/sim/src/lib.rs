@@ -26,9 +26,10 @@
 //! feature the honest compute phase, the merge's metrics scan, and the
 //! autotuned sharded delivery lanes fan out over a work-stealing pool
 //! through the order-stable helpers in [`pool`], and transcripts stay
-//! bit-identical to the serial reference at every pool size (the
-//! module docs on [`engine`] describe the pipeline; the determinism and
-//! zero-allocation test suites enforce it).
+//! bit-identical to the serial path at every pool size (the module docs
+//! on [`engine`] describe the message plane; the crate's unit tests diff
+//! it round by round against a literal reference executor, and the
+//! determinism and zero-allocation test suites enforce the rest).
 //!
 //! # Quick example
 //!
@@ -73,13 +74,14 @@ pub mod message;
 pub mod metrics;
 pub mod pool;
 pub mod protocol;
+#[cfg(test)]
+mod reference;
 pub mod rss;
 pub mod trace;
 
 pub use adversary::{Adversary, ByzantineContext, FullInfoView, NullAdversary};
 pub use engine::{
-    DeliveryMode, InboxLayout, NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, Simulation,
-    StopReason, StopWhen,
+    NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, Simulation, StopReason, StopWhen,
 };
 pub use execution::{
     ConfigError, DynExecution, EstimateSummary, Execution, ExecutionSnapshot, NodeState,
@@ -97,8 +99,7 @@ pub use trace::{validate_trace, RoundTrace};
 pub mod prelude {
     pub use crate::adversary::{Adversary, ByzantineContext, FullInfoView, NullAdversary};
     pub use crate::engine::{
-        DeliveryMode, InboxLayout, NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport,
-        Simulation, StopReason, StopWhen,
+        NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, Simulation, StopReason, StopWhen,
     };
     pub use crate::execution::{
         ConfigError, DynExecution, EstimateSummary, Execution, ExecutionSnapshot, NodeState,

@@ -51,8 +51,7 @@ impl<M: MessageSize> MessageSize for Envelope<M> {
 
 /// A borrowed view of one delivered message: the authenticated sender and
 /// a reference to the payload. What [`Inbox`] iteration yields — the
-/// by-reference counterpart of [`Envelope`], shared by both physical
-/// message layouts.
+/// by-reference counterpart of [`Envelope`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnvelopeRef<'a, M> {
     /// Authenticated identity of the sending node.
@@ -61,32 +60,22 @@ pub struct EnvelopeRef<'a, M> {
     pub msg: &'a M,
 }
 
-/// A borrowed, layout-independent view of one node's inbox (sorted by
-/// sender).
+/// A borrowed view of one node's inbox (sorted by sender).
 ///
-/// The engine stores delivered messages in one of two physical layouts —
-/// per-node [`Envelope`] buffers (the oracle layout) or one contiguous
-/// structure-of-arrays arena with the sender and payload fields split into
-/// parallel slices ([`crate::engine::InboxLayout::Arena`], the default).
-/// Protocols and adversaries read through this view, so they are agnostic
-/// to the layout switch; both variants expose identical contents in
-/// identical order.
-pub enum Inbox<'a, M> {
-    /// Per-node packed envelopes (the legacy per-node layout).
-    Packed(&'a [Envelope<M>]),
-    /// Arena layout: parallel sender/payload slices of equal length. The
-    /// arena stores senders as dense `u32` node indices (half the plane
-    /// bytes of a `Pid`); the view carries the execution's pid table and
-    /// widens to the authenticated [`Pid`] only at the access boundary.
-    Split {
-        /// Dense node index of each message's sender, aligned with `msgs`.
-        senders: &'a [NodeId],
-        /// The execution's node-indexed pid table (`pids[node]` is the
-        /// authenticated identity of graph node `node`).
-        pids: &'a [Pid],
-        /// Payloads, aligned with `senders`.
-        msgs: &'a [M],
-    },
+/// The engine delivers every message of a round into one contiguous
+/// structure-of-arrays arena, with the sender and payload fields split
+/// into parallel slices; an inbox is one node's span of those slices. The
+/// arena stores senders as dense `u32` node indices (half the plane bytes
+/// of a `Pid`), so the view also carries the execution's pid table and
+/// widens to the authenticated [`Pid`] only at the access boundary.
+pub struct Inbox<'a, M> {
+    /// Dense node index of each message's sender, aligned with `msgs`.
+    senders: &'a [NodeId],
+    /// The execution's node-indexed pid table (`pids[node]` is the
+    /// authenticated identity of graph node `node`).
+    pids: &'a [Pid],
+    /// Payloads, aligned with `senders`.
+    msgs: &'a [M],
 }
 
 // Manual impls: `derive` would demand `M: Clone`/`M: Copy` although only
@@ -100,22 +89,24 @@ impl<M> Clone for Inbox<'_, M> {
 impl<M> Copy for Inbox<'_, M> {}
 
 impl<'a, M> Inbox<'a, M> {
-    /// An empty inbox (of the arena shape; representations compare equal
-    /// by content).
-    pub fn empty() -> Self {
-        Inbox::Split {
-            senders: &[],
-            pids: &[],
-            msgs: &[],
+    /// A view over parallel sender/payload slices of equal length.
+    pub(crate) fn new(senders: &'a [NodeId], pids: &'a [Pid], msgs: &'a [M]) -> Self {
+        debug_assert_eq!(senders.len(), msgs.len());
+        Inbox {
+            senders,
+            pids,
+            msgs,
         }
+    }
+
+    /// An empty inbox.
+    pub fn empty() -> Self {
+        Inbox::new(&[], &[], &[])
     }
 
     /// Number of messages received.
     pub fn len(&self) -> usize {
-        match self {
-            Inbox::Packed(envelopes) => envelopes.len(),
-            Inbox::Split { senders, .. } => senders.len(),
-        }
+        self.senders.len()
     }
 
     /// Whether no message was received.
@@ -129,19 +120,9 @@ impl<'a, M> Inbox<'a, M> {
     ///
     /// Panics if `i` is out of range.
     pub fn get(&self, i: usize) -> EnvelopeRef<'a, M> {
-        match *self {
-            Inbox::Packed(envelopes) => EnvelopeRef {
-                sender: envelopes[i].sender,
-                msg: &envelopes[i].msg,
-            },
-            Inbox::Split {
-                senders,
-                pids,
-                msgs,
-            } => EnvelopeRef {
-                sender: pids[senders[i].index()],
-                msg: &msgs[i],
-            },
+        EnvelopeRef {
+            sender: self.pids[self.senders[i].index()],
+            msg: &self.msgs[i],
         }
     }
 
@@ -164,22 +145,19 @@ impl<'a, M> Inbox<'a, M> {
     /// the aggregate-only fast path.
     ///
     /// [`Inbox::iter`] widens every message's sender through the pid
-    /// table (`pids[senders[i]]` — one dependent load per message on the
-    /// arena layout) to build each [`EnvelopeRef`]. An aggregate-only
-    /// protocol (max, sum, any-of) never reads the sender, so this fold
-    /// walks the payload plane directly: a plain slice scan on the arena
-    /// layout, with no sender loads and no per-message struct assembly.
-    /// Payload order is identical to [`Inbox::iter`]'s.
-    pub fn fold_payloads<B>(self, init: B, mut fold: impl FnMut(B, &'a M) -> B) -> B {
-        match self {
-            Inbox::Packed(envelopes) => envelopes.iter().fold(init, |acc, env| fold(acc, &env.msg)),
-            Inbox::Split { msgs, .. } => msgs.iter().fold(init, fold),
-        }
+    /// table (`pids[senders[i]]` — one dependent load per message) to
+    /// build each [`EnvelopeRef`]. An aggregate-only protocol (max, sum,
+    /// any-of) never reads the sender, so this fold walks the payload
+    /// plane directly: a plain slice scan, with no sender loads and no
+    /// per-message struct assembly. Payload order is identical to
+    /// [`Inbox::iter`]'s.
+    pub fn fold_payloads<B>(self, init: B, fold: impl FnMut(B, &'a M) -> B) -> B {
+        self.msgs.iter().fold(init, fold)
     }
 
     /// Materializes the view as owned envelopes (allocates; for protocols
     /// that want to mutate state while walking their intake, and for
-    /// cross-layout test comparisons).
+    /// test comparisons).
     pub fn to_vec(&self) -> Vec<Envelope<M>>
     where
         M: Clone,
@@ -237,9 +215,9 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
 
 impl<M> ExactSizeIterator for InboxIter<'_, M> {}
 
-/// Content equality across representations: a packed inbox equals an arena
-/// inbox with the same (sender, payload) sequence — what the layout
-/// equivalence suites byte-compare.
+/// Content equality: two inboxes are equal when they hold the same
+/// (sender, payload) sequence, whichever buffers back them — what the
+/// engine-versus-reference suites byte-compare.
 impl<M: PartialEq> PartialEq for Inbox<'_, M> {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len()
@@ -269,13 +247,13 @@ impl<M: fmt::Debug> fmt::Debug for Inbox<'_, M> {
 /// offsets are the **degree prefix sums precomputed once per execution**
 /// (a monotone-slot round delivers at most in-degree messages per node —
 /// exact capacity, no growth checks, no per-node allocations, no counting
-/// pass); when a round's shape exceeds that bound, the two-pass
-/// count/prefix-sum merge recomputes exact packed spans instead (see the
-/// engine docs). Two arenas are double-buffered (swapped, never rebuilt),
-/// and the arrays grow only to the high-water message count of an
-/// execution — capacity is pre-reserved from the delivery map's slot total
-/// (the sum of degrees), so one-send-per-edge workloads never reallocate
-/// at all.
+/// pass); when a round's shape exceeds that bound, or the round arrives
+/// through the flat feed, the two-pass count/prefix-sum merge recomputes
+/// exact packed spans instead (see the engine docs). Two arenas are
+/// double-buffered (swapped, never rebuilt), and the arrays grow only to
+/// the high-water message count of an execution — capacity is
+/// pre-reserved from the delivery map's slot total (the sum of degrees),
+/// so one-send-per-edge workloads never reallocate at all.
 pub(crate) struct InboxArena<M> {
     /// Per-node span starts, length `n`.
     pub(crate) offsets: Vec<u32>,
@@ -303,8 +281,8 @@ pub(crate) struct InboxArena<M> {
     /// retained as warm capacity and never exposed).
     pub(crate) msgs: Vec<M>,
     /// Counting-sort rank tag of every message — written (and read) only
-    /// within Byzantine-adjacent spans, where delivery must interleave
-    /// Byzantine traffic by sender.
+    /// within the spans delivery sorts: Byzantine-adjacent spans on the
+    /// outbox feed, every span on the flat feed.
     pub(crate) ranks: Vec<u32>,
 }
 
@@ -313,13 +291,9 @@ impl<M> InboxArena<M> {
     /// pre-reserved and the static degree-prefix `offsets` installed
     /// (degree-presized: pass the graph's slot total).
     pub(crate) fn new(n: usize, deg_offsets: &[u32], slot_capacity: usize) -> Self {
-        debug_assert!(deg_offsets.is_empty() || deg_offsets.len() == n);
+        debug_assert_eq!(deg_offsets.len(), n);
         InboxArena {
-            offsets: if deg_offsets.is_empty() {
-                vec![0; n]
-            } else {
-                deg_offsets.to_vec()
-            },
+            offsets: deg_offsets.to_vec(),
             lens: vec![0; n],
             offsets_static: true,
             senders_static: false,
@@ -330,23 +304,21 @@ impl<M> InboxArena<M> {
         }
     }
 
-    /// Node `v`'s inbox span as a layout-independent view (`pids` is the
-    /// execution's node-indexed pid table the view widens senders
-    /// through). Empty spans short-circuit: with the static degree offsets
-    /// the arrays may not even cover an empty node's nominal span yet
-    /// (e.g. before the first message ever flowed).
-    pub(crate) fn inbox<'a>(&'a self, v: usize, pids: &'a [Pid]) -> Inbox<'a, M> {
-        let len = self.lens[v] as usize;
-        if len == 0 {
-            return Inbox::empty();
-        }
-        let o0 = self.offsets[v] as usize;
-        let o1 = o0 + len;
-        Inbox::Split {
-            senders: &self.senders[o0..o1],
+    /// Every node's inbox span as one view (`pids` is the execution's
+    /// node-indexed pid table the view widens senders through).
+    pub(crate) fn view<'a>(&'a self, pids: &'a [Pid]) -> InboxesView<'a, M> {
+        InboxesView {
+            offsets: &self.offsets,
+            lens: &self.lens,
+            senders: &self.senders,
+            msgs: &self.msgs,
             pids,
-            msgs: &self.msgs[o0..o1],
         }
+    }
+
+    /// Node `v`'s inbox span; see [`InboxArena::view`].
+    pub(crate) fn inbox<'a>(&'a self, v: usize, pids: &'a [Pid]) -> Inbox<'a, M> {
+        self.view(pids).inbox(v)
     }
 
     /// Grows the parallel arrays to hold `total` messages, seeding new
@@ -364,16 +336,21 @@ impl<M> InboxArena<M> {
     }
 }
 
-/// All inboxes of one buffer generation, in whichever physical layout the
-/// engine selected — the engine-internal handle behind
-/// [`crate::FullInfoView::inbox`] and the compute phase.
-pub(crate) enum InboxesView<'a, M> {
-    /// Legacy layout: one `Vec<Envelope>` per node.
-    PerNode(&'a [Vec<Envelope<M>>]),
-    /// Arena layout: spans of the contiguous SoA arena, plus the
-    /// execution's pid table to widen dense sender indices at the view
-    /// boundary.
-    Arena(&'a InboxArena<M>, &'a [Pid]),
+/// All inboxes of one buffer generation: per-node spans over parallel
+/// sender/payload slices, plus the pid table that widens the senders —
+/// the engine-internal handle behind [`crate::FullInfoView::inbox`] and
+/// the compute phase.
+pub(crate) struct InboxesView<'a, M> {
+    /// Per-node span starts.
+    pub(crate) offsets: &'a [u32],
+    /// Per-node span lengths, aligned with `offsets`.
+    pub(crate) lens: &'a [u32],
+    /// Dense sender node index of every message.
+    pub(crate) senders: &'a [NodeId],
+    /// Payload of every message, aligned with `senders`.
+    pub(crate) msgs: &'a [M],
+    /// The execution's node-indexed pid table.
+    pub(crate) pids: &'a [Pid],
 }
 
 impl<M> Clone for InboxesView<'_, M> {
@@ -385,12 +362,17 @@ impl<M> Clone for InboxesView<'_, M> {
 impl<M> Copy for InboxesView<'_, M> {}
 
 impl<'a, M> InboxesView<'a, M> {
-    /// Node `v`'s inbox.
+    /// Node `v`'s inbox. Empty spans short-circuit: with the static
+    /// degree offsets the arrays may not even cover an empty node's
+    /// nominal span yet (e.g. before the first message ever flowed).
     pub(crate) fn inbox(&self, v: usize) -> Inbox<'a, M> {
-        match *self {
-            InboxesView::PerNode(buffers) => Inbox::Packed(&buffers[v]),
-            InboxesView::Arena(arena, pids) => arena.inbox(v, pids),
+        let len = self.lens[v] as usize;
+        if len == 0 {
+            return Inbox::empty();
         }
+        let o0 = self.offsets[v] as usize;
+        let o1 = o0 + len;
+        Inbox::new(&self.senders[o0..o1], self.pids, &self.msgs[o0..o1])
     }
 }
 

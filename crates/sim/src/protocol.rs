@@ -32,13 +32,13 @@ pub trait Protocol {
     /// silent rounds (stability timers) or sends unconditionally does
     /// not.
     ///
-    /// Declaring it licenses [`crate::SimConfig::sparse_rounds`]: the
-    /// engine keeps an active set of nodes with pending traffic and
-    /// skips the rest of the network entirely, making round cost scale
-    /// with traffic instead of `n`. The declaration is a *promise* — the
-    /// engine does not verify it, but the determinism suite proves
-    /// sparse and dense transcripts byte-identical for the shipped
-    /// protocols. Defaults to `false` (the dense schedule).
+    /// Declaring it licenses the engine's active-set schedule (on its
+    /// single-shard outbox feed; see [`crate::engine`]): the engine keeps
+    /// an active set of nodes with pending traffic and skips the rest of
+    /// the network entirely, making round cost scale with traffic
+    /// instead of `n`. The declaration is a *promise* — release builds
+    /// trust it, debug builds check it whenever a silent round is driven
+    /// on the dense schedule. Defaults to `false` (the dense schedule).
     const QUIESCENT_ON_SILENCE: bool = false;
 
     /// Executes one synchronous round.
@@ -157,24 +157,29 @@ impl<'a, M: Clone> NodeContext<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Envelope;
+    use bcount_graph::NodeId;
     use rand::SeedableRng;
 
+    /// A context over an inbox given as its parallel sender, pid-table,
+    /// and payload slices.
     fn ctx<'a>(
         neighbors: &'a [Pid],
-        inbox: &'a [Envelope<u8>],
+        inbox: (&'a [NodeId], &'a [Pid], &'a [u8]),
         rng: &'a mut ChaCha8Rng,
         outgoing: &'a mut Vec<(u32, u8)>,
     ) -> NodeContext<'a, u8> {
+        let (senders, pids, msgs) = inbox;
         NodeContext {
             round: 3,
             me: Pid(42),
             neighbors,
-            inbox: Inbox::Packed(inbox),
+            inbox: Inbox::new(senders, pids, msgs),
             rng,
             outgoing,
         }
     }
+
+    const EMPTY: (&[NodeId], &[Pid], &[u8]) = (&[], &[], &[]);
 
     impl MessageSize for u8 {
         fn size_bits(&self, _id_bits: u32) -> u64 {
@@ -187,7 +192,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(1), Pid(1), Pid(2)];
         let mut out = Vec::new();
-        let mut c = ctx(&neighbors, &[], &mut rng, &mut out);
+        let mut c = ctx(&neighbors, EMPTY, &mut rng, &mut out);
         c.broadcast(7);
         // One send per *distinct* neighbour, addressed by slot.
         assert_eq!(out, vec![(0, 7), (2, 7)]);
@@ -198,7 +203,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(10), Pid(20), Pid(30)];
         let mut out = Vec::new();
-        let mut c = ctx(&neighbors, &[], &mut rng, &mut out);
+        let mut c = ctx(&neighbors, EMPTY, &mut rng, &mut out);
         c.send(Pid(30), 1);
         c.send(Pid(10), 2);
         c.send(Pid(20), 3);
@@ -209,12 +214,13 @@ mod tests {
     fn heard_from_checks_inbox() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(1)];
-        let inbox = [Envelope {
-            sender: Pid(1),
-            msg: 9u8,
-        }];
         let mut out = Vec::new();
-        let c = ctx(&neighbors, &inbox, &mut rng, &mut out);
+        let c = ctx(
+            &neighbors,
+            (&[NodeId(0)], &[Pid(1)], &[9u8]),
+            &mut rng,
+            &mut out,
+        );
         assert!(c.heard_from(Pid(1)));
         assert!(!c.heard_from(Pid(2)));
         assert_eq!(c.round(), 3);
@@ -228,7 +234,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(1)];
         let mut out = Vec::new();
-        let mut c = ctx(&neighbors, &[], &mut rng, &mut out);
+        let mut c = ctx(&neighbors, EMPTY, &mut rng, &mut out);
         c.send(Pid(9), 1);
     }
 
@@ -239,11 +245,11 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(1), Pid(2), Pid(3)];
         let mut out = Vec::new();
-        ctx(&neighbors, &[], &mut rng, &mut out).broadcast(1);
+        ctx(&neighbors, EMPTY, &mut rng, &mut out).broadcast(1);
         out.drain(..);
         let cap = out.capacity();
         assert!(cap >= 3);
-        ctx(&neighbors, &[], &mut rng, &mut out).broadcast(2);
+        ctx(&neighbors, EMPTY, &mut rng, &mut out).broadcast(2);
         assert_eq!(out.len(), 3);
         assert_eq!(out.capacity(), cap);
     }

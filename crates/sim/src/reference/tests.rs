@@ -1,0 +1,511 @@
+//! The engine against the reference executor, inbox by inbox at every
+//! round and on the final [`SimReport`]: cycle, path, H(n, d), and torus
+//! graphs; silent, beacon-spamming, and observing adversaries; same-sender
+//! multi-send ties; proptest-generated fault plans; a quiescent protocol
+//! on the active-set schedule; and worker pools of 1, 4, and 8 threads.
+
+use super::{assert_lockstep, Reference};
+use crate::adversary::{Adversary, ByzantineContext, FullInfoView, NullAdversary};
+use crate::engine::{NodeInit, SimConfig, SimReport, Simulation, StopReason, StopWhen};
+use crate::fault::{CrashEvent, FaultPlan};
+use crate::idspace::Pid;
+use crate::protocol::{NodeContext, Protocol};
+use bcount_graph::gen::{cycle, hnd, path, torus2d};
+use bcount_graph::{Graph, NodeId};
+use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// Flood-max that folds fresh randomness and its intake size into its
+/// state every round, and halts after a fixed budget: any divergence in
+/// RNG streams, message order, or fault rolls shows in the outputs.
+#[derive(Debug, Clone)]
+struct JitterFlood {
+    best: Pid,
+    noise: u64,
+    heard: u64,
+    rounds_left: u32,
+}
+
+impl Protocol for JitterFlood {
+    type Message = Pid;
+    type Output = u64;
+
+    fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
+        self.heard += ctx.inbox().len() as u64;
+        for env in ctx.inbox() {
+            self.best = self.best.max(*env.msg);
+            self.noise = self.noise.rotate_left(5) ^ env.sender.0;
+        }
+        self.noise = self.noise.wrapping_mul(31).wrapping_add(ctx.rng().gen());
+        ctx.broadcast(self.best);
+        self.rounds_left = self.rounds_left.saturating_sub(1);
+    }
+
+    fn output(&self) -> Option<u64> {
+        (self.rounds_left == 0).then_some(self.best.0 ^ self.noise ^ self.heard)
+    }
+
+    fn has_halted(&self) -> bool {
+        self.rounds_left == 0
+    }
+}
+
+fn jitter(rounds: u32) -> impl FnMut(NodeId, &NodeInit) -> JitterFlood + Copy {
+    move |_, init| JitterFlood {
+        best: init.pid,
+        noise: init.pid.0,
+        heard: 0,
+        rounds_left: rounds,
+    }
+}
+
+/// Sends 1–3 *distinct* payloads to every distinct neighbour each round,
+/// so the order of one sender's messages within an inbox is observable.
+#[derive(Debug, Clone)]
+struct SprayFlood {
+    acc: u64,
+}
+
+impl Protocol for SprayFlood {
+    type Message = Pid;
+    type Output = u64;
+
+    fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
+        for env in ctx.inbox() {
+            self.acc = self.acc.wrapping_mul(31).wrapping_add(env.msg.0);
+        }
+        let mut last = None;
+        for i in 0..ctx.neighbors().len() {
+            let to = ctx.neighbors()[i];
+            if last == Some(to) {
+                continue;
+            }
+            last = Some(to);
+            for copy in 0..1 + ctx.rng().gen::<u64>() % 3 {
+                ctx.send(to, Pid(self.acc ^ (copy + 1)));
+            }
+        }
+    }
+
+    fn output(&self) -> Option<u64> {
+        Some(self.acc)
+    }
+}
+
+/// An event-driven relay declaring [`Protocol::QUIESCENT_ON_SILENCE`]:
+/// sources launch a TTL-stamped wave in round 1, and afterwards a node
+/// acts only on a non-empty inbox, so the active set really shrinks
+/// between the adversary's injections.
+#[derive(Debug, Clone)]
+struct FrontierRelay {
+    source: bool,
+    heard: u64,
+    noise: u64,
+}
+
+impl Protocol for FrontierRelay {
+    type Message = Pid;
+    type Output = u64;
+    const QUIESCENT_ON_SILENCE: bool = true;
+
+    fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
+        if ctx.round() == 1 {
+            if self.source {
+                ctx.broadcast(Pid(6));
+            }
+            return;
+        }
+        let Some(ttl) = ctx.inbox().iter().map(|e| e.msg.0.min(6)).max() else {
+            return;
+        };
+        self.heard += ctx.inbox().len() as u64;
+        self.noise = self.noise.wrapping_mul(31).wrapping_add(ctx.rng().gen());
+        if ttl > 0 {
+            ctx.broadcast(Pid(ttl - 1));
+        }
+    }
+
+    fn output(&self) -> Option<u64> {
+        (self.heard > 0).then_some(self.heard ^ self.noise)
+    }
+}
+
+fn relay(u: NodeId, init: &NodeInit) -> FrontierRelay {
+    FrontierRelay {
+        source: u.index().is_multiple_of(17),
+        heard: 0,
+        noise: init.pid.0,
+    }
+}
+
+/// Beacon spam without observation: every Byzantine node broadcasts a
+/// fresh random beacon on two rounds out of three, twice on every fifth
+/// round — overflowing the degree-presized Byzantine budget, so the
+/// outbox feed's exact two-pass path runs too.
+struct BeaconSpam;
+
+impl<P: Protocol<Message = Pid>> Adversary<P> for BeaconSpam {
+    fn on_round(&mut self, view: &FullInfoView<'_, P>, ctx: &mut ByzantineContext<'_, Pid>) {
+        if view.round().is_multiple_of(3) {
+            return;
+        }
+        let beacon = Pid(ctx.rng().gen());
+        for b in view.byzantine_nodes() {
+            ctx.broadcast(b, beacon);
+            if view.round().is_multiple_of(5) {
+                ctx.broadcast(b, Pid(beacon.0.wrapping_add(1)));
+            }
+        }
+    }
+
+    fn observes_traffic(&self) -> bool {
+        false
+    }
+}
+
+/// A rushing adversary that reads the round's in-flight honest traffic
+/// and its own inboxes, outbids the largest value in flight, and sends a
+/// second copy to one neighbour (a same-sender tie).
+struct Rusher;
+
+impl<P: Protocol<Message = Pid>> Adversary<P> for Rusher {
+    fn on_round(&mut self, view: &FullInfoView<'_, P>, ctx: &mut ByzantineContext<'_, Pid>) {
+        let best = view.honest_outgoing().iter().map(|(_, _, m)| m.0).max();
+        for b in view.byzantine_nodes() {
+            let bid = Pid(best
+                .unwrap_or(0)
+                .wrapping_add(view.inbox(b).len() as u64 + 1));
+            ctx.broadcast(b, bid);
+            if let Some(to) = view.graph().neighbors(b).next() {
+                ctx.send(b, to, Pid(bid.0 ^ 1));
+            }
+        }
+    }
+}
+
+fn config(seed: u64, max_rounds: u64) -> SimConfig {
+    SimConfig {
+        seed,
+        max_rounds,
+        record_round_stats: true,
+        ..SimConfig::default()
+    }
+}
+
+/// Runs `factory` against `adversary` on the engine and the reference in
+/// lockstep; `adversary` is called once per side.
+fn check<P, A>(
+    g: &Graph,
+    byz: &[NodeId],
+    factory: impl FnMut(NodeId, &NodeInit) -> P + Copy,
+    adversary: impl Fn() -> A,
+    cfg: SimConfig,
+) -> SimReport<P::Output>
+where
+    P: Protocol + crate::engine::PhaseSend,
+    P::Message: crate::engine::PhaseShared + PartialEq + std::fmt::Debug,
+    P::Output: PartialEq + std::fmt::Debug,
+    A: Adversary<P>,
+{
+    let mut engine = Simulation::new(g, byz, factory, adversary(), cfg.clone());
+    let mut reference = Reference::new(g, byz, factory, adversary(), cfg);
+    assert_lockstep(&mut engine, &mut reference)
+}
+
+fn graphs() -> Vec<Graph> {
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    vec![
+        cycle(37).unwrap(),
+        path(23).unwrap(),
+        hnd(96, 8, &mut rng).unwrap(),
+        torus2d(9, 8).unwrap(),
+        cycle(3).unwrap(),
+    ]
+}
+
+#[test]
+fn engine_matches_reference_across_graphs_and_adversaries() {
+    for (seed, g) in graphs().iter().enumerate() {
+        let seed = seed as u64;
+        let byz = [NodeId(1), NodeId(g.len() as u32 / 2)];
+        let report = check(g, &byz, jitter(25), || NullAdversary, config(seed, 40));
+        assert_eq!(report.stop_reason, StopReason::AllHalted);
+        check(g, &byz, jitter(25), || BeaconSpam, config(seed, 40));
+        check(g, &byz, jitter(25), || Rusher, config(seed, 40));
+        check(g, &[], jitter(25), || NullAdversary, config(seed, 40));
+    }
+}
+
+#[test]
+fn quiescent_relay_matches_reference_on_both_schedules() {
+    for seed in [3u64, 0xBEEF] {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g = hnd(192, 8, &mut rng).unwrap();
+        let byz = [NodeId(2), NodeId(90)];
+        let cfg = SimConfig {
+            stop_when: StopWhen::MaxRoundsOnly,
+            ..config(seed, 60)
+        };
+        // BeaconSpam leaves the outbox feed licensed: the sparse schedule
+        // drives only the active set (and its two-pass overflow path)...
+        let mut engine = Simulation::new(&g, &byz, relay, BeaconSpam, cfg.clone());
+        assert!(engine.sparse_schedule_active());
+        let mut reference = Reference::new(&g, &byz, relay, BeaconSpam, cfg.clone());
+        assert_lockstep(&mut engine, &mut reference);
+        // ...while an observing adversary selects the flat feed and with
+        // it the dense schedule.
+        let mut engine = Simulation::new(&g, &byz, relay, Rusher, cfg.clone());
+        assert!(!engine.sparse_schedule_active());
+        let mut reference = Reference::new(&g, &byz, relay, Rusher, cfg);
+        assert_lockstep(&mut engine, &mut reference);
+    }
+}
+
+/// A quiescent relay that halts after its one action: the sparse
+/// schedule's counter-driven stop check must fire on the reference's
+/// round.
+#[derive(Debug, Clone)]
+struct RelayOnceThenHalt {
+    source: bool,
+    relayed: bool,
+}
+
+impl Protocol for RelayOnceThenHalt {
+    type Message = Pid;
+    type Output = u64;
+    const QUIESCENT_ON_SILENCE: bool = true;
+
+    fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
+        let fire = if ctx.round() == 1 {
+            self.source
+        } else {
+            !ctx.inbox().is_empty()
+        };
+        if fire && !self.relayed {
+            ctx.broadcast(Pid(1));
+            self.relayed = true;
+        }
+    }
+
+    fn output(&self) -> Option<u64> {
+        self.relayed.then_some(1)
+    }
+
+    fn has_halted(&self) -> bool {
+        self.relayed
+    }
+}
+
+#[test]
+fn sparse_stop_condition_matches_reference() {
+    let g = cycle(33).unwrap();
+    let factory = |u: NodeId, _: &NodeInit| RelayOnceThenHalt {
+        source: u.index() == 0,
+        relayed: false,
+    };
+    let report = check(
+        &g,
+        &[NodeId(5)],
+        factory,
+        || NullAdversary,
+        config(11, 1_000),
+    );
+    assert_eq!(report.stop_reason, StopReason::AllHalted);
+    // The Byzantine node blocks one direction, so the wave crosses the
+    // cycle the long way.
+    assert!(report.rounds > 16);
+}
+
+fn chaos_plan(seed: u64) -> FaultPlan {
+    FaultPlan {
+        seed,
+        crashes: vec![
+            CrashEvent { round: 2, node: 11 },
+            CrashEvent { round: 2, node: 40 },
+            CrashEvent { round: 7, node: 3 },
+            // A crashed Byzantine node: the adversary loses it.
+            CrashEvent { round: 5, node: 77 },
+        ],
+        drop_per_mille: 60,
+        dup_per_mille: 40,
+        delay_per_mille: 50,
+        delay_rounds: 2,
+    }
+}
+
+/// Pool-size invariance against the reference: the parallel engine
+/// (sharded outbox feed once two or more workers exist, parallel compute
+/// and merge scan on both feeds) inside explicit pools of 1, 4, and 8
+/// workers. Without the `parallel` feature the flag is a no-op and this
+/// checks the serial engine.
+#[test]
+fn parallel_engine_matches_reference_at_every_pool_size() {
+    let mut rng = ChaCha8Rng::seed_from_u64(42);
+    let g = hnd(160, 8, &mut rng).unwrap();
+    let byz = [NodeId(5), NodeId(77)];
+    let cfg = SimConfig {
+        parallel: true,
+        ..config(42, 40)
+    };
+    let faulty = SimConfig {
+        fault: chaos_plan(42),
+        ..cfg.clone()
+    };
+    let sparse = SimConfig {
+        stop_when: StopWhen::MaxRoundsOnly,
+        ..cfg.clone()
+    };
+    for threads in [1usize, 4, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build test pool");
+        pool.install(|| {
+            let report = check(&g, &byz, jitter(25), || Rusher, faulty.clone());
+            let m = &report.metrics;
+            assert!(m.crashed >= 3 && m.dropped > 0 && m.duplicated > 0 && m.delayed > 0);
+            check(&g, &byz, jitter(25), || BeaconSpam, cfg.clone());
+            check(&g, &byz, jitter(25), || Rusher, cfg.clone());
+            check(
+                &g,
+                &byz,
+                |_, _| SprayFlood { acc: 1 },
+                || BeaconSpam,
+                sparse.clone(),
+            );
+            check(&g, &byz, jitter(25), || BeaconSpam, faulty.clone());
+            check(&g, &byz, relay, || BeaconSpam, sparse.clone());
+        });
+    }
+}
+
+/// The rushing view itself: an observing adversary sees, round by round,
+/// exactly the `(from, to, msg)` vector the reference builds — in node
+/// order, after the fault pass — and never an empty honest round here.
+#[test]
+fn observing_adversary_sees_the_reference_traffic() {
+    type Seen = Rc<RefCell<Vec<Vec<(NodeId, NodeId, Pid)>>>>;
+    struct Recorder(Seen);
+    impl Adversary<JitterFlood> for Recorder {
+        fn on_round(
+            &mut self,
+            view: &FullInfoView<'_, JitterFlood>,
+            ctx: &mut ByzantineContext<'_, Pid>,
+        ) {
+            self.0.borrow_mut().push(view.honest_outgoing().to_vec());
+            for b in view.byzantine_nodes().collect::<Vec<_>>() {
+                ctx.broadcast(b, Pid(7));
+            }
+        }
+    }
+    let g = cycle(8).unwrap();
+    let byz = [NodeId(3)];
+    let faulty = FaultPlan {
+        seed: 5,
+        crashes: vec![CrashEvent { round: 3, node: 6 }],
+        drop_per_mille: 100,
+        dup_per_mille: 100,
+        delay_per_mille: 100,
+        delay_rounds: 2,
+    };
+    for plan in [FaultPlan::default(), faulty] {
+        let cfg = SimConfig {
+            fault: plan,
+            ..config(5, 6)
+        };
+        let (engine_seen, reference_seen) = (Seen::default(), Seen::default());
+        let mut engine = Simulation::new(
+            &g,
+            &byz,
+            jitter(6),
+            Recorder(engine_seen.clone()),
+            cfg.clone(),
+        );
+        let mut reference =
+            Reference::new(&g, &byz, jitter(6), Recorder(reference_seen.clone()), cfg);
+        assert_lockstep(&mut engine, &mut reference);
+        assert_eq!(engine_seen.borrow().len(), 6);
+        assert!(engine_seen.borrow().iter().all(|round| !round.is_empty()));
+        assert_eq!(engine_seen, reference_seen);
+    }
+}
+
+fn build_graph(kind: u8, n: usize, seed: u64) -> Graph {
+    match kind % 4 {
+        0 => cycle(n).unwrap(),
+        1 => path(n).unwrap(),
+        2 => hnd(n, 4, &mut ChaCha8Rng::seed_from_u64(seed ^ 0x5EED)).unwrap(),
+        _ => torus2d(3, n.div_ceil(3).max(3)).unwrap(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// Same-sender ties on both traffic classes: honest multi-sends with
+    /// distinct payloads, and Byzantine double sends, silent or observing.
+    #[test]
+    fn multi_send_ties_match_reference(
+        seed in 0u64..1_000_000,
+        n in 3usize..40,
+        kind in 0u8..4,
+        byz_count in 0usize..4,
+        rounds in 1u64..10,
+        observe: bool,
+    ) {
+        let g = build_graph(kind, n, seed);
+        let n = g.len();
+        let byz: Vec<NodeId> = (0..byz_count.min(n - 1))
+            .map(|i| NodeId((i * n / byz_count.max(1)) as u32))
+            .collect();
+        let cfg = SimConfig { stop_when: StopWhen::MaxRoundsOnly, ..config(seed, rounds) };
+        let spray = |_: NodeId, init: &NodeInit| SprayFlood { acc: init.pid.0 };
+        if observe {
+            check(&g, &byz, spray, || Rusher, cfg);
+        } else {
+            check(&g, &byz, spray, || BeaconSpam, cfg);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// Arbitrary valid fault plans, with crashes of honest and Byzantine
+    /// nodes, against both a silent and an observing adversary.
+    #[test]
+    fn fault_plans_match_reference(
+        fault_seed in any::<u64>(),
+        drop in 0u16..300,
+        dup in 0u16..300,
+        delay in 0u16..300,
+        delay_rounds in 1u64..4,
+        crash_mask in 0u8..16,
+    ) {
+        let crashes: Vec<CrashEvent> = (0..4)
+            .filter(|k| crash_mask & (1 << k) != 0)
+            .map(|k| CrashEvent { round: 2 + k as u64, node: (k * 19) as u32 })
+            .collect();
+        let plan = FaultPlan {
+            seed: fault_seed,
+            crashes,
+            drop_per_mille: drop,
+            dup_per_mille: dup,
+            delay_per_mille: delay,
+            delay_rounds,
+        };
+        plan.validate().expect("generated plans are valid");
+        let g = hnd(80, 8, &mut ChaCha8Rng::seed_from_u64(13)).unwrap();
+        let byz = [NodeId(2), NodeId(38)];
+        let cfg = SimConfig { fault: plan, ..config(13, 30) };
+        // The fault seed's low bit picks the adversary.
+        if fault_seed & 1 == 1 {
+            check(&g, &byz, jitter(20), || Rusher, cfg);
+        } else {
+            check(&g, &byz, jitter(20), || BeaconSpam, cfg);
+        }
+    }
+}

@@ -1,7 +1,10 @@
 //! Direct coverage for `crates/sim/src/adversary.rs`: what the
 //! full-information view exposes each round, and how the engine accounts
 //! the adversary's traffic (Byzantine sends land in the Byzantine slots
-//! of [`Metrics::per_node`] and in the round trace's budget split).
+//! of [`Metrics::per_node`] and in the round trace's budget split). That
+//! an observing adversary's `honest_outgoing` view is exactly the
+//! node-order traffic the model defines is checked round by round
+//! against the reference executor in the crate's unit tests.
 
 use bcount_graph::gen::cycle;
 use bcount_graph::NodeId;
@@ -183,181 +186,6 @@ fn null_adversary_sends_nothing_and_delivers_nothing() {
         .round_trace
         .iter()
         .all(|t| t.byzantine_messages == 0));
-}
-
-/// The fusion gating guarantee (regression for the fused merge→delivery
-/// pipeline): an adversary that *observes* honest traffic — the default,
-/// `observes_traffic() == true` — must see the exact same
-/// `honest_outgoing` view whether or not `SimConfig::fused_merge`
-/// requests fusion. I.e. fusion is never silently applied when
-/// observation requires the flat vector; the engine pins the flat path
-/// and the view is non-empty and identical, message for message.
-#[test]
-fn observing_adversary_sees_identical_traffic_under_fused_request() {
-    /// One round's honest traffic as the adversary saw it.
-    type SeenTraffic = Vec<(NodeId, NodeId, u64)>;
-
-    /// Records the full honest-traffic view every round and keeps the
-    /// default (observing) `observes_traffic`.
-    struct TrafficRecorder {
-        log: Rc<RefCell<Vec<SeenTraffic>>>,
-    }
-    impl Adversary<Echo> for TrafficRecorder {
-        fn on_round(&mut self, view: &FullInfoView<'_, Echo>, ctx: &mut ByzantineContext<'_, Num>) {
-            self.log.borrow_mut().push(
-                view.honest_outgoing()
-                    .iter()
-                    .map(|&(from, to, msg)| (from, to, msg.0))
-                    .collect(),
-            );
-            for b in view.byzantine_nodes().collect::<Vec<_>>() {
-                ctx.broadcast(b, Num(7));
-            }
-        }
-        // observes_traffic: default true — this adversary READS the slice.
-    }
-
-    let g = cycle(8).unwrap();
-    let byz = [NodeId(3)];
-    let run = |fused_merge: bool| {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Simulation::new(
-            &g,
-            &byz,
-            |_, _| Echo { round: 0 },
-            TrafficRecorder {
-                log: Rc::clone(&log),
-            },
-            SimConfig {
-                max_rounds: 6,
-                stop_when: StopWhen::MaxRoundsOnly,
-                fused_merge,
-                ..SimConfig::default()
-            },
-        );
-        let report = sim.run();
-        drop(sim);
-        let seen = Rc::try_unwrap(log).expect("sim dropped").into_inner();
-        (report, seen)
-    };
-    let (fused_report, fused_seen) = run(true);
-    let (flat_report, flat_seen) = run(false);
-    // The observing adversary saw real traffic every round...
-    assert_eq!(fused_seen.len(), 6);
-    assert!(
-        fused_seen.iter().all(|round| !round.is_empty()),
-        "an observing adversary must never see an empty honest round here"
-    );
-    // ...and exactly the same traffic whether or not fusion was requested
-    // (the request is inert when observation needs the flat vector).
-    assert_eq!(fused_seen, flat_seen);
-    assert_eq!(fused_report.metrics, flat_report.metrics);
-    assert_eq!(fused_report.outputs, flat_report.outputs);
-}
-
-/// The arena-layout face of the same gating guarantee: an *observing*
-/// adversary must see the full flat `honest_outgoing` view even when the
-/// SoA arena layout is requested — the engine silently pins the per-node
-/// layout and the flat merge (the arena, like fusion, never materializes
-/// the flat vector), and the view is identical message for message to an
-/// explicit per-node flat run.
-#[test]
-fn observing_adversary_sees_identical_flat_view_under_arena_layout() {
-    type SeenTraffic = Vec<(NodeId, NodeId, u64)>;
-
-    struct TrafficRecorder {
-        log: Rc<RefCell<Vec<SeenTraffic>>>,
-    }
-    impl Adversary<Echo> for TrafficRecorder {
-        fn on_round(&mut self, view: &FullInfoView<'_, Echo>, ctx: &mut ByzantineContext<'_, Num>) {
-            self.log.borrow_mut().push(
-                view.honest_outgoing()
-                    .iter()
-                    .map(|&(from, to, msg)| (from, to, msg.0))
-                    .collect(),
-            );
-            for b in view.byzantine_nodes().collect::<Vec<_>>() {
-                ctx.broadcast(b, Num(11));
-            }
-        }
-        // observes_traffic: default true — this adversary READS the slice.
-    }
-
-    let g = cycle(8).unwrap();
-    let byz = [NodeId(3)];
-    let run = |layout: InboxLayout, fused_merge: bool| {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Simulation::new(
-            &g,
-            &byz,
-            |_, _| Echo { round: 0 },
-            TrafficRecorder {
-                log: Rc::clone(&log),
-            },
-            SimConfig {
-                max_rounds: 6,
-                stop_when: StopWhen::MaxRoundsOnly,
-                layout,
-                fused_merge,
-                ..SimConfig::default()
-            },
-        );
-        let report = sim.run();
-        drop(sim);
-        let seen = Rc::try_unwrap(log).expect("sim dropped").into_inner();
-        (report, seen)
-    };
-    let (arena_report, arena_seen) = run(InboxLayout::Arena, true);
-    let (flat_report, flat_seen) = run(InboxLayout::PerNode, false);
-    assert_eq!(arena_seen.len(), 6);
-    assert!(
-        arena_seen.iter().all(|round| !round.is_empty()),
-        "an observing adversary must never see an empty honest round here"
-    );
-    assert_eq!(arena_seen, flat_seen);
-    assert_eq!(arena_report.metrics, flat_report.metrics);
-    assert_eq!(arena_report.outputs, flat_report.outputs);
-}
-
-/// The complementary direction: a non-observing adversary really does
-/// activate fusion under the default config, and its transcript still
-/// matches the flat run (so fusion changes cost, never behavior).
-#[test]
-fn non_observing_adversary_transcripts_match_across_pipelines() {
-    struct BlindShout;
-    impl Adversary<Echo> for BlindShout {
-        fn on_round(&mut self, view: &FullInfoView<'_, Echo>, ctx: &mut ByzantineContext<'_, Num>) {
-            for b in view.byzantine_nodes().collect::<Vec<_>>() {
-                ctx.broadcast(b, Num(view.round()));
-            }
-        }
-        fn observes_traffic(&self) -> bool {
-            false
-        }
-    }
-    let g = cycle(9).unwrap();
-    let byz = [NodeId(4)];
-    let run = |fused_merge: bool| {
-        let mut sim = Simulation::new(
-            &g,
-            &byz,
-            |_, _| Echo { round: 0 },
-            BlindShout,
-            SimConfig {
-                max_rounds: 6,
-                stop_when: StopWhen::MaxRoundsOnly,
-                record_round_stats: true,
-                fused_merge,
-                ..SimConfig::default()
-            },
-        );
-        sim.run()
-    };
-    let fused = run(true);
-    let flat = run(false);
-    assert_eq!(fused.metrics, flat.metrics);
-    assert_eq!(fused.outputs, flat.outputs);
-    assert_eq!(fused.decided_round, flat.decided_round);
 }
 
 /// The model restriction tests (send-from-honest, non-edge) live in

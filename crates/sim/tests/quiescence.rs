@@ -80,11 +80,23 @@ impl<const MODE: u8> Protocol for Liar<MODE> {
     }
 }
 
-/// Dense schedule, so silent rounds are actually driven (the sparse
-/// schedule would skip them and the probe would never run).
+/// An adversary that does nothing but keeps the default
+/// `observes_traffic() == true`: the engine then runs its flat feed and
+/// with it the dense schedule, so silent rounds are actually driven (the
+/// sparse schedule would skip them and the probe would never run).
+struct Watcher;
+
+impl<P: Protocol> Adversary<P> for Watcher {
+    fn on_round(
+        &mut self,
+        _view: &FullInfoView<'_, P>,
+        _ctx: &mut ByzantineContext<'_, P::Message>,
+    ) {
+    }
+}
+
 fn dense_config(rounds: u64) -> SimConfig {
     SimConfig::builder()
-        .sparse_rounds(false)
         .max_rounds(rounds)
         .stop_when(StopWhen::MaxRoundsOnly)
         .build()
@@ -97,9 +109,10 @@ fn run_liar<const MODE: u8>() {
         &g,
         &[],
         |_, _| Liar::<MODE> { halted: false },
-        NullAdversary,
+        Watcher,
         dense_config(3),
     );
+    assert!(!sim.sparse_schedule_active());
     sim.run();
 }
 
@@ -110,9 +123,10 @@ fn honest_quiescent_protocol_passes_the_probe() {
         &g,
         &[],
         |_, _| HonestToken { relayed: false },
-        NullAdversary,
+        Watcher,
         dense_config(50),
     );
+    assert!(!sim.sparse_schedule_active());
     // Dense schedule drives every node's silent rounds through the
     // debug probe; an honest protocol sails through.
     sim.run();

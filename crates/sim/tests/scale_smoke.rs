@@ -1,7 +1,9 @@
 //! Large-`n` smoke test for the scale tier: builds an H(n, 8) random
 //! regular graph at n = 65536 through the streaming CSR path, runs a few
-//! rounds through the compact-plane engine in both the dense and the
-//! active-set schedule, and holds the process's peak RSS under a budget.
+//! rounds through the compact-plane engine in both the active-set
+//! schedule (outbox feed) and the dense schedule (flat feed, selected by
+//! an observing adversary), and holds the process's peak RSS under a
+//! budget.
 //!
 //! Ignored by default (it is a memory test, and peak RSS is a
 //! process-global high-water mark that other tests in the same process
@@ -64,7 +66,19 @@ impl Protocol for Wave {
     }
 }
 
-fn run_wave(g: &bcount_graph::Graph, sparse: bool) -> SimReport<u64> {
+/// Silent, but observing (the default `observes_traffic() == true`):
+/// selects the flat feed and the dense schedule.
+struct Watcher;
+
+impl Adversary<Wave> for Watcher {
+    fn on_round(&mut self, _view: &FullInfoView<'_, Wave>, _ctx: &mut ByzantineContext<'_, Pid>) {}
+}
+
+fn run_wave<A: Adversary<Wave>>(
+    g: &bcount_graph::Graph,
+    adversary: A,
+    sparse: bool,
+) -> SimReport<u64> {
     let mut sim = Simulation::new(
         g,
         &[NodeId(3), NodeId(40_000)],
@@ -72,12 +86,11 @@ fn run_wave(g: &bcount_graph::Graph, sparse: bool) -> SimReport<u64> {
             source: u.index() % 4096 == 0,
             heard: 0,
         },
-        NullAdversary,
+        adversary,
         SimConfig {
             seed: 7,
             max_rounds: 8,
             stop_when: StopWhen::MaxRoundsOnly,
-            sparse_rounds: sparse,
             ..SimConfig::default()
         },
     );
@@ -94,8 +107,8 @@ fn scale_65536_smoke_under_rss_budget() {
     assert_eq!(g.len(), n);
     assert!(g.degree_sum() >= 8 * n, "8 random cycles worth of edges");
 
-    let dense = run_wave(&g, false);
-    let sparse = run_wave(&g, true);
+    let dense = run_wave(&g, Watcher, false);
+    let sparse = run_wave(&g, NullAdversary, true);
     assert_eq!(dense.rounds, 8);
     assert_eq!(dense.outputs, sparse.outputs);
     assert_eq!(

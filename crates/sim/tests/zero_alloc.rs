@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bcount_graph::gen::cycle;
-use bcount_graph::NodeId;
+use bcount_graph::{Graph, NodeId};
 use bcount_sim::prelude::*;
 
 /// Counts every allocation and reallocation; frees are not interesting.
@@ -66,7 +66,7 @@ impl Protocol for Chatter {
 
 /// Like [`Chatter`], but every round it additionally re-sends to its
 /// first neighbour *after* the broadcast — a non-monotone slot sequence,
-/// which pins the arena layout onto its exact two-pass count/prefix-sum
+/// which pins the outbox feed onto its exact two-pass count/prefix-sum
 /// merge every single round.
 #[derive(Debug, Clone)]
 struct DoubleChatter(Pid);
@@ -175,74 +175,14 @@ fn assert_zero_alloc_sparse(byz: bool) {
     );
 }
 
-/// Runs one steady-state window and asserts it performs zero allocations.
-///
-/// Covers the full merge × delivery × layout matrix: the flat merge with
-/// the plain counting-sort scatter and with the sharded merge
-/// (per-destination-range queues), the **fused** merge→delivery pipeline
-/// (`NullAdversary` licenses it, so `fused_merge: true` really takes the
-/// fused path), and the **arena** layout's pipelines — the sender-rank
-/// table, per-inbox rank/permutation scratch, staged inboxes, shard
-/// queues, and the SoA arena's parallel arrays are all built or grown
-/// during warm-up and only reused afterwards.
-fn assert_zero_alloc_rounds(
-    sharded_merge: bool,
-    fused_merge: bool,
-    layout: InboxLayout,
-    byz: bool,
-) {
-    let g = cycle(96).unwrap();
-    let cfg = SimConfig {
-        max_rounds: u64::MAX,
-        stop_when: StopWhen::MaxRoundsOnly,
-        sharded_merge,
-        fused_merge,
-        layout,
-        ..SimConfig::default()
-    };
-    // A silent Byzantine node exercises the Byzantine-adjacent sort path
-    // (and, under the arena, blocks the broadcast-table fast path so the
-    // degree-presized general path runs); without one, a Chatter run is a
-    // pure broadcast round every round.
-    let byz: &[NodeId] = if byz { &[NodeId(17)] } else { &[] };
-    let mut sim = Simulation::new(&g, byz, |_, init| Chatter(init.pid), NullAdversary, cfg);
-    // Warm-up: let every buffer reach its steady capacity.
-    for _ in 0..30 {
-        sim.step();
-    }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..200 {
-        sim.step();
-    }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    assert_eq!(
-        delta,
-        0,
-        "steady-state rounds must not allocate (saw {delta} allocations over \
-         200 rounds, sharded_merge={sharded_merge}, fused_merge={fused_merge}, \
-         layout={layout:?}, byz={})",
-        !byz.is_empty()
-    );
-}
-
-/// The arena's exact two-pass merge, which runs when a round's slot
-/// sequences are non-monotone, must also be allocation-free in steady
-/// state.
-fn assert_zero_alloc_two_pass(sharded_merge: bool) {
-    let g = cycle(96).unwrap();
-    let cfg = SimConfig {
-        max_rounds: u64::MAX,
-        stop_when: StopWhen::MaxRoundsOnly,
-        sharded_merge,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(
-        &g,
-        &[NodeId(17)],
-        |_, init| DoubleChatter(init.pid),
-        NullAdversary,
-        cfg,
-    );
+/// Steps `sim` through a 30-round warm-up, then asserts the next 200
+/// rounds perform zero allocations.
+fn assert_steady_state_allocation_free<P, A>(mut sim: Simulation<&Graph, P, A>, case: &str)
+where
+    P: Protocol + PhaseSend,
+    P::Message: PhaseShared,
+    A: Adversary<P>,
+{
     for _ in 0..30 {
         sim.step();
     }
@@ -253,9 +193,91 @@ fn assert_zero_alloc_two_pass(sharded_merge: bool) {
     let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
     assert_eq!(
         delta, 0,
-        "steady-state two-pass rounds must not allocate (saw {delta} \
-         allocations over 200 rounds, sharded_merge={sharded_merge})"
+        "steady-state rounds must not allocate (saw {delta} allocations over 200 rounds, {case})"
     );
+}
+
+fn chatter_config() -> SimConfig {
+    SimConfig {
+        max_rounds: u64::MAX,
+        stop_when: StopWhen::MaxRoundsOnly,
+        ..SimConfig::default()
+    }
+}
+
+/// The outbox feed (`NullAdversary` licenses it): the broadcast-table
+/// path without Byzantine nodes, and with a silent Byzantine node (which
+/// blocks the table) the degree-presized general path plus the
+/// Byzantine-adjacent sort — the sender-rank table, per-span permutation
+/// scratch, and the SoA arena's parallel arrays are all built or grown
+/// during warm-up and only reused afterwards.
+fn assert_zero_alloc_outbox_feed(byz: bool) {
+    let g = cycle(96).unwrap();
+    let byz: &[NodeId] = if byz { &[NodeId(17)] } else { &[] };
+    let sim = Simulation::new(
+        &g,
+        byz,
+        |_, init| Chatter(init.pid),
+        NullAdversary,
+        chatter_config(),
+    );
+    assert_steady_state_allocation_free(sim, &format!("outbox feed, byz={}", !byz.is_empty()));
+}
+
+/// An observing adversary (the default `observes_traffic() == true`,
+/// which selects the flat feed): it reads the round's in-flight honest
+/// traffic and, with `burst` set, answers from every Byzantine node with
+/// two messages per incident edge — more than the degree-presized budget.
+/// It sends edge by edge because [`ByzantineContext::broadcast`]
+/// allocates its neighbour list.
+struct Observer {
+    burst: bool,
+}
+
+impl<P: Protocol<Message = Pid>> Adversary<P> for Observer {
+    fn on_round(&mut self, view: &FullInfoView<'_, P>, ctx: &mut ByzantineContext<'_, Pid>) {
+        let seen = view.honest_outgoing().len() as u64;
+        if !self.burst {
+            return;
+        }
+        for b in view.byzantine_nodes() {
+            for to in view.graph().neighbors(b) {
+                ctx.send(b, to, Pid(seen));
+                ctx.send(b, to, Pid(seen + 1));
+            }
+        }
+    }
+}
+
+/// The flat feed: a steady broadcast under a silent observer, and a
+/// Byzantine burst every round — the node-order vector, the two-pass
+/// count/prefix-sum scatter, and the sort of every span all run on warmed
+/// capacity.
+fn assert_zero_alloc_flat_feed(burst: bool) {
+    let g = cycle(96).unwrap();
+    let sim = Simulation::new(
+        &g,
+        &[NodeId(17)],
+        |_, init| Chatter(init.pid),
+        Observer { burst },
+        chatter_config(),
+    );
+    assert_steady_state_allocation_free(sim, &format!("flat feed, burst={burst}"));
+}
+
+/// The outbox feed's exact two-pass merge, which runs when a round's slot
+/// sequences are non-monotone, must also be allocation-free in steady
+/// state.
+fn assert_zero_alloc_two_pass() {
+    let g = cycle(96).unwrap();
+    let sim = Simulation::new(
+        &g,
+        &[NodeId(17)],
+        |_, init| DoubleChatter(init.pid),
+        NullAdversary,
+        chatter_config(),
+    );
+    assert_steady_state_allocation_free(sim, "outbox feed, two-pass");
 }
 
 /// The parallel engine's steady state must be allocation-free in the
@@ -264,19 +286,15 @@ fn assert_zero_alloc_two_pass(sharded_merge: bool) {
 /// pool's size-1 guarantee — no job boxing), the merge's per-worker
 /// accumulators live on the stack, the chunked metrics scan splits
 /// borrow disjoint windows of existing buffers, and the autotuned shard
-/// count collapses to 1 so the sharded request delegates to the
-/// unsharded arena pipeline. Multi-worker pools inherently heap-allocate
-/// at the fork boundary, so this is the strongest zero-alloc statement
-/// the parallel path admits. Without the `parallel` feature the flag is
-/// a no-op and the case degenerates to the serial arena run.
+/// count collapses to 1 so delivery takes the unsharded outbox feed.
+/// Multi-worker pools inherently heap-allocate at the fork boundary, so
+/// this is the strongest zero-alloc statement the parallel path admits. Without the `parallel` feature the flag is
+/// a no-op and the case degenerates to the serial run.
 fn assert_zero_alloc_parallel_merge() {
     let g = cycle(96).unwrap();
     let cfg = SimConfig {
         max_rounds: u64::MAX,
         stop_when: StopWhen::MaxRoundsOnly,
-        sharded_merge: true,
-        fused_merge: true,
-        layout: InboxLayout::Arena,
         parallel: true,
         ..SimConfig::default()
     };
@@ -309,19 +327,16 @@ fn assert_zero_alloc_parallel_merge() {
 }
 
 fn main() {
-    // Legacy per-node layout: flat and fused, plain and sharded.
-    assert_zero_alloc_rounds(false, false, InboxLayout::PerNode, true);
-    assert_zero_alloc_rounds(true, false, InboxLayout::PerNode, true);
-    assert_zero_alloc_rounds(false, true, InboxLayout::PerNode, true);
-    assert_zero_alloc_rounds(true, true, InboxLayout::PerNode, true);
-    // Arena layout: the broadcast-table path (no Byzantine nodes), the
-    // degree-presized general path (silent Byzantine node), the sharded
-    // arena, and the exact two-pass merge (non-monotone sends).
-    assert_zero_alloc_rounds(false, true, InboxLayout::Arena, false);
-    assert_zero_alloc_rounds(false, true, InboxLayout::Arena, true);
-    assert_zero_alloc_rounds(true, true, InboxLayout::Arena, true);
-    assert_zero_alloc_two_pass(false);
-    assert_zero_alloc_two_pass(true);
+    // Outbox feed: the broadcast-table path (no Byzantine nodes), the
+    // degree-presized general path (silent Byzantine node), and the exact
+    // two-pass merge (non-monotone sends).
+    assert_zero_alloc_outbox_feed(false);
+    assert_zero_alloc_outbox_feed(true);
+    assert_zero_alloc_two_pass();
+    // Flat feed under an observing adversary: steady broadcast, and a
+    // Byzantine burst every round.
+    assert_zero_alloc_flat_feed(false);
+    assert_zero_alloc_flat_feed(true);
     // Active-set schedule: circulating token, and token death → silence.
     assert_zero_alloc_sparse(false);
     assert_zero_alloc_sparse(true);
@@ -330,8 +345,7 @@ fn main() {
     assert_zero_alloc_parallel_merge();
     println!(
         "zero_alloc: ok (0 allocations over 200 steady-state rounds; \
-         per-node flat/fused x plain/sharded, arena broadcast/general/\
-         sharded, arena two-pass plain/sharded, sparse live/silent, \
-         parallel size-1 pool)"
+         outbox feed broadcast/general/two-pass, flat feed steady/burst, \
+         sparse live/silent, parallel size-1 pool)"
     );
 }

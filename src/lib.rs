@@ -49,9 +49,10 @@
 //! assert!(decided as f64 >= 0.75 * report.honest_count() as f64);
 //! ```
 //!
-//! See `examples/` for runnable scenarios, DESIGN.md for the architecture
-//! and faithfulness notes, and EXPERIMENTS.md for the reproduction of
-//! every quantitative claim of the paper.
+//! See `examples/` for runnable scenarios, the README for the
+//! architecture ("The round engine") and the reproduction of every
+//! quantitative claim of the paper ("Machine-readable experiment
+//! pipeline"), and `PAPER.md` for the source paper.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

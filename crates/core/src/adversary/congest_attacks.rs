@@ -1,5 +1,8 @@
 //! Byzantine strategies against Algorithm 2 (the CONGEST protocol).
 
+use std::iter;
+use std::sync::Arc;
+
 use bcount_sim::{Adversary, ByzantineContext, FullInfoView, Pid};
 use rand::Rng;
 
@@ -43,18 +46,15 @@ impl Adversary<CongestCounting> for BeaconSpamAdversary {
         ctx: &mut ByzantineContext<'_, CongestMsg>,
     ) {
         let pos = self.clock.locate(view.round());
-        let byz: Vec<_> = view.byzantine_nodes().collect();
         if pos.in_beacon_window() && pos.can_forward_beacon() {
-            for &b in &byz {
+            for b in view.byzantine_nodes() {
                 // Fabricate a plausible-length path of phantom IDs ending
                 // in our own (unfakeable) identity.
-                let prefix_len = pos.offset as usize;
-                let mut path: Vec<Pid> = (0..prefix_len).map(|_| Pid(ctx.rng().gen())).collect();
-                path.push(view.pid(b));
+                let path = fabricate(ctx, pos.offset as usize, view.pid(b));
                 ctx.broadcast(b, CongestMsg::Beacon { path });
             }
         } else if self.spam_continues && pos.can_forward_continue() {
-            for &b in &byz {
+            for b in view.byzantine_nodes() {
                 ctx.broadcast(b, CongestMsg::Continue);
             }
         }
@@ -66,6 +66,16 @@ impl Adversary<CongestCounting> for BeaconSpamAdversary {
     fn observes_traffic(&self) -> bool {
         false
     }
+}
+
+/// A beacon path of `prefix_len` phantom IDs, drawn from the adversary's
+/// stream in order, ending in the sender's own identity — collected
+/// straight into the shared path (one allocation).
+fn fabricate(ctx: &mut ByzantineContext<'_, CongestMsg>, prefix_len: usize, me: Pid) -> Arc<[Pid]> {
+    (0..prefix_len)
+        .map(|_| Pid(ctx.rng().gen()))
+        .chain(iter::once(me))
+        .collect()
 }
 
 /// A stealthier variant: instead of fabricating beacons from nothing,
@@ -95,31 +105,31 @@ impl Adversary<CongestCounting> for PathTamperAdversary {
         ctx: &mut ByzantineContext<'_, CongestMsg>,
     ) {
         let pos = self.clock.locate(view.round());
-        let byz: Vec<_> = view.byzantine_nodes().collect();
         if pos.in_beacon_window() && pos.can_forward_beacon() {
-            for &b in &byz {
-                // Pick up a real beacon if one arrived.
-                let received = view.inbox(b).iter().find_map(|env| match &env.msg {
-                    CongestMsg::Beacon { path } => Some(path.clone()),
+            for b in view.byzantine_nodes() {
+                // Pick up a real beacon if one arrived: only its length
+                // is kept, so the relay looks plausible.
+                let received = view.inbox(b).iter().find_map(|env| match env.msg {
+                    CongestMsg::Beacon { path } => Some(path.len()),
                     CongestMsg::Continue => None,
                 });
-                let mut path = match received {
-                    Some(real) => {
-                        // Keep the length plausible, garble the prefix.
-                        let mut p: Vec<Pid> =
-                            (0..real.len()).map(|_| Pid(ctx.rng().gen())).collect();
-                        p.pop();
-                        p
+                let path = match received {
+                    Some(len) => {
+                        // Garble every entry of the real path, then give
+                        // the last (the real sender's) slot to ourselves:
+                        // its phantom ID is drawn and discarded.
+                        let path = fabricate(ctx, len.saturating_sub(1), view.pid(b));
+                        if len > 0 {
+                            let _discarded = Pid(ctx.rng().gen());
+                        }
+                        path
                     }
-                    None => (0..pos.offset as usize)
-                        .map(|_| Pid(ctx.rng().gen()))
-                        .collect(),
+                    None => fabricate(ctx, pos.offset as usize, view.pid(b)),
                 };
-                path.push(view.pid(b));
                 ctx.broadcast(b, CongestMsg::Beacon { path });
             }
         } else if pos.can_forward_continue() {
-            for &b in &byz {
+            for b in view.byzantine_nodes() {
                 ctx.broadcast(b, CongestMsg::Continue);
             }
         }

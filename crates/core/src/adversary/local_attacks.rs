@@ -1,6 +1,7 @@
 //! Byzantine strategies against Algorithm 1 (the LOCAL protocol).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bcount_graph::gen::hamiltonian::hnd;
 use bcount_graph::{Graph, NodeId, TopologyView};
@@ -169,7 +170,7 @@ impl Adversary<LocalCounting> for FakeExpanderAdversary {
                     .announce(world.fake_pids[f.index()], edges)
                     .expect("phantom story is self-consistent");
             }
-            ctx.broadcast(b, LocalMsg(fake_view));
+            ctx.broadcast(b, LocalMsg(Arc::new(fake_view)));
         }
     }
 
@@ -225,7 +226,7 @@ impl Adversary<LocalCounting> for EdgeInjectorAdversary {
                     phantom_edges.push(Pid(rng.gen()));
                 }
                 v.announce(phantom, phantom_edges).expect("self-consistent");
-                ctx.send(b, to, LocalMsg(v));
+                ctx.send(b, to, LocalMsg(Arc::new(v)));
             }
         }
     }

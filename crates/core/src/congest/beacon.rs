@@ -1,9 +1,18 @@
 //! Message types of Algorithm 2.
 
+use std::sync::Arc;
+
 use bcount_sim::{MessageSize, Pid};
 use serde::{Deserialize, Serialize};
 
 /// A message of the CONGEST counting protocol.
+///
+/// A beacon's path is a shared, immutable `Arc<[Pid]>`: a broadcast hands
+/// every neighbour the same allocation (a clone is a reference-count
+/// bump), and a forwarder builds its extended path as one new
+/// allocation. [`MessageSize::size_bits`] still charges every path entry
+/// to every copy sent — it models the wire size, not the in-memory
+/// sharing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CongestMsg {
     /// A beacon flood. The path field lists every node the beacon has
@@ -16,7 +25,7 @@ pub enum CongestMsg {
     Beacon {
         /// Visited-node chain: `path[0]` is the claimed origin, the last
         /// entry is the (verifiable) sender.
-        path: Vec<Pid>,
+        path: Arc<[Pid]>,
     },
     /// A liveness signal flooded by undecided nodes during each
     /// iteration's continue window. Carries no payload.
@@ -51,7 +60,7 @@ mod tests {
     #[test]
     fn sizes_reflect_path_length() {
         let b = CongestMsg::Beacon {
-            path: vec![Pid(1), Pid(2), Pid(3)],
+            path: Arc::from([Pid(1), Pid(2), Pid(3)]),
         };
         assert_eq!(b.size_bits(64), 2 + 3 * 64);
         assert_eq!(CongestMsg::Continue.size_bits(64), 2);
@@ -60,11 +69,13 @@ mod tests {
     #[test]
     fn origin_is_first_path_entry() {
         let b = CongestMsg::Beacon {
-            path: vec![Pid(9), Pid(2)],
+            path: Arc::from([Pid(9), Pid(2)]),
         };
         assert_eq!(b.origin(), Some(Pid(9)));
         assert_eq!(CongestMsg::Continue.origin(), None);
-        let empty = CongestMsg::Beacon { path: vec![] };
+        let empty = CongestMsg::Beacon {
+            path: Arc::from([]),
+        };
         assert_eq!(empty.origin(), None);
     }
 }

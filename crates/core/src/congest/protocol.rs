@@ -1,8 +1,10 @@
 //! The per-node state machine of Algorithm 2.
 
 use std::collections::HashSet;
+use std::iter;
+use std::sync::Arc;
 
-use bcount_sim::{NodeContext, NodeInit, Pid, Protocol};
+use bcount_sim::{Inbox, NodeContext, NodeInit, Pid, Protocol};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -51,8 +53,8 @@ pub struct CongestCounting {
     /// Per-phase blacklist `BL` (Line 2).
     blacklist: HashSet<Pid>,
     /// Per-iteration `shortestPath` (Line 4): the accepted beacon's path,
-    /// origin first, sender last.
-    shortest_path: Option<Vec<Pid>>,
+    /// origin first, sender last. Shared with the beacon it came from.
+    shortest_path: Option<Arc<[Pid]>>,
     /// Whether a `⟨continue⟩` arrived during the current continue window.
     heard_continue: bool,
     /// Flood dedup: forwarded a continue already in this window.
@@ -121,6 +123,19 @@ impl CongestCounting {
             && path.len() <= phase as usize + 2
     }
 
+    /// The paths of the valid beacons in `inbox`, in inbox order.
+    fn valid_beacons(
+        inbox: Inbox<'_, CongestMsg>,
+        phase: u32,
+    ) -> impl Iterator<Item = &Arc<[Pid]>> {
+        inbox.iter().filter_map(move |env| match env.msg {
+            CongestMsg::Beacon { path } if Self::beacon_is_valid(path, env.sender, phase) => {
+                Some(path)
+            }
+            _ => None,
+        })
+    }
+
     /// The blacklist test of Lines 20–21: the path prefix (everything
     /// except the trusted `⌊(1−ϵ)i⌋`-suffix) must not intersect `BL`.
     fn passes_blacklist(&self, path: &[Pid], phase: u32) -> bool {
@@ -186,10 +201,9 @@ impl Protocol for CongestCounting {
                 self.params.activation_probability(self.degree.max(2), i)
             };
             if p > 0.0 && ctx.rng().gen_bool(p) {
-                self.shortest_path = Some(vec![self.me]);
-                ctx.broadcast(CongestMsg::Beacon {
-                    path: vec![self.me],
-                });
+                let path: Arc<[Pid]> = Arc::from([self.me]);
+                self.shortest_path = Some(Arc::clone(&path));
+                ctx.broadcast(CongestMsg::Beacon { path });
             }
             return;
         }
@@ -197,29 +211,23 @@ impl Protocol for CongestCounting {
         if pos.in_beacon_window() {
             // Beacon receipt (Lines 13–26): keep one arbitrarily chosen
             // valid beacon, forward it (window permitting), and run the
-            // acceptance test.
-            let valid: Vec<(Pid, Vec<Pid>)> = ctx
-                .inbox()
-                .iter()
-                .filter_map(|env| match &env.msg {
-                    CongestMsg::Beacon { path } if Self::beacon_is_valid(path, env.sender, i) => {
-                        Some((env.sender, path.clone()))
-                    }
-                    _ => None,
-                })
-                .collect();
-            if valid.is_empty() {
+            // acceptance test. The pick is taken by reference: count the
+            // valid beacons, draw once, and walk to the drawn one.
+            let inbox = ctx.inbox();
+            let valid = Self::valid_beacons(inbox, i).count();
+            if valid == 0 {
                 return;
             }
-            let pick = ctx.rng().gen_range(0..valid.len());
-            let (_, path) = &valid[pick];
+            let pick = ctx.rng().gen_range(0..valid);
+            let path = Self::valid_beacons(inbox, i)
+                .nth(pick)
+                .expect("pick is below the valid count");
             if pos.can_forward_beacon() {
-                let mut fwd = path.clone();
-                fwd.push(self.me);
+                let fwd: Arc<[Pid]> = path.iter().copied().chain(iter::once(self.me)).collect();
                 ctx.broadcast(CongestMsg::Beacon { path: fwd });
             }
             if self.shortest_path.is_none() && self.passes_blacklist(path, i) {
-                self.shortest_path = Some(path.clone());
+                self.shortest_path = Some(Arc::clone(path));
             }
             return;
         }
@@ -386,7 +394,7 @@ mod tests {
         };
         let mut node = CongestCounting::new(params, &init);
         node.cur_phase = 8;
-        node.shortest_path = Some(vec![Pid(1), Pid(2), Pid(3)]);
+        node.shortest_path = Some(Arc::from([Pid(1), Pid(2), Pid(3)]));
         let pos = RoundPosition {
             phase: 8,
             iteration: 0,

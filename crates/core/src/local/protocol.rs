@@ -1,5 +1,7 @@
 //! The per-node state machine of Algorithm 1.
 
+use std::sync::Arc;
+
 use bcount_graph::TopologyView;
 use bcount_sim::{MessageSize, NodeContext, NodeInit, Pid, Protocol};
 use serde::{Deserialize, Serialize};
@@ -10,8 +12,15 @@ use super::checks::{run_expansion_checks, CheckOutcome, LocalConfig};
 /// `B̂(u, i)`. This is a LOCAL-model protocol — messages grow to
 /// polynomial size by design, which the metrics make visible (contrast
 /// with [`crate::congest::CongestCounting`]).
+///
+/// The view is a shared, immutable snapshot behind an [`Arc`]: a
+/// broadcasting node copies its view once per round, and every neighbour
+/// receives the same snapshot (a clone is a reference-count bump).
+/// Receivers only read it. [`MessageSize::size_bits`] still charges the
+/// whole view to every copy sent — it models the wire size, not the
+/// in-memory sharing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LocalMsg(pub TopologyView<Pid>);
+pub struct LocalMsg(pub Arc<TopologyView<Pid>>);
 
 impl MessageSize for LocalMsg {
     fn size_bits(&self, id_bits: u32) -> u64 {
@@ -112,7 +121,7 @@ impl Protocol for LocalCounting {
             self.view
                 .announce(self.me, self.neighbors.iter().copied())
                 .expect("own announcement is consistent");
-            ctx.broadcast(LocalMsg(self.view.clone()));
+            ctx.broadcast(LocalMsg(Arc::new(self.view.clone())));
             return;
         }
         // Simulation horizon (Remark 1: eclipsed nodes never self-terminate).
@@ -157,7 +166,7 @@ impl Protocol for LocalCounting {
             return;
         }
         // Line 3: broadcast the grown view.
-        ctx.broadcast(LocalMsg(self.view.clone()));
+        ctx.broadcast(LocalMsg(Arc::new(self.view.clone())));
     }
 
     fn output(&self) -> Option<LocalEstimate> {
@@ -280,7 +289,7 @@ mod tests {
     fn message_size_accounts_for_view_contents() {
         let mut v: TopologyView<Pid> = TopologyView::new();
         v.announce(Pid(1), [Pid(2), Pid(3)]).unwrap();
-        let msg = LocalMsg(v);
+        let msg = LocalMsg(Arc::new(v));
         // 1 announced node + 2 edge entries + 2 frontier mentions = 5 IDs.
         assert_eq!(msg.size_bits(64), 5 * 64);
     }

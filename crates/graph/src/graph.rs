@@ -86,7 +86,9 @@ impl Graph {
     /// Builds a graph directly from CSR arrays.
     ///
     /// This is the low-level constructor used by [`crate::GraphBuilder`];
-    /// prefer the builder for general use.
+    /// prefer the builder for general use. Supply each node's neighbour
+    /// span in increasing order, as the builders do: consumers walk spans
+    /// in place and rely on parallel edges being adjacent.
     ///
     /// # Panics
     ///

@@ -139,20 +139,33 @@ impl<'a, M: Clone> ByzantineContext<'a, M> {
         self.outgoing.push((from, to, msg));
     }
 
-    /// Sends `msg` from `from` to every distinct neighbour of `from`.
+    /// Sends `msg` from `from` to every distinct neighbour of `from`, in
+    /// increasing node order.
+    ///
+    /// Walks the graph's neighbour span in place (the builders sort every
+    /// span, so parallel edges are adjacent and skipped): no allocation
+    /// beyond the sink's warmed capacity.
     ///
     /// # Panics
     ///
-    /// As for [`ByzantineContext::send`].
+    /// Panics if `from` is not Byzantine (as for
+    /// [`ByzantineContext::send`]).
     pub fn broadcast(&mut self, from: NodeId, msg: M) {
         assert!(
             self.is_byzantine[from.index()],
             "adversary tried to broadcast from honest node {from}"
         );
-        let mut nbrs: Vec<NodeId> = self.graph.neighbors(from).collect();
-        nbrs.sort_unstable();
-        nbrs.dedup();
-        for to in nbrs {
+        let nbrs = self.graph.neighbor_slice(from);
+        debug_assert!(
+            nbrs.windows(2).all(|w| w[0] <= w[1]),
+            "neighbour span of {from} is not sorted"
+        );
+        let mut last = None;
+        for &to in nbrs {
+            if last == Some(to) {
+                continue;
+            }
+            last = Some(to);
             self.outgoing.push((from, to, msg.clone()));
         }
     }

@@ -228,8 +228,8 @@ fn assert_zero_alloc_outbox_feed(byz: bool) {
 /// which selects the flat feed): it reads the round's in-flight honest
 /// traffic and, with `burst` set, answers from every Byzantine node with
 /// two messages per incident edge — more than the degree-presized budget.
-/// It sends edge by edge because [`ByzantineContext::broadcast`]
-/// allocates its neighbour list.
+/// It answers with two [`ByzantineContext::broadcast`]s, which walk the
+/// graph's neighbour spans in place.
 struct Observer {
     burst: bool,
 }
@@ -241,10 +241,8 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for Observer {
             return;
         }
         for b in view.byzantine_nodes() {
-            for to in view.graph().neighbors(b) {
-                ctx.send(b, to, Pid(seen));
-                ctx.send(b, to, Pid(seen + 1));
-            }
+            ctx.broadcast(b, Pid(seen));
+            ctx.broadcast(b, Pid(seen + 1));
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! # Validate an experiments artifact (schema tag, no NaNs, every cell
-//! # has an outcome):
+//! # has an outcome and coordinate labels the cell registry parses):
 //! cargo run -p bcount-bench --bin gate -- schema out.json
 //!
 //! # Compare a fresh bench artifact against the committed baseline and
@@ -24,6 +24,7 @@
 //! Exit codes: 0 = pass, 1 = gate failure (regression / invalid
 //! artifact), 2 = usage or I/O error.
 
+use bcount_daemon::cell::{AdversarySpec, GraphFamily, Placement, ProtocolSpec};
 use bcount_json::{check_schema, Json};
 use std::process::ExitCode;
 
@@ -143,11 +144,19 @@ fn validate_cell(cell: &Json) -> Result<(), String> {
         .get("scenario")
         .and_then(Json::as_str)
         .ok_or("cell without a 'scenario' name")?;
-    for key in ["family", "protocol", "adversary", "n", "seed"] {
+    for key in ["family", "protocol", "adversary", "placement", "n", "seed"] {
         if cell.get(key).is_none() {
             return Err(format!("cell of {scenario}: missing '{key}'"));
         }
     }
+    // Every coordinate label must be one the cell registry parses.
+    let label = |key: &str| cell.get(key).and_then(Json::as_str).unwrap_or_default();
+    let none = Json::obj(Vec::new());
+    GraphFamily::parse(label("family"))
+        .and(ProtocolSpec::parse(label("protocol"), &none))
+        .and(AdversarySpec::parse(label("adversary"), &none, 0))
+        .and(Placement::parse(label("placement")))
+        .map_err(|e| format!("cell of {scenario}: {e}"))?;
     let outcome = cell
         .get("outcome")
         .ok_or_else(|| format!("cell of {scenario}: missing 'outcome'"))?;
@@ -380,5 +389,38 @@ fn perf_gate(args: &[String]) -> ExitCode {
             );
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn artifact(family: &str, placement: &str) -> Json {
+        let outcome = Json::obj(OUTCOME_KEYS.iter().map(|&k| (k, Json::Null)).collect());
+        let cell = Json::obj(vec![
+            ("scenario", Json::Str("e9/geometric-max/max-faker".into())),
+            ("family", Json::Str(family.into())),
+            ("protocol", Json::Str("geometric-max".into())),
+            ("adversary", Json::Str("max-faker".into())),
+            ("placement", Json::Str(placement.into())),
+            ("n", Json::Num(bcount_json::Number::U(64))),
+            ("seed", Json::Num(bcount_json::Number::U(13))),
+            ("outcome", outcome),
+        ]);
+        Json::obj(vec![
+            ("schema", Json::Str(EXPERIMENTS_SCHEMA.into())),
+            ("experiments", Json::Arr(Vec::new())),
+            ("scenarios", Json::Arr(vec![cell])),
+        ])
+    }
+
+    #[test]
+    fn schema_gate_parses_cell_labels_through_the_registry() {
+        assert!(validate_experiments(&artifact("hnd(d=8)", "at(7)")).is_ok());
+        let bad_family = validate_experiments(&artifact("hnd(degree=8)", "at(7)")).unwrap_err();
+        assert!(bad_family.contains("hnd(degree=8)"), "{bad_family}");
+        let bad_placement = validate_experiments(&artifact("hnd(d=8)", "near(7)")).unwrap_err();
+        assert!(bad_placement.contains("near(7)"), "{bad_placement}");
     }
 }

@@ -80,7 +80,7 @@ fn base_scenario(name: &str) -> Scenario {
         quick_budgets: Vec::new(),
         placements: vec![Placement::Spread],
         adversary: AdversarySpec::Null,
-        protocol: ProtocolSpec::Congest(CongestParams::default()),
+        protocol: ProtocolSpec::Congest,
         band: CONGEST_BAND,
         seeds: vec![0],
         max_rounds: 8_000,
@@ -107,34 +107,33 @@ fn sweep(scenarios: &[Scenario], quick: bool) -> Vec<CellRecord> {
 // matrix).
 // ---------------------------------------------------------------------------
 
+/// Algorithm 1 with degree cap `max_degree` and the default check knobs.
+fn local(max_degree: usize) -> ProtocolSpec {
+    let cfg = LocalConfig::default();
+    ProtocolSpec::Local {
+        max_degree,
+        alpha_prime: cfg.alpha_prime,
+        exhaustive_limit: cfg.exhaustive_limit,
+    }
+}
+
 /// E1's scenarios: LOCAL under Theorem 1 budgets, silent vs fake-expander.
 pub fn e1_scenarios() -> Vec<Scenario> {
-    [
-        AdversarySpec::Null,
-        AdversarySpec::FakeExpander {
-            multiplier: 2,
-            d_fake: D,
-            entries: 2,
-            seed: 7,
-        },
-    ]
-    .into_iter()
-    .map(|adversary| Scenario {
-        sizes: vec![64, 128, 256, 512],
-        quick_sizes: vec![64, 128],
-        budgets: vec![BudgetSpec::Theorem1 { gamma: 0.7 }],
-        adversary,
-        protocol: ProtocolSpec::Local(LocalConfig {
-            max_degree: D + 2,
-            ..LocalConfig::default()
-        }),
-        band: LOCAL_BAND,
-        seeds: vec![1],
-        max_rounds: 200,
-        graph_seed_base: 1000,
-        ..base_scenario(&format!("e1/local/{}", adversary.label()))
-    })
-    .collect()
+    [AdversarySpec::Null, AdversarySpec::FakeExpander { seed: 7 }]
+        .into_iter()
+        .map(|adversary| Scenario {
+            sizes: vec![64, 128, 256, 512],
+            quick_sizes: vec![64, 128],
+            budgets: vec![BudgetSpec::Theorem1 { gamma: 0.7 }],
+            adversary,
+            protocol: local(D + 2),
+            band: LOCAL_BAND,
+            seeds: vec![1],
+            max_rounds: 200,
+            graph_seed_base: 1000,
+            ..base_scenario(&format!("e1/local/{}", adversary.label()))
+        })
+        .collect()
 }
 
 /// E2's scenario: benign LOCAL round complexity.
@@ -142,10 +141,7 @@ pub fn e2_scenarios() -> Vec<Scenario> {
     vec![Scenario {
         sizes: vec![64, 128, 256, 512, 1024],
         quick_sizes: vec![64, 256],
-        protocol: ProtocolSpec::Local(LocalConfig {
-            max_degree: D,
-            ..LocalConfig::default()
-        }),
+        protocol: local(D),
         band: LOCAL_BAND,
         seeds: vec![1],
         max_rounds: 200,
@@ -212,10 +208,7 @@ pub fn e5_scenarios() -> Vec<Scenario> {
             ..base_scenario("e5/congest/beacon-spam")
         }),
         sized(Scenario {
-            protocol: ProtocolSpec::Local(LocalConfig {
-                max_degree: D,
-                ..LocalConfig::default()
-            }),
+            protocol: local(D),
             band: LOCAL_BAND,
             max_rounds: 200,
             ..base_scenario("e5/local/benign")
@@ -268,7 +261,7 @@ pub fn e9_scenarios() -> Vec<Scenario> {
     // root (a Byzantine root would leave nobody to report the count).
     let attacked = |s: Scenario| Scenario {
         budgets: vec![BudgetSpec::Fixed(1)],
-        placements: vec![Placement::At { start: 7 }],
+        placements: vec![Placement::At(vec![7])],
         ..s
     };
     vec![
@@ -284,12 +277,12 @@ pub fn e9_scenarios() -> Vec<Scenario> {
             ..base_scenario("e9/geometric-max/max-faker")
         })),
         baseline(Scenario {
-            protocol: ProtocolSpec::Support { k: 64, budget: 40 },
+            protocol: ProtocolSpec::Support,
             ..base_scenario("e9/support-estimation/benign")
         }),
         baseline(attacked(Scenario {
-            protocol: ProtocolSpec::Support { k: 64, budget: 40 },
-            adversary: AdversarySpec::ZeroFaker { k: 64 },
+            protocol: ProtocolSpec::Support,
+            adversary: AdversarySpec::ZeroFaker,
             ..base_scenario("e9/support-estimation/zero-faker")
         })),
         baseline(Scenario {
@@ -309,10 +302,7 @@ pub fn e9_scenarios() -> Vec<Scenario> {
         }),
         baseline(attacked(Scenario {
             protocol: ProtocolSpec::Birthday,
-            adversary: AdversarySpec::CollisionFaker {
-                duplicate: true,
-                count: 64,
-            },
+            adversary: AdversarySpec::CollisionFaker,
             ..base_scenario("e9/birthday-paradox/collision-faker")
         })),
         sized(Scenario {
@@ -410,11 +400,11 @@ pub fn scale_scenarios() -> Vec<Scenario> {
             sizes: vec![65_536, 1_048_576],
             quick_sizes: vec![65_536],
             budgets: vec![BudgetSpec::Fixed(8)],
-            protocol: ProtocolSpec::Local(LocalConfig {
+            protocol: ProtocolSpec::Local {
+                max_degree: LocalConfig::default().max_degree,
                 alpha_prime: 0.2,
                 exhaustive_limit: 8,
-                ..LocalConfig::default()
-            }),
+            },
             band: Band::new(0.0, 1e9),
             seeds: vec![5],
             max_rounds: 64,
@@ -495,7 +485,8 @@ pub fn e2(quick: bool) -> ExperimentResult {
         // recomputed from the scenario coordinates.
         let g = scenarios[0]
             .family
-            .generate(c.n, scenarios[0].graph_seed_base + c.n as u64);
+            .generate(c.n, scenarios[0].graph_seed_base + c.n as u64)
+            .expect("valid H(n,d) parameters");
         let diam = diameter(&g).expect("connected");
         t.push_row(vec![
             c.n.to_string(),

@@ -2,39 +2,18 @@
 
 use bcount_core::congest::{CongestCounting, CongestEstimate, CongestParams};
 use bcount_core::local::{LocalConfig, LocalCounting, LocalEstimate};
+use bcount_daemon::cell::GraphFamily;
 use bcount_graph::analysis::bfs::distances;
-use bcount_graph::gen::hamiltonian::hnd;
 use bcount_graph::{Graph, NodeId};
 use bcount_sim::{Adversary, SimConfig, SimReport, Simulation, StopWhen};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+
+pub use bcount_daemon::cell::{spread_byzantine, theorem1_budget, theorem2_budget};
 
 /// Generates the standard experiment network: `H(n, d)`.
 pub fn network(n: usize, d: usize, seed: u64) -> Graph {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    hnd(n, d, &mut rng).expect("valid H(n,d) parameters")
-}
-
-/// Evenly spread Byzantine placements (the adversarial-placement sweeps
-/// use explicit positions instead).
-pub fn spread_byzantine(n: usize, count: usize) -> Vec<NodeId> {
-    if count == 0 {
-        return Vec::new();
-    }
-    let stride = (n / count).max(1);
-    (0..count)
-        .map(|k| NodeId(((k * stride) % n) as u32))
-        .collect()
-}
-
-/// The Byzantine budget of Theorem 2: `B(n) = n^{1/2 − ξ}`.
-pub fn theorem2_budget(n: usize, xi: f64) -> usize {
-    (n as f64).powf(0.5 - xi).floor() as usize
-}
-
-/// The Byzantine budget of Theorem 1: `n^{1 − γ}`.
-pub fn theorem1_budget(n: usize, gamma: f64) -> usize {
-    (n as f64).powf(1.0 - gamma).floor() as usize
+    GraphFamily::Hnd { d }
+        .generate(n, seed)
+        .expect("valid H(n,d) parameters")
 }
 
 /// Runs Algorithm 2 on `g` against `adversary`.

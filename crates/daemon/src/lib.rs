@@ -17,22 +17,27 @@
 //!   reads are pure and never touch the round loop.
 //!
 //! The protocol (`bcountd/v1`, [`wire`]) is line-delimited JSON over
-//! stdin/stdout or a unix socket; the [`spec`] module maps
-//! `session.create` params — the scenario-matrix cell coordinates — to
-//! live executions; [`server`] is the dispatcher. The `bcountd` binary
-//! is a ~100-line transport loop around [`server::Server::handle_line`].
+//! stdin/stdout or a unix socket; [`server`] is the dispatcher. The
+//! `bcountd` binary is a ~100-line transport loop around
+//! [`server::Server::handle_line`].
+//!
+//! Sessions are cells of the [`cell`] registry, which the experiment
+//! matrix builds from too: `session.create`'s params are a [`CellSpec`]'s
+//! JSON; [`spec`] adds the daemon-local `panic-probe` row in front.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cell;
 pub mod journal;
 pub mod server;
 pub mod spec;
 pub mod transport;
 pub mod wire;
 
+pub use cell::{CellSpec, SpecError};
 pub use journal::{FsyncPolicy, Journal, RecoveryStats};
 pub use server::{DurabilityOptions, Server, ServerLimits};
-pub use spec::{SessionInfo, SessionSpec, SpecError};
+pub use spec::SessionSpec;
 pub use transport::{serve, serve_graceful, LineEvent, Shutdown, MAX_LINE_BYTES};
 pub use wire::{ErrorCode, Request, Response, WireError, SCHEMA};

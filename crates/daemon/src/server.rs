@@ -51,7 +51,7 @@ use bcount_sim::{DynExecution, ExecutionSnapshot};
 use crate::journal::{
     self, Checkpoint, CheckpointSession, FsyncPolicy, Journal, RecordBody, RecoveryStats,
 };
-use crate::spec::{SessionInfo, SessionSpec};
+use crate::spec::SessionSpec;
 use crate::wire::{ErrorCode, Request, Response, WireError, SCHEMA};
 
 /// Resource and latency bounds enforced by the [`Server`].
@@ -101,7 +101,8 @@ impl Clock {
 
 /// One live session.
 struct Session {
-    info: SessionInfo,
+    /// The spec echo (`SessionSpec::echo`).
+    info: Json,
     exec: Box<dyn DynExecution>,
     /// Snapshot taken after the last step batch (or at creation);
     /// queries are served from this cache.
@@ -448,12 +449,12 @@ impl Server {
             code: ErrorCode::BadSpec,
             message: e.to_string(),
         })?;
-        if spec.requested_n() > self.limits.max_n {
+        if spec.resolved_n() > self.limits.max_n {
             return Err(WireError {
                 code: ErrorCode::ResourceLimit,
                 message: format!(
                     "n={} exceeds the per-session limit {}",
-                    spec.requested_n(),
+                    spec.resolved_n(),
                     self.limits.max_n
                 ),
             });
@@ -470,9 +471,9 @@ impl Server {
         // a faulty protocol cannot take the daemon down. Nothing was
         // inserted yet, so a create panic leaves no poisoned slot behind.
         let built = catch_unwind(AssertUnwindSafe(|| {
-            spec.build().map(|(exec, info)| {
+            spec.build().map(|exec| {
                 let snapshot = exec.snapshot();
-                (exec, info, snapshot)
+                (exec, spec.echo(&snapshot), snapshot)
             })
         }))
         .map_err(|payload| WireError {
@@ -490,7 +491,7 @@ impl Server {
         let id = self.next_id;
         let result = Json::obj(vec![
             ("session", id.to_json()),
-            ("spec", info.to_json()),
+            ("spec", info.clone()),
             ("snapshot", snapshot.to_json()),
         ]);
         self.sessions.insert(
@@ -648,7 +649,7 @@ impl Server {
             .map(|(&id, s)| {
                 Json::obj(vec![
                     ("session", id.to_json()),
-                    ("spec", s.info.to_json()),
+                    ("spec", s.info.clone()),
                     ("rounds", s.snapshot.round.to_json()),
                     ("idle_ms", now.saturating_sub(s.last_touch_ms).to_json()),
                     ("poisoned", s.poisoned.is_some().to_json()),
@@ -791,14 +792,14 @@ impl Server {
 fn rebuild_session(params: &Json, round: u64, stats: &mut RecoveryStats) -> Option<Session> {
     let spec = SessionSpec::from_params(params).ok()?;
     let rebuilt = catch_unwind(AssertUnwindSafe(|| {
-        let (mut exec, info) = spec.build().ok()?;
+        let mut exec = spec.build().ok()?;
         // step_rounds(round) lands on the same state as the live run's
         // round-by-round stepping, by the facade's discipline.
         if round > 0 {
             exec.step_rounds(round);
         }
         let snapshot = exec.snapshot();
-        Some((exec, info, snapshot))
+        Some((exec, spec.echo(&snapshot), snapshot))
     }))
     .ok()
     .flatten()?;

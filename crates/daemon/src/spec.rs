@@ -1,444 +1,89 @@
-//! `session.create` specs: the scenario-matrix cell coordinates, parsed
-//! from wire params into a live type-erased execution.
-//!
-//! The spec mirrors the cell schema of the experiment artifacts
-//! (`bcount-experiments/v1`): the same graph-family labels
-//! (`hnd(d=8)`, `watts-strogatz(k=8,p=0.1)`, `cycle`, `torus2d`), the
-//! same protocol and adversary labels, and the same deterministic
-//! generation rule (graph from `ChaCha8Rng::seed_from_u64(seed)`, node
-//! ids and randomness from the engine seed). Creating the same spec
-//! twice — in one daemon, across daemons, or against a hand-built
-//! [`Execution`] — yields bit-identical executions.
+//! `session.create` specs: a registry cell ([`CellSpec::from_json`], so
+//! the matrix's labels, knobs and generation rule, bit for bit) parsed
+//! from wire params, or the daemon-local `panic-probe` row.
 
-use bcount_baselines::{Convergecast, CountLiarAdversary, GeometricMax, MaxFakerAdversary};
-use bcount_core::adversary::{
-    BeaconSpamAdversary, EdgeInjectorAdversary, OscillatingSpamAdversary, PathTamperAdversary,
-};
-use bcount_core::congest::{CongestCounting, CongestParams};
-use bcount_core::local::{LocalConfig, LocalCounting};
-use bcount_graph::gen::{cycle, hnd, torus2d, watts_strogatz};
-use bcount_graph::{Graph, NodeId};
-use bcount_json::{field, opt_field, Json, ToJson};
-use bcount_sim::{
-    DynExecution, Execution, FaultPlan, NodeContext, NullAdversary, Protocol, SimConfig, StopWhen,
-};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
-/// A rejected `session.create` spec (unsupported label, bad parameter,
-/// or an incompatible protocol × adversary pairing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecError(pub String);
+use bcount_json::{Json, ToJson};
+use bcount_sim::{DynExecution, ExecutionSnapshot, NodeContext, Protocol};
 
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
-    }
-}
+use crate::cell::{key_or, AdversarySpec, CellSpec, ProtocolSpec, SpecError};
 
-impl std::error::Error for SpecError {}
-
-fn err<T>(msg: impl Into<String>) -> Result<T, SpecError> {
-    Err(SpecError(msg.into()))
-}
-
-/// Graph family, parsed from its scenario-matrix label.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Family {
-    Hnd { d: usize },
-    WattsStrogatz { k: usize, p: f64 },
-    Cycle,
-    Torus2d,
-}
-
-impl Family {
-    /// Parses a cell-schema label: `hnd(d=8)`, `watts-strogatz(k=8,p=0.1)`,
-    /// `cycle`, `torus2d`.
-    fn parse(label: &str) -> Result<Family, SpecError> {
-        if label == "cycle" {
-            return Ok(Family::Cycle);
-        }
-        if label == "torus2d" {
-            return Ok(Family::Torus2d);
-        }
-        if let Some(args) = label.strip_prefix("hnd(").and_then(|s| s.strip_suffix(')')) {
-            let d = parse_kv(args, "d")?
-                .parse::<usize>()
-                .map_err(|_| SpecError(format!("family '{label}': bad degree")))?;
-            return Ok(Family::Hnd { d });
-        }
-        if let Some(args) = label
-            .strip_prefix("watts-strogatz(")
-            .and_then(|s| s.strip_suffix(')'))
-        {
-            let k = parse_kv(args, "k")?
-                .parse::<usize>()
-                .map_err(|_| SpecError(format!("family '{label}': bad k")))?;
-            let p = parse_kv(args, "p")?
-                .parse::<f64>()
-                .map_err(|_| SpecError(format!("family '{label}': bad p")))?;
-            if !(0.0..=1.0).contains(&p) {
-                return err(format!("family '{label}': p must be in [0,1]"));
-            }
-            return Ok(Family::WattsStrogatz { k, p });
-        }
-        err(format!(
-            "unknown family '{label}' (expected hnd(d=D), watts-strogatz(k=K,p=P), cycle, torus2d)"
-        ))
-    }
-
-    /// The canonical label (re-rendered, so echoes are normalized).
-    fn label(&self) -> String {
-        match self {
-            Family::Hnd { d } => format!("hnd(d={d})"),
-            Family::WattsStrogatz { k, p } => format!("watts-strogatz(k={k},p={p})"),
-            Family::Cycle => "cycle".into(),
-            Family::Torus2d => "torus2d".into(),
-        }
-    }
-
-    /// Deterministic generation — the scenario matrix's rule verbatim.
-    fn generate(&self, n: usize, seed: u64) -> Result<Graph, SpecError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        match self {
-            Family::Hnd { d } => {
-                hnd(n, *d, &mut rng).map_err(|e| SpecError(format!("hnd generation: {e}")))
-            }
-            Family::WattsStrogatz { k, p } => watts_strogatz(n, *k, *p, &mut rng)
-                .map_err(|e| SpecError(format!("watts-strogatz generation: {e}"))),
-            Family::Cycle => cycle(n).map_err(|e| SpecError(format!("cycle generation: {e}"))),
-            Family::Torus2d => {
-                let side = (n as f64).sqrt().round().max(2.0) as usize;
-                torus2d(side, side).map_err(|e| SpecError(format!("torus generation: {e}")))
-            }
-        }
-    }
-}
-
-/// Pulls `key=value` out of a comma-separated argument list.
-fn parse_kv<'a>(args: &'a str, key: &str) -> Result<&'a str, SpecError> {
-    args.split(',')
-        .filter_map(|pair| pair.split_once('='))
-        .find(|(k, _)| k.trim() == key)
-        .map(|(_, v)| v.trim())
-        .ok_or_else(|| SpecError(format!("missing '{key}=' argument")))
-}
+/// The daemon-local protocol label for [`PanicProbe`].
+const PANIC_PROBE: &str = "panic-probe";
 
 /// A fully parsed `session.create` spec.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSpec {
-    family: Family,
-    n: usize,
-    protocol: String,
-    adversary: String,
-    byzantine: usize,
-    byzantine_at: Option<Vec<u32>>,
-    seed: u64,
-    max_rounds: u64,
-    budget: u64,
-    fake_value: u32,
-    inflation: u64,
-    fault: Option<FaultPlan>,
-    panic_at: u64,
+    cell: CellSpec,
+    /// `Some(trigger round)` for the `panic-probe` row, whose protocol
+    /// replaces the cell's.
+    panic_at: Option<u64>,
 }
 
 impl SessionSpec {
-    /// The node count the client asked for (pre-generation; the torus
-    /// family may round it). The server checks this against its `max_n`
-    /// cap *before* any graph memory is allocated.
-    pub fn requested_n(&self) -> usize {
-        self.n
-    }
-}
-
-/// The spec echo attached to `session.create` / `session.list` replies:
-/// canonical labels plus the resolved (post-generation) sizes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionInfo {
-    /// Canonical family label.
-    pub family: String,
-    /// True generated size (torus rounding can adjust the request).
-    pub n: usize,
-    /// Protocol label.
-    pub protocol: String,
-    /// Adversary label.
-    pub adversary: String,
-    /// Placement label (`spread` or `at(...)`).
-    pub placement: String,
-    /// Resolved Byzantine count.
-    pub byzantine: usize,
-    /// Master seed (graph + engine).
-    pub seed: u64,
-    /// Round budget.
-    pub max_rounds: u64,
-}
-
-impl ToJson for SessionInfo {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("family", self.family.to_json()),
-            ("n", self.n.to_json()),
-            ("protocol", self.protocol.to_json()),
-            ("adversary", self.adversary.to_json()),
-            ("placement", self.placement.to_json()),
-            ("byzantine", self.byzantine.to_json()),
-            ("seed", self.seed.to_json()),
-            ("max_rounds", self.max_rounds.to_json()),
-        ])
-    }
-}
-
-impl SessionSpec {
-    /// Parses `session.create` params. Required: `n`, `protocol`.
-    /// Optional (with defaults): `family` (`hnd(d=8)`), `adversary`
-    /// (`silent`), `byzantine` (0), `byzantine_at` (explicit node list,
-    /// overrides the spread placement), `seed` (0xC0DE), `max_rounds`
-    /// (10000), `budget` (geometric-max rounds, 40), `fake_value`
-    /// (max-faker payload, 30), `inflation` (count-liar payload, 10^6),
-    /// `fault` (a [`FaultPlan`] object — seed, crashes, per-mille link
-    /// rates; validated here), `panic_at` (panic-probe trigger round, 1).
+    /// Parses `session.create` params: a [`CellSpec`], or — checked
+    /// before the registry is consulted — `protocol: "panic-probe"` with
+    /// its trigger round `panic_at` (default 1) on a silent cell.
     pub fn from_params(params: &Json) -> Result<SessionSpec, SpecError> {
-        let wire = |e: bcount_json::JsonError| SpecError(e.to_string());
-        let family_label: String = opt_field(params, "family")
-            .map_err(wire)?
-            .unwrap_or_else(|| "hnd(d=8)".into());
-        let spec = SessionSpec {
-            family: Family::parse(&family_label)?,
-            n: field(params, "n").map_err(wire)?,
-            protocol: field(params, "protocol").map_err(wire)?,
-            adversary: opt_field(params, "adversary")
-                .map_err(wire)?
-                .unwrap_or_else(|| "silent".into()),
-            byzantine: opt_field(params, "byzantine").map_err(wire)?.unwrap_or(0),
-            byzantine_at: opt_field(params, "byzantine_at").map_err(wire)?,
-            seed: opt_field(params, "seed").map_err(wire)?.unwrap_or(0xC0DE),
-            max_rounds: opt_field(params, "max_rounds")
-                .map_err(wire)?
-                .unwrap_or(10_000),
-            budget: opt_field(params, "budget").map_err(wire)?.unwrap_or(40),
-            fake_value: opt_field(params, "fake_value").map_err(wire)?.unwrap_or(30),
-            inflation: opt_field(params, "inflation")
-                .map_err(wire)?
-                .unwrap_or(1_000_000),
-            fault: opt_field(params, "fault").map_err(wire)?,
-            panic_at: opt_field(params, "panic_at").map_err(wire)?.unwrap_or(1),
-        };
-        if spec.n == 0 {
-            return err("n must be at least 1");
+        if params.get("protocol").and_then(Json::as_str) != Some(PANIC_PROBE) {
+            return Ok(SessionSpec {
+                cell: CellSpec::from_json(params)?,
+                panic_at: None,
+            });
         }
-        if spec.max_rounds == 0 {
-            return err("max_rounds must be at least 1");
+        // The probe's knob-free stand-in row is never built; it only lets
+        // the rest of the cell parse.
+        let cell = CellSpec::from_json_with(params, ProtocolSpec::Convergecast)?;
+        if cell.adversary != AdversarySpec::Null {
+            return Err(SpecError(format!(
+                "adversary '{}' is incompatible with protocol '{PANIC_PROBE}'",
+                cell.adversary.label()
+            )));
         }
-        if let Some(plan) = &spec.fault {
-            plan.validate()
-                .map_err(|e| SpecError(format!("fault plan: {e}")))?;
-        }
-        Ok(spec)
+        Ok(SessionSpec {
+            cell,
+            panic_at: Some(key_or(params, "panic_at", 1)?),
+        })
     }
 
-    /// Resolves the Byzantine node set: the explicit `byzantine_at` list
-    /// when given, else `byzantine` nodes spread evenly (stride
-    /// placement — every `⌊n/count⌋`-th node).
-    fn place_byzantine(&self, n: usize) -> Result<(Vec<NodeId>, String), SpecError> {
-        if let Some(ids) = &self.byzantine_at {
-            let mut nodes = Vec::with_capacity(ids.len());
-            for &id in ids {
-                if (id as usize) >= n {
-                    return err(format!("byzantine_at node {id} out of range (n={n})"));
-                }
-                nodes.push(NodeId(id));
-            }
-            nodes.sort_unstable_by_key(|u| u.0);
-            nodes.dedup();
-            let label = format!(
-                "at({})",
-                nodes
-                    .iter()
-                    .map(|u| u.0.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-            return Ok((nodes, label));
-        }
-        let count = self.byzantine;
-        if count >= n {
-            return err(format!("byzantine count {count} must be below n={n}"));
-        }
-        let stride = (n / count.max(1)).max(1);
-        let nodes = (0..count)
-            .map(|k| NodeId(((k * stride) % n) as u32))
-            .collect();
-        Ok((nodes, "spread".into()))
+    /// The node count the session will have, known before any graph
+    /// memory is allocated (the server's `max_n` cap checks this).
+    pub fn resolved_n(&self) -> usize {
+        self.cell.family.resolved_n(self.cell.n)
     }
 
-    /// Generates the graph, places the adversary, instantiates the
-    /// protocol, and erases the result into a session-ready execution.
-    pub fn build(&self) -> Result<(Box<dyn DynExecution>, SessionInfo), SpecError> {
-        let graph = self.family.generate(self.n, self.seed)?;
-        let n = graph.len();
-        if let Some(plan) = &self.fault {
-            // The engine asserts on out-of-range crash ids; check here so
-            // a bad plan is a structured bad-spec, not a panic.
-            for ev in &plan.crashes {
-                if (ev.node as usize) >= n {
-                    return err(format!(
-                        "fault plan: crash node {} out of range (n={n})",
-                        ev.node
-                    ));
-                }
+    /// Generates the graph and builds the session's execution.
+    pub fn build(&self) -> Result<Box<dyn DynExecution>, SpecError> {
+        let graph = Arc::new(self.cell.generate()?);
+        match self.panic_at {
+            None => self.cell.build(graph),
+            Some(panic_at) => {
+                self.cell
+                    .build_silent(graph, move |_, _| PanicProbe { panic_at }, |_: &()| 0.0)
             }
         }
-        let (byz, placement) = self.place_byzantine(n)?;
-        let info = SessionInfo {
-            family: self.family.label(),
-            n,
-            protocol: self.protocol.clone(),
-            adversary: self.adversary.clone(),
-            placement,
-            byzantine: byz.len(),
-            seed: self.seed,
-            max_rounds: self.max_rounds,
-        };
-        let exec = self.build_execution(graph, &byz)?;
-        Ok((exec, info))
     }
 
-    /// The protocol × adversary dispatch — the scenario matrix's
-    /// `run_cell` pairings, erased. Stop conditions mirror the matrix:
-    /// CONGEST stops when all honest nodes decided, everything else when
-    /// all honest nodes halted.
-    fn build_execution(
-        &self,
-        graph: Graph,
-        byz: &[NodeId],
-    ) -> Result<Box<dyn DynExecution>, SpecError> {
-        let config = |stop_when: StopWhen| {
-            let mut builder = SimConfig::builder()
-                .seed(self.seed)
-                .max_rounds(self.max_rounds)
-                .stop_when(stop_when);
-            if let Some(plan) = &self.fault {
-                builder = builder.fault_plan(plan.clone());
-            }
-            builder
-                .build()
-                .expect("validated spec fields cannot contradict")
+    /// The spec echo attached to `session.create` / `session.list`
+    /// replies: canonical labels, the engine seed, the round budget, and
+    /// the resolved sizes read from the built execution's `snapshot`.
+    pub fn echo(&self, snapshot: &ExecutionSnapshot) -> Json {
+        let cell = &self.cell;
+        let protocol = match self.panic_at {
+            Some(_) => PANIC_PROBE,
+            None => cell.protocol.label(),
         };
-        let pairing = || {
-            err(format!(
-                "adversary '{}' is incompatible with protocol '{}'",
-                self.adversary, self.protocol
-            ))
-        };
-        match self.protocol.as_str() {
-            "congest" => {
-                let params = CongestParams::default();
-                let cfg = config(StopWhen::AllHonestDecided);
-                let factory =
-                    |_: NodeId, init: &bcount_sim::NodeInit| CongestCounting::new(params, init);
-                let raw: fn(&bcount_core::congest::CongestEstimate) -> f64 =
-                    |e| f64::from(e.estimate);
-                Ok(match self.adversary.as_str() {
-                    "silent" => Execution::new(graph, byz, factory, NullAdversary, cfg).erase(raw),
-                    "beacon-spam" => {
-                        Execution::new(graph, byz, factory, BeaconSpamAdversary::new(params), cfg)
-                            .erase(raw)
-                    }
-                    "path-tamper" => {
-                        Execution::new(graph, byz, factory, PathTamperAdversary::new(params), cfg)
-                            .erase(raw)
-                    }
-                    "oscillating-spam" => Execution::new(
-                        graph,
-                        byz,
-                        factory,
-                        OscillatingSpamAdversary::new(params),
-                        cfg,
-                    )
-                    .erase(raw),
-                    _ => return pairing(),
-                })
-            }
-            "local" => {
-                let lcfg = LocalConfig::default();
-                let cfg = config(StopWhen::AllHonestHalted);
-                let factory =
-                    |_: NodeId, init: &bcount_sim::NodeInit| LocalCounting::new(lcfg, init);
-                let raw: fn(&bcount_core::local::LocalEstimate) -> f64 = |e| f64::from(e.radius);
-                Ok(match self.adversary.as_str() {
-                    "silent" => Execution::new(graph, byz, factory, NullAdversary, cfg).erase(raw),
-                    "edge-injector" => Execution::new(
-                        graph,
-                        byz,
-                        factory,
-                        EdgeInjectorAdversary::new(self.seed),
-                        cfg,
-                    )
-                    .erase(raw),
-                    _ => return pairing(),
-                })
-            }
-            "geometric-max" => {
-                let budget = self.budget;
-                let cfg = config(StopWhen::AllHonestHalted);
-                let factory =
-                    move |_: NodeId, init: &bcount_sim::NodeInit| GeometricMax::new(budget, init);
-                let raw: fn(&u32) -> f64 = |v| f64::from(*v);
-                Ok(match self.adversary.as_str() {
-                    "silent" => Execution::new(graph, byz, factory, NullAdversary, cfg).erase(raw),
-                    "max-faker" => Execution::new(
-                        graph,
-                        byz,
-                        factory,
-                        MaxFakerAdversary {
-                            fake_value: self.fake_value,
-                        },
-                        cfg,
-                    )
-                    .erase(raw),
-                    _ => return pairing(),
-                })
-            }
-            "convergecast" => {
-                let cfg = config(StopWhen::AllHonestHalted);
-                let factory = |u: NodeId, init: &bcount_sim::NodeInit| {
-                    Convergecast::new(u == NodeId(0), init)
-                };
-                let raw: fn(&u64) -> f64 = |v| *v as f64;
-                Ok(match self.adversary.as_str() {
-                    "silent" => Execution::new(graph, byz, factory, NullAdversary, cfg).erase(raw),
-                    "count-liar" => Execution::new(
-                        graph,
-                        byz,
-                        factory,
-                        CountLiarAdversary {
-                            inflation: self.inflation,
-                        },
-                        cfg,
-                    )
-                    .erase(raw),
-                    _ => return pairing(),
-                })
-            }
-            "panic-probe" => {
-                // Deliberately faulty protocol for exercising the
-                // daemon's panic isolation: broadcasts nothing of value
-                // and panics at the configured round. Silent-adversary
-                // only — the probe is about the serving plane, not the
-                // adversary model.
-                let panic_at = self.panic_at;
-                let cfg = config(StopWhen::AllHonestHalted);
-                let factory = move |_: NodeId, _: &bcount_sim::NodeInit| PanicProbe { panic_at };
-                let raw: fn(&()) -> f64 = |_| 0.0;
-                Ok(match self.adversary.as_str() {
-                    "silent" => Execution::new(graph, byz, factory, NullAdversary, cfg).erase(raw),
-                    _ => return pairing(),
-                })
-            }
-            other => err(format!(
-                "unknown protocol '{other}' (expected congest, local, geometric-max, convergecast, panic-probe)"
-            )),
-        }
+        Json::obj(vec![
+            ("family", cell.family.label().to_json()),
+            ("n", snapshot.n.to_json()),
+            ("protocol", protocol.to_json()),
+            ("adversary", cell.adversary.label().to_json()),
+            ("placement", cell.placement.label().to_json()),
+            ("byzantine", snapshot.byzantine.to_json()),
+            ("seed", cell.engine_seed.to_json()),
+            ("max_rounds", cell.max_rounds.to_json()),
+        ])
     }
 }
 

@@ -158,6 +158,59 @@ fn resource_limits_reply_structurally() {
     assert_eq!(server.session_count(), 2);
 }
 
+/// The node cap applies to the size the family will generate, not the
+/// size requested: the torus rounds `n = 250` up to a 16 × 16 = 256-node
+/// grid, so a 250-node cap refuses it, and admits the 225-node torus
+/// `n = 230` rounds down to.
+#[test]
+fn node_cap_checks_the_resolved_size() {
+    let mut server = Server::frozen(ServerLimits {
+        max_n: 250,
+        ..ServerLimits::default()
+    });
+    let (id, code) = error_code(&server.handle_line(
+        r#"{"id":1,"method":"session.create","params":{"n":250,"family":"torus2d","protocol":"geometric-max"}}"#,
+    ));
+    assert_eq!((id, code.as_str()), (Some(1), "resource-limit"));
+    assert_eq!(server.session_count(), 0);
+
+    let created = result(&server.handle_line(
+        r#"{"id":2,"method":"session.create","params":{"n":230,"family":"torus2d","protocol":"geometric-max"}}"#,
+    ));
+    let spec = created.get("spec").expect("spec echo");
+    assert_eq!(get_u64(spec, "n"), 225);
+
+    // A torus side too large to square saturates above every cap rather
+    // than overflowing (a panic in debug, a wrapped size in release).
+    let (id, code) = error_code(&server.handle_line(
+        r#"{"id":3,"method":"session.create","params":{"n":18446744073709551615,"family":"torus2d","protocol":"geometric-max"}}"#,
+    ));
+    assert_eq!((id, code.as_str()), (Some(3), "resource-limit"));
+}
+
+/// Knobs that size work are bounded at parse time: `exhaustive_limit`
+/// (a `2^|view|` enumeration inside one round) is capped, and parameters
+/// the registry fixes (the phantom world's `multiplier`, `d_fake`, …)
+/// are not read from the wire at all.
+#[test]
+fn work_sizing_knobs_are_bounded() {
+    let mut server = Server::frozen(ServerLimits::default());
+    let (id, code) = error_code(&server.handle_line(
+        r#"{"id":1,"method":"session.create","params":{"n":64,"protocol":"local","exhaustive_limit":63}}"#,
+    ));
+    assert_eq!((id, code.as_str()), (Some(1), "bad-spec"));
+    assert_eq!(server.session_count(), 0);
+
+    let created = result(&server.handle_line(
+        r#"{"id":2,"method":"session.create","params":{"n":64,"protocol":"local","adversary":"fake-expander","byzantine":2,"multiplier":1000000000000,"d_fake":1000000,"entries":1000000,"max_rounds":3}}"#,
+    ));
+    let session = get_u64(&created, "session");
+    let stepped = result(&server.handle_line(&format!(
+        r#"{{"id":3,"method":"session.step","params":{{"session":{session},"rounds":3}}}}"#
+    )));
+    assert_eq!(get_u64(&stepped, "stepped"), 3);
+}
+
 /// Idle eviction under the frozen clock: sessions idle past the timeout
 /// vanish at the next request; fresh activity resets the deadline.
 #[test]

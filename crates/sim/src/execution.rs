@@ -453,6 +453,8 @@ pub struct EstimateSummary {
 impl EstimateSummary {
     /// Summarizes `values` (sorts them in place; NaNs are rejected by
     /// construction upstream — raw estimates come from protocol outputs).
+    /// A mean or midpoint whose sum overflows saturates to `±f64::MAX`,
+    /// so the summary of finite estimates is always finite.
     pub fn from_values(values: &mut [f64]) -> Self {
         if values.is_empty() {
             return EstimateSummary::default();
@@ -463,13 +465,13 @@ impl EstimateSummary {
         let median = if count % 2 == 1 {
             values[count / 2]
         } else {
-            (values[count / 2 - 1] + values[count / 2]) / 2.0
+            ((values[count / 2 - 1] + values[count / 2]) / 2.0).clamp(f64::MIN, f64::MAX)
         };
         EstimateSummary {
             count,
             min: values[0],
             max: values[count - 1],
-            mean: sum / count as f64,
+            mean: (sum / count as f64).clamp(f64::MIN, f64::MAX),
             median,
         }
     }
@@ -503,6 +505,9 @@ pub trait DynExecution {
     fn snapshot(&self) -> ExecutionSnapshot;
     /// Per-node state rows.
     fn node_states(&self) -> Vec<NodeState>;
+    /// Live message accounting (per-node counts and maximum sizes,
+    /// fault counters).
+    fn metrics(&self) -> &Metrics;
 }
 
 /// [`Execution`] + its output-lowering hook — the concrete type behind
@@ -537,6 +542,10 @@ where
 
     fn node_states(&self) -> Vec<NodeState> {
         self.exec.node_states_with(self.raw)
+    }
+
+    fn metrics(&self) -> &Metrics {
+        self.exec.metrics()
     }
 }
 
@@ -738,5 +747,8 @@ mod tests {
         let s = EstimateSummary::from_values(&mut vals);
         assert_eq!((s.count, s.median), (4, 2.5));
         assert_eq!(EstimateSummary::from_values(&mut []).count, 0);
+        // Saturated estimates (a broken baseline) keep a finite summary.
+        let s = EstimateSummary::from_values(&mut [f64::MAX, f64::MAX]);
+        assert_eq!((s.mean, s.median), (f64::MAX, f64::MAX));
     }
 }

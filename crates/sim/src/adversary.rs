@@ -42,9 +42,9 @@ pub struct FullInfoView<'a, P: Protocol> {
     /// Honest protocol states, indexed by graph node (`None` at Byzantine
     /// slots).
     pub(crate) honest_states: &'a [Option<P>],
-    /// Messages honest nodes are sending *this* round, (from, to, msg),
-    /// observable before the adversary commits (rushing).
-    pub(crate) honest_outgoing: &'a [(NodeId, NodeId, P::Message)],
+    /// Messages honest nodes are sending *this* round, observable before
+    /// the adversary commits (rushing).
+    pub(crate) honest_outgoing: HonestTraffic<'a, P::Message>,
     /// What every node received at the end of last round (the adversary
     /// sees all channels — full information).
     pub(crate) inboxes: InboxesView<'a, P::Message>,
@@ -92,8 +92,9 @@ impl<'a, P: Protocol> FullInfoView<'a, P> {
     }
 
     /// The messages honest nodes are sending this round, visible before
-    /// the adversary commits (rushing adversary).
-    pub fn honest_outgoing(&self) -> &[(NodeId, NodeId, P::Message)] {
+    /// the adversary commits (rushing adversary): a borrowed
+    /// `(from, to, &msg)` view in node order.
+    pub fn honest_outgoing(&self) -> HonestTraffic<'a, P::Message> {
         self.honest_outgoing
     }
 
@@ -103,6 +104,47 @@ impl<'a, P: Protocol> FullInfoView<'a, P> {
     /// inboxes are the usual use.
     pub fn inbox(&self, u: NodeId) -> Inbox<'a, P::Message> {
         self.inboxes.inbox(u.index())
+    }
+}
+
+/// A round's in-flight honest traffic as the rushing adversary sees it:
+/// one `(from, to, &msg)` entry per message, in node order.
+///
+/// Each entry holds a `u32` reference into the round's payload store, so
+/// the recipients of one broadcast share one payload and building the
+/// view copies nothing.
+pub struct HonestTraffic<'a, M> {
+    pub(crate) sends: &'a [(NodeId, NodeId, u32)],
+    pub(crate) payloads: &'a [M],
+}
+
+// Manual impls: `derive` would demand `M: Clone`/`M: Copy` although only
+// references are copied.
+impl<M> Clone for HonestTraffic<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for HonestTraffic<'_, M> {}
+
+impl<'a, M> HonestTraffic<'a, M> {
+    /// Number of messages in flight.
+    pub fn len(&self) -> usize {
+        self.sends.len()
+    }
+
+    /// Whether no honest message is in flight.
+    pub fn is_empty(&self) -> bool {
+        self.sends.is_empty()
+    }
+
+    /// Iterates the messages in node order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = (NodeId, NodeId, &'a M)> + 'a {
+        let payloads = self.payloads;
+        self.sends
+            .iter()
+            .map(move |&(from, to, payload)| (from, to, &payloads[payload as usize]))
     }
 }
 
@@ -188,13 +230,14 @@ pub trait Adversary<P: Protocol> {
     /// Whether this adversary ever reads [`FullInfoView::honest_outgoing`].
     ///
     /// The default is `true` — the full rushing view, with the round's
-    /// honest traffic materialized as a flat `(from, to, msg)` vector
-    /// before the adversary runs. An adversary that never inspects that
-    /// slice may override this to return `false`, which (absent a fault
-    /// plan) lets the engine run its **outbox feed**: delivery reads the
-    /// outboxes directly and the flat vector is never built (the slice
-    /// the view exposes is then empty). Everything else in the view
-    /// (honest states, inboxes, pids, topology) is unaffected.
+    /// honest traffic materialized as a flat node-order vector of
+    /// `(from, to, payload reference)` before the adversary runs. An
+    /// adversary that never inspects that view may override this to
+    /// return `false`, which (absent a fault plan) lets the engine run its
+    /// **outbox feed**: delivery reads the outboxes directly and the flat
+    /// vector is never built (the view the adversary gets is then empty).
+    /// Everything else in the view (honest states, inboxes, pids,
+    /// topology) is unaffected.
     ///
     /// Contract: return `false` **only if** `on_round` never calls
     /// [`FullInfoView::honest_outgoing`]. The engine trusts this

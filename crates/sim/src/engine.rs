@@ -8,13 +8,19 @@
 //!
 //! * **One double-buffered message plane** — every delivered message lives
 //!   in a flat structure-of-arrays arena (`InboxArena`):
-//!   sender, payload, and counting-sort rank in parallel arrays, node `v`'s
-//!   inbox the span `offsets[v]..offsets[v] + lens[v]`. Delivery fills the
-//!   staged arena, which is *swapped* with the live one at round end
-//!   instead of being reallocated.
-//! * **Reusable outbox scratch** — each node owns a persistent outgoing
-//!   buffer which [`NodeContext`] borrows for the duration of
-//!   [`Protocol::on_round`]; delivery drains it (capacity kept).
+//!   sender, `u32` payload reference, and counting-sort rank in parallel
+//!   arrays, node `v`'s inbox the span `offsets[v]..offsets[v] + lens[v]`.
+//!   Delivery fills the staged arena, which is *swapped* with the live one
+//!   at round end instead of being reallocated.
+//! * **One payload per send** — a message is stored once per send
+//!   *operation*, not once per recipient. Each node owns a persistent
+//!   outbox (`(slot, payload index)` sends plus a payload plane) which
+//!   [`NodeContext`] borrows for the duration of [`Protocol::on_round`]; a
+//!   broadcast stores its message once. Delivery moves each sender's
+//!   payloads into the arena generation's payload store and writes
+//!   `pbase + idx` references (capacity kept on both sides), so no path
+//!   clones a payload per recipient — only a message the fault plan
+//!   delays is cloned, into its redelivery queue.
 //! * **Slot-addressed routing** — outboxes store sends as *neighbour
 //!   slots*; a precomputed [`DeliveryMap`] resolves a slot to its
 //!   destination node and counting-sort rank with one flat-array load, so
@@ -27,7 +33,8 @@
 //!   allocation, no comparisons).
 //! * **Persistent phase scratch** — the honest- and Byzantine-outgoing
 //!   staging vectors, shard queues, and per-span permutation buffers live
-//!   on the simulation and are drained, not rebuilt.
+//!   on the simulation and are drained, not rebuilt. The counting sort
+//!   permutes `u32` references, never payloads.
 //!
 //! The honest phase itself is split into an embarrassingly parallel
 //! *compute* step (each node reads only its own inbox and private RNG) and
@@ -59,7 +66,7 @@
 //!   1. a **broadcast round** (every node broadcasting exactly once — the
 //!      steady state of flooding protocols) scatters through a position
 //!      table precomputed by a pid-order dry run: one table load and one
-//!      payload write per message;
+//!      reference write per message;
 //!   2. a **monotone round** (at most one message per directed edge, and
 //!      Byzantine traffic within one message per Byzantine-incident edge)
 //!      places through the static **degree-prefix** offsets — no counting,
@@ -82,12 +89,14 @@
 //! * **Flat feed** — everything else: a rushing adversary that observes
 //!   [`FullInfoView::honest_outgoing`], or a fault plan that rewrites that
 //!   same traffic. The merge drains every outbox **in node order** into
-//!   the flat `honest_outgoing` vector; the fault pass and the adversary
-//!   run on it exactly as built (fault rolls and the adversary's view are
-//!   defined on node order, so it is never reordered); then the vector
-//!   and the Byzantine traffic go through the same count → prefix-sum →
-//!   scatter as the two-pass merge. Node order is not pid order, so
-//!   *every* non-empty span is counting-sorted, not only the
+//!   the flat `honest_outgoing` vector of `(from, to, payload reference)`
+//!   (the payloads move into the staged arena's store); the fault pass and
+//!   the adversary run on it exactly as built (fault rolls and the
+//!   adversary's view are defined on node order, so it is never
+//!   reordered; a duplicate copies a reference, not a payload); then the
+//!   vector and the Byzantine traffic go through the same count →
+//!   prefix-sum → scatter as the two-pass merge. Node order is not pid
+//!   order, so *every* non-empty span is counting-sorted, not only the
 //!   Byzantine-adjacent ones.
 //!
 //! Transcripts never depend on the feed, the round shape, the shard count,
@@ -103,12 +112,12 @@ use bcount_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::adversary::{Adversary, ByzantineContext, FullInfoView};
+use crate::adversary::{Adversary, ByzantineContext, FullInfoView, HonestTraffic};
 use crate::fault::{CrashEvent, FaultPlan};
 use crate::idspace::{assign_pids, Pid, PidIndex, SenderRanks};
-use crate::message::{DeliveryMap, Inbox, InboxArena, MessageSize};
+use crate::message::{push_payload, DeliveryMap, Inbox, InboxArena, MessageSize};
 use crate::metrics::{Metrics, NodeMetrics};
-use crate::protocol::{NodeContext, Protocol};
+use crate::protocol::{NodeContext, Outbox, Protocol};
 
 /// Marker bound on protocol state enabling the `parallel` feature to move
 /// per-node compute onto worker threads. With the feature enabled it means
@@ -333,22 +342,27 @@ pub struct Simulation<G, P: Protocol, A> {
     /// directed edge, so the degree-presized spans are known to fit and
     /// the count/prefix passes can be skipped.
     arena_fast_round: bool,
-    /// Per-node outgoing scratch lent to [`NodeContext`] each round;
-    /// entries are (neighbour slot, message).
-    outboxes: Vec<Vec<(u32, P::Message)>>,
-    /// Merged honest traffic of the round in flight, in node order (flat
-    /// feed only; always empty on the outbox feed).
-    honest_outgoing: Vec<(NodeId, NodeId, P::Message)>,
+    /// Per-node outgoing scratch lent to [`NodeContext`] each round:
+    /// (neighbour slot, payload index) sends plus the payload plane.
+    outboxes: Vec<Outbox<P::Message>>,
+    /// Merged honest traffic of the round in flight, in node order, as
+    /// (from, to, index into the staged arena's payload store) (flat feed
+    /// only; always empty on the outbox feed).
+    honest_outgoing: Vec<(NodeId, NodeId, u32)>,
     /// Destination sender-ranks aligned entry-for-entry with
     /// `honest_outgoing` (kept separate so the adversary's view of the
-    /// traffic stays a plain `(from, to, msg)` slice).
+    /// traffic stays a plain `(from, to, payload)` slice).
     honest_ranks: Vec<u32>,
     /// The adversary's traffic of the round in flight.
     byz_outgoing: Vec<(NodeId, NodeId, P::Message)>,
     /// Destination sender-ranks aligned with `byz_outgoing`.
     byz_ranks: Vec<u32>,
     /// Per-shard routed-message queues (the multi-shard fallback only).
-    shard_queues: Vec<Vec<Routed<P::Message>>>,
+    shard_queues: Vec<Vec<Routed>>,
+    /// Per node, the staged payload store index its outbox payloads were
+    /// moved to — what the owner-computes lanes rebase references by.
+    /// Multi-shard only.
+    payload_bases: Vec<u32>,
     /// Per-node permutation scratch for the in-place counting sort of
     /// that node's span.
     inbox_pos: Vec<Vec<u32>>,
@@ -424,7 +438,7 @@ pub struct Simulation<G, P: Protocol, A> {
     delayed: std::collections::VecDeque<Delayed<P::Message>>,
     /// Scratch for the fault phase's filtered rebuild of
     /// `honest_outgoing` (swapped, never reallocated in steady state).
-    fault_scratch: Vec<(NodeId, NodeId, P::Message)>,
+    fault_scratch: Vec<(NodeId, NodeId, u32)>,
     /// Rank scratch aligned with `fault_scratch`.
     fault_scratch_ranks: Vec<u32>,
     decided_round: Vec<Option<u64>>,
@@ -435,7 +449,8 @@ pub struct Simulation<G, P: Protocol, A> {
 
 /// A delayed message in the pending-redelivery queue: the round it
 /// becomes deliverable, plus the routed message exactly as the merge
-/// produced it.
+/// produced it. It owns a clone of its payload (the round's payload store
+/// is recycled long before the message comes due).
 struct Delayed<M> {
     due: u64,
     from: NodeId,
@@ -445,13 +460,14 @@ struct Delayed<M> {
 }
 
 /// A message routed to its destination shard: dense sender node id (the
-/// [`Pid`] table widens it at the inbox boundary), destination node, and
-/// the sender's counting-sort rank there.
-struct Routed<M> {
+/// [`Pid`] table widens it at the inbox boundary), destination node, the
+/// sender's counting-sort rank there, and the payload's index in the
+/// staged arena's store.
+struct Routed {
     sender: NodeId,
     to: NodeId,
     rank: u32,
-    msg: M,
+    payload: u32,
 }
 
 impl<G, P, A> Simulation<G, P, A>
@@ -665,9 +681,15 @@ where
         let flat_cap = if outbox_feed { 0 } else { slot_total };
         // Built before the struct literal: these capacity closures borrow
         // the graph through `g`, and the literal moves `graph` itself.
-        let outboxes: Vec<Vec<(u32, P::Message)>> =
-            (0..n).map(|v| Vec::with_capacity(degree(v))).collect();
-        let shard_queues: Vec<Vec<Routed<P::Message>>> = (0..num_shards)
+        // Payload planes warm up with each node's first send, so a dense
+        // execution's setup allocates none. A quiescent protocol's node
+        // may send for the first time arbitrarily late, so under the
+        // active-set schedule they are presized like the send lists.
+        let payload_cap = |v: usize| if sparse_active { degree(v) } else { 0 };
+        let outboxes: Vec<Outbox<P::Message>> = (0..n)
+            .map(|v| Outbox::with_capacity(degree(v), payload_cap(v)))
+            .collect();
+        let shard_queues: Vec<Vec<Routed>> = (0..num_shards)
             .map(|s| Vec::with_capacity(shard_cap(s)))
             .collect();
         let inbox_pos: Vec<Vec<u32>> = (0..n)
@@ -713,6 +735,11 @@ where
             byz_outgoing: Vec::new(),
             byz_ranks: Vec::new(),
             shard_queues,
+            payload_bases: if num_shards > 1 {
+                vec![0; n]
+            } else {
+                Vec::new()
+            },
             inbox_pos,
             sender_counts,
             outbox_feed,
@@ -827,7 +854,10 @@ where
     /// node-order vector and before the rushing adversary observes the
     /// traffic — the adversary sees what the faulty links actually
     /// carry. Redelivered messages are never re-faulted. Crash-only plans
-    /// (all rates zero) make no RNG draws at all.
+    /// (all rates zero) make no RNG draws at all. Messages are payload
+    /// references into the staged store: a duplicate copies the
+    /// reference, and only a delayed message clones its payload (into the
+    /// redelivery queue; it re-enters the store of its due round).
     fn fault_phase(&mut self) {
         let plan = &self.config.fault;
         let drop_below = u32::from(plan.drop_per_mille);
@@ -839,7 +869,8 @@ where
             debug_assert!(self.fault_scratch_ranks.is_empty());
             let rng = &mut self.fault_rng;
             let due = self.round + delay_rounds;
-            for ((from, to, msg), rank) in self
+            let payloads = &self.arena_staged.payloads;
+            for ((from, to, payload), rank) in self
                 .honest_outgoing
                 .drain(..)
                 .zip(self.honest_ranks.drain(..))
@@ -849,9 +880,9 @@ where
                     self.metrics.dropped += 1;
                 } else if roll < dup_below {
                     self.metrics.duplicated += 1;
-                    self.fault_scratch.push((from, to, msg.clone()));
+                    self.fault_scratch.push((from, to, payload));
                     self.fault_scratch_ranks.push(rank);
-                    self.fault_scratch.push((from, to, msg));
+                    self.fault_scratch.push((from, to, payload));
                     self.fault_scratch_ranks.push(rank);
                 } else if roll < delay_below {
                     self.metrics.delayed += 1;
@@ -860,10 +891,10 @@ where
                         from,
                         to,
                         rank,
-                        msg,
+                        msg: payloads[payload as usize].clone(),
                     });
                 } else {
-                    self.fault_scratch.push((from, to, msg));
+                    self.fault_scratch.push((from, to, payload));
                     self.fault_scratch_ranks.push(rank);
                 }
             }
@@ -880,7 +911,8 @@ where
                 break;
             }
             let d = self.delayed.pop_front().expect("front checked");
-            self.honest_outgoing.push((d.from, d.to, d.msg));
+            let payload = push_payload(&mut self.arena_staged.payloads, d.msg);
+            self.honest_outgoing.push((d.from, d.to, payload));
             self.honest_ranks.push(d.rank);
         }
         self.round_honest_messages = self.honest_outgoing.len() as u64;
@@ -1017,22 +1049,34 @@ where
     }
 
     /// The flat feed's merge: drains every honest outbox in node order
-    /// into `honest_outgoing`, resolving each slot-addressed send to its
-    /// destination and counting-sort rank through the precomputed
-    /// [`DeliveryMap`] (one flat-array load — no per-message identity
-    /// search) and recording per-node metrics. This single-threaded step
-    /// fixes the order the fault pass and the adversary see, which is why
-    /// the parallel compute phase cannot perturb transcripts.
+    /// into `honest_outgoing`, moving its payloads into the staged arena's
+    /// store and resolving each slot-addressed send to its destination and
+    /// counting-sort rank through the precomputed [`DeliveryMap`] (one
+    /// flat-array load — no per-message identity search), and records
+    /// per-node metrics. This single-threaded step fixes the order the
+    /// fault pass and the adversary see, which is why the parallel compute
+    /// phase cannot perturb transcripts.
     fn merge_outboxes(&mut self) {
         debug_assert!(self.honest_outgoing.is_empty());
         debug_assert!(self.honest_ranks.is_empty());
-        for u in 0..self.graph().len() {
+        let id_bits = self.config.id_bits;
+        let n = self.graph().len();
+        let arena = &mut self.arena_staged;
+        arena.payloads.clear();
+        for u in 0..n {
+            let outbox = &mut self.outboxes[u];
+            if outbox.is_empty() {
+                continue;
+            }
             let from = NodeId(u as u32);
             let targets = self.delivery_map.targets_of(u);
-            for (slot, msg) in self.outboxes[u].drain(..) {
+            let (count, bits, max_bits) = outbox_sizes(outbox, id_bits);
+            self.metrics.per_node[u].record_batch(count, bits, max_bits);
+            let pbase = arena.take_payloads(&mut outbox.payloads);
+            for (slot, payload) in outbox.sends.drain(..) {
                 let target = targets[slot as usize];
-                self.metrics.per_node[u].record(msg.size_bits(self.config.id_bits));
-                self.honest_outgoing.push((from, target.to, msg));
+                self.honest_outgoing
+                    .push((from, target.to, pbase + payload));
                 self.honest_ranks.push(target.rank);
             }
         }
@@ -1119,17 +1163,12 @@ where
             if outbox.is_empty() {
                 continue;
             }
-            let count = outbox.len() as u64;
-            let mut bits = 0u64;
-            let mut max_bits = 0u64;
             let mut last_slot = u32::MAX;
-            for &(slot, ref msg) in outbox.iter() {
+            for &(slot, _) in &outbox.sends {
                 monotone &= last_slot == u32::MAX || slot > last_slot;
                 last_slot = slot;
-                let size = msg.size_bits(id_bits);
-                bits += size;
-                max_bits = max_bits.max(size);
             }
+            let (count, bits, max_bits) = outbox_sizes(outbox, id_bits);
             self.metrics.per_node[u].record_batch(count, bits, max_bits);
             sent += count;
         }
@@ -1152,7 +1191,7 @@ where
                 continue;
             }
             let targets = self.delivery_map.targets_of(u);
-            for &(slot, _) in outbox.iter() {
+            for &(slot, _) in &outbox.sends {
                 self.dest_counts[targets[slot as usize].to.index()] += 1;
             }
         }
@@ -1168,7 +1207,7 @@ where
                 continue;
             }
             let targets = self.delivery_map.targets_of(u);
-            for &(slot, _) in outbox.iter() {
+            for &(slot, _) in &outbox.sends {
                 self.dest_counts[targets[slot as usize].to.index()] += 1;
             }
         }
@@ -1260,31 +1299,12 @@ where
 
     /// The sparse fast scatter; see [`Simulation::deliver_arena_sparse`].
     fn deliver_arena_fast_sparse(&mut self) {
+        let slot_total = self.delivery_map.total_slots();
         let arena = &mut self.arena_staged;
         arena.senders_static = false;
         arena.lens_full = false;
-        if arena.msgs.len() < std::borrow::Borrow::<Graph>::borrow(&self.graph).degree_sum() {
-            if let Some(filler) = self
-                .outboxes
-                .iter()
-                .find_map(|ob| ob.first().map(|(_, m)| m.clone()))
-                .or_else(|| self.byz_outgoing.first().map(|(_, _, m)| m.clone()))
-            {
-                arena.grow_to(
-                    std::borrow::Borrow::<Graph>::borrow(&self.graph).degree_sum(),
-                    filler,
-                );
-            } else {
-                // A silent round before any traffic existed: nothing to
-                // place; the previously-touched spans still need
-                // emptying.
-                for &v in &self.staged_actives {
-                    arena.lens[v as usize] = 0;
-                }
-                self.staged_actives.clear();
-                return;
-            }
-        }
+        arena.grow_to(slot_total);
+        arena.payloads.clear();
         if !arena.offsets_static {
             // A two-pass round repacked the offsets; restore the static
             // degree prefix.
@@ -1300,7 +1320,6 @@ where
         // Scatter the active senders in increasing-pid order (the
         // worklist's maintained order), collecting next round's worklist
         // from the first touch of each destination span.
-        let no_byz = self.byz_adjacent_nodes.is_empty();
         for &u in &self.arena_actives {
             let u = u as usize;
             let outbox = &mut self.outboxes[u];
@@ -1309,34 +1328,20 @@ where
             }
             let sender = NodeId(u as u32);
             let targets = self.delivery_map.targets_of(u);
-            if no_byz {
-                for (slot, msg) in outbox.drain(..) {
-                    let target = targets[slot as usize];
-                    let v = target.to.index();
-                    let len = arena.lens[v];
-                    if len == 0 {
-                        self.staged_actives.push(v as u32);
-                    }
-                    arena.lens[v] = len + 1;
-                    let pos = (arena.offsets[v] + len) as usize;
-                    arena.senders[pos] = sender;
-                    arena.msgs[pos] = msg;
+            let pbase = arena.take_payloads(&mut outbox.payloads);
+            for (slot, payload) in outbox.sends.drain(..) {
+                let target = targets[slot as usize];
+                let v = target.to.index();
+                let len = arena.lens[v];
+                if len == 0 {
+                    self.staged_actives.push(v as u32);
                 }
-            } else {
-                for (slot, msg) in outbox.drain(..) {
-                    let target = targets[slot as usize];
-                    let v = target.to.index();
-                    let len = arena.lens[v];
-                    if len == 0 {
-                        self.staged_actives.push(v as u32);
-                    }
-                    arena.lens[v] = len + 1;
-                    let pos = (arena.offsets[v] + len) as usize;
-                    arena.senders[pos] = sender;
-                    arena.msgs[pos] = msg;
-                    if self.byz_adjacent[v] {
-                        arena.ranks[pos] = target.rank;
-                    }
+                arena.lens[v] = len + 1;
+                let pos = (arena.offsets[v] + len) as usize;
+                arena.senders[pos] = sender;
+                arena.refs[pos] = pbase + payload;
+                if self.byz_adjacent[v] {
+                    arena.ranks[pos] = target.rank;
                 }
             }
         }
@@ -1350,7 +1355,7 @@ where
             arena.lens[v] = len + 1;
             let pos = (arena.offsets[v] + len) as usize;
             arena.senders[pos] = from;
-            arena.msgs[pos] = msg;
+            arena.refs[pos] = push_payload(&mut arena.payloads, msg);
             arena.ranks[pos] = rank;
         }
         self.sort_byz_adjacent_spans();
@@ -1374,7 +1379,8 @@ where
     /// every message has a fixed final position — so outboxes drain in
     /// natural node order (sequential memory) rather than pid order; the
     /// produced content is exactly the pid-order scatter's, because the
-    /// table was built by a pid-order dry run.
+    /// table was built by a pid-order dry run (and a reference resolves to
+    /// its payload wherever the store holds it).
     fn deliver_arena_broadcast(&mut self) {
         let slot_total = self.delivery_map.total_slots();
         if slot_total == 0 {
@@ -1382,14 +1388,8 @@ where
         }
         let n = self.graph().len();
         let arena = &mut self.arena_staged;
-        if arena.msgs.len() < slot_total {
-            let filler = self
-                .outboxes
-                .iter()
-                .find_map(|ob| ob.first().map(|(_, m)| m.clone()))
-                .expect("a broadcast round has traffic");
-            arena.grow_to(slot_total, filler);
-        }
+        arena.grow_to(slot_total);
+        arena.payloads.clear();
         if !arena.offsets_static {
             arena.offsets.copy_from_slice(&self.deg_offsets);
             arena.offsets_static = true;
@@ -1405,8 +1405,9 @@ where
         for u in 0..n {
             let outbox = &mut self.outboxes[u];
             let base = self.bcast_bases[u] as usize;
-            for (i, (_, msg)) in outbox.drain(..).enumerate() {
-                arena.msgs[self.bcast_pos[base + i] as usize] = msg;
+            let pbase = arena.take_payloads(&mut outbox.payloads);
+            for (i, (_, payload)) in outbox.sends.drain(..).enumerate() {
+                arena.refs[self.bcast_pos[base + i] as usize] = pbase + payload;
             }
         }
         // No Byzantine nodes can exist on a broadcast round, so no span
@@ -1418,29 +1419,12 @@ where
     /// prefix sum. `lens` double as the per-destination write cursors (and
     /// end up as the per-node inbox lengths).
     fn deliver_arena_fast(&mut self) {
+        let slot_total = self.delivery_map.total_slots();
         let arena = &mut self.arena_staged;
         arena.senders_static = false;
         arena.lens_full = false;
-        if arena.msgs.len() < std::borrow::Borrow::<Graph>::borrow(&self.graph).degree_sum() {
-            if let Some(filler) = self
-                .outboxes
-                .iter()
-                .find_map(|ob| ob.first().map(|(_, m)| m.clone()))
-                .or_else(|| self.byz_outgoing.first().map(|(_, _, m)| m.clone()))
-            {
-                arena.grow_to(
-                    std::borrow::Borrow::<Graph>::borrow(&self.graph).degree_sum(),
-                    filler,
-                );
-            } else {
-                // A silent round before any traffic existed: nothing to
-                // place, and no filler to grow with.
-                for len in &mut arena.lens {
-                    *len = 0;
-                }
-                return;
-            }
-        }
+        arena.grow_to(slot_total);
+        arena.payloads.clear();
         if !arena.offsets_static {
             // A two-pass round repacked the offsets; restore the static
             // degree prefix.
@@ -1460,25 +1444,25 @@ where
             }
             let sender = NodeId(u as u32);
             let targets = self.delivery_map.targets_of(u);
+            let pbase = arena.take_payloads(&mut outbox.payloads);
             if no_byz {
-                for (slot, msg) in outbox.drain(..) {
-                    let target = targets[slot as usize];
-                    let v = target.to.index();
+                for (slot, payload) in outbox.sends.drain(..) {
+                    let v = targets[slot as usize].to.index();
                     let len = arena.lens[v];
                     arena.lens[v] = len + 1;
                     let pos = (arena.offsets[v] + len) as usize;
                     arena.senders[pos] = sender;
-                    arena.msgs[pos] = msg;
+                    arena.refs[pos] = pbase + payload;
                 }
             } else {
-                for (slot, msg) in outbox.drain(..) {
+                for (slot, payload) in outbox.sends.drain(..) {
                     let target = targets[slot as usize];
                     let v = target.to.index();
                     let len = arena.lens[v];
                     arena.lens[v] = len + 1;
                     let pos = (arena.offsets[v] + len) as usize;
                     arena.senders[pos] = sender;
-                    arena.msgs[pos] = msg;
+                    arena.refs[pos] = pbase + payload;
                     if self.byz_adjacent[v] {
                         arena.ranks[pos] = target.rank;
                     }
@@ -1492,7 +1476,7 @@ where
             arena.lens[v] = len + 1;
             let pos = (arena.offsets[v] + len) as usize;
             arena.senders[pos] = from;
-            arena.msgs[pos] = msg;
+            arena.refs[pos] = push_payload(&mut arena.payloads, msg);
             arena.ranks[pos] = rank;
         }
         self.sort_byz_adjacent_spans();
@@ -1506,20 +1490,11 @@ where
             self.dest_counts[to.index()] += 1;
         }
         let total = self.place_spans();
-        if self.arena_staged.msgs.len() < total {
-            // High-water growth only (warm-up; within the degree-presized
-            // capacity this does not even reallocate). The filler clone is
-            // a placeholder: every slot below `total` is overwritten by
-            // the scatter before the arena is ever read.
-            let filler = self
-                .outboxes
-                .iter()
-                .find_map(|ob| ob.first().map(|(_, m)| m.clone()))
-                .or_else(|| self.byz_outgoing.first().map(|(_, _, m)| m.clone()))
-                .expect("a positive total implies at least one message in flight");
-            self.arena_staged.grow_to(total, filler);
-        }
         let arena = &mut self.arena_staged;
+        // High-water growth only (warm-up; within the degree-presized
+        // capacity this does not even reallocate).
+        arena.grow_to(total);
+        arena.payloads.clear();
         // Scatter pass: honest traffic in increasing-pid order...
         for &u in &self.pid_order {
             let u = u as usize;
@@ -1529,14 +1504,15 @@ where
             }
             let sender = NodeId(u as u32);
             let targets = self.delivery_map.targets_of(u);
-            for (slot, msg) in outbox.drain(..) {
+            let pbase = arena.take_payloads(&mut outbox.payloads);
+            for (slot, payload) in outbox.sends.drain(..) {
                 let target = targets[slot as usize];
                 let v = target.to.index();
                 let pos = self.dest_counts[v];
                 self.dest_counts[v] = pos + 1;
                 let pos = pos as usize;
                 arena.senders[pos] = sender;
-                arena.msgs[pos] = msg;
+                arena.refs[pos] = pbase + payload;
                 if self.byz_adjacent[v] {
                     arena.ranks[pos] = target.rank;
                 }
@@ -1553,7 +1529,7 @@ where
             self.dest_counts[v] = pos + 1;
             let pos = pos as usize;
             arena.senders[pos] = from;
-            arena.msgs[pos] = msg;
+            arena.refs[pos] = push_payload(&mut arena.payloads, msg);
             arena.ranks[pos] = rank;
         }
         // Cursors now sit at the span ends; re-zero them for the next
@@ -1565,42 +1541,41 @@ where
     }
 
     /// The flat feed's delivery: the node-order `honest_outgoing` vector
-    /// (exactly as the fault pass and the adversary saw it) and the
-    /// Byzantine traffic go through the two-pass count → prefix-sum →
-    /// scatter, then **every** non-empty span is counting-sorted — node
-    /// order is not pid order, so no span is sorted as scattered. The
-    /// sort is stable, so a sender's messages keep their merged order.
+    /// (exactly as the fault pass and the adversary saw it; its payloads
+    /// already sit in the staged store) and the Byzantine traffic go
+    /// through the two-pass count → prefix-sum → scatter, then **every**
+    /// non-empty span is counting-sorted — node order is not pid order,
+    /// so no span is sorted as scattered. The sort is stable, so a
+    /// sender's messages keep their merged order.
     fn deliver_flat(&mut self) {
-        for (_, to, _) in self.honest_outgoing.iter().chain(&self.byz_outgoing) {
+        let honest = self.honest_outgoing.iter().map(|&(_, to, _)| to);
+        for to in honest.chain(self.byz_outgoing.iter().map(|(_, to, _)| *to)) {
             self.dest_counts[to.index()] += 1;
         }
         let total = self.place_spans();
-        if self.arena_staged.msgs.len() < total {
-            // High-water growth only; see `deliver_arena_two_pass`.
-            let filler = self
-                .honest_outgoing
-                .iter()
-                .chain(&self.byz_outgoing)
-                .map(|(_, _, m)| m.clone())
-                .next()
-                .expect("a positive total implies at least one message in flight");
-            self.arena_staged.grow_to(total, filler);
-        }
         let arena = &mut self.arena_staged;
-        let honest = self
+        arena.grow_to(total);
+        // Byzantine message `i` is referenced at `byz_base + i`; its
+        // payload moves into the store after the scatter.
+        let byz_base = arena.payloads.len() as u32;
+        let byzantine = (byz_base..).zip(&self.byz_outgoing);
+        let traffic = self
             .honest_outgoing
             .drain(..)
-            .zip(self.honest_ranks.drain(..));
-        let byzantine = self.byz_outgoing.drain(..).zip(self.byz_ranks.drain(..));
-        for ((from, to, msg), rank) in honest.chain(byzantine) {
+            .chain(byzantine.map(|(payload, &(from, to, _))| (from, to, payload)))
+            .zip(self.honest_ranks.drain(..).chain(self.byz_ranks.drain(..)));
+        for ((from, to, payload), rank) in traffic {
             let v = to.index();
             let pos = self.dest_counts[v];
             self.dest_counts[v] = pos + 1;
             let pos = pos as usize;
             arena.senders[pos] = from;
-            arena.msgs[pos] = msg;
+            arena.refs[pos] = payload;
             arena.ranks[pos] = rank;
         }
+        arena
+            .payloads
+            .extend(self.byz_outgoing.drain(..).map(|(_, _, msg)| msg));
         for c in &mut self.dest_counts {
             *c = 0;
         }
@@ -1656,7 +1631,7 @@ where
         let c1 = self.sender_ranks.offset(v + 1);
         finish_inbox_soa(
             &mut arena.senders[o0..o1],
-            &mut arena.msgs[o0..o1],
+            &mut arena.refs[o0..o1],
             &arena.ranks[o0..o1],
             &mut self.inbox_pos[v],
             &mut self.sender_counts[c0..c1],
@@ -1691,10 +1666,13 @@ where
 
     /// The queue partition of the sharded fallback: drains every honest
     /// outbox in increasing-pid order into its destination-range shard
-    /// queue (the merge scan already recorded the metrics).
+    /// queue, moving the payloads into the staged store (the merge scan
+    /// already recorded the metrics).
     fn partition_shard_queues(&mut self) {
         let n = self.graph().len();
         let num_shards = self.shard_queues.len();
+        let arena = &mut self.arena_staged;
+        arena.payloads.clear();
         for &u in &self.pid_order {
             let u = u as usize;
             let outbox = &mut self.outboxes[u];
@@ -1703,13 +1681,14 @@ where
             }
             let sender = NodeId(u as u32);
             let targets = self.delivery_map.targets_of(u);
-            for (slot, msg) in outbox.drain(..) {
+            let pbase = arena.take_payloads(&mut outbox.payloads);
+            for (slot, payload) in outbox.sends.drain(..) {
                 let target = targets[slot as usize];
                 self.shard_queues[shard_of(target.to.index(), n, num_shards)].push(Routed {
                     sender,
                     to: target.to,
                     rank: target.rank,
-                    msg,
+                    payload: pbase + payload,
                 });
             }
         }
@@ -1728,7 +1707,7 @@ where
                 sender: from,
                 to,
                 rank,
-                msg,
+                payload: push_payload(&mut self.arena_staged.payloads, msg),
             });
         }
         // Placement bases: each shard owns the contiguous arena slice
@@ -1753,14 +1732,7 @@ where
             }
             return;
         }
-        if arena.msgs.len() < total {
-            let filler = self
-                .shard_queues
-                .iter()
-                .find_map(|q| q.first().map(|r| r.msg.clone()))
-                .expect("a positive total implies at least one queued message");
-            arena.grow_to(total, filler);
-        }
+        arena.grow_to(total);
         self.run_arena_lanes();
     }
 
@@ -1768,36 +1740,29 @@ where
     /// fitting Byzantine traffic places every message at a position fully
     /// determined by the static degree-prefix offsets, so no lane depends
     /// on any other — each lane owns the destination range of its shard
-    /// span, reads **all** outboxes (shared, read-only, pid order) and
-    /// clones just the messages routed into its range, appends the
-    /// range-filtered Byzantine traffic, and counting-sorts its own
-    /// Byzantine-adjacent spans. The per-destination content equals
-    /// [`Simulation::deliver_arena_fast`]'s exactly (same placement rule,
-    /// same visitation order), so transcripts are unchanged; the extra
-    /// read-only scan per lane is the price of zero cross-lane
-    /// coordination. Outboxes are cleared serially afterwards.
+    /// span, reads **all** outboxes' send references (shared, read-only,
+    /// pid order) and writes just the references routed into its range,
+    /// appends the range-filtered Byzantine traffic, and counting-sorts
+    /// its own Byzantine-adjacent spans. The payload store is filled
+    /// serially around the lanes (honest payloads before, each sender's
+    /// base recorded in `payload_bases`; Byzantine payloads after, at the
+    /// base the lanes were given), so no lane touches a payload. The
+    /// per-destination content equals [`Simulation::deliver_arena_fast`]'s
+    /// exactly (same placement rule, same visitation order), so
+    /// transcripts are unchanged; the extra read-only scan per lane is the
+    /// price of zero cross-lane coordination. Outboxes are cleared
+    /// serially afterwards.
     fn deliver_arena_sharded_fast(&mut self) {
         let n = self.graph().len();
         let slot_total = self.graph().degree_sum();
         let arena = &mut self.arena_staged;
         arena.senders_static = false;
         arena.lens_full = false;
-        if arena.msgs.len() < slot_total {
-            if let Some(filler) = self
-                .outboxes
-                .iter()
-                .find_map(|ob| ob.first().map(|(_, m)| m.clone()))
-                .or_else(|| self.byz_outgoing.first().map(|(_, _, m)| m.clone()))
-            {
-                arena.grow_to(slot_total, filler);
-            } else {
-                // A silent round before any traffic existed: nothing to
-                // place, and no filler to grow with.
-                for len in &mut arena.lens {
-                    *len = 0;
-                }
-                return;
-            }
+        arena.grow_to(slot_total);
+        arena.payloads.clear();
+        for &u in &self.pid_order {
+            let u = u as usize;
+            self.payload_bases[u] = arena.take_payloads(&mut self.outboxes[u].payloads);
         }
         let geometry = ArenaFastGeometry {
             n,
@@ -1808,9 +1773,11 @@ where
             byz_adjacent: &self.byz_adjacent,
             pid_order: &self.pid_order,
             outboxes: &self.outboxes,
+            payload_bases: &self.payload_bases,
             delivery_map: &self.delivery_map,
             byz_outgoing: &self.byz_outgoing,
             byz_ranks: &self.byz_ranks,
+            byz_base: arena.payloads.len() as u32,
             // A two-pass round may have repacked the offsets; each lane
             // restores its own slice of the static degree prefix.
             restore_offsets: !arena.offsets_static,
@@ -1822,7 +1789,7 @@ where
             offsets: &mut arena.offsets[..n],
             lens: &mut arena.lens[..n],
             senders: &mut arena.senders[..slot_total],
-            msgs: &mut arena.msgs[..slot_total],
+            refs: &mut arena.refs[..slot_total],
             ranks: &mut arena.ranks[..slot_total],
             pos: &mut self.inbox_pos,
             sort_counts: &mut self.sender_counts,
@@ -1831,16 +1798,19 @@ where
         crate::pool::for_each_split(
             lane,
             parallel,
-            &|lane: ArenaFastLane<'_, P::Message>| split_arena_fast_lane(geometry, lane),
-            &|lane: ArenaFastLane<'_, P::Message>| arena_fast_lane_leaf(geometry, lane),
+            &|lane: ArenaFastLane<'_>| split_arena_fast_lane(geometry, lane),
+            &|lane: ArenaFastLane<'_>| arena_fast_lane_leaf(geometry, lane),
         );
         arena.offsets_static = true;
         // The lanes read without draining (every lane scans every
-        // outbox); reset the shared sources now that the scatter is done.
+        // outbox); reset the shared sources now that the scatter is done,
+        // moving the Byzantine payloads to the base the lanes referenced.
         for outbox in &mut self.outboxes {
             outbox.clear();
         }
-        self.byz_outgoing.clear();
+        arena
+            .payloads
+            .extend(self.byz_outgoing.drain(..).map(|(_, _, msg)| msg));
         self.byz_ranks.clear();
     }
 
@@ -1864,7 +1834,7 @@ where
             offsets: &mut arena.offsets[..n],
             lens: &mut arena.lens[..n],
             senders: &mut arena.senders[..total],
-            msgs: &mut arena.msgs[..total],
+            refs: &mut arena.refs[..total],
             ranks: &mut arena.ranks[..total],
             cursors: &mut self.dest_counts,
             pos: &mut self.inbox_pos,
@@ -1874,8 +1844,8 @@ where
         crate::pool::for_each_split(
             lane,
             parallel,
-            &|lane: ArenaLane<'_, P::Message>| split_arena_lane(geometry, lane),
-            &|lane: ArenaLane<'_, P::Message>| arena_lane_leaf(geometry, lane),
+            &|lane: ArenaLane<'_>| split_arena_lane(geometry, lane),
+            &|lane: ArenaLane<'_>| arena_lane_leaf(geometry, lane),
         );
     }
 
@@ -1891,7 +1861,10 @@ where
             pid_index: &self.pid_index,
             is_byzantine: &self.is_byzantine,
             honest_states: &self.protocols,
-            honest_outgoing: &self.honest_outgoing,
+            honest_outgoing: HonestTraffic {
+                sends: &self.honest_outgoing,
+                payloads: &self.arena_staged.payloads,
+            },
             inboxes: self.arena.view(&self.pids),
         };
         let mut ctx = ByzantineContext {
@@ -2209,20 +2182,20 @@ fn shard_start(s: usize, n: usize, shards: usize) -> usize {
 /// `pos[i] = start[rank[i]]++` preserves staging order within a rank),
 /// with no comparisons and no allocation once `pos` has warmed up. The
 /// permutation is computed over the small `ranks`/`pos` index arrays and
-/// applied by cycle-walking the parallel `senders`/`msgs` slices, so no
-/// whole envelope is ever moved. `ranks` is read-only (keys in staging
-/// order); `counts` is the destination's slice of the flat per-sender
-/// counter array — it must arrive zeroed and is re-zeroed before
-/// returning.
-fn finish_inbox_soa<M>(
+/// applied by cycle-walking the parallel `senders`/`refs` slices — `u32`
+/// payload references, so no payload is ever moved. `ranks` is read-only
+/// (keys in staging order); `counts` is the destination's slice of the
+/// flat per-sender counter array — it must arrive zeroed and is re-zeroed
+/// before returning.
+fn finish_inbox_soa(
     senders: &mut [NodeId],
-    msgs: &mut [M],
+    refs: &mut [u32],
     ranks: &[u32],
     pos: &mut Vec<u32>,
     counts: &mut [u32],
 ) {
     let k = senders.len();
-    debug_assert_eq!(msgs.len(), k);
+    debug_assert_eq!(refs.len(), k);
     debug_assert_eq!(ranks.len(), k);
     if k <= 1 {
         return;
@@ -2249,10 +2222,37 @@ fn finish_inbox_soa<M>(
         while pos[i] as usize != i {
             let j = pos[i] as usize;
             senders.swap(i, j);
-            msgs.swap(i, j);
+            refs.swap(i, j);
             pos.swap(i, j);
         }
     }
+}
+
+/// One outbox's send accounting: message count, total bits, and the
+/// largest message's bits. Each payload's `size_bits` is evaluated once
+/// and charged once per send referencing it (the sends of one broadcast
+/// are consecutive and share its payload), so the totals equal a
+/// per-message evaluation's. A single-payload outbox (one broadcast, or
+/// one send) needs no walk over the sends at all.
+fn outbox_sizes<M: MessageSize>(outbox: &Outbox<M>, id_bits: u32) -> (u64, u64, u64) {
+    let count = outbox.sends.len() as u64;
+    if let [msg] = outbox.payloads.as_slice() {
+        let size = msg.size_bits(id_bits);
+        return (count, size * count, size);
+    }
+    let mut bits = 0u64;
+    let mut max_bits = 0u64;
+    let mut last = u32::MAX;
+    let mut size = 0u64;
+    for &(_, payload) in &outbox.sends {
+        if payload != last {
+            size = outbox.payloads[payload as usize].size_bits(id_bits);
+            max_bits = max_bits.max(size);
+            last = payload;
+        }
+        bits += size;
+    }
+    (count, bits, max_bits)
 }
 
 /// One worker's arena merge-scan accumulator: messages counted, the
@@ -2292,7 +2292,7 @@ struct MergeScanShared<'a> {
 /// outboxes (read-only) and its disjoint slice of the per-node metrics.
 struct MergeScanLane<'a, M> {
     base: usize,
-    outboxes: &'a [Vec<(u32, M)>],
+    outboxes: &'a [Outbox<M>],
     per_node: &'a mut [NodeMetrics],
 }
 
@@ -2348,21 +2348,16 @@ fn merge_scan_leaf<M: MessageSize>(
             acc.bcast &= expected.is_empty();
             continue;
         }
-        acc.bcast &= outbox.len() == expected.len();
-        let count = outbox.len() as u64;
-        let mut bits = 0u64;
-        let mut max_bits = 0u64;
+        acc.bcast &= outbox.sends.len() == expected.len();
         let mut last_slot = u32::MAX;
-        for (j, &(slot, ref msg)) in outbox.iter().enumerate() {
+        for (j, &(slot, _)) in outbox.sends.iter().enumerate() {
             acc.monotone &= last_slot == u32::MAX || slot > last_slot;
             last_slot = slot;
             if acc.bcast {
                 acc.bcast = expected[j] == slot;
             }
-            let size = msg.size_bits(shared.id_bits);
-            bits += size;
-            max_bits = max_bits.max(size);
         }
+        let (count, bits, max_bits) = outbox_sizes(outbox, shared.id_bits);
         metrics.record_batch(count, bits, max_bits);
         acc.sent += count;
     }
@@ -2384,16 +2379,16 @@ struct ArenaGeometry<'a> {
 /// The contiguous span of shards one arena delivery worker owns: its
 /// queues, its destination range's offset/cursor/scratch slices, and its
 /// slice of the arena's parallel message arrays.
-struct ArenaLane<'a, M> {
+struct ArenaLane<'a> {
     first_shard: usize,
     base_node: usize,
-    queues: &'a mut [Vec<Routed<M>>],
+    queues: &'a mut [Vec<Routed>],
     /// Per-node span starts for `base_node..base_node + offsets.len()`.
     offsets: &'a mut [u32],
     /// Per-node span lengths, aligned with `offsets`.
     lens: &'a mut [u32],
     senders: &'a mut [NodeId],
-    msgs: &'a mut [M],
+    refs: &'a mut [u32],
     ranks: &'a mut [u32],
     cursors: &'a mut [u32],
     pos: &'a mut [Vec<u32>],
@@ -2404,10 +2399,10 @@ struct ArenaLane<'a, M> {
 /// boundary, node-indexed slices at the destination-range boundary, and
 /// the message arrays at the shard-base boundary), or declares it a leaf
 /// when it covers a single shard.
-fn split_arena_lane<'a, M>(
+fn split_arena_lane<'a>(
     geometry: ArenaGeometry<'_>,
-    lane: ArenaLane<'a, M>,
-) -> crate::pool::Split<ArenaLane<'a, M>> {
+    lane: ArenaLane<'a>,
+) -> crate::pool::Split<ArenaLane<'a>> {
     if lane.queues.len() <= 1 {
         return crate::pool::Split::Leaf(lane);
     }
@@ -2421,7 +2416,7 @@ fn split_arena_lane<'a, M>(
     let (off_l, off_r) = lane.offsets.split_at_mut(node_mid);
     let (len_l, len_r) = lane.lens.split_at_mut(node_mid);
     let (send_l, send_r) = lane.senders.split_at_mut(msg_mid);
-    let (msg_l, msg_r) = lane.msgs.split_at_mut(msg_mid);
+    let (ref_l, ref_r) = lane.refs.split_at_mut(msg_mid);
     let (rank_l, rank_r) = lane.ranks.split_at_mut(msg_mid);
     let (cur_l, cur_r) = lane.cursors.split_at_mut(node_mid);
     let (pos_l, pos_r) = lane.pos.split_at_mut(node_mid);
@@ -2433,7 +2428,7 @@ fn split_arena_lane<'a, M>(
         offsets: off_l,
         lens: len_l,
         senders: send_l,
-        msgs: msg_l,
+        refs: ref_l,
         ranks: rank_l,
         cursors: cur_l,
         pos: pos_l,
@@ -2446,7 +2441,7 @@ fn split_arena_lane<'a, M>(
         offsets: off_r,
         lens: len_r,
         senders: send_r,
-        msgs: msg_r,
+        refs: ref_r,
         ranks: rank_r,
         cursors: cur_r,
         pos: pos_r,
@@ -2461,7 +2456,7 @@ fn split_arena_lane<'a, M>(
 /// counting-sort the Byzantine-adjacent spans. The queue arrives in merged
 /// order (pid-ordered honest traffic, then Byzantine emission order), so
 /// the stability argument is the unsharded path's.
-fn arena_lane_leaf<M>(geometry: ArenaGeometry<'_>, lane: ArenaLane<'_, M>) {
+fn arena_lane_leaf(geometry: ArenaGeometry<'_>, lane: ArenaLane<'_>) {
     let ArenaLane {
         first_shard,
         base_node,
@@ -2469,7 +2464,7 @@ fn arena_lane_leaf<M>(geometry: ArenaGeometry<'_>, lane: ArenaLane<'_, M>) {
         offsets,
         lens,
         senders,
-        msgs,
+        refs,
         ranks,
         cursors,
         pos,
@@ -2505,7 +2500,7 @@ fn arena_lane_leaf<M>(geometry: ArenaGeometry<'_>, lane: ArenaLane<'_, M>) {
         cursors[i] = at + 1;
         let local = (at - base_msg) as usize;
         senders[local] = routed.sender;
-        msgs[local] = routed.msg;
+        refs[local] = routed.payload;
         if geometry.byz_adjacent[v] {
             ranks[local] = routed.rank;
         }
@@ -2527,7 +2522,7 @@ fn arena_lane_leaf<M>(geometry: ArenaGeometry<'_>, lane: ArenaLane<'_, M>) {
         let c1 = geometry.senders.offset(v + 1) - base_count;
         finish_inbox_soa(
             &mut senders[o0..o1],
-            &mut msgs[o0..o1],
+            &mut refs[o0..o1],
             &ranks[o0..o1],
             &mut pos[i],
             &mut sort_counts[c0..c1],
@@ -2548,10 +2543,17 @@ struct ArenaFastGeometry<'a, M> {
     senders: &'a SenderRanks,
     byz_adjacent: &'a [bool],
     pid_order: &'a [u32],
-    outboxes: &'a [Vec<(u32, M)>],
+    /// The outboxes, read for their send references only (their payloads
+    /// already moved to the store).
+    outboxes: &'a [Outbox<M>],
+    /// Per node, the store index its payloads were moved to.
+    payload_bases: &'a [u32],
     delivery_map: &'a DeliveryMap,
+    /// The Byzantine traffic, read for its routing only: message `i`'s
+    /// payload goes to store index `byz_base + i` after the lanes.
     byz_outgoing: &'a [(NodeId, NodeId, M)],
     byz_ranks: &'a [u32],
+    byz_base: u32,
     restore_offsets: bool,
 }
 
@@ -2575,14 +2577,14 @@ impl<M> ArenaFastGeometry<'_, M> {
 /// The contiguous span of shards one owner-computes fast lane owns: its
 /// destination range's offset/len slices, its slice of the arena's
 /// parallel message arrays, and its sort scratch.
-struct ArenaFastLane<'a, M> {
+struct ArenaFastLane<'a> {
     first_shard: usize,
     shard_count: usize,
     base_node: usize,
     offsets: &'a mut [u32],
     lens: &'a mut [u32],
     senders: &'a mut [NodeId],
-    msgs: &'a mut [M],
+    refs: &'a mut [u32],
     ranks: &'a mut [u32],
     pos: &'a mut [Vec<u32>],
     sort_counts: &'a mut [u32],
@@ -2593,8 +2595,8 @@ struct ArenaFastLane<'a, M> {
 /// degree-prefix boundary), or declares it a leaf at a single shard.
 fn split_arena_fast_lane<'a, M>(
     geometry: ArenaFastGeometry<'_, M>,
-    lane: ArenaFastLane<'a, M>,
-) -> crate::pool::Split<ArenaFastLane<'a, M>> {
+    lane: ArenaFastLane<'a>,
+) -> crate::pool::Split<ArenaFastLane<'a>> {
     if lane.shard_count <= 1 {
         return crate::pool::Split::Leaf(lane);
     }
@@ -2607,7 +2609,7 @@ fn split_arena_fast_lane<'a, M>(
     let (off_l, off_r) = lane.offsets.split_at_mut(node_mid);
     let (len_l, len_r) = lane.lens.split_at_mut(node_mid);
     let (send_l, send_r) = lane.senders.split_at_mut(msg_mid);
-    let (msg_l, msg_r) = lane.msgs.split_at_mut(msg_mid);
+    let (ref_l, ref_r) = lane.refs.split_at_mut(msg_mid);
     let (rank_l, rank_r) = lane.ranks.split_at_mut(msg_mid);
     let (pos_l, pos_r) = lane.pos.split_at_mut(node_mid);
     let (sc_l, sc_r) = lane.sort_counts.split_at_mut(count_mid);
@@ -2618,7 +2620,7 @@ fn split_arena_fast_lane<'a, M>(
         offsets: off_l,
         lens: len_l,
         senders: send_l,
-        msgs: msg_l,
+        refs: ref_l,
         ranks: rank_l,
         pos: pos_l,
         sort_counts: sc_l,
@@ -2630,7 +2632,7 @@ fn split_arena_fast_lane<'a, M>(
         offsets: off_r,
         lens: len_r,
         senders: send_r,
-        msgs: msg_r,
+        refs: ref_r,
         ranks: rank_r,
         pos: pos_r,
         sort_counts: sc_r,
@@ -2639,11 +2641,11 @@ fn split_arena_fast_lane<'a, M>(
 }
 
 /// One owner-computes fast lane: restore/zero its spans, scan all
-/// outboxes in pid order cloning the messages destined for its range,
-/// append its slice of the Byzantine traffic, and counting-sort its
-/// Byzantine-adjacent spans. Per-destination output is exactly the
-/// unsharded fast scatter's.
-fn arena_fast_lane_leaf<M: Clone>(geometry: ArenaFastGeometry<'_, M>, lane: ArenaFastLane<'_, M>) {
+/// outboxes in pid order writing the references of the messages destined
+/// for its range, append its slice of the Byzantine traffic, and
+/// counting-sort its Byzantine-adjacent spans. Per-destination output is
+/// exactly the unsharded fast scatter's.
+fn arena_fast_lane_leaf<M>(geometry: ArenaFastGeometry<'_, M>, lane: ArenaFastLane<'_>) {
     let ArenaFastLane {
         first_shard: _,
         shard_count: _,
@@ -2651,7 +2653,7 @@ fn arena_fast_lane_leaf<M: Clone>(geometry: ArenaFastGeometry<'_, M>, lane: Aren
         offsets,
         lens,
         senders,
-        msgs,
+        refs,
         ranks,
         pos,
         sort_counts,
@@ -2677,7 +2679,8 @@ fn arena_fast_lane_leaf<M: Clone>(geometry: ArenaFastGeometry<'_, M>, lane: Aren
         }
         let sender = NodeId(u as u32);
         let targets = geometry.delivery_map.targets_of(u);
-        for &(slot, ref msg) in outbox.iter() {
+        let pbase = geometry.payload_bases[u];
+        for &(slot, payload) in &outbox.sends {
             let target = targets[slot as usize];
             let v = target.to.index();
             if v < lo || v >= hi {
@@ -2688,14 +2691,19 @@ fn arena_fast_lane_leaf<M: Clone>(geometry: ArenaFastGeometry<'_, M>, lane: Aren
             lens[i] = len + 1;
             let at = (offsets[i] + len - base_msg) as usize;
             senders[at] = sender;
-            msgs[at] = msg.clone();
+            refs[at] = pbase + payload;
             if geometry.byz_adjacent[v] {
                 ranks[at] = target.rank;
             }
         }
     }
     // ...then the Byzantine traffic in emission order.
-    for ((from, to, msg), &rank) in geometry.byz_outgoing.iter().zip(geometry.byz_ranks) {
+    for (b, ((from, to, _), &rank)) in geometry
+        .byz_outgoing
+        .iter()
+        .zip(geometry.byz_ranks)
+        .enumerate()
+    {
         let v = to.index();
         if v < lo || v >= hi {
             continue;
@@ -2705,7 +2713,7 @@ fn arena_fast_lane_leaf<M: Clone>(geometry: ArenaFastGeometry<'_, M>, lane: Aren
         lens[i] = len + 1;
         let at = (offsets[i] + len - base_msg) as usize;
         senders[at] = *from;
-        msgs[at] = msg.clone();
+        refs[at] = geometry.byz_base + b as u32;
         ranks[at] = rank;
     }
     // Counting sort where Byzantine traffic can interleave.
@@ -2721,7 +2729,7 @@ fn arena_fast_lane_leaf<M: Clone>(geometry: ArenaFastGeometry<'_, M>, lane: Aren
         let c1 = geometry.senders.offset(v + 1) - base_count;
         finish_inbox_soa(
             &mut senders[o0..o1],
-            &mut msgs[o0..o1],
+            &mut refs[o0..o1],
             &ranks[o0..o1],
             &mut pos[i],
             &mut sort_counts[c0..c1],
@@ -2750,11 +2758,14 @@ fn drive_node<P: Protocol>(
     neighbors: &[Pid],
     inbox: Inbox<'_, P::Message>,
     rng: &mut ChaCha8Rng,
-    outbox: &mut Vec<(u32, P::Message)>,
+    outbox: &mut Outbox<P::Message>,
     decided_round: &mut Option<u64>,
     halted: &mut bool,
 ) {
-    debug_assert!(outbox.is_empty(), "outbox drained by the previous merge");
+    debug_assert!(
+        outbox.is_empty() && outbox.payloads.is_empty(),
+        "outbox drained by the previous delivery"
+    );
     #[cfg(debug_assertions)]
     let silence_probe = (P::QUIESCENT_ON_SILENCE && round > 1 && inbox.is_empty())
         .then(|| (rng.clone(), proto.output().is_some(), proto.has_halted()));
@@ -2773,7 +2784,7 @@ fn drive_node<P: Protocol>(
             outbox.is_empty(),
             "QUIESCENT_ON_SILENCE violated: node {me:?} sent {} message(s) \
              on a silent round {round}",
-            outbox.len()
+            outbox.sends.len()
         );
         assert!(
             *rng == rng_before,
@@ -2819,7 +2830,7 @@ struct PhaseLane<'a, P: Protocol> {
     base: usize,
     protocols: &'a mut [Option<P>],
     rngs: &'a mut [ChaCha8Rng],
-    outboxes: &'a mut [Vec<(u32, P::Message)>],
+    outboxes: &'a mut [Outbox<P::Message>],
     decided_round: &'a mut [Option<u64>],
     halted: &'a mut [bool],
 }

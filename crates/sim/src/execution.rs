@@ -324,7 +324,9 @@ where
         let byzantine = byz.iter().filter(|b| **b).count();
         let mut decided = 0usize;
         let mut halted_count = 0usize;
-        let mut estimates: Vec<f64> = Vec::new();
+        // At most one estimate per honest node: size it once instead of
+        // growing it through every doubling on each call.
+        let mut estimates: Vec<f64> = Vec::with_capacity(n - byzantine);
         for u in 0..n {
             // Crashed nodes leave the census, matching the engine's stop
             // condition: a crash-stopped node will never decide or halt.

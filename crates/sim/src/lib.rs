@@ -79,7 +79,7 @@ mod reference;
 pub mod rss;
 pub mod trace;
 
-pub use adversary::{Adversary, ByzantineContext, FullInfoView, NullAdversary};
+pub use adversary::{Adversary, ByzantineContext, FullInfoView, HonestTraffic, NullAdversary};
 pub use engine::{
     NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, Simulation, StopReason, StopWhen,
 };
@@ -97,7 +97,9 @@ pub use trace::{validate_trace, RoundTrace};
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::adversary::{Adversary, ByzantineContext, FullInfoView, NullAdversary};
+    pub use crate::adversary::{
+        Adversary, ByzantineContext, FullInfoView, HonestTraffic, NullAdversary,
+    };
     pub use crate::engine::{
         NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, Simulation, StopReason, StopWhen,
     };

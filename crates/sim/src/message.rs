@@ -5,6 +5,13 @@ use crate::idspace::{Pid, SenderRanks};
 use bcount_graph::{Graph, NodeId};
 use std::fmt;
 
+/// Appends `msg` to a payload plane (an outbox's or the arena's store) and
+/// returns its index — the reference a send or an arena slot holds.
+pub(crate) fn push_payload<M>(plane: &mut Vec<M>, msg: M) -> u32 {
+    plane.push(msg);
+    (plane.len() - 1) as u32
+}
+
 /// A delivered message with its authenticated sender.
 ///
 /// The engine stamps the sender [`Pid`] itself; neither honest protocols
@@ -63,19 +70,24 @@ pub struct EnvelopeRef<'a, M> {
 /// A borrowed view of one node's inbox (sorted by sender).
 ///
 /// The engine delivers every message of a round into one contiguous
-/// structure-of-arrays arena, with the sender and payload fields split
-/// into parallel slices; an inbox is one node's span of those slices. The
-/// arena stores senders as dense `u32` node indices (half the plane bytes
-/// of a `Pid`), so the view also carries the execution's pid table and
-/// widens to the authenticated [`Pid`] only at the access boundary.
+/// structure-of-arrays arena, with the sender and payload-reference fields
+/// split into parallel slices; an inbox is one node's span of those
+/// slices. The arena stores senders as dense `u32` node indices (half the
+/// plane bytes of a `Pid`), so the view also carries the execution's pid
+/// table and widens to the authenticated [`Pid`] only at the access
+/// boundary. Payloads are stored once per send operation in the
+/// generation's payload store, and each message holds a `u32` reference
+/// into it, resolved at the same boundary.
 pub struct Inbox<'a, M> {
-    /// Dense node index of each message's sender, aligned with `msgs`.
+    /// Dense node index of each message's sender, aligned with `refs`.
     senders: &'a [NodeId],
     /// The execution's node-indexed pid table (`pids[node]` is the
     /// authenticated identity of graph node `node`).
     pids: &'a [Pid],
-    /// Payloads, aligned with `senders`.
-    msgs: &'a [M],
+    /// Index into `payloads` of each message, aligned with `senders`.
+    refs: &'a [u32],
+    /// The generation's payload store.
+    payloads: &'a [M],
 }
 
 // Manual impls: `derive` would demand `M: Clone`/`M: Copy` although only
@@ -89,19 +101,26 @@ impl<M> Clone for Inbox<'_, M> {
 impl<M> Copy for Inbox<'_, M> {}
 
 impl<'a, M> Inbox<'a, M> {
-    /// A view over parallel sender/payload slices of equal length.
-    pub(crate) fn new(senders: &'a [NodeId], pids: &'a [Pid], msgs: &'a [M]) -> Self {
-        debug_assert_eq!(senders.len(), msgs.len());
+    /// A view over parallel sender/reference slices of equal length,
+    /// resolving references into `payloads`.
+    pub(crate) fn new(
+        senders: &'a [NodeId],
+        pids: &'a [Pid],
+        refs: &'a [u32],
+        payloads: &'a [M],
+    ) -> Self {
+        debug_assert_eq!(senders.len(), refs.len());
         Inbox {
             senders,
             pids,
-            msgs,
+            refs,
+            payloads,
         }
     }
 
     /// An empty inbox.
     pub fn empty() -> Self {
-        Inbox::new(&[], &[], &[])
+        Inbox::new(&[], &[], &[], &[])
     }
 
     /// Number of messages received.
@@ -122,7 +141,7 @@ impl<'a, M> Inbox<'a, M> {
     pub fn get(&self, i: usize) -> EnvelopeRef<'a, M> {
         EnvelopeRef {
             sender: self.pids[self.senders[i].index()],
-            msg: &self.msgs[i],
+            msg: &self.payloads[self.refs[i] as usize],
         }
     }
 
@@ -147,12 +166,15 @@ impl<'a, M> Inbox<'a, M> {
     /// [`Inbox::iter`] widens every message's sender through the pid
     /// table (`pids[senders[i]]` — one dependent load per message) to
     /// build each [`EnvelopeRef`]. An aggregate-only protocol (max, sum,
-    /// any-of) never reads the sender, so this fold walks the payload
-    /// plane directly: a plain slice scan, with no sender loads and no
-    /// per-message struct assembly. Payload order is identical to
-    /// [`Inbox::iter`]'s.
-    pub fn fold_payloads<B>(self, init: B, fold: impl FnMut(B, &'a M) -> B) -> B {
-        self.msgs.iter().fold(init, fold)
+    /// any-of) never reads the sender, so this fold walks only the
+    /// reference plane and resolves each payload in the store: no sender
+    /// loads and no per-message struct assembly. Payload order is
+    /// identical to [`Inbox::iter`]'s.
+    pub fn fold_payloads<B>(self, init: B, mut fold: impl FnMut(B, &'a M) -> B) -> B {
+        let payloads = self.payloads;
+        self.refs
+            .iter()
+            .fold(init, |acc, &r| fold(acc, &payloads[r as usize]))
     }
 
     /// Materializes the view as owned envelopes (allocates; for protocols
@@ -241,8 +263,9 @@ impl<M: fmt::Debug> fmt::Debug for Inbox<'_, M> {
 /// The flat structure-of-arrays message arena: every node's inbox for one
 /// buffer generation, in one contiguous allocation.
 ///
-/// Envelope fields are split into parallel arrays — `senders`, `msgs`, and
-/// the counting-sort `ranks` tag — and node `v`'s span is
+/// Envelope fields are split into parallel arrays — `senders`, the `u32`
+/// payload references `refs`, and the counting-sort `ranks` tag — and
+/// node `v`'s span is
 /// `offsets[v]..offsets[v] + lens[v]`. On the engine's fast path the
 /// offsets are the **degree prefix sums precomputed once per execution**
 /// (a monotone-slot round delivers at most in-degree messages per node —
@@ -254,6 +277,15 @@ impl<M: fmt::Debug> fmt::Debug for Inbox<'_, M> {
 /// the high-water message count of an execution — capacity is
 /// pre-reserved from the delivery map's slot total (the sum of degrees),
 /// so one-send-per-edge workloads never reallocate at all.
+///
+/// **The payload plane.** A message's payload is not stored per
+/// recipient: `payloads` holds the generation's payloads once per send
+/// operation (one per broadcast, one per unicast, one per Byzantine
+/// message), moved in from the outboxes, and each arena slot's `refs`
+/// entry indexes it. Delivery clears the store and appends each sender's
+/// payloads in turn (`pbase` = the store length before them), writing
+/// `pbase + idx` for a send that referenced outbox payload `idx`. The
+/// counting sort permutes the `u32` references, never a payload.
 pub(crate) struct InboxArena<M> {
     /// Per-node span starts, length `n`.
     pub(crate) offsets: Vec<u32>,
@@ -276,10 +308,13 @@ pub(crate) struct InboxArena<M> {
     /// bytes per message instead of a `Pid`'s eight; the pid table widens
     /// it back at the [`Inbox`] view boundary.
     pub(crate) senders: Vec<NodeId>,
-    /// Payload of every message, arena-indexed. The vector's *length* is
-    /// the high-water total (stale bytes outside the live spans are
-    /// retained as warm capacity and never exposed).
-    pub(crate) msgs: Vec<M>,
+    /// Payload-store index of every message, arena-indexed. The vector's
+    /// *length* is the high-water total (stale entries outside the live
+    /// spans are retained as warm capacity and never exposed).
+    pub(crate) refs: Vec<u32>,
+    /// The generation's payload store, one entry per send operation;
+    /// cleared (dropping last generation's payloads) by each delivery.
+    pub(crate) payloads: Vec<M>,
     /// Counting-sort rank tag of every message — written (and read) only
     /// within the spans delivery sorts: Byzantine-adjacent spans on the
     /// outbox feed, every span on the flat feed.
@@ -299,9 +334,27 @@ impl<M> InboxArena<M> {
             senders_static: false,
             lens_full: false,
             senders: Vec::with_capacity(slot_capacity),
-            msgs: Vec::with_capacity(slot_capacity),
+            refs: Vec::with_capacity(slot_capacity),
             ranks: Vec::with_capacity(slot_capacity),
+            payloads: Vec::new(),
         }
+    }
+
+    /// Moves `payloads` (one sender's outbox payload plane) to the end of
+    /// the store, leaving the source empty with its capacity kept, and
+    /// returns the store index of the first moved payload — the `pbase`
+    /// the sender's references are rebased by.
+    pub(crate) fn take_payloads(&mut self, payloads: &mut Vec<M>) -> u32 {
+        let base = self.payloads.len() as u32;
+        // One broadcast leaves exactly one payload: moving it with a
+        // push skips `append`'s general-length copy, which costs more
+        // than the move itself for a small payload.
+        if payloads.len() == 1 {
+            self.payloads.extend(payloads.pop());
+        } else {
+            self.payloads.append(payloads);
+        }
+        base
     }
 
     /// Every node's inbox span as one view (`pids` is the execution's
@@ -311,7 +364,8 @@ impl<M> InboxArena<M> {
             offsets: &self.offsets,
             lens: &self.lens,
             senders: &self.senders,
-            msgs: &self.msgs,
+            refs: &self.refs,
+            payloads: &self.payloads,
             pids,
         }
     }
@@ -321,25 +375,23 @@ impl<M> InboxArena<M> {
         self.view(pids).inbox(v)
     }
 
-    /// Grows the parallel arrays to hold `total` messages, seeding new
-    /// payload slots with `filler` (every slot below `total` is
-    /// overwritten by the scatter before it is ever exposed). No-op once
-    /// the high-water mark is reached — steady-state rounds never pass
-    /// through here.
-    pub(crate) fn grow_to(&mut self, total: usize, filler: M)
-    where
-        M: Clone,
-    {
-        self.senders.resize(total, NodeId(0));
-        self.ranks.resize(total, 0);
-        self.msgs.resize(total, filler);
+    /// Grows the parallel arrays to hold `total` messages (every slot
+    /// below `total` is overwritten by the scatter before it is ever
+    /// exposed). No-op once the high-water mark is reached — steady-state
+    /// rounds never pass through here.
+    pub(crate) fn grow_to(&mut self, total: usize) {
+        if self.refs.len() < total {
+            self.senders.resize(total, NodeId(0));
+            self.ranks.resize(total, 0);
+            self.refs.resize(total, 0);
+        }
     }
 }
 
 /// All inboxes of one buffer generation: per-node spans over parallel
-/// sender/payload slices, plus the pid table that widens the senders —
-/// the engine-internal handle behind [`crate::FullInfoView::inbox`] and
-/// the compute phase.
+/// sender/reference slices, the payload store the references index, and
+/// the pid table that widens the senders — the engine-internal handle
+/// behind [`crate::FullInfoView::inbox`] and the compute phase.
 pub(crate) struct InboxesView<'a, M> {
     /// Per-node span starts.
     pub(crate) offsets: &'a [u32],
@@ -347,8 +399,10 @@ pub(crate) struct InboxesView<'a, M> {
     pub(crate) lens: &'a [u32],
     /// Dense sender node index of every message.
     pub(crate) senders: &'a [NodeId],
-    /// Payload of every message, aligned with `senders`.
-    pub(crate) msgs: &'a [M],
+    /// Payload-store index of every message, aligned with `senders`.
+    pub(crate) refs: &'a [u32],
+    /// The generation's payload store.
+    pub(crate) payloads: &'a [M],
     /// The execution's node-indexed pid table.
     pub(crate) pids: &'a [Pid],
 }
@@ -372,7 +426,12 @@ impl<'a, M> InboxesView<'a, M> {
         }
         let o0 = self.offsets[v] as usize;
         let o1 = o0 + len;
-        Inbox::new(&self.senders[o0..o1], self.pids, &self.msgs[o0..o1])
+        Inbox::new(
+            &self.senders[o0..o1],
+            self.pids,
+            &self.refs[o0..o1],
+            self.payloads,
+        )
     }
 }
 

@@ -3,7 +3,7 @@
 use rand_chacha::ChaCha8Rng;
 
 use crate::idspace::Pid;
-use crate::message::{Inbox, MessageSize};
+use crate::message::{push_payload, Inbox, MessageSize};
 
 /// A distributed protocol run by every *honest* node.
 ///
@@ -61,14 +61,16 @@ pub trait Protocol {
 /// round number, the inbox of last round's messages, deterministic
 /// randomness, and the send/broadcast primitives.
 ///
-/// The outgoing sink is a *borrowed* per-node scratch buffer owned by the
+/// The outgoing sink is a *borrowed* per-node outbox owned by the
 /// engine — sends append to it, and the engine drains it (keeping its
-/// capacity) in the deterministic merge step, so steady-state rounds
-/// allocate nothing. Sends are stored pre-resolved as *neighbour slots*
-/// (indices into the node's sorted neighbour list): [`NodeContext::send`]
-/// resolves the target [`Pid`] once, and the engine's delivery map turns
-/// the slot into a destination and counting-sort rank with one array load —
-/// no per-message identity search ever runs on the merge path.
+/// capacity) at delivery, so steady-state rounds allocate nothing. Sends
+/// are stored pre-resolved as *neighbour slots* (indices into the node's
+/// sorted neighbour list): [`NodeContext::send`] resolves the target
+/// [`Pid`] once, and the engine's delivery map turns the slot into a
+/// destination and counting-sort rank with one array load — no
+/// per-message identity search ever runs on the merge path. A message is
+/// stored once per send *operation*: [`NodeContext::broadcast`] keeps one
+/// payload and one `(slot, payload)` reference per distinct neighbour.
 #[derive(Debug)]
 pub struct NodeContext<'a, M> {
     pub(crate) round: u64,
@@ -76,10 +78,43 @@ pub struct NodeContext<'a, M> {
     pub(crate) neighbors: &'a [Pid],
     pub(crate) inbox: Inbox<'a, M>,
     pub(crate) rng: &'a mut ChaCha8Rng,
-    pub(crate) outgoing: &'a mut Vec<(u32, M)>,
+    pub(crate) outgoing: &'a mut Outbox<M>,
 }
 
-impl<'a, M: Clone> NodeContext<'a, M> {
+/// One node's outgoing messages of a round: each payload stored once, and
+/// every send a `(neighbour slot, payload index)` reference into it.
+#[derive(Debug)]
+pub(crate) struct Outbox<M> {
+    /// `(neighbour slot, index into payloads)` per send, in send order.
+    pub(crate) sends: Vec<(u32, u32)>,
+    /// One payload per send operation (a broadcast stores one).
+    pub(crate) payloads: Vec<M>,
+}
+
+impl<M> Outbox<M> {
+    /// An empty outbox with room for `sends` send references and
+    /// `payloads` payloads (zero leaves the payload plane unallocated until
+    /// the node first sends).
+    pub(crate) fn with_capacity(sends: usize, payloads: usize) -> Self {
+        Outbox {
+            sends: Vec::with_capacity(sends),
+            payloads: Vec::with_capacity(payloads),
+        }
+    }
+
+    /// Whether the node sent nothing.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.sends.is_empty()
+    }
+
+    /// Empties both planes, keeping their capacity.
+    pub(crate) fn clear(&mut self) {
+        self.sends.clear();
+        self.payloads.clear();
+    }
+}
+
+impl<'a, M> NodeContext<'a, M> {
     /// Current round number (1-based).
     pub fn round(&self) -> u64 {
         self.round
@@ -136,11 +171,17 @@ impl<'a, M: Clone> NodeContext<'a, M> {
             .neighbors
             .binary_search(&to)
             .unwrap_or_else(|_| panic!("protocol attempted to send to non-neighbor {to}"));
-        self.outgoing.push((slot as u32, msg));
+        let payload = push_payload(&mut self.outgoing.payloads, msg);
+        self.outgoing.sends.push((slot as u32, payload));
     }
 
-    /// Sends `msg` to every distinct neighbour.
+    /// Sends `msg` to every distinct neighbour. The message is stored
+    /// once, not cloned per recipient: every send references it.
     pub fn broadcast(&mut self, msg: M) {
+        if self.neighbors.is_empty() {
+            return;
+        }
+        let payload = push_payload(&mut self.outgoing.payloads, msg);
         let mut last: Option<Pid> = None;
         // Neighbour list is sorted; skip multiplicity duplicates.
         for i in 0..self.neighbors.len() {
@@ -149,7 +190,7 @@ impl<'a, M: Clone> NodeContext<'a, M> {
                 continue;
             }
             last = Some(to);
-            self.outgoing.push((i as u32, msg.clone()));
+            self.outgoing.sends.push((i as u32, payload));
         }
     }
 }
@@ -161,25 +202,26 @@ mod tests {
     use rand::SeedableRng;
 
     /// A context over an inbox given as its parallel sender, pid-table,
-    /// and payload slices.
+    /// reference, and payload-store slices.
     fn ctx<'a>(
         neighbors: &'a [Pid],
-        inbox: (&'a [NodeId], &'a [Pid], &'a [u8]),
+        inbox: (&'a [NodeId], &'a [Pid], &'a [u32], &'a [u8]),
         rng: &'a mut ChaCha8Rng,
-        outgoing: &'a mut Vec<(u32, u8)>,
+        outgoing: &'a mut Outbox<u8>,
     ) -> NodeContext<'a, u8> {
-        let (senders, pids, msgs) = inbox;
+        let (senders, pids, refs, payloads) = inbox;
         NodeContext {
             round: 3,
             me: Pid(42),
             neighbors,
-            inbox: Inbox::new(senders, pids, msgs),
+            inbox: Inbox::new(senders, pids, refs, payloads),
             rng,
             outgoing,
         }
     }
 
-    const EMPTY: (&[NodeId], &[Pid], &[u8]) = (&[], &[], &[]);
+    type InboxParts<'a> = (&'a [NodeId], &'a [Pid], &'a [u32], &'a [u8]);
+    const EMPTY: InboxParts<'static> = (&[], &[], &[], &[]);
 
     impl MessageSize for u8 {
         fn size_bits(&self, _id_bits: u32) -> u64 {
@@ -191,33 +233,36 @@ mod tests {
     fn broadcast_dedups_multi_edges() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(1), Pid(1), Pid(2)];
-        let mut out = Vec::new();
+        let mut out = Outbox::with_capacity(0, 0);
         let mut c = ctx(&neighbors, EMPTY, &mut rng, &mut out);
         c.broadcast(7);
-        // One send per *distinct* neighbour, addressed by slot.
-        assert_eq!(out, vec![(0, 7), (2, 7)]);
+        // One send per *distinct* neighbour, addressed by slot, all
+        // referencing the one stored payload.
+        assert_eq!(out.sends, vec![(0, 0), (2, 0)]);
+        assert_eq!(out.payloads, vec![7]);
     }
 
     #[test]
     fn send_resolves_neighbor_slots() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(10), Pid(20), Pid(30)];
-        let mut out = Vec::new();
+        let mut out = Outbox::with_capacity(0, 0);
         let mut c = ctx(&neighbors, EMPTY, &mut rng, &mut out);
         c.send(Pid(30), 1);
         c.send(Pid(10), 2);
         c.send(Pid(20), 3);
-        assert_eq!(out, vec![(2, 1), (0, 2), (1, 3)]);
+        assert_eq!(out.sends, vec![(2, 0), (0, 1), (1, 2)]);
+        assert_eq!(out.payloads, vec![1, 2, 3]);
     }
 
     #[test]
     fn heard_from_checks_inbox() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(1)];
-        let mut out = Vec::new();
+        let mut out = Outbox::with_capacity(0, 0);
         let c = ctx(
             &neighbors,
-            (&[NodeId(0)], &[Pid(1)], &[9u8]),
+            (&[NodeId(0)], &[Pid(1)], &[0], &[9u8]),
             &mut rng,
             &mut out,
         );
@@ -233,7 +278,7 @@ mod tests {
     fn send_rejects_strangers() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(1)];
-        let mut out = Vec::new();
+        let mut out = Outbox::with_capacity(0, 0);
         let mut c = ctx(&neighbors, EMPTY, &mut rng, &mut out);
         c.send(Pid(9), 1);
     }
@@ -244,13 +289,13 @@ mod tests {
         // survives and is reused by the next round's context.
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(1), Pid(2), Pid(3)];
-        let mut out = Vec::new();
+        let mut out = Outbox::with_capacity(0, 0);
         ctx(&neighbors, EMPTY, &mut rng, &mut out).broadcast(1);
-        out.drain(..);
-        let cap = out.capacity();
-        assert!(cap >= 3);
+        out.clear();
+        let cap = (out.sends.capacity(), out.payloads.capacity());
+        assert!(cap.0 >= 3 && cap.1 >= 1);
         ctx(&neighbors, EMPTY, &mut rng, &mut out).broadcast(2);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out.capacity(), cap);
+        assert_eq!(out.sends.len(), 3);
+        assert_eq!((out.sends.capacity(), out.payloads.capacity()), cap);
     }
 }

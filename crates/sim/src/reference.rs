@@ -17,14 +17,14 @@ use bcount_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::adversary::{Adversary, ByzantineContext, FullInfoView};
+use crate::adversary::{Adversary, ByzantineContext, FullInfoView, HonestTraffic};
 use crate::engine::{
     NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, Simulation, StopReason, StopWhen,
 };
 use crate::idspace::{assign_pids, Pid, PidIndex};
 use crate::message::{Inbox, InboxesView, MessageSize};
 use crate::metrics::Metrics;
-use crate::protocol::{NodeContext, Protocol};
+use crate::protocol::{NodeContext, Outbox, Protocol};
 use crate::trace::RoundTrace;
 
 /// One message in flight: sender, destination, payload.
@@ -50,10 +50,12 @@ pub(crate) struct Reference<'g, P: Protocol, A> {
     /// order.
     delayed: Vec<(u64, Sent<P::Message>)>,
     /// Last round's deliveries packed node after node (each inbox already
-    /// sorted): span starts and lengths, and the sender/payload planes.
+    /// sorted): span starts and lengths, and the sender/payload planes
+    /// (one payload per delivered message; `refs` is the identity).
     offsets: Vec<u32>,
     lens: Vec<u32>,
     senders: Vec<NodeId>,
+    refs: Vec<u32>,
     msgs: Vec<P::Message>,
     decided_round: Vec<Option<u64>>,
     halted: Vec<bool>,
@@ -117,6 +119,7 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
             offsets: vec![0; n],
             lens: vec![0; n],
             senders: Vec::new(),
+            refs: Vec::new(),
             msgs: Vec::new(),
             decided_round: vec![None; n],
             halted: vec![false; n],
@@ -144,10 +147,12 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
             offsets: &self.offsets,
             lens: &self.lens,
             senders: &self.senders,
-            msgs: &self.msgs,
+            refs: &self.refs,
+            payloads: &self.msgs,
             pids: &self.pids,
         };
-        let mut outboxes: Vec<Vec<(u32, P::Message)>> = (0..n).map(|_| Vec::new()).collect();
+        let mut outboxes: Vec<Outbox<P::Message>> =
+            (0..n).map(|_| Outbox::with_capacity(0, 0)).collect();
         for (u, outgoing) in outboxes.iter_mut().enumerate() {
             if self.is_byzantine[u] || self.crashed[u] || self.halted[u] {
                 continue;
@@ -167,10 +172,12 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
             self.halted[u] = proto.has_halted();
         }
 
-        // 2. Collect the sends in node order; a slot names a neighbour pid.
+        // 2. Collect the sends in node order, each with its own copy of
+        // the payload it references; a slot names a neighbour pid.
         let mut traffic: Vec<Sent<P::Message>> = Vec::new();
         for (u, outbox) in outboxes.into_iter().enumerate() {
-            for (slot, msg) in outbox {
+            for (slot, payload) in outbox.sends {
+                let msg = outbox.payloads[payload as usize].clone();
                 let to = self.pid_index.node_of(self.neighbors[u][slot as usize]);
                 self.metrics.per_node[u].record(msg.size_bits(id_bits));
                 traffic.push((NodeId(u as u32), to.expect("neighbour pid"), msg));
@@ -212,6 +219,12 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
         // 4. The rushing adversary sees the honest states and the vector;
         // a crashed Byzantine node stays silent whoever controls it.
         let mut byzantine: Vec<Sent<P::Message>> = Vec::new();
+        let sends: Vec<(NodeId, NodeId, u32)> = traffic
+            .iter()
+            .enumerate()
+            .map(|(i, &(from, to, _))| (from, to, i as u32))
+            .collect();
+        let payloads: Vec<P::Message> = traffic.iter().map(|(_, _, msg)| msg.clone()).collect();
         let view = FullInfoView {
             round: self.round,
             graph: self.graph,
@@ -219,7 +232,10 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
             pid_index: &self.pid_index,
             is_byzantine: &self.is_byzantine,
             honest_states: &self.protocols,
-            honest_outgoing: &traffic,
+            honest_outgoing: HonestTraffic {
+                sends: &sends,
+                payloads: &payloads,
+            },
             inboxes,
         };
         let mut ctx = ByzantineContext {
@@ -242,6 +258,7 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
             delivered[to.index()].push((from, msg));
         }
         self.senders.clear();
+        self.refs.clear();
         self.msgs.clear();
         for (v, mut inbox) in delivered.into_iter().enumerate() {
             inbox.sort_by_key(|(from, _)| self.pids[from.index()]);
@@ -249,6 +266,7 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
             self.lens[v] = inbox.len() as u32;
             for (from, msg) in inbox {
                 self.senders.push(from);
+                self.refs.push(self.msgs.len() as u32);
                 self.msgs.push(msg);
             }
         }
@@ -280,7 +298,8 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
             offsets: &self.offsets,
             lens: &self.lens,
             senders: &self.senders,
-            msgs: &self.msgs,
+            refs: &self.refs,
+            payloads: &self.msgs,
             pids: &self.pids,
         }
         .inbox(u.index())

@@ -1,8 +1,9 @@
 //! The engine against the reference executor, inbox by inbox at every
 //! round and on the final [`SimReport`]: cycle, path, H(n, d), and torus
 //! graphs; silent, beacon-spamming, and observing adversaries; same-sender
-//! multi-send ties; proptest-generated fault plans; a quiescent protocol
-//! on the active-set schedule; and worker pools of 1, 4, and 8 threads.
+//! multi-send ties; mixed unicast/broadcast/repeat sends sharing payloads;
+//! proptest-generated fault plans; a quiescent protocol on the active-set
+//! schedule; and worker pools of 1, 4, and 8 threads.
 
 use super::{assert_lockstep, Reference};
 use crate::adversary::{Adversary, ByzantineContext, FullInfoView, NullAdversary};
@@ -382,6 +383,91 @@ fn parallel_engine_matches_reference_at_every_pool_size() {
     }
 }
 
+/// Mixes send shapes so that every delivery path's `pbase + idx` payload
+/// remap shows in inbox order. Odd rounds: a unicast, a broadcast, a
+/// second broadcast and a repeat send to one neighbour — four payloads per
+/// outbox, with references out of slot order (non-monotone). Even rounds:
+/// a distinct unicast to every distinct neighbour in slot order — one
+/// payload per send, monotone, and exactly the broadcast slot pattern.
+#[derive(Debug, Clone)]
+struct MixedSends {
+    acc: u64,
+}
+
+impl Protocol for MixedSends {
+    type Message = Pid;
+    type Output = u64;
+
+    fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
+        for env in ctx.inbox() {
+            self.acc = self
+                .acc
+                .wrapping_mul(31)
+                .wrapping_add(env.msg.0 ^ env.sender.0);
+        }
+        let first = ctx.neighbors()[0];
+        let last = ctx.neighbors()[ctx.degree() - 1];
+        let salt: u64 = ctx.rng().gen();
+        if ctx.round() % 2 == 1 {
+            ctx.send(last, Pid(self.acc ^ 1));
+            ctx.broadcast(Pid(self.acc ^ 2));
+            ctx.broadcast(Pid(salt));
+            ctx.send(first, Pid(self.acc ^ 3));
+        } else {
+            let mut prev = None;
+            for i in 0..ctx.degree() {
+                let to = ctx.neighbors()[i];
+                if prev != Some(to) {
+                    prev = Some(to);
+                    ctx.send(to, Pid(salt ^ i as u64));
+                }
+            }
+        }
+    }
+
+    fn output(&self) -> Option<u64> {
+        Some(self.acc)
+    }
+}
+
+/// [`MixedSends`] on both feeds — the outbox feed with and without
+/// Byzantine nodes (broadcast table, degree-presized, two-pass; sharded
+/// lanes from four workers up) and the flat feed with an observing
+/// adversary and under a fault plan — in pools of 1, 4, and 8 workers.
+/// The torus has no parallel edges, so its even rounds match the
+/// broadcast table's slots exactly (on a multigraph `send` may resolve a
+/// doubled neighbour to its second slot, which the table never uses).
+#[test]
+fn mixed_send_shapes_match_reference_on_both_feeds() {
+    let torus = torus2d(9, 8).unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(42);
+    let g = hnd(160, 8, &mut rng).unwrap();
+    let byz = [NodeId(5), NodeId(77)];
+    let mixed = |_: NodeId, init: &NodeInit| MixedSends { acc: init.pid.0 };
+    let cfg = SimConfig {
+        parallel: true,
+        stop_when: StopWhen::MaxRoundsOnly,
+        ..config(9, 12)
+    };
+    let faulty = SimConfig {
+        fault: chaos_plan(9),
+        ..cfg.clone()
+    };
+    for threads in [1usize, 4, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build test pool");
+        pool.install(|| {
+            check(&torus, &[], mixed, || NullAdversary, cfg.clone());
+            check(&g, &[], mixed, || NullAdversary, cfg.clone());
+            check(&g, &byz, mixed, || BeaconSpam, cfg.clone());
+            check(&g, &byz, mixed, || Rusher, cfg.clone());
+            check(&g, &byz, mixed, || BeaconSpam, faulty.clone());
+        });
+    }
+}
+
 /// The rushing view itself: an observing adversary sees, round by round,
 /// exactly the `(from, to, msg)` vector the reference builds — in node
 /// order, after the fault pass — and never an empty honest round here.
@@ -395,7 +481,9 @@ fn observing_adversary_sees_the_reference_traffic() {
             view: &FullInfoView<'_, JitterFlood>,
             ctx: &mut ByzantineContext<'_, Pid>,
         ) {
-            self.0.borrow_mut().push(view.honest_outgoing().to_vec());
+            let seen = view.honest_outgoing().iter();
+            let seen = seen.map(|(from, to, &msg)| (from, to, msg)).collect();
+            self.0.borrow_mut().push(seen);
             for b in view.byzantine_nodes().collect::<Vec<_>>() {
                 ctx.broadcast(b, Pid(7));
             }

@@ -2,6 +2,14 @@
 //! round of full-broadcast chatter performs **no heap allocation at all**,
 //! measured with a counting global allocator.
 //!
+//! "Warm" means every buffer has reached its high-water mark, and on the
+//! dense schedule that includes each node's outbox payload plane and each
+//! arena generation's payload store, which start empty and grow with the
+//! payloads a node (or a round) actually stores. A node that first sends
+//! late, or that goes from one broadcast to per-neighbour unicasts,
+//! allocates once more when it does; `assert_rewarm_after_unicast_switch`
+//! pins that bound.
+//!
 //! Runs with `harness = false` (see the `[[test]]` entry in Cargo.toml):
 //! the allocation counter is process-global and libtest's bookkeeping
 //! threads would otherwise pollute the measured window.
@@ -9,9 +17,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bcount_graph::gen::cycle;
+use bcount_graph::gen::{cycle, hnd};
 use bcount_graph::{Graph, NodeId};
 use bcount_sim::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// Counts every allocation and reallocation; frees are not interesting.
 struct CountingAllocator;
@@ -81,6 +91,47 @@ impl Protocol for DoubleChatter {
         ctx.broadcast(msg);
         let first = ctx.neighbors()[0];
         ctx.send(first, msg);
+    }
+
+    fn output(&self) -> Option<()> {
+        None
+    }
+
+    fn has_halted(&self) -> bool {
+        false
+    }
+}
+
+/// Silent on odd nodes and a broadcaster on even ones until round
+/// `switch`; from then on every node unicasts a distinct message to each
+/// distinct neighbour — more payloads per node and per round than any
+/// earlier round stored.
+#[derive(Debug, Clone)]
+struct LateUnicaster {
+    me: Pid,
+    switch: u64,
+}
+
+impl Protocol for LateUnicaster {
+    type Message = Pid;
+    type Output = ();
+
+    fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
+        let heard = ctx.inbox().len() as u64;
+        if ctx.round() < self.switch {
+            if self.me.0.is_multiple_of(2) {
+                ctx.broadcast(Pid(self.me.0.wrapping_add(heard)));
+            }
+            return;
+        }
+        let mut last = None;
+        for i in 0..ctx.neighbors().len() {
+            let to = ctx.neighbors()[i];
+            if last != Some(to) {
+                last = Some(to);
+                ctx.send(to, Pid(heard.wrapping_add(i as u64)));
+            }
+        }
     }
 
     fn output(&self) -> Option<()> {
@@ -324,6 +375,64 @@ fn assert_zero_alloc_parallel_merge() {
     });
 }
 
+/// The limit of the steady-state claim on the dense schedule: payload
+/// planes warm up with what each node stores, so a switch after warm-up
+/// to more payloads per node (odd nodes sending for the first time, even
+/// nodes going from one broadcast to one payload per neighbour) allocates
+/// again — each outbox plane and each arena generation's store grows to
+/// its new high-water mark within the first two switched rounds, bounded
+/// by two growths per node plus a few per store — and from then on
+/// nothing allocates. Checked on both feeds.
+fn assert_rewarm_after_unicast_switch(observer: bool) {
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let g = hnd(96, 8, &mut rng).unwrap();
+    let n = g.len() as u64;
+    let switch = 31;
+    let init = |_: NodeId, init: &NodeInit| LateUnicaster {
+        me: init.pid,
+        switch,
+    };
+    let byz: &[NodeId] = &[NodeId(17)];
+    if observer {
+        let sim = Simulation::new(&g, byz, init, Observer { burst: false }, chatter_config());
+        rewarm_then_steady(sim, switch, 2 * n + 16, "flat feed");
+    } else {
+        let sim = Simulation::new(&g, byz, init, NullAdversary, chatter_config());
+        rewarm_then_steady(sim, switch, 2 * n + 16, "outbox feed");
+    }
+}
+
+/// Steps `sim` to the round before `switch`, counts the allocations of the
+/// two switched rounds against `bound`, then asserts the next 200 rounds
+/// perform none.
+fn rewarm_then_steady<P, A>(mut sim: Simulation<&Graph, P, A>, switch: u64, bound: u64, case: &str)
+where
+    P: Protocol + PhaseSend,
+    P::Message: PhaseShared,
+    A: Adversary<P>,
+{
+    for _ in 1..switch {
+        sim.step();
+    }
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    sim.step();
+    sim.step();
+    let rewarm = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert!(
+        rewarm <= bound,
+        "re-warming after the unicast switch took {rewarm} allocations (bound {bound}, {case})"
+    );
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..200 {
+        sim.step();
+    }
+    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        delta, 0,
+        "rounds after the re-warm must not allocate (saw {delta} allocations over 200 rounds, {case})"
+    );
+}
+
 fn main() {
     // Outbox feed: the broadcast-table path (no Byzantine nodes), the
     // degree-presized general path (silent Byzantine node), and the exact
@@ -341,9 +450,14 @@ fn main() {
     // Parallel engine inside a size-1 installed pool (joins inline,
     // per-worker merge accumulators on the stack).
     assert_zero_alloc_parallel_merge();
+    // Dense schedule, late switch to per-neighbour unicasts: a bounded
+    // re-warm, then zero again.
+    assert_rewarm_after_unicast_switch(false);
+    assert_rewarm_after_unicast_switch(true);
     println!(
         "zero_alloc: ok (0 allocations over 200 steady-state rounds; \
          outbox feed broadcast/general/two-pass, flat feed steady/burst, \
-         sparse live/silent, parallel size-1 pool)"
+         sparse live/silent, parallel size-1 pool, re-warm after a \
+         unicast switch on both feeds)"
     );
 }

@@ -3,13 +3,18 @@
 //! Each case runs one seeded execution through the `Execution` facade,
 //! taking an `ExecutionSnapshot` after every round, and folds the whole
 //! snapshot chain and every node's final typed output into FNV-1a
-//! digests. The constants below were recorded before the message
-//! payloads became shared (`Arc`) values; a change to how payloads are
-//! represented, cloned or forwarded must leave every digest unchanged.
+//! digests. The first four constants were recorded before the message
+//! payloads became shared (`Arc`) values, the other three (oscillating
+//! spam, the blacklist ablation, the derived starting phase) before the
+//! phase clock became a forward cursor; a change to how payloads are
+//! represented, cloned or forwarded, or to how rounds are mapped to
+//! phases, must leave every digest unchanged.
 //! A change that shifts a digest changes what the protocols do, and has
 //! to say so by updating the constant deliberately.
 
-use bcount_core::adversary::{BeaconSpamAdversary, EdgeInjectorAdversary, PathTamperAdversary};
+use bcount_core::adversary::{
+    BeaconSpamAdversary, EdgeInjectorAdversary, OscillatingSpamAdversary, PathTamperAdversary,
+};
 use bcount_core::congest::{CongestCounting, CongestEstimate, CongestParams, CongestTrigger};
 use bcount_core::local::{LocalConfig, LocalCounting, LocalEstimate, LocalTrigger};
 use bcount_graph::gen::hnd;
@@ -33,6 +38,23 @@ const CONGEST_FAULTY: Pin = Pin {
 const CONGEST_TAMPER: Pin = Pin {
     snapshots: 0x597f_f06c_0b94_85fe,
     outputs: 0x65e9_13c6_83b2_d49d,
+};
+/// CONGEST + oscillating spam (every other phase) on H(256, 8).
+const CONGEST_OSCILLATE: Pin = Pin {
+    snapshots: 0x834b_53c3_78d7_dbf8,
+    outputs: 0x2145_47eb_a3b5_7367,
+};
+/// CONGEST without blacklisting (the E11 ablation) + beacon spam on
+/// H(256, 8).
+const CONGEST_NO_BLACKLIST: Pin = Pin {
+    snapshots: 0xc6fb_1e4e_0b97_74df,
+    outputs: 0x8d33_8fcd_6463_5425,
+};
+/// CONGEST from the analysis' own starting phase (15) + beacon spam from
+/// two Byzantine nodes on H(256, 8).
+const CONGEST_FIRST_PHASE_15: Pin = Pin {
+    snapshots: 0xc843_f4ec_32e8_6500,
+    outputs: 0xa09b_9edb_a50b_6b85,
 };
 /// LOCAL + edge injection on H(512, 8).
 const LOCAL_INJECT: Pin = Pin {
@@ -272,6 +294,64 @@ fn congest_path_tamper_transcript_is_pinned() {
     let (pin, last) = transcript(exec, congest_raw, fold_congest);
     assert!(last.decided > 0);
     check("congest path tamper", pin, CONGEST_TAMPER);
+}
+
+/// Theorem 2's budget at ξ = 0.05 on the H(256, 8) cases: ⌊256^0.45⌋ = 12.
+const SMALL_BUDGET: usize = 12;
+
+#[test]
+fn congest_oscillating_spam_transcript_is_pinned() {
+    let n = 256;
+    let params = CongestParams::default();
+    let exec = Execution::new(
+        network(n, 0x05C1),
+        &spread(n, SMALL_BUDGET),
+        |_, init| CongestCounting::new(params, init),
+        OscillatingSpamAdversary::new(params),
+        congest_config(0x05C2, None),
+    );
+    let (pin, last) = transcript(exec, congest_raw, fold_congest);
+    assert!(last.messages_total > 0 && last.decided > 0);
+    check("congest oscillating spam", pin, CONGEST_OSCILLATE);
+}
+
+#[test]
+fn congest_without_blacklisting_transcript_is_pinned() {
+    let n = 256;
+    let params = CongestParams {
+        blacklisting: false,
+        ..CongestParams::default()
+    };
+    let exec = Execution::new(
+        network(n, 0xAB1A),
+        &spread(n, SMALL_BUDGET),
+        |_, init| CongestCounting::new(params, init),
+        BeaconSpamAdversary::new(params),
+        congest_config(0xAB1B, None),
+    );
+    let (pin, last) = transcript(exec, congest_raw, fold_congest);
+    assert!(last.messages_total > 0);
+    check("congest without blacklisting", pin, CONGEST_NO_BLACKLIST);
+}
+
+#[test]
+fn congest_derived_first_phase_transcript_is_pinned() {
+    let n = 256;
+    let params = CongestParams {
+        start_phase: None,
+        ..CongestParams::default()
+    };
+    assert_eq!(params.first_phase(), 15);
+    let exec = Execution::new(
+        network(n, 0x0F15),
+        &spread(n, 2),
+        |_, init| CongestCounting::new(params, init),
+        BeaconSpamAdversary::new(params),
+        congest_config(0x0F16, None),
+    );
+    let (pin, last) = transcript(exec, congest_raw, fold_congest);
+    assert!(last.decided > 0);
+    check("congest derived first phase", pin, CONGEST_FIRST_PHASE_15);
 }
 
 #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bcount_sim::{Adversary, ByzantineContext, FullInfoView, Pid};
 use rand::Rng;
 
-use crate::congest::{CongestCounting, CongestMsg, CongestParams, PhaseClock};
+use crate::congest::{CongestCounting, CongestMsg, CongestParams, PhaseClock, RoundPosition};
 
 /// The headline threat of Section 5: Byzantine nodes fabricate a fresh
 /// beacon every beacon round — with a path prefix of never-seen phantom
@@ -37,15 +37,14 @@ impl BeaconSpamAdversary {
             spam_continues: true,
         }
     }
-}
 
-impl Adversary<CongestCounting> for BeaconSpamAdversary {
-    fn on_round(
-        &mut self,
+    /// One round of spam at the already located position `pos`.
+    fn spam(
+        &self,
+        pos: RoundPosition,
         view: &FullInfoView<'_, CongestCounting>,
         ctx: &mut ByzantineContext<'_, CongestMsg>,
     ) {
-        let pos = self.clock.locate(view.round());
         if pos.in_beacon_window() && pos.can_forward_beacon() {
             for b in view.byzantine_nodes() {
                 // Fabricate a plausible-length path of phantom IDs ending
@@ -58,6 +57,17 @@ impl Adversary<CongestCounting> for BeaconSpamAdversary {
                 ctx.broadcast(b, CongestMsg::Continue);
             }
         }
+    }
+}
+
+impl Adversary<CongestCounting> for BeaconSpamAdversary {
+    fn on_round(
+        &mut self,
+        view: &FullInfoView<'_, CongestCounting>,
+        ctx: &mut ByzantineContext<'_, CongestMsg>,
+    ) {
+        let pos = self.clock.locate(view.round());
+        self.spam(pos, view, ctx);
     }
 
     /// This strategy never inspects the in-flight honest traffic
@@ -151,7 +161,7 @@ impl Adversary<CongestCounting> for PathTamperAdversary {
 /// fresh blacklists refill before the phase ends.
 #[derive(Debug)]
 pub struct OscillatingSpamAdversary {
-    clock: PhaseClock,
+    /// The spam it switches on and off; its clock is the only one.
     inner: BeaconSpamAdversary,
 }
 
@@ -159,7 +169,6 @@ impl OscillatingSpamAdversary {
     /// Creates the attack with the honest protocol's parameters.
     pub fn new(params: CongestParams) -> Self {
         OscillatingSpamAdversary {
-            clock: PhaseClock::new(params),
             inner: BeaconSpamAdversary::new(params),
         }
     }
@@ -171,9 +180,9 @@ impl Adversary<CongestCounting> for OscillatingSpamAdversary {
         view: &FullInfoView<'_, CongestCounting>,
         ctx: &mut ByzantineContext<'_, CongestMsg>,
     ) {
-        let pos = self.clock.locate(view.round());
+        let pos = self.inner.clock.locate(view.round());
         if pos.phase.is_multiple_of(2) {
-            self.inner.on_round(view, ctx);
+            self.inner.spam(pos, view, ctx);
         }
     }
 

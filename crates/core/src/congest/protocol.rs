@@ -1,6 +1,7 @@
 //! The per-node state machine of Algorithm 2.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::iter;
 use std::sync::Arc;
 
@@ -36,6 +37,35 @@ pub struct CongestEstimate {
     pub trigger: CongestTrigger,
 }
 
+/// The per-phase blacklist `BL`: a set of identities hashed by
+/// [`PidHasher`]. Nothing iterates it, so the hash sets only its speed.
+type Blacklist = HashSet<Pid, BuildHasherDefault<PidHasher>>;
+
+/// Hashes a [`Pid`] with one folded multiply (the high and low halves of
+/// a 128-bit product, xored), which spreads both random and sequential
+/// identities over the table. It is not keyed, so phantom identities
+/// chosen to collide could slow the set down, never change its answers;
+/// the in-repo adversaries draw theirs at random.
+#[derive(Debug, Default)]
+struct PidHasher(u64);
+
+impl Hasher for PidHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let product = u128::from(self.0 ^ x) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One honest node executing Algorithm 2 (see [module docs](super)).
 ///
 /// Construct one per node via [`CongestCounting::new`] inside the
@@ -48,10 +78,15 @@ pub struct CongestCounting {
     clock: PhaseClock,
     decided: Option<CongestEstimate>,
     exited: bool,
-    /// Phase whose state (blacklist) is currently loaded.
+    /// Phase whose state (blacklist and constants) is currently loaded.
     cur_phase: u32,
     /// Per-phase blacklist `BL` (Line 2).
-    blacklist: HashSet<Pid>,
+    blacklist: Blacklist,
+    /// Trusted path-suffix length `⌊(1−ϵ)i⌋` of `cur_phase`.
+    trusted_suffix: usize,
+    /// Activation probability `min(1, c₁·i/dⁱ)` of `cur_phase` (0 for an
+    /// isolated node).
+    activation: f64,
     /// Per-iteration `shortestPath` (Line 4): the accepted beacon's path,
     /// origin first, sender last. Shared with the beacon it came from.
     shortest_path: Option<Arc<[Pid]>>,
@@ -72,19 +107,42 @@ impl CongestCounting {
         params
             .validate()
             .unwrap_or_else(|e| panic!("invalid CongestParams: {e}"));
-        CongestCounting {
+        let mut node = CongestCounting {
             params,
             me: init.pid,
             degree: init.neighbors.len(),
             clock: PhaseClock::new(params),
             decided: None,
             exited: false,
-            cur_phase: params.first_phase(),
-            blacklist: HashSet::new(),
+            cur_phase: 0,
+            blacklist: Blacklist::default(),
+            trusted_suffix: 0,
+            activation: 0.0,
             shortest_path: None,
             heard_continue: false,
             forwarded_continue: false,
-        }
+        };
+        node.enter_phase(params.first_phase());
+        node
+    }
+
+    /// Starts phase `phase`: resets the per-phase blacklist (Line 2) and
+    /// loads the phase's trusted suffix length and activation probability,
+    /// which every round of the phase reads.
+    fn enter_phase(&mut self, phase: u32) {
+        self.cur_phase = phase;
+        self.blacklist.clear();
+        let d = self.degree.max(2);
+        self.trusted_suffix = self.params.trusted_suffix_len(d, phase);
+        // Isolated nodes never activate: a beacon with no recipients
+        // cannot signal liveness, so they decide at the first iteration
+        // end (degenerate, outside the paper's d-regular model, but must
+        // terminate).
+        self.activation = if self.degree == 0 {
+            0.0
+        } else {
+            self.params.activation_probability(d, phase)
+        };
     }
 
     /// The node's current phase counter (its running guess of `log n`).
@@ -94,7 +152,7 @@ impl CongestCounting {
 
     /// The current per-phase blacklist (for adversaries and tests
     /// inspecting protocol state through the full-information view).
-    pub fn blacklist(&self) -> &HashSet<Pid> {
+    pub fn blacklist(&self) -> &HashSet<Pid, impl BuildHasher> {
         &self.blacklist
     }
 
@@ -138,12 +196,11 @@ impl CongestCounting {
 
     /// The blacklist test of Lines 20–21: the path prefix (everything
     /// except the trusted `⌊(1−ϵ)i⌋`-suffix) must not intersect `BL`.
-    fn passes_blacklist(&self, path: &[Pid], phase: u32) -> bool {
+    fn passes_blacklist(&self, path: &[Pid]) -> bool {
         if !self.params.blacklisting {
             return true;
         }
-        let suffix = self.params.trusted_suffix_len(self.degree.max(2), phase);
-        let prefix_len = path.len().saturating_sub(suffix);
+        let prefix_len = path.len().saturating_sub(self.trusted_suffix);
         path[..prefix_len]
             .iter()
             .all(|p| !self.blacklist.contains(p))
@@ -158,10 +215,7 @@ impl CongestCounting {
         }
         if self.params.blacklisting {
             if let Some(path) = &self.shortest_path {
-                let suffix = self
-                    .params
-                    .trusted_suffix_len(self.degree.max(2), pos.phase);
-                let prefix_len = path.len().saturating_sub(suffix);
+                let prefix_len = path.len().saturating_sub(self.trusted_suffix);
                 self.blacklist.extend(path[..prefix_len].iter().copied());
             }
         }
@@ -174,10 +228,9 @@ impl Protocol for CongestCounting {
 
     fn on_round(&mut self, ctx: &mut NodeContext<'_, CongestMsg>) {
         let pos = self.clock.locate(ctx.round());
-        // --- Phase transition: reset the per-phase blacklist (Line 2). ---
+        // --- Phase transition: reset the per-phase state (Line 2). -------
         if pos.phase != self.cur_phase {
-            self.cur_phase = pos.phase;
-            self.blacklist.clear();
+            self.enter_phase(pos.phase);
         }
         // --- Safety horizon (simulation-only; see CongestParams). --------
         if pos.phase >= self.params.max_phase {
@@ -191,16 +244,7 @@ impl Protocol for CongestCounting {
             // Fresh iteration (Lines 4–11): reset shortestPath, roll the
             // activation coin, and originate a beacon if active.
             self.shortest_path = None;
-            // Isolated nodes never activate: a beacon with no recipients
-            // cannot signal liveness, so they decide at the first
-            // iteration end (degenerate, outside the paper's d-regular
-            // model, but must terminate).
-            let p = if self.degree == 0 {
-                0.0
-            } else {
-                self.params.activation_probability(self.degree.max(2), i)
-            };
-            if p > 0.0 && ctx.rng().gen_bool(p) {
+            if self.activation > 0.0 && ctx.rng().gen_bool(self.activation) {
                 let path: Arc<[Pid]> = Arc::from([self.me]);
                 self.shortest_path = Some(Arc::clone(&path));
                 ctx.broadcast(CongestMsg::Beacon { path });
@@ -226,7 +270,7 @@ impl Protocol for CongestCounting {
                 let fwd: Arc<[Pid]> = path.iter().copied().chain(iter::once(self.me)).collect();
                 ctx.broadcast(CongestMsg::Beacon { path: fwd });
             }
-            if self.shortest_path.is_none() && self.passes_blacklist(path, i) {
+            if self.shortest_path.is_none() && self.passes_blacklist(path) {
                 self.shortest_path = Some(Arc::clone(path));
             }
             return;
@@ -368,45 +412,52 @@ mod tests {
             neighbors: vec![Pid(1); 8],
         };
         let mut node = CongestCounting::new(params, &init);
-        node.blacklist.insert(Pid(42));
         // Suffix length at phase 8, d=8: floor((1-eps)*8) with
         // (1-eps) = 0.9*0.55/ln 8 ≈ 0.238 → 1.
         let i = 8;
-        assert_eq!(params.trusted_suffix_len(8, i), 1);
+        node.enter_phase(i);
+        assert_eq!(node.trusted_suffix, 1);
+        node.blacklist.insert(Pid(42));
         // Blacklisted node in the prefix: rejected.
-        assert!(!node.passes_blacklist(&[Pid(42), Pid(7)], i));
+        assert!(!node.passes_blacklist(&[Pid(42), Pid(7)]));
         // Blacklisted node only in the trusted suffix: accepted.
-        assert!(node.passes_blacklist(&[Pid(7), Pid(42)], i));
+        assert!(node.passes_blacklist(&[Pid(7), Pid(42)]));
         // Blacklisting disabled: everything passes (E11 ablation).
         let mut p2 = params;
         p2.blacklisting = false;
         let mut node2 = CongestCounting::new(p2, &init);
+        node2.enter_phase(i);
         node2.blacklist.insert(Pid(42));
-        assert!(node2.passes_blacklist(&[Pid(42), Pid(7)], i));
+        assert!(node2.passes_blacklist(&[Pid(42), Pid(7)]));
     }
 
     #[test]
     fn finish_beacon_window_blacklists_accepted_prefix() {
+        // The trusted suffix at phase 8 is floor((1-eps)*8) with (1-eps)
+        // = 0.9*0.55/ln d: ≈ 0.238 → 1 at d = 8, ≈ 0.714 → 5 at d = 2.
+        // Both nodes start in phase 2, where the degree-2 suffix is 1, so
+        // a suffix left over from it would blacklist 6 of 7 entries.
         let params = CongestParams::default();
-        let init = NodeInit {
-            pid: Pid(100),
-            neighbors: vec![Pid(1); 8],
-        };
-        let mut node = CongestCounting::new(params, &init);
-        node.cur_phase = 8;
-        node.shortest_path = Some(Arc::from([Pid(1), Pid(2), Pid(3)]));
-        let pos = RoundPosition {
-            phase: 8,
-            iteration: 0,
-            offset: 10,
-        };
-        node.finish_beacon_window(pos);
-        // Suffix 1 → blacklist {1, 2}, trust {3}.
-        assert!(node.blacklist.contains(&Pid(1)));
-        assert!(node.blacklist.contains(&Pid(2)));
-        assert!(!node.blacklist.contains(&Pid(3)));
-        // Had a beacon, so no decision.
-        assert!(node.decided.is_none());
+        for (degree, path_len) in [(8, 3), (2, 7)] {
+            let init = NodeInit {
+                pid: Pid(100),
+                neighbors: vec![Pid(1); degree],
+            };
+            let mut node = CongestCounting::new(params, &init);
+            node.enter_phase(8);
+            node.shortest_path = Some((1..=path_len).map(Pid).collect());
+            node.finish_beacon_window(RoundPosition {
+                phase: 8,
+                iteration: 0,
+                offset: 10,
+            });
+            // Blacklist the prefix {1, 2}, trust the rest.
+            let mut listed: Vec<u64> = node.blacklist.iter().map(|p| p.0).collect();
+            listed.sort_unstable();
+            assert_eq!(listed, [1, 2], "degree {degree}");
+            // Had a beacon, so no decision.
+            assert!(node.decided.is_none());
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! absolute round numbers to `(phase, iteration, offset)` positions is a
 //! shared, message-free convention — this is also how a decided node "can
 //! keep track of the number of rounds since starting" to rejoin at the
-//! current phase value (pseudocode Line 44).
+//! current phase value (pseudocode Line 44). Each node walks it with a
+//! [`PhaseClock`], a cursor on the current phase: rounds arrive in order,
+//! so the phase length is computed once per phase, not once per round.
 
 use serde::{Deserialize, Serialize};
 
@@ -68,26 +70,39 @@ impl RoundPosition {
     }
 }
 
-/// Lazily extended lookup from absolute rounds to [`RoundPosition`]s.
+/// A cursor from absolute rounds to [`RoundPosition`]s: it sits on one
+/// phase and knows that phase's round range, moves forward one phase at a
+/// time (the only place a phase length, one `exp()`, is computed), and
+/// rewinds to the first phase for a round before its own.
 #[derive(Debug, Clone)]
 pub struct PhaseClock {
     params: CongestParams,
-    /// `phase_starts[k]` = first absolute round (1-based) of phase
-    /// `first_phase + k`.
-    phase_starts: Vec<u64>,
+    /// The phase the cursor is on.
+    phase: u32,
+    /// First absolute round (1-based) of `phase`.
+    start: u64,
+    /// First absolute round after `phase`.
+    end: u64,
+    /// `params.rounds_per_iteration(phase)`.
+    rounds_per_iteration: u64,
 }
 
 impl PhaseClock {
     /// Creates a clock for the given parameters.
     pub fn new(params: CongestParams) -> Self {
-        PhaseClock {
-            params,
-            phase_starts: vec![1],
-        }
+        Self::at(params, params.first_phase(), 1)
     }
 
-    fn phase_len(&self, phase: u32) -> u64 {
-        self.params.iterations_in_phase(phase) * self.params.rounds_per_iteration(phase)
+    /// A cursor on `phase`, which starts at round `start`.
+    fn at(params: CongestParams, phase: u32, start: u64) -> Self {
+        let rounds_per_iteration = params.rounds_per_iteration(phase);
+        PhaseClock {
+            params,
+            phase,
+            start,
+            end: start + params.iterations_in_phase(phase) * rounds_per_iteration,
+            rounds_per_iteration,
+        }
     }
 
     /// Locates an absolute round (1-based, as produced by the engine).
@@ -97,46 +112,28 @@ impl PhaseClock {
     /// Panics if `round == 0`.
     pub fn locate(&mut self, round: u64) -> RoundPosition {
         assert!(round >= 1, "rounds are 1-based");
-        let first = self.params.first_phase();
-        // Extend the phase table until it covers `round`.
-        loop {
-            let k = self.phase_starts.len() - 1;
-            let last_start = *self.phase_starts.last().expect("nonempty");
-            let last_phase = first + k as u32;
-            let end = last_start + self.phase_len(last_phase);
-            if round < end {
-                break;
-            }
-            self.phase_starts.push(end);
+        if round < self.start {
+            *self = Self::new(self.params);
         }
-        // Binary search for the containing phase.
-        let idx = match self.phase_starts.binary_search(&round) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let phase = first + idx as u32;
-        let within = round - self.phase_starts[idx];
-        let rpi = self.params.rounds_per_iteration(phase);
+        while round >= self.end {
+            *self = Self::at(self.params, self.phase + 1, self.end);
+        }
+        let within = round - self.start;
         RoundPosition {
-            phase,
-            iteration: within / rpi,
-            offset: within % rpi,
+            phase: self.phase,
+            iteration: within / self.rounds_per_iteration,
+            offset: within % self.rounds_per_iteration,
         }
     }
 
     /// First absolute round of the given phase (must be ⩾ the starting
     /// phase).
-    pub fn phase_start(&mut self, phase: u32) -> u64 {
+    pub fn phase_start(&self, phase: u32) -> u64 {
         let first = self.params.first_phase();
         assert!(phase >= first, "phase {phase} precedes start {first}");
-        while self.phase_starts.len() <= (phase - first) as usize {
-            let k = self.phase_starts.len() - 1;
-            let last_start = *self.phase_starts.last().expect("nonempty");
-            let last_phase = first + k as u32;
-            self.phase_starts
-                .push(last_start + self.phase_len(last_phase));
-        }
-        self.phase_starts[(phase - first) as usize]
+        (first..phase).fold(1, |start, p| {
+            start + self.params.iterations_in_phase(p) * self.params.rounds_per_iteration(p)
+        })
     }
 }
 
@@ -215,6 +212,7 @@ mod tests {
         let mut c = clock();
         let p = CongestParams::default();
         let start3 = c.phase_start(3);
+        assert_eq!(c.phase_start(2), 1);
         let len2 = p.iterations_in_phase(2) * p.rounds_per_iteration(2);
         assert_eq!(start3, 1 + len2);
         let pos = c.locate(start3);

@@ -49,6 +49,48 @@ proptest! {
         }
     }
 
+    /// The clock is a cursor on one phase. Driven through an arbitrary
+    /// round sequence — forward jumps, backward jumps (rewinds), repeats —
+    /// it answers every round exactly as a fresh clock does, whatever the
+    /// starting phase.
+    #[test]
+    fn cursor_matches_a_fresh_clock(
+        params in arb_params(),
+        first in 1u32..16,
+        rounds in proptest::collection::vec((1u64..6000, 1usize..4), 1..40),
+    ) {
+        let params = CongestParams { start_phase: Some(first), ..params };
+        let mut cursor = PhaseClock::new(params);
+        for (round, repeats) in rounds {
+            let fresh = PhaseClock::new(params).locate(round);
+            for _ in 0..repeats {
+                prop_assert_eq!(cursor.locate(round), fresh, "round {}", round);
+            }
+        }
+    }
+
+    /// `phase_start(p)` is the round at which `locate` first reports phase
+    /// `p`: it opens iteration 0 at offset 0, and the round before it
+    /// still belongs to phase `p − 1`. Asked of a cursor already moved to
+    /// an arbitrary round.
+    #[test]
+    fn phase_start_is_where_locate_enters_the_phase(
+        params in arb_params(),
+        moved_to in 1u64..6000,
+    ) {
+        let mut clock = PhaseClock::new(params);
+        clock.locate(moved_to);
+        let first = params.first_phase();
+        prop_assert_eq!(clock.phase_start(first), 1);
+        for phase in first + 1..first + 8 {
+            let start = clock.phase_start(phase);
+            let pos = clock.locate(start);
+            prop_assert_eq!((pos.phase, pos.iteration, pos.offset), (phase, 0, 0),
+                "phase {} start {}", phase, start);
+            prop_assert_eq!(clock.locate(start - 1).phase, phase - 1, "phase {}", phase);
+        }
+    }
+
     /// Windows partition each iteration: every round is in exactly one of
     /// {beacon window, continue-start, continue window}.
     #[test]

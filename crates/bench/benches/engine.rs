@@ -14,10 +14,9 @@
 //! adversary reads; `reuse_buffers_faulty` adds a mixed fault plan to the
 //! flat feed. The `full_execution` benchmarks include construction, pid
 //! assignment, and buffer warm-up. With `--features parallel` the same
-//! workload additionally runs as `reuse_buffers_parallel`: parallel
-//! compute and merge scan, plus the sharded owner-computes delivery once
-//! the pool has two or more workers (`BCOUNT_POOL_THREADS` sizes the pool
-//! — the shard count autotunes to one destination range per worker).
+//! workload additionally runs as `reuse_buffers_parallel`: the honest
+//! compute fans out over the pool (`BCOUNT_POOL_THREADS` sizes it) and
+//! the merge and delivery run serially, as in every other lane.
 //!
 //! The `engine_phases` group decomposes one round. `merge` is honest
 //! compute + the flat feed's node-order merge with delivery skipped

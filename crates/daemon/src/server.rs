@@ -1,8 +1,7 @@
 //! The session table and request dispatcher behind `bcountd`.
 //!
-//! A [`Server`] owns every live session: a type-erased
-//! [`DynExecution`](bcount_sim::DynExecution) plus its cached
-//! [`ExecutionSnapshot`]. The cache is refreshed only when a
+//! A [`Server`] owns every live session: a type-erased [`DynExecution`]
+//! plus its cached [`ExecutionSnapshot`]. The cache is refreshed only when a
 //! `session.step` actually advances the execution, so `session.query`
 //! is a pure read — any number of queries between steps cost one cached
 //! clone each and never touch (let alone perturb) the round loop.

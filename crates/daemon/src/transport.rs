@@ -181,8 +181,8 @@ pub fn serve(
 }
 
 /// [`serve`] with graceful shutdown: reads happen on a helper thread
-/// that pumps [`Pump::Io`] events into a channel; [`Shutdown::request`]
-/// pumps a [`Pump::Wake`] into the same channel, so the loop blocks on
+/// that pumps `Pump::Io` events into a channel; [`Shutdown::request`]
+/// pumps a `Pump::Wake` into the same channel, so the loop blocks on
 /// one `recv()` and reacts to whichever arrives first — no poll tick,
 /// no shutdown latency. On shutdown, already-read lines are drained
 /// (each gets its reply, written and flushed) and the loop returns

@@ -12,7 +12,8 @@
 //!   (Greenhill et al., cited as \[22\] in the paper).
 //!
 //! The impossibility result (Theorem 3) needs **low-expansion**
-//! counterexamples; see [`lattice`] (rings, paths, tori) and [`barbell`].
+//! counterexamples; see [`lattice`] (rings, paths, tori) and
+//! [`barbell`](mod@barbell).
 
 pub mod barbell;
 pub mod classic;

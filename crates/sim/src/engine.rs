@@ -32,18 +32,20 @@
 //!   once-built [`SenderRanks`] table (an in-place permutation; no
 //!   allocation, no comparisons).
 //! * **Persistent phase scratch** — the honest- and Byzantine-outgoing
-//!   staging vectors, shard queues, and per-span permutation buffers live
-//!   on the simulation and are drained, not rebuilt. The counting sort
-//!   permutes `u32` references, never payloads.
+//!   staging vectors and per-span permutation buffers live on the
+//!   simulation and are drained, not rebuilt. The counting sort permutes
+//!   `u32` references, never payloads.
 //!
 //! The honest phase itself is split into an embarrassingly parallel
 //! *compute* step (each node reads only its own inbox and private RNG) and
 //! a deterministic *merge* step that assigns message order and metrics.
 //! With the `parallel` crate feature and [`SimConfig::parallel`] the
-//! compute step — and the outbox feed's merge scan, whose per-chunk
-//! accumulators are combined **left-before-right whatever the scheduling**
-//! ([`crate::pool::map_split`]) — fan out over [`crate::pool`]; the
-//! resulting [`SimReport`] is bit-identical to the serial path.
+//! compute step fans out over [`crate::pool`]; the merge and delivery stay
+//! serial, and the resulting [`SimReport`] is bit-identical to the serial
+//! path. Compute is the only phase wide enough to pay for the fork: it
+//! dominates Algorithm 1's rounds (every node merges whole topology
+//! views), while Algorithm 2's cheap rounds are bound by the message
+//! plane.
 //!
 //! # One plane, two feeds
 //!
@@ -75,17 +77,10 @@
 //!      per destination, prefix-sum the tallies into packed spans and
 //!      write cursors, scatter every message once into its final slot.
 //!
-//!   With [`SimConfig::parallel`] set, delivery is also **sharded**: the
-//!   shard count autotunes to `min(pool workers, slot_total / 512)`, so a
-//!   serial run or a one-worker pool keeps a single shard and the
-//!   unsharded paths above. With two or more shards each delivery lane
-//!   owns a contiguous destination range and scans all outboxes
-//!   **owner-computes** on monotone rounds (no queues, no cross-lane
-//!   writes), or drains a pid-ordered per-range queue otherwise. Finally,
-//!   a protocol declaring [`Protocol::QUIESCENT_ON_SILENCE`] on the
-//!   single-shard outbox feed runs the **active-set schedule**: only nodes
-//!   with pending inbox traffic are driven, scanned, and drained, so round
-//!   cost scales with traffic instead of `n`.
+//!   A protocol declaring [`Protocol::QUIESCENT_ON_SILENCE`] on the outbox
+//!   feed runs the **active-set schedule**: only nodes with pending inbox
+//!   traffic are driven, scanned, and drained, so round cost scales with
+//!   traffic instead of `n`.
 //! * **Flat feed** — everything else: a rushing adversary that observes
 //!   [`FullInfoView::honest_outgoing`], or a fault plan that rewrites that
 //!   same traffic. The merge drains every outbox **in node order** into
@@ -99,9 +94,9 @@
 //!   order, so *every* non-empty span is counting-sorted, not only the
 //!   Byzantine-adjacent ones.
 //!
-//! Transcripts never depend on the feed, the round shape, the shard count,
-//! or the pool size: every path is stable per sender and lands each inbox
-//! in the canonical order. The crate's unit tests diff the engine, inbox
+//! Transcripts never depend on the feed, the round shape, or the pool
+//! size: every path is stable per sender and lands each inbox in the
+//! canonical order. The crate's unit tests diff the engine, inbox
 //! by inbox at every round, against a literal reference executor that
 //! uses none of this machinery (no delivery map, ranks, arena, or active
 //! set); `tests/determinism_parallel.rs` and `tests/fault_plan.rs` pin
@@ -116,7 +111,7 @@ use crate::adversary::{Adversary, ByzantineContext, FullInfoView, HonestTraffic}
 use crate::fault::{CrashEvent, FaultPlan};
 use crate::idspace::{assign_pids, Pid, PidIndex, SenderRanks};
 use crate::message::{push_payload, DeliveryMap, Inbox, InboxArena, MessageSize};
-use crate::metrics::{Metrics, NodeMetrics};
+use crate::metrics::Metrics;
 use crate::protocol::{NodeContext, Outbox, Protocol};
 
 /// Marker bound on protocol state enabling the `parallel` feature to move
@@ -189,13 +184,11 @@ pub struct SimConfig {
     pub stop_when: StopWhen,
     /// Record per-round message counts in [`Metrics::messages_per_round`].
     pub record_round_stats: bool,
-    /// Run the engine's data-parallel phases on worker threads: the
-    /// honest compute phase and — on the outbox feed — the merge's
-    /// metrics scan and sharded delivery (the shard count autotunes to
-    /// the pool width, so a one-worker pool keeps a single shard). Requires
-    /// the `parallel` crate feature — without it the flag is ignored and
-    /// the serial path runs. Transcripts are bit-identical either way:
-    /// message order and metrics never depend on the schedule.
+    /// Run the honest compute phase on worker threads (the merge and
+    /// delivery stay serial). Requires the `parallel` crate feature —
+    /// without it the flag is ignored and the serial path runs. Transcripts
+    /// are bit-identical either way: message order and metrics are fixed
+    /// by the serial merge, never by the schedule.
     pub parallel: bool,
     /// Deterministic fault-injection plan; see [`crate::fault::FaultPlan`].
     /// A non-empty plan selects the flat feed (the fault pass rewrites
@@ -300,9 +293,6 @@ pub struct Simulation<G, P: Protocol, A> {
     /// pass's output, consumed (as write cursors) by the prefix-sum
     /// placement and scatter, then re-zeroed.
     dest_counts: Vec<u32>,
-    /// Arena start position of each shard's contiguous slice (prefix over
-    /// shard-queue lengths; `num_shards + 1` entries). Multi-shard only.
-    shard_bases: Vec<u32>,
     /// The static per-node arena offsets, precomputed once per execution
     /// as the prefix sums of the [`DeliveryMap`] in-degrees — the fast
     /// path's exact-capacity placement (a monotone-slot round delivers at
@@ -357,12 +347,6 @@ pub struct Simulation<G, P: Protocol, A> {
     byz_outgoing: Vec<(NodeId, NodeId, P::Message)>,
     /// Destination sender-ranks aligned with `byz_outgoing`.
     byz_ranks: Vec<u32>,
-    /// Per-shard routed-message queues (the multi-shard fallback only).
-    shard_queues: Vec<Vec<Routed>>,
-    /// Per node, the staged payload store index its outbox payloads were
-    /// moved to — what the owner-computes lanes rebase references by.
-    /// Multi-shard only.
-    payload_bases: Vec<u32>,
     /// Per-node permutation scratch for the in-place counting sort of
     /// that node's span.
     inbox_pos: Vec<Vec<u32>>,
@@ -392,8 +376,8 @@ pub struct Simulation<G, P: Protocol, A> {
     /// walks only the nodes that need sorting.
     byz_adjacent_nodes: Vec<u32>,
     /// Whether the active-set round schedule is live for this execution
-    /// (resolved once at construction: the single-shard outbox feed and a
-    /// protocol declaring [`Protocol::QUIESCENT_ON_SILENCE`]).
+    /// (resolved once at construction: the outbox feed and a protocol
+    /// declaring [`Protocol::QUIESCENT_ON_SILENCE`]).
     sparse_active: bool,
     /// The nodes whose *live-arena* inbox is non-empty — exactly the
     /// nodes the sparse schedule drives and drains this round — kept in
@@ -457,17 +441,6 @@ struct Delayed<M> {
     to: NodeId,
     rank: u32,
     msg: M,
-}
-
-/// A message routed to its destination shard: dense sender node id (the
-/// [`Pid`] table widens it at the inbox boundary), destination node, the
-/// sender's counting-sort rank there, and the payload's index in the
-/// staged arena's store.
-struct Routed {
-    sender: NodeId,
-    to: NodeId,
-    rank: u32,
-    payload: u32,
 }
 
 impl<G, P, A> Simulation<G, P, A>
@@ -547,26 +520,12 @@ where
         // adversary (it declared it never observes it) nor the fault pass
         // (the plan is empty).
         let outbox_feed = !adversary.observes_traffic() && !faults_active;
-        // Shard count of the outbox feed's delivery: one lane per pool
-        // worker (there is no one else to run a finer partition), trimmed
-        // so each shard keeps at least [`MIN_SLOTS_PER_SHARD`] arena
-        // slots of scatter work — a serial run (or a tiny graph) gets a
-        // single shard. The count never affects transcripts, only how
-        // delivery work is partitioned. The flat feed delivers unsharded.
         let slot_total = g.degree_sum();
-        let num_shards = if outbox_feed {
-            pool_workers(config.parallel)
-                .min(slot_total.div_ceil(MIN_SLOTS_PER_SHARD))
-                .max(1)
-        } else {
-            1
-        };
         let pid_order: Vec<u32> = pid_index.nodes_by_pid().map(|node| node.0).collect();
-        // The active-set schedule needs the single-shard outbox feed (its
-        // worklist tracks spans scattered in pid order) and a protocol
-        // promising that silence is a no-op; anything else runs the dense
-        // schedule.
-        let sparse_active = outbox_feed && num_shards == 1 && P::QUIESCENT_ON_SILENCE;
+        // The active-set schedule needs the outbox feed (its worklist
+        // tracks spans scattered in pid order) and a protocol promising
+        // that silence is a no-op; anything else runs the dense schedule.
+        let sparse_active = outbox_feed && P::QUIESCENT_ON_SILENCE;
         let honest_total = is_byzantine.iter().filter(|b| !**b).count();
         // Round 1 drives everyone (inboxes start empty by definition), so
         // the initial worklist is the full pid-ordered node set.
@@ -600,16 +559,6 @@ where
         // warm-up growth check on those paths; heavier protocols still
         // grow amortized.
         let degree = |v: usize| g.degree(NodeId(v as u32));
-        // The queues carry traffic only on the multi-shard fallback.
-        let shard_cap = |s: usize| {
-            if num_shards > 1 {
-                (shard_start(s, n, num_shards)..shard_start(s + 1, n, num_shards))
-                    .map(degree)
-                    .sum()
-            } else {
-                0
-            }
-        };
         // The fast path's static placement (and the arena's initial
         // layout): node v's span starts at the prefix sum of in-degrees
         // (undirected: degree) before it.
@@ -689,9 +638,6 @@ where
         let outboxes: Vec<Outbox<P::Message>> = (0..n)
             .map(|v| Outbox::with_capacity(degree(v), payload_cap(v)))
             .collect();
-        let shard_queues: Vec<Vec<Routed>> = (0..num_shards)
-            .map(|s| Vec::with_capacity(shard_cap(s)))
-            .collect();
         let inbox_pos: Vec<Vec<u32>> = (0..n)
             .map(|v| {
                 // Sort scratch: the flat feed sorts every span, the outbox
@@ -720,7 +666,6 @@ where
             arena: InboxArena::new(n, &deg_offsets, slot_total),
             arena_staged: InboxArena::new(n, &deg_offsets, slot_total),
             dest_counts: vec![0; n],
-            shard_bases: vec![0; num_shards + 1],
             deg_offsets,
             byz_in_degree,
             bcast_slots,
@@ -734,12 +679,6 @@ where
             honest_ranks: Vec::with_capacity(flat_cap),
             byz_outgoing: Vec::new(),
             byz_ranks: Vec::new(),
-            shard_queues,
-            payload_bases: if num_shards > 1 {
-                vec![0; n]
-            } else {
-                Vec::new()
-            },
             inbox_pos,
             sender_counts,
             outbox_feed,
@@ -1025,9 +964,11 @@ where
     #[cfg(feature = "parallel")]
     fn honest_phase_parallel(&mut self) {
         let n = self.graph().len();
-        // One leaf per ~4 chunks per thread keeps the spawn count low (the
-        // vendored rayon spawns a scoped thread per join) while still
-        // splitting hot graphs; tiny simulations stay effectively serial.
+        // About four leaves per worker leave idle workers something to
+        // steal when per-node cost is uneven (halted nodes, skewed
+        // degrees); the 64-node floor keeps each fork's deque push and
+        // possible wake-up small next to the leaf's compute, so tiny
+        // simulations run as one inline leaf.
         let chunk = n.div_ceil(rayon::current_num_threads() * 4).max(64);
         let shared = PhaseInputs {
             round: self.round,
@@ -1083,65 +1024,53 @@ where
         self.round_honest_messages = self.honest_outgoing.len() as u64;
     }
 
-    /// The outbox feed's merge: records per-node metrics and scans every
-    /// outbox's slot
-    /// sequence for strict monotonicity. A monotone round sends at most
-    /// one message per directed edge, so every destination fits its
+    /// The outbox feed's merge: records per-node metrics, scans every
+    /// outbox's slot sequence for strict monotonicity, and compares it
+    /// with the broadcast pattern. A monotone round sends at most one
+    /// message per directed edge, so every destination fits its
     /// **degree-presized** span and the fast path can place messages with
     /// the static [`Simulation::deg_offsets`] — no counting, no prefix
     /// sum. A non-monotone round (several sends through one slot) falls
-    /// back to the exact two-pass merge: the count pass runs here (on the
-    /// unsharded pipeline — the sharded fallback partitions into queues
-    /// at delivery time and carries its counts there). Outboxes are left
-    /// full either way — the scatter drains them at delivery time, after
-    /// the adversary has committed.
-    ///
-    /// The scan itself fans out over sender chunks when configured: each
-    /// worker carries a stack [`MergeAcc`] (messages sent, monotonicity,
-    /// broadcast-pattern flags) and writes metrics only into its own
-    /// chunk-disjoint `per_node` slice; the accumulators fold
-    /// left-to-right at round end, so the totals are bit-identical to the
-    /// serial sweep's whatever the scheduling.
+    /// back to the exact two-pass merge, whose count pass runs here.
+    /// Outboxes are left full either way — the scatter drains them at
+    /// delivery time, after the adversary has committed.
     fn merge_arena_count(&mut self) {
-        let n = self.graph().len();
-        #[cfg(feature = "parallel")]
-        let parallel = self.config.parallel;
-        #[cfg(not(feature = "parallel"))]
-        let parallel = false;
-        // One leaf per ~4 chunks per worker (the honest phase's rule); a
-        // serial run keeps the single-sweep shape.
-        let chunk = if parallel {
-            n.div_ceil(pool_workers(true) * 4).max(64)
-        } else {
-            n
-        };
-        let shared = MergeScanShared {
-            id_bits: self.config.id_bits,
-            bcast_slots: &self.bcast_slots,
-            bcast_bases: &self.bcast_bases,
-        };
-        let lane = MergeScanLane {
-            base: 0,
-            outboxes: &self.outboxes,
-            per_node: &mut self.metrics.per_node,
-        };
-        let acc = crate::pool::map_split(
-            lane,
-            parallel,
-            &|lane: MergeScanLane<'_, P::Message>| split_merge_scan_lane(lane, chunk),
-            &|lane: MergeScanLane<'_, P::Message>| merge_scan_leaf(shared, lane),
-            &MergeAcc::fold,
-        );
-        self.round_honest_messages = acc.sent;
-        self.arena_fast_round = acc.monotone;
-        self.arena_bcast_round = acc.bcast;
-        debug_assert!(
-            acc.monotone || !acc.bcast,
-            "the broadcast pattern is monotone"
-        );
-        if !acc.monotone && !self.sharded_lanes_active() {
-            // `dest_counts` must stay zeroed on the sharded fallback —
-            // its delivery lanes use it as cursor scratch.
+        let id_bits = self.config.id_bits;
+        let mut sent = 0u64;
+        let mut monotone = true;
+        let mut bcast = true;
+        for (u, (outbox, metrics)) in self
+            .outboxes
+            .iter()
+            .zip(self.metrics.per_node.iter_mut())
+            .enumerate()
+        {
+            let expected =
+                &self.bcast_slots[self.bcast_bases[u] as usize..self.bcast_bases[u + 1] as usize];
+            if outbox.is_empty() {
+                // A silent node breaks the everyone-broadcasts pattern
+                // (unless it has no neighbours to reach).
+                bcast &= expected.is_empty();
+                continue;
+            }
+            bcast &= outbox.sends.len() == expected.len();
+            let mut last_slot = u32::MAX;
+            for (j, &(slot, _)) in outbox.sends.iter().enumerate() {
+                monotone &= last_slot == u32::MAX || slot > last_slot;
+                last_slot = slot;
+                if bcast {
+                    bcast = expected[j] == slot;
+                }
+            }
+            let (count, bits, max_bits) = outbox_sizes(outbox, id_bits);
+            metrics.record_batch(count, bits, max_bits);
+            sent += count;
+        }
+        self.round_honest_messages = sent;
+        self.arena_fast_round = monotone;
+        self.arena_bcast_round = bcast;
+        debug_assert!(monotone || !bcast, "the broadcast pattern is monotone");
+        if !monotone {
             self.count_dests();
         }
     }
@@ -1233,15 +1162,15 @@ where
         fits
     }
 
-    /// Arena delivery, unsharded. The fast path (monotone round, fitting
-    /// Byzantine traffic) places messages directly through the static
-    /// degree-prefix offsets; otherwise the exact two-pass pipeline runs:
-    /// Byzantine tallies join the count, one prefix-sum scan turns the
-    /// tallies into packed spans + write cursors, and the scatter is the
-    /// same. Either way every message is written once, into its final
-    /// position in the parallel sender/payload/rank arrays, and only
-    /// Byzantine-adjacent spans need the counting sort — everything else
-    /// is final as scattered (senders are visited in increasing-pid
+    /// Arena delivery on the dense schedule. The fast path (monotone
+    /// round, fitting Byzantine traffic) places messages directly through
+    /// the static degree-prefix offsets; otherwise the exact two-pass
+    /// pipeline runs: Byzantine tallies join the count, one prefix-sum
+    /// scan turns the tallies into packed spans + write cursors, and the
+    /// scatter is the same. Either way every message is written once, into
+    /// its final position in the parallel sender/payload/rank arrays, and
+    /// only Byzantine-adjacent spans need the counting sort — everything
+    /// else is final as scattered (senders are visited in increasing-pid
     /// order).
     fn deliver_arena(&mut self) {
         if self.arena_fast_round {
@@ -1638,217 +1567,6 @@ where
         );
     }
 
-    /// Whether the multi-shard delivery lanes are engaged: more than one
-    /// shard derived from the pool size, which only the outbox feed under
-    /// [`SimConfig::parallel`] can get. A single-shard run takes the
-    /// unsharded arena paths wholesale — byte-identical transcripts
-    /// without the partition overhead.
-    fn sharded_lanes_active(&self) -> bool {
-        self.shard_queues.len() > 1
-    }
-
-    /// Arena delivery, sharded. A monotone round with fitting Byzantine
-    /// traffic takes the **owner-computes** fast path: every destination
-    /// keeps its static degree-presized span, each lane owns a contiguous
-    /// destination range, and lanes scatter concurrently straight from
-    /// the shared outboxes — no queue partition at all. Oversized rounds
-    /// fall back to the queue pipeline: partition the outboxes (serially,
-    /// pid order preserved), then count → local prefix-sum → scatter →
-    /// sort per shard.
-    fn deliver_arena_sharded(&mut self) {
-        if self.arena_fast_round && self.byz_traffic_fits() {
-            self.deliver_arena_sharded_fast();
-            return;
-        }
-        self.partition_shard_queues();
-        self.deliver_arena_sharded_queued();
-    }
-
-    /// The queue partition of the sharded fallback: drains every honest
-    /// outbox in increasing-pid order into its destination-range shard
-    /// queue, moving the payloads into the staged store (the merge scan
-    /// already recorded the metrics).
-    fn partition_shard_queues(&mut self) {
-        let n = self.graph().len();
-        let num_shards = self.shard_queues.len();
-        let arena = &mut self.arena_staged;
-        arena.payloads.clear();
-        for &u in &self.pid_order {
-            let u = u as usize;
-            let outbox = &mut self.outboxes[u];
-            if outbox.is_empty() {
-                continue;
-            }
-            let sender = NodeId(u as u32);
-            let targets = self.delivery_map.targets_of(u);
-            let pbase = arena.take_payloads(&mut outbox.payloads);
-            for (slot, payload) in outbox.sends.drain(..) {
-                let target = targets[slot as usize];
-                self.shard_queues[shard_of(target.to.index(), n, num_shards)].push(Routed {
-                    sender,
-                    to: target.to,
-                    rank: target.rank,
-                    payload: pbase + payload,
-                });
-            }
-        }
-    }
-
-    /// The queued sharded delivery: append the Byzantine traffic to the
-    /// partitioned queues, fix each shard's contiguous arena slice from
-    /// the queue lengths, and run count → local prefix-sum → scatter →
-    /// sort *per shard* — in parallel when configured, through the same
-    /// [`crate::pool`] splitter as the rest of the engine.
-    fn deliver_arena_sharded_queued(&mut self) {
-        let n = self.graph().len();
-        let num_shards = self.shard_queues.len();
-        for ((from, to, msg), rank) in self.byz_outgoing.drain(..).zip(self.byz_ranks.drain(..)) {
-            self.shard_queues[shard_of(to.index(), n, num_shards)].push(Routed {
-                sender: from,
-                to,
-                rank,
-                payload: push_payload(&mut self.arena_staged.payloads, msg),
-            });
-        }
-        // Placement bases: each shard owns the contiguous arena slice
-        // starting at the prefix of the queue lengths before it.
-        let mut running = 0u32;
-        for (s, queue) in self.shard_queues.iter().enumerate() {
-            self.shard_bases[s] = running;
-            running += queue.len() as u32;
-        }
-        self.shard_bases[num_shards] = running;
-        let total = running as usize;
-        let arena = &mut self.arena_staged;
-        arena.offsets_static = false;
-        arena.senders_static = false;
-        arena.lens_full = false;
-        if total == 0 {
-            for len in &mut arena.lens {
-                *len = 0;
-            }
-            for offset in &mut arena.offsets {
-                *offset = 0;
-            }
-            return;
-        }
-        arena.grow_to(total);
-        self.run_arena_lanes();
-    }
-
-    /// The owner-computes sharded fast scatter: a monotone round with
-    /// fitting Byzantine traffic places every message at a position fully
-    /// determined by the static degree-prefix offsets, so no lane depends
-    /// on any other — each lane owns the destination range of its shard
-    /// span, reads **all** outboxes' send references (shared, read-only,
-    /// pid order) and writes just the references routed into its range,
-    /// appends the range-filtered Byzantine traffic, and counting-sorts
-    /// its own Byzantine-adjacent spans. The payload store is filled
-    /// serially around the lanes (honest payloads before, each sender's
-    /// base recorded in `payload_bases`; Byzantine payloads after, at the
-    /// base the lanes were given), so no lane touches a payload. The
-    /// per-destination content equals [`Simulation::deliver_arena_fast`]'s
-    /// exactly (same placement rule, same visitation order), so
-    /// transcripts are unchanged; the extra read-only scan per lane is the
-    /// price of zero cross-lane coordination. Outboxes are cleared
-    /// serially afterwards.
-    fn deliver_arena_sharded_fast(&mut self) {
-        let n = self.graph().len();
-        let slot_total = self.graph().degree_sum();
-        let arena = &mut self.arena_staged;
-        arena.senders_static = false;
-        arena.lens_full = false;
-        arena.grow_to(slot_total);
-        arena.payloads.clear();
-        for &u in &self.pid_order {
-            let u = u as usize;
-            self.payload_bases[u] = arena.take_payloads(&mut self.outboxes[u].payloads);
-        }
-        let geometry = ArenaFastGeometry {
-            n,
-            shards: self.shard_queues.len(),
-            slot_total: slot_total as u32,
-            deg_offsets: &self.deg_offsets,
-            senders: &self.sender_ranks,
-            byz_adjacent: &self.byz_adjacent,
-            pid_order: &self.pid_order,
-            outboxes: &self.outboxes,
-            payload_bases: &self.payload_bases,
-            delivery_map: &self.delivery_map,
-            byz_outgoing: &self.byz_outgoing,
-            byz_ranks: &self.byz_ranks,
-            byz_base: arena.payloads.len() as u32,
-            // A two-pass round may have repacked the offsets; each lane
-            // restores its own slice of the static degree prefix.
-            restore_offsets: !arena.offsets_static,
-        };
-        let lane = ArenaFastLane {
-            first_shard: 0,
-            shard_count: geometry.shards,
-            base_node: 0,
-            offsets: &mut arena.offsets[..n],
-            lens: &mut arena.lens[..n],
-            senders: &mut arena.senders[..slot_total],
-            refs: &mut arena.refs[..slot_total],
-            ranks: &mut arena.ranks[..slot_total],
-            pos: &mut self.inbox_pos,
-            sort_counts: &mut self.sender_counts,
-        };
-        let parallel = self.config.parallel;
-        crate::pool::for_each_split(
-            lane,
-            parallel,
-            &|lane: ArenaFastLane<'_>| split_arena_fast_lane(geometry, lane),
-            &|lane: ArenaFastLane<'_>| arena_fast_lane_leaf(geometry, lane),
-        );
-        arena.offsets_static = true;
-        // The lanes read without draining (every lane scans every
-        // outbox); reset the shared sources now that the scatter is done,
-        // moving the Byzantine payloads to the base the lanes referenced.
-        for outbox in &mut self.outboxes {
-            outbox.clear();
-        }
-        arena
-            .payloads
-            .extend(self.byz_outgoing.drain(..).map(|(_, _, msg)| msg));
-        self.byz_ranks.clear();
-    }
-
-    /// Fans the per-shard count/prefix/scatter/sort leaves out over the
-    /// worker pool (serially without the `parallel` feature or flag).
-    fn run_arena_lanes(&mut self) {
-        let n = self.graph().len();
-        let geometry = ArenaGeometry {
-            n,
-            shards: self.shard_queues.len(),
-            senders: &self.sender_ranks,
-            bases: &self.shard_bases,
-            byz_adjacent: &self.byz_adjacent,
-        };
-        let total = self.shard_bases[geometry.shards] as usize;
-        let arena = &mut self.arena_staged;
-        let lane = ArenaLane {
-            first_shard: 0,
-            base_node: 0,
-            queues: &mut self.shard_queues,
-            offsets: &mut arena.offsets[..n],
-            lens: &mut arena.lens[..n],
-            senders: &mut arena.senders[..total],
-            refs: &mut arena.refs[..total],
-            ranks: &mut arena.ranks[..total],
-            cursors: &mut self.dest_counts,
-            pos: &mut self.inbox_pos,
-            sort_counts: &mut self.sender_counts,
-        };
-        let parallel = self.config.parallel;
-        crate::pool::for_each_split(
-            lane,
-            parallel,
-            &|lane: ArenaLane<'_>| split_arena_lane(geometry, lane),
-            &|lane: ArenaLane<'_>| arena_lane_leaf(geometry, lane),
-        );
-    }
-
     /// Rushing adversary phase: the adversary observes the complete honest
     /// states and this round's in-flight honest messages before committing
     /// the Byzantine traffic.
@@ -1885,9 +1603,8 @@ where
         debug_assert!(self.byz_ranks.is_empty());
         let honest_message_count = self.round_honest_messages;
         let message_count = honest_message_count + self.byz_outgoing.len() as u64;
-        // Account and rank-resolve the Byzantine traffic up front, serially:
-        // per-sender metrics writes would race under the sharded scatter,
-        // and the adversary's (from, to) pairs carry no precomputed slot.
+        // Account and rank-resolve the Byzantine traffic up front: the
+        // adversary's (from, to) pairs carry no precomputed slot.
         for (from, to, msg) in &self.byz_outgoing {
             self.metrics.per_node[from.index()].record(msg.size_bits(self.config.id_bits));
             let rank = self
@@ -1898,8 +1615,6 @@ where
         }
         if !self.outbox_feed {
             self.deliver_flat();
-        } else if self.sharded_lanes_active() {
-            self.deliver_arena_sharded();
         } else if self.sparse_active {
             self.deliver_arena_sparse();
         } else {
@@ -2003,7 +1718,7 @@ where
     #[cfg(feature = "bench-probes")]
     #[doc(hidden)]
     pub fn bench_count_pass(&mut self) {
-        debug_assert!(self.outbox_feed && !self.sharded_lanes_active());
+        debug_assert!(self.outbox_feed);
         self.bench_compute_merge();
         if self.arena_fast_round {
             self.count_dests();
@@ -2013,13 +1728,13 @@ where
     /// Clones the per-destination tallies of the staged round, forcing
     /// the count pass if the fast path skipped it (benchmark hook; call
     /// after [`Simulation::bench_compute_merge`], reset afterwards).
-    /// Requires the unsharded outbox feed.
+    /// Requires the outbox feed.
     #[cfg(feature = "bench-probes")]
     #[doc(hidden)]
     pub fn bench_snapshot_counts(&mut self) -> Vec<u32> {
         debug_assert!(
-            self.outbox_feed && !self.sharded_lanes_active(),
-            "count tallies exist only on the unsharded outbox feed"
+            self.outbox_feed,
+            "count tallies exist only on the outbox feed"
         );
         if self.arena_fast_round {
             self.count_dests();
@@ -2038,7 +1753,7 @@ where
     #[cfg(feature = "bench-probes")]
     #[doc(hidden)]
     pub fn bench_arena_placement(&mut self, counts: &[u32]) {
-        debug_assert!(self.outbox_feed && !self.sharded_lanes_active());
+        debug_assert!(self.outbox_feed);
         let n = self.graph().len();
         debug_assert_eq!(counts.len(), n);
         let arena = &mut self.arena_staged;
@@ -2102,9 +1817,8 @@ where
 
     /// Whether the active-set (sparse) round schedule is driving this
     /// execution: the protocol declares [`Protocol::QUIESCENT_ON_SILENCE`]
-    /// and the single-shard outbox feed is live. Lets tests and benchmark
-    /// harnesses prove the schedule they measured is the one that
-    /// actually ran.
+    /// and the outbox feed is live. Lets tests and benchmark harnesses
+    /// prove the schedule they measured is the one that actually ran.
     pub fn sparse_schedule_active(&self) -> bool {
         self.sparse_active
     }
@@ -2138,42 +1852,6 @@ where
             stop_reason,
         }
     }
-}
-
-/// The smallest shard worth creating, in arena slots (directed edges): a
-/// delivery lane below this is all fork/steal overhead and no scatter.
-/// Small enough that the multi-shard paths engage on modest test graphs
-/// once two or more workers exist, large enough that a lane amortizes its
-/// scheduling cost.
-const MIN_SLOTS_PER_SHARD: usize = 512;
-
-/// How many workers the engine's fork-join lanes can actually occupy:
-/// the current pool's thread count when the `parallel` feature and the
-/// run's [`SimConfig::parallel`] flag are both on, else 1.
-#[cfg(feature = "parallel")]
-fn pool_workers(parallel: bool) -> usize {
-    if parallel {
-        rayon::current_num_threads()
-    } else {
-        1
-    }
-}
-
-/// Serial build: the pool does not exist, so one worker.
-#[cfg(not(feature = "parallel"))]
-fn pool_workers(_parallel: bool) -> usize {
-    1
-}
-
-/// The shard a destination node belongs to: contiguous node ranges, the
-/// `s`-th covering `[ceil(s·n/S), ceil((s+1)·n/S))`.
-fn shard_of(v: usize, n: usize, shards: usize) -> usize {
-    v * shards / n
-}
-
-/// First node of shard `s` under [`shard_of`]'s partition.
-fn shard_start(s: usize, n: usize, shards: usize) -> usize {
-    (s * n).div_ceil(shards)
 }
 
 /// Stable in-place counting sort of one arena span by precomputed sender
@@ -2253,488 +1931,6 @@ fn outbox_sizes<M: MessageSize>(outbox: &Outbox<M>, id_bits: u32) -> (u64, u64, 
         bits += size;
     }
     (count, bits, max_bits)
-}
-
-/// One worker's arena merge-scan accumulator: messages counted, the
-/// strict-monotonicity flag, and the broadcast-pattern flag, all on the
-/// stack — no per-worker heap state, which is what keeps the parallel
-/// merge scan inside the engine's zero-allocation steady state.
-#[derive(Clone, Copy)]
-struct MergeAcc {
-    sent: u64,
-    monotone: bool,
-    bcast: bool,
-}
-
-impl MergeAcc {
-    /// Deterministic fold of two chunk accumulators. Commutative and
-    /// associative (sum and two ANDs), and [`crate::pool::map_split`]
-    /// folds left-to-right regardless — either property alone already
-    /// pins the result to the serial sweep's.
-    fn fold(a: MergeAcc, b: MergeAcc) -> MergeAcc {
-        MergeAcc {
-            sent: a.sent + b.sent,
-            monotone: a.monotone && b.monotone,
-            bcast: a.bcast && b.bcast,
-        }
-    }
-}
-
-/// Read-only inputs shared by every merge-scan chunk.
-#[derive(Clone, Copy)]
-struct MergeScanShared<'a> {
-    id_bits: u32,
-    bcast_slots: &'a [u32],
-    bcast_bases: &'a [u32],
-}
-
-/// One contiguous sender chunk of the arena merge scan: the chunk's
-/// outboxes (read-only) and its disjoint slice of the per-node metrics.
-struct MergeScanLane<'a, M> {
-    base: usize,
-    outboxes: &'a [Outbox<M>],
-    per_node: &'a mut [NodeMetrics],
-}
-
-/// Halves a merge-scan lane until it is at most `chunk` senders wide.
-fn split_merge_scan_lane<M>(
-    lane: MergeScanLane<'_, M>,
-    chunk: usize,
-) -> crate::pool::Split<MergeScanLane<'_, M>> {
-    if lane.outboxes.len() <= chunk {
-        return crate::pool::Split::Leaf(lane);
-    }
-    let mid = lane.outboxes.len() / 2;
-    let (ob_l, ob_r) = lane.outboxes.split_at(mid);
-    let (pn_l, pn_r) = lane.per_node.split_at_mut(mid);
-    crate::pool::Split::Fork(
-        MergeScanLane {
-            base: lane.base,
-            outboxes: ob_l,
-            per_node: pn_l,
-        },
-        MergeScanLane {
-            base: lane.base + mid,
-            outboxes: ob_r,
-            per_node: pn_r,
-        },
-    )
-}
-
-/// One chunk of the arena merge scan — exactly the serial sweep's per-node
-/// body (metrics batch, monotone-slot check, broadcast-table comparison),
-/// restricted to the chunk and accumulating into a local [`MergeAcc`].
-fn merge_scan_leaf<M: MessageSize>(
-    shared: MergeScanShared<'_>,
-    lane: MergeScanLane<'_, M>,
-) -> MergeAcc {
-    let mut acc = MergeAcc {
-        sent: 0,
-        monotone: true,
-        bcast: true,
-    };
-    for (i, (outbox, metrics)) in lane
-        .outboxes
-        .iter()
-        .zip(lane.per_node.iter_mut())
-        .enumerate()
-    {
-        let u = lane.base + i;
-        let expected =
-            &shared.bcast_slots[shared.bcast_bases[u] as usize..shared.bcast_bases[u + 1] as usize];
-        if outbox.is_empty() {
-            // A silent node breaks the everyone-broadcasts pattern
-            // (unless it has no neighbours to reach).
-            acc.bcast &= expected.is_empty();
-            continue;
-        }
-        acc.bcast &= outbox.sends.len() == expected.len();
-        let mut last_slot = u32::MAX;
-        for (j, &(slot, _)) in outbox.sends.iter().enumerate() {
-            acc.monotone &= last_slot == u32::MAX || slot > last_slot;
-            last_slot = slot;
-            if acc.bcast {
-                acc.bcast = expected[j] == slot;
-            }
-        }
-        let (count, bits, max_bits) = outbox_sizes(outbox, shared.id_bits);
-        metrics.record_batch(count, bits, max_bits);
-        acc.sent += count;
-    }
-    acc
-}
-
-/// Read-only geometry shared by every arena delivery lane.
-#[derive(Clone, Copy)]
-struct ArenaGeometry<'a> {
-    n: usize,
-    shards: usize,
-    senders: &'a SenderRanks,
-    /// Arena start of each shard's contiguous slice (`shards + 1`
-    /// entries; prefix over the shard-queue lengths).
-    bases: &'a [u32],
-    byz_adjacent: &'a [bool],
-}
-
-/// The contiguous span of shards one arena delivery worker owns: its
-/// queues, its destination range's offset/cursor/scratch slices, and its
-/// slice of the arena's parallel message arrays.
-struct ArenaLane<'a> {
-    first_shard: usize,
-    base_node: usize,
-    queues: &'a mut [Vec<Routed>],
-    /// Per-node span starts for `base_node..base_node + offsets.len()`.
-    offsets: &'a mut [u32],
-    /// Per-node span lengths, aligned with `offsets`.
-    lens: &'a mut [u32],
-    senders: &'a mut [NodeId],
-    refs: &'a mut [u32],
-    ranks: &'a mut [u32],
-    cursors: &'a mut [u32],
-    pos: &'a mut [Vec<u32>],
-    sort_counts: &'a mut [u32],
-}
-
-/// Halves an arena lane along its shard span (queues at the shard
-/// boundary, node-indexed slices at the destination-range boundary, and
-/// the message arrays at the shard-base boundary), or declares it a leaf
-/// when it covers a single shard.
-fn split_arena_lane<'a>(
-    geometry: ArenaGeometry<'_>,
-    lane: ArenaLane<'a>,
-) -> crate::pool::Split<ArenaLane<'a>> {
-    if lane.queues.len() <= 1 {
-        return crate::pool::Split::Leaf(lane);
-    }
-    let mid = lane.queues.len() / 2;
-    let split_shard = lane.first_shard + mid;
-    let split_node = shard_start(split_shard, geometry.n, geometry.shards);
-    let node_mid = split_node - lane.base_node;
-    let msg_mid = (geometry.bases[split_shard] - geometry.bases[lane.first_shard]) as usize;
-    let count_mid = geometry.senders.offset(split_node) - geometry.senders.offset(lane.base_node);
-    let (queue_l, queue_r) = lane.queues.split_at_mut(mid);
-    let (off_l, off_r) = lane.offsets.split_at_mut(node_mid);
-    let (len_l, len_r) = lane.lens.split_at_mut(node_mid);
-    let (send_l, send_r) = lane.senders.split_at_mut(msg_mid);
-    let (ref_l, ref_r) = lane.refs.split_at_mut(msg_mid);
-    let (rank_l, rank_r) = lane.ranks.split_at_mut(msg_mid);
-    let (cur_l, cur_r) = lane.cursors.split_at_mut(node_mid);
-    let (pos_l, pos_r) = lane.pos.split_at_mut(node_mid);
-    let (sc_l, sc_r) = lane.sort_counts.split_at_mut(count_mid);
-    let left = ArenaLane {
-        first_shard: lane.first_shard,
-        base_node: lane.base_node,
-        queues: queue_l,
-        offsets: off_l,
-        lens: len_l,
-        senders: send_l,
-        refs: ref_l,
-        ranks: rank_l,
-        cursors: cur_l,
-        pos: pos_l,
-        sort_counts: sc_l,
-    };
-    let right = ArenaLane {
-        first_shard: split_shard,
-        base_node: split_node,
-        queues: queue_r,
-        offsets: off_r,
-        lens: len_r,
-        senders: send_r,
-        refs: ref_r,
-        ranks: rank_r,
-        cursors: cur_r,
-        pos: pos_r,
-        sort_counts: sc_r,
-    };
-    crate::pool::Split::Fork(left, right)
-}
-
-/// One shard's arena delivery: count its queue per destination, prefix-sum
-/// from the shard's arena base into exact spans + cursors, scatter every
-/// queued message once into its final position in the parallel arrays, and
-/// counting-sort the Byzantine-adjacent spans. The queue arrives in merged
-/// order (pid-ordered honest traffic, then Byzantine emission order), so
-/// the stability argument is the unsharded path's.
-fn arena_lane_leaf(geometry: ArenaGeometry<'_>, lane: ArenaLane<'_>) {
-    let ArenaLane {
-        first_shard,
-        base_node,
-        queues,
-        offsets,
-        lens,
-        senders,
-        refs,
-        ranks,
-        cursors,
-        pos,
-        sort_counts,
-    } = lane;
-    let base_msg = geometry.bases[first_shard];
-    let end_msg = geometry.bases[first_shard + 1];
-    let queue = &mut queues[0];
-    debug_assert_eq!(queue.len() as u32, end_msg - base_msg);
-    // Count pass over this shard's queue.
-    for routed in queue.iter() {
-        cursors[routed.to.index() - base_node] += 1;
-    }
-    // Local prefix-sum placement from the shard's arena base.
-    let mut running = base_msg;
-    for ((offset, len), cursor) in offsets
-        .iter_mut()
-        .zip(lens.iter_mut())
-        .zip(cursors.iter_mut())
-    {
-        *offset = running;
-        let c = *cursor;
-        *len = c;
-        *cursor = running;
-        running += c;
-    }
-    debug_assert_eq!(running, end_msg);
-    // Scatter into final arena positions.
-    for routed in queue.drain(..) {
-        let v = routed.to.index();
-        let i = v - base_node;
-        let at = cursors[i];
-        cursors[i] = at + 1;
-        let local = (at - base_msg) as usize;
-        senders[local] = routed.sender;
-        refs[local] = routed.payload;
-        if geometry.byz_adjacent[v] {
-            ranks[local] = routed.rank;
-        }
-    }
-    // Re-zero the cursors for the next round's count.
-    for c in cursors.iter_mut() {
-        *c = 0;
-    }
-    // Counting sort where Byzantine traffic can interleave.
-    let base_count = geometry.senders.offset(base_node);
-    for i in 0..offsets.len() {
-        let v = base_node + i;
-        if !geometry.byz_adjacent[v] {
-            continue;
-        }
-        let o0 = (offsets[i] - base_msg) as usize;
-        let o1 = o0 + lens[i] as usize;
-        let c0 = geometry.senders.offset(v) - base_count;
-        let c1 = geometry.senders.offset(v + 1) - base_count;
-        finish_inbox_soa(
-            &mut senders[o0..o1],
-            &mut refs[o0..o1],
-            &ranks[o0..o1],
-            &mut pos[i],
-            &mut sort_counts[c0..c1],
-        );
-    }
-}
-
-/// Read-only inputs shared by every owner-computes fast delivery lane:
-/// the static placement tables plus the round's traffic sources, all
-/// scanned concurrently by every lane.
-struct ArenaFastGeometry<'a, M> {
-    n: usize,
-    shards: usize,
-    /// Total arena slots (`degree_sum`) — the span bound past the last
-    /// node, where [`ArenaFastGeometry::deg_offsets`] has no entry.
-    slot_total: u32,
-    deg_offsets: &'a [u32],
-    senders: &'a SenderRanks,
-    byz_adjacent: &'a [bool],
-    pid_order: &'a [u32],
-    /// The outboxes, read for their send references only (their payloads
-    /// already moved to the store).
-    outboxes: &'a [Outbox<M>],
-    /// Per node, the store index its payloads were moved to.
-    payload_bases: &'a [u32],
-    delivery_map: &'a DeliveryMap,
-    /// The Byzantine traffic, read for its routing only: message `i`'s
-    /// payload goes to store index `byz_base + i` after the lanes.
-    byz_outgoing: &'a [(NodeId, NodeId, M)],
-    byz_ranks: &'a [u32],
-    byz_base: u32,
-    restore_offsets: bool,
-}
-
-// Manual impls: `derive` would demand `M: Copy`, but only references to
-// `M` are held.
-impl<M> Clone for ArenaFastGeometry<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for ArenaFastGeometry<'_, M> {}
-
-impl<M> ArenaFastGeometry<'_, M> {
-    /// Arena slot where node `v`'s span starts; `v == n` maps to the end
-    /// of the arena (empty trailing shards split there).
-    fn slot_base(&self, v: usize) -> u32 {
-        self.deg_offsets.get(v).copied().unwrap_or(self.slot_total)
-    }
-}
-
-/// The contiguous span of shards one owner-computes fast lane owns: its
-/// destination range's offset/len slices, its slice of the arena's
-/// parallel message arrays, and its sort scratch.
-struct ArenaFastLane<'a> {
-    first_shard: usize,
-    shard_count: usize,
-    base_node: usize,
-    offsets: &'a mut [u32],
-    lens: &'a mut [u32],
-    senders: &'a mut [NodeId],
-    refs: &'a mut [u32],
-    ranks: &'a mut [u32],
-    pos: &'a mut [Vec<u32>],
-    sort_counts: &'a mut [u32],
-}
-
-/// Halves an owner-computes lane along its shard span (node-indexed
-/// slices at the destination-range boundary, message arrays at the
-/// degree-prefix boundary), or declares it a leaf at a single shard.
-fn split_arena_fast_lane<'a, M>(
-    geometry: ArenaFastGeometry<'_, M>,
-    lane: ArenaFastLane<'a>,
-) -> crate::pool::Split<ArenaFastLane<'a>> {
-    if lane.shard_count <= 1 {
-        return crate::pool::Split::Leaf(lane);
-    }
-    let mid = lane.shard_count / 2;
-    let split_shard = lane.first_shard + mid;
-    let split_node = shard_start(split_shard, geometry.n, geometry.shards);
-    let node_mid = split_node - lane.base_node;
-    let msg_mid = (geometry.slot_base(split_node) - geometry.slot_base(lane.base_node)) as usize;
-    let count_mid = geometry.senders.offset(split_node) - geometry.senders.offset(lane.base_node);
-    let (off_l, off_r) = lane.offsets.split_at_mut(node_mid);
-    let (len_l, len_r) = lane.lens.split_at_mut(node_mid);
-    let (send_l, send_r) = lane.senders.split_at_mut(msg_mid);
-    let (ref_l, ref_r) = lane.refs.split_at_mut(msg_mid);
-    let (rank_l, rank_r) = lane.ranks.split_at_mut(msg_mid);
-    let (pos_l, pos_r) = lane.pos.split_at_mut(node_mid);
-    let (sc_l, sc_r) = lane.sort_counts.split_at_mut(count_mid);
-    let left = ArenaFastLane {
-        first_shard: lane.first_shard,
-        shard_count: mid,
-        base_node: lane.base_node,
-        offsets: off_l,
-        lens: len_l,
-        senders: send_l,
-        refs: ref_l,
-        ranks: rank_l,
-        pos: pos_l,
-        sort_counts: sc_l,
-    };
-    let right = ArenaFastLane {
-        first_shard: split_shard,
-        shard_count: lane.shard_count - mid,
-        base_node: split_node,
-        offsets: off_r,
-        lens: len_r,
-        senders: send_r,
-        refs: ref_r,
-        ranks: rank_r,
-        pos: pos_r,
-        sort_counts: sc_r,
-    };
-    crate::pool::Split::Fork(left, right)
-}
-
-/// One owner-computes fast lane: restore/zero its spans, scan all
-/// outboxes in pid order writing the references of the messages destined
-/// for its range, append its slice of the Byzantine traffic, and
-/// counting-sort its Byzantine-adjacent spans. Per-destination output is
-/// exactly the unsharded fast scatter's.
-fn arena_fast_lane_leaf<M>(geometry: ArenaFastGeometry<'_, M>, lane: ArenaFastLane<'_>) {
-    let ArenaFastLane {
-        first_shard: _,
-        shard_count: _,
-        base_node,
-        offsets,
-        lens,
-        senders,
-        refs,
-        ranks,
-        pos,
-        sort_counts,
-    } = lane;
-    let lo = base_node;
-    let hi = base_node + offsets.len();
-    if lo == hi {
-        return;
-    }
-    let base_msg = geometry.deg_offsets[lo];
-    if geometry.restore_offsets {
-        offsets.copy_from_slice(&geometry.deg_offsets[lo..hi]);
-    }
-    for len in lens.iter_mut() {
-        *len = 0;
-    }
-    // Honest traffic in increasing-pid order, range-filtered.
-    for &u in geometry.pid_order {
-        let u = u as usize;
-        let outbox = &geometry.outboxes[u];
-        if outbox.is_empty() {
-            continue;
-        }
-        let sender = NodeId(u as u32);
-        let targets = geometry.delivery_map.targets_of(u);
-        let pbase = geometry.payload_bases[u];
-        for &(slot, payload) in &outbox.sends {
-            let target = targets[slot as usize];
-            let v = target.to.index();
-            if v < lo || v >= hi {
-                continue;
-            }
-            let i = v - lo;
-            let len = lens[i];
-            lens[i] = len + 1;
-            let at = (offsets[i] + len - base_msg) as usize;
-            senders[at] = sender;
-            refs[at] = pbase + payload;
-            if geometry.byz_adjacent[v] {
-                ranks[at] = target.rank;
-            }
-        }
-    }
-    // ...then the Byzantine traffic in emission order.
-    for (b, ((from, to, _), &rank)) in geometry
-        .byz_outgoing
-        .iter()
-        .zip(geometry.byz_ranks)
-        .enumerate()
-    {
-        let v = to.index();
-        if v < lo || v >= hi {
-            continue;
-        }
-        let i = v - lo;
-        let len = lens[i];
-        lens[i] = len + 1;
-        let at = (offsets[i] + len - base_msg) as usize;
-        senders[at] = *from;
-        refs[at] = geometry.byz_base + b as u32;
-        ranks[at] = rank;
-    }
-    // Counting sort where Byzantine traffic can interleave.
-    let base_count = geometry.senders.offset(lo);
-    for i in 0..offsets.len() {
-        let v = lo + i;
-        if !geometry.byz_adjacent[v] {
-            continue;
-        }
-        let o0 = (offsets[i] - base_msg) as usize;
-        let o1 = o0 + lens[i] as usize;
-        let c0 = geometry.senders.offset(v) - base_count;
-        let c1 = geometry.senders.offset(v + 1) - base_count;
-        finish_inbox_soa(
-            &mut senders[o0..o1],
-            &mut refs[o0..o1],
-            &ranks[o0..o1],
-            &mut pos[i],
-            &mut sort_counts[c0..c1],
-        );
-    }
 }
 
 /// Runs one node's round against its own state slices. Shared between the

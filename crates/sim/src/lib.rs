@@ -23,10 +23,10 @@
 //!   send `O(log n)`-bit messages).
 //!
 //! Execution is deterministic whatever the schedule: with the `parallel`
-//! feature the honest compute phase, the merge's metrics scan, and the
-//! autotuned sharded delivery lanes fan out over a work-stealing pool
-//! through the order-stable helpers in [`pool`], and transcripts stay
-//! bit-identical to the serial path at every pool size (the module docs
+//! feature the honest compute phase fans out over a work-stealing pool
+//! through the helpers in [`pool`] while the merge and delivery stay
+//! serial, and transcripts stay bit-identical to the serial path at every
+//! pool size (the module docs
 //! on [`engine`] describe the message plane; the crate's unit tests diff
 //! it round by round against a literal reference executor, and the
 //! determinism and zero-allocation test suites enforce the rest).

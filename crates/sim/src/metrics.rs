@@ -27,9 +27,9 @@ impl NodeMetrics {
 
     /// Records a whole outbox worth of sends at once — numerically
     /// identical to `count` [`NodeMetrics::record`] calls whose sizes sum
-    /// to `bits` with maximum `max_bits`. The outbox feed's merge scan
-    /// accumulates per node in registers and commits once, keeping the per-message loop
-    /// free of read-modify-write traffic on this struct.
+    /// to `bits` with maximum `max_bits`. The merge accumulates per node
+    /// in registers and commits once, keeping the per-message loop free of
+    /// read-modify-write traffic on this struct.
     pub(crate) fn record_batch(&mut self, count: u64, bits: u64, max_bits: u64) {
         self.messages_sent += count;
         self.bits_sent += bits;

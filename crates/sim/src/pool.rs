@@ -1,7 +1,7 @@
 //! Fork-join helpers over the (optionally pooled) `rayon` runtime.
 //!
-//! The engine's compute and delivery lanes, and the bench crate's
-//! scenario-matrix fanout, all share the same shape: recursively split a
+//! The engine's honest compute lanes and the bench crate's
+//! scenario-matrix fanout share the same shape: recursively split a
 //! chunk of work in two, forking the halves onto worker threads, until the
 //! chunks are small enough to run serially. These helpers capture that
 //! shape once, built **only** on `rayon::join` — so they work identically
@@ -62,60 +62,6 @@ where
         Split::Fork(left, right) => {
             for_each_split(left, _parallel, split, leaf);
             for_each_split(right, _parallel, split, leaf);
-        }
-    }
-}
-
-/// Recursively splits `lane` via `split` like [`for_each_split`], but each
-/// leaf **returns a value** and sibling results are folded with `combine`
-/// — always left-before-right, whatever the scheduling, so the fold order
-/// (and therefore the result, even for non-commutative combines) is
-/// identical between the serial and parallel executions. This is how the
-/// engine's per-worker accumulators (metrics sums, monotonicity flags)
-/// merge deterministically at round end.
-#[cfg(feature = "parallel")]
-pub fn map_split<L, R, S, F, C>(lane: L, parallel: bool, split: &S, leaf: &F, combine: &C) -> R
-where
-    L: Send,
-    R: Send,
-    S: Fn(L) -> Split<L> + Sync,
-    F: Fn(L) -> R + Sync,
-    C: Fn(R, R) -> R + Sync,
-{
-    match split(lane) {
-        Split::Leaf(lane) => leaf(lane),
-        Split::Fork(left, right) => {
-            if parallel {
-                let (a, b) = rayon::join(
-                    || map_split(left, true, split, leaf, combine),
-                    || map_split(right, true, split, leaf, combine),
-                );
-                combine(a, b)
-            } else {
-                let a = map_split(left, false, split, leaf, combine);
-                let b = map_split(right, false, split, leaf, combine);
-                combine(a, b)
-            }
-        }
-    }
-}
-
-/// Sequential fallback of [`map_split`] (no `parallel` feature): same
-/// signature minus the thread-safety bounds, the fold strictly
-/// left-to-right.
-#[cfg(not(feature = "parallel"))]
-pub fn map_split<L, R, S, F, C>(lane: L, _parallel: bool, split: &S, leaf: &F, combine: &C) -> R
-where
-    S: Fn(L) -> Split<L>,
-    F: Fn(L) -> R,
-    C: Fn(R, R) -> R,
-{
-    match split(lane) {
-        Split::Leaf(lane) => leaf(lane),
-        Split::Fork(left, right) => {
-            let a = map_split(left, _parallel, split, leaf, combine);
-            let b = map_split(right, _parallel, split, leaf, combine);
-            combine(a, b)
         }
     }
 }
@@ -209,29 +155,6 @@ mod tests {
             assert_eq!(base, 0);
             assert_eq!(chunk.len(), 3);
         });
-    }
-
-    #[test]
-    fn map_split_folds_left_to_right() {
-        // A non-commutative combine (string concatenation) proves the
-        // fold order is the in-order traversal regardless of scheduling.
-        for parallel in [false, true] {
-            let folded = map_split(
-                0usize..8,
-                parallel,
-                &|range: std::ops::Range<usize>| {
-                    if range.len() <= 1 {
-                        Split::Leaf(range)
-                    } else {
-                        let mid = range.start + range.len() / 2;
-                        Split::Fork(range.start..mid, mid..range.end)
-                    }
-                },
-                &|range: std::ops::Range<usize>| range.start.to_string(),
-                &|a: String, b: String| a + &b,
-            );
-            assert_eq!(folded, "01234567", "parallel={parallel}");
-        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub trait Protocol {
     /// not.
     ///
     /// Declaring it licenses the engine's active-set schedule (on its
-    /// single-shard outbox feed; see [`crate::engine`]): the engine keeps
+    /// outbox feed; see [`crate::engine`]): the engine keeps
     /// an active set of nodes with pending traffic and skips the rest of
     /// the network entirely, making round cost scale with traffic
     /// instead of `n`. The declaration is a *promise* — release builds
@@ -108,6 +108,7 @@ impl<M> Outbox<M> {
     }
 
     /// Empties both planes, keeping their capacity.
+    #[cfg(any(test, feature = "bench-probes"))]
     pub(crate) fn clear(&mut self) {
         self.sends.clear();
         self.payloads.clear();

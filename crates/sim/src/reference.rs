@@ -7,7 +7,7 @@
 //! stream; hands the rushing adversary that flat vector; and delivers by
 //! stable-sorting each inbox by sender [`Pid`]. It uses none of the
 //! engine's delivery machinery — no delivery map, sender ranks, arena,
-//! feeds, shards, or active set — so agreement inbox by inbox at every
+//! feeds, or active set — so agreement inbox by inbox at every
 //! round is evidence that all of that machinery is transparent.
 
 use std::borrow::Borrow;

@@ -338,9 +338,8 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 }
 
 /// Pool-size invariance against the reference: the parallel engine
-/// (sharded outbox feed once two or more workers exist, parallel compute
-/// and merge scan on both feeds) inside explicit pools of 1, 4, and 8
-/// workers. Without the `parallel` feature the flag is a no-op and this
+/// (parallel honest compute on both feeds) inside explicit pools of 1, 4,
+/// and 8 workers. Without the `parallel` feature the flag is a no-op and this
 /// checks the serial engine.
 #[test]
 fn parallel_engine_matches_reference_at_every_pool_size() {
@@ -431,8 +430,8 @@ impl Protocol for MixedSends {
 }
 
 /// [`MixedSends`] on both feeds — the outbox feed with and without
-/// Byzantine nodes (broadcast table, degree-presized, two-pass; sharded
-/// lanes from four workers up) and the flat feed with an observing
+/// Byzantine nodes (broadcast table, degree-presized, two-pass) and the
+/// flat feed with an observing
 /// adversary and under a fault plan — in pools of 1, 4, and 8 workers.
 /// The torus has no parallel edges, so its even rounds match the
 /// broadcast table's slots exactly (on a multigraph `send` may resolve a

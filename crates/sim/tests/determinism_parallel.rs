@@ -4,10 +4,8 @@
 //! across seeds, topologies, both message-plane feeds, **and worker-pool
 //! sizes** 1, 2, 4, and 8.
 //!
-//! `SimConfig::parallel` fans the honest compute phase and the merge's
-//! metrics scan out over the pool and, on the outbox feed, shards
-//! delivery (the shard count autotunes to the pool width, so a one-worker
-//! pool keeps a single shard). `NoisyEcho` declares
+//! `SimConfig::parallel` fans the honest compute phase out over the pool;
+//! the merge and delivery stay serial on both feeds. `NoisyEcho` declares
 //! `observes_traffic() == false` and so runs the outbox feed; `NoisyRusher`
 //! reads the in-flight honest traffic and so runs the flat feed. The same
 //! workload shapes are also diffed round by round against the crate's
@@ -177,8 +175,8 @@ fn parallel_matches_serial_without_byzantine_nodes() {
 
 /// Pool-size invariance: both feeds, executed inside explicit worker
 /// pools of size 1 (degenerate — every `join` inlines), 2, 4, and 8 (more
-/// workers than the shard autotune will hand out on this graph, so some
-/// deques stay starved), must reproduce the serial transcript
+/// workers than the compute phase's 64-node leaves can occupy on this
+/// graph, so some deques stay starved), must reproduce the serial transcript
 /// bit-for-bit. Combined with the CI matrix (`BCOUNT_POOL_THREADS` ∈
 /// {1, 4, 8} over the whole workspace) this pins the pool's degenerate,
 /// concurrent, and oversubscribed configurations.
@@ -268,11 +266,11 @@ fn run_relay(g: &Graph, byz: &[NodeId], seed: u64, parallel: bool) -> (SimReport
     (sim.run(), sparse)
 }
 
-/// The active-set schedule across pool sizes: serially (and in a
-/// one-worker pool) the quiescent relay runs sparse; with four workers
-/// under the `parallel` feature the outbox feed shards and the dense
-/// schedule runs instead. Every combination reproduces the serial sparse
-/// transcript, per-round decided/halted census included.
+/// The active-set schedule across pool sizes: the quiescent relay on the
+/// outbox feed runs sparse serially and under `parallel: true` in pools
+/// of one and four workers alike (the schedule follows from the feed and
+/// the protocol, never from the pool). Every combination reproduces the
+/// serial sparse transcript, per-round decided/halted census included.
 #[test]
 fn sparse_schedule_is_pool_size_invariant() {
     for seed in [3u64, 0xBEEF] {
@@ -291,7 +289,11 @@ fn sparse_schedule_is_pool_size_invariant() {
                 .build()
                 .expect("build test pool");
             pool.install(|| {
-                let (pooled, _) = run_relay(&g, &byz, seed, true);
+                let (pooled, sparse) = run_relay(&g, &byz, seed, true);
+                assert!(
+                    sparse,
+                    "the pooled outbox feed runs the active-set schedule ({threads} workers)"
+                );
                 assert_identical(&serial, &pooled);
             });
         }

@@ -5,8 +5,8 @@
 //!
 //! * On the outbox feed, rounds of full broadcasts clone no payload — on
 //!   the broadcast-table, degree-presized, two-pass and active-set paths,
-//!   and (with the `parallel` feature) the owner-computes and queued
-//!   delivery lanes at pool widths 1 and 4.
+//!   and (with the `parallel` feature) behind the parallel honest compute
+//!   at pool widths 1 and 4.
 //! * On the flat feed under a drop/duplicate/delay plan, the only clones
 //!   are the delayed messages' copies: clones equal [`Metrics::delayed`].
 
@@ -166,9 +166,9 @@ fn outbox_feed_broadcasts_clone_no_payload() {
         let (clones, metrics) = flood(&g, byz, shape, config(false, 12));
         assert!(metrics.total_messages(0..g.len()) > 0);
         assert_eq!(clones, 0, "{shape:?} with {} Byzantine", byz.len());
-        // Pools of 1 and 4 workers: with four, H(256, 8)'s 2048 slots
-        // make four shards, so monotone rounds run the owner-computes
-        // lanes and non-monotone ones the queued lanes.
+        // Pools of 1 and 4 workers: the honest compute fans out over the
+        // pool, and the serial delivery paths above must still move, not
+        // clone, what the compute lanes stored.
         for threads in [1, 4] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)

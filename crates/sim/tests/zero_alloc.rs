@@ -332,11 +332,9 @@ fn assert_zero_alloc_two_pass() {
 /// The parallel engine's steady state must be allocation-free in the
 /// shape the allocator counter can actually observe: a **size-1
 /// installed pool** with `parallel: true`. Every `join` inlines (the
-/// pool's size-1 guarantee — no job boxing), the merge's per-worker
-/// accumulators live on the stack, the chunked metrics scan splits
-/// borrow disjoint windows of existing buffers, and the autotuned shard
-/// count collapses to 1 so delivery takes the unsharded outbox feed.
-/// Multi-worker pools inherently heap-allocate at the fork boundary, so
+/// pool's size-1 guarantee — no job boxing), the compute lanes borrow
+/// disjoint windows of existing buffers, and the merge and delivery are
+/// the serial outbox feed's. Multi-worker pools inherently heap-allocate at the fork boundary, so
 /// this is the strongest zero-alloc statement the parallel path admits. Without the `parallel` feature the flag is
 /// a no-op and the case degenerates to the serial run.
 fn assert_zero_alloc_parallel_merge() {

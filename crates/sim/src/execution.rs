@@ -237,11 +237,6 @@ where
         }
     }
 
-    /// Wraps an already-constructed engine.
-    pub fn from_simulation(sim: Simulation<G, P, A>) -> Self {
-        Execution { sim }
-    }
-
     /// Current round (0 before the first step).
     pub fn round(&self) -> u64 {
         self.sim.round()
@@ -304,12 +299,6 @@ where
     /// Node `u`'s delivered inbox view; see [`Simulation::inbox`].
     pub fn inbox(&self, u: NodeId) -> Inbox<'_, P::Message> {
         self.sim.inbox(u)
-    }
-
-    /// Whether the active-set schedule is live; see
-    /// [`Simulation::sparse_schedule_active`].
-    pub fn sparse_schedule_active(&self) -> bool {
-        self.sim.sparse_schedule_active()
     }
 
     /// Aggregate snapshot of the current state. `raw` lowers a node's

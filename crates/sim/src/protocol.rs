@@ -23,24 +23,6 @@ pub trait Protocol {
     /// The value the node irrevocably decides.
     type Output: Clone;
 
-    /// Declares the protocol **quiescent on silence**: in every round
-    /// after the first, a node whose inbox is empty does nothing —
-    /// [`Protocol::on_round`] sends no messages, changes no state, draws
-    /// no randomness, and flips neither [`Protocol::output`] nor
-    /// [`Protocol::has_halted`]. Event-driven protocols (token passing,
-    /// frontier floods, convergecasts) satisfy this; anything that counts
-    /// silent rounds (stability timers) or sends unconditionally does
-    /// not.
-    ///
-    /// Declaring it licenses the engine's active-set schedule (on its
-    /// outbox feed; see [`crate::engine`]): the engine keeps
-    /// an active set of nodes with pending traffic and skips the rest of
-    /// the network entirely, making round cost scale with traffic
-    /// instead of `n`. The declaration is a *promise* — release builds
-    /// trust it, debug builds check it whenever a silent round is driven
-    /// on the dense schedule. Defaults to `false` (the dense schedule).
-    const QUIESCENT_ON_SILENCE: bool = false;
-
     /// Executes one synchronous round.
     fn on_round(&mut self, ctx: &mut NodeContext<'_, Self::Message>);
 
@@ -92,13 +74,12 @@ pub(crate) struct Outbox<M> {
 }
 
 impl<M> Outbox<M> {
-    /// An empty outbox with room for `sends` send references and
-    /// `payloads` payloads (zero leaves the payload plane unallocated until
-    /// the node first sends).
-    pub(crate) fn with_capacity(sends: usize, payloads: usize) -> Self {
+    /// An empty outbox with room for `sends` send references; the payload
+    /// plane stays unallocated until the node first sends.
+    pub(crate) fn with_capacity(sends: usize) -> Self {
         Outbox {
             sends: Vec::with_capacity(sends),
-            payloads: Vec::with_capacity(payloads),
+            payloads: Vec::new(),
         }
     }
 
@@ -234,7 +215,7 @@ mod tests {
     fn broadcast_dedups_multi_edges() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(1), Pid(1), Pid(2)];
-        let mut out = Outbox::with_capacity(0, 0);
+        let mut out = Outbox::with_capacity(0);
         let mut c = ctx(&neighbors, EMPTY, &mut rng, &mut out);
         c.broadcast(7);
         // One send per *distinct* neighbour, addressed by slot, all
@@ -247,7 +228,7 @@ mod tests {
     fn send_resolves_neighbor_slots() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(10), Pid(20), Pid(30)];
-        let mut out = Outbox::with_capacity(0, 0);
+        let mut out = Outbox::with_capacity(0);
         let mut c = ctx(&neighbors, EMPTY, &mut rng, &mut out);
         c.send(Pid(30), 1);
         c.send(Pid(10), 2);
@@ -260,7 +241,7 @@ mod tests {
     fn heard_from_checks_inbox() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(1)];
-        let mut out = Outbox::with_capacity(0, 0);
+        let mut out = Outbox::with_capacity(0);
         let c = ctx(
             &neighbors,
             (&[NodeId(0)], &[Pid(1)], &[0], &[9u8]),
@@ -279,7 +260,7 @@ mod tests {
     fn send_rejects_strangers() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(1)];
-        let mut out = Outbox::with_capacity(0, 0);
+        let mut out = Outbox::with_capacity(0);
         let mut c = ctx(&neighbors, EMPTY, &mut rng, &mut out);
         c.send(Pid(9), 1);
     }
@@ -290,7 +271,7 @@ mod tests {
         // survives and is reused by the next round's context.
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let neighbors = [Pid(1), Pid(2), Pid(3)];
-        let mut out = Outbox::with_capacity(0, 0);
+        let mut out = Outbox::with_capacity(0);
         ctx(&neighbors, EMPTY, &mut rng, &mut out).broadcast(1);
         out.clear();
         let cap = (out.sends.capacity(), out.payloads.capacity());

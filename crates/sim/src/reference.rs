@@ -6,9 +6,9 @@
 //! as `(from, to, msg)` in node order; applies the fault plan from its own
 //! stream; hands the rushing adversary that flat vector; and delivers by
 //! stable-sorting each inbox by sender [`Pid`]. It uses none of the
-//! engine's delivery machinery — no delivery map, sender ranks, arena,
-//! feeds, or active set — so agreement inbox by inbox at every
-//! round is evidence that all of that machinery is transparent.
+//! engine's delivery machinery — no delivery map, sender ranks, arena, or
+//! feeds — so agreement inbox by inbox at every round is evidence that
+//! all of that machinery is transparent.
 
 use std::borrow::Borrow;
 use std::fmt::Debug;
@@ -152,7 +152,7 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
             pids: &self.pids,
         };
         let mut outboxes: Vec<Outbox<P::Message>> =
-            (0..n).map(|_| Outbox::with_capacity(0, 0)).collect();
+            (0..n).map(|_| Outbox::with_capacity(0)).collect();
         for (u, outgoing) in outboxes.iter_mut().enumerate() {
             if self.is_byzantine[u] || self.crashed[u] || self.halted[u] {
                 continue;

@@ -96,10 +96,10 @@ impl Protocol for SprayFlood {
     }
 }
 
-/// An event-driven relay declaring [`Protocol::QUIESCENT_ON_SILENCE`]:
-/// sources launch a TTL-stamped wave in round 1, and afterwards a node
-/// acts only on a non-empty inbox, so the active set really shrinks
-/// between the adversary's injections.
+/// An event-driven relay: sources launch a TTL-stamped wave in round 1,
+/// and afterwards a node acts only on a non-empty inbox, so most outboxes
+/// stay empty between the adversary's injections and no round is a
+/// broadcast round.
 #[derive(Debug, Clone)]
 struct FrontierRelay {
     source: bool,
@@ -110,7 +110,6 @@ struct FrontierRelay {
 impl Protocol for FrontierRelay {
     type Message = Pid;
     type Output = u64;
-    const QUIESCENT_ON_SILENCE: bool = true;
 
     fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
         if ctx.round() == 1 {
@@ -241,7 +240,7 @@ fn engine_matches_reference_across_graphs_and_adversaries() {
 }
 
 #[test]
-fn quiescent_relay_matches_reference_on_both_schedules() {
+fn frontier_relay_matches_reference_on_both_feeds() {
     for seed in [3u64, 0xBEEF] {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = hnd(192, 8, &mut rng).unwrap();
@@ -250,24 +249,20 @@ fn quiescent_relay_matches_reference_on_both_schedules() {
             stop_when: StopWhen::MaxRoundsOnly,
             ..config(seed, 60)
         };
-        // BeaconSpam leaves the outbox feed licensed: the sparse schedule
-        // drives only the active set (and its two-pass overflow path)...
+        // BeaconSpam leaves the outbox feed licensed (with its two-pass
+        // overflow path)...
         let mut engine = Simulation::new(&g, &byz, relay, BeaconSpam, cfg.clone());
-        assert!(engine.sparse_schedule_active());
         let mut reference = Reference::new(&g, &byz, relay, BeaconSpam, cfg.clone());
         assert_lockstep(&mut engine, &mut reference);
-        // ...while an observing adversary selects the flat feed and with
-        // it the dense schedule.
+        // ...while an observing adversary selects the flat feed.
         let mut engine = Simulation::new(&g, &byz, relay, Rusher, cfg.clone());
-        assert!(!engine.sparse_schedule_active());
         let mut reference = Reference::new(&g, &byz, relay, Rusher, cfg);
         assert_lockstep(&mut engine, &mut reference);
     }
 }
 
-/// A quiescent relay that halts after its one action: the sparse
-/// schedule's counter-driven stop check must fire on the reference's
-/// round.
+/// A relay that halts after its one action: the engine's stop check must
+/// fire on the reference's round.
 #[derive(Debug, Clone)]
 struct RelayOnceThenHalt {
     source: bool,
@@ -277,7 +272,6 @@ struct RelayOnceThenHalt {
 impl Protocol for RelayOnceThenHalt {
     type Message = Pid;
     type Output = u64;
-    const QUIESCENT_ON_SILENCE: bool = true;
 
     fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
         let fire = if ctx.round() == 1 {
@@ -301,7 +295,7 @@ impl Protocol for RelayOnceThenHalt {
 }
 
 #[test]
-fn sparse_stop_condition_matches_reference() {
+fn halting_relay_stop_matches_reference() {
     let g = cycle(33).unwrap();
     let factory = |u: NodeId, _: &NodeInit| RelayOnceThenHalt {
         source: u.index() == 0,
@@ -354,7 +348,7 @@ fn parallel_engine_matches_reference_at_every_pool_size() {
         fault: chaos_plan(42),
         ..cfg.clone()
     };
-    let sparse = SimConfig {
+    let fixed_budget = SimConfig {
         stop_when: StopWhen::MaxRoundsOnly,
         ..cfg.clone()
     };
@@ -374,10 +368,10 @@ fn parallel_engine_matches_reference_at_every_pool_size() {
                 &byz,
                 |_, _| SprayFlood { acc: 1 },
                 || BeaconSpam,
-                sparse.clone(),
+                fixed_budget.clone(),
             );
             check(&g, &byz, jitter(25), || BeaconSpam, faulty.clone());
-            check(&g, &byz, relay, || BeaconSpam, sparse.clone());
+            check(&g, &byz, relay, || BeaconSpam, fixed_budget.clone());
         });
     }
 }

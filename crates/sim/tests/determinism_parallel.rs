@@ -199,13 +199,12 @@ fn parallel_is_pool_size_invariant() {
     }
 }
 
-/// An event-driven relay declaring [`Protocol::QUIESCENT_ON_SILENCE`]:
-/// outside round 1 it acts **only** when its inbox holds traffic.
-/// Sources seed a TTL-stamped wave in round 1; receivers fold randomness
-/// into their state, decrement the TTL, and relay, so activity decays
-/// between the adversary's injections and the active set genuinely
-/// shrinks. The TTL is clamped so the adversary's random 64-bit fakes
-/// cannot flood the network forever.
+/// An event-driven relay: outside round 1 it acts **only** when its
+/// inbox holds traffic. Sources seed a TTL-stamped wave in round 1;
+/// receivers fold randomness into their state, decrement the TTL, and
+/// relay, so activity decays between the adversary's injections and most
+/// nodes are silent in most rounds. The TTL is clamped so the adversary's
+/// random 64-bit fakes cannot flood the network forever.
 #[derive(Debug, Clone)]
 struct FrontierRelay {
     source: bool,
@@ -216,7 +215,6 @@ struct FrontierRelay {
 impl Protocol for FrontierRelay {
     type Message = Pid;
     type Output = u64;
-    const QUIESCENT_ON_SILENCE: bool = true;
 
     fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
         if ctx.round() == 1 {
@@ -243,8 +241,8 @@ impl Protocol for FrontierRelay {
     }
 }
 
-fn run_relay(g: &Graph, byz: &[NodeId], seed: u64, parallel: bool) -> (SimReport<u64>, bool) {
-    let mut sim = Simulation::new(
+fn run_relay(g: &Graph, byz: &[NodeId], seed: u64, parallel: bool) -> SimReport<u64> {
+    Simulation::new(
         g,
         byz,
         |u, init| FrontierRelay {
@@ -261,27 +259,21 @@ fn run_relay(g: &Graph, byz: &[NodeId], seed: u64, parallel: bool) -> (SimReport
             parallel,
             ..SimConfig::default()
         },
-    );
-    let sparse = sim.sparse_schedule_active();
-    (sim.run(), sparse)
+    )
+    .run()
 }
 
-/// The active-set schedule across pool sizes: the quiescent relay on the
-/// outbox feed runs sparse serially and under `parallel: true` in pools
-/// of one and four workers alike (the schedule follows from the feed and
-/// the protocol, never from the pool). Every combination reproduces the
-/// serial sparse transcript, per-round decided/halted census included.
+/// The event-driven relay on the outbox feed, with most outboxes empty
+/// in most rounds: `parallel: true` in pools of one and four workers
+/// reproduces the serial transcript, per-round decided/halted census
+/// included.
 #[test]
-fn sparse_schedule_is_pool_size_invariant() {
+fn frontier_relay_is_pool_size_invariant() {
     for seed in [3u64, 0xBEEF] {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = hnd(192, 8, &mut rng).unwrap();
         let byz = [NodeId(2), NodeId(90)];
-        let (serial, sparse) = run_relay(&g, &byz, seed, false);
-        assert!(
-            sparse,
-            "the serial outbox feed runs the active-set schedule"
-        );
+        let serial = run_relay(&g, &byz, seed, false);
         assert_eq!(serial.rounds, 60, "fixed-budget run");
         for threads in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -289,11 +281,7 @@ fn sparse_schedule_is_pool_size_invariant() {
                 .build()
                 .expect("build test pool");
             pool.install(|| {
-                let (pooled, sparse) = run_relay(&g, &byz, seed, true);
-                assert!(
-                    sparse,
-                    "the pooled outbox feed runs the active-set schedule ({threads} workers)"
-                );
+                let pooled = run_relay(&g, &byz, seed, true);
                 assert_identical(&serial, &pooled);
             });
         }

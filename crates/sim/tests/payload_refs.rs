@@ -4,9 +4,10 @@
 //! own clones.
 //!
 //! * On the outbox feed, rounds of full broadcasts clone no payload — on
-//!   the broadcast-table, degree-presized, two-pass and active-set paths,
-//!   and (with the `parallel` feature) behind the parallel honest compute
-//!   at pool widths 1 and 4.
+//!   the broadcast-table, degree-presized and two-pass paths, under an
+//!   event-driven relay whose nodes first send late, and (with the
+//!   `parallel` feature) behind the parallel honest compute at pool widths
+//!   1 and 4.
 //! * On the flat feed under a drop/duplicate/delay plan, the only clones
 //!   are the delayed messages' copies: clones equal [`Metrics::delayed`].
 
@@ -79,9 +80,9 @@ impl Protocol for Flood {
     }
 }
 
-/// An event-driven relay on the active-set schedule: a source broadcasts
-/// in round 1, and a node that hears something re-broadcasts it with its
-/// TTL decremented.
+/// An event-driven relay: a source broadcasts in round 1, and a node that
+/// hears something re-broadcasts it with its TTL decremented, so most
+/// nodes first send many rounds in.
 #[derive(Debug)]
 struct Relay {
     source: bool,
@@ -90,7 +91,6 @@ struct Relay {
 impl Protocol for Relay {
     type Message = Counted;
     type Output = ();
-    const QUIESCENT_ON_SILENCE: bool = true;
 
     fn on_round(&mut self, ctx: &mut NodeContext<'_, Counted>) {
         if ctx.round() == 1 {
@@ -181,7 +181,7 @@ fn outbox_feed_broadcasts_clone_no_payload() {
 }
 
 #[test]
-fn active_set_schedule_clones_no_payload() {
+fn event_driven_relay_clones_no_payload() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let g = cycle(64).unwrap();
     let sim = Simulation::new(
@@ -193,7 +193,6 @@ fn active_set_schedule_clones_no_payload() {
         NullAdversary,
         config(false, 30),
     );
-    assert!(sim.sparse_schedule_active());
     let (clones, metrics) = clones_over(sim, 30);
     assert!(metrics.total_messages(0..g.len()) > 0);
     assert_eq!(clones, 0);

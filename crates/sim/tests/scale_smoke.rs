@@ -1,9 +1,9 @@
 //! Large-`n` smoke test for the scale tier: builds an H(n, 8) random
 //! regular graph at n = 65536 through the streaming CSR path, runs a few
-//! rounds through the compact-plane engine in both the active-set
-//! schedule (outbox feed) and the dense schedule (flat feed, selected by
-//! an observing adversary), and holds the process's peak RSS under a
-//! budget.
+//! rounds through the compact-plane engine on both feeds (the outbox feed
+//! under a non-observing adversary, the flat feed selected by an
+//! observing one), checks that they agree, and holds the process's peak
+//! RSS under a budget.
 //!
 //! Ignored by default (it is a memory test, and peak RSS is a
 //! process-global high-water mark that other tests in the same process
@@ -25,8 +25,8 @@ use bcount_sim::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Event-driven relay wave (quiescent on silence): sources launch a
-/// TTL-stamped token in round 1; receivers decrement and forward.
+/// Event-driven relay wave: sources launch a TTL-stamped token in round 1;
+/// receivers decrement and forward, and silent nodes do nothing.
 #[derive(Debug, Clone)]
 struct Wave {
     source: bool,
@@ -36,7 +36,6 @@ struct Wave {
 impl Protocol for Wave {
     type Message = Pid;
     type Output = u64;
-    const QUIESCENT_ON_SILENCE: bool = true;
 
     fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
         if ctx.round() == 1 {
@@ -67,19 +66,15 @@ impl Protocol for Wave {
 }
 
 /// Silent, but observing (the default `observes_traffic() == true`):
-/// selects the flat feed and the dense schedule.
+/// selects the flat feed.
 struct Watcher;
 
 impl Adversary<Wave> for Watcher {
     fn on_round(&mut self, _view: &FullInfoView<'_, Wave>, _ctx: &mut ByzantineContext<'_, Pid>) {}
 }
 
-fn run_wave<A: Adversary<Wave>>(
-    g: &bcount_graph::Graph,
-    adversary: A,
-    sparse: bool,
-) -> SimReport<u64> {
-    let mut sim = Simulation::new(
+fn run_wave<A: Adversary<Wave>>(g: &bcount_graph::Graph, adversary: A) -> SimReport<u64> {
+    Simulation::new(
         g,
         &[NodeId(3), NodeId(40_000)],
         |u, _| Wave {
@@ -93,9 +88,8 @@ fn run_wave<A: Adversary<Wave>>(
             stop_when: StopWhen::MaxRoundsOnly,
             ..SimConfig::default()
         },
-    );
-    assert_eq!(sim.sparse_schedule_active(), sparse);
-    sim.run()
+    )
+    .run()
 }
 
 #[test]
@@ -107,15 +101,15 @@ fn scale_65536_smoke_under_rss_budget() {
     assert_eq!(g.len(), n);
     assert!(g.degree_sum() >= 8 * n, "8 random cycles worth of edges");
 
-    let dense = run_wave(&g, Watcher, false);
-    let sparse = run_wave(&g, NullAdversary, true);
-    assert_eq!(dense.rounds, 8);
-    assert_eq!(dense.outputs, sparse.outputs);
+    let flat = run_wave(&g, Watcher);
+    let outbox = run_wave(&g, NullAdversary);
+    assert_eq!(flat.rounds, 8);
+    assert_eq!(flat.outputs, outbox.outputs);
     assert_eq!(
-        dense.metrics.total_messages(0..n),
-        sparse.metrics.total_messages(0..n)
+        flat.metrics.total_messages(0..n),
+        outbox.metrics.total_messages(0..n)
     );
-    let reached = dense.outputs.iter().flatten().count();
+    let reached = flat.outputs.iter().flatten().count();
     assert!(
         reached > n / 2,
         "the wave must cover most of an expander ({reached}/{n} reached)"

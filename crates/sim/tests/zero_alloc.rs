@@ -2,8 +2,8 @@
 //! round of full-broadcast chatter performs **no heap allocation at all**,
 //! measured with a counting global allocator.
 //!
-//! "Warm" means every buffer has reached its high-water mark, and on the
-//! dense schedule that includes each node's outbox payload plane and each
+//! "Warm" means every buffer has reached its high-water mark, and that
+//! includes each node's outbox payload plane and each
 //! arena generation's payload store, which start empty and grow with the
 //! payloads a node (or a round) actually stores. A node that first sends
 //! late, or that goes from one broadcast to per-neighbour unicasts,
@@ -141,89 +141,6 @@ impl Protocol for LateUnicaster {
     fn has_halted(&self) -> bool {
         false
     }
-}
-
-/// A quiescent token ring: one node launches a token in round 1, and
-/// thereafter a node acts only when the token lands in its inbox,
-/// forwarding it to the neighbour that did not send it. Declares
-/// [`Protocol::QUIESCENT_ON_SILENCE`], so the active-set schedule runs
-/// 1–2 nodes per round instead of the whole ring.
-#[derive(Debug, Clone)]
-struct TokenRing {
-    start: bool,
-}
-
-impl Protocol for TokenRing {
-    type Message = Pid;
-    type Output = ();
-    const QUIESCENT_ON_SILENCE: bool = true;
-
-    fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
-        if ctx.round() == 1 {
-            if self.start {
-                let to = ctx.neighbors()[0];
-                let me = ctx.my_id();
-                ctx.send(to, me);
-            }
-            return;
-        }
-        let Some(env) = ctx.inbox().iter().next() else {
-            return;
-        };
-        let from = env.sender;
-        let token = *env.msg;
-        if let Some(to) = ctx.neighbors().iter().copied().find(|&p| p != from) {
-            ctx.send(to, token);
-        }
-    }
-
-    fn output(&self) -> Option<()> {
-        None
-    }
-}
-
-/// The active-set schedule's steady state must be allocation-free too:
-/// the worklists, their pid-rank sort, and the sparse scatter all run on
-/// warmed capacity. Covered twice — a live ring where the token
-/// circulates forever (1–2 active nodes per round), and a ring with a
-/// silent Byzantine node that swallows the token, after which every
-/// round is fully silent (the empty-active-set edge path).
-fn assert_zero_alloc_sparse(byz: bool) {
-    let g = cycle(96).unwrap();
-    let cfg = SimConfig {
-        max_rounds: u64::MAX,
-        stop_when: StopWhen::MaxRoundsOnly,
-        ..SimConfig::default()
-    };
-    let byz: &[NodeId] = if byz { &[NodeId(17)] } else { &[] };
-    let mut sim = Simulation::new(
-        &g,
-        byz,
-        |u, _| TokenRing {
-            start: u.index() == 0,
-        },
-        NullAdversary,
-        cfg,
-    );
-    assert!(
-        sim.sparse_schedule_active(),
-        "the sparse license must engage for the quiescent token ring"
-    );
-    for _ in 0..30 {
-        sim.step();
-    }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..200 {
-        sim.step();
-    }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    assert_eq!(
-        delta,
-        0,
-        "steady-state sparse rounds must not allocate (saw {delta} \
-         allocations over 200 rounds, byz={})",
-        !byz.is_empty()
-    );
 }
 
 /// Steps `sim` through a 30-round warm-up, then asserts the next 200
@@ -373,7 +290,7 @@ fn assert_zero_alloc_parallel_merge() {
     });
 }
 
-/// The limit of the steady-state claim on the dense schedule: payload
+/// The limit of the steady-state claim: payload
 /// planes warm up with what each node stores, so a switch after warm-up
 /// to more payloads per node (odd nodes sending for the first time, even
 /// nodes going from one broadcast to one payload per neighbour) allocates
@@ -442,20 +359,16 @@ fn main() {
     // Byzantine burst every round.
     assert_zero_alloc_flat_feed(false);
     assert_zero_alloc_flat_feed(true);
-    // Active-set schedule: circulating token, and token death → silence.
-    assert_zero_alloc_sparse(false);
-    assert_zero_alloc_sparse(true);
-    // Parallel engine inside a size-1 installed pool (joins inline,
-    // per-worker merge accumulators on the stack).
+    // Parallel compute inside a size-1 installed pool (joins inline).
     assert_zero_alloc_parallel_merge();
-    // Dense schedule, late switch to per-neighbour unicasts: a bounded
+    // A late switch to per-neighbour unicasts: a bounded
     // re-warm, then zero again.
     assert_rewarm_after_unicast_switch(false);
     assert_rewarm_after_unicast_switch(true);
     println!(
         "zero_alloc: ok (0 allocations over 200 steady-state rounds; \
          outbox feed broadcast/general/two-pass, flat feed steady/burst, \
-         sparse live/silent, parallel size-1 pool, re-warm after a \
+         parallel size-1 pool, re-warm after a \
          unicast switch on both feeds)"
     );
 }

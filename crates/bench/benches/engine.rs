@@ -12,7 +12,13 @@
 //! adversary that observes the round's traffic (and otherwise stays
 //! silent), the price of materializing the node-order vector a rushing
 //! adversary reads; `reuse_buffers_faulty` adds a mixed fault plan to the
-//! flat feed. The `full_execution` benchmarks include construction, pid
+//! flat feed. On this all-broadcast workload every `reuse_buffers` round
+//! is a **full** table round (no hole, no Byzantine traffic);
+//! `reuse_buffers_spam` (n = 1024 and 4096) puts Theorem 2's budget of
+//! non-observing Byzantine spammers on the outbox feed, so every round is
+//! a **compacted** table round: hole marking, node-order fill, compaction,
+//! the Byzantine append and the sort of the Byzantine-adjacent spans. The
+//! `full_execution` benchmarks include construction, pid
 //! assignment, and buffer warm-up. With `--features parallel` the same
 //! workload additionally runs as `reuse_buffers_parallel`: the honest
 //! compute fans out over the pool (`BCOUNT_POOL_THREADS` sizes it) and
@@ -23,20 +29,21 @@
 //! (traffic dropped), under the same observing adversary. Outbox-feed
 //! phases: `compute` is the honest phase alone (traffic dropped),
 //! `count_pass` adds the two-pass merge's per-destination counting pass
-//! (forced — the production fast path skips it on monotone rounds),
+//! (forced — the production table paths skip it),
 //! `placement` measures the prefix-sum placement alone from a counts
 //! snapshot (messages placed/sec), and `arena_scatter` is the whole
 //! *production* outbox-feed round minus the empty adversary phase — on
-//! this all-broadcast workload that is the broadcast-table fast path
-//! (merge scan + table scatter; no count, no placement, no sort), so the
+//! this all-broadcast workload that is the full table path (merge scan +
+//! table fill; no count, no placement, no compaction, no sort), so the
 //! production scatter cost is `arena_scatter` minus `compute` (minus the
 //! scan share of `count_pass`), while the forced-count delta `count_pass`
 //! minus `compute` prices the two-pass fallback's extra pass. The two
 //! measure different paths — don't difference `arena_scatter` against
 //! `count_pass`.
 
-use bcount_bench::runners::network;
+use bcount_bench::runners::{network, spread_byzantine, theorem2_budget};
 use bcount_daemon::Server;
+use bcount_graph::NodeId;
 use bcount_sim::{
     Adversary, ByzantineContext, CrashEvent, FaultPlan, FullInfoView, MessageSize, NodeContext,
     NullAdversary, Protocol, SimConfig, Simulation, StopWhen,
@@ -94,12 +101,36 @@ impl Adversary<Chatter> for Observer {
     }
 }
 
-fn warmed<A: Adversary<Chatter>>(
-    g: &bcount_graph::Graph,
+/// Broadcasts a fresh counter from every Byzantine node every round, and
+/// declares that it never observes the traffic — which keeps the outbox
+/// feed, with Byzantine traffic within the table paths' budget (one
+/// message per Byzantine-incident edge).
+struct Spammer(u64);
+
+impl Adversary<Chatter> for Spammer {
+    fn on_round(
+        &mut self,
+        view: &FullInfoView<'_, Chatter>,
+        ctx: &mut ByzantineContext<'_, Counter>,
+    ) {
+        self.0 += 1;
+        for b in view.byzantine_nodes() {
+            ctx.broadcast(b, Counter(self.0));
+        }
+    }
+
+    fn observes_traffic(&self) -> bool {
+        false
+    }
+}
+
+fn warmed<'g, A: Adversary<Chatter>>(
+    g: &'g bcount_graph::Graph,
+    byzantine: &[NodeId],
     cfg: SimConfig,
     adversary: A,
-) -> Simulation<&bcount_graph::Graph, Chatter, A> {
-    let mut sim = Simulation::new(g, &[], |_, _| Chatter(0), adversary, cfg);
+) -> Simulation<&'g bcount_graph::Graph, Chatter, A> {
+    let mut sim = Simulation::new(g, byzantine, |_, _| Chatter(0), adversary, cfg);
     for _ in 0..10 {
         sim.step();
     }
@@ -135,7 +166,7 @@ fn bench_engine(c: &mut Criterion) {
         // The steady-state hot path: one long-lived simulation, buffers
         // warmed, stepped ROUNDS more rounds per iteration. The outbox
         // feed (NullAdversary licenses it).
-        let mut sim = warmed(&g, chatter_config(false), NullAdversary);
+        let mut sim = warmed(&g, &[], chatter_config(false), NullAdversary);
         group.bench_with_input(BenchmarkId::new("reuse_buffers", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..ROUNDS {
@@ -147,7 +178,7 @@ fn bench_engine(c: &mut Criterion) {
 
         // Same loop on the flat feed: an observing adversary needs the
         // node-order traffic vector.
-        let mut fsim = warmed(&g, chatter_config(false), Observer);
+        let mut fsim = warmed(&g, &[], chatter_config(false), Observer);
         group.bench_with_input(BenchmarkId::new("reuse_buffers_flat", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..ROUNDS {
@@ -164,6 +195,7 @@ fn bench_engine(c: &mut Criterion) {
         // is the per-message fault roll plus the pending-delivery queue.
         let mut xsim = warmed(
             &g,
+            &[],
             SimConfig {
                 fault: FaultPlan {
                     seed: 0xC4A05,
@@ -189,9 +221,27 @@ fn bench_engine(c: &mut Criterion) {
             });
         });
 
+        // The outbox feed with Byzantine traffic: Theorem 2's budget of
+        // spammers spread over the id space, as in Algorithm 2's
+        // beacon-spam cells. Their silent honest slots leave holes, so
+        // every round takes the compacted table path (fill, compaction,
+        // Byzantine append, sort of the Byzantine-adjacent spans).
+        if n >= 1024 {
+            let byz = spread_byzantine(n, theorem2_budget(n, 0.05));
+            let mut bsim = warmed(&g, &byz, chatter_config(false), Spammer(0));
+            group.bench_with_input(BenchmarkId::new("reuse_buffers_spam", n), &n, |b, _| {
+                b.iter(|| {
+                    for _ in 0..ROUNDS {
+                        bsim.step();
+                    }
+                    bsim.round()
+                });
+            });
+        }
+
         #[cfg(feature = "parallel")]
         {
-            let mut psim = warmed(&g, chatter_config(true), NullAdversary);
+            let mut psim = warmed(&g, &[], chatter_config(true), NullAdversary);
             group.bench_with_input(BenchmarkId::new("reuse_buffers_parallel", n), &n, |b, _| {
                 b.iter(|| {
                     for _ in 0..ROUNDS {
@@ -214,7 +264,7 @@ fn bench_engine(c: &mut Criterion) {
     for &(n, rounds) in &[(65_536usize, 10u64), (1_048_576, 4)] {
         let g = network(n, 8, n as u64);
         group.throughput(Throughput::Elements(rounds));
-        let mut sim = warmed(&g, chatter_config(false), NullAdversary);
+        let mut sim = warmed(&g, &[], chatter_config(false), NullAdversary);
         group.bench_with_input(BenchmarkId::new("reuse_buffers", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..rounds {
@@ -238,7 +288,7 @@ fn bench_phases(c: &mut Criterion) {
 
         // compute + the flat feed's merge only, ROUNDS rounds per
         // iteration.
-        let mut msim = warmed(&g, chatter_config(false), Observer);
+        let mut msim = warmed(&g, &[], chatter_config(false), Observer);
         group.throughput(Throughput::Elements(ROUNDS));
         group.bench_with_input(BenchmarkId::new("merge", n), &n, |b, _| {
             b.iter(|| {
@@ -253,7 +303,7 @@ fn bench_phases(c: &mut Criterion) {
         // --- Outbox-feed decomposition. ---------------------------------
         // compute alone: the honest phase with the round's outboxes
         // discarded — the baseline every other arena phase adds onto.
-        let mut csim = warmed(&g, chatter_config(false), NullAdversary);
+        let mut csim = warmed(&g, &[], chatter_config(false), NullAdversary);
         group.bench_with_input(BenchmarkId::new("compute", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..ROUNDS {
@@ -265,9 +315,9 @@ fn bench_phases(c: &mut Criterion) {
         });
 
         // compute + the arena count pass (two-pass merge, pass 1 — forced
-        // even though the production fast path would skip it for this
-        // monotone broadcast workload).
-        let mut ksim = warmed(&g, chatter_config(false), NullAdversary);
+        // even though the production table path skips it for this
+        // broadcast workload).
+        let mut ksim = warmed(&g, &[], chatter_config(false), NullAdversary);
         group.bench_with_input(BenchmarkId::new("count_pass", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..ROUNDS {
@@ -279,9 +329,9 @@ fn bench_phases(c: &mut Criterion) {
         });
 
         // The whole production outbox-feed round minus the (empty) adversary
-        // phase — the broadcast-table fast path on this workload (see
+        // phase — the full table path on this workload (see
         // the module docs for what may and may not be differenced).
-        let mut ssim = warmed(&g, chatter_config(false), NullAdversary);
+        let mut ssim = warmed(&g, &[], chatter_config(false), NullAdversary);
         group.bench_with_input(BenchmarkId::new("arena_scatter", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..ROUNDS {
@@ -294,7 +344,7 @@ fn bench_phases(c: &mut Criterion) {
 
         // Prefix-sum placement alone, from a snapshotted count-pass
         // tally: tallies → exact spans, reported per message placed.
-        let mut psim = warmed(&g, chatter_config(false), NullAdversary);
+        let mut psim = warmed(&g, &[], chatter_config(false), NullAdversary);
         psim.bench_compute_merge();
         let counts = psim.bench_snapshot_counts();
         let placed: u64 = counts.iter().map(|&c| u64::from(c)).sum();

@@ -61,24 +61,33 @@
 //!   [`crate::NullAdversary`] and every attack strategy shipped in this
 //!   workspace) *and* the [`SimConfig::fault`] plan is empty. Nobody needs
 //!   the round's traffic as a flat vector, so delivery reads the outboxes
-//!   directly, visiting senders in **increasing-pid order**. The canonical
-//!   inbox order is stable-by-sender-pid, so every span is then sorted as
-//!   scattered, and the counting sort (and its rank tag) runs only at
-//!   Byzantine-adjacent spans — edge locality bounds that set at
-//!   construction. The merge only scans the outboxes (metrics, slot
-//!   monotonicity, broadcast shape), and the round's shape picks the
-//!   placement:
-//!   1. a **broadcast round** (every node broadcasting exactly once — the
-//!      steady state of flooding protocols) scatters through a position
-//!      table precomputed by a pid-order dry run: one table load and one
-//!      reference write per message;
-//!   2. a **monotone round** (at most one message per directed edge, and
-//!      Byzantine traffic within one message per Byzantine-incident edge)
-//!      places through the static **degree-prefix** offsets — no counting,
-//!      no prefix sum;
-//!   3. anything else runs the exact **two-pass** merge: count messages
-//!      per destination, prefix-sum the tallies into packed spans and
-//!      write cursors, scatter every message once into its final slot.
+//!   directly and places every span's honest messages in **sender-pid
+//!   order**. The canonical inbox order is stable-by-sender-pid, so every
+//!   span is then sorted as placed, and the counting sort (and its rank
+//!   tag) runs only at Byzantine-adjacent spans — edge locality bounds
+//!   that set at construction. The merge only scans the outboxes
+//!   (metrics, and whether every send goes through a table slot), and the
+//!   round's shape picks the placement:
+//!   1. a **table round** (each outbox's slots strictly increasing, every
+//!      send through the first slot of a distinct neighbour, and Byzantine
+//!      traffic within one message per Byzantine-incident edge) places
+//!      through the **slot → position table**, built once per execution:
+//!      the first slot of each distinct neighbour owns the position
+//!      `deg_offsets[to] + rank` of its destination's degree-prefix span.
+//!      Outboxes drain in natural node order, one table load and one
+//!      reference write per message. A **full** round (every table
+//!      position filled, no Byzantine traffic — the steady state of
+//!      flooding protocols) is then done: sender plane and span lengths
+//!      are static. Otherwise the round is **compacted**: positions no
+//!      send wrote keep a hole mark, and one sequential pass closes each
+//!      span's holes, copying the static senders, and appends the
+//!      Byzantine traffic;
+//!   2. anything else (several sends through one slot, a send through a
+//!      repeated slot of a parallel edge, or a Byzantine burst over the
+//!      budget) runs the exact **two-pass** merge: count messages per
+//!      destination, prefix-sum the tallies into packed spans and write
+//!      cursors, scatter every message once into its final slot,
+//!      visiting senders in increasing-pid order.
 //! * **Flat feed** — everything else: a rushing adversary that observes
 //!   [`FullInfoView::honest_outgoing`], or a fault plan that rewrites that
 //!   same traffic. The merge drains every outbox **in node order** into
@@ -143,6 +152,12 @@ impl<T: Send + Sync> PhaseShared for T {}
 pub trait PhaseShared {}
 #[cfg(not(feature = "parallel"))]
 impl<T> PhaseShared for T {}
+
+/// The table paths' sentinel: a reference no send wrote (an arena
+/// position the compaction skips), and in the slot → position table a
+/// slot with no position (a repeated slot of a parallel edge). Payload
+/// references index a store far smaller than `u32::MAX` entries.
+const HOLE: u32 = u32::MAX;
 
 /// When the engine should stop (always additionally bounded by
 /// [`SimConfig::max_rounds`]).
@@ -292,44 +307,39 @@ pub struct Simulation<G, P: Protocol, A> {
     /// placement and scatter, then re-zeroed.
     dest_counts: Vec<u32>,
     /// The static per-node arena offsets, precomputed once per execution
-    /// as the prefix sums of the [`DeliveryMap`] in-degrees — the fast
-    /// path's exact-capacity placement (a monotone-slot round delivers at
-    /// most in-degree messages per node).
+    /// as the prefix sums of the [`DeliveryMap`] in-degrees — the table
+    /// paths' placement (a table round delivers at most one honest message
+    /// per distinct honest neighbour, plus Byzantine traffic within
+    /// `byz_in_degree`, so every span fits its in-degree).
     deg_offsets: Vec<u32>,
     /// Per-node count of incident edges whose other endpoint is Byzantine
-    /// (with multiplicity) — the fast path's bound on how much Byzantine
-    /// traffic a degree-presized span can still absorb. Outbox feed only.
-    byz_in_degree: Vec<u32>,
-    /// The slots [`NodeContext::broadcast`] selects for each node (first
-    /// slot of every distinct neighbour), flattened;
-    /// `bcast_bases[u]..bcast_bases[u + 1]` spans node `u`'s. Outbox feed
+    /// (with multiplicity) — the table paths' bound on how much Byzantine
+    /// traffic a span can absorb after the honest messages. Outbox feed
     /// only.
-    bcast_slots: Vec<u32>,
-    /// Per-node spans into `bcast_slots`/`bcast_pos`, length `n + 1`.
-    bcast_bases: Vec<u32>,
-    /// The final arena position of every broadcast-pattern message on a
-    /// **broadcast round** (every node broadcasting once — the steady
-    /// state of flooding protocols): precomputed once per execution by a
-    /// pid-order dry run of the scatter, aligned with `bcast_slots`.
-    /// Outbox feed only.
-    bcast_pos: Vec<u32>,
-    /// Per-node inbox length of a broadcast round (distinct in-degree).
-    /// Outbox feed only.
-    bcast_lens: Vec<u32>,
-    /// The sender plane of a broadcast round — the dense sender node id
-    /// at every broadcast-round arena position (the [`Pid`] table widens
-    /// at the inbox boundary). Copied into an arena once and then
-    /// invariant across consecutive broadcast rounds. Outbox feed only.
+    byz_in_degree: Vec<u32>,
+    /// The **slot → position table** of the table paths, indexed by
+    /// delivery-map slot: the arena position a send through the first
+    /// slot of each distinct neighbour takes, `deg_offsets[to] + rank`
+    /// (the destination's degree-prefix offset plus the sender's rank
+    /// there), so every distinct sender owns one position of its
+    /// destination's span, in sender-pid order. A repeated slot of a
+    /// parallel edge holds [`HOLE`]: the table cannot place it. Outbox
+    /// feed only.
+    slot_pos: Vec<u32>,
+    /// Per-node inbox length of a full round (distinct in-degree): the
+    /// table positions each span owns. Outbox feed only.
+    full_lens: Vec<u32>,
+    /// The sender plane of a full round — the dense sender node id at
+    /// every table position (the [`Pid`] table widens at the inbox
+    /// boundary). A full round copies it into an arena once, and it stays
+    /// invariant across consecutive full rounds; a compacted round reads
+    /// it for every message it keeps. Outbox feed only.
     static_senders: Vec<NodeId>,
-    /// Whether this round's honest outboxes are *exactly* the broadcast
-    /// pattern, every node included (set by the merge's scan) — the
-    /// precondition of the table-driven scatter.
-    arena_bcast_round: bool,
-    /// Whether this round's honest outboxes all have strictly increasing
-    /// slot sequences (set by the merge's scan): at most one message per
-    /// directed edge, so the degree-presized spans are known to fit and
-    /// the count/prefix passes can be skipped.
-    arena_fast_round: bool,
+    /// Whether every honest send of this round goes through a first slot
+    /// and each outbox's slots strictly increase (set by the merge's
+    /// scan): at most one message per distinct directed edge, each with
+    /// its own table position — the precondition of the table paths.
+    table_round: bool,
     /// Per-node outgoing scratch lent to [`NodeContext`] each round:
     /// (neighbour slot, payload index) sends plus the payload plane.
     outboxes: Vec<Outbox<P::Message>>,
@@ -360,10 +370,12 @@ pub struct Simulation<G, P: Protocol, A> {
     /// outbox feed never materializes them as a flat vector.
     round_honest_messages: u64,
     /// Node ids in increasing-[`Pid`] order (flattened from
-    /// [`PidIndex::nodes_by_pid`]). The outbox feed drains outboxes in
-    /// this order, so every inbox receives its honest traffic already in
-    /// canonical (sender-pid) order — which is what lets the counting
-    /// sort be skipped wherever no Byzantine message can land.
+    /// [`PidIndex::nodes_by_pid`]). The outbox feed's two-pass path drains
+    /// outboxes in this order, so every inbox receives its honest traffic
+    /// already in canonical (sender-pid) order — which is what lets the
+    /// counting sort be skipped wherever no Byzantine message can land.
+    /// (The table paths need no visiting order: the table fixes every
+    /// position.)
     pid_order: Vec<u32>,
     /// Per node: whether any graph neighbour is Byzantine — i.e. whether
     /// this inbox can *ever* receive Byzantine traffic (edge locality).
@@ -510,7 +522,7 @@ where
         // warm-up growth check on those paths; heavier protocols still
         // grow amortized.
         let degree = |v: usize| g.degree(NodeId(v as u32));
-        // The fast path's static placement (and the arena's initial
+        // The table paths' static placement (and the arena's initial
         // layout): node v's span starts at the prefix sum of in-degrees
         // (undirected: degree) before it.
         let deg_offsets: Vec<u32> = {
@@ -534,47 +546,29 @@ where
         } else {
             Vec::new()
         };
-        // The broadcast-round placement tables: the slots `broadcast`
-        // picks per node (first slot of each distinct neighbour), and a
-        // pid-order dry run of the scatter assigning each such message
-        // its final arena position (and sender), once per execution.
-        let (bcast_slots, bcast_bases) = if outbox_feed {
-            let mut slots = Vec::new();
-            let mut bases = Vec::with_capacity(n + 1);
-            bases.push(0u32);
-            for pids_of_u in &neighbor_pids {
-                let mut last = None;
-                for (s, &pid) in pids_of_u.iter().enumerate() {
-                    if last != Some(pid) {
-                        slots.push(s as u32);
-                        last = Some(pid);
-                    }
-                }
-                bases.push(slots.len() as u32);
-            }
-            (slots, bases)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let (bcast_pos, bcast_lens, static_senders) = if outbox_feed {
-            let mut cursor = deg_offsets.clone();
-            let mut pos_table = vec![0u32; bcast_slots.len()];
-            let mut slot_senders = vec![NodeId(0); slot_total];
-            for node in pid_index.nodes_by_pid() {
-                let u = node.index();
+        // The table paths' slot → position table: the first slot of each
+        // distinct neighbour places at the destination's degree-prefix
+        // offset plus the sender's rank there — the position a pid-order
+        // scatter of a full round would give it.
+        let (slot_pos, full_lens, static_senders) = if outbox_feed {
+            let mut slot_pos = vec![HOLE; slot_total];
+            let mut senders = vec![NodeId(0); slot_total];
+            for u in 0..n {
+                let range = delivery_map.slot_range(u);
                 let targets = delivery_map.targets_of(u);
-                let base = bcast_bases[u] as usize;
-                let end = bcast_bases[u + 1] as usize;
-                for (i, &slot) in bcast_slots[base..end].iter().enumerate() {
-                    let v = targets[slot as usize].to.index();
-                    let pos = cursor[v];
-                    cursor[v] += 1;
-                    pos_table[base + i] = pos;
-                    slot_senders[pos as usize] = NodeId(u as u32);
+                for (s, target) in targets.iter().enumerate() {
+                    if s > 0 && targets[s - 1].to == target.to {
+                        continue;
+                    }
+                    let pos = deg_offsets[target.to.index()] + target.rank;
+                    slot_pos[range.start + s] = pos;
+                    senders[pos as usize] = NodeId(u as u32);
                 }
             }
-            let lens: Vec<u32> = (0..n).map(|v| cursor[v] - deg_offsets[v]).collect();
-            (pos_table, lens, slot_senders)
+            let lens = (0..n)
+                .map(|v| sender_ranks.sender_count(NodeId(v as u32)) as u32)
+                .collect();
+            (slot_pos, lens, senders)
         } else {
             (Vec::new(), Vec::new(), Vec::new())
         };
@@ -615,13 +609,10 @@ where
             dest_counts: vec![0; n],
             deg_offsets,
             byz_in_degree,
-            bcast_slots,
-            bcast_bases,
-            bcast_pos,
-            bcast_lens,
+            slot_pos,
+            full_lens,
             static_senders,
-            arena_fast_round: false,
-            arena_bcast_round: false,
+            table_round: false,
             honest_outgoing: Vec::with_capacity(flat_cap),
             honest_ranks: Vec::with_capacity(flat_cap),
             byz_outgoing: Vec::new(),
@@ -920,61 +911,49 @@ where
         self.round_honest_messages = self.honest_outgoing.len() as u64;
     }
 
-    /// The outbox feed's merge: records per-node metrics, scans every
-    /// outbox's slot sequence for strict monotonicity, and compares it
-    /// with the broadcast pattern. A monotone round sends at most one
-    /// message per directed edge, so every destination fits its
-    /// **degree-presized** span and the fast path can place messages with
-    /// the static [`Simulation::deg_offsets`] — no counting, no prefix
-    /// sum. A non-monotone round (several sends through one slot) falls
-    /// back to the exact two-pass merge, whose count pass runs here.
-    /// Outboxes are left full either way — the scatter drains them at
-    /// delivery time, after the adversary has committed.
+    /// The outbox feed's merge: records per-node metrics and scans every
+    /// outbox's slot sequence. A **table round** — every send through a
+    /// first slot, each outbox's slots strictly increasing — sends at most
+    /// one message per distinct directed edge, each with its own position
+    /// in the slot → position table, so delivery needs no counting and no
+    /// prefix sum. Any other round (several sends through one slot, or a
+    /// send through a repeated slot of a parallel edge) falls back to the
+    /// exact two-pass merge, whose count pass runs here. Outboxes are left
+    /// full either way — delivery drains them, after the adversary has
+    /// committed.
     fn merge_arena_count(&mut self) {
         let id_bits = self.config.id_bits;
         let mut sent = 0u64;
-        let mut monotone = true;
-        let mut bcast = true;
+        let mut table = true;
         for (u, (outbox, metrics)) in self
             .outboxes
             .iter()
             .zip(self.metrics.per_node.iter_mut())
             .enumerate()
         {
-            let expected =
-                &self.bcast_slots[self.bcast_bases[u] as usize..self.bcast_bases[u + 1] as usize];
             if outbox.is_empty() {
-                // A silent node breaks the everyone-broadcasts pattern
-                // (unless it has no neighbours to reach).
-                bcast &= expected.is_empty();
                 continue;
             }
-            bcast &= outbox.sends.len() == expected.len();
-            let mut last_slot = u32::MAX;
-            for (j, &(slot, _)) in outbox.sends.iter().enumerate() {
-                monotone &= last_slot == u32::MAX || slot > last_slot;
-                last_slot = slot;
-                if bcast {
-                    bcast = expected[j] == slot;
-                }
+            let slot_pos = &self.slot_pos[self.delivery_map.slot_range(u)];
+            let mut next = 0;
+            for &(slot, _) in &outbox.sends {
+                table &= slot >= next && slot_pos[slot as usize] != HOLE;
+                next = slot + 1;
             }
             let (count, bits, max_bits) = outbox_sizes(outbox, id_bits);
             metrics.record_batch(count, bits, max_bits);
             sent += count;
         }
         self.round_honest_messages = sent;
-        self.arena_fast_round = monotone;
-        self.arena_bcast_round = bcast;
-        debug_assert!(monotone || !bcast, "the broadcast pattern is monotone");
-        if !monotone {
+        self.table_round = table;
+        if !table {
             self.count_dests();
         }
     }
 
     /// The two-pass merge's count pass: tallies this round's honest
     /// messages per destination (one [`DeliveryMap`] load and one counter
-    /// bump per message). Runs only when a round's shape exceeds the
-    /// degree-presized bound.
+    /// bump per message). Runs only on rounds the table cannot place.
     fn count_dests(&mut self) {
         for u in 0..self.graph().len() {
             let outbox = &self.outboxes[u];
@@ -988,10 +967,10 @@ where
         }
     }
 
-    /// Whether this round's Byzantine traffic fits the degree-presized
-    /// spans: at most `byz_in_degree[v]` messages per destination (one per
-    /// Byzantine-incident edge). Uses `dest_counts` — zero on the fast
-    /// path — as tally scratch and re-zeroes it.
+    /// Whether this round's Byzantine traffic fits behind the honest
+    /// messages of a table round: at most `byz_in_degree[v]` messages per
+    /// destination (one per Byzantine-incident edge). Uses `dest_counts` —
+    /// zero on a table round — as tally scratch and re-zeroes it.
     fn byz_traffic_fits(&mut self) -> bool {
         if self.byz_outgoing.is_empty() {
             return true;
@@ -1008,90 +987,57 @@ where
         fits
     }
 
-    /// Arena delivery on the outbox feed. The fast path (monotone
-    /// round, fitting Byzantine traffic) places messages directly through
-    /// the static degree-prefix offsets; otherwise the exact two-pass
-    /// pipeline runs: Byzantine tallies join the count, one prefix-sum
-    /// scan turns the tallies into packed spans + write cursors, and the
-    /// scatter is the same. Either way every message is written once, into
-    /// its final position in the parallel sender/payload/rank arrays, and
-    /// only Byzantine-adjacent spans need the counting sort — everything
-    /// else is final as scattered (senders are visited in increasing-pid
-    /// order).
+    /// Arena delivery on the outbox feed. A table round whose Byzantine
+    /// traffic fits places its honest messages through the slot →
+    /// position table ([`Simulation::deliver_arena_table`]); otherwise the
+    /// exact two-pass pipeline runs: Byzantine tallies join the count, one
+    /// prefix-sum scan turns the tallies into packed spans + write
+    /// cursors, and the scatter visits senders in increasing-pid order.
+    /// Either way only Byzantine-adjacent spans need the counting sort —
+    /// every other span is in sender-pid order as placed.
     fn deliver_arena(&mut self) {
-        if self.arena_fast_round {
-            // A **broadcast** round — every node broadcasting exactly
-            // once, the steady state of flooding protocols — scatters
-            // through the precomputed position table: one sequential
-            // table load and one payload write per message, sender plane
-            // and span lengths invariant from the previous broadcast
-            // round. Byzantine nodes never fill their outboxes, so their
-            // existence (let alone their traffic) makes a round
-            // non-broadcast automatically.
-            if self.arena_bcast_round && self.byz_outgoing.is_empty() {
-                self.deliver_arena_broadcast();
+        if self.table_round {
+            // A table round fills every table position iff it sends one
+            // message per (destination, distinct sender) pair — not one
+            // per directed edge: a multigraph's parallel edges share a
+            // position. Byzantine nodes never fill their outboxes, so a
+            // Byzantine node with a neighbour leaves a position unfilled
+            // and makes the round not full by itself.
+            let positions = self.sender_ranks.total() as u64;
+            let full = self.byz_outgoing.is_empty() && self.round_honest_messages == positions;
+            if full || self.byz_traffic_fits() {
+                self.deliver_arena_table(full);
                 return;
             }
-            if self.byz_traffic_fits() {
-                self.deliver_arena_fast();
-                return;
-            }
-            // Monotone round, oversized Byzantine burst: the count pass
-            // was skipped at merge time — run it now for the exact path.
+            // Table round, oversized Byzantine burst: the count pass was
+            // skipped at merge time — run it now for the exact path.
             self.count_dests();
         }
         self.deliver_arena_two_pass();
     }
 
-    /// The broadcast-round arena scatter; see
-    /// [`Simulation::deliver_arena`]. Visitation order is free here —
-    /// every message has a fixed final position — so outboxes drain in
-    /// natural node order (sequential memory) rather than pid order; the
-    /// produced content is exactly the pid-order scatter's, because the
-    /// table was built by a pid-order dry run (and a reference resolves to
-    /// its payload wherever the store holds it).
-    fn deliver_arena_broadcast(&mut self) {
+    /// The table paths' delivery. Outboxes drain in natural node order
+    /// (sequential memory, not the pid permutation): each send writes only
+    /// its reference, at `slot_pos[slot]`. Every other plane comes from
+    /// the static tables.
+    ///
+    /// * A **full** round (every table position filled, no Byzantine
+    ///   traffic — the steady state of flooding protocols) is done after
+    ///   the fill: its spans are the table's, and the sender plane and
+    ///   span lengths stay invariant from the previous full round.
+    /// * Otherwise the **compacted** path pre-marks every position a
+    ///   [`HOLE`], and after the fill one sequential pass over the spans
+    ///   closes the holes: it copies each kept reference and its static
+    ///   sender down to the span's next free position (plus the sender's
+    ///   rank, `p - offsets[v]`, in Byzantine-adjacent spans) and sets the
+    ///   span's length. The spans come out in sender-pid order, as a
+    ///   pid-order scatter would leave them; the Byzantine traffic is
+    ///   appended behind them and the Byzantine-adjacent spans are
+    ///   counting-sorted.
+    fn deliver_arena_table(&mut self, full: bool) {
         let slot_total = self.delivery_map.total_slots();
-        if slot_total == 0 {
-            return;
-        }
         let n = self.graph().len();
         let arena = &mut self.arena_staged;
-        arena.grow_to(slot_total);
-        arena.payloads.clear();
-        if !arena.offsets_static {
-            arena.offsets.copy_from_slice(&self.deg_offsets);
-            arena.offsets_static = true;
-        }
-        if !arena.senders_static {
-            arena.senders[..slot_total].copy_from_slice(&self.static_senders);
-            arena.senders_static = true;
-        }
-        if !arena.lens_full {
-            arena.lens.copy_from_slice(&self.bcast_lens);
-            arena.lens_full = true;
-        }
-        for u in 0..n {
-            let outbox = &mut self.outboxes[u];
-            let base = self.bcast_bases[u] as usize;
-            let pbase = arena.take_payloads(&mut outbox.payloads);
-            for (i, (_, payload)) in outbox.sends.drain(..).enumerate() {
-                arena.refs[self.bcast_pos[base + i] as usize] = pbase + payload;
-            }
-        }
-        // No Byzantine nodes can exist on a broadcast round, so no span
-        // needs a counting sort: the table *is* the sorted order.
-        debug_assert!(self.byz_adjacent_nodes.is_empty());
-    }
-
-    /// The fast arena delivery: degree-presized spans, no counting, no
-    /// prefix sum. `lens` double as the per-destination write cursors (and
-    /// end up as the per-node inbox lengths).
-    fn deliver_arena_fast(&mut self) {
-        let slot_total = self.delivery_map.total_slots();
-        let arena = &mut self.arena_staged;
-        arena.senders_static = false;
-        arena.lens_full = false;
         arena.grow_to(slot_total);
         arena.payloads.clear();
         if !arena.offsets_static {
@@ -1100,45 +1046,73 @@ where
             arena.offsets.copy_from_slice(&self.deg_offsets);
             arena.offsets_static = true;
         }
-        for len in &mut arena.lens {
-            *len = 0;
+        if full {
+            if !arena.senders_static {
+                arena.senders[..slot_total].copy_from_slice(&self.static_senders);
+                arena.senders_static = true;
+            }
+            if !arena.lens_full {
+                arena.lens.copy_from_slice(&self.full_lens);
+                arena.lens_full = true;
+            }
+        } else {
+            arena.senders_static = false;
+            arena.lens_full = false;
+            arena.refs[..slot_total].fill(HOLE);
         }
-        // Scatter honest traffic in increasing-pid order...
-        let no_byz = self.byz_adjacent_nodes.is_empty();
-        for &u in &self.pid_order {
-            let u = u as usize;
+        for u in 0..n {
             let outbox = &mut self.outboxes[u];
             if outbox.is_empty() {
                 continue;
             }
-            let sender = NodeId(u as u32);
-            let targets = self.delivery_map.targets_of(u);
+            let slot_pos = &self.slot_pos[self.delivery_map.slot_range(u)];
             let pbase = arena.take_payloads(&mut outbox.payloads);
-            if no_byz {
-                for (slot, payload) in outbox.sends.drain(..) {
-                    let v = targets[slot as usize].to.index();
-                    let len = arena.lens[v];
-                    arena.lens[v] = len + 1;
-                    let pos = (arena.offsets[v] + len) as usize;
-                    arena.senders[pos] = sender;
-                    arena.refs[pos] = pbase + payload;
-                }
-            } else {
-                for (slot, payload) in outbox.sends.drain(..) {
-                    let target = targets[slot as usize];
-                    let v = target.to.index();
-                    let len = arena.lens[v];
-                    arena.lens[v] = len + 1;
-                    let pos = (arena.offsets[v] + len) as usize;
-                    arena.senders[pos] = sender;
-                    arena.refs[pos] = pbase + payload;
-                    if self.byz_adjacent[v] {
-                        arena.ranks[pos] = target.rank;
-                    }
-                }
+            for (slot, payload) in outbox.sends.drain(..) {
+                arena.refs[slot_pos[slot as usize] as usize] = pbase + payload;
             }
         }
-        // ...then the Byzantine traffic in emission order.
+        if full {
+            // No Byzantine node has a neighbour on a full round, so no
+            // span needs a counting sort: the table *is* the sorted order.
+            debug_assert!(self.byz_adjacent_nodes.is_empty());
+            return;
+        }
+        // Compaction, one span at a time. Most spans are empty (a quiet
+        // round) or whole (a forwarding wave), and a vectorised count of
+        // the kept references tells which: an empty span only gets its
+        // length, a whole one keeps its references in place and copies
+        // its sender plane. (A Byzantine-adjacent span is never whole: its
+        // Byzantine senders' positions stay holes.) A span with holes
+        // closes up in place — `k` trails `p`, branch-free: a hole is
+        // copied too, and overwritten by the next kept message or left
+        // past the span's end.
+        for v in 0..n {
+            let o = arena.offsets[v] as usize;
+            let end = o + self.full_lens[v] as usize;
+            let kept = arena.refs[o..end].iter().filter(|&&r| r != HOLE).count();
+            arena.lens[v] = kept as u32;
+            if kept == 0 {
+                continue;
+            }
+            let ranked = self.byz_adjacent[v];
+            if kept == end - o {
+                debug_assert!(!ranked);
+                arena.senders[o..end].copy_from_slice(&self.static_senders[o..end]);
+                continue;
+            }
+            let mut k = o;
+            for p in o..end {
+                let r = arena.refs[p];
+                arena.refs[k] = r;
+                arena.senders[k] = self.static_senders[p];
+                if ranked {
+                    arena.ranks[k] = (p - o) as u32;
+                }
+                k += usize::from(r != HOLE);
+            }
+        }
+        // Then the Byzantine traffic in emission order, behind each span's
+        // honest messages.
         for ((from, to, msg), rank) in self.byz_outgoing.drain(..).zip(self.byz_ranks.drain(..)) {
             let v = to.index();
             let len = arena.lens[v];
@@ -1152,16 +1126,16 @@ where
     }
 
     /// Arena delivery, exact two-pass variant — passes 2 and 3 of the
-    /// count/prefix-sum merge, for outbox-feed rounds whose shape exceeds
-    /// the degree-presized bound.
+    /// count/prefix-sum merge, for outbox-feed rounds the table cannot
+    /// place.
     fn deliver_arena_two_pass(&mut self) {
         for (_, to, _) in &self.byz_outgoing {
             self.dest_counts[to.index()] += 1;
         }
         let total = self.place_spans();
         let arena = &mut self.arena_staged;
-        // High-water growth only (warm-up; within the degree-presized
-        // capacity this does not even reallocate).
+        // High-water growth only (warm-up; within the degree-sum capacity
+        // this does not even reallocate).
         arena.grow_to(total);
         arena.payloads.clear();
         // Scatter pass: honest traffic in increasing-pid order...
@@ -1437,20 +1411,20 @@ where
 
     /// Runs compute + the *two-pass* merge's count pass, whatever the
     /// round's shape (benchmark hook for `engine_phases/count_pass`; the
-    /// production fast path would skip the count on monotone rounds).
+    /// production table paths skip the count).
     /// Reset with [`Simulation::drop_round_traffic`].
     #[cfg(feature = "bench-probes")]
     #[doc(hidden)]
     pub fn bench_count_pass(&mut self) {
         debug_assert!(self.outbox_feed);
         self.bench_compute_merge();
-        if self.arena_fast_round {
+        if self.table_round {
             self.count_dests();
         }
     }
 
     /// Clones the per-destination tallies of the staged round, forcing
-    /// the count pass if the fast path skipped it (benchmark hook; call
+    /// the count pass if a table round skipped it (benchmark hook; call
     /// after [`Simulation::bench_compute_merge`], reset afterwards).
     /// Requires the outbox feed.
     #[cfg(feature = "bench-probes")]
@@ -1460,7 +1434,7 @@ where
             self.outbox_feed,
             "count tallies exist only on the outbox feed"
         );
-        if self.arena_fast_round {
+        if self.table_round {
             self.count_dests();
         }
         let counts = self.dest_counts.clone();
@@ -2152,6 +2126,23 @@ mod tests {
         let last = trace.last().unwrap();
         assert_eq!(last.decided, 3);
         assert_eq!(last.halted, 3);
+    }
+
+    #[test]
+    fn multigraph_broadcast_rounds_stay_full() {
+        // H(n, 8) has parallel edges, so a broadcast round sends fewer
+        // messages than there are directed edges: fullness must be read
+        // against the table's positions, one per distinct sender.
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let g = bcount_graph::gen::hnd(64, 8, &mut rng).unwrap();
+        let mut sim = flood_sim(&g, &[], SimConfig::default());
+        assert!(sim.sender_ranks.total() < g.degree_sum());
+        // Round 1: every node broadcasts.
+        sim.step();
+        assert!(sim.table_round);
+        // The delivered generation kept the full path's static planes;
+        // a compacted round would have cleared both flags.
+        assert!(sim.arena.senders_static && sim.arena.lens_full);
     }
 
     #[test]

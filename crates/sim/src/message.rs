@@ -266,11 +266,11 @@ impl<M: fmt::Debug> fmt::Debug for Inbox<'_, M> {
 /// Envelope fields are split into parallel arrays — `senders`, the `u32`
 /// payload references `refs`, and the counting-sort `ranks` tag — and
 /// node `v`'s span is
-/// `offsets[v]..offsets[v] + lens[v]`. On the engine's fast path the
+/// `offsets[v]..offsets[v] + lens[v]`. On the engine's table paths the
 /// offsets are the **degree prefix sums precomputed once per execution**
-/// (a monotone-slot round delivers at most in-degree messages per node —
-/// exact capacity, no growth checks, no per-node allocations, no counting
-/// pass); when a round's shape exceeds that bound, or the round arrives
+/// (a table round delivers at most in-degree messages per node — exact
+/// capacity, no growth checks, no per-node allocations, no counting
+/// pass); when the table cannot place a round, or the round arrives
 /// through the flat feed, the two-pass count/prefix-sum merge recomputes
 /// exact packed spans instead (see the engine docs). Two arenas are
 /// double-buffered (swapped, never rebuilt), and the arrays grow only to
@@ -289,19 +289,18 @@ impl<M: fmt::Debug> fmt::Debug for Inbox<'_, M> {
 pub(crate) struct InboxArena<M> {
     /// Per-node span starts, length `n`.
     pub(crate) offsets: Vec<u32>,
-    /// Per-node span lengths, length `n` (double as the fast path's write
-    /// cursors).
+    /// Per-node span lengths, length `n`.
     pub(crate) lens: Vec<u32>,
     /// Whether `offsets` currently holds the static degree prefix (the
-    /// fast path's invariant; a two-pass round overwrites the offsets and
-    /// clears this, and the next fast round restores them).
+    /// table paths' invariant; a two-pass round overwrites the offsets and
+    /// clears this, and the next table round restores them).
     pub(crate) offsets_static: bool,
     /// Whether `senders[..slot_total]` currently holds the static
-    /// full-broadcast sender plane (one entry per directed edge, in
-    /// inbox order) — the full-round scatter's invariant, letting it skip
-    /// the per-message sender write entirely.
+    /// full-round sender plane (one entry per table position, in inbox
+    /// order) — the full table path's invariant, letting it skip the
+    /// per-message sender write entirely.
     pub(crate) senders_static: bool,
-    /// Whether `lens` currently equals the in-degree table (the
+    /// Whether `lens` currently equals the distinct in-degree table (the
     /// full-round invariant).
     pub(crate) lens_full: bool,
     /// Dense node index of every message's sender, arena-indexed — four
@@ -519,7 +518,13 @@ impl DeliveryMap {
     /// The routing of every outbox slot of node `u`, aligned with `u`'s
     /// sorted neighbour pid list.
     pub fn targets_of(&self, u: usize) -> &[SlotTarget] {
-        &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+        &self.targets[self.slot_range(u)]
+    }
+
+    /// Node `u`'s slots as indices into the map's flat slot order (the
+    /// index space of per-slot tables aligned with the map).
+    pub(crate) fn slot_range(&self, u: usize) -> std::ops::Range<usize> {
+        self.offsets[u] as usize..self.offsets[u + 1] as usize
     }
 
     /// Total number of slots (directed edges) in the map.

@@ -1,9 +1,11 @@
 //! The engine against the reference executor, inbox by inbox at every
 //! round and on the final [`SimReport`]: cycle, path, H(n, d), and torus
-//! graphs; silent, beacon-spamming, and observing adversaries; same-sender
-//! multi-send ties; mixed unicast/broadcast/repeat sends sharing payloads;
-//! proptest-generated fault plans; a quiescent protocol on the active-set
-//! schedule; and worker pools of 1, 4, and 8 threads.
+//! graphs; silent, beacon-spamming, double-sending, and observing
+//! adversaries; same-sender multi-send ties; mixed unicast/broadcast/repeat
+//! sends sharing payloads; unicasts to random neighbour subsets (the
+//! outbox feed's compacted table path, and repeated slots of parallel
+//! edges); proptest-generated fault plans; event-driven relays; and worker
+//! pools of 1, 4, and 8 threads.
 
 use super::{assert_lockstep, Reference};
 use crate::adversary::{Adversary, ByzantineContext, FullInfoView, NullAdversary};
@@ -143,8 +145,9 @@ fn relay(u: NodeId, init: &NodeInit) -> FrontierRelay {
 
 /// Beacon spam without observation: every Byzantine node broadcasts a
 /// fresh random beacon on two rounds out of three, twice on every fifth
-/// round — overflowing the degree-presized Byzantine budget, so the
-/// outbox feed's exact two-pass path runs too.
+/// round — overflowing the table paths' Byzantine budget (one message per
+/// Byzantine-incident edge), so the outbox feed's exact two-pass path runs
+/// too.
 struct BeaconSpam;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for BeaconSpam {
@@ -158,6 +161,26 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for BeaconSpam {
             if view.round().is_multiple_of(5) {
                 ctx.broadcast(b, Pid(beacon.0.wrapping_add(1)));
             }
+        }
+    }
+
+    fn observes_traffic(&self) -> bool {
+        false
+    }
+}
+
+/// Two fresh messages per Byzantine-incident edge every round, without
+/// observing: always over the table paths' Byzantine budget, so every
+/// round with a Byzantine node that has a neighbour takes the outbox
+/// feed's two-pass path.
+struct DoubleSender;
+
+impl<P: Protocol<Message = Pid>> Adversary<P> for DoubleSender {
+    fn on_round(&mut self, view: &FullInfoView<'_, P>, ctx: &mut ByzantineContext<'_, Pid>) {
+        let beacon: u64 = ctx.rng().gen();
+        for b in view.byzantine_nodes() {
+            ctx.broadcast(b, Pid(beacon));
+            ctx.broadcast(b, Pid(beacon ^ 1));
         }
     }
 
@@ -379,9 +402,10 @@ fn parallel_engine_matches_reference_at_every_pool_size() {
 /// Mixes send shapes so that every delivery path's `pbase + idx` payload
 /// remap shows in inbox order. Odd rounds: a unicast, a broadcast, a
 /// second broadcast and a repeat send to one neighbour — four payloads per
-/// outbox, with references out of slot order (non-monotone). Even rounds:
-/// a distinct unicast to every distinct neighbour in slot order — one
-/// payload per send, monotone, and exactly the broadcast slot pattern.
+/// outbox, with references out of slot order (non-monotone: the two-pass
+/// path). Even rounds: a distinct unicast to every distinct neighbour in
+/// slot order — one payload per send, and a full table round wherever
+/// every `send` resolves to a first slot and no node is Byzantine.
 #[derive(Debug, Clone)]
 struct MixedSends {
     acc: u64,
@@ -424,12 +448,12 @@ impl Protocol for MixedSends {
 }
 
 /// [`MixedSends`] on both feeds — the outbox feed with and without
-/// Byzantine nodes (broadcast table, degree-presized, two-pass) and the
-/// flat feed with an observing
-/// adversary and under a fault plan — in pools of 1, 4, and 8 workers.
-/// The torus has no parallel edges, so its even rounds match the
-/// broadcast table's slots exactly (on a multigraph `send` may resolve a
-/// doubled neighbour to its second slot, which the table never uses).
+/// Byzantine nodes (table full or compacted, two-pass) and the flat feed
+/// with an observing adversary and under a fault plan — in pools of 1, 4,
+/// and 8 workers. The torus has no parallel edges, so its even rounds are
+/// full table rounds (on a multigraph `send` may resolve a doubled
+/// neighbour to a repeated slot of the parallel edge, which the table
+/// cannot place: such a round takes the two-pass path).
 #[test]
 fn mixed_send_shapes_match_reference_on_both_feeds() {
     let torus = torus2d(9, 8).unwrap();
@@ -515,11 +539,126 @@ fn observing_adversary_sees_the_reference_traffic() {
 }
 
 fn build_graph(kind: u8, n: usize, seed: u64) -> Graph {
-    match kind % 4 {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED);
+    match kind % 5 {
         0 => cycle(n).unwrap(),
         1 => path(n).unwrap(),
-        2 => hnd(n, 4, &mut ChaCha8Rng::seed_from_u64(seed ^ 0x5EED)).unwrap(),
-        _ => torus2d(3, n.div_ceil(3).max(3)).unwrap(),
+        2 => hnd(n, 4, &mut rng).unwrap(),
+        3 => torus2d(3, n.div_ceil(3).max(3)).unwrap(),
+        _ => hnd(n, 8, &mut rng).unwrap(),
+    }
+}
+
+/// Distinct unicasts, in slot order, to a seeded random subset of the
+/// distinct neighbours: table rounds with holes anywhere in the spans.
+/// Every fifth round reaches every distinct neighbour (a full round when
+/// no node is Byzantine). A doubled neighbour whose `send` resolves to a
+/// repeated slot of the parallel edge is skipped, except on every third
+/// round, where it is sent to as well — which the table cannot place, so
+/// those rounds take the two-pass path. Every fourth round a node whose
+/// last neighbour is doubled instead broadcasts and then sends once more
+/// to that neighbour: where `send` resolves it to the repeated slot, the
+/// slots still strictly increase but reach one neighbour twice.
+#[derive(Debug, Clone)]
+struct SubsetUnicast {
+    acc: u64,
+}
+
+impl Protocol for SubsetUnicast {
+    type Message = Pid;
+    type Output = u64;
+
+    fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
+        for env in ctx.inbox() {
+            self.acc = self
+                .acc
+                .wrapping_mul(31)
+                .wrapping_add(env.msg.0 ^ env.sender.0);
+        }
+        let degree = ctx.degree();
+        let last = ctx.neighbors()[degree - 1];
+        let last_doubled = degree > 1 && ctx.neighbors()[degree - 2] == last;
+        if ctx.round().is_multiple_of(4) && last_doubled {
+            ctx.broadcast(Pid(self.acc));
+            ctx.send(last, Pid(!self.acc));
+            return;
+        }
+        let everyone = ctx.round() % 5 == 1;
+        let repeated_slots = ctx.round().is_multiple_of(3);
+        let mut prev = None;
+        for i in 0..ctx.degree() {
+            let to = ctx.neighbors()[i];
+            if prev == Some(to) {
+                continue;
+            }
+            prev = Some(to);
+            // `send` resolves `to` by the same binary search.
+            let first_slot = ctx.neighbors().binary_search(&to) == Ok(i);
+            let picked = everyone || ctx.rng().gen_bool(0.5);
+            if picked && (first_slot || repeated_slots) {
+                ctx.send(to, Pid(self.acc ^ (i as u64 + 1)));
+            }
+        }
+    }
+
+    fn output(&self) -> Option<u64> {
+        Some(self.acc)
+    }
+}
+
+/// Whether some node's `send` to a doubled neighbour resolves to a
+/// repeated slot of the parallel edge, under the pid assignment `pids`.
+fn send_reaches_a_repeated_slot(g: &Graph, pids: &[Pid]) -> bool {
+    (0..g.len()).any(|u| {
+        let mut neighbors: Vec<Pid> = g
+            .neighbors(NodeId(u as u32))
+            .map(|w| pids[w.index()])
+            .collect();
+        neighbors.sort_unstable();
+        neighbors.iter().any(|to| {
+            let first = neighbors.partition_point(|p| p < to);
+            neighbors.binary_search(to) != Ok(first)
+        })
+    })
+}
+
+/// [`SubsetUnicast`] on the outbox feed with no Byzantine node, silent
+/// Byzantine nodes, beacon spam, and a double-sender over the Byzantine
+/// budget, in pools of 1 and 4 workers.
+fn check_subset_unicasts(g: &Graph, byz: &[NodeId], seed: u64, rounds: u64) -> Vec<Pid> {
+    let subset = |_: NodeId, init: &NodeInit| SubsetUnicast { acc: init.pid.0 };
+    let cfg = SimConfig {
+        parallel: true,
+        stop_when: StopWhen::MaxRoundsOnly,
+        ..config(seed, rounds)
+    };
+    let mut pids = Vec::new();
+    for threads in [1usize, 4] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build test pool");
+        pool.install(|| {
+            pids = check(g, &[], subset, || NullAdversary, cfg.clone()).pids;
+            check(g, byz, subset, || NullAdversary, cfg.clone());
+            check(g, byz, subset, || BeaconSpam, cfg.clone());
+            check(g, byz, subset, || DoubleSender, cfg.clone());
+        });
+    }
+    pids
+}
+
+#[test]
+fn subset_unicasts_match_reference_on_every_table_path() {
+    // A small H(n, 8) has many parallel edges; the larger one has spans
+    // long enough for holes anywhere.
+    for (n, seed) in [(16usize, 21u64), (96, 22)] {
+        let g = hnd(n, 8, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
+        let byz = [NodeId(3), NodeId(n as u32 / 2)];
+        let pids = check_subset_unicasts(&g, &byz, seed, 16);
+        // The multigraph's repeated-slot rounds really ran (the two-pass
+        // fallback), not only the table rounds.
+        assert!(send_reaches_a_repeated_slot(&g, &pids));
     }
 }
 
@@ -549,6 +688,27 @@ proptest! {
         } else {
             check(&g, &byz, spray, || BeaconSpam, cfg);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Random-subset unicasts on every graph family, H(n, 8) included.
+    #[test]
+    fn subset_unicasts_match_reference(
+        seed in 0u64..1_000_000,
+        n in 3usize..40,
+        kind in 0u8..5,
+        byz_count in 1usize..4,
+        rounds in 1u64..10,
+    ) {
+        let g = build_graph(kind, n, seed);
+        let n = g.len();
+        let byz: Vec<NodeId> = (0..byz_count.min(n - 1))
+            .map(|i| NodeId((i * n / byz_count) as u32))
+            .collect();
+        check_subset_unicasts(&g, &byz, seed, rounds);
     }
 }
 

@@ -65,8 +65,9 @@ impl Protocol for JitterFlood {
 
 /// A rushing adversary with its own randomness that never reads
 /// `honest_outgoing`, and says so — the outbox feed. The double broadcast
-/// every fifth round overflows the degree-presized Byzantine budget,
-/// forcing those rounds through the exact two-pass merge.
+/// every fifth round overflows the table paths' Byzantine budget (one
+/// message per Byzantine-incident edge), forcing those rounds through the
+/// exact two-pass merge.
 struct NoisyEcho;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for NoisyEcho {

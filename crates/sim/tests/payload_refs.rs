@@ -4,7 +4,7 @@
 //! own clones.
 //!
 //! * On the outbox feed, rounds of full broadcasts clone no payload — on
-//!   the broadcast-table, degree-presized and two-pass paths, under an
+//!   the full table, compacted table and two-pass paths, under an
 //!   event-driven relay whose nodes first send late, and (with the
 //!   `parallel` feature) behind the parallel honest compute at pool widths
 //!   1 and 4.
@@ -155,8 +155,9 @@ fn outbox_feed_broadcasts_clone_no_payload() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let g = hnd(256, 8, &mut ChaCha8Rng::seed_from_u64(3)).unwrap();
     let byz = [NodeId(9), NodeId(130)];
-    // Serial: broadcast table (no Byzantine node), degree-presized spans
-    // with the Byzantine-adjacent sort, and the exact two-pass merge.
+    // Serial: the full table path (no Byzantine node), the compacted
+    // table path with the Byzantine-adjacent sort, and the exact two-pass
+    // merge.
     let cases = [
         (&[][..], Shape::Broadcast),
         (&byz[..], Shape::Broadcast),

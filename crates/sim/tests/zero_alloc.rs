@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bcount_graph::gen::{cycle, hnd};
 use bcount_graph::{Graph, NodeId};
 use bcount_sim::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Counts every allocation and reallocation; frees are not interesting.
@@ -91,6 +91,40 @@ impl Protocol for DoubleChatter {
         ctx.broadcast(msg);
         let first = ctx.neighbors()[0];
         ctx.send(first, msg);
+    }
+
+    fn output(&self) -> Option<()> {
+        None
+    }
+
+    fn has_halted(&self) -> bool {
+        false
+    }
+}
+
+/// Every round, a distinct unicast to each distinct neighbour in a seeded
+/// random half of them, in slot order: strictly increasing first slots
+/// with holes anywhere in the spans — the outbox feed's compacted table
+/// path (fill, then compaction) every round.
+#[derive(Debug, Clone)]
+struct SubsetChatter(Pid);
+
+impl Protocol for SubsetChatter {
+    type Message = Pid;
+    type Output = ();
+
+    fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
+        let heard = ctx.inbox().len() as u64;
+        let mut last = None;
+        for i in 0..ctx.neighbors().len() {
+            let to = ctx.neighbors()[i];
+            if last != Some(to) {
+                last = Some(to);
+                if ctx.rng().gen_bool(0.5) {
+                    ctx.send(to, Pid(self.0 .0 ^ heard ^ i as u64));
+                }
+            }
+        }
     }
 
     fn output(&self) -> Option<()> {
@@ -173,12 +207,13 @@ fn chatter_config() -> SimConfig {
     }
 }
 
-/// The outbox feed (`NullAdversary` licenses it): the broadcast-table
-/// path without Byzantine nodes, and with a silent Byzantine node (which
-/// blocks the table) the degree-presized general path plus the
-/// Byzantine-adjacent sort — the sender-rank table, per-span permutation
-/// scratch, and the SoA arena's parallel arrays are all built or grown
-/// during warm-up and only reused afterwards.
+/// The outbox feed (`NullAdversary` licenses it): the full table path
+/// without Byzantine nodes, and with a silent Byzantine node (whose
+/// unfilled table positions make every round a compacted one) the
+/// compacted table path plus the Byzantine-adjacent sort — the
+/// sender-rank table, per-span permutation scratch, and the SoA arena's
+/// parallel arrays are all built or grown during warm-up and only reused
+/// afterwards.
 fn assert_zero_alloc_outbox_feed(byz: bool) {
     let g = cycle(96).unwrap();
     let byz: &[NodeId] = if byz { &[NodeId(17)] } else { &[] };
@@ -195,7 +230,8 @@ fn assert_zero_alloc_outbox_feed(byz: bool) {
 /// An observing adversary (the default `observes_traffic() == true`,
 /// which selects the flat feed): it reads the round's in-flight honest
 /// traffic and, with `burst` set, answers from every Byzantine node with
-/// two messages per incident edge — more than the degree-presized budget.
+/// two messages per incident edge — more than the outbox feed's table
+/// paths would take.
 /// It answers with two [`ByzantineContext::broadcast`]s, which walk the
 /// graph's neighbour spans in place.
 struct Observer {
@@ -229,6 +265,40 @@ fn assert_zero_alloc_flat_feed(burst: bool) {
         chatter_config(),
     );
     assert_steady_state_allocation_free(sim, &format!("flat feed, burst={burst}"));
+}
+
+/// Beacon spam that never observes the traffic (so the outbox feed runs):
+/// every Byzantine node broadcasts a fresh beacon every round, one
+/// message per incident edge — within the table paths' Byzantine budget.
+struct SilentSpam;
+
+impl<P: Protocol<Message = Pid>> Adversary<P> for SilentSpam {
+    fn on_round(&mut self, view: &FullInfoView<'_, P>, ctx: &mut ByzantineContext<'_, Pid>) {
+        let beacon = Pid(ctx.rng().gen());
+        for b in view.byzantine_nodes() {
+            ctx.broadcast(b, beacon);
+        }
+    }
+
+    fn observes_traffic(&self) -> bool {
+        false
+    }
+}
+
+/// Random-subset unicasts under beacon spam on the outbox feed: the
+/// compacted table path's hole marking, node-order fill, compaction, the
+/// Byzantine append behind the compacted spans and their counting sort
+/// all run on warmed capacity.
+fn assert_zero_alloc_compacted_spam() {
+    let g = cycle(96).unwrap();
+    let sim = Simulation::new(
+        &g,
+        &[NodeId(17), NodeId(60)],
+        |_, init| SubsetChatter(init.pid),
+        SilentSpam,
+        chatter_config(),
+    );
+    assert_steady_state_allocation_free(sim, "outbox feed, subset unicasts under beacon spam");
 }
 
 /// The outbox feed's exact two-pass merge, which runs when a round's slot
@@ -349,11 +419,13 @@ where
 }
 
 fn main() {
-    // Outbox feed: the broadcast-table path (no Byzantine nodes), the
-    // degree-presized general path (silent Byzantine node), and the exact
-    // two-pass merge (non-monotone sends).
+    // Outbox feed: the full table path (no Byzantine nodes), the
+    // compacted table path (silent Byzantine node, and subset unicasts
+    // under beacon spam), and the exact two-pass merge (non-monotone
+    // sends).
     assert_zero_alloc_outbox_feed(false);
     assert_zero_alloc_outbox_feed(true);
+    assert_zero_alloc_compacted_spam();
     assert_zero_alloc_two_pass();
     // Flat feed under an observing adversary: steady broadcast, and a
     // Byzantine burst every round.
@@ -367,7 +439,7 @@ fn main() {
     assert_rewarm_after_unicast_switch(true);
     println!(
         "zero_alloc: ok (0 allocations over 200 steady-state rounds; \
-         outbox feed broadcast/general/two-pass, flat feed steady/burst, \
+         outbox feed full/compacted/spam/two-pass, flat feed steady/burst, \
          parallel size-1 pool, re-warm after a \
          unicast switch on both feeds)"
     );

@@ -27,19 +27,11 @@
 //! The `engine_phases` group decomposes one round. `merge` is honest
 //! compute + the flat feed's node-order merge with delivery skipped
 //! (traffic dropped), under the same observing adversary. Outbox-feed
-//! phases: `compute` is the honest phase alone (traffic dropped),
-//! `count_pass` adds the two-pass merge's per-destination counting pass
-//! (forced — the production table paths skip it),
-//! `placement` measures the prefix-sum placement alone from a counts
-//! snapshot (messages placed/sec), and `arena_scatter` is the whole
-//! *production* outbox-feed round minus the empty adversary phase — on
-//! this all-broadcast workload that is the full table path (merge scan +
-//! table fill; no count, no placement, no compaction, no sort), so the
-//! production scatter cost is `arena_scatter` minus `compute` (minus the
-//! scan share of `count_pass`), while the forced-count delta `count_pass`
-//! minus `compute` prices the two-pass fallback's extra pass. The two
-//! measure different paths — don't difference `arena_scatter` against
-//! `count_pass`.
+//! phases: `compute` is the honest phase alone (traffic dropped), and
+//! `arena_scatter` is the whole *production* outbox-feed round minus the
+//! empty adversary phase — on this all-broadcast workload that is the
+//! full table path (merge scan + table fill; no compaction, no sort), so
+//! the production scatter cost is `arena_scatter` minus `compute`.
 
 use bcount_bench::runners::{network, spread_byzantine, theorem2_budget};
 use bcount_daemon::Server;
@@ -314,23 +306,9 @@ fn bench_phases(c: &mut Criterion) {
             });
         });
 
-        // compute + the arena count pass (two-pass merge, pass 1 — forced
-        // even though the production table path skips it for this
-        // broadcast workload).
-        let mut ksim = warmed(&g, &[], chatter_config(false), NullAdversary);
-        group.bench_with_input(BenchmarkId::new("count_pass", n), &n, |b, _| {
-            b.iter(|| {
-                for _ in 0..ROUNDS {
-                    ksim.bench_count_pass();
-                    ksim.drop_round_traffic();
-                }
-                ksim.round()
-            });
-        });
-
         // The whole production outbox-feed round minus the (empty) adversary
-        // phase — the full table path on this workload (see
-        // the module docs for what may and may not be differenced).
+        // phase — the full table path on this workload (see the module
+        // docs).
         let mut ssim = warmed(&g, &[], chatter_config(false), NullAdversary);
         group.bench_with_input(BenchmarkId::new("arena_scatter", n), &n, |b, _| {
             b.iter(|| {
@@ -340,18 +318,6 @@ fn bench_phases(c: &mut Criterion) {
                 }
                 ssim.round()
             });
-        });
-
-        // Prefix-sum placement alone, from a snapshotted count-pass
-        // tally: tallies → exact spans, reported per message placed.
-        let mut psim = warmed(&g, &[], chatter_config(false), NullAdversary);
-        psim.bench_compute_merge();
-        let counts = psim.bench_snapshot_counts();
-        let placed: u64 = counts.iter().map(|&c| u64::from(c)).sum();
-        psim.drop_round_traffic();
-        group.throughput(Throughput::Elements(placed));
-        group.bench_with_input(BenchmarkId::new("placement", n), &n, |b, _| {
-            b.iter(|| psim.bench_arena_placement(&counts));
         });
     }
     group.finish();

@@ -60,18 +60,20 @@
 //!   [`Adversary::observes_traffic`]` == false` (e.g.
 //!   [`crate::NullAdversary`] and every attack strategy shipped in this
 //!   workspace) *and* the [`SimConfig::fault`] plan is empty. Nobody needs
-//!   the round's traffic as a flat vector, so delivery reads the outboxes
-//!   directly and places every span's honest messages in **sender-pid
-//!   order**. The canonical inbox order is stable-by-sender-pid, so every
-//!   span is then sorted as placed, and the counting sort (and its rank
-//!   tag) runs only at Byzantine-adjacent spans — edge locality bounds
-//!   that set at construction. The merge only scans the outboxes
-//!   (metrics, and whether every send goes through a table slot), and the
-//!   round's shape picks the placement:
-//!   1. a **table round** (each outbox's slots strictly increasing, every
-//!      send through the first slot of a distinct neighbour, and Byzantine
-//!      traffic within one message per Byzantine-incident edge) places
-//!      through the **slot → position table**, built once per execution:
+//!   the round's traffic as a flat vector, so a table round's delivery
+//!   reads the outboxes directly and places every span's honest messages
+//!   in **sender-pid order**. The canonical inbox order is
+//!   stable-by-sender-pid, so every span is then sorted as placed, and the
+//!   counting sort (and its rank tag) runs only at Byzantine-adjacent
+//!   spans — edge locality bounds that set at construction. The merge
+//!   only scans the outboxes (metrics, and whether each outbox's slots
+//!   strictly increase), and the round's shape picks one of two
+//!   placements:
+//!   1. a **table round** (each outbox's slots strictly increasing — every
+//!      send resolves to the first slot of a distinct neighbour — and
+//!      Byzantine traffic within one message per Byzantine-incident edge)
+//!      places through the **slot → position table**, built once per
+//!      execution:
 //!      the first slot of each distinct neighbour owns the position
 //!      `deg_offsets[to] + rank` of its destination's degree-prefix span.
 //!      Outboxes drain in natural node order, one table load and one
@@ -82,12 +84,12 @@
 //!      send wrote keep a hole mark, and one sequential pass closes each
 //!      span's holes, copying the static senders, and appends the
 //!      Byzantine traffic;
-//!   2. anything else (several sends through one slot, a send through a
-//!      repeated slot of a parallel edge, or a Byzantine burst over the
-//!      budget) runs the exact **two-pass** merge: count messages per
-//!      destination, prefix-sum the tallies into packed spans and write
-//!      cursors, scatter every message once into its final slot,
-//!      visiting senders in increasing-pid order.
+//!   2. anything else (slots out of order — several sends to one
+//!      neighbour, or sends out of neighbour order — or a Byzantine burst
+//!      over the budget) takes the **flat feed's placement**: the
+//!      still-full outboxes drain in node order into the flat vector (the
+//!      merge's metrics stand) and go through the flat feed's delivery
+//!      below.
 //! * **Flat feed** — everything else: a rushing adversary that observes
 //!   [`FullInfoView::honest_outgoing`], or a fault plan that rewrites that
 //!   same traffic. The merge drains every outbox **in node order** into
@@ -96,10 +98,11 @@
 //!   the adversary run on it exactly as built (fault rolls and the
 //!   adversary's view are defined on node order, so it is never
 //!   reordered; a duplicate copies a reference, not a payload); then the
-//!   vector and the Byzantine traffic go through the same count →
-//!   prefix-sum → scatter as the two-pass merge. Node order is not pid
-//!   order, so *every* non-empty span is counting-sorted, not only the
-//!   Byzantine-adjacent ones.
+//!   vector and the Byzantine traffic go through one count → prefix-sum →
+//!   scatter: count messages per destination, prefix-sum the tallies into
+//!   packed spans and write cursors, scatter every message once into its
+//!   final slot. Node order is not pid order, so *every* non-empty span is
+//!   counting-sorted, not only the Byzantine-adjacent ones.
 //!
 //! Transcripts never depend on the feed, the round shape, or the pool
 //! size: every path is stable per sender and lands each inbox in the
@@ -155,8 +158,9 @@ impl<T> PhaseShared for T {}
 
 /// The table paths' sentinel: a reference no send wrote (an arena
 /// position the compaction skips), and in the slot → position table a
-/// slot with no position (a repeated slot of a parallel edge). Payload
-/// references index a store far smaller than `u32::MAX` entries.
+/// slot with no position (a repeated slot of a parallel edge, which no
+/// send resolves to). Payload references index a store far smaller than
+/// `u32::MAX` entries.
 const HOLE: u32 = u32::MAX;
 
 /// When the engine should stop (always additionally bounded by
@@ -302,9 +306,10 @@ pub struct Simulation<G, P: Protocol, A> {
     arena: InboxArena<P::Message>,
     /// Arena staging for the round in flight.
     arena_staged: InboxArena<P::Message>,
-    /// Per-destination message tallies of a two-pass round — the count
-    /// pass's output, consumed (as write cursors) by the prefix-sum
-    /// placement and scatter, then re-zeroed.
+    /// Per-destination message tallies of the flat feed's placement —
+    /// counted by [`Simulation::deliver_flat`], consumed (as write
+    /// cursors) by the prefix-sum placement and scatter, then re-zeroed.
+    /// A table round borrows it as the Byzantine-budget tally.
     dest_counts: Vec<u32>,
     /// The static per-node arena offsets, precomputed once per execution
     /// as the prefix sums of the [`DeliveryMap`] in-degrees — the table
@@ -323,8 +328,8 @@ pub struct Simulation<G, P: Protocol, A> {
     /// (the destination's degree-prefix offset plus the sender's rank
     /// there), so every distinct sender owns one position of its
     /// destination's span, in sender-pid order. A repeated slot of a
-    /// parallel edge holds [`HOLE`]: the table cannot place it. Outbox
-    /// feed only.
+    /// parallel edge holds [`HOLE`]: [`NodeContext::send`] and
+    /// [`NodeContext::broadcast`] never resolve to one. Outbox feed only.
     slot_pos: Vec<u32>,
     /// Per-node inbox length of a full round (distinct in-degree): the
     /// table positions each span owns. Outbox feed only.
@@ -335,17 +340,20 @@ pub struct Simulation<G, P: Protocol, A> {
     /// invariant across consecutive full rounds; a compacted round reads
     /// it for every message it keeps. Outbox feed only.
     static_senders: Vec<NodeId>,
-    /// Whether every honest send of this round goes through a first slot
-    /// and each outbox's slots strictly increase (set by the merge's
-    /// scan): at most one message per distinct directed edge, each with
-    /// its own table position — the precondition of the table paths.
+    /// Whether each outbox's slots strictly increase this round (set by
+    /// the merge's scan). Every send goes through a first slot, so that is
+    /// at most one message per distinct directed edge, each with its own
+    /// table position — the precondition of the table paths. Any other
+    /// round takes the flat feed's placement.
     table_round: bool,
     /// Per-node outgoing scratch lent to [`NodeContext`] each round:
     /// (neighbour slot, payload index) sends plus the payload plane.
     outboxes: Vec<Outbox<P::Message>>,
     /// Merged honest traffic of the round in flight, in node order, as
-    /// (from, to, index into the staged arena's payload store) (flat feed
-    /// only; always empty on the outbox feed).
+    /// (from, to, index into the staged arena's payload store). Filled by
+    /// the flat feed's merge; on the outbox feed it stays empty until a
+    /// round the table cannot place drains its outboxes into it at
+    /// delivery.
     honest_outgoing: Vec<(NodeId, NodeId, u32)>,
     /// Destination sender-ranks aligned entry-for-entry with
     /// `honest_outgoing` (kept separate so the adversary's view of the
@@ -369,14 +377,6 @@ pub struct Simulation<G, P: Protocol, A> {
     /// Honest messages merged this round — tracked explicitly because the
     /// outbox feed never materializes them as a flat vector.
     round_honest_messages: u64,
-    /// Node ids in increasing-[`Pid`] order (flattened from
-    /// [`PidIndex::nodes_by_pid`]). The outbox feed's two-pass path drains
-    /// outboxes in this order, so every inbox receives its honest traffic
-    /// already in canonical (sender-pid) order — which is what lets the
-    /// counting sort be skipped wherever no Byzantine message can land.
-    /// (The table paths need no visiting order: the table fixes every
-    /// position.)
-    pid_order: Vec<u32>,
     /// Per node: whether any graph neighbour is Byzantine — i.e. whether
     /// this inbox can *ever* receive Byzantine traffic (edge locality).
     /// Only these inboxes need rank tags and a counting sort on the
@@ -505,7 +505,6 @@ where
         // (the plan is empty).
         let outbox_feed = !adversary.observes_traffic() && !faults_active;
         let slot_total = g.degree_sum();
-        let pid_order: Vec<u32> = pid_index.nodes_by_pid().map(|node| node.0).collect();
         let byz_adjacent: Vec<bool> = (0..n)
             .map(|v| {
                 g.neighbors(NodeId(v as u32))
@@ -548,8 +547,8 @@ where
         };
         // The table paths' slot → position table: the first slot of each
         // distinct neighbour places at the destination's degree-prefix
-        // offset plus the sender's rank there — the position a pid-order
-        // scatter of a full round would give it.
+        // offset plus the sender's rank there, so each span's positions
+        // run in sender-pid order.
         let (slot_pos, full_lens, static_senders) = if outbox_feed {
             let mut slot_pos = vec![HOLE; slot_total];
             let mut senders = vec![NodeId(0); slot_total];
@@ -621,7 +620,6 @@ where
             sender_counts,
             outbox_feed,
             round_honest_messages: 0,
-            pid_order,
             byz_adjacent,
             byz_adjacent_nodes,
             faults_active,
@@ -810,7 +808,7 @@ where
         if self.outbox_feed {
             self.merge_arena_count();
         } else {
-            self.merge_outboxes();
+            self.merge_outboxes(true);
         }
     }
 
@@ -880,11 +878,13 @@ where
     /// into `honest_outgoing`, moving its payloads into the staged arena's
     /// store and resolving each slot-addressed send to its destination and
     /// counting-sort rank through the precomputed [`DeliveryMap`] (one
-    /// flat-array load — no per-message identity search), and records
-    /// per-node metrics. This single-threaded step fixes the order the
-    /// fault pass and the adversary see, which is why the parallel compute
-    /// phase cannot perturb transcripts.
-    fn merge_outboxes(&mut self) {
+    /// flat-array load — no per-message identity search), and, with
+    /// `record_metrics`, records per-node metrics. This single-threaded
+    /// step fixes the order the fault pass and the adversary see, which is
+    /// why the parallel compute phase cannot perturb transcripts. The
+    /// outbox feed reuses it, without metrics (its scan took them), for a
+    /// round the table cannot place.
+    fn merge_outboxes(&mut self, record_metrics: bool) {
         debug_assert!(self.honest_outgoing.is_empty());
         debug_assert!(self.honest_ranks.is_empty());
         let id_bits = self.config.id_bits;
@@ -898,8 +898,10 @@ where
             }
             let from = NodeId(u as u32);
             let targets = self.delivery_map.targets_of(u);
-            let (count, bits, max_bits) = outbox_sizes(outbox, id_bits);
-            self.metrics.per_node[u].record_batch(count, bits, max_bits);
+            if record_metrics {
+                let (count, bits, max_bits) = outbox_sizes(outbox, id_bits);
+                self.metrics.per_node[u].record_batch(count, bits, max_bits);
+            }
             let pbase = arena.take_payloads(&mut outbox.payloads);
             for (slot, payload) in outbox.sends.drain(..) {
                 let target = targets[slot as usize];
@@ -912,15 +914,13 @@ where
     }
 
     /// The outbox feed's merge: records per-node metrics and scans every
-    /// outbox's slot sequence. A **table round** — every send through a
-    /// first slot, each outbox's slots strictly increasing — sends at most
-    /// one message per distinct directed edge, each with its own position
-    /// in the slot → position table, so delivery needs no counting and no
-    /// prefix sum. Any other round (several sends through one slot, or a
-    /// send through a repeated slot of a parallel edge) falls back to the
-    /// exact two-pass merge, whose count pass runs here. Outboxes are left
-    /// full either way — delivery drains them, after the adversary has
-    /// committed.
+    /// outbox's slot sequence. Every send goes through the first slot of
+    /// its neighbour, so a **table round** — each outbox's slots strictly
+    /// increasing — sends at most one message per distinct directed edge,
+    /// each with its own position in the slot → position table, and
+    /// delivery needs no counting and no prefix sum. Any other round takes
+    /// the flat feed's placement. Outboxes are left full either way —
+    /// delivery drains them, after the adversary has committed.
     fn merge_arena_count(&mut self) {
         let id_bits = self.config.id_bits;
         let mut sent = 0u64;
@@ -934,10 +934,13 @@ where
             if outbox.is_empty() {
                 continue;
             }
-            let slot_pos = &self.slot_pos[self.delivery_map.slot_range(u)];
             let mut next = 0;
             for &(slot, _) in &outbox.sends {
-                table &= slot >= next && slot_pos[slot as usize] != HOLE;
+                debug_assert!(
+                    self.slot_pos[self.delivery_map.slot_range(u)][slot as usize] != HOLE,
+                    "every send goes through a first slot"
+                );
+                table &= slot >= next;
                 next = slot + 1;
             }
             let (count, bits, max_bits) = outbox_sizes(outbox, id_bits);
@@ -946,25 +949,6 @@ where
         }
         self.round_honest_messages = sent;
         self.table_round = table;
-        if !table {
-            self.count_dests();
-        }
-    }
-
-    /// The two-pass merge's count pass: tallies this round's honest
-    /// messages per destination (one [`DeliveryMap`] load and one counter
-    /// bump per message). Runs only on rounds the table cannot place.
-    fn count_dests(&mut self) {
-        for u in 0..self.graph().len() {
-            let outbox = &self.outboxes[u];
-            if outbox.is_empty() {
-                continue;
-            }
-            let targets = self.delivery_map.targets_of(u);
-            for &(slot, _) in &outbox.sends {
-                self.dest_counts[targets[slot as usize].to.index()] += 1;
-            }
-        }
     }
 
     /// Whether this round's Byzantine traffic fits behind the honest
@@ -989,12 +973,13 @@ where
 
     /// Arena delivery on the outbox feed. A table round whose Byzantine
     /// traffic fits places its honest messages through the slot →
-    /// position table ([`Simulation::deliver_arena_table`]); otherwise the
-    /// exact two-pass pipeline runs: Byzantine tallies join the count, one
-    /// prefix-sum scan turns the tallies into packed spans + write
-    /// cursors, and the scatter visits senders in increasing-pid order.
-    /// Either way only Byzantine-adjacent spans need the counting sort —
-    /// every other span is in sender-pid order as placed.
+    /// position table ([`Simulation::deliver_arena_table`]). Any other
+    /// round drains the still-full outboxes in node order into
+    /// `honest_outgoing` (the merge's scan already recorded the metrics)
+    /// and takes the flat feed's placement ([`Simulation::deliver_flat`]).
+    /// Its stable sort of every span gives the canonical order: a sender's
+    /// messages keep their merged order, and no sender is both honest and
+    /// Byzantine.
     fn deliver_arena(&mut self) {
         if self.table_round {
             // A table round fills every table position iff it sends one
@@ -1009,11 +994,9 @@ where
                 self.deliver_arena_table(full);
                 return;
             }
-            // Table round, oversized Byzantine burst: the count pass was
-            // skipped at merge time — run it now for the exact path.
-            self.count_dests();
         }
-        self.deliver_arena_two_pass();
+        self.merge_outboxes(false);
+        self.deliver_flat();
     }
 
     /// The table paths' delivery. Outboxes drain in natural node order
@@ -1030,8 +1013,8 @@ where
     ///   closes the holes: it copies each kept reference and its static
     ///   sender down to the span's next free position (plus the sender's
     ///   rank, `p - offsets[v]`, in Byzantine-adjacent spans) and sets the
-    ///   span's length. The spans come out in sender-pid order, as a
-    ///   pid-order scatter would leave them; the Byzantine traffic is
+    ///   span's length. The spans come out in sender-pid order, the
+    ///   table's position order; the Byzantine traffic is
     ///   appended behind them and the Byzantine-adjacent spans are
     ///   counting-sorted.
     fn deliver_arena_table(&mut self, full: bool) {
@@ -1041,7 +1024,7 @@ where
         arena.grow_to(slot_total);
         arena.payloads.clear();
         if !arena.offsets_static {
-            // A two-pass round repacked the offsets; restore the static
+            // A flat-placed round repacked the offsets; restore the static
             // degree prefix.
             arena.offsets.copy_from_slice(&self.deg_offsets);
             arena.offsets_static = true;
@@ -1125,71 +1108,14 @@ where
         self.sort_byz_adjacent_spans();
     }
 
-    /// Arena delivery, exact two-pass variant — passes 2 and 3 of the
-    /// count/prefix-sum merge, for outbox-feed rounds the table cannot
-    /// place.
-    fn deliver_arena_two_pass(&mut self) {
-        for (_, to, _) in &self.byz_outgoing {
-            self.dest_counts[to.index()] += 1;
-        }
-        let total = self.place_spans();
-        let arena = &mut self.arena_staged;
-        // High-water growth only (warm-up; within the degree-sum capacity
-        // this does not even reallocate).
-        arena.grow_to(total);
-        arena.payloads.clear();
-        // Scatter pass: honest traffic in increasing-pid order...
-        for &u in &self.pid_order {
-            let u = u as usize;
-            let outbox = &mut self.outboxes[u];
-            if outbox.is_empty() {
-                continue;
-            }
-            let sender = NodeId(u as u32);
-            let targets = self.delivery_map.targets_of(u);
-            let pbase = arena.take_payloads(&mut outbox.payloads);
-            for (slot, payload) in outbox.sends.drain(..) {
-                let target = targets[slot as usize];
-                let v = target.to.index();
-                let pos = self.dest_counts[v];
-                self.dest_counts[v] = pos + 1;
-                let pos = pos as usize;
-                arena.senders[pos] = sender;
-                arena.refs[pos] = pbase + payload;
-                if self.byz_adjacent[v] {
-                    arena.ranks[pos] = target.rank;
-                }
-            }
-        }
-        // ...then the Byzantine traffic in emission order.
-        for ((from, to, msg), rank) in self.byz_outgoing.drain(..).zip(self.byz_ranks.drain(..)) {
-            let v = to.index();
-            debug_assert!(
-                self.byz_adjacent[v],
-                "edge locality: Byzantine traffic only reaches Byzantine-adjacent inboxes"
-            );
-            let pos = self.dest_counts[v];
-            self.dest_counts[v] = pos + 1;
-            let pos = pos as usize;
-            arena.senders[pos] = from;
-            arena.refs[pos] = push_payload(&mut arena.payloads, msg);
-            arena.ranks[pos] = rank;
-        }
-        // Cursors now sit at the span ends; re-zero them for the next
-        // round.
-        for c in &mut self.dest_counts {
-            *c = 0;
-        }
-        self.sort_byz_adjacent_spans();
-    }
-
     /// The flat feed's delivery: the node-order `honest_outgoing` vector
     /// (exactly as the fault pass and the adversary saw it; its payloads
     /// already sit in the staged store) and the Byzantine traffic go
-    /// through the two-pass count → prefix-sum → scatter, then **every**
-    /// non-empty span is counting-sorted — node order is not pid order,
-    /// so no span is sorted as scattered. The sort is stable, so a
-    /// sender's messages keep their merged order.
+    /// through one count → prefix-sum → scatter, then **every** non-empty
+    /// span is counting-sorted — node order is not pid order, so no span
+    /// is sorted as scattered. The sort is stable, so a sender's messages
+    /// keep their merged order. The outbox feed's rounds that the table
+    /// cannot place come here too.
     fn deliver_flat(&mut self) {
         let honest = self.honest_outgoing.iter().map(|&(_, to, _)| to);
         for to in honest.chain(self.byz_outgoing.iter().map(|(_, to, _)| *to)) {
@@ -1227,7 +1153,7 @@ where
         }
     }
 
-    /// The two-pass merge's prefix-sum placement: turns the
+    /// The flat feed's prefix-sum placement: turns the
     /// per-destination tallies in `dest_counts` into packed spans of the
     /// staged arena, replaces each tally with its span's write cursor, and
     /// returns the round's message total.
@@ -1252,8 +1178,8 @@ where
     }
 
     /// Counting sort of the staged spans where Byzantine traffic can
-    /// interleave with the pid-ordered honest scatter — the outbox feed's
-    /// only spans not sorted as scattered.
+    /// interleave with a table round's pid-ordered honest messages — the
+    /// table paths' only spans not sorted as placed.
     fn sort_byz_adjacent_spans(&mut self) {
         for i in 0..self.byz_adjacent_nodes.len() {
             let v = self.byz_adjacent_nodes[i] as usize;
@@ -1389,8 +1315,8 @@ where
 
     /// Discards the round's merged-but-undelivered traffic — the reset
     /// half of the phase micro-benchmarks. Covers both feeds: the flat
-    /// vector, and the outbox feed's counted (but not yet scattered)
-    /// outboxes and tallies.
+    /// vector, and the outbox feed's scanned (but not yet delivered)
+    /// outboxes.
     #[cfg(feature = "bench-probes")]
     #[doc(hidden)]
     pub fn drop_round_traffic(&mut self) {
@@ -1399,74 +1325,11 @@ where
         self.byz_outgoing.clear();
         self.byz_ranks.clear();
         // The outbox feed's merge leaves the outboxes full (delivery is
-        // what drains them) and possibly the tallies populated.
+        // what drains them).
         for outbox in &mut self.outboxes {
             outbox.clear();
         }
-        for c in &mut self.dest_counts {
-            *c = 0;
-        }
         self.round_honest_messages = 0;
-    }
-
-    /// Runs compute + the *two-pass* merge's count pass, whatever the
-    /// round's shape (benchmark hook for `engine_phases/count_pass`; the
-    /// production table paths skip the count).
-    /// Reset with [`Simulation::drop_round_traffic`].
-    #[cfg(feature = "bench-probes")]
-    #[doc(hidden)]
-    pub fn bench_count_pass(&mut self) {
-        debug_assert!(self.outbox_feed);
-        self.bench_compute_merge();
-        if self.table_round {
-            self.count_dests();
-        }
-    }
-
-    /// Clones the per-destination tallies of the staged round, forcing
-    /// the count pass if a table round skipped it (benchmark hook; call
-    /// after [`Simulation::bench_compute_merge`], reset afterwards).
-    /// Requires the outbox feed.
-    #[cfg(feature = "bench-probes")]
-    #[doc(hidden)]
-    pub fn bench_snapshot_counts(&mut self) -> Vec<u32> {
-        debug_assert!(
-            self.outbox_feed,
-            "count tallies exist only on the outbox feed"
-        );
-        if self.table_round {
-            self.count_dests();
-        }
-        let counts = self.dest_counts.clone();
-        for c in &mut self.dest_counts {
-            *c = 0;
-        }
-        counts
-    }
-
-    /// Runs the prefix-sum placement alone from a counts snapshot: loads
-    /// the tallies and turns them into staged-arena spans (the
-    /// `engine_phases/placement` micro-benchmark). Leaves the cursors
-    /// untouched, so it is repeatable.
-    #[cfg(feature = "bench-probes")]
-    #[doc(hidden)]
-    pub fn bench_arena_placement(&mut self, counts: &[u32]) {
-        debug_assert!(self.outbox_feed);
-        let n = self.graph().len();
-        debug_assert_eq!(counts.len(), n);
-        let arena = &mut self.arena_staged;
-        arena.offsets_static = false;
-        let mut running = 0u32;
-        for ((offset, len), &count) in arena
-            .offsets
-            .iter_mut()
-            .zip(arena.lens.iter_mut())
-            .zip(counts)
-        {
-            *offset = running;
-            *len = count;
-            running += count;
-        }
     }
 
     /// Completes a round started with [`Simulation::bench_compute_merge`]
@@ -2103,8 +1966,56 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sim = Simulation::new(&g, &[], |_, _| Spray { got: 0 }, NullAdversary, cfg);
+        // Three sends through one slot: the table cannot place the round,
+        // so the flat feed's placement packed the delivered generation.
+        sim.step();
+        assert!(sim.outbox_feed && !sim.table_round);
+        assert!(!sim.arena.offsets_static);
         let report = sim.run();
         assert_eq!(report.outputs, vec![Some(3), Some(3)]);
+    }
+
+    #[test]
+    fn unicasts_to_doubled_neighbors_stay_on_the_table() {
+        // One unicast to each distinct neighbour, in slot order: `send`
+        // resolves a parallel edge to its first slot, so the slots
+        // strictly increase and the round is a full table round.
+        struct UnicastEach;
+        impl Protocol for UnicastEach {
+            type Message = Pid;
+            type Output = ();
+            fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
+                let me = ctx.my_id();
+                let mut last = None;
+                for i in 0..ctx.degree() {
+                    let to = ctx.neighbors()[i];
+                    if last != Some(to) {
+                        last = Some(to);
+                        ctx.send(to, me);
+                    }
+                }
+            }
+            fn output(&self) -> Option<()> {
+                None
+            }
+            fn has_halted(&self) -> bool {
+                false
+            }
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let g = bcount_graph::gen::hnd(64, 8, &mut rng).unwrap();
+        let mut sim = Simulation::new(
+            &g,
+            &[],
+            |_, _| UnicastEach,
+            NullAdversary,
+            SimConfig::default(),
+        );
+        // The graph has parallel edges.
+        assert!(sim.sender_ranks.total() < g.degree_sum());
+        sim.step();
+        assert!(sim.table_round);
+        assert!(sim.arena.senders_static && sim.arena.lens_full);
     }
 
     #[test]

@@ -73,13 +73,6 @@ impl PidIndex {
             .map(|i| self.entries[i].1)
     }
 
-    /// The graph nodes in increasing-[`Pid`] order — the index's sorted
-    /// backbone, exposed so callers (the engine's pid-ordered outbox
-    /// feed) never re-derive the same permutation.
-    pub fn nodes_by_pid(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries.iter().map(|&(_, node)| node)
-    }
-
     /// Number of indexed identities.
     pub fn len(&self) -> usize {
         self.entries.len()

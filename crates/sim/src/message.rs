@@ -270,9 +270,9 @@ impl<M: fmt::Debug> fmt::Debug for Inbox<'_, M> {
 /// offsets are the **degree prefix sums precomputed once per execution**
 /// (a table round delivers at most in-degree messages per node — exact
 /// capacity, no growth checks, no per-node allocations, no counting
-/// pass); when the table cannot place a round, or the round arrives
-/// through the flat feed, the two-pass count/prefix-sum merge recomputes
-/// exact packed spans instead (see the engine docs). Two arenas are
+/// pass); on the flat feed, and for an outbox-feed round the table cannot
+/// place, the flat feed's count/prefix-sum placement recomputes exact
+/// packed spans instead (see the engine docs). Two arenas are
 /// double-buffered (swapped, never rebuilt), and the arrays grow only to
 /// the high-water message count of an execution — capacity is
 /// pre-reserved from the delivery map's slot total (the sum of degrees),
@@ -292,8 +292,8 @@ pub(crate) struct InboxArena<M> {
     /// Per-node span lengths, length `n`.
     pub(crate) lens: Vec<u32>,
     /// Whether `offsets` currently holds the static degree prefix (the
-    /// table paths' invariant; a two-pass round overwrites the offsets and
-    /// clears this, and the next table round restores them).
+    /// table paths' invariant; a flat-placed round overwrites the offsets
+    /// and clears this, and the next table round restores them).
     pub(crate) offsets_static: bool,
     /// Whether `senders[..slot_total]` currently holds the static
     /// full-round sender plane (one entry per table position, in inbox

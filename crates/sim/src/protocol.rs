@@ -142,17 +142,21 @@ impl<'a, M> NodeContext<'a, M> {
     /// Sends `msg` to the neighbour `to`.
     ///
     /// The neighbour list is sorted, so the membership check is a binary
-    /// search; the found index doubles as the engine-level delivery slot.
+    /// search; the index of `to`'s *first* entry doubles as the
+    /// engine-level delivery slot (a parallel edge's repeated slots route
+    /// to the same place, and resolving to the first one keeps every send
+    /// on the slot a broadcast uses).
     ///
     /// # Panics
     ///
     /// Panics if `to` is not a neighbour — the simulated network has no
     /// routing; only edge-local communication exists.
     pub fn send(&mut self, to: Pid, msg: M) {
-        let slot = self
-            .neighbors
-            .binary_search(&to)
-            .unwrap_or_else(|_| panic!("protocol attempted to send to non-neighbor {to}"));
+        let slot = self.neighbors.partition_point(|&p| p < to);
+        assert!(
+            self.neighbors.get(slot) == Some(&to),
+            "protocol attempted to send to non-neighbor {to}"
+        );
         let payload = push_payload(&mut self.outgoing.payloads, msg);
         self.outgoing.sends.push((slot as u32, payload));
     }
@@ -227,13 +231,15 @@ mod tests {
     #[test]
     fn send_resolves_neighbor_slots() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let neighbors = [Pid(10), Pid(20), Pid(30)];
+        // Pid(20) is a doubled neighbour (a parallel edge): `send` takes
+        // its first slot, the one `broadcast` uses.
+        let neighbors = [Pid(10), Pid(20), Pid(20), Pid(20), Pid(30)];
         let mut out = Outbox::with_capacity(0);
         let mut c = ctx(&neighbors, EMPTY, &mut rng, &mut out);
         c.send(Pid(30), 1);
         c.send(Pid(10), 2);
         c.send(Pid(20), 3);
-        assert_eq!(out.sends, vec![(2, 0), (0, 1), (1, 2)]);
+        assert_eq!(out.sends, vec![(4, 0), (0, 1), (1, 2)]);
         assert_eq!(out.payloads, vec![1, 2, 3]);
     }
 

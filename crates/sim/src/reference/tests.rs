@@ -146,7 +146,7 @@ fn relay(u: NodeId, init: &NodeInit) -> FrontierRelay {
 /// Beacon spam without observation: every Byzantine node broadcasts a
 /// fresh random beacon on two rounds out of three, twice on every fifth
 /// round — overflowing the table paths' Byzantine budget (one message per
-/// Byzantine-incident edge), so the outbox feed's exact two-pass path runs
+/// Byzantine-incident edge), so the outbox feed's flat fallback runs
 /// too.
 struct BeaconSpam;
 
@@ -172,7 +172,7 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for BeaconSpam {
 /// Two fresh messages per Byzantine-incident edge every round, without
 /// observing: always over the table paths' Byzantine budget, so every
 /// round with a Byzantine node that has a neighbour takes the outbox
-/// feed's two-pass path.
+/// feed's flat fallback.
 struct DoubleSender;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for DoubleSender {
@@ -272,8 +272,8 @@ fn frontier_relay_matches_reference_on_both_feeds() {
             stop_when: StopWhen::MaxRoundsOnly,
             ..config(seed, 60)
         };
-        // BeaconSpam leaves the outbox feed licensed (with its two-pass
-        // overflow path)...
+        // BeaconSpam leaves the outbox feed licensed (with its flat
+        // fallback for overflowing rounds)...
         let mut engine = Simulation::new(&g, &byz, relay, BeaconSpam, cfg.clone());
         let mut reference = Reference::new(&g, &byz, relay, BeaconSpam, cfg.clone());
         assert_lockstep(&mut engine, &mut reference);
@@ -402,10 +402,10 @@ fn parallel_engine_matches_reference_at_every_pool_size() {
 /// Mixes send shapes so that every delivery path's `pbase + idx` payload
 /// remap shows in inbox order. Odd rounds: a unicast, a broadcast, a
 /// second broadcast and a repeat send to one neighbour — four payloads per
-/// outbox, with references out of slot order (non-monotone: the two-pass
-/// path). Even rounds: a distinct unicast to every distinct neighbour in
-/// slot order — one payload per send, and a full table round wherever
-/// every `send` resolves to a first slot and no node is Byzantine.
+/// outbox, with references out of slot order (non-monotone: the flat
+/// fallback). Even rounds: a distinct unicast to every distinct neighbour
+/// in slot order — one payload per send, and a full table round wherever
+/// no node is Byzantine.
 #[derive(Debug, Clone)]
 struct MixedSends {
     acc: u64,
@@ -448,12 +448,11 @@ impl Protocol for MixedSends {
 }
 
 /// [`MixedSends`] on both feeds — the outbox feed with and without
-/// Byzantine nodes (table full or compacted, two-pass) and the flat feed
-/// with an observing adversary and under a fault plan — in pools of 1, 4,
-/// and 8 workers. The torus has no parallel edges, so its even rounds are
-/// full table rounds (on a multigraph `send` may resolve a doubled
-/// neighbour to a repeated slot of the parallel edge, which the table
-/// cannot place: such a round takes the two-pass path).
+/// Byzantine nodes (table full or compacted, flat fallback) and the flat
+/// feed with an observing adversary and under a fault plan — in pools of
+/// 1, 4, and 8 workers. On the torus and on the multigraph alike the even
+/// rounds are full table rounds: `send` resolves a doubled neighbour to
+/// the first slot of the parallel edge.
 #[test]
 fn mixed_send_shapes_match_reference_on_both_feeds() {
     let torus = torus2d(9, 8).unwrap();
@@ -552,13 +551,12 @@ fn build_graph(kind: u8, n: usize, seed: u64) -> Graph {
 /// Distinct unicasts, in slot order, to a seeded random subset of the
 /// distinct neighbours: table rounds with holes anywhere in the spans.
 /// Every fifth round reaches every distinct neighbour (a full round when
-/// no node is Byzantine). A doubled neighbour whose `send` resolves to a
-/// repeated slot of the parallel edge is skipped, except on every third
-/// round, where it is sent to as well — which the table cannot place, so
-/// those rounds take the two-pass path. Every fourth round a node whose
-/// last neighbour is doubled instead broadcasts and then sends once more
-/// to that neighbour: where `send` resolves it to the repeated slot, the
-/// slots still strictly increase but reach one neighbour twice.
+/// no node is Byzantine). Every third round a picked doubled neighbour is
+/// sent to once per parallel edge: `send` resolves each of those sends to
+/// the first slot, so the slot repeats and the round takes the flat
+/// fallback. Every fourth round a node whose last neighbour is doubled
+/// instead broadcasts and then sends once more to that neighbour, which
+/// repeats the broadcast's last slot — the flat fallback again.
 #[derive(Debug, Clone)]
 struct SubsetUnicast {
     acc: u64,
@@ -585,16 +583,14 @@ impl Protocol for SubsetUnicast {
         }
         let everyone = ctx.round() % 5 == 1;
         let repeated_slots = ctx.round().is_multiple_of(3);
-        let mut prev = None;
+        let mut picked = false;
         for i in 0..ctx.degree() {
             let to = ctx.neighbors()[i];
-            if prev == Some(to) {
-                continue;
+            // `send` resolves `to` to its first slot, as this does.
+            let first_slot = ctx.neighbors().partition_point(|&p| p < to) == i;
+            if first_slot {
+                picked = everyone || ctx.rng().gen_bool(0.5);
             }
-            prev = Some(to);
-            // `send` resolves `to` by the same binary search.
-            let first_slot = ctx.neighbors().binary_search(&to) == Ok(i);
-            let picked = everyone || ctx.rng().gen_bool(0.5);
             if picked && (first_slot || repeated_slots) {
                 ctx.send(to, Pid(self.acc ^ (i as u64 + 1)));
             }
@@ -606,46 +602,37 @@ impl Protocol for SubsetUnicast {
     }
 }
 
-/// Whether some node's `send` to a doubled neighbour resolves to a
-/// repeated slot of the parallel edge, under the pid assignment `pids`.
-fn send_reaches_a_repeated_slot(g: &Graph, pids: &[Pid]) -> bool {
+/// Whether some node has a doubled neighbour (a parallel edge).
+fn has_doubled_neighbor(g: &Graph) -> bool {
     (0..g.len()).any(|u| {
-        let mut neighbors: Vec<Pid> = g
-            .neighbors(NodeId(u as u32))
-            .map(|w| pids[w.index()])
-            .collect();
+        let mut neighbors: Vec<NodeId> = g.neighbors(NodeId(u as u32)).collect();
         neighbors.sort_unstable();
-        neighbors.iter().any(|to| {
-            let first = neighbors.partition_point(|p| p < to);
-            neighbors.binary_search(to) != Ok(first)
-        })
+        neighbors.windows(2).any(|w| w[0] == w[1])
     })
 }
 
 /// [`SubsetUnicast`] on the outbox feed with no Byzantine node, silent
 /// Byzantine nodes, beacon spam, and a double-sender over the Byzantine
 /// budget, in pools of 1 and 4 workers.
-fn check_subset_unicasts(g: &Graph, byz: &[NodeId], seed: u64, rounds: u64) -> Vec<Pid> {
+fn check_subset_unicasts(g: &Graph, byz: &[NodeId], seed: u64, rounds: u64) {
     let subset = |_: NodeId, init: &NodeInit| SubsetUnicast { acc: init.pid.0 };
     let cfg = SimConfig {
         parallel: true,
         stop_when: StopWhen::MaxRoundsOnly,
         ..config(seed, rounds)
     };
-    let mut pids = Vec::new();
     for threads in [1usize, 4] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("build test pool");
         pool.install(|| {
-            pids = check(g, &[], subset, || NullAdversary, cfg.clone()).pids;
+            check(g, &[], subset, || NullAdversary, cfg.clone());
             check(g, byz, subset, || NullAdversary, cfg.clone());
             check(g, byz, subset, || BeaconSpam, cfg.clone());
             check(g, byz, subset, || DoubleSender, cfg.clone());
         });
     }
-    pids
 }
 
 #[test]
@@ -655,10 +642,10 @@ fn subset_unicasts_match_reference_on_every_table_path() {
     for (n, seed) in [(16usize, 21u64), (96, 22)] {
         let g = hnd(n, 8, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
         let byz = [NodeId(3), NodeId(n as u32 / 2)];
-        let pids = check_subset_unicasts(&g, &byz, seed, 16);
-        // The multigraph's repeated-slot rounds really ran (the two-pass
-        // fallback), not only the table rounds.
-        assert!(send_reaches_a_repeated_slot(&g, &pids));
+        // The multigraph has parallel edges, so the repeated-slot rounds
+        // really ran (the flat fallback), not only the table rounds.
+        assert!(has_doubled_neighbor(&g));
+        check_subset_unicasts(&g, &byz, seed, 16);
     }
 }
 

@@ -67,7 +67,7 @@ impl Protocol for JitterFlood {
 /// `honest_outgoing`, and says so — the outbox feed. The double broadcast
 /// every fifth round overflows the table paths' Byzantine budget (one
 /// message per Byzantine-incident edge), forcing those rounds through the
-/// exact two-pass merge.
+/// flat fallback.
 struct NoisyEcho;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for NoisyEcho {

@@ -4,7 +4,7 @@
 //! own clones.
 //!
 //! * On the outbox feed, rounds of full broadcasts clone no payload — on
-//!   the full table, compacted table and two-pass paths, under an
+//!   the full table, compacted table and flat fallback paths, under an
 //!   event-driven relay whose nodes first send late, and (with the
 //!   `parallel` feature) behind the parallel honest compute at pool widths
 //!   1 and 4.
@@ -49,7 +49,7 @@ enum Shape {
     /// One broadcast.
     Broadcast,
     /// A broadcast, then a repeat send to the first neighbour (a
-    /// non-monotone slot sequence: the two-pass path).
+    /// non-monotone slot sequence: the flat fallback).
     BroadcastAndRepeat,
 }
 
@@ -156,8 +156,8 @@ fn outbox_feed_broadcasts_clone_no_payload() {
     let g = hnd(256, 8, &mut ChaCha8Rng::seed_from_u64(3)).unwrap();
     let byz = [NodeId(9), NodeId(130)];
     // Serial: the full table path (no Byzantine node), the compacted
-    // table path with the Byzantine-adjacent sort, and the exact two-pass
-    // merge.
+    // table path with the Byzantine-adjacent sort, and the flat
+    // fallback.
     let cases = [
         (&[][..], Shape::Broadcast),
         (&byz[..], Shape::Broadcast),

@@ -4,8 +4,8 @@
 use bcount_core::congest::{CongestCounting, CongestParams};
 use bcount_graph::{Graph, NodeId};
 use bcount_sim::{
-    Adversary, ByzantineContext, FullInfoView, NodeContext, NodeInit, NullAdversary, Protocol,
-    SimConfig, SimReport, Simulation, StopWhen,
+    Adversary, ByzantineContext, Execution, FullInfoView, NodeContext, NodeInit, NullAdversary,
+    Protocol, SimConfig, SimReport, StopWhen,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -252,7 +252,7 @@ pub fn counting_then_agreement(
 ) -> PipelineReport {
     assert_eq!(inputs.len(), graph.len(), "one input bit per node");
     // Phase 1: Byzantine counting.
-    let mut counting = Simulation::new(
+    let mut counting = Execution::new(
         graph,
         byzantine,
         |_, init: &NodeInit| CongestCounting::new(counting_params, init),
@@ -281,7 +281,7 @@ pub fn counting_then_agreement(
         .copied()
         .max()
         .unwrap_or(counting_params.first_phase());
-    let mut agreement = Simulation::new(
+    let mut agreement = Execution::new(
         graph,
         byzantine,
         |u, _init: &NodeInit| {
@@ -320,7 +320,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = hnd(n, 8, &mut rng).unwrap();
         let oracle = (n as f64).ln().ceil() as u32;
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             byz,
             |u, _| AgreementProtocol::new(AgreementParams::default(), u.index() < ones, oracle),
@@ -364,7 +364,7 @@ mod tests {
         let g = hnd(n, 8, &mut rng).unwrap();
         let byz = [NodeId(0), NodeId(99)];
         let oracle = (n as f64).ln().ceil() as u32;
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &byz,
             |u, _| AgreementProtocol::new(AgreementParams::default(), u.index() < 150, oracle),

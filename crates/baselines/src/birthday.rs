@@ -238,7 +238,7 @@ mod tests {
             ..SimConfig::default()
         };
         match attack {
-            None => Simulation::new(
+            None => Execution::new(
                 &g,
                 byz,
                 |_, init| BirthdayCounting::new(tau, budget, init),
@@ -246,7 +246,7 @@ mod tests {
                 cfg,
             )
             .run(),
-            Some(a) => Simulation::new(
+            Some(a) => Execution::new(
                 &g,
                 byz,
                 |_, init| BirthdayCounting::new(tau, budget, init),

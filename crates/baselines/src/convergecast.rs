@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn counts_exactly_on_a_path() {
         let g = path(7).unwrap();
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[],
             |u, init| Convergecast::new(u == NodeId(3), init),
@@ -236,7 +236,7 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let n = 150;
             let g = hnd(n, 6, &mut rng).unwrap();
-            let mut sim = Simulation::new(
+            let mut sim = Execution::new(
                 &g,
                 &[],
                 |u, init| Convergecast::new(u == NodeId(0), init),
@@ -260,7 +260,7 @@ mod tests {
         let n = 100;
         let g = hnd(n, 6, &mut rng).unwrap();
         let byz = [NodeId(42)];
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &byz,
             |u, init| Convergecast::new(u == NodeId(0), init),

@@ -120,7 +120,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     fn run(g: &bcount_graph::Graph, leader: NodeId, budget: u64, seed: u64) -> SimReport<u32> {
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             g,
             &[],
             |u, init| FloodDiameter::new(u == leader, budget, init),

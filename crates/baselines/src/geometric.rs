@@ -143,7 +143,7 @@ mod tests {
             ..SimConfig::default()
         };
         match fake {
-            None => Simulation::new(
+            None => Execution::new(
                 &g,
                 byz,
                 |_, init| GeometricMax::new(budget, init),
@@ -151,7 +151,7 @@ mod tests {
                 cfg,
             )
             .run(),
-            Some(v) => Simulation::new(
+            Some(v) => Execution::new(
                 &g,
                 byz,
                 |_, init| GeometricMax::new(budget, init),
@@ -198,7 +198,7 @@ mod tests {
         let n = 512;
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let g = hnd(n, 8, &mut rng).unwrap();
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[],
             |_, init| GeometricMax::new(1, init),

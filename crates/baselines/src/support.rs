@@ -159,7 +159,7 @@ mod tests {
             ..SimConfig::default()
         };
         if attack {
-            Simulation::new(
+            Execution::new(
                 &g,
                 byz,
                 |_, init| SupportEstimation::new(k, 30, init),
@@ -168,7 +168,7 @@ mod tests {
             )
             .run()
         } else {
-            Simulation::new(
+            Execution::new(
                 &g,
                 byz,
                 |_, init| SupportEstimation::new(k, 30, init),

@@ -4,7 +4,7 @@
 use bcount_baselines::{Convergecast, GeometricMax, SupportEstimation};
 use bcount_bench::runners::network;
 use bcount_graph::NodeId;
-use bcount_sim::{NullAdversary, SimConfig, Simulation};
+use bcount_sim::{Execution, NullAdversary, SimConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -17,7 +17,7 @@ fn bench_baselines(c: &mut Criterion) {
         let g = network(n, 8, n as u64);
         group.bench_with_input(BenchmarkId::new("geometric_max", n), &n, |b, _| {
             b.iter(|| {
-                Simulation::new(
+                Execution::new(
                     &g,
                     &[],
                     |_, init| GeometricMax::new(40, init),
@@ -29,7 +29,7 @@ fn bench_baselines(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("support_estimation", n), &n, |b, _| {
             b.iter(|| {
-                Simulation::new(
+                Execution::new(
                     &g,
                     &[],
                     |_, init| SupportEstimation::new(32, 40, init),
@@ -41,7 +41,7 @@ fn bench_baselines(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("convergecast", n), &n, |b, _| {
             b.iter(|| {
-                Simulation::new(
+                Execution::new(
                     &g,
                     &[],
                     |u, init| Convergecast::new(u == NodeId(0), init),

@@ -37,8 +37,8 @@ use bcount_bench::runners::{network, spread_byzantine, theorem2_budget};
 use bcount_daemon::Server;
 use bcount_graph::NodeId;
 use bcount_sim::{
-    Adversary, ByzantineContext, CrashEvent, FaultPlan, FullInfoView, MessageSize, NodeContext,
-    NullAdversary, Protocol, SimConfig, Simulation, StopWhen,
+    Adversary, ByzantineContext, CrashEvent, Execution, FaultPlan, FullInfoView, MessageSize,
+    NodeContext, NullAdversary, Protocol, SimConfig, StopWhen,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
@@ -121,8 +121,8 @@ fn warmed<'g, A: Adversary<Chatter>>(
     byzantine: &[NodeId],
     cfg: SimConfig,
     adversary: A,
-) -> Simulation<&'g bcount_graph::Graph, Chatter, A> {
-    let mut sim = Simulation::new(g, byzantine, |_, _| Chatter(0), adversary, cfg);
+) -> Execution<&'g bcount_graph::Graph, Chatter, A> {
+    let mut sim = Execution::new(g, byzantine, |_, _| Chatter(0), adversary, cfg);
     for _ in 0..10 {
         sim.step();
     }
@@ -141,7 +141,7 @@ fn bench_engine(c: &mut Criterion) {
         // Construction + warm-up + ROUNDS rounds, fresh each iteration.
         group.bench_with_input(BenchmarkId::new("full_execution", n), &n, |b, _| {
             b.iter(|| {
-                let mut sim = Simulation::new(
+                let mut sim = Execution::new(
                     &g,
                     &[],
                     |_, _| Chatter(0),

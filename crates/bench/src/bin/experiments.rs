@@ -19,7 +19,7 @@
 //! `--scenario`); the CI `experiments-smoke` job validates it with
 //! `gate schema` and uploads it.
 
-use bcount_bench::experiments::{run, standard_matrix, ExperimentResult};
+use bcount_bench::experiments::{is_known, run, standard_matrix, ExperimentResult};
 use bcount_bench::scenario::{run_matrix, CellRecord};
 use bcount_json::{Json, ToJson};
 use std::process::ExitCode;
@@ -63,6 +63,10 @@ fn parse_args() -> Result<Args, String> {
                 args.seeds = Some(seeds.map_err(|e| format!("--seeds: {e}"))?);
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            // Every name is checked before anything runs.
+            name if !is_known(name) => {
+                return Err(format!("unknown experiment '{name}' (use e1..e14 or all)"))
+            }
             name => args.names.push(name.to_owned()),
         }
     }
@@ -143,10 +147,6 @@ fn main() -> ExitCode {
     for name in names {
         let t0 = Instant::now();
         let batch = run(name, args.quick);
-        if batch.is_empty() {
-            eprintln!("unknown experiment '{name}' (use e1..e14 or all)");
-            return ExitCode::from(2);
-        }
         for result in &batch {
             println!("{}", result.table);
         }

@@ -22,7 +22,7 @@ use bcount_core::local::{LocalConfig, LocalTrigger};
 use bcount_graph::analysis::bfs::diameter;
 use bcount_graph::analysis::treelike::{tree_like_count, tree_like_radius};
 use bcount_graph::{Graph, NodeId};
-use bcount_sim::{NullAdversary, SimConfig, Simulation};
+use bcount_sim::{Execution, NullAdversary, SimConfig};
 
 use crate::runners::{far_honest_nodes, network, run_congest, run_local, spread_byzantine};
 use crate::scenario::{
@@ -900,7 +900,7 @@ pub fn e10(quick: bool) -> ExperimentResult {
     // Oracle run.
     let oracle = (n as f64).ln().ceil() as u32;
     let oracle_report = {
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &byz,
             |u, _| AgreementProtocol::new(AgreementParams::default(), inputs[u.index()], oracle),
@@ -1062,32 +1062,37 @@ pub fn e12(quick: bool) -> ExperimentResult {
 /// One experiment entry point: takes the `quick` flag, returns the result.
 type Experiment = fn(bool) -> ExperimentResult;
 
-/// Runs the named experiment, or all of them.
+/// Every experiment under the name [`run`] and the CLI take.
+const EXPERIMENTS: [(&str, Experiment); 14] = [
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e10", e10),
+    ("e11", e11),
+    ("e12", e12),
+    ("e13", e13),
+    ("e14", e14),
+];
+
+/// Whether [`run`] knows `name`: one of `e1`..`e14`, or `all`.
+pub fn is_known(name: &str) -> bool {
+    name == "all" || EXPERIMENTS.iter().any(|(n, _)| *n == name)
+}
+
+/// Runs the named experiment, or all of them for `all`; an unknown name
+/// (see [`is_known`]) runs nothing.
 pub fn run(which: &str, quick: bool) -> Vec<ExperimentResult> {
-    let all: Vec<(&str, Experiment)> = vec![
-        ("e1", e1),
-        ("e2", e2),
-        ("e3", e3),
-        ("e4", e4),
-        ("e5", e5),
-        ("e6", e6),
-        ("e7", e7),
-        ("e8", e8),
-        ("e9", e9),
-        ("e10", e10),
-        ("e11", e11),
-        ("e12", e12),
-        ("e13", e13),
-        ("e14", e14),
-    ];
-    match which {
-        "all" => all.iter().map(|(_, f)| f(quick)).collect(),
-        name => all
-            .iter()
-            .filter(|(n, _)| *n == name)
-            .map(|(_, f)| f(quick))
-            .collect(),
-    }
+    EXPERIMENTS
+        .iter()
+        .filter(|(n, _)| which == "all" || *n == which)
+        .map(|(_, f)| f(quick))
+        .collect()
 }
 
 /// Helper used by E8 and tests: true size of the phantom graph.
@@ -1119,6 +1124,8 @@ mod tests {
         assert_eq!(results[0].name, "e7");
         assert!(results[0].table.title.contains("Lemma 2"));
         assert!(run("nope", true).is_empty());
+        assert!(is_known("all") && is_known("e14"));
+        assert!(!is_known("nope") && !is_known("e15"));
     }
 
     #[test]

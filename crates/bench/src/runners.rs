@@ -5,7 +5,7 @@ use bcount_core::local::{LocalConfig, LocalCounting, LocalEstimate};
 use bcount_daemon::cell::GraphFamily;
 use bcount_graph::analysis::bfs::distances;
 use bcount_graph::{Graph, NodeId};
-use bcount_sim::{Adversary, SimConfig, SimReport, Simulation, StopWhen};
+use bcount_sim::{Adversary, Execution, SimConfig, SimReport, StopWhen};
 
 pub use bcount_daemon::cell::{spread_byzantine, theorem1_budget, theorem2_budget};
 
@@ -25,7 +25,7 @@ pub fn run_congest<A: Adversary<CongestCounting>>(
     seed: u64,
     max_rounds: u64,
 ) -> SimReport<CongestEstimate> {
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         g,
         byz,
         |_, init| CongestCounting::new(params, init),
@@ -49,7 +49,7 @@ pub fn run_local<A: Adversary<LocalCounting>>(
     seed: u64,
     max_rounds: u64,
 ) -> SimReport<LocalEstimate> {
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         g,
         byz,
         |_, init| LocalCounting::new(cfg, init),

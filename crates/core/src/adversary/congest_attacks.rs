@@ -220,7 +220,7 @@ mod tests {
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = hnd(n, d, &mut rng).unwrap();
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             byz,
             |_, init| CongestCounting::new(params, init),

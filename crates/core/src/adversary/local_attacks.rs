@@ -259,7 +259,7 @@ mod tests {
         let byz: Vec<NodeId> = (0..n_byz)
             .map(|k| NodeId((k * (n / n_byz.max(1))) as u32))
             .collect();
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &byz,
             |_, init| LocalCounting::new(cfg, init),

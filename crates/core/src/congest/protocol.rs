@@ -329,7 +329,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = hnd(n, d, &mut rng).unwrap();
         let params = CongestParams::default();
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[],
             |_, init| CongestCounting::new(params, init),
@@ -506,7 +506,7 @@ mod tests {
         // first iteration end (degenerate but must not hang or panic).
         let g = bcount_graph::Graph::empty(1);
         let params = CongestParams::default();
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[],
             |_, init| CongestCounting::new(params, init),

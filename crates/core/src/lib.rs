@@ -38,14 +38,14 @@
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
 //! let g = hnd(256, 8, &mut rng).unwrap();
 //! let params = CongestParams::default();
-//! let mut sim = Simulation::new(
+//! let mut exec = Execution::new(
 //!     &g,
 //!     &[],
 //!     |_, init| CongestCounting::new(params, init),
 //!     NullAdversary,
 //!     SimConfig { max_rounds: 20_000, ..SimConfig::default() },
 //! );
-//! let report = sim.run();
+//! let report = exec.run();
 //! // Every honest node decided some estimate of log n.
 //! assert_eq!(report.honest_decided_count(), 256);
 //! ```

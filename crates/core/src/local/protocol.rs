@@ -195,7 +195,7 @@ mod tests {
             max_degree: d + 1,
             ..LocalConfig::default()
         };
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[],
             |_, init| LocalCounting::new(cfg, init),
@@ -260,7 +260,7 @@ mod tests {
             max_degree: 4,
             ..LocalConfig::default()
         };
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[],
             |_, init| LocalCounting::new(cfg, init),

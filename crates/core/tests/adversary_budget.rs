@@ -85,7 +85,7 @@ fn run_congest<A: Adversary<CongestCounting>>(
     params: CongestParams,
     adversary: A,
 ) -> SimReport<bcount_core::congest::CongestEstimate> {
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         g,
         byz,
         |_, init| CongestCounting::new(params, init),
@@ -110,7 +110,7 @@ fn run_local<A: Adversary<LocalCounting>>(
         max_degree: D + 2,
         ..LocalConfig::default()
     };
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         g,
         byz,
         |_, init| LocalCounting::new(cfg, init),

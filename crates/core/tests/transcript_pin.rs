@@ -1,6 +1,6 @@
 //! Pins the transcripts of the paper's two algorithms under attack.
 //!
-//! Each case runs one seeded execution through the `Execution` facade,
+//! Each case runs one seeded execution through `Execution`,
 //! taking an `ExecutionSnapshot` after every round, and folds the whole
 //! snapshot chain and every node's final typed output into FNV-1a
 //! digests. The first four constants were recorded before the message

@@ -5,8 +5,8 @@
 //!
 //! The engine is deterministic to the byte: the same `session.create`
 //! spec stepped the same number of rounds reaches the same state, no
-//! matter how the rounds were batched (the facade's stepping
-//! discipline). So the daemon never needs to serialize protocol
+//! matter how the rounds were batched (`Execution`'s stepping
+//! rule). So the daemon never needs to serialize protocol
 //! internals — the journal records *commands* (create/step/close), and
 //! recovery re-executes them. A checkpoint compacts the log: it pins
 //! the session table (spec params + committed round + cached snapshot)

@@ -10,7 +10,7 @@
 //!
 //! * sessions are [`bcount_sim::DynExecution`] trait objects, so one
 //!   table holds heterogeneous protocol × adversary × graph cells;
-//! * stepping goes through the facade's stop-check-first discipline, so
+//! * stepping goes through `Execution`'s stop-check-first rule, so
 //!   an execution driven by interleaved `session.step` requests
 //!   finishes byte-identical to one `Execution::run` call;
 //! * queries are served from a snapshot cached at the last step batch —

@@ -273,8 +273,8 @@ impl Server {
                     }
                     // Re-execute exactly the rounds the live run
                     // committed, round by round like the live loop —
-                    // byte-identical by the facade's stepping
-                    // discipline. A panic here means the session's code
+                    // byte-identical by `Execution`'s stepping
+                    // rule. A panic here means the session's code
                     // is no longer deterministic w.r.t. the journal;
                     // drop it rather than fail recovery.
                     let replayed = catch_unwind(AssertUnwindSafe(|| {
@@ -542,7 +542,7 @@ impl Server {
         let before = session.exec.round();
         // Step round by round so the wall-clock deadline is checked
         // between rounds — byte-identical to one step_rounds(rounds)
-        // call by the facade's stepping discipline. Panics inside
+        // call by `Execution`'s stepping rule. Panics inside
         // protocol code poison this session only.
         let started = clock.now_ms();
         let stepped = catch_unwind(AssertUnwindSafe(|| {
@@ -793,7 +793,7 @@ fn rebuild_session(params: &Json, round: u64, stats: &mut RecoveryStats) -> Opti
     let rebuilt = catch_unwind(AssertUnwindSafe(|| {
         let mut exec = spec.build().ok()?;
         // step_rounds(round) lands on the same state as the live run's
-        // round-by-round stepping, by the facade's discipline.
+        // round-by-round stepping, by `Execution`'s stepping rule.
         if round > 0 {
             exec.step_rounds(round);
         }

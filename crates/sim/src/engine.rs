@@ -33,7 +33,7 @@
 //!   allocation, no comparisons).
 //! * **Persistent phase scratch** — the honest- and Byzantine-outgoing
 //!   staging vectors and per-span permutation buffers live on the
-//!   simulation and are drained, not rebuilt. The counting sort permutes
+//!   execution and are drained, not rebuilt. The counting sort permutes
 //!   `u32` references, never payloads.
 //!
 //! Every round drives every live honest node, silent or not: both of the
@@ -274,11 +274,18 @@ impl<O> SimReport<O> {
 /// graph.
 ///
 /// See the [crate docs](crate) for the model; construct with
-/// [`Simulation::new`] and drive with [`Simulation::run`] or
-/// [`Simulation::step`]. See the [module docs](self) for the hot-path
-/// buffer architecture. For a steppable, ownership-flexible wrapper (and
-/// the type-erased session surface the daemon embeds), see
-/// [`crate::execution::Execution`].
+/// [`Execution::new`], drive with [`Execution::step`],
+/// [`Execution::step_rounds`] or [`Execution::run`], and read between
+/// rounds with [`Execution::snapshot_with`] and
+/// [`Execution::node_states_with`]. See the [module docs](self) for the
+/// hot-path buffer architecture; [`Execution::erase`] gives the
+/// type-erased session surface the daemon embeds.
+///
+/// The stepping rule: [`Execution::step`] checks the stop condition
+/// **before** it runs a round, so a finished execution never steps
+/// further, and any interleaving of `step` / `step_rounds` / query calls
+/// that reaches the stop condition ends in a state byte-identical to one
+/// uninterrupted [`Execution::run`].
 ///
 /// The engine is generic over how the graph is held: `G` is anything that
 /// borrows a [`Graph`] — `&Graph` (the classical shape; harnesses reuse
@@ -286,7 +293,7 @@ impl<O> SimReport<O> {
 /// (long-lived embeddings like `bcountd` sessions, which cannot tie a
 /// session's lifetime to a caller's stack frame). Access always goes
 /// through one `Borrow::borrow` no-op, so the hot path is unaffected.
-pub struct Simulation<G, P: Protocol, A> {
+pub struct Execution<G, P: Protocol, A> {
     graph: G,
     config: SimConfig,
     adversary: A,
@@ -307,7 +314,7 @@ pub struct Simulation<G, P: Protocol, A> {
     /// Arena staging for the round in flight.
     arena_staged: InboxArena<P::Message>,
     /// Per-destination message tallies of the flat feed's placement —
-    /// counted by [`Simulation::deliver_flat`], consumed (as write
+    /// counted by [`Execution::deliver_flat`], consumed (as write
     /// cursors) by the prefix-sum placement and scatter, then re-zeroed.
     /// A table round borrows it as the Byzantine-budget tally.
     dest_counts: Vec<u32>,
@@ -388,7 +395,7 @@ pub struct Simulation<G, P: Protocol, A> {
     /// Whether [`SimConfig::fault`] is non-empty — resolved once at
     /// construction. A non-empty plan selects the flat feed (so all fault
     /// logic runs on the node-order traffic vector) and turns on the
-    /// crash/fault hooks in [`Simulation::step`].
+    /// crash/fault hooks in [`Execution::step`].
     faults_active: bool,
     /// The dedicated fault stream ([`FaultPlan::seed`]); untouched when
     /// the plan is empty, so no-fault transcripts are unchanged.
@@ -427,7 +434,7 @@ struct Delayed<M> {
     msg: M,
 }
 
-impl<G, P, A> Simulation<G, P, A>
+impl<G, P, A> Execution<G, P, A>
 where
     G: std::borrow::Borrow<Graph>,
     P: Protocol + PhaseSend,
@@ -589,7 +596,7 @@ where
                 }
             })
             .collect();
-        Simulation {
+        Execution {
             graph,
             config,
             adversary,
@@ -637,7 +644,7 @@ where
         }
     }
 
-    /// Current round (0 before the first [`Simulation::step`]).
+    /// Current round (0 before the first [`Execution::step`]).
     pub fn round(&self) -> u64 {
         self.round
     }
@@ -674,13 +681,33 @@ where
         self.protocols.get(u.index()).and_then(|p| p.as_ref())
     }
 
-    /// Executes one synchronous round: honest compute, deterministic
-    /// merge (the outbox feed's scan, or the flat feed's node-order
-    /// vector), rushing adversary phase, delivery. With a non-empty
-    /// [`SimConfig::fault`] plan, scheduled crashes are applied at round
-    /// start, and the link-fault pass (drop/duplicate/delay) rewrites the
-    /// merged honest traffic before the rushing adversary observes it.
-    pub fn step(&mut self) {
+    /// Runs one round unless the execution is already finished. Returns
+    /// the stop reason if the execution is (or just) finished.
+    ///
+    /// A round is honest compute, deterministic merge (the outbox feed's
+    /// scan, or the flat feed's node-order vector), rushing adversary
+    /// phase, delivery. With a non-empty [`SimConfig::fault`] plan,
+    /// scheduled crashes are applied at round start, and the link-fault
+    /// pass (drop/duplicate/delay) rewrites the merged honest traffic
+    /// before the rushing adversary observes it.
+    pub fn step(&mut self) -> Option<StopReason> {
+        self.step_rounds(1)
+    }
+
+    /// Runs up to `rounds` rounds, stopping early at the stop condition.
+    /// Returns the stop reason if the execution finished on the way.
+    pub fn step_rounds(&mut self, rounds: u64) -> Option<StopReason> {
+        for _ in 0..rounds {
+            if let Some(reason) = self.finished() {
+                return Some(reason);
+            }
+            self.execute_round();
+        }
+        self.finished()
+    }
+
+    /// Executes one round whether or not the stop condition holds.
+    fn execute_round(&mut self) {
         self.round += 1;
         if self.faults_active {
             self.apply_crashes();
@@ -853,7 +880,7 @@ where
         // steal when per-node cost is uneven (halted nodes, skewed
         // degrees); the 64-node floor keeps each fork's deque push and
         // possible wake-up small next to the leaf's compute, so tiny
-        // simulations run as one inline leaf.
+        // executions run as one inline leaf.
         let chunk = n.div_ceil(rayon::current_num_threads() * 4).max(64);
         let shared = PhaseInputs {
             round: self.round,
@@ -973,10 +1000,10 @@ where
 
     /// Arena delivery on the outbox feed. A table round whose Byzantine
     /// traffic fits places its honest messages through the slot →
-    /// position table ([`Simulation::deliver_arena_table`]). Any other
+    /// position table ([`Execution::deliver_arena_table`]). Any other
     /// round drains the still-full outboxes in node order into
     /// `honest_outgoing` (the merge's scan already recorded the metrics)
-    /// and takes the flat feed's placement ([`Simulation::deliver_flat`]).
+    /// and takes the flat feed's placement ([`Execution::deliver_flat`]).
     /// Its stable sort of every span gives the canonical order: a sender's
     /// messages keep their merged order, and no sender is both honest and
     /// Byzantine.
@@ -1292,8 +1319,8 @@ where
     /// Runs the compute + deterministic-merge half of the next round (the
     /// outbox feed's scan or the flat feed's node-order merge), leaving
     /// the merged traffic staged (benchmark/instrumentation hook; pair
-    /// with [`Simulation::step`]-equivalent completion or
-    /// [`Simulation::drop_round_traffic`], never with a bare repeat).
+    /// with [`Execution::bench_deliver_staged`] or
+    /// [`Execution::drop_round_traffic`], never with a bare repeat).
     #[cfg(feature = "bench-probes")]
     #[doc(hidden)]
     pub fn bench_compute_merge(&mut self) {
@@ -1303,7 +1330,7 @@ where
     }
 
     /// Runs the honest compute phase alone (benchmark hook; reset the
-    /// filled outboxes with [`Simulation::drop_round_traffic`] — outbox
+    /// filled outboxes with [`Execution::drop_round_traffic`] — outbox
     /// feed only, which is where outboxes outlive the merge).
     #[cfg(feature = "bench-probes")]
     #[doc(hidden)]
@@ -1332,7 +1359,7 @@ where
         self.round_honest_messages = 0;
     }
 
-    /// Completes a round started with [`Simulation::bench_compute_merge`]
+    /// Completes a round started with [`Execution::bench_compute_merge`]
     /// through delivery (no adversary phase; Byzantine staging must be
     /// empty) — the other half of the phase micro-benchmarks.
     #[cfg(feature = "bench-probes")]
@@ -1342,10 +1369,12 @@ where
         self.deliver();
     }
 
-    /// Whether the configured stop condition holds. Only the census the
-    /// condition actually needs is computed, and each scan
-    /// short-circuits at the first still-running node.
-    pub(crate) fn stop_reason(&self) -> Option<StopReason> {
+    /// `Some(reason)` once the configured stop condition holds — the check
+    /// [`Execution::step`] makes before each round, so a finished
+    /// execution will not step further. Only the census the condition
+    /// actually needs is computed, and each scan short-circuits at the
+    /// first still-running node.
+    pub fn finished(&self) -> Option<StopReason> {
         // Crashed nodes leave the census: the stop condition is about
         // the *surviving* honest nodes.
         let live = (0..self.graph().len()).filter(|&u| !self.is_byzantine[u] && !self.crashed[u]);
@@ -1362,18 +1391,16 @@ where
     /// Runs rounds until the configured stop condition (or the round
     /// budget) is reached and reports the outcome.
     pub fn run(&mut self) -> SimReport<P::Output> {
-        let reason = loop {
-            if let Some(reason) = self.stop_reason() {
-                break reason;
-            }
-            self.step();
-        };
-        self.report(reason)
+        self.step_rounds(u64::MAX);
+        self.report()
+            .expect("the round budget stops every execution")
     }
 
-    /// Builds a report of the current state.
-    pub(crate) fn report(&self, stop_reason: StopReason) -> SimReport<P::Output> {
-        SimReport {
+    /// The full typed report of the current state, available once the
+    /// execution finished.
+    pub fn report(&self) -> Option<SimReport<P::Output>> {
+        let stop_reason = self.finished()?;
+        Some(SimReport {
             rounds: self.round,
             outputs: self
                 .protocols
@@ -1386,7 +1413,7 @@ where
             pids: self.pids.clone(),
             metrics: self.metrics.clone(),
             stop_reason,
-        }
+        })
     }
 }
 
@@ -1672,8 +1699,8 @@ mod tests {
         g: &'g Graph,
         byz: &[NodeId],
         cfg: SimConfig,
-    ) -> Simulation<&'g Graph, FloodMax, NullAdversary> {
-        Simulation::new(g, byz, flood_factory, NullAdversary, cfg)
+    ) -> Execution<&'g Graph, FloodMax, NullAdversary> {
+        Execution::new(g, byz, flood_factory, NullAdversary, cfg)
     }
 
     fn flood_factory(_: NodeId, init: &NodeInit) -> FloodMax {
@@ -1796,7 +1823,7 @@ mod tests {
     fn adversary_messages_are_authenticated_and_delivered() {
         let g = cycle(5).unwrap();
         let byz = [NodeId(0)];
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &byz,
             |_, init| FloodMax {
@@ -1844,7 +1871,7 @@ mod tests {
     fn adversary_observes_the_current_round_before_committing() {
         let g = cycle(6).unwrap();
         let byz = [NodeId(3)];
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &byz,
             |_, init| FloodMax {
@@ -1918,7 +1945,7 @@ mod tests {
             stop_when: StopWhen::MaxRoundsOnly,
             ..SimConfig::default()
         };
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[],
             |_, _| HaltsOnce { rounds_seen: 0 },
@@ -1965,7 +1992,7 @@ mod tests {
             stop_when: StopWhen::MaxRoundsOnly,
             ..SimConfig::default()
         };
-        let mut sim = Simulation::new(&g, &[], |_, _| Spray { got: 0 }, NullAdversary, cfg);
+        let mut sim = Execution::new(&g, &[], |_, _| Spray { got: 0 }, NullAdversary, cfg);
         // Three sends through one slot: the table cannot place the round,
         // so the flat feed's placement packed the delivered generation.
         sim.step();
@@ -2004,7 +2031,7 @@ mod tests {
         }
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let g = bcount_graph::gen::hnd(64, 8, &mut rng).unwrap();
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[],
             |_, _| UnicastEach,
@@ -2064,7 +2091,7 @@ mod tests {
         let sim = flood_sim(&g, &byz, SimConfig::default());
         assert!(sim.outbox_feed);
         // An observing adversary needs the node-order vector.
-        let sim = Simulation::new(&g, &byz, flood_factory, MaxFaker, SimConfig::default());
+        let sim = Execution::new(&g, &byz, flood_factory, MaxFaker, SimConfig::default());
         assert!(!sim.outbox_feed);
         // So does a non-empty fault plan, whatever the adversary.
         let faulty = SimConfig {

@@ -1,26 +1,27 @@
-//! Steppable execution facade, validated configuration builder, and the
-//! object-safe session surface embedded by `bcountd`.
+//! The embedding API around [`Execution`]: a validated configuration
+//! builder, host-side reads, and the object-safe session surface embedded
+//! by `bcountd`.
 //!
-//! [`engine::Simulation`](crate::engine::Simulation) is the engine: it
-//! owns the buffers and runs rounds. This module is the *embedding API*
-//! on top of it, redesigned for long-lived hosts:
+//! [`Execution`] itself — the one steppable round executor — lives in
+//! [`crate::engine`]. This module adds what long-lived hosts need on top
+//! of it:
 //!
 //! * [`SimConfigBuilder`] — constructs a [`SimConfig`] while rejecting
 //!   values the engine cannot run meaningfully (a zero round budget, an
 //!   ID width outside `1..=64`, an inconsistent fault plan).
 //!   Field-poking a `SimConfig` still works; the builder exists for
 //!   callers that want a hard error at construction time instead.
-//! * [`Execution`] — a steppable facade over `Simulation` whose stepping
-//!   discipline is exactly [`Simulation::run`]'s loop (stop-check
-//!   *before* each round), so an execution driven round-by-round — or
-//!   paused and resumed across daemon requests — finishes in the same
+//! * [`Execution::snapshot_with`] and [`Execution::node_states_with`] —
+//!   type-free reads ([`ExecutionSnapshot`], [`NodeState`]) a host makes
+//!   between rounds. Because [`Execution::step`] checks the stop
+//!   condition before each round, an execution driven round by round —
+//!   or paused and resumed across daemon requests — finishes in the same
 //!   state, byte for byte, as one driven by a single `run` call.
 //! * [`DynExecution`] — the object-safe erasure of `Execution` over its
 //!   graph-ownership, protocol, and adversary type parameters, letting a
 //!   host hold heterogeneous live executions in one table. Type-specific
 //!   output is lowered to `f64` through the raw-estimate hook given to
-//!   [`Execution::erase`]; everything else ([`ExecutionSnapshot`],
-//!   [`NodeState`]) is already type-free.
+//!   [`Execution::erase`]; everything else is already type-free.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -28,11 +29,8 @@ use std::fmt;
 use bcount_graph::{Graph, NodeId};
 
 use crate::adversary::Adversary;
-use crate::engine::{
-    NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, Simulation, StopReason, StopWhen,
-};
+use crate::engine::{Execution, PhaseSend, PhaseShared, SimConfig, StopReason, StopWhen};
 use crate::fault::FaultPlan;
-use crate::message::Inbox;
 use crate::metrics::Metrics;
 use crate::protocol::Protocol;
 
@@ -198,22 +196,6 @@ impl SimConfig {
     }
 }
 
-/// A steppable execution: the embedding facade over
-/// [`Simulation`].
-///
-/// The facade exposes exactly the surface a host needs — construct,
-/// step, query, finish — and nothing else (the engine's phase-level
-/// benchmark probes live behind the unstable `bench-probes` feature).
-/// Its invariant is the *stepping discipline*: [`Execution::step`]
-/// checks the stop condition **before** running a round, precisely as
-/// [`Simulation::run`]'s loop does, so any interleaving of `step` /
-/// `step_rounds` / query calls that reaches the stop condition yields an
-/// execution state byte-identical to a single uninterrupted
-/// [`Execution::run`].
-pub struct Execution<G, P: Protocol, A> {
-    sim: Simulation<G, P, A>,
-}
-
 impl<G, P, A> Execution<G, P, A>
 where
     G: Borrow<Graph>,
@@ -221,95 +203,15 @@ where
     P::Message: PhaseShared,
     A: Adversary<P>,
 {
-    /// Creates an execution; parameters are [`Simulation::new`]'s. `G` is
-    /// anything borrowing a [`Graph`]: pass `&graph` from a harness, or
-    /// an owned `Graph` when the execution must outlive its creator's
-    /// stack frame (daemon sessions).
-    pub fn new(
-        graph: G,
-        byzantine: &[NodeId],
-        factory: impl FnMut(NodeId, &NodeInit) -> P,
-        adversary: A,
-        config: SimConfig,
-    ) -> Self {
-        Execution {
-            sim: Simulation::new(graph, byzantine, factory, adversary, config),
-        }
-    }
-
-    /// Current round (0 before the first step).
-    pub fn round(&self) -> u64 {
-        self.sim.round()
-    }
-
-    /// `Some(reason)` once the configured stop condition holds — the same
-    /// check [`Simulation::run`] makes before each round, so a finished
-    /// execution will not step further.
-    pub fn finished(&self) -> Option<StopReason> {
-        self.sim.stop_reason()
-    }
-
-    /// Runs one round unless the execution is already finished. Returns
-    /// the stop reason if the execution is (or just) finished.
-    pub fn step(&mut self) -> Option<StopReason> {
-        if let Some(reason) = self.sim.stop_reason() {
-            return Some(reason);
-        }
-        self.sim.step();
-        self.sim.stop_reason()
-    }
-
-    /// Runs up to `rounds` rounds, stopping early at the stop condition.
-    /// Returns the stop reason if the execution finished on the way.
-    pub fn step_rounds(&mut self, rounds: u64) -> Option<StopReason> {
-        for _ in 0..rounds {
-            if let Some(reason) = self.sim.stop_reason() {
-                return Some(reason);
-            }
-            self.sim.step();
-        }
-        self.sim.stop_reason()
-    }
-
-    /// Runs to the stop condition and reports — [`Simulation::run`].
-    pub fn run(&mut self) -> SimReport<P::Output> {
-        self.sim.run()
-    }
-
-    /// The full typed report, available once the execution finished.
-    pub fn report(&self) -> Option<SimReport<P::Output>> {
-        self.sim.stop_reason().map(|r| self.sim.report(r))
-    }
-
-    /// The execution's graph.
-    pub fn graph(&self) -> &Graph {
-        self.sim.graph()
-    }
-
-    /// Live message accounting; see [`Simulation::metrics`].
-    pub fn metrics(&self) -> &Metrics {
-        self.sim.metrics()
-    }
-
-    /// The protocol instance of an honest, in-flight node.
-    pub fn protocol(&self, u: NodeId) -> Option<&P> {
-        self.sim.protocol(u)
-    }
-
-    /// Node `u`'s delivered inbox view; see [`Simulation::inbox`].
-    pub fn inbox(&self, u: NodeId) -> Inbox<'_, P::Message> {
-        self.sim.inbox(u)
-    }
-
     /// Aggregate snapshot of the current state. `raw` lowers a node's
     /// typed output to its raw numeric estimate (identity for counting
     /// protocols; e.g. `|o| *o as f64`).
     pub fn snapshot_with(&self, raw: impl Fn(&P::Output) -> f64) -> ExecutionSnapshot {
-        let n = self.sim.graph().len();
-        let byz = self.sim.byzantine_flags();
-        let halted = self.sim.halted_flags();
-        let crashed = self.sim.crashed_flags();
-        let decided_rounds = self.sim.decided_rounds();
+        let n = self.graph().len();
+        let byz = self.byzantine_flags();
+        let halted = self.halted_flags();
+        let crashed = self.crashed_flags();
+        let decided_rounds = self.decided_rounds();
         let byzantine = byz.iter().filter(|b| **b).count();
         let mut decided = 0usize;
         let mut halted_count = 0usize;
@@ -328,20 +230,20 @@ where
             if decided_rounds[u].is_some() {
                 decided += 1;
             }
-            if let Some(out) = self.sim.protocol(NodeId(u as u32)).and_then(|p| p.output()) {
+            if let Some(out) = self.protocol(NodeId(u as u32)).and_then(|p| p.output()) {
                 estimates.push(raw(&out));
             }
         }
-        let metrics = self.sim.metrics();
+        let metrics = self.metrics();
         let honest_nodes = || (0..n).filter(|&u| !byz[u]);
         ExecutionSnapshot {
-            round: self.sim.round(),
+            round: self.round(),
             n,
             honest: n - byzantine,
             byzantine,
             decided,
             halted: halted_count,
-            stop: self.sim.stop_reason(),
+            stop: self.finished(),
             estimate: EstimateSummary::from_values(&mut estimates),
             messages_total: metrics.total_messages(honest_nodes()),
             bits_total: metrics.total_bits(honest_nodes()),
@@ -355,17 +257,16 @@ where
     /// Per-node state rows (index = graph node). `raw` as in
     /// [`Execution::snapshot_with`].
     pub fn node_states_with(&self, raw: impl Fn(&P::Output) -> f64) -> Vec<NodeState> {
-        let n = self.sim.graph().len();
-        let byz = self.sim.byzantine_flags();
-        let halted = self.sim.halted_flags();
-        let decided_rounds = self.sim.decided_rounds();
+        let n = self.graph().len();
+        let byz = self.byzantine_flags();
+        let halted = self.halted_flags();
+        let decided_rounds = self.decided_rounds();
         (0..n)
             .map(|u| NodeState {
                 byzantine: byz[u],
                 halted: halted[u],
                 decided_round: decided_rounds[u],
                 estimate: self
-                    .sim
                     .protocol(NodeId(u as u32))
                     .and_then(|p| p.output())
                     .map(|out| raw(&out)),
@@ -594,6 +495,10 @@ mod tests {
     }
 
     fn make(graph: &Graph, seed: u64) -> Execution<&Graph, FloodMax, NullAdversary> {
+        make_with(graph, SimConfig::builder().seed(seed).build().unwrap())
+    }
+
+    fn make_with(graph: &Graph, config: SimConfig) -> Execution<&Graph, FloodMax, NullAdversary> {
         let need = graph.len() as u64;
         Execution::new(
             graph,
@@ -605,7 +510,7 @@ mod tests {
                 decided: false,
             },
             NullAdversary,
-            SimConfig::builder().seed(seed).build().unwrap(),
+            config,
         )
     }
 
@@ -632,16 +537,34 @@ mod tests {
         assert_eq!(report.rounds, stepped.round());
     }
 
-    /// A finished execution refuses to step further.
+    /// A finished execution refuses to step further, whatever its stop
+    /// condition.
     #[test]
     fn finished_is_sticky() {
         let g = cycle(8).unwrap();
-        let mut exec = make(&g, 3);
-        let reason = exec.step_rounds(u64::MAX);
-        assert!(reason.is_some());
-        let round = exec.round();
-        assert_eq!(exec.step(), reason);
-        assert_eq!(exec.round(), round, "step after finish must be a no-op");
+        for (stop_when, want) in [
+            (StopWhen::AllHonestHalted, StopReason::AllHalted),
+            (StopWhen::AllHonestDecided, StopReason::AllDecided),
+            (StopWhen::MaxRoundsOnly, StopReason::MaxRounds),
+        ] {
+            let config = SimConfig::builder()
+                .seed(3)
+                .max_rounds(64)
+                .stop_when(stop_when)
+                .build()
+                .unwrap();
+            let mut exec = make_with(&g, config);
+            let reason = exec.step_rounds(u64::MAX);
+            assert_eq!(reason, Some(want), "{stop_when:?}");
+            let round = exec.round();
+            let report = exec.report();
+            let snapshot = exec.snapshot_with(|o| *o as f64);
+            assert_eq!(exec.step(), reason);
+            assert_eq!(exec.step_rounds(5), reason);
+            assert_eq!(exec.round(), round, "step after finish must be a no-op");
+            assert_eq!(exec.report(), report, "{stop_when:?}");
+            assert_eq!(exec.snapshot_with(|o| *o as f64), snapshot);
+        }
     }
 
     /// The erased surface reports the same state as the typed one.

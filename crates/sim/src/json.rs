@@ -5,7 +5,7 @@
 //! instead: [`Metrics`], [`NodeMetrics`], [`RoundTrace`], [`Pid`],
 //! [`StopReason`], and [`SimReport`] all round-trip losslessly
 //! (`crates/sim/tests/json_roundtrip.rs` property-tests
-//! `read(write(x)) == x`). The execution-facade types
+//! `read(write(x)) == x`). The embedding types
 //! [`ExecutionSnapshot`], [`EstimateSummary`], and [`NodeState`] are
 //! serialized here too — they are the payloads of the `bcountd/v1`
 //! query plane (`crates/daemon`), so their field names are wire schema

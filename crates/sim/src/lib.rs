@@ -6,7 +6,7 @@
 //!
 //! * **Synchronous rounds** — all nodes run in lock-step; a message sent in
 //!   round `r` is received by the end of round `r` and acted upon in round
-//!   `r + 1` ([`engine::Simulation`]).
+//!   `r + 1` ([`Execution`]).
 //! * **Full-information adversary** — a single [`adversary::Adversary`]
 //!   object controls every Byzantine node. Each round it observes the
 //!   complete states of all honest nodes *and* the messages they just sent
@@ -50,14 +50,14 @@
 //! }
 //!
 //! let g = cycle(8).unwrap();
-//! let mut sim = Simulation::new(
+//! let mut exec = Execution::new(
 //!     &g,
 //!     &[],                              // no Byzantine nodes
 //!     |_, _| Hello { sent: false },
 //!     NullAdversary,
 //!     SimConfig::default(),
 //! );
-//! let report = sim.run();
+//! let report = exec.run();
 //! assert!(report.outputs.iter().all(|o| o.is_some()));
 //! ```
 
@@ -81,11 +81,10 @@ pub mod trace;
 
 pub use adversary::{Adversary, ByzantineContext, FullInfoView, HonestTraffic, NullAdversary};
 pub use engine::{
-    NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, Simulation, StopReason, StopWhen,
+    Execution, NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, StopReason, StopWhen,
 };
 pub use execution::{
-    ConfigError, DynExecution, EstimateSummary, Execution, ExecutionSnapshot, NodeState,
-    SimConfigBuilder,
+    ConfigError, DynExecution, EstimateSummary, ExecutionSnapshot, NodeState, SimConfigBuilder,
 };
 pub use fault::{CrashEvent, FaultPlan};
 pub use idspace::{Pid, PidIndex, SenderRanks};
@@ -101,11 +100,10 @@ pub mod prelude {
         Adversary, ByzantineContext, FullInfoView, HonestTraffic, NullAdversary,
     };
     pub use crate::engine::{
-        NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, Simulation, StopReason, StopWhen,
+        Execution, NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, StopReason, StopWhen,
     };
     pub use crate::execution::{
-        ConfigError, DynExecution, EstimateSummary, Execution, ExecutionSnapshot, NodeState,
-        SimConfigBuilder,
+        ConfigError, DynExecution, EstimateSummary, ExecutionSnapshot, NodeState, SimConfigBuilder,
     };
     pub use crate::fault::{CrashEvent, FaultPlan};
     pub use crate::idspace::{Pid, PidIndex, SenderRanks};

@@ -19,7 +19,7 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::adversary::{Adversary, ByzantineContext, FullInfoView, HonestTraffic};
 use crate::engine::{
-    NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, Simulation, StopReason, StopWhen,
+    Execution, NodeInit, PhaseSend, PhaseShared, SimConfig, SimReport, StopReason, StopWhen,
 };
 use crate::idspace::{assign_pids, Pid, PidIndex};
 use crate::message::{Inbox, InboxesView, MessageSize};
@@ -30,7 +30,7 @@ use crate::trace::RoundTrace;
 /// One message in flight: sender, destination, payload.
 type Sent<M> = (NodeId, NodeId, M);
 
-/// The reference executor; construct like [`Simulation::new`].
+/// The reference executor; construct like [`Execution::new`].
 pub(crate) struct Reference<'g, P: Protocol, A> {
     graph: &'g Graph,
     config: SimConfig,
@@ -345,7 +345,7 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
 /// asserting identical stop checks and inboxes at every round and an
 /// identical [`SimReport`] at the end, which it returns.
 pub(crate) fn assert_lockstep<G, P, A, B>(
-    engine: &mut Simulation<G, P, A>,
+    engine: &mut Execution<G, P, A>,
     reference: &mut Reference<'_, P, B>,
 ) -> SimReport<P::Output>
 where
@@ -357,7 +357,7 @@ where
     B: Adversary<P>,
 {
     loop {
-        let stop = engine.stop_reason();
+        let stop = engine.finished();
         assert_eq!(
             stop,
             reference.stop_reason(),
@@ -365,7 +365,7 @@ where
             engine.round()
         );
         if let Some(reason) = stop {
-            let report = engine.report(reason);
+            let report = engine.report().expect("finished");
             assert_eq!(report, reference.report(reason), "final report");
             return report;
         }

@@ -9,7 +9,7 @@
 
 use super::{assert_lockstep, Reference};
 use crate::adversary::{Adversary, ByzantineContext, FullInfoView, NullAdversary};
-use crate::engine::{NodeInit, SimConfig, SimReport, Simulation, StopReason, StopWhen};
+use crate::engine::{Execution, NodeInit, SimConfig, SimReport, StopReason, StopWhen};
 use crate::fault::{CrashEvent, FaultPlan};
 use crate::idspace::Pid;
 use crate::protocol::{NodeContext, Protocol};
@@ -233,7 +233,7 @@ where
     P::Output: PartialEq + std::fmt::Debug,
     A: Adversary<P>,
 {
-    let mut engine = Simulation::new(g, byz, factory, adversary(), cfg.clone());
+    let mut engine = Execution::new(g, byz, factory, adversary(), cfg.clone());
     let mut reference = Reference::new(g, byz, factory, adversary(), cfg);
     assert_lockstep(&mut engine, &mut reference)
 }
@@ -274,11 +274,11 @@ fn frontier_relay_matches_reference_on_both_feeds() {
         };
         // BeaconSpam leaves the outbox feed licensed (with its flat
         // fallback for overflowing rounds)...
-        let mut engine = Simulation::new(&g, &byz, relay, BeaconSpam, cfg.clone());
+        let mut engine = Execution::new(&g, &byz, relay, BeaconSpam, cfg.clone());
         let mut reference = Reference::new(&g, &byz, relay, BeaconSpam, cfg.clone());
         assert_lockstep(&mut engine, &mut reference);
         // ...while an observing adversary selects the flat feed.
-        let mut engine = Simulation::new(&g, &byz, relay, Rusher, cfg.clone());
+        let mut engine = Execution::new(&g, &byz, relay, Rusher, cfg.clone());
         let mut reference = Reference::new(&g, &byz, relay, Rusher, cfg);
         assert_lockstep(&mut engine, &mut reference);
     }
@@ -521,7 +521,7 @@ fn observing_adversary_sees_the_reference_traffic() {
             ..config(5, 6)
         };
         let (engine_seen, reference_seen) = (Seen::default(), Seen::default());
-        let mut engine = Simulation::new(
+        let mut engine = Execution::new(
             &g,
             &byz,
             jitter(6),

@@ -97,7 +97,7 @@ impl Adversary<Echo> for Probe {
 fn run_probe(n: usize, byz: &[NodeId], rounds: u64) -> (SimReport<u64>, Observations) {
     let g = cycle(n).unwrap();
     let log = Rc::new(RefCell::new(Observations::default()));
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         byz,
         |_, _| Echo { round: 0 },
@@ -167,7 +167,7 @@ fn byzantine_traffic_is_accounted_to_byzantine_slots() {
 fn null_adversary_sends_nothing_and_delivers_nothing() {
     let g = cycle(5).unwrap();
     let byz = [NodeId(0)];
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &byz,
         |_, _| Echo { round: 0 },
@@ -228,7 +228,7 @@ fn byzantine_messages_carry_authentic_sender_pids() {
     }
     let g = b.build();
     let byz = [NodeId(1)];
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &byz,
         |_, _| Collect { inbox: Vec::new() },

@@ -110,7 +110,7 @@ fn run<A: Adversary<JitterFlood>>(
     parallel: bool,
     adversary: A,
 ) -> SimReport<u64> {
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         g,
         byz,
         |_, init| JitterFlood {
@@ -243,7 +243,7 @@ impl Protocol for FrontierRelay {
 }
 
 fn run_relay(g: &Graph, byz: &[NodeId], seed: u64, parallel: bool) -> SimReport<u64> {
-    Simulation::new(
+    Execution::new(
         g,
         byz,
         |u, init| FrontierRelay {
@@ -306,8 +306,8 @@ fn parallel_step_interleaves_with_serial_state_reads() {
         parallel,
         ..SimConfig::default()
     };
-    let mut serial = Simulation::new(&g, &[NodeId(9)], factory, NoisyEcho, cfg(false));
-    let mut parallel = Simulation::new(&g, &[NodeId(9)], factory, NoisyEcho, cfg(true));
+    let mut serial = Execution::new(&g, &[NodeId(9)], factory, NoisyEcho, cfg(false));
+    let mut parallel = Execution::new(&g, &[NodeId(9)], factory, NoisyEcho, cfg(true));
     for _ in 0..20 {
         serial.step();
         parallel.step();

@@ -97,7 +97,7 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 }
 
 fn run(g: &Graph, byz: &[NodeId], seed: u64, plan: FaultPlan, parallel: bool) -> SimReport<u64> {
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         g,
         byz,
         |_, init| FaultFlood {
@@ -276,7 +276,7 @@ fn honest_survivors_decide_under_crash_quorum() {
         crashes: crashes.clone(),
         ..FaultPlan::default()
     };
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &[],
         |_, init| StableMax {
@@ -320,7 +320,7 @@ fn honest_survivors_decide_under_crash_quorum() {
 fn counters_and_delay_semantics_are_exact() {
     let g = cycle(8).unwrap();
     let run_with = |plan: FaultPlan| {
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[],
             |_, init| FaultFlood {
@@ -414,7 +414,7 @@ fn delay_shifts_first_arrival_exactly() {
                 ..FaultPlan::default()
             }
         };
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[],
             |u, _| PingOnce {

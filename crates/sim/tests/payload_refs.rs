@@ -121,7 +121,7 @@ fn config(parallel: bool, rounds: u64) -> SimConfig {
 
 /// Runs `rounds` rounds of `sim` and returns the payload clones they made
 /// and the execution's metrics.
-fn clones_over<P, A>(mut sim: Simulation<&Graph, P, A>, rounds: u64) -> (u64, Metrics)
+fn clones_over<P, A>(mut sim: Execution<&Graph, P, A>, rounds: u64) -> (u64, Metrics)
 where
     P: Protocol<Message = Counted> + PhaseSend,
     A: Adversary<P>,
@@ -137,7 +137,7 @@ where
 }
 
 fn flood(g: &Graph, byz: &[NodeId], shape: Shape, cfg: SimConfig) -> (u64, Metrics) {
-    let sim = Simulation::new(
+    let sim = Execution::new(
         g,
         byz,
         |_, init: &NodeInit| Flood {
@@ -185,7 +185,7 @@ fn outbox_feed_broadcasts_clone_no_payload() {
 fn event_driven_relay_clones_no_payload() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let g = cycle(64).unwrap();
-    let sim = Simulation::new(
+    let sim = Execution::new(
         &g,
         &[],
         |u, _: &NodeInit| Relay {

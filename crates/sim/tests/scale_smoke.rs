@@ -74,7 +74,7 @@ impl Adversary<Wave> for Watcher {
 }
 
 fn run_wave<A: Adversary<Wave>>(g: &bcount_graph::Graph, adversary: A) -> SimReport<u64> {
-    Simulation::new(
+    Execution::new(
         g,
         &[NodeId(3), NodeId(40_000)],
         |u, _| Wave {

@@ -179,7 +179,7 @@ impl Protocol for LateUnicaster {
 
 /// Steps `sim` through a 30-round warm-up, then asserts the next 200
 /// rounds perform zero allocations.
-fn assert_steady_state_allocation_free<P, A>(mut sim: Simulation<&Graph, P, A>, case: &str)
+fn assert_steady_state_allocation_free<P, A>(mut sim: Execution<&Graph, P, A>, case: &str)
 where
     P: Protocol + PhaseSend,
     P::Message: PhaseShared,
@@ -217,7 +217,7 @@ fn chatter_config() -> SimConfig {
 fn assert_zero_alloc_outbox_feed(byz: bool) {
     let g = cycle(96).unwrap();
     let byz: &[NodeId] = if byz { &[NodeId(17)] } else { &[] };
-    let sim = Simulation::new(
+    let sim = Execution::new(
         &g,
         byz,
         |_, init| Chatter(init.pid),
@@ -257,7 +257,7 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for Observer {
 /// capacity.
 fn assert_zero_alloc_flat_feed(burst: bool) {
     let g = cycle(96).unwrap();
-    let sim = Simulation::new(
+    let sim = Execution::new(
         &g,
         &[NodeId(17)],
         |_, init| Chatter(init.pid),
@@ -291,7 +291,7 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for SilentSpam {
 /// all run on warmed capacity.
 fn assert_zero_alloc_compacted_spam() {
     let g = cycle(96).unwrap();
-    let sim = Simulation::new(
+    let sim = Execution::new(
         &g,
         &[NodeId(17), NodeId(60)],
         |_, init| SubsetChatter(init.pid),
@@ -308,7 +308,7 @@ fn assert_zero_alloc_compacted_spam() {
 /// Byzantine-adjacent, once.
 fn assert_zero_alloc_fallback() {
     let g = cycle(96).unwrap();
-    let sim = Simulation::new(
+    let sim = Execution::new(
         &g,
         &[NodeId(17)],
         |_, init| DoubleChatter(init.pid),
@@ -339,7 +339,7 @@ fn assert_zero_alloc_parallel_merge() {
         .build()
         .expect("build size-1 test pool");
     pool.install(|| {
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[NodeId(17)],
             |_, init| Chatter(init.pid),
@@ -381,10 +381,10 @@ fn assert_rewarm_after_unicast_switch(observer: bool) {
     };
     let byz: &[NodeId] = &[NodeId(17)];
     if observer {
-        let sim = Simulation::new(&g, byz, init, Observer { burst: false }, chatter_config());
+        let sim = Execution::new(&g, byz, init, Observer { burst: false }, chatter_config());
         rewarm_then_steady(sim, switch, 2 * n + 16, "flat feed");
     } else {
-        let sim = Simulation::new(&g, byz, init, NullAdversary, chatter_config());
+        let sim = Execution::new(&g, byz, init, NullAdversary, chatter_config());
         rewarm_then_steady(sim, switch, 2 * n + 16, "outbox feed");
     }
 }
@@ -392,7 +392,7 @@ fn assert_rewarm_after_unicast_switch(observer: bool) {
 /// Steps `sim` to the round before `switch`, counts the allocations of the
 /// two switched rounds against `bound`, then asserts the next 200 rounds
 /// perform none.
-fn rewarm_then_steady<P, A>(mut sim: Simulation<&Graph, P, A>, switch: u64, bound: u64, case: &str)
+fn rewarm_then_steady<P, A>(mut sim: Execution<&Graph, P, A>, switch: u64, bound: u64, case: &str)
 where
     P: Protocol + PhaseSend,
     P::Message: PhaseShared,

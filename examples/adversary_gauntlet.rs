@@ -60,8 +60,8 @@ fn main() {
             ..SimConfig::default()
         };
         let report = match adv {
-            "silent (crash)" => Simulation::new(&g, &byz, factory, NullAdversary, sim_cfg).run(),
-            "fake-expander" => Simulation::new(
+            "silent (crash)" => Execution::new(&g, &byz, factory, NullAdversary, sim_cfg).run(),
+            "fake-expander" => Execution::new(
                 &g,
                 &byz,
                 factory,
@@ -69,7 +69,7 @@ fn main() {
                 sim_cfg,
             )
             .run(),
-            _ => Simulation::new(&g, &byz, factory, EdgeInjectorAdversary::new(5), sim_cfg).run(),
+            _ => Execution::new(&g, &byz, factory, EdgeInjectorAdversary::new(5), sim_cfg).run(),
         };
         far.iter()
             .map(|&u| report.outputs[u].map(|e| f64::from(e.radius)))
@@ -92,13 +92,11 @@ fn main() {
             ..SimConfig::default()
         };
         let report = match adv {
-            "silent (crash)" => Simulation::new(&g, &byz, factory, NullAdversary, sim_cfg).run(),
+            "silent (crash)" => Execution::new(&g, &byz, factory, NullAdversary, sim_cfg).run(),
             "beacon-spam" => {
-                Simulation::new(&g, &byz, factory, BeaconSpamAdversary::new(params), sim_cfg).run()
+                Execution::new(&g, &byz, factory, BeaconSpamAdversary::new(params), sim_cfg).run()
             }
-            _ => {
-                Simulation::new(&g, &byz, factory, PathTamperAdversary::new(params), sim_cfg).run()
-            }
+            _ => Execution::new(&g, &byz, factory, PathTamperAdversary::new(params), sim_cfg).run(),
         };
         far.iter()
             .map(|&u| report.outputs[u].map(|e| f64::from(e.estimate)))

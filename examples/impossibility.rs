@@ -26,7 +26,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 
 fn run_counting(g: &Graph, byz: &[NodeId], seed: u64) -> Vec<f64> {
     let params = CongestParams::default();
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         g,
         byz,
         |_, init| CongestCounting::new(params, init),

@@ -59,7 +59,7 @@ fn main() {
 
     // --- Oracle comparison. --------------------------------------------
     let oracle = (n as f64).ln().ceil() as u32;
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &byz,
         |u, _| AgreementProtocol::new(AgreementParams::default(), inputs[u.index()], oracle),

@@ -32,7 +32,7 @@ fn main() {
     let byz: Vec<NodeId> = (0..n_byz).map(|k| NodeId((k * n / n_byz) as u32)).collect();
 
     let params = CongestParams::default();
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &byz,
         |_, init| CongestCounting::new(params, init),

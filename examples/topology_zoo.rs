@@ -27,7 +27,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 
 fn run(g: &Graph, seed: u64) -> (f64, u64) {
     let params = CongestParams::default();
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         g,
         &[],
         |_, init| CongestCounting::new(params, init),

@@ -32,7 +32,7 @@
 //! // Run the CONGEST counting algorithm with 4 Byzantine beacon spammers.
 //! let params = CongestParams::default();
 //! let byz = [NodeId(0), NodeId(64), NodeId(128), NodeId(192)];
-//! let mut sim = Simulation::new(
+//! let mut exec = Execution::new(
 //!     &g,
 //!     &byz,
 //!     |_, init| CongestCounting::new(params, init),
@@ -40,7 +40,7 @@
 //!     SimConfig { max_rounds: 30_000, stop_when: StopWhen::AllHonestDecided,
 //!                 ..SimConfig::default() },
 //! );
-//! let report = sim.run();
+//! let report = exec.run();
 //!
 //! // Most honest nodes decided a constant-factor estimate of ln 256 ≈ 5.5.
 //! // (Nodes adjacent to a Byzantine spammer can be strung along forever —

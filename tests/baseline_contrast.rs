@@ -18,7 +18,7 @@ fn same_fault_breaks_baseline_not_core() {
 
     // Baseline: geometric max with one faker — everyone believes a
     // million.
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &byz,
         |_, init| GeometricMax::new(30, init),
@@ -38,7 +38,7 @@ fn same_fault_breaks_baseline_not_core() {
     // The paper's Algorithm 2 under an *active* spammer at the same
     // position: far honest nodes stay in band.
     let params = CongestParams::default();
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &byz,
         |_, init| CongestCounting::new(params, init),

@@ -29,7 +29,7 @@ fn local_meets_definition2_on_hnd() {
         max_degree: d + 2,
         ..LocalConfig::default()
     };
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &byz,
         |_, init| LocalCounting::new(cfg, init),
@@ -72,7 +72,7 @@ fn local_meets_definition2_on_small_world() {
         alpha_prime: 0.03,
         ..LocalConfig::default()
     };
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &[],
         |_, init| LocalCounting::new(cfg, init),
@@ -104,7 +104,7 @@ fn congest_meets_definition2_under_spam() {
     let g = hnd(n, d, &mut rng).unwrap();
     let byz: Vec<NodeId> = (0..4).map(|k| NodeId(k * 32)).collect();
     let params = CongestParams::default();
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &byz,
         |_, init| CongestCounting::new(params, init),
@@ -146,7 +146,7 @@ fn congest_estimates_bounded_above_benign() {
         let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
         let g = hnd(n, 8, &mut rng).unwrap();
         let params = CongestParams::default();
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[],
             |_, init| CongestCounting::new(params, init),
@@ -177,7 +177,7 @@ fn congest_works_on_configuration_model_too() {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
     let g = configuration_model(n, 8, &mut rng).unwrap();
     let params = CongestParams::default();
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &[],
         |_, init| CongestCounting::new(params, init),

@@ -11,7 +11,7 @@ fn congest_run(seed: u64) -> (u64, Vec<Option<u32>>) {
     let g = hnd(96, 8, &mut rng).unwrap();
     let params = CongestParams::default();
     let byz = [NodeId(7)];
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &byz,
         |_, init| CongestCounting::new(params, init),
@@ -63,7 +63,7 @@ fn same_seed_identical_local_execution() {
             max_degree: 8,
             ..LocalConfig::default()
         };
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[NodeId(3)],
             |_, init| LocalCounting::new(cfg, init),

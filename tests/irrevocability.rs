@@ -16,7 +16,7 @@ fn congest_decisions_never_change() {
     let g = hnd(n, 8, &mut rng).unwrap();
     let params = CongestParams::default();
     let byz = [NodeId(5)];
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &byz,
         |_, init| CongestCounting::new(params, init),
@@ -56,7 +56,7 @@ fn local_decisions_never_change() {
         max_degree: 8,
         ..LocalConfig::default()
     };
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &[NodeId(0)],
         |_, init| LocalCounting::new(cfg, init),
@@ -93,7 +93,7 @@ fn decided_round_matches_first_output() {
     let mut rng = ChaCha8Rng::seed_from_u64(8);
     let g = hnd(n, 8, &mut rng).unwrap();
     let params = CongestParams::default();
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         &g,
         &[],
         |_, init| CongestCounting::new(params, init),

@@ -20,7 +20,7 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = hnd(n, 8, &mut rng).unwrap();
         let params = CongestParams::default();
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[],
             |_, init| CongestCounting::new(params, init),
@@ -50,7 +50,7 @@ proptest! {
         let g = hnd(n, d, &mut rng).unwrap();
         let diam = byzantine_counting::graph::analysis::bfs::diameter(&g).unwrap();
         let cfg = LocalConfig { max_degree: d, ..LocalConfig::default() };
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &[],
             |_, init| LocalCounting::new(cfg, init),
@@ -79,7 +79,7 @@ proptest! {
         let diam = byzantine_counting::graph::analysis::bfs::diameter(&g).unwrap();
         let byz = [NodeId((seed % n as u64) as u32)];
         let cfg = LocalConfig { max_degree: d, ..LocalConfig::default() };
-        let mut sim = Simulation::new(
+        let mut sim = Execution::new(
             &g,
             &byz,
             |_, init| LocalCounting::new(cfg, init),

@@ -9,7 +9,7 @@ use rand_chacha::ChaCha8Rng;
 
 fn median_estimate(g: &Graph, seed: u64) -> f64 {
     let params = CongestParams::default();
-    let mut sim = Simulation::new(
+    let mut sim = Execution::new(
         g,
         &[],
         |_, init| CongestCounting::new(params, init),

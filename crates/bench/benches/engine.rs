@@ -23,15 +23,6 @@
 //! workload additionally runs as `reuse_buffers_parallel`: the honest
 //! compute fans out over the pool (`BCOUNT_POOL_THREADS` sizes it) and
 //! the merge and delivery run serially, as in every other lane.
-//!
-//! The `engine_phases` group decomposes one round. `merge` is honest
-//! compute + the flat feed's node-order merge with delivery skipped
-//! (traffic dropped), under the same observing adversary. Outbox-feed
-//! phases: `compute` is the honest phase alone (traffic dropped), and
-//! `arena_scatter` is the whole *production* outbox-feed round minus the
-//! empty adversary phase — on this all-broadcast workload that is the
-//! full table path (merge scan + table fill; no compaction, no sort), so
-//! the production scatter cost is `arena_scatter` minus `compute`.
 
 use bcount_bench::runners::{network, spread_byzantine, theorem2_budget};
 use bcount_daemon::Server;
@@ -269,60 +260,6 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// Decomposes one round into its phases; see the module docs.
-fn bench_phases(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_phases");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(300));
-    group.measurement_time(Duration::from_secs(2));
-    for &n in &[1024usize, 4096] {
-        let g = network(n, 8, n as u64);
-
-        // compute + the flat feed's merge only, ROUNDS rounds per
-        // iteration.
-        let mut msim = warmed(&g, &[], chatter_config(false), Observer);
-        group.throughput(Throughput::Elements(ROUNDS));
-        group.bench_with_input(BenchmarkId::new("merge", n), &n, |b, _| {
-            b.iter(|| {
-                for _ in 0..ROUNDS {
-                    msim.bench_compute_merge();
-                    msim.drop_round_traffic();
-                }
-                msim.round()
-            });
-        });
-
-        // --- Outbox-feed decomposition. ---------------------------------
-        // compute alone: the honest phase with the round's outboxes
-        // discarded — the baseline every other arena phase adds onto.
-        let mut csim = warmed(&g, &[], chatter_config(false), NullAdversary);
-        group.bench_with_input(BenchmarkId::new("compute", n), &n, |b, _| {
-            b.iter(|| {
-                for _ in 0..ROUNDS {
-                    csim.bench_compute_only();
-                    csim.drop_round_traffic();
-                }
-                csim.round()
-            });
-        });
-
-        // The whole production outbox-feed round minus the (empty) adversary
-        // phase — the full table path on this workload (see the module
-        // docs).
-        let mut ssim = warmed(&g, &[], chatter_config(false), NullAdversary);
-        group.bench_with_input(BenchmarkId::new("arena_scatter", n), &n, |b, _| {
-            b.iter(|| {
-                for _ in 0..ROUNDS {
-                    ssim.bench_compute_merge();
-                    ssim.bench_deliver_staged();
-                }
-                ssim.round()
-            });
-        });
-    }
-    group.finish();
-}
-
 /// The `engine_daemon` group: `bcountd`'s mixed query+round lane
 /// (ROADMAP open item 3) — how many
 /// queries/sec the session server answers while the engine underneath
@@ -433,5 +370,5 @@ fn bench_daemon(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine, bench_phases, bench_daemon);
+criterion_group!(benches, bench_engine, bench_daemon);
 criterion_main!(benches);

@@ -44,7 +44,7 @@ over stdin/stdout, or over a unix socket with --socket.
                         and recover all sessions on restart
   --fsync POLICY        when journal appends reach disk: always (every
                         record), batch (once per request; default), off
-  --checkpoint-every N  checkpoint after N applied records (bounds
+  --checkpoint-every N  checkpoint after N journal records (bounds
                         journal length and replay time; default 256)";
 
 /// The process-wide shutdown signal, requested by the signal watcher

@@ -22,11 +22,13 @@
 //! * `journal.log` — one record per line, `CCCCCCCC <json>\n` where
 //!   `CCCCCCCC` is the lowercase-hex CRC-32 (IEEE) of everything after
 //!   the single separating space. Records carry a strictly increasing
-//!   `lsn`. Every state-mutating request appends an `intent` record
-//!   *before* executing and an `applied` record (with the actual
-//!   outcome, e.g. rounds really stepped under a timeout) after; only
-//!   `applied` records replay, so a crash mid-request can never
-//!   resurrect a half-applied step.
+//!   `lsn`. Every committed mutation appends exactly one `applied`
+//!   record once it ran, carrying its actual outcome (e.g. the rounds
+//!   really stepped under a timeout), and recovery replays every
+//!   record. A crash before that record is whole leaves no trace of the
+//!   request, so a half-applied step can never resurrect. Journals
+//!   written by older builds also hold an `intent` record before each
+//!   create/step/close; [`load_state`] skips those but keeps their LSNs.
 //! * `checkpoint.json` — a single CRC-framed line holding the
 //!   checkpoint (written to a temp file, fsynced, renamed). After a
 //!   successful checkpoint the journal is truncated; records whose
@@ -57,12 +59,13 @@ pub const CHECKPOINT_SCHEMA: &str = "bcountd-checkpoint/v1";
 /// When the journal is flushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// `fsync` after every record append: a reply implies both its
-    /// intent and applied records are on disk. Two syncs per mutation.
+    /// `fsync` after every record append: a reply implies its record is
+    /// on disk. One sync per mutation.
     Always,
-    /// One `fsync` per state-mutating request, after the applied record
-    /// and before the reply: same reply-implies-durable guarantee, half
-    /// the syncs. The default.
+    /// One `fsync` per state-mutating request, after its records and
+    /// before the reply: the same reply-implies-durable guarantee. It
+    /// differs from `Always` only when one request appends several
+    /// records (idle evictions), which it syncs once. The default.
     #[default]
     Batch,
     /// Never `fsync` explicitly: appends reach the OS page cache only.
@@ -142,16 +145,10 @@ fn unframe_line(line: &str) -> Option<&str> {
     (crc32(payload.as_bytes()) == want).then_some(payload)
 }
 
-/// What one journal record did. `*Intent` records are written before a
-/// mutation executes and exist for write-ahead ordering and forensics;
-/// only the applied variants replay.
+/// What one journal record did: each committed mutation writes exactly
+/// one record, after it ran, and recovery replays every record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecordBody {
-    /// A `session.create` is about to run with these (validated) params.
-    CreateIntent {
-        /// The raw `session.create` params object.
-        params: Json,
-    },
     /// A session was created and inserted under `session`.
     CreateApplied {
         /// Assigned session id.
@@ -159,13 +156,6 @@ pub enum RecordBody {
         /// The raw `session.create` params object (replay rebuilds the
         /// execution from these through the same spec path).
         params: Json,
-    },
-    /// A `session.step` is about to run.
-    StepIntent {
-        /// Target session.
-        session: u64,
-        /// Requested round count (the applied record holds the actual).
-        rounds: u64,
     },
     /// A step batch committed: the session advanced exactly `stepped`
     /// rounds (possibly fewer than requested — stop condition or step
@@ -175,11 +165,6 @@ pub enum RecordBody {
         session: u64,
         /// Rounds actually executed.
         stepped: u64,
-    },
-    /// A `session.close` is about to run.
-    CloseIntent {
-        /// Target session.
-        session: u64,
     },
     /// The session was removed by `session.close`.
     CloseApplied {
@@ -201,28 +186,14 @@ pub enum RecordBody {
 }
 
 impl RecordBody {
-    fn kind(&self) -> &'static str {
-        match self {
-            RecordBody::CreateIntent { .. }
-            | RecordBody::StepIntent { .. }
-            | RecordBody::CloseIntent { .. } => "intent",
-            _ => "applied",
-        }
-    }
-
     fn op(&self) -> &'static str {
         match self {
-            RecordBody::CreateIntent { .. } | RecordBody::CreateApplied { .. } => "create",
-            RecordBody::StepIntent { .. } | RecordBody::StepApplied { .. } => "step",
-            RecordBody::CloseIntent { .. } | RecordBody::CloseApplied { .. } => "close",
+            RecordBody::CreateApplied { .. } => "create",
+            RecordBody::StepApplied { .. } => "step",
+            RecordBody::CloseApplied { .. } => "close",
             RecordBody::Evict { .. } => "evict",
             RecordBody::Poison { .. } => "poison",
         }
-    }
-
-    /// Whether replay applies this record (vs. intent-only bookkeeping).
-    pub fn is_applied(&self) -> bool {
-        self.kind() == "applied"
     }
 }
 
@@ -237,28 +208,26 @@ pub struct JournalRecord {
 
 impl ToJson for JournalRecord {
     fn to_json(&self) -> Json {
+        // `kind` is always "applied": older builds' readers require the
+        // field, and their journals also hold `"kind":"intent"` lines
+        // (see `load_state`).
         let mut pairs = vec![
             ("lsn", self.lsn.to_json()),
-            ("kind", Json::Str(self.body.kind().to_owned())),
+            ("kind", Json::Str("applied".to_owned())),
             ("op", Json::Str(self.body.op().to_owned())),
         ];
         match &self.body {
-            RecordBody::CreateIntent { params } => pairs.push(("params", params.clone())),
             RecordBody::CreateApplied { session, params } => {
                 pairs.push(("session", session.to_json()));
                 pairs.push(("params", params.clone()));
-            }
-            RecordBody::StepIntent { session, rounds } => {
-                pairs.push(("session", session.to_json()));
-                pairs.push(("rounds", rounds.to_json()));
             }
             RecordBody::StepApplied { session, stepped } => {
                 pairs.push(("session", session.to_json()));
                 pairs.push(("stepped", stepped.to_json()));
             }
-            RecordBody::CloseIntent { session }
-            | RecordBody::CloseApplied { session }
-            | RecordBody::Evict { session } => pairs.push(("session", session.to_json())),
+            RecordBody::CloseApplied { session } | RecordBody::Evict { session } => {
+                pairs.push(("session", session.to_json()))
+            }
             RecordBody::Poison { session, message } => {
                 pairs.push(("session", session.to_json()));
                 pairs.push(("message", message.to_json()));
@@ -272,49 +241,33 @@ impl FromJson for JournalRecord {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
         let lsn: u64 = field(json, "lsn")?;
         let kind: String = field(json, "kind")?;
+        if kind != "applied" {
+            return Err(JsonError::Shape(format!("unknown record kind '{kind}'")));
+        }
         let op: String = field(json, "op")?;
-        let intent = match kind.as_str() {
-            "intent" => true,
-            "applied" => false,
-            other => return Err(JsonError::Shape(format!("unknown record kind '{other}'"))),
-        };
-        let params = || -> Result<Json, JsonError> {
-            json.get("params")
-                .cloned()
-                .ok_or_else(|| JsonError::Shape("missing field 'params'".into()))
-        };
-        let body = match (op.as_str(), intent) {
-            ("create", true) => RecordBody::CreateIntent { params: params()? },
-            ("create", false) => RecordBody::CreateApplied {
+        let body = match op.as_str() {
+            "create" => RecordBody::CreateApplied {
                 session: field(json, "session")?,
-                params: params()?,
+                params: json
+                    .get("params")
+                    .cloned()
+                    .ok_or_else(|| JsonError::Shape("missing field 'params'".into()))?,
             },
-            ("step", true) => RecordBody::StepIntent {
-                session: field(json, "session")?,
-                rounds: field(json, "rounds")?,
-            },
-            ("step", false) => RecordBody::StepApplied {
+            "step" => RecordBody::StepApplied {
                 session: field(json, "session")?,
                 stepped: field(json, "stepped")?,
             },
-            ("close", true) => RecordBody::CloseIntent {
+            "close" => RecordBody::CloseApplied {
                 session: field(json, "session")?,
             },
-            ("close", false) => RecordBody::CloseApplied {
+            "evict" => RecordBody::Evict {
                 session: field(json, "session")?,
             },
-            ("evict", false) => RecordBody::Evict {
-                session: field(json, "session")?,
-            },
-            ("poison", false) => RecordBody::Poison {
+            "poison" => RecordBody::Poison {
                 session: field(json, "session")?,
                 message: field(json, "message")?,
             },
-            (other, _) => {
-                return Err(JsonError::Shape(format!(
-                    "unknown record op '{other}' (kind '{kind}')"
-                )))
-            }
+            other => return Err(JsonError::Shape(format!("unknown record op '{other}'"))),
         };
         Ok(JournalRecord { lsn, body })
     }
@@ -505,16 +458,27 @@ pub fn load_state(dir: &Path) -> io::Result<LoadedState> {
         let Ok(json) = Json::parse(payload) else {
             break;
         };
-        let Ok(record) = JournalRecord::from_json(&json) else {
+        // Older builds also wrote an `intent` record before each
+        // create/step/close. It never replayed, so it is skipped here,
+        // but it holds its LSN like any other record.
+        let record = if json.get("kind").and_then(Json::as_str) == Some("intent") {
+            None
+        } else {
+            let Ok(record) = JournalRecord::from_json(&json) else {
+                break;
+            };
+            Some(record)
+        };
+        let Ok(lsn) = field::<u64>(&json, "lsn") else {
             break;
         };
-        if record.lsn <= prev_lsn {
+        if lsn <= prev_lsn {
             break;
         }
-        prev_lsn = record.lsn;
-        state.next_lsn = record.lsn + 1;
-        if record.lsn > skip_at_or_below {
-            state.records.push(record);
+        prev_lsn = lsn;
+        state.next_lsn = lsn + 1;
+        if lsn > skip_at_or_below {
+            state.records.extend(record);
         }
         offset += nl + 1;
     }
@@ -529,8 +493,8 @@ pub struct Journal {
     file: File,
     policy: FsyncPolicy,
     next_lsn: u64,
-    /// Applied records since the last checkpoint (drives the trigger).
-    applied_since_checkpoint: u64,
+    /// Records since the last checkpoint (drives the trigger).
+    records_since_checkpoint: u64,
     /// Whether the current request appended anything not yet synced
     /// (drives the `Batch` policy's one-sync-per-request).
     batch_dirty: bool,
@@ -541,8 +505,8 @@ impl Journal {
     /// Opens `dir`'s journal for appending at `next_lsn`, truncating the
     /// file to the readable prefix `clean_len` first (so a torn tail can
     /// never sit between old and new records). Creates the dir if
-    /// missing. `applied_backlog` is the count of applied records
-    /// already sitting in the journal past the checkpoint, so repeated
+    /// missing. `backlog` is the count of records already sitting in
+    /// the journal past the checkpoint, so repeated
     /// crash/restart cycles still hit the checkpoint trigger instead of
     /// growing the log forever.
     pub fn open(
@@ -551,7 +515,7 @@ impl Journal {
         checkpoint_every: u64,
         next_lsn: u64,
         clean_len: u64,
-        applied_backlog: u64,
+        backlog: u64,
     ) -> io::Result<Journal> {
         fs::create_dir_all(dir)?;
         let mut file = OpenOptions::new()
@@ -572,7 +536,7 @@ impl Journal {
             file,
             policy,
             next_lsn,
-            applied_since_checkpoint: applied_backlog,
+            records_since_checkpoint: backlog,
             batch_dirty: false,
             checkpoint_every: checkpoint_every.max(1),
         })
@@ -588,19 +552,19 @@ impl Journal {
         self.next_lsn
     }
 
-    /// Applied records since the last checkpoint.
-    pub fn applied_since_checkpoint(&self) -> u64 {
-        self.applied_since_checkpoint
+    /// Records appended since the last checkpoint.
+    pub fn records_since_checkpoint(&self) -> u64 {
+        self.records_since_checkpoint
     }
 
-    /// The checkpoint interval (in applied records).
+    /// The checkpoint interval (in records).
     pub fn checkpoint_every(&self) -> u64 {
         self.checkpoint_every
     }
 
-    /// Appends one record (write-ahead: call before mutating for
-    /// intents, right after for applieds). Syncs immediately under
-    /// [`FsyncPolicy::Always`].
+    /// Appends one record: a committed mutation's only record, so the
+    /// caller appends it once the outcome is known. Syncs immediately
+    /// under [`FsyncPolicy::Always`].
     pub fn append(&mut self, body: RecordBody) -> io::Result<u64> {
         let lsn = self.next_lsn;
         let record = JournalRecord { lsn, body };
@@ -610,9 +574,7 @@ impl Journal {
             .expect("journal records contain no non-finite numbers");
         self.file.write_all(frame_line(&payload).as_bytes())?;
         self.next_lsn += 1;
-        if record.body.is_applied() {
-            self.applied_since_checkpoint += 1;
-        }
+        self.records_since_checkpoint += 1;
         match self.policy {
             FsyncPolicy::Always => self.file.sync_data()?,
             FsyncPolicy::Batch => self.batch_dirty = true,
@@ -632,10 +594,10 @@ impl Journal {
         Ok(())
     }
 
-    /// Whether enough applied records accumulated to warrant a
+    /// Whether enough records accumulated to warrant a
     /// checkpoint.
     pub fn should_checkpoint(&self) -> bool {
-        self.applied_since_checkpoint >= self.checkpoint_every
+        self.records_since_checkpoint >= self.checkpoint_every
     }
 
     /// Durably writes `checkpoint` (tmp + fsync + rename) and truncates
@@ -667,7 +629,7 @@ impl Journal {
         if self.policy != FsyncPolicy::Off {
             self.file.sync_data()?;
         }
-        self.applied_since_checkpoint = 0;
+        self.records_since_checkpoint = 0;
         self.batch_dirty = false;
         Ok(())
     }
@@ -699,69 +661,58 @@ mod tests {
         assert_eq!(unframe_line(&bad), None);
     }
 
+    /// One record per op, each against the exact bytes the journal has
+    /// always held for it (`kind` included), so journals stay readable
+    /// across builds in both directions.
     #[test]
     fn record_json_roundtrip() {
-        let records = vec![
-            JournalRecord {
-                lsn: 1,
-                body: RecordBody::CreateIntent {
-                    params: Json::obj(vec![("n", 8u64.to_json())]),
-                },
-            },
-            JournalRecord {
-                lsn: 2,
-                body: RecordBody::CreateApplied {
+        let cases = [
+            (
+                RecordBody::CreateApplied {
                     session: 1,
                     params: Json::obj(vec![("n", 8u64.to_json())]),
                 },
-            },
-            JournalRecord {
-                lsn: 3,
-                body: RecordBody::StepIntent {
-                    session: 1,
-                    rounds: 10,
-                },
-            },
-            JournalRecord {
-                lsn: 4,
-                body: RecordBody::StepApplied {
+                r#"{"lsn":1,"kind":"applied","op":"create","session":1,"params":{"n":8}}"#,
+            ),
+            (
+                RecordBody::StepApplied {
                     session: 1,
                     stepped: 7,
                 },
-            },
-            JournalRecord {
-                lsn: 5,
-                body: RecordBody::CloseIntent { session: 1 },
-            },
-            JournalRecord {
-                lsn: 6,
-                body: RecordBody::CloseApplied { session: 1 },
-            },
-            JournalRecord {
-                lsn: 7,
-                body: RecordBody::Evict { session: 2 },
-            },
-            JournalRecord {
-                lsn: 8,
-                body: RecordBody::Poison {
+                r#"{"lsn":2,"kind":"applied","op":"step","session":1,"stepped":7}"#,
+            ),
+            (
+                RecordBody::CloseApplied { session: 1 },
+                r#"{"lsn":3,"kind":"applied","op":"close","session":1}"#,
+            ),
+            (
+                RecordBody::Evict { session: 2 },
+                r#"{"lsn":4,"kind":"applied","op":"evict","session":2}"#,
+            ),
+            (
+                RecordBody::Poison {
                     session: 3,
                     message: "boom".into(),
                 },
-            },
+                r#"{"lsn":5,"kind":"applied","op":"poison","session":3,"message":"boom"}"#,
+            ),
         ];
-        for record in records {
+        for (lsn, (body, bytes)) in (1..).zip(cases) {
+            let record = JournalRecord { lsn, body };
             let text = record.to_json().render().unwrap();
+            assert_eq!(text, bytes);
             let back = JournalRecord::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, record);
-            assert_eq!(
-                record.body.is_applied(),
-                !matches!(
-                    record.body,
-                    RecordBody::CreateIntent { .. }
-                        | RecordBody::StepIntent { .. }
-                        | RecordBody::CloseIntent { .. }
-                )
-            );
+        }
+    }
+
+    fn step(lsn: u64, stepped: u64) -> JournalRecord {
+        JournalRecord {
+            lsn,
+            body: RecordBody::StepApplied {
+                session: 1,
+                stepped,
+            },
         }
     }
 
@@ -778,20 +729,7 @@ mod tests {
         // Two good records then a torn third: the prefix loads, the tail
         // is measured for truncation.
         fs::create_dir_all(&dir).unwrap();
-        let r1 = JournalRecord {
-            lsn: 1,
-            body: RecordBody::StepIntent {
-                session: 1,
-                rounds: 3,
-            },
-        };
-        let r2 = JournalRecord {
-            lsn: 2,
-            body: RecordBody::StepApplied {
-                session: 1,
-                stepped: 3,
-            },
-        };
+        let (r1, r2) = (step(1, 2), step(2, 3));
         let mut text = frame_line(&r1.to_json().render().unwrap());
         text.push_str(&frame_line(&r2.to_json().render().unwrap()));
         let clean = text.len() as u64;
@@ -802,6 +740,49 @@ mod tests {
         assert_eq!(state.clean_len, clean);
         assert_eq!(state.truncated_bytes, text.len() as u64 - clean);
         assert_eq!(state.next_lsn, 3);
+
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Older builds wrote an `intent` line before each create/step/close.
+    /// Those lines load as skipped records that still hold their LSN, so
+    /// LSN order is checked across them and none of them is a torn tail.
+    #[test]
+    fn intent_lines_are_skipped_but_keep_their_lsn() {
+        let dir = std::env::temp_dir().join(format!("bcountd-intent-unit-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let intent = |lsn: u64| {
+            frame_line(&format!(
+                r#"{{"lsn":{lsn},"kind":"intent","op":"step","session":1,"rounds":3}}"#
+            ))
+        };
+        let applied = |record: &JournalRecord| frame_line(&record.to_json().render().unwrap());
+
+        let (r2, r4) = (step(2, 3), step(4, 1));
+        let mut text = intent(1) + &applied(&r2) + &intent(3) + &applied(&r4);
+        let clean = text.len() as u64;
+        fs::write(dir.join(JOURNAL_FILE), &text).unwrap();
+        let state = load_state(&dir).unwrap();
+        assert_eq!(state.records, vec![r2.clone(), r4.clone()]);
+        assert_eq!((state.clean_len, state.truncated_bytes), (clean, 0));
+        assert_eq!(state.next_lsn, 5);
+
+        // A trailing intent is a whole record too: it moves `next_lsn`.
+        text.push_str(&intent(5));
+        let whole = text.len() as u64;
+        fs::write(dir.join(JOURNAL_FILE), &text).unwrap();
+        let state = load_state(&dir).unwrap();
+        assert_eq!(state.records, vec![r2.clone(), r4.clone()]);
+        assert_eq!((state.clean_len, state.next_lsn), (whole, 6));
+
+        // An intent that breaks LSN order ends the prefix like any line.
+        let mut bad = text.clone();
+        bad.push_str(&intent(5));
+        fs::write(dir.join(JOURNAL_FILE), &bad).unwrap();
+        let state = load_state(&dir).unwrap();
+        assert_eq!((state.clean_len, state.next_lsn), (whole, 6));
+        assert_eq!(state.truncated_bytes, bad.len() as u64 - whole);
 
         let _ = fs::remove_dir_all(&dir);
     }

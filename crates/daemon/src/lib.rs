@@ -39,5 +39,5 @@ pub use cell::{CellSpec, SpecError};
 pub use journal::{FsyncPolicy, Journal, RecoveryStats};
 pub use server::{DurabilityOptions, Server, ServerLimits};
 pub use spec::SessionSpec;
-pub use transport::{serve, serve_graceful, LineEvent, Shutdown, MAX_LINE_BYTES};
+pub use transport::{serve_graceful, LineEvent, Shutdown, MAX_LINE_BYTES};
 pub use wire::{ErrorCode, Request, Response, WireError, SCHEMA};

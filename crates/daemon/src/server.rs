@@ -127,13 +127,13 @@ pub struct DurabilityOptions {
     pub state_dir: PathBuf,
     /// When journal appends reach stable storage.
     pub fsync: FsyncPolicy,
-    /// Checkpoint after this many applied records (bounds journal
+    /// Checkpoint after this many records (bounds journal
     /// length and replay work).
     pub checkpoint_every: u64,
 }
 
 impl DurabilityOptions {
-    /// Defaults: batch fsync, checkpoint every 256 applied records.
+    /// Defaults: batch fsync, checkpoint every 256 records.
     pub fn new(state_dir: impl Into<PathBuf>) -> Self {
         DurabilityOptions {
             state_dir: state_dir.into(),
@@ -190,13 +190,8 @@ impl Server {
     /// timeouts for tests and golden transcripts.
     pub fn frozen(limits: ServerLimits) -> Self {
         Server {
-            sessions: BTreeMap::new(),
-            next_id: 0,
-            limits,
             clock: Clock::Manual(0),
-            journal: None,
-            recovery: None,
-            journal_errors: 0,
+            ..Server::with_limits(limits)
         }
     }
 
@@ -306,9 +301,6 @@ impl Server {
                         s.poisoned = Some(message.clone());
                     }
                 }
-                RecordBody::CreateIntent { .. }
-                | RecordBody::StepIntent { .. }
-                | RecordBody::CloseIntent { .. } => {}
             }
         }
 
@@ -458,14 +450,6 @@ impl Server {
                 ),
             });
         }
-        // Write-ahead: the intent record hits the journal before any
-        // session code runs. A crash from here until the applied record
-        // is durable leaves an intent with no applied — recovery
-        // correctly treats the create as never having happened (the
-        // client never got a reply).
-        self.journal_append(RecordBody::CreateIntent {
-            params: params.clone(),
-        })?;
         // Session construction runs protocol factories: isolate panics so
         // a faulty protocol cannot take the daemon down. Nothing was
         // inserted yet, so a create panic leaves no poisoned slot behind.
@@ -486,13 +470,21 @@ impl Server {
             code: ErrorCode::BadSpec,
             message: e.to_string(),
         })?;
-        self.next_id += 1;
-        let id = self.next_id;
+        let id = self.next_id + 1;
         let result = Json::obj(vec![
             ("session", id.to_json()),
             ("spec", info.clone()),
             ("snapshot", snapshot.to_json()),
         ]);
+        // Journal first, insert second: if the append fails, the table
+        // still matches the journal (no session) and the client gets an
+        // error. A crash before the record is whole loses a create the
+        // client never saw a reply to.
+        self.journal_append(RecordBody::CreateApplied {
+            session: id,
+            params: params.clone(),
+        })?;
+        self.next_id = id;
         self.sessions.insert(
             id,
             Session {
@@ -505,10 +497,6 @@ impl Server {
                 recovered: false,
             },
         );
-        self.journal_append(RecordBody::CreateApplied {
-            session: id,
-            params: params.clone(),
-        })?;
         self.journal_commit()?;
         Ok(result)
     }
@@ -520,25 +508,11 @@ impl Server {
             .unwrap_or(1);
         let clock = self.clock;
         let timeout = self.limits.step_timeout_ms;
-        // Touch and gate first, journal the intent second, execute
-        // third: the intent record must precede any session code, but
-        // only for requests that will actually mutate.
-        {
-            let session = self.session_mut(id)?;
-            session.last_touch_ms = clock.now_ms();
-            if let Some(msg) = &session.poisoned {
-                let msg = msg.clone();
-                return Err(poisoned(id, &msg));
-            }
+        let session = self.session_mut(id)?;
+        session.last_touch_ms = clock.now_ms();
+        if let Some(msg) = &session.poisoned {
+            return Err(poisoned(id, msg));
         }
-        self.journal_append(RecordBody::StepIntent {
-            session: id,
-            rounds,
-        })?;
-        let session = self
-            .sessions
-            .get_mut(&id)
-            .expect("session checked just above");
         let before = session.exec.round();
         // Step round by round so the wall-clock deadline is checked
         // between rounds — byte-identical to one step_rounds(rounds)
@@ -665,9 +639,9 @@ impl Server {
         if !self.sessions.contains_key(&id) {
             return Err(unknown_session(id));
         }
-        self.journal_append(RecordBody::CloseIntent { session: id })?;
-        self.sessions.remove(&id);
+        // Journal first, remove second, as in `create`.
         self.journal_append(RecordBody::CloseApplied { session: id })?;
+        self.sessions.remove(&id);
         self.journal_commit()?;
         Ok(Json::obj(vec![
             ("session", id.to_json()),
@@ -703,7 +677,7 @@ impl Server {
                 ("lsn", (j.next_lsn() - 1).to_json()),
                 (
                     "records_since_checkpoint",
-                    j.applied_since_checkpoint().to_json(),
+                    j.records_since_checkpoint().to_json(),
                 ),
                 ("checkpoint_every", j.checkpoint_every().to_json()),
                 ("errors", self.journal_errors.to_json()),
@@ -740,8 +714,7 @@ impl Server {
     }
 
     /// Appends one record to the journal, if there is one. An append
-    /// failure surfaces as an `internal-error` reply; for intents the
-    /// mutation has not run yet, so the request is cleanly refused.
+    /// failure surfaces as an `internal-error` reply.
     fn journal_append(&mut self, body: RecordBody) -> Result<(), WireError> {
         let Some(journal) = &mut self.journal else {
             return Ok(());

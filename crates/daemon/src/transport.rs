@@ -1,5 +1,5 @@
 //! Line transport for `bcountd`: capped line reading and the serve
-//! loops shared by the stdin and unix-socket paths.
+//! loop shared by the stdin and unix-socket paths.
 //!
 //! Two hardening duties live here rather than in [`crate::server`]:
 //!
@@ -162,33 +162,16 @@ fn reply_for(server: &mut Server, event: LineEvent) -> String {
     }
 }
 
-/// The synchronous serve loop: one reply line per request line, flushed
-/// eagerly so a line-at-a-time client never deadlocks. Returns at EOF.
-pub fn serve(
-    mut reader: impl BufRead,
-    mut writer: impl Write,
-    server: &mut Server,
-) -> std::io::Result<()> {
-    while let Some(event) = next_line(&mut reader)? {
-        if is_blank(&event) {
-            continue;
-        }
-        let reply = reply_for(server, event);
-        writeln!(writer, "{reply}")?;
-        writer.flush()?;
-    }
-    Ok(())
-}
-
-/// [`serve`] with graceful shutdown: reads happen on a helper thread
-/// that pumps `Pump::Io` events into a channel; [`Shutdown::request`]
-/// pumps a `Pump::Wake` into the same channel, so the loop blocks on
-/// one `recv()` and reacts to whichever arrives first — no poll tick,
-/// no shutdown latency. On shutdown, already-read lines are drained
-/// (each gets its reply, written and flushed) and the loop returns
-/// `Ok(())`; a request being handled when the signal lands always
-/// finishes and replies first, because events are handled one at a
-/// time.
+/// The serve loop: one reply line per request line, each flushed
+/// eagerly so a line-at-a-time client never deadlocks; returns at EOF.
+/// Reads happen on a helper thread that pumps `Pump::Io` events into a
+/// channel; [`Shutdown::request`] pumps a `Pump::Wake` into the same
+/// channel, so the loop blocks on one `recv()` and reacts to whichever
+/// arrives first — no poll tick, no shutdown latency. On shutdown,
+/// already-read lines are drained (each gets its reply, written and
+/// flushed) and the loop returns `Ok(())`; a request being handled when
+/// the signal lands always finishes and replies first, because events
+/// are handled one at a time.
 pub fn serve_graceful(
     reader: impl BufRead + Send + 'static,
     mut writer: impl Write,

@@ -8,7 +8,7 @@ use std::io::Cursor;
 use std::sync::Arc;
 
 use bcount_daemon::server::ServerLimits;
-use bcount_daemon::{serve, serve_graceful, Server, Shutdown};
+use bcount_daemon::{serve_graceful, Server, Shutdown};
 use bcount_json::Json;
 
 /// Parses a response line, asserts the schema tag, returns the `result`.
@@ -295,7 +295,7 @@ fn oversized_lines_get_parse_errors_and_resync() {
     input.push(b'\n');
 
     let mut out = Vec::new();
-    serve(Cursor::new(input), &mut out, &mut server).unwrap();
+    serve_graceful(Cursor::new(input), &mut out, &mut server, &Shutdown::new()).unwrap();
     let out = String::from_utf8(out).unwrap();
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 3, "three replies for three lines: {out}");

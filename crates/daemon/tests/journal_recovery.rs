@@ -393,7 +393,7 @@ fn daemon_info_reports_journal_and_recovery() {
     let journal = info.get("journal").expect("journal stats");
     assert_eq!(journal.get("fsync").and_then(Json::as_str), Some("off"));
     assert_eq!(get_u64(journal, "checkpoint_every"), 100);
-    assert!(get_u64(journal, "lsn") >= 2, "create wrote intent+applied");
+    assert_eq!(get_u64(journal, "lsn"), 1, "create wrote one record");
     let recovery = info.get("recovery").expect("recovery stats");
     assert_eq!(get_u64(recovery, "recovered_sessions"), 0);
     drop(server);
@@ -403,5 +403,105 @@ fn daemon_info_reports_journal_and_recovery() {
     let recovery = info.get("recovery").unwrap();
     assert_eq!(get_u64(recovery, "recovered_sessions"), 1);
     assert_eq!(get_u64(recovery, "replayed_records"), 1);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// One journal line per committed mutation: create + 3 steps + close
+/// append five records, and `daemon.info` reports the fifth LSN.
+#[test]
+fn each_mutation_appends_exactly_one_record() {
+    let dir = scratch_dir("one-record");
+    let mut server = open(&dir, u64::MAX);
+    result(&server.handle_line(CREATE));
+    for i in 0..3u64 {
+        result(&server.handle_line(&step_line(2 + i, 1, 2)));
+    }
+    result(&server.handle_line(r#"{"id":5,"method":"session.close","params":{"session":1}}"#));
+    let journal = fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
+    assert_eq!(journal.lines().count(), 5, "journal:\n{journal}");
+    let info = result(&server.handle_line(r#"{"id":6,"method":"daemon.info"}"#));
+    assert_eq!(get_u64(info.get("journal").unwrap(), "lsn"), 5);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Frames `payload` the way the journal does: lowercase-hex CRC-32 of
+/// the payload, one space, the payload, a newline.
+fn framed(payload: &str) -> String {
+    format!("{:08x} {payload}\n", crc32(payload.as_bytes()))
+}
+
+/// The journal an older build wrote for `CREATE` and then steps of 1 and
+/// 2 rounds: an `intent` line before each `applied` one.
+fn journal_with_intents() -> String {
+    let params = r#"{"n":8,"protocol":"geometric-max","budget":4,"max_rounds":64,"seed":11}"#;
+    [
+        format!(r#"{{"lsn":1,"kind":"intent","op":"create","params":{params}}}"#),
+        format!(r#"{{"lsn":2,"kind":"applied","op":"create","session":1,"params":{params}}}"#),
+        r#"{"lsn":3,"kind":"intent","op":"step","session":1,"rounds":1}"#.to_owned(),
+        r#"{"lsn":4,"kind":"applied","op":"step","session":1,"stepped":1}"#.to_owned(),
+        r#"{"lsn":5,"kind":"intent","op":"step","session":1,"rounds":2}"#.to_owned(),
+        r#"{"lsn":6,"kind":"applied","op":"step","session":1,"stepped":2}"#.to_owned(),
+    ]
+    .iter()
+    .map(|payload| framed(payload))
+    .collect()
+}
+
+/// A journal with interleaved intent and applied lines still recovers:
+/// the intents are skipped, the applied records replay, and the session
+/// answers byte-identically to an uninterrupted run of the same rounds.
+/// New records continue after the intents' LSNs.
+#[test]
+fn journals_with_intent_lines_recover_exactly() {
+    let dir = scratch_dir("intents");
+    fs::create_dir_all(&dir).unwrap();
+    let journal = journal_with_intents();
+    fs::write(dir.join(JOURNAL_FILE), &journal).unwrap();
+    assert_eq!(oracle_scan(journal.as_bytes()), (true, 3));
+
+    let mut server = open(&dir, u64::MAX);
+    let stats = *server.recovery_stats().unwrap();
+    assert_eq!(stats.recovered_sessions, 1);
+    assert_eq!(stats.replayed_records, 3);
+    assert_eq!(stats.replayed_rounds, 3);
+    assert_eq!(stats.truncated_bytes, 0);
+    let query = result(&server.handle_line(&query_line(50, 1)))
+        .render()
+        .unwrap();
+    assert_eq!(query, reference_query(3));
+
+    result(&server.handle_line(&step_line(51, 1, 1)));
+    let info = result(&server.handle_line(r#"{"id":52,"method":"daemon.info"}"#));
+    assert_eq!(get_u64(info.get("journal").unwrap(), "lsn"), 7);
+    drop(server);
+    let mut revived = open(&dir, u64::MAX);
+    let query = result(&revived.handle_line(&query_line(53, 1)))
+        .render()
+        .unwrap();
+    assert_eq!(query, reference_query(4));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A torn intent line at the tail is a torn record like any other: the
+/// journal is truncated there and everything before it recovers.
+#[test]
+fn a_torn_intent_line_truncates_the_tail() {
+    let dir = scratch_dir("torn-intent");
+    fs::create_dir_all(&dir).unwrap();
+    let journal = journal_with_intents();
+    let torn = framed(r#"{"lsn":7,"kind":"intent","op":"step","session":1,"rounds":4}"#);
+    let torn = &torn[..torn.len() - 10];
+    fs::write(dir.join(JOURNAL_FILE), journal.clone() + torn).unwrap();
+
+    let mut server = open(&dir, u64::MAX);
+    let stats = *server.recovery_stats().unwrap();
+    assert_eq!(stats.recovered_sessions, 1);
+    assert_eq!(stats.truncated_bytes, torn.len() as u64);
+    let on_disk = fs::read(dir.join(JOURNAL_FILE)).unwrap();
+    assert_eq!(on_disk, journal.as_bytes(), "the torn tail is cut away");
+    let query = result(&server.handle_line(&query_line(50, 1)))
+        .render()
+        .unwrap();
+    assert_eq!(query, reference_query(3));
     fs::remove_dir_all(&dir).ok();
 }

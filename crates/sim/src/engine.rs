@@ -199,7 +199,8 @@ pub struct SimConfig {
     pub id_bits: u32,
     /// Stop condition.
     pub stop_when: StopWhen,
-    /// Record per-round message counts in [`Metrics::messages_per_round`].
+    /// Record one [`crate::trace::RoundTrace`] per round in
+    /// [`Metrics::round_trace`].
     pub record_round_stats: bool,
     /// Run the honest compute phase on worker threads (the merge and
     /// delivery stay serial). Requires the `parallel` crate feature —
@@ -1268,8 +1269,8 @@ where
         debug_assert_eq!(self.honest_ranks.len(), self.honest_outgoing.len());
         debug_assert!(!self.outbox_feed || self.honest_outgoing.is_empty());
         debug_assert!(self.byz_ranks.is_empty());
-        let honest_message_count = self.round_honest_messages;
-        let message_count = honest_message_count + self.byz_outgoing.len() as u64;
+        let honest_messages = self.round_honest_messages;
+        let byzantine_messages = self.byz_outgoing.len() as u64;
         // Account and rank-resolve the Byzantine traffic up front: the
         // adversary's (from, to) pairs carry no precomputed slot.
         for (from, to, msg) in &self.byz_outgoing {
@@ -1289,8 +1290,6 @@ where
         self.metrics.rounds = self.round;
         if self.config.record_round_stats {
             let n = self.graph().len();
-            self.metrics.messages_per_round.push(message_count);
-            let byzantine_messages = message_count - honest_message_count;
             let live = |u: &usize| !self.is_byzantine[*u] && !self.crashed[*u];
             let decided = (0..n)
                 .filter(live)
@@ -1299,7 +1298,7 @@ where
             let halted = (0..n).filter(live).filter(|&u| self.halted[u]).count();
             self.metrics.round_trace.push(crate::trace::RoundTrace {
                 round: self.round,
-                honest_messages: honest_message_count,
+                honest_messages,
                 byzantine_messages,
                 decided,
                 halted,
@@ -1314,59 +1313,6 @@ where
     /// by content.
     pub fn inbox(&self, u: NodeId) -> Inbox<'_, P::Message> {
         self.arena.inbox(u.index(), &self.pids)
-    }
-
-    /// Runs the compute + deterministic-merge half of the next round (the
-    /// outbox feed's scan or the flat feed's node-order merge), leaving
-    /// the merged traffic staged (benchmark/instrumentation hook; pair
-    /// with [`Execution::bench_deliver_staged`] or
-    /// [`Execution::drop_round_traffic`], never with a bare repeat).
-    #[cfg(feature = "bench-probes")]
-    #[doc(hidden)]
-    pub fn bench_compute_merge(&mut self) {
-        self.round += 1;
-        self.honest_phase();
-        self.merge_phase();
-    }
-
-    /// Runs the honest compute phase alone (benchmark hook; reset the
-    /// filled outboxes with [`Execution::drop_round_traffic`] — outbox
-    /// feed only, which is where outboxes outlive the merge).
-    #[cfg(feature = "bench-probes")]
-    #[doc(hidden)]
-    pub fn bench_compute_only(&mut self) {
-        debug_assert!(self.outbox_feed);
-        self.round += 1;
-        self.honest_phase();
-    }
-
-    /// Discards the round's merged-but-undelivered traffic — the reset
-    /// half of the phase micro-benchmarks. Covers both feeds: the flat
-    /// vector, and the outbox feed's scanned (but not yet delivered)
-    /// outboxes.
-    #[cfg(feature = "bench-probes")]
-    #[doc(hidden)]
-    pub fn drop_round_traffic(&mut self) {
-        self.honest_outgoing.clear();
-        self.honest_ranks.clear();
-        self.byz_outgoing.clear();
-        self.byz_ranks.clear();
-        // The outbox feed's merge leaves the outboxes full (delivery is
-        // what drains them).
-        for outbox in &mut self.outboxes {
-            outbox.clear();
-        }
-        self.round_honest_messages = 0;
-    }
-
-    /// Completes a round started with [`Execution::bench_compute_merge`]
-    /// through delivery (no adversary phase; Byzantine staging must be
-    /// empty) — the other half of the phase micro-benchmarks.
-    #[cfg(feature = "bench-probes")]
-    #[doc(hidden)]
-    pub fn bench_deliver_staged(&mut self) {
-        debug_assert!(self.byz_outgoing.is_empty());
-        self.deliver();
     }
 
     /// `Some(reason)` once the configured stop condition holds — the check
@@ -1795,7 +1741,8 @@ mod tests {
         let mut sim = flood_sim(&g, &[], cfg);
         let report = sim.run();
         // Round 1: everyone broadcasts to 2 neighbours = 8 messages.
-        assert_eq!(report.metrics.messages_per_round[0], 8);
+        let round1 = &report.metrics.round_trace[0];
+        assert_eq!(round1.honest_messages + round1.byzantine_messages, 8);
         assert!(report.metrics.total_messages(0..4) >= 8);
         // Every message is one 64-bit ID.
         let m = &report.metrics.per_node[0];

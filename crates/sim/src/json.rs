@@ -109,7 +109,6 @@ impl ToJson for Metrics {
         Json::obj(vec![
             ("per_node", self.per_node.to_json()),
             ("rounds", self.rounds.to_json()),
-            ("messages_per_round", self.messages_per_round.to_json()),
             ("round_trace", self.round_trace.to_json()),
             ("dropped", self.dropped.to_json()),
             ("duplicated", self.duplicated.to_json()),
@@ -126,7 +125,6 @@ impl FromJson for Metrics {
         Ok(Metrics {
             per_node: field(json, "per_node")?,
             rounds: field(json, "rounds")?,
-            messages_per_round: field(json, "messages_per_round")?,
             round_trace: field(json, "round_trace")?,
             dropped: opt_field(json, "dropped")?.unwrap_or(0),
             duplicated: opt_field(json, "duplicated")?.unwrap_or(0),
@@ -312,7 +310,6 @@ mod tests {
         metrics.per_node[0].record(128);
         metrics.per_node[2].record(8);
         metrics.rounds = 5;
-        metrics.messages_per_round = vec![2, 1, 0, 0, 0];
         metrics.round_trace = vec![RoundTrace {
             round: 1,
             honest_messages: 2,

@@ -45,9 +45,6 @@ pub struct Metrics {
     pub per_node: Vec<NodeMetrics>,
     /// Number of rounds executed.
     pub rounds: u64,
-    /// Messages per round (only populated when
-    /// [`crate::SimConfig::record_round_stats`] is set).
-    pub messages_per_round: Vec<u64>,
     /// Full per-round trace (only populated when
     /// [`crate::SimConfig::record_round_stats`] is set).
     pub round_trace: Vec<crate::trace::RoundTrace>,
@@ -69,7 +66,6 @@ impl Metrics {
         Metrics {
             per_node: vec![NodeMetrics::default(); n],
             rounds: 0,
-            messages_per_round: Vec::new(),
             round_trace: Vec::new(),
             dropped: 0,
             duplicated: 0,

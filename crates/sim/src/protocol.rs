@@ -89,7 +89,7 @@ impl<M> Outbox<M> {
     }
 
     /// Empties both planes, keeping their capacity.
-    #[cfg(any(test, feature = "bench-probes"))]
+    #[cfg(test)]
     pub(crate) fn clear(&mut self) {
         self.sends.clear();
         self.payloads.clear();

@@ -279,9 +279,6 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
                 .filter(|&u| self.decided_round[u].is_some())
                 .count();
             let halted = (0..n).filter(alive).filter(|&u| self.halted[u]).count();
-            self.metrics
-                .messages_per_round
-                .push(honest_count + byzantine_count);
             self.metrics.round_trace.push(RoundTrace {
                 round: self.round,
                 honest_messages: honest_count,

@@ -40,22 +40,18 @@ fn metrics_strategy() -> impl Strategy<Value = Metrics> {
     (
         vec(node_metrics_strategy(), 0..8),
         any::<u64>(),
-        vec(any::<u64>(), 0..8),
         vec(round_trace_strategy(), 0..4),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
     )
-        .prop_map(
-            |(per_node, rounds, messages_per_round, round_trace, fault)| Metrics {
-                per_node,
-                rounds,
-                messages_per_round,
-                round_trace,
-                dropped: fault.0,
-                duplicated: fault.1,
-                delayed: fault.2,
-                crashed: fault.3,
-            },
-        )
+        .prop_map(|(per_node, rounds, round_trace, fault)| Metrics {
+            per_node,
+            rounds,
+            round_trace,
+            dropped: fault.0,
+            duplicated: fault.1,
+            delayed: fault.2,
+            crashed: fault.3,
+        })
 }
 
 fn stop_reason_strategy() -> impl Strategy<Value = StopReason> {

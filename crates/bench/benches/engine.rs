@@ -19,10 +19,10 @@
 //! a **compacted** table round: hole marking, node-order fill, compaction,
 //! the Byzantine append and the sort of the Byzantine-adjacent spans. The
 //! `full_execution` benchmarks include construction, pid
-//! assignment, and buffer warm-up. With `--features parallel` the same
-//! workload additionally runs as `reuse_buffers_parallel`: the honest
-//! compute fans out over the pool (`BCOUNT_POOL_THREADS` sizes it) and
-//! the merge and delivery run serially, as in every other lane.
+//! assignment, and buffer warm-up. With `--features parallel` every lane
+//! runs at the pool's width (`BCOUNT_POOL_THREADS` sizes it): a wider
+//! pool forks the honest compute across its workers, and the merge and
+//! delivery run serially either way.
 
 use bcount_bench::runners::{network, spread_byzantine, theorem2_budget};
 use bcount_daemon::Server;
@@ -61,11 +61,10 @@ impl Protocol for Chatter {
     }
 }
 
-fn chatter_config(parallel: bool) -> SimConfig {
+fn chatter_config() -> SimConfig {
     SimConfig {
         max_rounds: u64::MAX,
         stop_when: StopWhen::MaxRoundsOnly,
-        parallel,
         ..SimConfig::default()
     }
 }
@@ -139,7 +138,7 @@ fn bench_engine(c: &mut Criterion) {
                     NullAdversary,
                     SimConfig {
                         max_rounds: ROUNDS,
-                        ..chatter_config(false)
+                        ..chatter_config()
                     },
                 );
                 sim.run()
@@ -149,7 +148,7 @@ fn bench_engine(c: &mut Criterion) {
         // The steady-state hot path: one long-lived simulation, buffers
         // warmed, stepped ROUNDS more rounds per iteration. The outbox
         // feed (NullAdversary licenses it).
-        let mut sim = warmed(&g, &[], chatter_config(false), NullAdversary);
+        let mut sim = warmed(&g, &[], chatter_config(), NullAdversary);
         group.bench_with_input(BenchmarkId::new("reuse_buffers", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..ROUNDS {
@@ -161,7 +160,7 @@ fn bench_engine(c: &mut Criterion) {
 
         // Same loop on the flat feed: an observing adversary needs the
         // node-order traffic vector.
-        let mut fsim = warmed(&g, &[], chatter_config(false), Observer);
+        let mut fsim = warmed(&g, &[], chatter_config(), Observer);
         group.bench_with_input(BenchmarkId::new("reuse_buffers_flat", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..ROUNDS {
@@ -191,7 +190,7 @@ fn bench_engine(c: &mut Criterion) {
                     delay_per_mille: 25,
                     delay_rounds: 2,
                 },
-                ..chatter_config(false)
+                ..chatter_config()
             },
             NullAdversary,
         );
@@ -211,26 +210,13 @@ fn bench_engine(c: &mut Criterion) {
         // Byzantine append, sort of the Byzantine-adjacent spans).
         if n >= 1024 {
             let byz = spread_byzantine(n, theorem2_budget(n, 0.05));
-            let mut bsim = warmed(&g, &byz, chatter_config(false), Spammer(0));
+            let mut bsim = warmed(&g, &byz, chatter_config(), Spammer(0));
             group.bench_with_input(BenchmarkId::new("reuse_buffers_spam", n), &n, |b, _| {
                 b.iter(|| {
                     for _ in 0..ROUNDS {
                         bsim.step();
                     }
                     bsim.round()
-                });
-            });
-        }
-
-        #[cfg(feature = "parallel")]
-        {
-            let mut psim = warmed(&g, &[], chatter_config(true), NullAdversary);
-            group.bench_with_input(BenchmarkId::new("reuse_buffers_parallel", n), &n, |b, _| {
-                b.iter(|| {
-                    for _ in 0..ROUNDS {
-                        psim.step();
-                    }
-                    psim.round()
                 });
             });
         }
@@ -247,7 +233,7 @@ fn bench_engine(c: &mut Criterion) {
     for &(n, rounds) in &[(65_536usize, 10u64), (1_048_576, 4)] {
         let g = network(n, 8, n as u64);
         group.throughput(Throughput::Elements(rounds));
-        let mut sim = warmed(&g, &[], chatter_config(false), NullAdversary);
+        let mut sim = warmed(&g, &[], chatter_config(), NullAdversary);
         group.bench_with_input(BenchmarkId::new("reuse_buffers", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..rounds {

@@ -7,8 +7,9 @@
 //! rate is whole-cell throughput. With `--features parallel` the same
 //! scenario fans
 //! its cells out over the persistent worker pool (`BCOUNT_POOL_THREADS`
-//! sizes it), so the serial-vs-parallel delta is the fanout win. Runs in
-//! `--test` smoke mode like every bench in this crate.
+//! sizes it), so the delta between pools of one and more workers is the
+//! fanout win. Runs in `--test` smoke mode like every bench in this
+//! crate.
 
 use bcount_bench::scenario::{
     run_scenario, AdversarySpec, BudgetSpec, GraphFamily, Placement, ProtocolSpec, Scenario,

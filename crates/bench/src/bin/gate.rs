@@ -5,10 +5,13 @@
 //! # has an outcome and coordinate labels the cell registry parses):
 //! cargo run -p bcount-bench --bin gate -- schema out.json
 //!
-//! # Compare a fresh bench artifact against the committed baseline and
-//! # fail on steady-state regressions beyond the tolerance:
+//! # Compare fresh bench artifacts against the committed baseline and
+//! # fail on steady-state regressions beyond the tolerance. `--current`
+//! # (and `--baseline`) may repeat: each lane is compared by its median
+//! # over the passes, so one slow pass out of three cannot fail the gate:
 //! cargo run -p bcount-bench --bin gate -- perf \
-//!     --baseline BENCH_BASELINE.json --current bench.json \
+//!     --baseline BENCH_BASELINE.json \
+//!     --current bench-1.json --current bench-2.json --current bench-3.json \
 //!     --tolerance 0.30 --filter reuse_buffers
 //!
 //! # Same-run A/B mode: both artifacts were measured in the SAME job on
@@ -18,12 +21,14 @@
 //! # side are reported but never fail the gate (they were added or
 //! # removed by the change under test, not regressed):
 //! cargo run -p bcount-bench --bin gate -- perf --ab \
-//!     --baseline bench-base.json --current bench-head.json
+//!     --baseline bench-base-1.json --baseline bench-base-2.json \
+//!     --current bench-head-1.json --current bench-head-2.json
 //! ```
 //!
 //! Exit codes: 0 = pass, 1 = gate failure (regression / invalid
 //! artifact), 2 = usage or I/O error.
 
+use bcount_bench::stats::median;
 use bcount_daemon::cell::{AdversarySpec, GraphFamily, Placement, ProtocolSpec};
 use bcount_json::{check_schema, Json};
 use std::process::ExitCode;
@@ -173,8 +178,10 @@ fn validate_cell(cell: &Json) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 struct PerfArgs {
-    baseline: String,
-    current: String,
+    /// One or more baseline artifacts (`--baseline` repeats).
+    baseline: Vec<String>,
+    /// One or more current artifacts (`--current` repeats).
+    current: Vec<String>,
     tolerance: f64,
     filter: String,
     /// Same-run A/B mode: the two artifacts come from the same job on the
@@ -186,8 +193,8 @@ struct PerfArgs {
 
 fn parse_perf_args(args: &[String]) -> Result<PerfArgs, String> {
     let mut parsed = PerfArgs {
-        baseline: String::new(),
-        current: String::new(),
+        baseline: Vec::new(),
+        current: Vec::new(),
         tolerance: f64::NAN, // resolved after parsing (mode-dependent)
         filter: "reuse_buffers".into(),
         ab: false,
@@ -201,8 +208,8 @@ fn parse_perf_args(args: &[String]) -> Result<PerfArgs, String> {
                 .ok_or_else(|| format!("{name} needs a value"))
         };
         match arg.as_str() {
-            "--baseline" => parsed.baseline = value("--baseline")?,
-            "--current" => parsed.current = value("--current")?,
+            "--baseline" => parsed.baseline.push(value("--baseline")?),
+            "--current" => parsed.current.push(value("--current")?),
             "--tolerance" => {
                 tolerance = Some(
                     value("--tolerance")?
@@ -229,6 +236,7 @@ fn parse_perf_args(args: &[String]) -> Result<PerfArgs, String> {
 
 /// A bench record reduced to what the gate compares: the per-iteration
 /// mean time, plus the throughput rate when the bench declares one.
+#[derive(Clone, Copy)]
 struct BenchMeasure {
     mean_ns: f64,
     rate_per_sec: Option<f64>,
@@ -266,6 +274,54 @@ fn bench_records(doc: &Json, path: &str) -> Result<Vec<(String, BenchMeasure)>, 
     Ok(out)
 }
 
+/// Folds several passes of the same benches into one record per label, in
+/// first-seen order: the (nearest-rank) median mean time and, when every
+/// pass that has the label declares one, the median rate, over the passes
+/// that have it.
+fn median_records(passes: &[Vec<(String, BenchMeasure)>]) -> Vec<(String, BenchMeasure)> {
+    let mut labels: Vec<&str> = Vec::new();
+    for (label, _) in passes.iter().flatten() {
+        if !labels.contains(&label.as_str()) {
+            labels.push(label);
+        }
+    }
+    labels
+        .into_iter()
+        .map(|label| {
+            let samples: Vec<BenchMeasure> = passes
+                .iter()
+                .flat_map(|pass| pass.iter().filter(|(l, _)| l == label))
+                .map(|(_, m)| *m)
+                .collect();
+            let means: Vec<f64> = samples.iter().map(|m| m.mean_ns).collect();
+            let rates: Option<Vec<f64>> = samples.iter().map(|m| m.rate_per_sec).collect();
+            let measure = BenchMeasure {
+                mean_ns: median(&means),
+                rate_per_sec: rates.as_deref().map(median),
+            };
+            (label.to_owned(), measure)
+        })
+        .collect()
+}
+
+/// Loads every artifact of one side, printing its peak RSS, and folds the
+/// passes into per-label medians.
+fn load_side(side: &str, paths: &[String]) -> Result<Vec<(String, BenchMeasure)>, (u8, String)> {
+    let mut passes = Vec::with_capacity(paths.len());
+    for path in paths {
+        let doc = load(path).map_err(|e| (2, e))?;
+        // Surface the memory high-water marks alongside the throughput
+        // gate: informational (machine RAM differs across runner
+        // classes), but they make footprint regressions visible in the
+        // CI log next to the lanes that caused them.
+        if let Some(kb) = doc.get("peak_rss_kb").and_then(Json::as_num) {
+            println!("  {side} peak RSS: {:.0} kB ({path})", kb.as_f64());
+        }
+        passes.push(bench_records(&doc, path).map_err(|e| (1, e))?);
+    }
+    Ok(median_records(&passes))
+}
+
 fn perf_gate(args: &[String]) -> ExitCode {
     let args = match parse_perf_args(args) {
         Ok(a) => a,
@@ -274,54 +330,75 @@ fn perf_gate(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let (baseline_doc, current_doc) = match (load(&args.baseline), load(&args.current)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
+    let sides = load_side("baseline", &args.baseline)
+        .and_then(|b| Ok((b, load_side("current", &args.current)?)));
+    let (baseline, current) = match sides {
+        Ok(sides) => sides,
+        Err((code, e)) => {
             eprintln!("perf gate: {e}");
-            return ExitCode::from(2);
+            return ExitCode::from(code);
         }
     };
-    let baseline = match bench_records(&baseline_doc, &args.baseline) {
-        Ok(r) => r,
+    let regressions = match compare(&baseline, &current, &args) {
+        Ok(regressions) => regressions,
         Err(e) => {
             eprintln!("perf gate: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let current = match bench_records(&current_doc, &args.current) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("perf gate: {e}");
-            return ExitCode::FAILURE;
+    if regressions.is_empty() {
+        println!("perf gate: pass");
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("perf gate: FAIL");
+        for r in &regressions {
+            eprintln!("  {r}");
         }
-    };
+        if args.ab {
+            eprintln!(
+                "(A/B mode: head measured slower than a merge-base rebuild in the \
+                 same job — no committed baseline involved; re-run to rule out \
+                 noise, or justify the regression in the PR)"
+            );
+        } else {
+            eprintln!(
+                "(refresh the baseline with: BCOUNT_BENCH_JSON=BENCH_BASELINE.json \
+                 cargo bench -p bcount-bench engine -- --test ; see README)"
+            );
+        }
+        ExitCode::FAILURE
+    }
+}
+
+/// Compares every baseline lane matching the filter against the current
+/// side (both already folded to per-label medians), printing one line per
+/// lane, and returns the regressions.
+fn compare(
+    baseline: &[(String, BenchMeasure)],
+    current: &[(String, BenchMeasure)],
+    args: &PerfArgs,
+) -> Result<Vec<String>, String> {
     let gated: Vec<&(String, BenchMeasure)> = baseline
         .iter()
         .filter(|(label, _)| label.contains(&args.filter))
         .collect();
     if gated.is_empty() {
-        eprintln!(
-            "perf gate: baseline {} has no records matching filter '{}'",
-            args.baseline, args.filter
-        );
-        return ExitCode::FAILURE;
-    }
-    // Surface the memory high-water marks alongside the throughput gate:
-    // informational (machine RAM differs across runner classes), but they
-    // make footprint regressions visible in the CI log next to the lanes
-    // that caused them.
-    for (side, doc) in [("baseline", &baseline_doc), ("current", &current_doc)] {
-        if let Some(kb) = doc.get("peak_rss_kb").and_then(Json::as_num) {
-            println!("  {side} peak RSS: {:.0} kB", kb.as_f64());
-        }
+        return Err(format!(
+            "baseline {} has no records matching filter '{}'",
+            args.baseline.join(", "),
+            args.filter
+        ));
     }
     let mut regressions = Vec::new();
     println!(
-        "perf gate{}: tolerance {:.0}%, {} gated benchmarks (filter '{}')",
+        "perf gate{}: tolerance {:.0}%, {} gated benchmarks (filter '{}'), medians of {} \
+         baseline and {} current passes",
         if args.ab { " (A/B)" } else { "" },
         args.tolerance * 100.0,
         gated.len(),
-        args.filter
+        args.filter,
+        args.baseline.len(),
+        args.current.len()
     );
     for (label, base) in gated {
         let Some((_, cur)) = current.iter().find(|(l, _)| l == label) else {
@@ -368,28 +445,7 @@ fn perf_gate(args: &[String]) -> ExitCode {
             -change * 100.0
         );
     }
-    if regressions.is_empty() {
-        println!("perf gate: pass");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("perf gate: FAIL");
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        if args.ab {
-            eprintln!(
-                "(A/B mode: head measured slower than a merge-base rebuild in the \
-                 same job — no committed baseline involved; re-run to rule out \
-                 noise, or justify the regression in the PR)"
-            );
-        } else {
-            eprintln!(
-                "(refresh the baseline with: BCOUNT_BENCH_JSON=BENCH_BASELINE.json \
-                 cargo bench -p bcount-bench engine -- --test ; see README)"
-            );
-        }
-        ExitCode::FAILURE
-    }
+    Ok(regressions)
 }
 
 #[cfg(test)]
@@ -413,6 +469,68 @@ mod tests {
             ("experiments", Json::Arr(Vec::new())),
             ("scenarios", Json::Arr(vec![cell])),
         ])
+    }
+
+    /// One pass of the gated lane at `rate` rounds/sec.
+    fn pass(rate: f64) -> Vec<(String, BenchMeasure)> {
+        vec![(
+            "engine_rounds/reuse_buffers/256".into(),
+            BenchMeasure {
+                mean_ns: 50.0 / rate * 1e9,
+                rate_per_sec: Some(rate),
+            },
+        )]
+    }
+
+    fn gate_args(current_passes: usize) -> PerfArgs {
+        let mut args = parse_perf_args(
+            &["--baseline", "base.json", "--current", "cur.json"].map(String::from),
+        )
+        .unwrap();
+        args.current = vec!["cur.json".into(); current_passes];
+        args
+    }
+
+    /// Each lane is judged by its median over the passes: one pass 40%
+    /// slow out of three passes the 30% gate, two slow passes fail it.
+    #[test]
+    fn perf_gate_compares_the_median_of_repeated_passes() {
+        let baseline = median_records(&[pass(20_000.0)]);
+        let args = gate_args(3);
+        assert_eq!(args.tolerance, 0.30);
+        let one_slow = median_records(&[pass(12_000.0), pass(19_500.0), pass(21_000.0)]);
+        assert_eq!(one_slow[0].1.rate_per_sec, Some(19_500.0));
+        assert!(compare(&baseline, &one_slow, &args).unwrap().is_empty());
+        let two_slow = median_records(&[pass(12_000.0), pass(13_000.0), pass(21_000.0)]);
+        let regressions = compare(&baseline, &two_slow, &args).unwrap();
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert!(regressions[0].contains("reuse_buffers/256"));
+        // A single pass is its own median, as before repeats were allowed.
+        let single = median_records(&[pass(12_000.0)]);
+        assert_eq!(compare(&baseline, &single, &gate_args(1)).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn perf_gate_flags_repeat() {
+        let args = parse_perf_args(
+            &[
+                "--baseline",
+                "a.json",
+                "--baseline",
+                "b.json",
+                "--current",
+                "c.json",
+                "--current",
+                "d.json",
+                "--current",
+                "e.json",
+            ]
+            .map(String::from),
+        )
+        .unwrap();
+        assert_eq!(args.baseline, ["a.json", "b.json"]);
+        assert_eq!(args.current, ["c.json", "d.json", "e.json"]);
+        assert!(parse_perf_args(&["--baseline", "a.json"].map(String::from)).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! machine-readable outcome records that the `--json` artifact persists
 //! and the CI gates consume. With the `parallel` feature the cells fan
 //! out over the persistent worker pool (results land in pre-assigned
-//! slots, so output is identical to the serial run).
+//! slots, so output is identical at every pool width).
 //!
 //! The experiment tables E1–E14 that are sweeps (as opposed to bespoke
 //! constructions like the phantom-copy graphs of E8) are built by mapping
@@ -259,8 +259,8 @@ impl ToJson for CellRecord {
 /// feature the cells **fan out over the persistent worker pool**
 /// (`BCOUNT_POOL_THREADS` sizes it) — cutting full-suite wall clock by
 /// roughly the core count. Records land in pre-assigned slots, so the
-/// returned order (and every record in it) is identical to the serial
-/// run's, whatever the scheduling.
+/// returned order (and every record in it) is identical to a one-thread
+/// pool's, whatever the scheduling.
 pub fn run_scenario(s: &Scenario, quick: bool, seeds: Option<&[u64]>) -> Vec<CellRecord> {
     let cells = s.cells(quick, seeds);
     // One graph per size, shared by every cell of that size.
@@ -280,32 +280,32 @@ pub fn run_scenario(s: &Scenario, quick: bool, seeds: Option<&[u64]>) -> Vec<Cel
     // Chunk size 1: each cell is a whole simulation — orders of magnitude
     // coarser than the fork overhead, and the smallest unit that load-
     // balances a heterogeneous sweep (large-n cells dominate).
-    bcount_sim::pool::for_each_chunk_mut(
-        &mut tasks,
-        1,
-        cfg!(feature = "parallel"),
-        &|_, chunk: &mut [(CellSpec, u64, Option<CellRecord>)]| {
-            for (spec, seed, record) in chunk {
-                let (_, graph) = graphs
-                    .iter()
-                    .find(|(n, _)| *n == spec.n)
-                    .expect("every cell size has a graph");
-                let exec = execute(spec, Arc::clone(graph));
-                let (budget, outcome) = summarize(s, graph, exec.as_ref());
-                *record = Some(CellRecord {
-                    scenario: s.name.clone(),
-                    family: s.family.label(),
-                    protocol: s.protocol.label().into(),
-                    adversary: s.adversary.label().into(),
-                    placement: spec.placement.label(),
-                    n: graph.len(),
-                    budget,
-                    seed: *seed,
-                    outcome,
-                });
-            }
-        },
-    );
+    bcount_sim::pool::for_each_chunk_mut(&mut tasks, 1, &|_,
+                                                          chunk: &mut [(
+        CellSpec,
+        u64,
+        Option<CellRecord>,
+    )]| {
+        for (spec, seed, record) in chunk {
+            let (_, graph) = graphs
+                .iter()
+                .find(|(n, _)| *n == spec.n)
+                .expect("every cell size has a graph");
+            let exec = execute(spec, Arc::clone(graph));
+            let (budget, outcome) = summarize(s, graph, exec.as_ref());
+            *record = Some(CellRecord {
+                scenario: s.name.clone(),
+                family: s.family.label(),
+                protocol: s.protocol.label().into(),
+                adversary: s.adversary.label().into(),
+                placement: spec.placement.label(),
+                n: graph.len(),
+                budget,
+                seed: *seed,
+                outcome,
+            });
+        }
+    });
     tasks
         .into_iter()
         .map(|(_, _, record)| record.expect("every cell slot visited"))

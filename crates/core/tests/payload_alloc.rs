@@ -21,7 +21,9 @@
 //!
 //! Runs with `harness = false` (see the `[[test]]` entries in
 //! Cargo.toml): the allocation counter is process-global and libtest's
-//! bookkeeping threads would otherwise pollute the measured window.
+//! bookkeeping threads would otherwise pollute the measured window. For
+//! the same reason both budgets run inside a one-thread pool, so the
+//! engine's honest compute never forks (a fork boxes its job).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
@@ -297,6 +299,16 @@ fn local_budget() {
 }
 
 fn main() {
-    congest_budget();
-    local_budget();
+    // Both budgets run inside a one-thread pool, where the engine's honest
+    // compute is one leaf with no fork: a wider pool (the `parallel`
+    // feature under `BCOUNT_POOL_THREADS` > 1) would box the pool's jobs
+    // inside the measured windows.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("build size-1 pool");
+    pool.install(|| {
+        congest_budget();
+        local_budget();
+    });
 }

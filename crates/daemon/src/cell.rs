@@ -265,7 +265,8 @@ pub enum Placement {
     Spread,
     /// Uniformly random, drawn from [`CellSpec::placement_seed`].
     Random,
-    /// A tight BFS ball around node 0 — the adversarial extreme of E14.
+    /// The `count` nodes nearest node 0, in BFS (distance, then id)
+    /// order — a tight ball, the adversarial extreme of E14.
     Clustered,
     /// Label `at(a)`: `count` consecutive node ids from `a` (for cells
     /// that must keep a distinguished node — e.g. a convergecast root —
@@ -350,7 +351,14 @@ impl Placement {
                 nodes
             }
             Placement::Clustered => {
-                let mut cluster = ball(g, NodeId(0), 2);
+                let mut cluster = ball(g, NodeId(0), u32::MAX);
+                if cluster.len() < count {
+                    return err(format!(
+                        "clustered placement of {count} nodes needs that many reachable \
+                         from node 0, found {}",
+                        cluster.len()
+                    ));
+                }
                 cluster.truncate(count);
                 cluster
             }

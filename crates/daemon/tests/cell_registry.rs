@@ -193,3 +193,38 @@ fn wire_defaults() {
         assert!(parse(bad).is_err(), "{bad} must be rejected");
     }
 }
+
+/// `clustered` places exactly the requested count: the nodes nearest node
+/// 0 in BFS (distance, then id) order, of which the radius-2 ball is a
+/// prefix. A component too small for the count is an error, not a
+/// shorter list.
+#[test]
+fn clustered_places_the_requested_count_nearest_node_zero() {
+    use bcount_graph::analysis::bfs::ball;
+    use bcount_graph::{GraphBuilder, NodeId};
+
+    let cycle = GraphFamily::Cycle.generate(64, 1).unwrap();
+    let placed = Placement::Clustered.place(&cycle, 10, 0).unwrap();
+    let ids: Vec<u32> = placed.iter().map(|v| v.0).collect();
+    assert_eq!(ids, [0, 1, 63, 2, 62, 3, 61, 4, 60, 5]);
+
+    let hnd = GraphFamily::Hnd { d: 8 }.generate(128, 7).unwrap();
+    let near = ball(&hnd, NodeId(0), 2);
+    for count in [1, near.len() / 2, near.len(), near.len() + 20] {
+        let placed = Placement::Clustered.place(&hnd, count, 0).unwrap();
+        assert_eq!(placed.len(), count);
+        let shared = count.min(near.len());
+        assert_eq!(placed[..shared], near[..shared], "count {count}");
+    }
+
+    // Two disjoint 5-cycles: node 0 reaches only its own five nodes.
+    let mut b = GraphBuilder::new(10);
+    for base in [0u32, 5] {
+        for k in 0..5 {
+            b.add_edge(NodeId(base + k), NodeId(base + (k + 1) % 5));
+        }
+    }
+    let split = b.build();
+    assert_eq!(Placement::Clustered.place(&split, 5, 0).unwrap().len(), 5);
+    assert!(Placement::Clustered.place(&split, 6, 0).is_err());
+}

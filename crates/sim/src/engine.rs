@@ -42,13 +42,15 @@
 //! The honest phase itself is split into an embarrassingly parallel
 //! *compute* step (each node reads only its own inbox and private RNG) and
 //! a deterministic *merge* step that assigns message order and metrics.
-//! With the `parallel` crate feature and [`SimConfig::parallel`] the
-//! compute step fans out over [`crate::pool`]; the merge and delivery stay
-//! serial, and the resulting [`SimReport`] is bit-identical to the serial
-//! path. Compute is the only phase wide enough to pay for the fork: it
-//! dominates Algorithm 1's rounds (every node merges whole topology
-//! views), while Algorithm 2's cheap rounds are bound by the message
-//! plane.
+//! The compute step always goes through [`crate::pool::for_each_split`]:
+//! in a one-thread pool (always, without the `parallel` crate feature) it
+//! is one leaf over every node, and with the feature in a wider pool
+//! (`BCOUNT_POOL_THREADS`, or `ThreadPool::install`) it forks across the
+//! workers. The merge and delivery stay serial, so the resulting
+//! [`SimReport`] is bit-identical at every pool width. Compute is the only
+//! phase wide enough to pay for the fork: it dominates Algorithm 1's
+//! rounds (every node merges whole topology views), while Algorithm 2's
+//! cheap rounds are bound by the message plane.
 //!
 //! # One plane, two feeds
 //!
@@ -109,9 +111,10 @@
 //! canonical order. The crate's unit tests diff the engine, inbox
 //! by inbox at every round, against a literal reference executor that
 //! uses none of this machinery (no delivery map, ranks, or arena);
-//! `tests/determinism_parallel.rs` and `tests/fault_plan.rs` pin
-//! serial/parallel equality across pool sizes, and `tests/zero_alloc.rs`
-//! proves every steady-state pipeline allocation-free.
+//! `tests/determinism_parallel.rs` and `tests/fault_plan.rs` pin a
+//! one-thread pool's transcripts against pools of 2, 4 and 8 workers, and
+//! `tests/zero_alloc.rs` proves every steady-state pipeline
+//! allocation-free.
 
 use bcount_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
@@ -124,33 +127,31 @@ use crate::message::{push_payload, DeliveryMap, Inbox, InboxArena, MessageSize};
 use crate::metrics::Metrics;
 use crate::protocol::{NodeContext, Outbox, Protocol};
 
-/// Marker bound on protocol state enabling the `parallel` feature to move
-/// per-node compute onto worker threads. With the feature enabled it means
-/// [`Send`]; without it, every type qualifies.
+/// Marker bound on protocol state the honest compute moves onto the
+/// pool's workers: [`Send`] with the `parallel` feature, empty without it.
 #[cfg(feature = "parallel")]
 pub trait PhaseSend: Send {}
 #[cfg(feature = "parallel")]
 impl<T: Send> PhaseSend for T {}
 
-/// Marker bound on protocol state enabling the `parallel` feature to move
-/// per-node compute onto worker threads. With the feature enabled it means
-/// [`Send`]; without it, every type qualifies.
+/// Marker bound on protocol state the honest compute moves onto the
+/// pool's workers: [`Send`] with the `parallel` feature, empty without it.
 #[cfg(not(feature = "parallel"))]
 pub trait PhaseSend {}
 #[cfg(not(feature = "parallel"))]
 impl<T> PhaseSend for T {}
 
-/// Marker bound on message types enabling the `parallel` feature to share
-/// inboxes across worker threads. With the feature enabled it means
-/// [`Send`]` + `[`Sync`]; without it, every type qualifies.
+/// Marker bound on message types the honest compute shares across the
+/// pool's workers: [`Send`]` + `[`Sync`] with the `parallel` feature,
+/// empty without it.
 #[cfg(feature = "parallel")]
 pub trait PhaseShared: Send + Sync {}
 #[cfg(feature = "parallel")]
 impl<T: Send + Sync> PhaseShared for T {}
 
-/// Marker bound on message types enabling the `parallel` feature to share
-/// inboxes across worker threads. With the feature enabled it means
-/// [`Send`]` + `[`Sync`]; without it, every type qualifies.
+/// Marker bound on message types the honest compute shares across the
+/// pool's workers: [`Send`]` + `[`Sync`] with the `parallel` feature,
+/// empty without it.
 #[cfg(not(feature = "parallel"))]
 pub trait PhaseShared {}
 #[cfg(not(feature = "parallel"))]
@@ -202,12 +203,6 @@ pub struct SimConfig {
     /// Record one [`crate::trace::RoundTrace`] per round in
     /// [`Metrics::round_trace`].
     pub record_round_stats: bool,
-    /// Run the honest compute phase on worker threads (the merge and
-    /// delivery stay serial). Requires the `parallel` crate feature —
-    /// without it the flag is ignored and the serial path runs. Transcripts
-    /// are bit-identical either way: message order and metrics are fixed
-    /// by the serial merge, never by the schedule.
-    pub parallel: bool,
     /// Deterministic fault-injection plan; see [`crate::fault::FaultPlan`].
     /// A non-empty plan selects the flat feed (the fault pass rewrites
     /// the node-order traffic vector; see the [module docs](self)). The
@@ -223,7 +218,6 @@ impl Default for SimConfig {
             id_bits: 64,
             stop_when: StopWhen::AllHonestHalted,
             record_round_stats: false,
-            parallel: false,
             fault: FaultPlan::default(),
         }
     }
@@ -842,47 +836,25 @@ where
 
     /// Honest compute: every live honest node runs [`Protocol::on_round`]
     /// against its own inbox, RNG, and outbox scratch. No cross-node data
-    /// is written, so the `parallel` feature may fan this out over
-    /// threads; message order is fixed by the merge that follows.
+    /// is written, so the node range splits into disjoint lanes that
+    /// [`crate::pool::for_each_split`] forks across the current pool;
+    /// message order is fixed by the merge that follows. A one-thread pool
+    /// (always, without the `parallel` feature) runs one leaf over every
+    /// node.
     fn honest_phase(&mut self) {
-        #[cfg(feature = "parallel")]
-        if self.config.parallel {
-            self.honest_phase_parallel();
-            return;
-        }
-        self.honest_phase_serial();
-    }
-
-    fn honest_phase_serial(&mut self) {
-        let inboxes = self.arena.view(&self.pids);
-        for u in 0..self.graph().len() {
-            if self.is_byzantine[u] || self.halted[u] || self.crashed[u] {
-                continue;
-            }
-            let proto = self.protocols[u].as_mut().expect("honest protocol present");
-            drive_node(
-                self.round,
-                proto,
-                self.pids[u],
-                &self.neighbor_pids[u],
-                inboxes.inbox(u),
-                &mut self.rngs[u],
-                &mut self.outboxes[u],
-                &mut self.decided_round[u],
-                &mut self.halted[u],
-            );
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    fn honest_phase_parallel(&mut self) {
         let n = self.graph().len();
-        // About four leaves per worker leave idle workers something to
-        // steal when per-node cost is uneven (halted nodes, skewed
-        // degrees); the 64-node floor keeps each fork's deque push and
-        // possible wake-up small next to the leaf's compute, so tiny
-        // executions run as one inline leaf.
-        let chunk = n.div_ceil(rayon::current_num_threads() * 4).max(64);
+        // One thread: one leaf over every node, no split. Wider: about
+        // four leaves per worker leave idle workers something to steal
+        // when per-node cost is uneven (halted nodes, skewed degrees); the
+        // 64-node floor keeps each fork's deque push and possible wake-up
+        // small next to the leaf's compute, so tiny executions run as one
+        // inline leaf.
+        let width = crate::pool::width();
+        let chunk = if width > 1 {
+            n.div_ceil(width * 4).max(64)
+        } else {
+            n
+        };
         let shared = PhaseInputs {
             round: self.round,
             pids: &self.pids,
@@ -899,7 +871,11 @@ where
             decided_round: &mut self.decided_round,
             halted: &mut self.halted,
         };
-        run_lane(shared, lane, chunk);
+        crate::pool::for_each_split(
+            lane,
+            &|lane: PhaseLane<'_, P>| split_phase_lane(lane, chunk),
+            &|lane: PhaseLane<'_, P>| phase_lane_leaf(shared, lane),
+        );
     }
 
     /// The flat feed's merge: drains every honest outbox in node order
@@ -909,7 +885,7 @@ where
     /// flat-array load — no per-message identity search), and, with
     /// `record_metrics`, records per-node metrics. This single-threaded
     /// step fixes the order the fault pass and the adversary see, which is
-    /// why the parallel compute phase cannot perturb transcripts. The
+    /// why forking the compute phase cannot perturb transcripts. The
     /// outbox feed reuses it, without metrics (its scan took them), for a
     /// round the table cannot place.
     fn merge_outboxes(&mut self, record_metrics: bool) {
@@ -1442,42 +1418,7 @@ fn outbox_sizes<M: MessageSize>(outbox: &Outbox<M>, id_bits: u32) -> (u64, u64, 
     (count, bits, max_bits)
 }
 
-/// Runs one node's round against its own state slices. Shared between the
-/// serial and parallel compute paths so they are behaviourally identical
-/// by construction.
-#[allow(clippy::too_many_arguments)]
-fn drive_node<P: Protocol>(
-    round: u64,
-    proto: &mut P,
-    me: Pid,
-    neighbors: &[Pid],
-    inbox: Inbox<'_, P::Message>,
-    rng: &mut ChaCha8Rng,
-    outbox: &mut Outbox<P::Message>,
-    decided_round: &mut Option<u64>,
-    halted: &mut bool,
-) {
-    debug_assert!(
-        outbox.is_empty() && outbox.payloads.is_empty(),
-        "outbox drained by the previous delivery"
-    );
-    let mut ctx = NodeContext {
-        round,
-        me,
-        neighbors,
-        inbox,
-        rng,
-        outgoing: outbox,
-    };
-    proto.on_round(&mut ctx);
-    if decided_round.is_none() && proto.output().is_some() {
-        *decided_round = Some(round);
-    }
-    *halted = proto.has_halted();
-}
-
 /// Read-only inputs of the honest compute phase (shared across workers).
-#[cfg(feature = "parallel")]
 struct PhaseInputs<'a, P: Protocol> {
     round: u64,
     pids: &'a [Pid],
@@ -1487,18 +1428,15 @@ struct PhaseInputs<'a, P: Protocol> {
     crashed: &'a [bool],
 }
 
-#[cfg(feature = "parallel")]
 impl<'a, P: Protocol> Clone for PhaseInputs<'a, P> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-#[cfg(feature = "parallel")]
 impl<'a, P: Protocol> Copy for PhaseInputs<'a, P> {}
 
 /// The contiguous span of per-node mutable state a worker owns.
-#[cfg(feature = "parallel")]
 struct PhaseLane<'a, P: Protocol> {
     base: usize,
     protocols: &'a mut [Option<P>],
@@ -1508,26 +1446,8 @@ struct PhaseLane<'a, P: Protocol> {
     halted: &'a mut [bool],
 }
 
-/// Drives the compute lanes through the generic [`crate::pool`] splitter:
-/// the node range is halved (forking onto the worker pool) until lanes are
-/// at most `chunk` wide, then each leaf drives its nodes serially.
-#[cfg(feature = "parallel")]
-fn run_lane<P>(shared: PhaseInputs<'_, P>, lane: PhaseLane<'_, P>, chunk: usize)
-where
-    P: Protocol + PhaseSend,
-    P::Message: PhaseShared,
-{
-    crate::pool::for_each_split(
-        lane,
-        true,
-        &|lane: PhaseLane<'_, P>| split_phase_lane(lane, chunk),
-        &|lane: PhaseLane<'_, P>| phase_lane_leaf(shared, lane),
-    );
-}
-
-/// Halves a compute lane (all five parallel slices split at the same node
+/// Halves a compute lane (all five per-node slices split at the same node
 /// boundary), or declares it a leaf at `chunk` nodes or fewer.
-#[cfg(feature = "parallel")]
 fn split_phase_lane<P: Protocol>(
     lane: PhaseLane<'_, P>,
     chunk: usize,
@@ -1561,30 +1481,39 @@ fn split_phase_lane<P: Protocol>(
     crate::pool::Split::Fork(left, right)
 }
 
-/// Drives one lane's nodes serially against their own state slices.
-#[cfg(feature = "parallel")]
-fn phase_lane_leaf<P>(shared: PhaseInputs<'_, P>, lane: PhaseLane<'_, P>)
-where
-    P: Protocol + PhaseSend,
-    P::Message: PhaseShared,
-{
-    for i in 0..lane.protocols.len() {
+/// Drives one lane's live honest nodes in order, each against its own
+/// inbox, RNG and outbox.
+fn phase_lane_leaf<P: Protocol>(shared: PhaseInputs<'_, P>, lane: PhaseLane<'_, P>) {
+    let nodes = lane
+        .protocols
+        .iter_mut()
+        .zip(lane.rngs.iter_mut())
+        .zip(lane.outboxes.iter_mut())
+        .zip(lane.decided_round.iter_mut())
+        .zip(lane.halted.iter_mut());
+    for (i, ((((proto, rng), outbox), decided_round), halted)) in nodes.enumerate() {
         let u = lane.base + i;
-        if shared.is_byzantine[u] || shared.crashed[u] || lane.halted[i] {
+        if shared.is_byzantine[u] || shared.crashed[u] || *halted {
             continue;
         }
-        let proto = lane.protocols[i].as_mut().expect("honest protocol present");
-        drive_node(
-            shared.round,
-            proto,
-            shared.pids[u],
-            &shared.neighbor_pids[u],
-            shared.inboxes.inbox(u),
-            &mut lane.rngs[i],
-            &mut lane.outboxes[i],
-            &mut lane.decided_round[i],
-            &mut lane.halted[i],
+        let proto = proto.as_mut().expect("honest protocol present");
+        debug_assert!(
+            outbox.is_empty() && outbox.payloads.is_empty(),
+            "outbox drained by the previous delivery"
         );
+        let mut ctx = NodeContext {
+            round: shared.round,
+            me: shared.pids[u],
+            neighbors: &shared.neighbor_pids[u],
+            inbox: shared.inboxes.inbox(u),
+            rng,
+            outgoing: outbox,
+        };
+        proto.on_round(&mut ctx);
+        if decided_round.is_none() && proto.output().is_some() {
+            *decided_round = Some(shared.round);
+        }
+        *halted = proto.has_halted();
     }
 }
 

@@ -108,7 +108,6 @@ pub struct SimConfigBuilder {
     id_bits: Option<u32>,
     stop_when: Option<StopWhen>,
     record_round_stats: Option<bool>,
-    parallel: Option<bool>,
     fault: Option<FaultPlan>,
 }
 
@@ -149,12 +148,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Run compute on the worker pool; see [`SimConfig::parallel`].
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.parallel = Some(on);
-        self
-    }
-
     /// Fault-injection plan, validated by [`SimConfigBuilder::build`];
     /// see [`SimConfig::fault`].
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
@@ -183,7 +176,6 @@ impl SimConfigBuilder {
             id_bits: self.id_bits.unwrap_or(d.id_bits),
             stop_when: self.stop_when.unwrap_or(d.stop_when),
             record_round_stats: self.record_round_stats.unwrap_or(d.record_round_stats),
-            parallel: self.parallel.unwrap_or(d.parallel),
             fault: self.fault.unwrap_or(d.fault),
         })
     }
@@ -645,8 +637,18 @@ mod tests {
     fn builder_defaults_to_the_default_config() {
         // No options set: the default config verbatim.
         assert_eq!(SimConfig::builder().build().unwrap(), SimConfig::default());
-        let c = SimConfig::builder().parallel(true).build().unwrap();
-        assert!(c.parallel);
+        // One option set: only that field moves off its default.
+        let c = SimConfig::builder()
+            .record_round_stats(true)
+            .build()
+            .unwrap();
+        assert_eq!(
+            c,
+            SimConfig {
+                record_round_stats: true,
+                ..SimConfig::default()
+            }
+        );
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //!   so experiments can verify the paper's CONGEST claims (most good nodes
 //!   send `O(log n)`-bit messages).
 //!
-//! Execution is deterministic whatever the schedule: with the `parallel`
-//! feature the honest compute phase fans out over a work-stealing pool
-//! through the helpers in [`pool`] while the merge and delivery stay
-//! serial, and transcripts stay bit-identical to the serial path at every
-//! pool size (the module docs
+//! Execution is deterministic whatever the schedule: the honest compute
+//! phase goes through the fork-join helpers in [`pool`], which run it as
+//! one leaf in a one-thread pool (always, without the `parallel` feature)
+//! and fork it across a wider work-stealing pool with the feature, while
+//! the merge and delivery stay serial, so transcripts are bit-identical
+//! at every pool width (the module docs
 //! on [`engine`] describe the message plane; the crate's unit tests diff
 //! it round by round against a literal reference executor, and the
 //! determinism and zero-allocation test suites enforce the rest).

@@ -354,19 +354,16 @@ fn chaos_plan(seed: u64) -> FaultPlan {
     }
 }
 
-/// Pool-size invariance against the reference: the parallel engine
-/// (parallel honest compute on both feeds) inside explicit pools of 1, 4,
-/// and 8 workers. Without the `parallel` feature the flag is a no-op and this
-/// checks the serial engine.
+/// Pool-size invariance against the reference: the engine on both feeds
+/// inside explicit pools of 1 (the honest compute as one leaf), 4, and 8
+/// workers (forked across the pool with the `parallel` feature; without
+/// it every pool is one thread wide).
 #[test]
 fn parallel_engine_matches_reference_at_every_pool_size() {
     let mut rng = ChaCha8Rng::seed_from_u64(42);
     let g = hnd(160, 8, &mut rng).unwrap();
     let byz = [NodeId(5), NodeId(77)];
-    let cfg = SimConfig {
-        parallel: true,
-        ..config(42, 40)
-    };
+    let cfg = config(42, 40);
     let faulty = SimConfig {
         fault: chaos_plan(42),
         ..cfg.clone()
@@ -461,7 +458,6 @@ fn mixed_send_shapes_match_reference_on_both_feeds() {
     let byz = [NodeId(5), NodeId(77)];
     let mixed = |_: NodeId, init: &NodeInit| MixedSends { acc: init.pid.0 };
     let cfg = SimConfig {
-        parallel: true,
         stop_when: StopWhen::MaxRoundsOnly,
         ..config(9, 12)
     };
@@ -617,7 +613,6 @@ fn has_doubled_neighbor(g: &Graph) -> bool {
 fn check_subset_unicasts(g: &Graph, byz: &[NodeId], seed: u64, rounds: u64) {
     let subset = |_: NodeId, init: &NodeInit| SubsetUnicast { acc: init.pid.0 };
     let cfg = SimConfig {
-        parallel: true,
         stop_when: StopWhen::MaxRoundsOnly,
         ..config(seed, rounds)
     };

@@ -1,21 +1,23 @@
-//! Determinism regression: the parallel engine must produce
-//! **bit-identical** [`SimReport`]s to the serial engine — same pids,
-//! rounds, metrics, outputs, decided rounds, halt flags, and stop reason —
-//! across seeds, topologies, both message-plane feeds, **and worker-pool
-//! sizes** 1, 2, 4, and 8.
+//! Determinism regression: an execution inside a pool of 2, 4 or 8
+//! workers must produce **bit-identical** [`SimReport`]s to the same
+//! execution inside a one-thread pool — same pids, rounds, metrics,
+//! outputs, decided rounds, halt flags, and stop reason — across seeds,
+//! topologies and both message-plane feeds.
 //!
-//! `SimConfig::parallel` fans the honest compute phase out over the pool;
-//! the merge and delivery stay serial on both feeds. `NoisyEcho` declares
+//! The honest compute phase always goes through the pool's splitter: a
+//! one-thread pool runs it as one leaf over every node, and a wider pool
+//! forks it across the workers; the merge and delivery stay serial on
+//! both feeds. `NoisyEcho` declares
 //! `observes_traffic() == false` and so runs the outbox feed; `NoisyRusher`
 //! reads the in-flight honest traffic and so runs the flat feed. The same
 //! workload shapes are also diffed round by round against the crate's
 //! reference executor in its unit tests (`src/reference/tests.rs`), which
 //! an integration test cannot reach.
 //!
-//! Without the `parallel` feature the flag is an ignored no-op and every
-//! comparison degenerates to serial-versus-serial; run with
+//! Without the `parallel` feature every pool is one thread wide and every
+//! comparison degenerates to one leaf against one leaf; run with
 //! `cargo test -p bcount-sim --features parallel` (CI does, under
-//! `BCOUNT_POOL_THREADS` ∈ {1, 4, 8}) for the real cross-path comparison.
+//! `BCOUNT_POOL_THREADS` ∈ {1, 4, 8}) for the real forked comparison.
 
 use bcount_graph::gen::{cycle, hnd, torus2d};
 use bcount_graph::{Graph, NodeId};
@@ -44,7 +46,7 @@ impl Protocol for JitterFlood {
             }
         }
         // Fold randomness into the state every round: any divergence in
-        // RNG scheduling between serial and parallel shows up here.
+        // RNG scheduling between pool widths shows up here.
         self.noise = self
             .noise
             .wrapping_mul(31)
@@ -107,7 +109,6 @@ fn run<A: Adversary<JitterFlood>>(
     g: &Graph,
     byz: &[NodeId],
     seed: u64,
-    parallel: bool,
     adversary: A,
 ) -> SimReport<u64> {
     let mut sim = Execution::new(
@@ -123,11 +124,19 @@ fn run<A: Adversary<JitterFlood>>(
             seed,
             max_rounds: 60,
             record_round_stats: true,
-            parallel,
             ..SimConfig::default()
         },
     );
     sim.run()
+}
+
+/// Runs `body` inside a fresh pool of `threads` workers.
+fn in_pool<R: Send>(threads: usize, body: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("build test pool")
+        .install(body)
 }
 
 fn assert_identical(a: &SimReport<u64>, b: &SimReport<u64>) {
@@ -141,12 +150,12 @@ fn assert_identical(a: &SimReport<u64>, b: &SimReport<u64>) {
     assert_eq!(a.stop_reason, b.stop_reason, "stop reason diverged");
 }
 
-/// Parallel against serial on both feeds.
+/// A four-worker pool against a one-thread pool on both feeds.
 fn assert_parallel_matches_serial(g: &Graph, byz: &[NodeId], seed: u64) {
-    let serial = run(g, byz, seed, false, NoisyEcho);
-    assert_identical(&serial, &run(g, byz, seed, true, NoisyEcho));
-    let serial = run(g, byz, seed, false, NoisyRusher);
-    assert_identical(&serial, &run(g, byz, seed, true, NoisyRusher));
+    let serial = in_pool(1, || run(g, byz, seed, NoisyEcho));
+    assert_identical(&serial, &in_pool(4, || run(g, byz, seed, NoisyEcho)));
+    let serial = in_pool(1, || run(g, byz, seed, NoisyRusher));
+    assert_identical(&serial, &in_pool(4, || run(g, byz, seed, NoisyRusher)));
 }
 
 #[test]
@@ -175,9 +184,9 @@ fn parallel_matches_serial_without_byzantine_nodes() {
 }
 
 /// Pool-size invariance: both feeds, executed inside explicit worker
-/// pools of size 1 (degenerate — every `join` inlines), 2, 4, and 8 (more
-/// workers than the compute phase's 64-node leaves can occupy on this
-/// graph, so some deques stay starved), must reproduce the serial transcript
+/// pools of size 2, 4, and 8 (more workers than the compute phase's
+/// 64-node leaves can occupy on this graph, so some deques stay starved),
+/// must reproduce the one-thread pool's transcript (one leaf, no fork)
 /// bit-for-bit. Combined with the CI matrix (`BCOUNT_POOL_THREADS` ∈
 /// {1, 4, 8} over the whole workspace) this pins the pool's degenerate,
 /// concurrent, and oversubscribed configurations.
@@ -186,16 +195,12 @@ fn parallel_is_pool_size_invariant() {
     let mut rng = ChaCha8Rng::seed_from_u64(42);
     let g = hnd(160, 8, &mut rng).unwrap();
     let byz = [NodeId(5), NodeId(80)];
-    let echo = run(&g, &byz, 42, false, NoisyEcho);
-    let rusher = run(&g, &byz, 42, false, NoisyRusher);
-    for threads in [1usize, 2, 4, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("build test pool");
-        pool.install(|| {
-            assert_identical(&echo, &run(&g, &byz, 42, true, NoisyEcho));
-            assert_identical(&rusher, &run(&g, &byz, 42, true, NoisyRusher));
+    let echo = in_pool(1, || run(&g, &byz, 42, NoisyEcho));
+    let rusher = in_pool(1, || run(&g, &byz, 42, NoisyRusher));
+    for threads in [2usize, 4, 8] {
+        in_pool(threads, || {
+            assert_identical(&echo, &run(&g, &byz, 42, NoisyEcho));
+            assert_identical(&rusher, &run(&g, &byz, 42, NoisyRusher));
         });
     }
 }
@@ -242,7 +247,7 @@ impl Protocol for FrontierRelay {
     }
 }
 
-fn run_relay(g: &Graph, byz: &[NodeId], seed: u64, parallel: bool) -> SimReport<u64> {
+fn run_relay(g: &Graph, byz: &[NodeId], seed: u64) -> SimReport<u64> {
     Execution::new(
         g,
         byz,
@@ -257,7 +262,6 @@ fn run_relay(g: &Graph, byz: &[NodeId], seed: u64, parallel: bool) -> SimReport<
             max_rounds: 60,
             stop_when: StopWhen::MaxRoundsOnly,
             record_round_stats: true,
-            parallel,
             ..SimConfig::default()
         },
     )
@@ -265,53 +269,44 @@ fn run_relay(g: &Graph, byz: &[NodeId], seed: u64, parallel: bool) -> SimReport<
 }
 
 /// The event-driven relay on the outbox feed, with most outboxes empty
-/// in most rounds: `parallel: true` in pools of one and four workers
-/// reproduces the serial transcript, per-round decided/halted census
-/// included.
+/// in most rounds: a pool of four workers reproduces the one-thread
+/// pool's transcript, per-round decided/halted census included.
 #[test]
 fn frontier_relay_is_pool_size_invariant() {
     for seed in [3u64, 0xBEEF] {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = hnd(192, 8, &mut rng).unwrap();
         let byz = [NodeId(2), NodeId(90)];
-        let serial = run_relay(&g, &byz, seed, false);
+        let serial = in_pool(1, || run_relay(&g, &byz, seed));
         assert_eq!(serial.rounds, 60, "fixed-budget run");
-        for threads in [1usize, 4] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("build test pool");
-            pool.install(|| {
-                let pooled = run_relay(&g, &byz, seed, true);
-                assert_identical(&serial, &pooled);
-            });
-        }
+        let pooled = in_pool(4, || run_relay(&g, &byz, seed));
+        assert_identical(&serial, &pooled);
     }
 }
 
 #[test]
 fn parallel_step_interleaves_with_serial_state_reads() {
     // step()-level equivalence, not just end-to-end: every intermediate
-    // round agrees between the serial and parallel engines, down to
-    // per-node state and raw inbox bytes.
-    let g = cycle(64).unwrap();
+    // round agrees between a one-thread and a four-thread pool, down to
+    // per-node state and raw inbox bytes. 160 nodes split into several
+    // 64-node-floor leaves at four workers.
+    let g = cycle(160).unwrap();
     let factory = |_: NodeId, init: &NodeInit| JitterFlood {
         best: init.pid,
         noise: init.pid.0,
         rounds_left: 20,
     };
-    let cfg = |parallel| SimConfig {
+    let cfg = SimConfig {
         seed: 99,
         max_rounds: 25,
-        parallel,
         ..SimConfig::default()
     };
-    let mut serial = Execution::new(&g, &[NodeId(9)], factory, NoisyEcho, cfg(false));
-    let mut parallel = Execution::new(&g, &[NodeId(9)], factory, NoisyEcho, cfg(true));
+    let mut serial = Execution::new(&g, &[NodeId(9)], factory, NoisyEcho, cfg.clone());
+    let mut parallel = Execution::new(&g, &[NodeId(9)], factory, NoisyEcho, cfg);
     for _ in 0..20 {
-        serial.step();
-        parallel.step();
-        for u in 0..64 {
+        in_pool(1, || serial.step());
+        in_pool(4, || parallel.step());
+        for u in 0..160 {
             let u = NodeId(u);
             let s = serial.protocol(u).map(|p| (p.best, p.noise));
             let p = parallel.protocol(u).map(|p| (p.best, p.noise));

@@ -1,6 +1,7 @@
 //! Fault-plane regression: a seeded [`FaultPlan`] must produce
-//! **bit-identical** [`SimReport`]s on the serial and the parallel engine
-//! at every worker-pool size *with faults engaged*, crash-stop semantics
+//! **bit-identical** [`SimReport`]s in a one-thread pool (one compute
+//! leaf) and in pools of 2, 4 and 8 workers (forked compute with the
+//! `parallel` feature) *with faults engaged*, crash-stop semantics
 //! must keep honest survivors deciding when the crashed set stays within
 //! the paper's bound, and the fault counters must account exactly.
 //!
@@ -96,7 +97,7 @@ fn chaos_plan(seed: u64) -> FaultPlan {
     }
 }
 
-fn run(g: &Graph, byz: &[NodeId], seed: u64, plan: FaultPlan, parallel: bool) -> SimReport<u64> {
+fn run(g: &Graph, byz: &[NodeId], seed: u64, plan: FaultPlan) -> SimReport<u64> {
     let mut sim = Execution::new(
         g,
         byz,
@@ -111,12 +112,20 @@ fn run(g: &Graph, byz: &[NodeId], seed: u64, plan: FaultPlan, parallel: bool) ->
             seed,
             max_rounds: 45,
             record_round_stats: true,
-            parallel,
             fault: plan,
             ..SimConfig::default()
         },
     );
     sim.run()
+}
+
+/// Runs `body` inside a fresh pool of `threads` workers.
+fn in_pool<R: Send>(threads: usize, body: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("build test pool")
+        .install(body)
 }
 
 fn assert_identical(a: &SimReport<u64>, b: &SimReport<u64>) {
@@ -130,14 +139,14 @@ fn assert_identical(a: &SimReport<u64>, b: &SimReport<u64>) {
     assert_eq!(a.stop_reason, b.stop_reason, "stop reason diverged");
 }
 
-/// Faults engaged, the parallel engine byte-identical to the serial one.
+/// Faults engaged, a four-worker pool byte-identical to a one-thread pool.
 #[test]
 fn faulty_parallel_matches_serial() {
     for seed in [1u64, 0xFA17, 31_337] {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = hnd(128, 8, &mut rng).unwrap();
         let byz = [NodeId(7), NodeId(77)];
-        let reference = run(&g, &byz, seed, chaos_plan(seed), false);
+        let reference = in_pool(1, || run(&g, &byz, seed, chaos_plan(seed)));
         // The plan really injected something (otherwise the matrix
         // trivially passes by never exercising the fault pipeline).
         assert!(reference.metrics.crashed >= 3, "crashes must engage");
@@ -152,31 +161,22 @@ fn faulty_parallel_matches_serial() {
                 reference.metrics.delayed
             )
         );
-        let parallel = run(&g, &byz, seed, chaos_plan(seed), true);
+        let parallel = in_pool(4, || run(&g, &byz, seed, chaos_plan(seed)));
         assert_identical(&reference, &parallel);
     }
 }
 
-/// Pool-size invariance with faults engaged: the serial and parallel
-/// engines inside explicit worker pools of size 1, 2, 4, and 8 reproduce
-/// the serial transcript.
+/// Pool-size invariance with faults engaged: explicit worker pools of
+/// size 2, 4, and 8 reproduce the one-thread pool's transcript.
 #[test]
 fn faulty_runs_are_pool_size_invariant() {
     let mut rng = ChaCha8Rng::seed_from_u64(99);
     let g = hnd(128, 8, &mut rng).unwrap();
     let byz = [NodeId(5), NodeId(77)];
-    let reference = run(&g, &byz, 99, chaos_plan(99), false);
-    for threads in [1usize, 2, 4, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("build test pool");
-        pool.install(|| {
-            for parallel in [false, true] {
-                let other = run(&g, &byz, 99, chaos_plan(99), parallel);
-                assert_identical(&reference, &other);
-            }
-        });
+    let reference = in_pool(1, || run(&g, &byz, 99, chaos_plan(99)));
+    for threads in [2usize, 4, 8] {
+        let other = in_pool(threads, || run(&g, &byz, 99, chaos_plan(99)));
+        assert_identical(&reference, &other);
     }
 }
 
@@ -189,10 +189,10 @@ fn fault_stream_is_independent_and_seeded() {
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let g = hnd(96, 8, &mut rng).unwrap();
     let byz = [NodeId(7)];
-    let a = run(&g, &byz, 4, chaos_plan(123), false);
-    let b = run(&g, &byz, 4, chaos_plan(123), false);
+    let a = run(&g, &byz, 4, chaos_plan(123));
+    let b = run(&g, &byz, 4, chaos_plan(123));
     assert_identical(&a, &b);
-    let c = run(&g, &byz, 4, chaos_plan(124), false);
+    let c = run(&g, &byz, 4, chaos_plan(124));
     assert_ne!(
         a.outputs, c.outputs,
         "a different fault seed must produce a different transcript"
@@ -204,8 +204,8 @@ fn fault_stream_is_independent_and_seeded() {
         crashes: vec![CrashEvent { round: 3, node: 9 }],
         ..FaultPlan::default()
     };
-    let d = run(&g, &byz, 4, crash_only(1), false);
-    let e = run(&g, &byz, 4, crash_only(2), false);
+    let d = run(&g, &byz, 4, crash_only(1));
+    let e = run(&g, &byz, 4, crash_only(2));
     assert_identical(&d, &e);
     assert_eq!(d.metrics.crashed, 1);
 }
@@ -444,8 +444,8 @@ fn delay_shifts_first_arrival_exactly() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Property: an arbitrary valid plan yields identical reports on the
-    /// serial and the parallel engine.
+    /// Property: an arbitrary valid plan yields identical reports in a
+    /// one-thread pool and in a four-worker pool.
     #[test]
     fn arbitrary_plans_are_schedule_invariant(
         fault_seed in any::<u64>(),
@@ -464,8 +464,8 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         let g = hnd(80, 8, &mut rng).unwrap();
         let byz = [NodeId(2)];
-        let a = run(&g, &byz, 13, plan.clone(), false);
-        let b = run(&g, &byz, 13, plan, true);
+        let a = in_pool(1, || run(&g, &byz, 13, plan.clone()));
+        let b = in_pool(4, || run(&g, &byz, 13, plan));
         assert_identical(&a, &b);
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! * On the outbox feed, rounds of full broadcasts clone no payload — on
 //!   the full table, compacted table and flat fallback paths, under an
-//!   event-driven relay whose nodes first send late, and (with the
-//!   `parallel` feature) behind the parallel honest compute at pool widths
-//!   1 and 4.
+//!   event-driven relay whose nodes first send late, and in pools of 1
+//!   and 4 workers (the latter forks the honest compute with the
+//!   `parallel` feature).
 //! * On the flat feed under a drop/duplicate/delay plan, the only clones
 //!   are the delayed messages' copies: clones equal [`Metrics::delayed`].
 
@@ -110,11 +110,10 @@ impl Protocol for Relay {
     }
 }
 
-fn config(parallel: bool, rounds: u64) -> SimConfig {
+fn config(rounds: u64) -> SimConfig {
     SimConfig {
         max_rounds: rounds,
         stop_when: StopWhen::MaxRoundsOnly,
-        parallel,
         ..SimConfig::default()
     }
 }
@@ -155,28 +154,31 @@ fn outbox_feed_broadcasts_clone_no_payload() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let g = hnd(256, 8, &mut ChaCha8Rng::seed_from_u64(3)).unwrap();
     let byz = [NodeId(9), NodeId(130)];
-    // Serial: the full table path (no Byzantine node), the compacted
-    // table path with the Byzantine-adjacent sort, and the flat
-    // fallback.
+    // The full table path (no Byzantine node), the compacted table path
+    // with the Byzantine-adjacent sort, and the flat fallback.
     let cases = [
         (&[][..], Shape::Broadcast),
         (&byz[..], Shape::Broadcast),
         (&byz[..], Shape::BroadcastAndRepeat),
     ];
     for (byz, shape) in cases {
-        let (clones, metrics) = flood(&g, byz, shape, config(false, 12));
-        assert!(metrics.total_messages(0..g.len()) > 0);
-        assert_eq!(clones, 0, "{shape:?} with {} Byzantine", byz.len());
-        // Pools of 1 and 4 workers: the honest compute fans out over the
-        // pool, and the serial delivery paths above must still move, not
-        // clone, what the compute lanes stored.
+        // Pools of 1 and 4 workers: a one-thread pool runs the honest
+        // compute as one leaf, four workers fork it, and the serial
+        // delivery paths must move, not clone, what the compute lanes
+        // stored either way.
         for threads in [1, 4] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .expect("build test pool");
-            let (clones, _) = pool.install(|| flood(&g, byz, shape, config(true, 12)));
-            assert_eq!(clones, 0, "{shape:?}, pool of {threads}");
+            let (clones, metrics) = pool.install(|| flood(&g, byz, shape, config(12)));
+            assert!(metrics.total_messages(0..g.len()) > 0);
+            assert_eq!(
+                clones,
+                0,
+                "{shape:?} with {} Byzantine, pool of {threads}",
+                byz.len()
+            );
         }
     }
 }
@@ -192,7 +194,7 @@ fn event_driven_relay_clones_no_payload() {
             source: u.index() % 16 == 0,
         },
         NullAdversary,
-        config(false, 30),
+        config(30),
     );
     let (clones, metrics) = clones_over(sim, 30);
     assert!(metrics.total_messages(0..g.len()) > 0);
@@ -214,7 +216,7 @@ fn flat_feed_clones_only_delayed_payloads() {
     for shape in [Shape::Broadcast, Shape::BroadcastAndRepeat] {
         let cfg = SimConfig {
             fault: plan.clone(),
-            ..config(false, 12)
+            ..config(12)
         };
         let (clones, metrics) = flood(&g, &[NodeId(3)], shape, cfg);
         assert!(metrics.dropped > 0 && metrics.duplicated > 0 && metrics.delayed > 0);

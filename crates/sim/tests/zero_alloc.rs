@@ -12,7 +12,9 @@
 //!
 //! Runs with `harness = false` (see the `[[test]]` entry in Cargo.toml):
 //! the allocation counter is process-global and libtest's bookkeeping
-//! threads would otherwise pollute the measured window.
+//! threads would otherwise pollute the measured window. For the same
+//! reason every execution runs inside a one-thread pool, so the honest
+//! compute never forks (a fork boxes its job).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -318,50 +320,6 @@ fn assert_zero_alloc_fallback() {
     assert_steady_state_allocation_free(sim, "outbox feed, flat fallback");
 }
 
-/// The parallel engine's steady state must be allocation-free in the
-/// shape the allocator counter can actually observe: a **size-1
-/// installed pool** with `parallel: true`. Every `join` inlines (the
-/// pool's size-1 guarantee — no job boxing), the compute lanes borrow
-/// disjoint windows of existing buffers, and the merge and delivery are
-/// the serial outbox feed's. Multi-worker pools inherently heap-allocate at the fork boundary, so
-/// this is the strongest zero-alloc statement the parallel path admits. Without the `parallel` feature the flag is
-/// a no-op and the case degenerates to the serial run.
-fn assert_zero_alloc_parallel_merge() {
-    let g = cycle(96).unwrap();
-    let cfg = SimConfig {
-        max_rounds: u64::MAX,
-        stop_when: StopWhen::MaxRoundsOnly,
-        parallel: true,
-        ..SimConfig::default()
-    };
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("build size-1 test pool");
-    pool.install(|| {
-        let mut sim = Execution::new(
-            &g,
-            &[NodeId(17)],
-            |_, init| Chatter(init.pid),
-            NullAdversary,
-            cfg,
-        );
-        for _ in 0..30 {
-            sim.step();
-        }
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for _ in 0..200 {
-            sim.step();
-        }
-        let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
-        assert_eq!(
-            delta, 0,
-            "steady-state parallel rounds in a size-1 pool must not allocate \
-             (saw {delta} allocations over 200 rounds)"
-        );
-    });
-}
-
 /// The limit of the steady-state claim: payload
 /// planes warm up with what each node stores, so a switch after warm-up
 /// to more payloads per node (odd nodes sending for the first time, even
@@ -421,27 +379,35 @@ where
 }
 
 fn main() {
-    // Outbox feed: the full table path (no Byzantine nodes), the
-    // compacted table path (silent Byzantine node, and subset unicasts
-    // under beacon spam), and the flat fallback (non-monotone sends).
-    assert_zero_alloc_outbox_feed(false);
-    assert_zero_alloc_outbox_feed(true);
-    assert_zero_alloc_compacted_spam();
-    assert_zero_alloc_fallback();
-    // Flat feed under an observing adversary: steady broadcast, and a
-    // Byzantine burst every round.
-    assert_zero_alloc_flat_feed(false);
-    assert_zero_alloc_flat_feed(true);
-    // Parallel compute inside a size-1 installed pool (joins inline).
-    assert_zero_alloc_parallel_merge();
-    // A late switch to per-neighbour unicasts: a bounded
-    // re-warm, then zero again.
-    assert_rewarm_after_unicast_switch(false);
-    assert_rewarm_after_unicast_switch(true);
+    // Every measured execution runs inside a one-thread pool, where the
+    // honest compute is one leaf with no fork: a wider pool (the
+    // `parallel` feature under `BCOUNT_POOL_THREADS` > 1) would fork it
+    // and box the pool's jobs inside the measured windows.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("build size-1 pool");
+    pool.install(|| {
+        // Outbox feed: the full table path (no Byzantine nodes), the
+        // compacted table path (silent Byzantine node, and subset
+        // unicasts under beacon spam), and the flat fallback
+        // (non-monotone sends).
+        assert_zero_alloc_outbox_feed(false);
+        assert_zero_alloc_outbox_feed(true);
+        assert_zero_alloc_compacted_spam();
+        assert_zero_alloc_fallback();
+        // Flat feed under an observing adversary: steady broadcast, and a
+        // Byzantine burst every round.
+        assert_zero_alloc_flat_feed(false);
+        assert_zero_alloc_flat_feed(true);
+        // A late switch to per-neighbour unicasts: a bounded
+        // re-warm, then zero again.
+        assert_rewarm_after_unicast_switch(false);
+        assert_rewarm_after_unicast_switch(true);
+    });
     println!(
         "zero_alloc: ok (0 allocations over 200 steady-state rounds; \
          outbox feed full/compacted/spam/fallback, flat feed steady/burst, \
-         parallel size-1 pool, re-warm after a \
-         unicast switch on both feeds)"
+         re-warm after a unicast switch on both feeds; size-1 pool)"
     );
 }

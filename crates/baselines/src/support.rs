@@ -133,13 +133,6 @@ impl Adversary<SupportEstimation> for ZeroFakerAdversary {
             }
         }
     }
-
-    /// This strategy never inspects the in-flight honest traffic
-    /// ([`FullInfoView::honest_outgoing`]) — it works off states, inboxes,
-    /// and topology — so it licenses the engine's outbox feed.
-    fn observes_traffic(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -5,17 +5,16 @@
 //! elements = rounds per iteration), so the perf trajectory of the engine
 //! is one number per graph size. The `reuse_buffers` benchmarks measure
 //! the steady-state round loop alone (one long-lived simulation stepped
-//! in place — the zero-alloc hot path). `reuse_buffers` runs the
-//! **outbox feed** of the engine's one message plane (the benign
-//! `NullAdversary` licenses it: it never observes traffic and there is no
-//! fault plan); `reuse_buffers_flat` runs the **flat feed** under an
-//! adversary that observes the round's traffic (and otherwise stays
-//! silent), the price of materializing the node-order vector a rushing
-//! adversary reads; `reuse_buffers_faulty` adds a mixed fault plan to the
-//! flat feed. On this all-broadcast workload every `reuse_buffers` round
-//! is a **full** table round (no hole, no Byzantine traffic);
+//! in place — the zero-alloc hot path). The fault plan alone picks the
+//! feed of the engine's one message plane. `reuse_buffers` runs the
+//! **outbox feed** (no fault plan); `reuse_buffers_flat` runs the **flat
+//! feed** under a plan that faults nothing (one crash past the last
+//! round), the price of materializing the node-order traffic vector
+//! without link faults; `reuse_buffers_faulty` adds a mixed fault plan to
+//! the flat feed. On this all-broadcast workload every `reuse_buffers`
+//! round is a **full** table round (no hole, no Byzantine traffic);
 //! `reuse_buffers_spam` (n = 1024 and 4096) puts Theorem 2's budget of
-//! non-observing Byzantine spammers on the outbox feed, so every round is
+//! Byzantine spammers on the outbox feed, so every round is
 //! a **compacted** table round: hole marking, node-order fill, compaction,
 //! the Byzantine append and the sort of the Byzantine-adjacent spans. The
 //! `full_execution` benchmarks include construction, pid
@@ -69,24 +68,9 @@ fn chatter_config() -> SimConfig {
     }
 }
 
-/// Silent, but it keeps the default `observes_traffic() == true` and
-/// reads the round's in-flight traffic — which selects the flat feed.
-struct Observer;
-
-impl Adversary<Chatter> for Observer {
-    fn on_round(
-        &mut self,
-        view: &FullInfoView<'_, Chatter>,
-        _ctx: &mut ByzantineContext<'_, Counter>,
-    ) {
-        criterion::black_box(view.honest_outgoing().len());
-    }
-}
-
-/// Broadcasts a fresh counter from every Byzantine node every round, and
-/// declares that it never observes the traffic — which keeps the outbox
-/// feed, with Byzantine traffic within the table paths' budget (one
-/// message per Byzantine-incident edge).
+/// Broadcasts a fresh counter from every Byzantine node every round:
+/// Byzantine traffic within the table paths' budget (one message per
+/// Byzantine-incident edge).
 struct Spammer(u64);
 
 impl Adversary<Chatter> for Spammer {
@@ -99,10 +83,6 @@ impl Adversary<Chatter> for Spammer {
         for b in view.byzantine_nodes() {
             ctx.broadcast(b, Counter(self.0));
         }
-    }
-
-    fn observes_traffic(&self) -> bool {
-        false
     }
 }
 
@@ -158,9 +138,13 @@ fn bench_engine(c: &mut Criterion) {
             });
         });
 
-        // Same loop on the flat feed: an observing adversary needs the
+        // Same loop on the flat feed, selected by a crash-only plan whose
+        // one crash never comes: no fault randomness, no crash, only the
         // node-order traffic vector.
-        let mut fsim = warmed(&g, &[], chatter_config(), Observer);
+        let mut flat = chatter_config();
+        let round = u64::MAX;
+        flat.fault.crashes.push(CrashEvent { round, node: 0 });
+        let mut fsim = warmed(&g, &[], flat, NullAdversary);
         group.bench_with_input(BenchmarkId::new("reuse_buffers_flat", n), &n, |b, _| {
             b.iter(|| {
                 for _ in 0..ROUNDS {

@@ -69,13 +69,6 @@ impl Adversary<CongestCounting> for BeaconSpamAdversary {
         let pos = self.clock.locate(view.round());
         self.spam(pos, view, ctx);
     }
-
-    /// This strategy never inspects the in-flight honest traffic
-    /// ([`FullInfoView::honest_outgoing`]) — it works off states, inboxes,
-    /// and topology — so it licenses the engine's outbox feed.
-    fn observes_traffic(&self) -> bool {
-        false
-    }
 }
 
 /// A beacon path of `prefix_len` phantom IDs, drawn from the adversary's
@@ -144,13 +137,6 @@ impl Adversary<CongestCounting> for PathTamperAdversary {
             }
         }
     }
-
-    /// This strategy never inspects the in-flight honest traffic
-    /// ([`FullInfoView::honest_outgoing`]) — it works off states, inboxes,
-    /// and topology — so it licenses the engine's outbox feed.
-    fn observes_traffic(&self) -> bool {
-        false
-    }
 }
 
 /// Intermittent spam: attack only every other phase, exploiting the fact
@@ -184,13 +170,6 @@ impl Adversary<CongestCounting> for OscillatingSpamAdversary {
         if pos.phase.is_multiple_of(2) {
             self.inner.spam(pos, view, ctx);
         }
-    }
-
-    /// This strategy never inspects the in-flight honest traffic
-    /// ([`FullInfoView::honest_outgoing`]) — it works off states, inboxes,
-    /// and topology — so it licenses the engine's outbox feed.
-    fn observes_traffic(&self) -> bool {
-        false
     }
 }
 

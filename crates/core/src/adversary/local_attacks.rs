@@ -173,13 +173,6 @@ impl Adversary<LocalCounting> for FakeExpanderAdversary {
             ctx.broadcast(b, LocalMsg(Arc::new(fake_view)));
         }
     }
-
-    /// This strategy never inspects the in-flight honest traffic
-    /// ([`FullInfoView::honest_outgoing`]) — it works off states, inboxes,
-    /// and topology — so it licenses the engine's outbox feed.
-    fn observes_traffic(&self) -> bool {
-        false
-    }
 }
 
 /// A nuisance attack: each Byzantine node tells different neighbours
@@ -229,13 +222,6 @@ impl Adversary<LocalCounting> for EdgeInjectorAdversary {
                 ctx.send(b, to, LocalMsg(Arc::new(v)));
             }
         }
-    }
-
-    /// This strategy never inspects the in-flight honest traffic
-    /// ([`FullInfoView::honest_outgoing`]) — it works off states, inboxes,
-    /// and topology — so it licenses the engine's outbox feed.
-    fn observes_traffic(&self) -> bool {
-        false
     }
 }
 

@@ -6,7 +6,9 @@
 //! engine realizes this with a *rushing* schedule: every round, honest
 //! nodes first produce their messages, then the adversary inspects the
 //! complete honest states plus those in-flight messages before choosing
-//! what each Byzantine node says.
+//! what each Byzantine node says. Every adversary gets that whole view:
+//! [`HonestTraffic`] reads the in-flight messages where the engine holds
+//! them, so looking costs nothing and an adversary declares nothing.
 //!
 //! Two model restrictions are enforced mechanically:
 //!
@@ -26,8 +28,8 @@ use bcount_graph::{Graph, NodeId};
 use rand_chacha::ChaCha8Rng;
 
 use crate::idspace::{Pid, PidIndex};
-use crate::message::{Inbox, InboxesView};
-use crate::protocol::Protocol;
+use crate::message::{DeliveryMap, Inbox, InboxesView};
+use crate::protocol::{Outbox, Protocol};
 
 /// Everything the adversary can observe in a round (full information).
 ///
@@ -110,12 +112,21 @@ impl<'a, P: Protocol> FullInfoView<'a, P> {
 /// A round's in-flight honest traffic as the rushing adversary sees it:
 /// one `(from, to, &msg)` entry per message, in node order.
 ///
-/// Each entry holds a `u32` reference into the round's payload store, so
-/// the recipients of one broadcast share one payload and building the
-/// view copies nothing.
+/// The view borrows the engine's state in place and copies nothing. It
+/// reads the honest outboxes, resolving each send's neighbour slot
+/// through the [`DeliveryMap`], then the merged node-order vector of
+/// `(from, to, payload reference)`. At most one of the two holds the
+/// round: without a fault plan the outboxes stay full until delivery,
+/// which runs after the adversary commits; under a fault plan the merge
+/// has already drained them into the vector, which the fault pass then
+/// rewrote. Either way the sequence is the one the model defines.
 pub struct HonestTraffic<'a, M> {
+    pub(crate) outboxes: &'a [Outbox<M>],
+    pub(crate) routes: &'a DeliveryMap,
     pub(crate) sends: &'a [(NodeId, NodeId, u32)],
     pub(crate) payloads: &'a [M],
+    /// Messages in flight, counted by the merge.
+    pub(crate) len: usize,
 }
 
 // Manual impls: `derive` would demand `M: Clone`/`M: Copy` although only
@@ -129,22 +140,50 @@ impl<M> Clone for HonestTraffic<'_, M> {
 impl<M> Copy for HonestTraffic<'_, M> {}
 
 impl<'a, M> HonestTraffic<'a, M> {
+    /// A view of a node-order vector alone, for the reference executor,
+    /// which routes without a [`DeliveryMap`].
+    #[cfg(test)]
+    pub(crate) fn flat(sends: &'a [(NodeId, NodeId, u32)], payloads: &'a [M]) -> Self {
+        static NO_ROUTES: DeliveryMap = DeliveryMap::EMPTY;
+        HonestTraffic {
+            outboxes: &[],
+            routes: &NO_ROUTES,
+            sends,
+            payloads,
+            len: sends.len(),
+        }
+    }
+
     /// Number of messages in flight.
     pub fn len(&self) -> usize {
-        self.sends.len()
+        self.len
     }
 
     /// Whether no honest message is in flight.
     pub fn is_empty(&self) -> bool {
-        self.sends.is_empty()
+        self.len == 0
     }
 
     /// Iterates the messages in node order.
-    pub fn iter(self) -> impl ExactSizeIterator<Item = (NodeId, NodeId, &'a M)> + 'a {
-        let payloads = self.payloads;
-        self.sends
+    pub fn iter(self) -> impl Iterator<Item = (NodeId, NodeId, &'a M)> + 'a {
+        let HonestTraffic {
+            outboxes,
+            routes,
+            sends,
+            payloads,
+            ..
+        } = self;
+        let queued = outboxes.iter().enumerate().flat_map(move |(u, outbox)| {
+            let targets = routes.targets_of(u);
+            outbox.sends.iter().map(move |&(slot, payload)| {
+                let msg = &outbox.payloads[payload as usize];
+                (NodeId(u as u32), targets[slot as usize].to, msg)
+            })
+        });
+        let merged = sends
             .iter()
-            .map(move |&(from, to, payload)| (from, to, &payloads[payload as usize]))
+            .map(move |&(from, to, payload)| (from, to, &payloads[payload as usize]));
+        queued.chain(merged)
     }
 }
 
@@ -226,27 +265,6 @@ pub trait Adversary<P: Protocol> {
     /// Chooses this round's Byzantine messages after observing the honest
     /// round (rushing).
     fn on_round(&mut self, view: &FullInfoView<'_, P>, ctx: &mut ByzantineContext<'_, P::Message>);
-
-    /// Whether this adversary ever reads [`FullInfoView::honest_outgoing`].
-    ///
-    /// The default is `true` — the full rushing view, with the round's
-    /// honest traffic materialized as a flat node-order vector of
-    /// `(from, to, payload reference)` before the adversary runs. An
-    /// adversary that never inspects that view may override this to
-    /// return `false`, which (absent a fault plan) lets the engine run its
-    /// **outbox feed**: delivery reads the outboxes directly and the flat
-    /// vector is never built (the view the adversary gets is then empty).
-    /// Everything else in the view (honest states, inboxes, pids,
-    /// topology) is unaffected.
-    ///
-    /// Contract: return `false` **only if** `on_round` never calls
-    /// [`FullInfoView::honest_outgoing`]. The engine trusts this
-    /// declaration; an observing adversary always gets the node-order
-    /// vector, which the crate's reference-executor tests diff round by
-    /// round.
-    fn observes_traffic(&self) -> bool {
-        true
-    }
 }
 
 /// The benign adversary: Byzantine nodes stay silent forever.
@@ -262,11 +280,6 @@ impl<P: Protocol> Adversary<P> for NullAdversary {
         _view: &FullInfoView<'_, P>,
         _ctx: &mut ByzantineContext<'_, P::Message>,
     ) {
-    }
-
-    /// Silence observes nothing — the engine may run its outbox feed.
-    fn observes_traffic(&self) -> bool {
-        false
     }
 }
 

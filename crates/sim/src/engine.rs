@@ -56,15 +56,16 @@
 //!
 //! The arena is the only delivered-message plane. What differs between
 //! executions is how a round's honest traffic *reaches* it, and the engine
-//! picks that **feed** once, at construction, from what it can observe:
+//! picks that **feed** once, at construction, from the
+//! [`SimConfig::fault`] plan alone:
 //!
-//! * **Outbox feed** — the adversary declares
-//!   [`Adversary::observes_traffic`]` == false` (e.g.
-//!   [`crate::NullAdversary`] and every attack strategy shipped in this
-//!   workspace) *and* the [`SimConfig::fault`] plan is empty. Nobody needs
-//!   the round's traffic as a flat vector, so a table round's delivery
-//!   reads the outboxes directly and places every span's honest messages
-//!   in **sender-pid order**. The canonical inbox order is
+//! * **Outbox feed** — the plan is empty. Nothing rewrites the round's
+//!   traffic, so the outboxes stay full until delivery, and the rushing
+//!   adversary reads them in place ([`FullInfoView::honest_outgoing`]
+//!   resolves each send's slot through the [`DeliveryMap`]; delivery runs
+//!   after the adversary commits). A table round's delivery reads the
+//!   outboxes directly and places every span's honest messages in
+//!   **sender-pid order**. The canonical inbox order is
 //!   stable-by-sender-pid, so every span is then sorted as placed, and the
 //!   counting sort (and its rank tag) runs only at Byzantine-adjacent
 //!   spans — edge locality bounds that set at construction. The merge
@@ -92,14 +93,14 @@
 //!      still-full outboxes drain in node order into the flat vector (the
 //!      merge's metrics stand) and go through the flat feed's delivery
 //!      below.
-//! * **Flat feed** — everything else: a rushing adversary that observes
-//!   [`FullInfoView::honest_outgoing`], or a fault plan that rewrites that
-//!   same traffic. The merge drains every outbox **in node order** into
-//!   the flat `honest_outgoing` vector of `(from, to, payload reference)`
-//!   (the payloads move into the staged arena's store); the fault pass and
-//!   the adversary run on it exactly as built (fault rolls and the
-//!   adversary's view are defined on node order, so it is never
-//!   reordered; a duplicate copies a reference, not a payload); then the
+//! * **Flat feed** — a non-empty fault plan, which rewrites the round's
+//!   traffic before the adversary sees it. The merge drains every outbox
+//!   **in node order** into the flat `honest_outgoing` vector of
+//!   `(from, to, payload reference)` (the payloads move into the staged
+//!   arena's store); the fault pass and the adversary's view run on it
+//!   exactly as built (fault rolls and the adversary's view are defined on
+//!   node order, so it is never reordered; a duplicate copies a reference,
+//!   not a payload); then the
 //!   vector and the Byzantine traffic go through one count → prefix-sum →
 //!   scatter: count messages per destination, prefix-sum the tallies into
 //!   packed spans and write cursors, scatter every message once into its
@@ -196,17 +197,15 @@ pub struct SimConfig {
     pub seed: u64,
     /// Hard round budget.
     pub max_rounds: u64,
-    /// Modelled width of a node ID in bits (for message-size accounting).
-    pub id_bits: u32,
     /// Stop condition.
     pub stop_when: StopWhen,
     /// Record one [`crate::trace::RoundTrace`] per round in
     /// [`Metrics::round_trace`].
     pub record_round_stats: bool,
     /// Deterministic fault-injection plan; see [`crate::fault::FaultPlan`].
-    /// A non-empty plan selects the flat feed (the fault pass rewrites
-    /// the node-order traffic vector; see the [module docs](self)). The
-    /// empty default is inert.
+    /// It alone picks the feed: a non-empty plan selects the flat feed
+    /// (the fault pass rewrites the node-order traffic vector), the empty
+    /// default the outbox feed; see the [module docs](self).
     pub fault: FaultPlan,
 }
 
@@ -215,7 +214,6 @@ impl Default for SimConfig {
         SimConfig {
             seed: 0xC0DE,
             max_rounds: 100_000,
-            id_bits: 64,
             stop_when: StopWhen::AllHonestHalted,
             record_round_stats: false,
             fault: FaultPlan::default(),
@@ -355,7 +353,7 @@ pub struct Execution<G, P: Protocol, A> {
     /// (from, to, index into the staged arena's payload store). Filled by
     /// the flat feed's merge; on the outbox feed it stays empty until a
     /// round the table cannot place drains its outboxes into it at
-    /// delivery.
+    /// delivery — after the adversary read the outboxes in place.
     honest_outgoing: Vec<(NodeId, NodeId, u32)>,
     /// Destination sender-ranks aligned entry-for-entry with
     /// `honest_outgoing` (kept separate so the adversary's view of the
@@ -371,13 +369,9 @@ pub struct Execution<G, P: Protocol, A> {
     /// Flat per-(destination, distinct sender) counters, CSR-aligned with
     /// `sender_ranks`; zeroed between uses.
     sender_counts: Vec<u32>,
-    /// Which feed carries honest traffic into the arena (resolved once at
-    /// construction): `true` for the outbox feed — the adversary declared
-    /// [`Adversary::observes_traffic`]` == false` and the fault plan is
-    /// empty — `false` for the flat feed. See the [module docs](self).
-    outbox_feed: bool,
     /// Honest messages merged this round — tracked explicitly because the
-    /// outbox feed never materializes them as a flat vector.
+    /// outbox feed never materializes them as a flat vector; the
+    /// adversary's [`HonestTraffic::len`].
     round_honest_messages: u64,
     /// Per node: whether any graph neighbour is Byzantine — i.e. whether
     /// this inbox can *ever* receive Byzantine traffic (edge locality).
@@ -388,9 +382,10 @@ pub struct Execution<G, P: Protocol, A> {
     /// walks only the nodes that need sorting.
     byz_adjacent_nodes: Vec<u32>,
     /// Whether [`SimConfig::fault`] is non-empty — resolved once at
-    /// construction. A non-empty plan selects the flat feed (so all fault
-    /// logic runs on the node-order traffic vector) and turns on the
-    /// crash/fault hooks in [`Execution::step`].
+    /// construction. It picks the feed ([`Execution::outbox_feed`]): a
+    /// non-empty plan selects the flat feed (so all fault logic runs on
+    /// the node-order traffic vector) and turns on the crash/fault hooks
+    /// in [`Execution::step`].
     faults_active: bool,
     /// The dedicated fault stream ([`FaultPlan::seed`]); untouched when
     /// the plan is empty, so no-fault transcripts are unchanged.
@@ -501,11 +496,9 @@ where
             );
         }
         let fault_rng = ChaCha8Rng::seed_from_u64(config.fault.seed);
-        // Delivery may read the outboxes directly only when nobody needs
-        // the round's traffic as the node-order flat vector: neither the
-        // adversary (it declared it never observes it) nor the fault pass
-        // (the plan is empty).
-        let outbox_feed = !adversary.observes_traffic() && !faults_active;
+        // Delivery may read the outboxes directly only when no fault pass
+        // rewrites the round's traffic as the node-order flat vector.
+        let outbox_feed = !faults_active;
         let slot_total = g.degree_sum();
         let byz_adjacent: Vec<bool> = (0..n)
             .map(|v| {
@@ -620,7 +613,6 @@ where
             byz_ranks: Vec::new(),
             inbox_pos,
             sender_counts,
-            outbox_feed,
             round_honest_messages: 0,
             byz_adjacent,
             byz_adjacent_nodes,
@@ -637,6 +629,12 @@ where
             metrics: Metrics::new(n),
             round: 0,
         }
+    }
+
+    /// Whether honest traffic reaches the arena through the outbox feed:
+    /// exactly when the fault plan is empty. See the [module docs](self).
+    fn outbox_feed(&self) -> bool {
+        !self.faults_active
     }
 
     /// Current round (0 before the first [`Execution::step`]).
@@ -827,7 +825,7 @@ where
     /// delivery); on the flat feed, the node-order merge into
     /// `honest_outgoing`.
     fn merge_phase(&mut self) {
-        if self.outbox_feed {
+        if self.outbox_feed() {
             self.merge_arena_count();
         } else {
             self.merge_outboxes(true);
@@ -891,7 +889,6 @@ where
     fn merge_outboxes(&mut self, record_metrics: bool) {
         debug_assert!(self.honest_outgoing.is_empty());
         debug_assert!(self.honest_ranks.is_empty());
-        let id_bits = self.config.id_bits;
         let n = self.graph().len();
         let arena = &mut self.arena_staged;
         arena.payloads.clear();
@@ -903,7 +900,7 @@ where
             let from = NodeId(u as u32);
             let targets = self.delivery_map.targets_of(u);
             if record_metrics {
-                let (count, bits, max_bits) = outbox_sizes(outbox, id_bits);
+                let (count, bits, max_bits) = outbox_sizes(outbox);
                 self.metrics.per_node[u].record_batch(count, bits, max_bits);
             }
             let pbase = arena.take_payloads(&mut outbox.payloads);
@@ -926,7 +923,6 @@ where
     /// the flat feed's placement. Outboxes are left full either way —
     /// delivery drains them, after the adversary has committed.
     fn merge_arena_count(&mut self) {
-        let id_bits = self.config.id_bits;
         let mut sent = 0u64;
         let mut table = true;
         for (u, (outbox, metrics)) in self
@@ -947,7 +943,7 @@ where
                 table &= slot >= next;
                 next = slot + 1;
             }
-            let (count, bits, max_bits) = outbox_sizes(outbox, id_bits);
+            let (count, bits, max_bits) = outbox_sizes(outbox);
             metrics.record_batch(count, bits, max_bits);
             sent += count;
         }
@@ -1213,7 +1209,10 @@ where
 
     /// Rushing adversary phase: the adversary observes the complete honest
     /// states and this round's in-flight honest messages before committing
-    /// the Byzantine traffic.
+    /// the Byzantine traffic. The traffic view reads the outboxes, then the
+    /// merged vector: on the outbox feed the vector is empty and the
+    /// outboxes still full, on the flat feed the merge drained the
+    /// outboxes into the vector.
     fn adversary_phase(&mut self) {
         debug_assert!(self.byz_outgoing.is_empty());
         let view = FullInfoView {
@@ -1224,8 +1223,11 @@ where
             is_byzantine: &self.is_byzantine,
             honest_states: &self.protocols,
             honest_outgoing: HonestTraffic {
+                outboxes: &self.outboxes,
+                routes: &self.delivery_map,
                 sends: &self.honest_outgoing,
                 payloads: &self.arena_staged.payloads,
+                len: self.round_honest_messages as usize,
             },
             inboxes: self.arena.view(&self.pids),
         };
@@ -1243,21 +1245,21 @@ where
     /// feed, sorts what needs sorting, and swaps the double buffer.
     fn deliver(&mut self) {
         debug_assert_eq!(self.honest_ranks.len(), self.honest_outgoing.len());
-        debug_assert!(!self.outbox_feed || self.honest_outgoing.is_empty());
+        debug_assert!(!self.outbox_feed() || self.honest_outgoing.is_empty());
         debug_assert!(self.byz_ranks.is_empty());
         let honest_messages = self.round_honest_messages;
         let byzantine_messages = self.byz_outgoing.len() as u64;
         // Account and rank-resolve the Byzantine traffic up front: the
         // adversary's (from, to) pairs carry no precomputed slot.
         for (from, to, msg) in &self.byz_outgoing {
-            self.metrics.per_node[from.index()].record(msg.size_bits(self.config.id_bits));
+            self.metrics.per_node[from.index()].record(msg.size_bits(Pid::BITS));
             let rank = self
                 .sender_ranks
                 .rank_of(*to, self.pids[from.index()])
                 .expect("byzantine sender is a graph neighbor");
             self.byz_ranks.push(rank);
         }
-        if self.outbox_feed {
+        if self.outbox_feed() {
             self.deliver_arena();
         } else {
             self.deliver_flat();
@@ -1396,11 +1398,12 @@ fn finish_inbox_soa(
 /// and charged once per send referencing it (the sends of one broadcast
 /// are consecutive and share its payload), so the totals equal a
 /// per-message evaluation's. A single-payload outbox (one broadcast, or
-/// one send) needs no walk over the sends at all.
-fn outbox_sizes<M: MessageSize>(outbox: &Outbox<M>, id_bits: u32) -> (u64, u64, u64) {
+/// one send) needs no walk over the sends at all. IDs are charged at
+/// [`Pid::BITS`].
+fn outbox_sizes<M: MessageSize>(outbox: &Outbox<M>) -> (u64, u64, u64) {
     let count = outbox.sends.len() as u64;
     if let [msg] = outbox.payloads.as_slice() {
-        let size = msg.size_bits(id_bits);
+        let size = msg.size_bits(Pid::BITS);
         return (count, size * count, size);
     }
     let mut bits = 0u64;
@@ -1409,7 +1412,7 @@ fn outbox_sizes<M: MessageSize>(outbox: &Outbox<M>, id_bits: u32) -> (u64, u64, 
     let mut size = 0u64;
     for &(_, payload) in &outbox.sends {
         if payload != last {
-            size = outbox.payloads[payload as usize].size_bits(id_bits);
+            size = outbox.payloads[payload as usize].size_bits(Pid::BITS);
             max_bits = max_bits.max(size);
             last = payload;
         }
@@ -1872,7 +1875,7 @@ mod tests {
         // Three sends through one slot: the table cannot place the round,
         // so the flat feed's placement packed the delivered generation.
         sim.step();
-        assert!(sim.outbox_feed && !sim.table_round);
+        assert!(sim.outbox_feed() && !sim.table_round);
         assert!(!sim.arena.offsets_static);
         let report = sim.run();
         assert_eq!(report.outputs, vec![Some(3), Some(3)]);
@@ -1960,16 +1963,15 @@ mod tests {
     }
 
     #[test]
-    fn feed_follows_observation_and_faults() {
+    fn feed_follows_the_fault_plan() {
         let g = cycle(8).unwrap();
         let byz = [NodeId(0)];
-        // NullAdversary never observes: the outbox feed.
+        // No fault plan: the outbox feed, whatever the adversary.
         let sim = flood_sim(&g, &byz, SimConfig::default());
-        assert!(sim.outbox_feed);
-        // An observing adversary needs the node-order vector.
+        assert!(sim.outbox_feed());
         let sim = Execution::new(&g, &byz, flood_factory, MaxFaker, SimConfig::default());
-        assert!(!sim.outbox_feed);
-        // So does a non-empty fault plan, whatever the adversary.
+        assert!(sim.outbox_feed());
+        // A non-empty fault plan needs the node-order vector.
         let faulty = SimConfig {
             fault: FaultPlan {
                 drop_per_mille: 1,
@@ -1977,6 +1979,6 @@ mod tests {
             },
             ..SimConfig::default()
         };
-        assert!(!flood_sim(&g, &byz, faulty).outbox_feed);
+        assert!(!flood_sim(&g, &byz, faulty).outbox_feed());
     }
 }

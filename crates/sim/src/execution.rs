@@ -8,7 +8,7 @@
 //!
 //! * [`SimConfigBuilder`] — constructs a [`SimConfig`] while rejecting
 //!   values the engine cannot run meaningfully (a zero round budget, an
-//!   ID width outside `1..=64`, an inconsistent fault plan).
+//!   inconsistent fault plan).
 //!   Field-poking a `SimConfig` still works; the builder exists for
 //!   callers that want a hard error at construction time instead.
 //! * [`Execution::snapshot_with`] and [`Execution::node_states_with`] —
@@ -39,10 +39,6 @@ use crate::protocol::Protocol;
 pub enum ConfigError {
     /// `max_rounds(0)`: the execution could never take a step.
     ZeroMaxRounds,
-    /// `id_bits` outside `1..=64`: [`crate::idspace::Pid`] is a 64-bit
-    /// identity, and zero-width IDs make message-size accounting
-    /// meaningless.
-    BadIdBits,
     /// A [`crate::fault::FaultPlan`] whose drop + duplicate + delay rates
     /// sum past 1000 per-mille: the per-message draw partition cannot
     /// hold more than the whole interval.
@@ -60,7 +56,6 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ZeroMaxRounds => write!(f, "max_rounds must be at least 1"),
-            ConfigError::BadIdBits => write!(f, "id_bits must be in 1..=64"),
             ConfigError::FaultRatesExceedUnity => {
                 write!(f, "fault drop+dup+delay rates must sum to at most 1000")
             }
@@ -105,7 +100,6 @@ impl std::error::Error for ConfigError {}
 pub struct SimConfigBuilder {
     seed: Option<u64>,
     max_rounds: Option<u64>,
-    id_bits: Option<u32>,
     stop_when: Option<StopWhen>,
     record_round_stats: Option<bool>,
     fault: Option<FaultPlan>,
@@ -126,12 +120,6 @@ impl SimConfigBuilder {
     /// Hard round budget; see [`SimConfig::max_rounds`].
     pub fn max_rounds(mut self, max_rounds: u64) -> Self {
         self.max_rounds = Some(max_rounds);
-        self
-    }
-
-    /// Modelled ID width in bits; see [`SimConfig::id_bits`].
-    pub fn id_bits(mut self, id_bits: u32) -> Self {
-        self.id_bits = Some(id_bits);
         self
     }
 
@@ -161,11 +149,6 @@ impl SimConfigBuilder {
         if self.max_rounds == Some(0) {
             return Err(ConfigError::ZeroMaxRounds);
         }
-        if let Some(bits) = self.id_bits {
-            if bits == 0 || bits > 64 {
-                return Err(ConfigError::BadIdBits);
-            }
-        }
         if let Some(plan) = &self.fault {
             plan.validate()?;
         }
@@ -173,7 +156,6 @@ impl SimConfigBuilder {
         Ok(SimConfig {
             seed: self.seed.unwrap_or(d.seed),
             max_rounds: self.max_rounds.unwrap_or(d.max_rounds),
-            id_bits: self.id_bits.unwrap_or(d.id_bits),
             stop_when: self.stop_when.unwrap_or(d.stop_when),
             record_round_stats: self.record_round_stats.unwrap_or(d.record_round_stats),
             fault: self.fault.unwrap_or(d.fault),
@@ -596,8 +578,6 @@ mod tests {
         use ConfigError::*;
         let cases = [
             (SimConfig::builder().max_rounds(0).build(), ZeroMaxRounds),
-            (SimConfig::builder().id_bits(0).build(), BadIdBits),
-            (SimConfig::builder().id_bits(65).build(), BadIdBits),
             (
                 SimConfig::builder()
                     .fault_plan(FaultPlan {

@@ -17,11 +17,12 @@
 //!   the draw count equals the merged message count, independent of the
 //!   rates, so tweaking one rate never shifts another message's draw.
 //!
-//! A non-empty plan selects the engine's flat feed (exactly like an
-//! observing adversary does): the fault pass rolls over the node-order
-//! traffic vector, so the transcript is the one the model defines
-//! whatever the pool size — the reference-executor unit tests diff it
-//! round by round.
+//! The plan alone picks the engine's feed. A non-empty plan selects the
+//! flat feed: the fault pass rolls over the node-order traffic vector, so
+//! the transcript is the one the model defines whatever the pool size —
+//! the reference-executor unit tests diff it round by round. A
+//! crash-only plan whose crashes lie past the last round faults nothing
+//! and draws no fault randomness, so it selects the flat feed alone.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,8 +44,8 @@ pub struct CrashEvent {
 /// A deterministic fault-injection plan; see the [module docs](self).
 ///
 /// The empty plan (no crashes, all rates zero — [`FaultPlan::is_empty`])
-/// is inert: the engine skips the fault phase entirely and keeps the
-/// outbox feed when the adversary allows it. [`FaultPlan::validate`] is enforced by
+/// is inert: the engine skips the fault phase entirely and runs the
+/// outbox feed. [`FaultPlan::validate`] is enforced by
 /// [`crate::SimConfigBuilder::build`]; field-poked configs fall back to
 /// the same documented semantics (rates are capped by the partition).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

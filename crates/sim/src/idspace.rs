@@ -18,6 +18,12 @@ use std::fmt;
 )]
 pub struct Pid(pub u64);
 
+impl Pid {
+    /// The width of a node ID in bits: what the engine charges per ID when
+    /// it sizes messages ([`crate::MessageSize::size_bits`]).
+    pub const BITS: u32 = u64::BITS;
+}
+
 impl fmt::Display for Pid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "#{:016x}", self.0)

@@ -30,8 +30,9 @@ pub struct Envelope<M> {
 /// The paper's CONGEST claim (Theorem 2) is that most good nodes send
 /// *small* messages: `O(log n)` bits plus at most a constant number of node
 /// IDs. Sizes therefore depend on the modelled ID width, which the
-/// simulation supplies as `id_bits` — a message reports how many bits it
-/// occupies given that width, and [`crate::Metrics`] aggregates per node.
+/// simulation supplies as `id_bits` ([`Pid::BITS`]) — a message reports
+/// how many bits it occupies given that width, and [`crate::Metrics`]
+/// aggregates per node.
 pub trait MessageSize {
     /// The size of this message in bits, given `id_bits` bits per node ID.
     fn size_bits(&self, id_bits: u32) -> u64;
@@ -469,6 +470,13 @@ pub struct DeliveryMap {
 }
 
 impl DeliveryMap {
+    /// The map of no node, for a traffic view that routes nothing.
+    #[cfg(test)]
+    pub(crate) const EMPTY: DeliveryMap = DeliveryMap {
+        offsets: Vec::new(),
+        targets: Vec::new(),
+    };
+
     /// Builds the map for `graph` under identity assignment `pids`,
     /// together with every node's sorted neighbour pid list (with edge
     /// multiplicity).

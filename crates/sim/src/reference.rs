@@ -132,7 +132,7 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
     pub(crate) fn step(&mut self) {
         self.round += 1;
         let n = self.graph.len();
-        let id_bits = self.config.id_bits;
+        let id_bits = Pid::BITS;
         let plan = &self.config.fault;
         for ev in &plan.crashes {
             let u = ev.node as usize;
@@ -232,10 +232,7 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
             pid_index: &self.pid_index,
             is_byzantine: &self.is_byzantine,
             honest_states: &self.protocols,
-            honest_outgoing: HonestTraffic {
-                sends: &sends,
-                payloads: &payloads,
-            },
+            honest_outgoing: HonestTraffic::flat(&sends, &payloads),
             inboxes,
         };
         let mut ctx = ByzantineContext {

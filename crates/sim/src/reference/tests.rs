@@ -5,7 +5,9 @@
 //! sends sharing payloads; unicasts to random neighbour subsets (the
 //! outbox feed's compacted table path, and repeated slots of parallel
 //! edges); proptest-generated fault plans; event-driven relays; and worker
-//! pools of 1, 4, and 8 threads.
+//! pools of 1, 4, and 8 threads. The fault plan alone picks the feed, so
+//! flat-feed cases without faults run a plan that faults nothing
+//! ([`flat_feed`]).
 
 use super::{assert_lockstep, Reference};
 use crate::adversary::{Adversary, ByzantineContext, FullInfoView, NullAdversary};
@@ -143,7 +145,7 @@ fn relay(u: NodeId, init: &NodeInit) -> FrontierRelay {
     }
 }
 
-/// Beacon spam without observation: every Byzantine node broadcasts a
+/// Beacon spam that ignores the traffic: every Byzantine node broadcasts a
 /// fresh random beacon on two rounds out of three, twice on every fifth
 /// round — overflowing the table paths' Byzantine budget (one message per
 /// Byzantine-incident edge), so the outbox feed's flat fallback runs
@@ -163,16 +165,12 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for BeaconSpam {
             }
         }
     }
-
-    fn observes_traffic(&self) -> bool {
-        false
-    }
 }
 
-/// Two fresh messages per Byzantine-incident edge every round, without
-/// observing: always over the table paths' Byzantine budget, so every
-/// round with a Byzantine node that has a neighbour takes the outbox
-/// feed's flat fallback.
+/// Two fresh messages per Byzantine-incident edge every round: always
+/// over the table paths' Byzantine budget, so every round with a
+/// Byzantine node that has a neighbour takes the outbox feed's flat
+/// fallback.
 struct DoubleSender;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for DoubleSender {
@@ -183,15 +181,13 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for DoubleSender {
             ctx.broadcast(b, Pid(beacon ^ 1));
         }
     }
-
-    fn observes_traffic(&self) -> bool {
-        false
-    }
 }
 
 /// A rushing adversary that reads the round's in-flight honest traffic
 /// and its own inboxes, outbids the largest value in flight, and sends a
-/// second copy to one neighbour (a same-sender tie).
+/// second copy to one neighbour (a same-sender tie). That puts it over
+/// the table paths' Byzantine budget: on the outbox feed it reads the
+/// outboxes in place, and the round takes the flat fallback.
 struct Rusher;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for Rusher {
@@ -216,6 +212,14 @@ fn config(seed: u64, max_rounds: u64) -> SimConfig {
         record_round_stats: true,
         ..SimConfig::default()
     }
+}
+
+/// `cfg` on the flat feed without a fault: a crash-only plan (no fault
+/// randomness is drawn) whose one crash lies past the last round.
+fn flat_feed(mut cfg: SimConfig) -> SimConfig {
+    let round = cfg.max_rounds + 1;
+    cfg.fault.crashes.push(CrashEvent { round, node: 0 });
+    cfg
 }
 
 /// Runs `factory` against `adversary` on the engine and the reference in
@@ -272,15 +276,13 @@ fn frontier_relay_matches_reference_on_both_feeds() {
             stop_when: StopWhen::MaxRoundsOnly,
             ..config(seed, 60)
         };
-        // BeaconSpam leaves the outbox feed licensed (with its flat
-        // fallback for overflowing rounds)...
-        let mut engine = Execution::new(&g, &byz, relay, BeaconSpam, cfg.clone());
-        let mut reference = Reference::new(&g, &byz, relay, BeaconSpam, cfg.clone());
-        assert_lockstep(&mut engine, &mut reference);
-        // ...while an observing adversary selects the flat feed.
-        let mut engine = Execution::new(&g, &byz, relay, Rusher, cfg.clone());
-        let mut reference = Reference::new(&g, &byz, relay, Rusher, cfg);
-        assert_lockstep(&mut engine, &mut reference);
+        // Without a fault plan the outbox feed runs (with its flat
+        // fallback for overflowing rounds), observed or not; a plan that
+        // faults nothing selects the flat feed.
+        for cfg in [cfg.clone(), flat_feed(cfg)] {
+            check(&g, &byz, relay, || BeaconSpam, cfg.clone());
+            check(&g, &byz, relay, || Rusher, cfg);
+        }
     }
 }
 
@@ -445,9 +447,10 @@ impl Protocol for MixedSends {
 }
 
 /// [`MixedSends`] on both feeds — the outbox feed with and without
-/// Byzantine nodes (table full or compacted, flat fallback) and the flat
-/// feed with an observing adversary and under a fault plan — in pools of
-/// 1, 4, and 8 workers. On the torus and on the multigraph alike the even
+/// Byzantine nodes (table full or compacted, flat fallback), also under
+/// an observing adversary, and the flat feed under an observing
+/// adversary with a plan that faults nothing and under a fault plan — in
+/// pools of 1, 4, and 8 workers. On the torus and on the multigraph alike the even
 /// rounds are full table rounds: `send` resolves a doubled neighbour to
 /// the first slot of the parallel edge.
 #[test]
@@ -475,6 +478,7 @@ fn mixed_send_shapes_match_reference_on_both_feeds() {
             check(&g, &[], mixed, || NullAdversary, cfg.clone());
             check(&g, &byz, mixed, || BeaconSpam, cfg.clone());
             check(&g, &byz, mixed, || Rusher, cfg.clone());
+            check(&g, &byz, mixed, || Rusher, flat_feed(cfg.clone()));
             check(&g, &byz, mixed, || BeaconSpam, faulty.clone());
         });
     }
@@ -483,6 +487,10 @@ fn mixed_send_shapes_match_reference_on_both_feeds() {
 /// The rushing view itself: an observing adversary sees, round by round,
 /// exactly the `(from, to, msg)` vector the reference builds — in node
 /// order, after the fault pass — and never an empty honest round here.
+/// It broadcasts once per Byzantine node, within the table paths'
+/// budget, so on the outbox feed (no plan) it reads the full outboxes of
+/// table rounds; a plan that faults nothing and a faulty plan run the
+/// flat feed.
 #[test]
 fn observing_adversary_sees_the_reference_traffic() {
     type Seen = Rc<RefCell<Vec<Vec<(NodeId, NodeId, Pid)>>>>;
@@ -511,11 +519,11 @@ fn observing_adversary_sees_the_reference_traffic() {
         delay_per_mille: 100,
         delay_rounds: 2,
     };
-    for plan in [FaultPlan::default(), faulty] {
-        let cfg = SimConfig {
-            fault: plan,
-            ..config(5, 6)
-        };
+    let faulty = SimConfig {
+        fault: faulty,
+        ..config(5, 6)
+    };
+    for cfg in [config(5, 6), flat_feed(config(5, 6)), faulty] {
         let (engine_seen, reference_seen) = (Seen::default(), Seen::default());
         let mut engine = Execution::new(
             &g,
@@ -648,7 +656,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// Same-sender ties on both traffic classes: honest multi-sends with
-    /// distinct payloads, and Byzantine double sends, silent or observing.
+    /// distinct payloads, and Byzantine double sends, silent or observing
+    /// (bit 0 of `shape`), on either feed (bit 1 adds a plan that faults
+    /// nothing).
     #[test]
     fn multi_send_ties_match_reference(
         seed in 0u64..1_000_000,
@@ -656,7 +666,7 @@ proptest! {
         kind in 0u8..4,
         byz_count in 0usize..4,
         rounds in 1u64..10,
-        observe: bool,
+        shape in 0u8..4,
     ) {
         let g = build_graph(kind, n, seed);
         let n = g.len();
@@ -664,8 +674,9 @@ proptest! {
             .map(|i| NodeId((i * n / byz_count.max(1)) as u32))
             .collect();
         let cfg = SimConfig { stop_when: StopWhen::MaxRoundsOnly, ..config(seed, rounds) };
+        let cfg = if shape & 2 != 0 { flat_feed(cfg) } else { cfg };
         let spray = |_: NodeId, init: &NodeInit| SprayFlood { acc: init.pid.0 };
-        if observe {
+        if shape & 1 != 0 {
             check(&g, &byz, spray, || Rusher, cfg);
         } else {
             check(&g, &byz, spray, || BeaconSpam, cfg);
@@ -676,7 +687,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Random-subset unicasts on every graph family, H(n, 8) included.
+    /// Random-subset unicasts on every graph family, H(n, 8) included,
+    /// each at `n` and at `n + 64` nodes: past the honest compute's
+    /// 64-node leaf floor, so the pool of four really forks.
     #[test]
     fn subset_unicasts_match_reference(
         seed in 0u64..1_000_000,
@@ -685,12 +698,14 @@ proptest! {
         byz_count in 1usize..4,
         rounds in 1u64..10,
     ) {
-        let g = build_graph(kind, n, seed);
-        let n = g.len();
-        let byz: Vec<NodeId> = (0..byz_count.min(n - 1))
-            .map(|i| NodeId((i * n / byz_count) as u32))
-            .collect();
-        check_subset_unicasts(&g, &byz, seed, rounds);
+        for n in [n, n + 64] {
+            let g = build_graph(kind, n, seed);
+            let n = g.len();
+            let byz: Vec<NodeId> = (0..byz_count.min(n - 1))
+                .map(|i| NodeId((i * n / byz_count) as u32))
+                .collect();
+            check_subset_unicasts(&g, &byz, seed, rounds);
+        }
     }
 }
 

@@ -7,9 +7,10 @@
 //! The honest compute phase always goes through the pool's splitter: a
 //! one-thread pool runs it as one leaf over every node, and a wider pool
 //! forks it across the workers; the merge and delivery stay serial on
-//! both feeds. `NoisyEcho` declares
-//! `observes_traffic() == false` and so runs the outbox feed; `NoisyRusher`
-//! reads the in-flight honest traffic and so runs the flat feed. The same
+//! both feeds. The fault plan alone picks the feed: `NoisyEcho` runs the
+//! outbox feed, and `NoisyRusher`, which reads the in-flight honest
+//! traffic, runs it too and the flat feed under a plan that faults
+//! nothing (one crash past the last round). The same
 //! workload shapes are also diffed round by round against the crate's
 //! reference executor in its unit tests (`src/reference/tests.rs`), which
 //! an integration test cannot reach.
@@ -66,7 +67,7 @@ impl Protocol for JitterFlood {
 }
 
 /// A rushing adversary with its own randomness that never reads
-/// `honest_outgoing`, and says so — the outbox feed. The double broadcast
+/// `honest_outgoing`. The double broadcast
 /// every fifth round overflows the table paths' Byzantine budget (one
 /// message per Byzantine-incident edge), forcing those rounds through the
 /// flat fallback.
@@ -85,14 +86,11 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for NoisyEcho {
             }
         }
     }
-
-    fn observes_traffic(&self) -> bool {
-        false
-    }
 }
 
 /// A rushing adversary that outbids the largest value in flight — it
-/// reads `honest_outgoing`, so the engine runs the flat feed.
+/// reads `honest_outgoing`, in place on the outbox feed and as the
+/// merged vector on the flat feed.
 struct NoisyRusher;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for NoisyRusher {
@@ -105,12 +103,20 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for NoisyRusher {
     }
 }
 
+/// Runs 60 rounds at most; `flat` selects the flat feed with a fault
+/// plan that faults nothing: its one crash lies past the last round, and
+/// a crash-only plan draws no fault randomness.
 fn run<A: Adversary<JitterFlood>>(
     g: &Graph,
     byz: &[NodeId],
     seed: u64,
     adversary: A,
+    flat: bool,
 ) -> SimReport<u64> {
+    let mut fault = FaultPlan::default();
+    if flat {
+        fault.crashes.push(CrashEvent { round: 61, node: 0 });
+    }
     let mut sim = Execution::new(
         g,
         byz,
@@ -124,6 +130,7 @@ fn run<A: Adversary<JitterFlood>>(
             seed,
             max_rounds: 60,
             record_round_stats: true,
+            fault,
             ..SimConfig::default()
         },
     );
@@ -152,10 +159,15 @@ fn assert_identical(a: &SimReport<u64>, b: &SimReport<u64>) {
 
 /// A four-worker pool against a one-thread pool on both feeds.
 fn assert_parallel_matches_serial(g: &Graph, byz: &[NodeId], seed: u64) {
-    let serial = in_pool(1, || run(g, byz, seed, NoisyEcho));
-    assert_identical(&serial, &in_pool(4, || run(g, byz, seed, NoisyEcho)));
-    let serial = in_pool(1, || run(g, byz, seed, NoisyRusher));
-    assert_identical(&serial, &in_pool(4, || run(g, byz, seed, NoisyRusher)));
+    let serial = in_pool(1, || run(g, byz, seed, NoisyEcho, false));
+    assert_identical(&serial, &in_pool(4, || run(g, byz, seed, NoisyEcho, false)));
+    for flat in [false, true] {
+        let serial = in_pool(1, || run(g, byz, seed, NoisyRusher, flat));
+        assert_identical(
+            &serial,
+            &in_pool(4, || run(g, byz, seed, NoisyRusher, flat)),
+        );
+    }
 }
 
 #[test]
@@ -195,12 +207,12 @@ fn parallel_is_pool_size_invariant() {
     let mut rng = ChaCha8Rng::seed_from_u64(42);
     let g = hnd(160, 8, &mut rng).unwrap();
     let byz = [NodeId(5), NodeId(80)];
-    let echo = in_pool(1, || run(&g, &byz, 42, NoisyEcho));
-    let rusher = in_pool(1, || run(&g, &byz, 42, NoisyRusher));
+    let echo = in_pool(1, || run(&g, &byz, 42, NoisyEcho, false));
+    let rusher = in_pool(1, || run(&g, &byz, 42, NoisyRusher, true));
     for threads in [2usize, 4, 8] {
         in_pool(threads, || {
-            assert_identical(&echo, &run(&g, &byz, 42, NoisyEcho));
-            assert_identical(&rusher, &run(&g, &byz, 42, NoisyRusher));
+            assert_identical(&echo, &run(&g, &byz, 42, NoisyEcho, false));
+            assert_identical(&rusher, &run(&g, &byz, 42, NoisyRusher, true));
         });
     }
 }

@@ -59,9 +59,9 @@ impl Protocol for FaultFlood {
     }
 }
 
-/// A rushing adversary with its own RNG stream; it does not observe
-/// traffic, so without a fault plan the engine would run the outbox feed
-/// — which is exactly what the non-empty plan must override.
+/// A rushing adversary with its own RNG stream. Without a fault plan the
+/// engine would run the outbox feed; the non-empty plan selects the flat
+/// feed.
 struct NoisyEcho;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for NoisyEcho {
@@ -73,10 +73,6 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for NoisyEcho {
         for b in view.byzantine_nodes() {
             ctx.broadcast(b, fake);
         }
-    }
-
-    fn observes_traffic(&self) -> bool {
-        false
     }
 }
 

@@ -186,7 +186,9 @@ fn outbox_feed_broadcasts_clone_no_payload() {
 #[test]
 fn event_driven_relay_clones_no_payload() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let g = cycle(64).unwrap();
+    // 160 nodes: past the honest compute's 64-node leaf floor, so a pool
+    // of four forks it.
+    let g = cycle(160).unwrap();
     let sim = Execution::new(
         &g,
         &[],

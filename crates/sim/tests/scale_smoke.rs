@@ -1,9 +1,9 @@
 //! Large-`n` smoke test for the scale tier: builds an H(n, 8) random
 //! regular graph at n = 65536 through the streaming CSR path, runs a few
 //! rounds through the compact-plane engine on both feeds (the outbox feed
-//! under a non-observing adversary, the flat feed selected by an
-//! observing one), checks that they agree, and holds the process's peak
-//! RSS under a budget.
+//! without a fault plan, the flat feed selected by a plan that faults
+//! nothing), checks that they agree, and holds the process's peak RSS
+//! under a budget.
 //!
 //! Ignored by default (it is a memory test, and peak RSS is a
 //! process-global high-water mark that other tests in the same process
@@ -65,15 +65,14 @@ impl Protocol for Wave {
     }
 }
 
-/// Silent, but observing (the default `observes_traffic() == true`):
-/// selects the flat feed.
-struct Watcher;
-
-impl Adversary<Wave> for Watcher {
-    fn on_round(&mut self, _view: &FullInfoView<'_, Wave>, _ctx: &mut ByzantineContext<'_, Pid>) {}
-}
-
-fn run_wave<A: Adversary<Wave>>(g: &bcount_graph::Graph, adversary: A) -> SimReport<u64> {
+/// Eight rounds of the wave; `flat` selects the flat feed with a fault
+/// plan that faults nothing: its one crash lies past the last round, and
+/// a crash-only plan draws no fault randomness.
+fn run_wave(g: &bcount_graph::Graph, flat: bool) -> SimReport<u64> {
+    let mut fault = FaultPlan::default();
+    if flat {
+        fault.crashes.push(CrashEvent { round: 9, node: 0 });
+    }
     Execution::new(
         g,
         &[NodeId(3), NodeId(40_000)],
@@ -81,11 +80,12 @@ fn run_wave<A: Adversary<Wave>>(g: &bcount_graph::Graph, adversary: A) -> SimRep
             source: u.index() % 4096 == 0,
             heard: 0,
         },
-        adversary,
+        NullAdversary,
         SimConfig {
             seed: 7,
             max_rounds: 8,
             stop_when: StopWhen::MaxRoundsOnly,
+            fault,
             ..SimConfig::default()
         },
     )
@@ -101,8 +101,8 @@ fn scale_65536_smoke_under_rss_budget() {
     assert_eq!(g.len(), n);
     assert!(g.degree_sum() >= 8 * n, "8 random cycles worth of edges");
 
-    let flat = run_wave(&g, Watcher);
-    let outbox = run_wave(&g, NullAdversary);
+    let flat = run_wave(&g, true);
+    let outbox = run_wave(&g, false);
     assert_eq!(flat.rounds, 8);
     assert_eq!(flat.outputs, outbox.outputs);
     assert_eq!(

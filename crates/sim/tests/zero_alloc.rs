@@ -209,6 +209,16 @@ fn chatter_config() -> SimConfig {
     }
 }
 
+/// [`chatter_config`] on the flat feed without a fault: a crash-only plan
+/// (no fault randomness is drawn) whose one crash lies past any round
+/// these tests reach.
+fn flat_config() -> SimConfig {
+    let mut cfg = chatter_config();
+    let round = u64::MAX;
+    cfg.fault.crashes.push(CrashEvent { round, node: 0 });
+    cfg
+}
+
 /// The outbox feed (`NullAdversary` licenses it): the full table path
 /// without Byzantine nodes, and with a silent Byzantine node (whose
 /// unfilled table positions make every round a compacted one) the
@@ -229,11 +239,11 @@ fn assert_zero_alloc_outbox_feed(byz: bool) {
     assert_steady_state_allocation_free(sim, &format!("outbox feed, byz={}", !byz.is_empty()));
 }
 
-/// An observing adversary (the default `observes_traffic() == true`,
-/// which selects the flat feed): it reads the round's in-flight honest
-/// traffic and, with `burst` set, answers from every Byzantine node with
-/// two messages per incident edge — more than the outbox feed's table
-/// paths would take.
+/// An observing adversary: it walks the round's in-flight honest traffic
+/// (the outboxes in place on the outbox feed, the merged vector on the
+/// flat feed) and, with `burst` set, answers from every Byzantine node
+/// with two messages per incident edge — more than the outbox feed's
+/// table paths would take.
 /// It answers with two [`ByzantineContext::broadcast`]s, which walk the
 /// graph's neighbour spans in place.
 struct Observer {
@@ -242,7 +252,8 @@ struct Observer {
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for Observer {
     fn on_round(&mut self, view: &FullInfoView<'_, P>, ctx: &mut ByzantineContext<'_, Pid>) {
-        let seen = view.honest_outgoing().len() as u64;
+        let traffic = view.honest_outgoing().iter();
+        let seen = traffic.fold(0u64, |acc, (_, _, msg)| acc.wrapping_add(msg.0));
         if !self.burst {
             return;
         }
@@ -253,25 +264,37 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for Observer {
     }
 }
 
-/// The flat feed: a steady broadcast under a silent observer, and a
-/// Byzantine burst every round — the node-order vector, the
-/// count/prefix-sum scatter, and the sort of every span all run on warmed
-/// capacity.
-fn assert_zero_alloc_flat_feed(burst: bool) {
+/// A steady broadcast under a silent observer, and a Byzantine burst
+/// every round. On the outbox feed the observer reads the full outboxes
+/// in place before the compacted table path (silent) or the flat fallback
+/// (burst) delivers them; on the flat feed (a plan that faults nothing
+/// selects it) the node-order vector, the count/prefix-sum scatter, and
+/// the sort of every span all run on warmed capacity.
+fn assert_zero_alloc_observed(flat: bool, burst: bool) {
     let g = cycle(96).unwrap();
+    let cfg = if flat {
+        flat_config()
+    } else {
+        chatter_config()
+    };
     let sim = Execution::new(
         &g,
         &[NodeId(17)],
         |_, init| Chatter(init.pid),
         Observer { burst },
-        chatter_config(),
+        cfg,
     );
-    assert_steady_state_allocation_free(sim, &format!("flat feed, burst={burst}"));
+    let feed = if flat {
+        "flat feed"
+    } else {
+        "observed outbox feed"
+    };
+    assert_steady_state_allocation_free(sim, &format!("{feed}, burst={burst}"));
 }
 
-/// Beacon spam that never observes the traffic (so the outbox feed runs):
-/// every Byzantine node broadcasts a fresh beacon every round, one
-/// message per incident edge — within the table paths' Byzantine budget.
+/// Beacon spam that ignores the traffic, on the outbox feed: every
+/// Byzantine node broadcasts a fresh beacon every round, one message per
+/// incident edge — within the table paths' Byzantine budget.
 struct SilentSpam;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for SilentSpam {
@@ -280,10 +303,6 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for SilentSpam {
         for b in view.byzantine_nodes() {
             ctx.broadcast(b, beacon);
         }
-    }
-
-    fn observes_traffic(&self) -> bool {
-        false
     }
 }
 
@@ -328,7 +347,7 @@ fn assert_zero_alloc_fallback() {
 /// its new high-water mark within the first two switched rounds, bounded
 /// by two growths per node plus a few per store — and from then on
 /// nothing allocates. Checked on both feeds.
-fn assert_rewarm_after_unicast_switch(observer: bool) {
+fn assert_rewarm_after_unicast_switch(flat: bool) {
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let g = hnd(96, 8, &mut rng).unwrap();
     let n = g.len() as u64;
@@ -338,8 +357,8 @@ fn assert_rewarm_after_unicast_switch(observer: bool) {
         switch,
     };
     let byz: &[NodeId] = &[NodeId(17)];
-    if observer {
-        let sim = Execution::new(&g, byz, init, Observer { burst: false }, chatter_config());
+    if flat {
+        let sim = Execution::new(&g, byz, init, NullAdversary, flat_config());
         rewarm_then_steady(sim, switch, 2 * n + 16, "flat feed");
     } else {
         let sim = Execution::new(&g, byz, init, NullAdversary, chatter_config());
@@ -396,10 +415,13 @@ fn main() {
         assert_zero_alloc_outbox_feed(true);
         assert_zero_alloc_compacted_spam();
         assert_zero_alloc_fallback();
-        // Flat feed under an observing adversary: steady broadcast, and a
-        // Byzantine burst every round.
-        assert_zero_alloc_flat_feed(false);
-        assert_zero_alloc_flat_feed(true);
+        // An observing adversary on both feeds: steady broadcast, and a
+        // Byzantine burst every round (on the outbox feed, over the
+        // budget: the flat fallback).
+        for flat in [false, true] {
+            assert_zero_alloc_observed(flat, false);
+            assert_zero_alloc_observed(flat, true);
+        }
         // A late switch to per-neighbour unicasts: a bounded
         // re-warm, then zero again.
         assert_rewarm_after_unicast_switch(false);
@@ -407,7 +429,7 @@ fn main() {
     });
     println!(
         "zero_alloc: ok (0 allocations over 200 steady-state rounds; \
-         outbox feed full/compacted/spam/fallback, flat feed steady/burst, \
+         outbox feed full/compacted/spam/fallback/observed, flat feed steady/burst, \
          re-warm after a unicast switch on both feeds; size-1 pool)"
     );
 }

@@ -5,18 +5,17 @@
 //! elements = rounds per iteration), so the perf trajectory of the engine
 //! is one number per graph size. The `reuse_buffers` benchmarks measure
 //! the steady-state round loop alone (one long-lived simulation stepped
-//! in place — the zero-alloc hot path). The fault plan alone picks the
-//! feed of the engine's one message plane. `reuse_buffers` runs the
-//! **outbox feed** (no fault plan); `reuse_buffers_flat` runs the **flat
-//! feed** under a plan that faults nothing (one crash past the last
-//! round), the price of materializing the node-order traffic vector
-//! without link faults; `reuse_buffers_faulty` adds a mixed fault plan to
-//! the flat feed. On this all-broadcast workload every `reuse_buffers`
-//! round is a **full** table round (no hole, no Byzantine traffic);
-//! `reuse_buffers_spam` (n = 1024 and 4096) puts Theorem 2's budget of
-//! Byzantine spammers on the outbox feed, so every round is
-//! a **compacted** table round: hole marking, node-order fill, compaction,
-//! the Byzantine append and the sort of the Byzantine-adjacent spans. The
+//! in place — the zero-alloc hot path). `reuse_buffers` runs without a
+//! fault plan: on this all-broadcast workload every round is a **full**
+//! table round (no hole, no Byzantine traffic). `reuse_buffers_faulty`
+//! adds a mixed fault plan, whose fault pass rewrites the outboxes in
+//! place: its rounds are compacted table rounds, the duplicates and
+//! redeliveries appended behind their spans, and a span they overflow
+//! spilled to the arena's tail. `reuse_buffers_spam` (n = 1024 and
+//! 4096) puts Theorem 2's budget of Byzantine spammers on the engine, so
+//! every round is a **compacted** table round: hole marking, node-order
+//! fill, compaction, the Byzantine append and the sort of the spans it
+//! reaches. The
 //! `full_execution` benchmarks include construction, pid
 //! assignment, and buffer warm-up. With `--features parallel` every lane
 //! runs at the pool's width (`BCOUNT_POOL_THREADS` sizes it): a wider
@@ -126,8 +125,7 @@ fn bench_engine(c: &mut Criterion) {
         });
 
         // The steady-state hot path: one long-lived simulation, buffers
-        // warmed, stepped ROUNDS more rounds per iteration. The outbox
-        // feed (NullAdversary licenses it).
+        // warmed, stepped ROUNDS more rounds per iteration.
         let mut sim = warmed(&g, &[], chatter_config(), NullAdversary);
         group.bench_with_input(BenchmarkId::new("reuse_buffers", n), &n, |b, _| {
             b.iter(|| {
@@ -138,27 +136,12 @@ fn bench_engine(c: &mut Criterion) {
             });
         });
 
-        // Same loop on the flat feed, selected by a crash-only plan whose
-        // one crash never comes: no fault randomness, no crash, only the
-        // node-order traffic vector.
-        let mut flat = chatter_config();
-        let round = u64::MAX;
-        flat.fault.crashes.push(CrashEvent { round, node: 0 });
-        let mut fsim = warmed(&g, &[], flat, NullAdversary);
-        group.bench_with_input(BenchmarkId::new("reuse_buffers_flat", n), &n, |b, _| {
-            b.iter(|| {
-                for _ in 0..ROUNDS {
-                    fsim.step();
-                }
-                fsim.round()
-            });
-        });
-
         // The fault-injection overhead lane: the same steady-state loop
-        // under a mixed drop/dup/delay plan with two early crashes. A
-        // non-empty plan selects the flat feed, so the honest
-        // denominator for this lane is `reuse_buffers_flat` — the delta
-        // is the per-message fault roll plus the pending-delivery queue.
+        // under a mixed drop/dup/delay plan with two early crashes. Its
+        // denominator is `reuse_buffers`: the delta is the per-send fault
+        // roll, the pending-delivery queue, and the compacted table rounds
+        // the faults leave (with spilled spans where the extras overflow
+        // one).
         let mut xsim = warmed(
             &g,
             &[],
@@ -187,11 +170,11 @@ fn bench_engine(c: &mut Criterion) {
             });
         });
 
-        // The outbox feed with Byzantine traffic: Theorem 2's budget of
+        // Byzantine traffic: Theorem 2's budget of
         // spammers spread over the id space, as in Algorithm 2's
         // beacon-spam cells. Their silent honest slots leave holes, so
         // every round takes the compacted table path (fill, compaction,
-        // Byzantine append, sort of the Byzantine-adjacent spans).
+        // Byzantine append, sort of the spans it reaches).
         if n >= 1024 {
             let byz = spread_byzantine(n, theorem2_budget(n, 0.05));
             let mut bsim = warmed(&g, &byz, chatter_config(), Spammer(0));
@@ -207,8 +190,8 @@ fn bench_engine(c: &mut Criterion) {
     }
 
     // Scale tier: the compact-plane steady state at 2^16 and 2^20 nodes,
-    // outbox feed only — the small-n lanes above already price the flat
-    // feed, and one long-lived simulation per size keeps the group's
+    // without faults — the small-n lanes above already price the fault
+    // pass, and one long-lived simulation per size keeps the group's
     // footprint bounded. Fewer rounds per
     // iteration than the small lanes: a full-broadcast round at n = 2^20
     // moves ~8.4M messages, so 4 rounds is already a meaty iteration.

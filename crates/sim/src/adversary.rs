@@ -27,6 +27,7 @@
 use bcount_graph::{Graph, NodeId};
 use rand_chacha::ChaCha8Rng;
 
+use crate::fault::DUPLICATE;
 use crate::idspace::{Pid, PidIndex};
 use crate::message::{DeliveryMap, Inbox, InboxesView};
 use crate::protocol::{Outbox, Protocol};
@@ -113,19 +114,20 @@ impl<'a, P: Protocol> FullInfoView<'a, P> {
 /// one `(from, to, &msg)` entry per message, in node order.
 ///
 /// The view borrows the engine's state in place and copies nothing. It
-/// reads the honest outboxes, resolving each send's neighbour slot
-/// through the [`DeliveryMap`], then the merged node-order vector of
-/// `(from, to, payload reference)`. At most one of the two holds the
-/// round: without a fault plan the outboxes stay full until delivery,
-/// which runs after the adversary commits; under a fault plan the merge
-/// has already drained them into the vector, which the fault pass then
-/// rewrote. Either way the sequence is the one the model defines.
+/// reads the honest outboxes as the fault pass left them — the outboxes
+/// stay full until delivery, which runs after the adversary commits —
+/// resolving each send's neighbour slot through the [`DeliveryMap`] and
+/// yielding a send marked as duplicated twice. Then it reads this round's
+/// redeliveries, `(from, to, payload reference)` entries in the order they
+/// were withheld. That is the sequence the model defines: node order and
+/// send order, each duplicate right after its original, the
+/// redeliveries last.
 pub struct HonestTraffic<'a, M> {
     pub(crate) outboxes: &'a [Outbox<M>],
     pub(crate) routes: &'a DeliveryMap,
     pub(crate) sends: &'a [(NodeId, NodeId, u32)],
     pub(crate) payloads: &'a [M],
-    /// Messages in flight, counted by the merge.
+    /// Messages in flight, counted by the merge and the fault pass.
     pub(crate) len: usize,
 }
 
@@ -140,8 +142,8 @@ impl<M> Clone for HonestTraffic<'_, M> {
 impl<M> Copy for HonestTraffic<'_, M> {}
 
 impl<'a, M> HonestTraffic<'a, M> {
-    /// A view of a node-order vector alone, for the reference executor,
-    /// which routes without a [`DeliveryMap`].
+    /// A view of a node-order vector alone (read as the redeliveries are),
+    /// for the reference executor, which routes without a [`DeliveryMap`].
     #[cfg(test)]
     pub(crate) fn flat(sends: &'a [(NodeId, NodeId, u32)], payloads: &'a [M]) -> Self {
         static NO_ROUTES: DeliveryMap = DeliveryMap::EMPTY;
@@ -175,15 +177,17 @@ impl<'a, M> HonestTraffic<'a, M> {
         } = self;
         let queued = outboxes.iter().enumerate().flat_map(move |(u, outbox)| {
             let targets = routes.targets_of(u);
-            outbox.sends.iter().map(move |&(slot, payload)| {
-                let msg = &outbox.payloads[payload as usize];
-                (NodeId(u as u32), targets[slot as usize].to, msg)
+            outbox.sends.iter().flat_map(move |&(slot, payload)| {
+                let msg = &outbox.payloads[(payload & !DUPLICATE) as usize];
+                let copies = 1 + usize::from(payload & DUPLICATE != 0);
+                let sent = (NodeId(u as u32), targets[slot as usize].to, msg);
+                std::iter::repeat_n(sent, copies)
             })
         });
-        let merged = sends
+        let redelivered = sends
             .iter()
             .map(move |&(from, to, payload)| (from, to, &payloads[payload as usize]));
-        queued.chain(merged)
+        queued.chain(redelivered)
     }
 }
 

@@ -52,63 +52,52 @@
 //! rounds (every node merges whole topology views), while Algorithm 2's
 //! cheap rounds are bound by the message plane.
 //!
-//! # One plane, two feeds
+//! # One feed, two placements
 //!
-//! The arena is the only delivered-message plane. What differs between
-//! executions is how a round's honest traffic *reaches* it, and the engine
-//! picks that **feed** once, at construction, from the
-//! [`SimConfig::fault`] plan alone:
+//! The arena is the only delivered-message plane, and every round's
+//! honest traffic reaches it the same way: the outboxes stay full until
+//! delivery. The merge only scans them (metrics, and whether each
+//! outbox's slots strictly increase). With a non-empty
+//! [`SimConfig::fault`] plan the **fault pass** then rewrites them in
+//! place, in node order and send order: a dropped or delayed send is
+//! removed, a duplicated one is marked with `DUPLICATE`, and the
+//! delayed messages that come due are queued as redeliveries. The rushing
+//! adversary reads the outboxes in place ([`FullInfoView::honest_outgoing`]
+//! resolves each send's slot through the [`DeliveryMap`], yields a marked
+//! send twice, then the redeliveries); delivery runs after it commits.
+//! The round's shape picks one of two placements:
 //!
-//! * **Outbox feed** — the plan is empty. Nothing rewrites the round's
-//!   traffic, so the outboxes stay full until delivery, and the rushing
-//!   adversary reads them in place ([`FullInfoView::honest_outgoing`]
-//!   resolves each send's slot through the [`DeliveryMap`]; delivery runs
-//!   after the adversary commits). A table round's delivery reads the
-//!   outboxes directly and places every span's honest messages in
-//!   **sender-pid order**. The canonical inbox order is
-//!   stable-by-sender-pid, so every span is then sorted as placed, and the
-//!   counting sort (and its rank tag) runs only at Byzantine-adjacent
-//!   spans — edge locality bounds that set at construction. The merge
-//!   only scans the outboxes (metrics, and whether each outbox's slots
-//!   strictly increase), and the round's shape picks one of two
-//!   placements:
-//!   1. a **table round** (each outbox's slots strictly increasing — every
-//!      send resolves to the first slot of a distinct neighbour — and
-//!      Byzantine traffic within one message per Byzantine-incident edge)
-//!      places through the **slot → position table**, built once per
-//!      execution:
-//!      the first slot of each distinct neighbour owns the position
-//!      `deg_offsets[to] + rank` of its destination's degree-prefix span.
-//!      Outboxes drain in natural node order, one table load and one
-//!      reference write per message. A **full** round (every table
-//!      position filled, no Byzantine traffic — the steady state of
-//!      flooding protocols) is then done: sender plane and span lengths
-//!      are static. Otherwise the round is **compacted**: positions no
-//!      send wrote keep a hole mark, and one sequential pass closes each
-//!      span's holes, copying the static senders, and appends the
-//!      Byzantine traffic;
-//!   2. anything else (slots out of order — several sends to one
-//!      neighbour, or sends out of neighbour order — or a Byzantine burst
-//!      over the budget) takes the **flat feed's placement**: the
-//!      still-full outboxes drain in node order into the flat vector (the
-//!      merge's metrics stand) and go through the flat feed's delivery
-//!      below.
-//! * **Flat feed** — a non-empty fault plan, which rewrites the round's
-//!   traffic before the adversary sees it. The merge drains every outbox
-//!   **in node order** into the flat `honest_outgoing` vector of
-//!   `(from, to, payload reference)` (the payloads move into the staged
-//!   arena's store); the fault pass and the adversary's view run on it
-//!   exactly as built (fault rolls and the adversary's view are defined on
-//!   node order, so it is never reordered; a duplicate copies a reference,
-//!   not a payload); then the
-//!   vector and the Byzantine traffic go through one count → prefix-sum →
-//!   scatter: count messages per destination, prefix-sum the tallies into
-//!   packed spans and write cursors, scatter every message once into its
-//!   final slot. Node order is not pid order, so *every* non-empty span is
-//!   counting-sorted, not only the Byzantine-adjacent ones.
+//! 1. a **table round** (each outbox's slots strictly increasing — every
+//!    send resolves to the first slot of a distinct neighbour) places
+//!    through the **slot → position table**, built once per execution:
+//!    the first slot of each distinct neighbour owns the position
+//!    `deg_offsets[to] + rank` of its destination's degree-prefix span.
+//!    Outboxes drain in natural node order, one table load and one
+//!    reference write per message, so every span's honest messages land
+//!    in **sender-pid order** — the canonical inbox order is
+//!    stable-by-sender-pid. A **full** round (every table position filled,
+//!    nothing faulted, no Byzantine traffic — the steady state of flooding
+//!    protocols) is then done: sender plane and span lengths are static.
+//!    Otherwise the round is **compacted**: positions no send wrote keep a
+//!    hole mark, one sequential pass closes each span's holes, copying the
+//!    static senders, and the round's **extras** — duplicates, due
+//!    redeliveries and Byzantine traffic — are appended behind their
+//!    spans, which alone are rank-tagged and counting-sorted. A span has
+//!    room for its node's degree; one whose kept messages and extras need
+//!    more **spills**: it closes up at the arena's tail instead;
+//! 2. a round the table cannot place (slots out of order — several sends
+//!    to one neighbour, or sends out of neighbour order) takes the **flat
+//!    placement**: the outboxes drain in node order into the flat
+//!    `honest_outgoing` vector of `(from, to, payload reference)` (a
+//!    marked send as two entries, the redeliveries behind), which goes
+//!    with the Byzantine traffic through
+//!    one count → prefix-sum → scatter: count messages per destination,
+//!    prefix-sum the tallies into packed spans and write cursors, scatter
+//!    every message once into its final slot. Node order is not pid
+//!    order, so *every* non-empty span is then counting-sorted.
 //!
-//! Transcripts never depend on the feed, the round shape, or the pool
-//! size: every path is stable per sender and lands each inbox in the
+//! Transcripts never depend on the placement, the round shape, or the
+//! pool size: every path is stable per sender and lands each inbox in the
 //! canonical order. The crate's unit tests diff the engine, inbox
 //! by inbox at every round, against a literal reference executor that
 //! uses none of this machinery (no delivery map, ranks, or arena);
@@ -122,7 +111,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::adversary::{Adversary, ByzantineContext, FullInfoView, HonestTraffic};
-use crate::fault::{CrashEvent, FaultPlan};
+use crate::fault::{CrashEvent, FaultPlan, DUPLICATE};
 use crate::idspace::{assign_pids, Pid, PidIndex, SenderRanks};
 use crate::message::{push_payload, DeliveryMap, Inbox, InboxArena, MessageSize};
 use crate::metrics::Metrics;
@@ -203,9 +192,9 @@ pub struct SimConfig {
     /// [`Metrics::round_trace`].
     pub record_round_stats: bool,
     /// Deterministic fault-injection plan; see [`crate::fault::FaultPlan`].
-    /// It alone picks the feed: a non-empty plan selects the flat feed
-    /// (the fault pass rewrites the node-order traffic vector), the empty
-    /// default the outbox feed; see the [module docs](self).
+    /// A non-empty plan turns on the crash pass and the fault pass, which
+    /// rewrites the outboxes in place before the adversary sees them; the
+    /// empty default runs neither. See the [module docs](self).
     pub fault: FaultPlan,
 }
 
@@ -306,22 +295,18 @@ pub struct Execution<G, P: Protocol, A> {
     arena: InboxArena<P::Message>,
     /// Arena staging for the round in flight.
     arena_staged: InboxArena<P::Message>,
-    /// Per-destination message tallies of the flat feed's placement —
-    /// counted by [`Execution::deliver_flat`], consumed (as write
-    /// cursors) by the prefix-sum placement and scatter, then re-zeroed.
-    /// A table round borrows it as the Byzantine-budget tally.
+    /// Per-destination message tallies of the flat placement — counted by
+    /// [`Execution::deliver_flat`], consumed (as write cursors) by the
+    /// prefix-sum placement and scatter, then re-zeroed. A table round
+    /// borrows it as the per-span extras tally, which the compaction reads
+    /// and the sort re-zeroes.
     dest_counts: Vec<u32>,
     /// The static per-node arena offsets, precomputed once per execution
     /// as the prefix sums of the [`DeliveryMap`] in-degrees — the table
     /// paths' placement (a table round delivers at most one honest message
-    /// per distinct honest neighbour, plus Byzantine traffic within
-    /// `byz_in_degree`, so every span fits its in-degree).
+    /// per distinct honest neighbour; a span whose extras overflow its
+    /// in-degree spills past the prefix).
     deg_offsets: Vec<u32>,
-    /// Per-node count of incident edges whose other endpoint is Byzantine
-    /// (with multiplicity) — the table paths' bound on how much Byzantine
-    /// traffic a span can absorb after the honest messages. Outbox feed
-    /// only.
-    byz_in_degree: Vec<u32>,
     /// The **slot → position table** of the table paths, indexed by
     /// delivery-map slot: the arena position a send through the first
     /// slot of each distinct neighbour takes, `deg_offsets[to] + rank`
@@ -329,31 +314,31 @@ pub struct Execution<G, P: Protocol, A> {
     /// there), so every distinct sender owns one position of its
     /// destination's span, in sender-pid order. A repeated slot of a
     /// parallel edge holds [`HOLE`]: [`NodeContext::send`] and
-    /// [`NodeContext::broadcast`] never resolve to one. Outbox feed only.
+    /// [`NodeContext::broadcast`] never resolve to one.
     slot_pos: Vec<u32>,
     /// Per-node inbox length of a full round (distinct in-degree): the
-    /// table positions each span owns. Outbox feed only.
+    /// table positions each span owns.
     full_lens: Vec<u32>,
     /// The sender plane of a full round — the dense sender node id at
     /// every table position (the [`Pid`] table widens at the inbox
     /// boundary). A full round copies it into an arena once, and it stays
     /// invariant across consecutive full rounds; a compacted round reads
-    /// it for every message it keeps. Outbox feed only.
+    /// it for every message it keeps.
     static_senders: Vec<NodeId>,
     /// Whether each outbox's slots strictly increase this round (set by
-    /// the merge's scan). Every send goes through a first slot, so that is
-    /// at most one message per distinct directed edge, each with its own
-    /// table position — the precondition of the table paths. Any other
-    /// round takes the flat feed's placement.
+    /// the merge's scan; the fault pass keeps it). Every send goes through
+    /// a first slot, so that is at most one message per distinct directed
+    /// edge, each with its own table position — the precondition of the
+    /// table paths. Any other round takes the flat placement.
     table_round: bool,
     /// Per-node outgoing scratch lent to [`NodeContext`] each round:
     /// (neighbour slot, payload index) sends plus the payload plane.
     outboxes: Vec<Outbox<P::Message>>,
-    /// Merged honest traffic of the round in flight, in node order, as
-    /// (from, to, index into the staged arena's payload store). Filled by
-    /// the flat feed's merge; on the outbox feed it stays empty until a
-    /// round the table cannot place drains its outboxes into it at
-    /// delivery — after the adversary read the outboxes in place.
+    /// Honest traffic outside the outboxes, as (from, to, index into the
+    /// staged arena's payload store): the round's due redeliveries, queued
+    /// by the fault pass; at delivery, the duplicates a table round
+    /// appends, or every message of a flat-placed round, drained from the
+    /// outboxes in node order, with the redeliveries moved behind them.
     honest_outgoing: Vec<(NodeId, NodeId, u32)>,
     /// Destination sender-ranks aligned entry-for-entry with
     /// `honest_outgoing` (kept separate so the adversary's view of the
@@ -363,29 +348,18 @@ pub struct Execution<G, P: Protocol, A> {
     byz_outgoing: Vec<(NodeId, NodeId, P::Message)>,
     /// Destination sender-ranks aligned with `byz_outgoing`.
     byz_ranks: Vec<u32>,
-    /// Per-node permutation scratch for the in-place counting sort of
-    /// that node's span.
-    inbox_pos: Vec<Vec<u32>>,
+    /// Permutation scratch for the in-place counting sort of one span
+    /// (delivery is serial, so one serves every span).
+    inbox_pos: Vec<u32>,
     /// Flat per-(destination, distinct sender) counters, CSR-aligned with
     /// `sender_ranks`; zeroed between uses.
     sender_counts: Vec<u32>,
-    /// Honest messages merged this round — tracked explicitly because the
-    /// outbox feed never materializes them as a flat vector; the
-    /// adversary's [`HonestTraffic::len`].
+    /// Honest messages in flight this round: the merge's count, as the
+    /// fault pass leaves it — the adversary's [`HonestTraffic::len`].
     round_honest_messages: u64,
-    /// Per node: whether any graph neighbour is Byzantine — i.e. whether
-    /// this inbox can *ever* receive Byzantine traffic (edge locality).
-    /// Only these inboxes need rank tags and a counting sort on the
-    /// outbox feed.
-    byz_adjacent: Vec<bool>,
-    /// The indices where `byz_adjacent` holds, so the per-round sort loop
-    /// walks only the nodes that need sorting.
-    byz_adjacent_nodes: Vec<u32>,
     /// Whether [`SimConfig::fault`] is non-empty — resolved once at
-    /// construction. It picks the feed ([`Execution::outbox_feed`]): a
-    /// non-empty plan selects the flat feed (so all fault logic runs on
-    /// the node-order traffic vector) and turns on the crash/fault hooks
-    /// in [`Execution::step`].
+    /// construction. It turns on the crash pass and the fault pass in
+    /// [`Execution::step`].
     faults_active: bool,
     /// The dedicated fault stream ([`FaultPlan::seed`]); untouched when
     /// the plan is empty, so no-fault transcripts are unchanged.
@@ -401,11 +375,6 @@ pub struct Execution<G, P: Protocol, A> {
     /// Delayed messages awaiting redelivery, in due-round order (the
     /// constant per-plan delay makes push order due-order).
     delayed: std::collections::VecDeque<Delayed<P::Message>>,
-    /// Scratch for the fault phase's filtered rebuild of
-    /// `honest_outgoing` (swapped, never reallocated in steady state).
-    fault_scratch: Vec<(NodeId, NodeId, u32)>,
-    /// Rank scratch aligned with `fault_scratch`.
-    fault_scratch_ranks: Vec<u32>,
     decided_round: Vec<Option<u64>>,
     halted: Vec<bool>,
     metrics: Metrics,
@@ -413,8 +382,8 @@ pub struct Execution<G, P: Protocol, A> {
 }
 
 /// A delayed message in the pending-redelivery queue: the round it
-/// becomes deliverable, plus the routed message exactly as the merge
-/// produced it. It owns a clone of its payload (the round's payload store
+/// becomes deliverable, plus the send routed through the delivery map. It
+/// owns a clone of its payload (the round's payload store
 /// is recycled long before the message comes due).
 struct Delayed<M> {
     due: u64,
@@ -496,20 +465,7 @@ where
             );
         }
         let fault_rng = ChaCha8Rng::seed_from_u64(config.fault.seed);
-        // Delivery may read the outboxes directly only when no fault pass
-        // rewrites the round's traffic as the node-order flat vector.
-        let outbox_feed = !faults_active;
         let slot_total = g.degree_sum();
-        let byz_adjacent: Vec<bool> = (0..n)
-            .map(|v| {
-                g.neighbors(NodeId(v as u32))
-                    .any(|w| is_byzantine[w.index()])
-            })
-            .collect();
-        let byz_adjacent_nodes: Vec<u32> = (0..n)
-            .filter(|&v| byz_adjacent[v])
-            .map(|v| v as u32)
-            .collect();
         // Degree-indexed pre-sizing: a node receives (and sends) at most
         // one message per adjacent edge in the ubiquitous
         // broadcast-per-round workloads, so `degree` capacity skips every
@@ -529,61 +485,43 @@ where
                 })
                 .collect()
         };
-        let byz_in_degree: Vec<u32> = if outbox_feed {
-            (0..n)
-                .map(|v| {
-                    g.neighbors(NodeId(v as u32))
-                        .filter(|w| is_byzantine[w.index()])
-                        .count() as u32
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         // The table paths' slot → position table: the first slot of each
         // distinct neighbour places at the destination's degree-prefix
         // offset plus the sender's rank there, so each span's positions
         // run in sender-pid order.
-        let (slot_pos, full_lens, static_senders) = if outbox_feed {
-            let mut slot_pos = vec![HOLE; slot_total];
-            let mut senders = vec![NodeId(0); slot_total];
-            for u in 0..n {
-                let range = delivery_map.slot_range(u);
-                let targets = delivery_map.targets_of(u);
-                for (s, target) in targets.iter().enumerate() {
-                    if s > 0 && targets[s - 1].to == target.to {
-                        continue;
-                    }
-                    let pos = deg_offsets[target.to.index()] + target.rank;
-                    slot_pos[range.start + s] = pos;
-                    senders[pos as usize] = NodeId(u as u32);
+        let mut slot_pos = vec![HOLE; slot_total];
+        let mut static_senders = vec![NodeId(0); slot_total];
+        for u in 0..n {
+            let range = delivery_map.slot_range(u);
+            let targets = delivery_map.targets_of(u);
+            for (s, target) in targets.iter().enumerate() {
+                if s > 0 && targets[s - 1].to == target.to {
+                    continue;
                 }
+                let pos = deg_offsets[target.to.index()] + target.rank;
+                slot_pos[range.start + s] = pos;
+                static_senders[pos as usize] = NodeId(u as u32);
             }
-            let lens = (0..n)
-                .map(|v| sender_ranks.sender_count(NodeId(v as u32)) as u32)
-                .collect();
-            (slot_pos, lens, senders)
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
-        let flat_cap = if outbox_feed { 0 } else { slot_total };
+        }
+        let full_lens = (0..n)
+            .map(|v| sender_ranks.sender_count(NodeId(v as u32)) as u32)
+            .collect();
         // Built before the struct literal: these capacity closures borrow
         // the graph through `g`, and the literal moves `graph` itself.
         // Payload planes warm up with each node's first send, so setup
         // allocates none.
         let outboxes: Vec<Outbox<P::Message>> =
             (0..n).map(|v| Outbox::with_capacity(degree(v))).collect();
-        let inbox_pos: Vec<Vec<u32>> = (0..n)
-            .map(|v| {
-                // Sort scratch: the flat feed sorts every span, the outbox
-                // feed only the Byzantine-adjacent ones.
-                if !outbox_feed || byz_adjacent[v] {
-                    Vec::with_capacity(degree(v))
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
+        // A duplicating plan can deliver up to twice the messages of a
+        // round that sends once per slot, and twice a node's degree into
+        // one span, and it stages its duplicates in `honest_outgoing`.
+        // Reserving that room (address space, not resident memory, until a
+        // round needs it) keeps a rare burst of duplicates from growing a
+        // buffer long after warm-up.
+        let dup_room = usize::from(config.fault.dup_per_mille > 0);
+        let arena_cap = slot_total << dup_room;
+        let staged_cap = arena_cap * dup_room;
+        let inbox_pos = Vec::with_capacity(g.max_degree() << dup_room);
         Execution {
             graph,
             config,
@@ -598,43 +536,32 @@ where
             rngs,
             adversary_rng,
             outboxes,
-            arena: InboxArena::new(n, &deg_offsets, slot_total),
-            arena_staged: InboxArena::new(n, &deg_offsets, slot_total),
+            arena: InboxArena::new(n, &deg_offsets, arena_cap),
+            arena_staged: InboxArena::new(n, &deg_offsets, arena_cap),
             dest_counts: vec![0; n],
             deg_offsets,
-            byz_in_degree,
             slot_pos,
             full_lens,
             static_senders,
             table_round: false,
-            honest_outgoing: Vec::with_capacity(flat_cap),
-            honest_ranks: Vec::with_capacity(flat_cap),
+            honest_outgoing: Vec::with_capacity(staged_cap),
+            honest_ranks: Vec::with_capacity(staged_cap),
             byz_outgoing: Vec::new(),
             byz_ranks: Vec::new(),
             inbox_pos,
             sender_counts,
             round_honest_messages: 0,
-            byz_adjacent,
-            byz_adjacent_nodes,
             faults_active,
             fault_rng,
             crash_schedule,
             crash_cursor: 0,
             crashed: vec![false; n],
             delayed: std::collections::VecDeque::new(),
-            fault_scratch: Vec::new(),
-            fault_scratch_ranks: Vec::new(),
             decided_round: vec![None; n],
             halted: vec![false; n],
             metrics: Metrics::new(n),
             round: 0,
         }
-    }
-
-    /// Whether honest traffic reaches the arena through the outbox feed:
-    /// exactly when the fault plan is empty. See the [module docs](self).
-    fn outbox_feed(&self) -> bool {
-        !self.faults_active
     }
 
     /// Current round (0 before the first [`Execution::step`]).
@@ -677,12 +604,11 @@ where
     /// Runs one round unless the execution is already finished. Returns
     /// the stop reason if the execution is (or just) finished.
     ///
-    /// A round is honest compute, deterministic merge (the outbox feed's
-    /// scan, or the flat feed's node-order vector), rushing adversary
-    /// phase, delivery. With a non-empty [`SimConfig::fault`] plan,
-    /// scheduled crashes are applied at round start, and the link-fault
-    /// pass (drop/duplicate/delay) rewrites the merged honest traffic
-    /// before the rushing adversary observes it.
+    /// A round is honest compute, deterministic merge (a scan of the
+    /// outboxes), rushing adversary phase, delivery. With a non-empty
+    /// [`SimConfig::fault`] plan, scheduled crashes are applied at round
+    /// start, and the link-fault pass (drop/duplicate/delay) rewrites the
+    /// outboxes before the rushing adversary observes them.
     pub fn step(&mut self) -> Option<StopReason> {
         self.step_rounds(1)
     }
@@ -706,15 +632,13 @@ where
             self.apply_crashes();
         }
         self.honest_phase();
-        self.merge_phase();
-        if self.faults_active {
-            self.fault_phase();
-        }
+        self.merge_arena_count();
+        let faulted = self.faults_active && self.fault_pass();
         self.adversary_phase();
         if self.faults_active {
             self.silence_crashed_byzantine();
         }
-        self.deliver();
+        self.deliver(faulted);
     }
 
     /// Applies every crash event scheduled at or before the current
@@ -734,66 +658,67 @@ where
         }
     }
 
-    /// The link-fault pass: one dedicated-stream draw per merged honest
-    /// message decides drop / duplicate / delay / pass (partitioned in
-    /// that order over `[0, 1000)`), then every delayed message that has
-    /// come due is appended after the fresh traffic. Runs on the flat
-    /// feed (a non-empty plan selects it), after the merge fixed the
-    /// node-order vector and before the rushing adversary observes the
-    /// traffic — the adversary sees what the faulty links actually
-    /// carry. Redelivered messages are never re-faulted. Crash-only plans
-    /// (all rates zero) make no RNG draws at all. Messages are payload
-    /// references into the staged store: a duplicate copies the
-    /// reference, and only a delayed message clones its payload (into the
-    /// redelivery queue; it re-enters the store of its due round).
-    fn fault_phase(&mut self) {
+    /// The link-fault pass: one dedicated-stream draw per send decides
+    /// drop / duplicate / delay / pass (partitioned in that order over
+    /// `[0, 1000)`), over the outboxes in node order and send order — the
+    /// order the model defines. Runs after the merge recorded the metrics
+    /// and before the rushing adversary observes the traffic, so the
+    /// adversary sees what the faulty links actually carry. A drop or a
+    /// delay removes its send, a duplicate marks it with [`DUPLICATE`]:
+    /// slots keep strictly increasing, so a table round stays one. Only a
+    /// delayed message clones its payload, into the redelivery queue; every
+    /// delayed message that comes due is then queued in `honest_outgoing`,
+    /// its payload moved into the staged store. Redelivered messages are
+    /// never re-faulted, and crash-only plans (all rates zero) make no RNG
+    /// draws at all. Returns whether the pass changed the round's traffic.
+    fn fault_pass(&mut self) -> bool {
         let plan = &self.config.fault;
         let drop_below = u32::from(plan.drop_per_mille);
         let dup_below = drop_below + u32::from(plan.dup_per_mille);
         let delay_below = dup_below + u32::from(plan.delay_per_mille);
-        let delay_rounds = plan.delay_rounds.max(1);
+        let due = self.round + plan.delay_rounds.max(1);
+        let (mut removed, mut added) = (0u64, 0u64);
         if delay_below > 0 {
-            debug_assert!(self.fault_scratch.is_empty());
-            debug_assert!(self.fault_scratch_ranks.is_empty());
-            let rng = &mut self.fault_rng;
-            let due = self.round + delay_rounds;
-            let payloads = &self.arena_staged.payloads;
-            for ((from, to, payload), rank) in self
-                .honest_outgoing
-                .drain(..)
-                .zip(self.honest_ranks.drain(..))
-            {
-                let roll: u32 = rng.gen_range(0..1000);
-                if roll < drop_below {
-                    self.metrics.dropped += 1;
-                } else if roll < dup_below {
-                    self.metrics.duplicated += 1;
-                    self.fault_scratch.push((from, to, payload));
-                    self.fault_scratch_ranks.push(rank);
-                    self.fault_scratch.push((from, to, payload));
-                    self.fault_scratch_ranks.push(rank);
-                } else if roll < delay_below {
-                    self.metrics.delayed += 1;
-                    self.delayed.push_back(Delayed {
-                        due,
-                        from,
-                        to,
-                        rank,
-                        msg: payloads[payload as usize].clone(),
-                    });
-                } else {
-                    self.fault_scratch.push((from, to, payload));
-                    self.fault_scratch_ranks.push(rank);
+            for (u, outbox) in self.outboxes.iter_mut().enumerate() {
+                if outbox.is_empty() {
+                    continue;
+                }
+                let targets = self.delivery_map.targets_of(u);
+                let Outbox { sends, payloads } = outbox;
+                sends.retain_mut(|(slot, payload)| {
+                    let roll: u32 = self.fault_rng.gen_range(0..1000);
+                    if roll >= delay_below {
+                        return true;
+                    }
+                    if roll < drop_below {
+                        self.metrics.dropped += 1;
+                    } else if roll < dup_below {
+                        self.metrics.duplicated += 1;
+                        added += 1;
+                        *payload |= DUPLICATE;
+                        return true;
+                    } else {
+                        self.metrics.delayed += 1;
+                        let target = targets[*slot as usize];
+                        self.delayed.push_back(Delayed {
+                            due,
+                            from: NodeId(u as u32),
+                            to: target.to,
+                            rank: target.rank,
+                            msg: payloads[*payload as usize].clone(),
+                        });
+                    }
+                    removed += 1;
+                    false
+                });
+                if sends.is_empty() {
+                    payloads.clear();
                 }
             }
-            std::mem::swap(&mut self.honest_outgoing, &mut self.fault_scratch);
-            std::mem::swap(&mut self.honest_ranks, &mut self.fault_scratch_ranks);
         }
         // Redelivery: everything due this round, in the order it was
-        // withheld, appended after the fresh traffic (the stable
-        // counting sort puts each message after same-sender fresh ones
-        // — deterministic, and in-flight messages survive a sender's
-        // subsequent crash, as crash-stop semantics require).
+        // withheld, behind the fresh traffic (in-flight messages survive
+        // a sender's subsequent crash, as crash-stop semantics require).
         while let Some(d) = self.delayed.front() {
             if d.due > self.round {
                 break;
@@ -802,8 +727,10 @@ where
             let payload = push_payload(&mut self.arena_staged.payloads, d.msg);
             self.honest_outgoing.push((d.from, d.to, payload));
             self.honest_ranks.push(d.rank);
+            added += 1;
         }
-        self.round_honest_messages = self.honest_outgoing.len() as u64;
+        self.round_honest_messages = self.round_honest_messages + added - removed;
+        removed + added > 0
     }
 
     /// Drops the adversary's traffic sent from crashed Byzantine nodes:
@@ -818,18 +745,6 @@ where
         let crashed = &self.crashed;
         self.byz_outgoing
             .retain(|(from, _, _)| !crashed[from.index()]);
-    }
-
-    /// Dispatches the deterministic merge: on the outbox feed, the
-    /// metrics + shape scan over the outboxes (which stay full for
-    /// delivery); on the flat feed, the node-order merge into
-    /// `honest_outgoing`.
-    fn merge_phase(&mut self) {
-        if self.outbox_feed() {
-            self.merge_arena_count();
-        } else {
-            self.merge_outboxes(true);
-        }
     }
 
     /// Honest compute: every live honest node runs [`Protocol::on_round`]
@@ -876,22 +791,20 @@ where
         );
     }
 
-    /// The flat feed's merge: drains every honest outbox in node order
-    /// into `honest_outgoing`, moving its payloads into the staged arena's
-    /// store and resolving each slot-addressed send to its destination and
-    /// counting-sort rank through the precomputed [`DeliveryMap`] (one
-    /// flat-array load — no per-message identity search), and, with
-    /// `record_metrics`, records per-node metrics. This single-threaded
-    /// step fixes the order the fault pass and the adversary see, which is
-    /// why forking the compute phase cannot perturb transcripts. The
-    /// outbox feed reuses it, without metrics (its scan took them), for a
-    /// round the table cannot place.
-    fn merge_outboxes(&mut self, record_metrics: bool) {
-        debug_assert!(self.honest_outgoing.is_empty());
-        debug_assert!(self.honest_ranks.is_empty());
+    /// The flat placement's merge, for a round the table cannot place:
+    /// drains every honest outbox in node order into `honest_outgoing`,
+    /// moving its payloads into the staged arena's store and resolving
+    /// each slot-addressed send to its destination and counting-sort rank
+    /// through the precomputed [`DeliveryMap`] (one flat-array load — no
+    /// per-message identity search). A send the fault pass marked with
+    /// [`DUPLICATE`] becomes two entries, and the due redeliveries the
+    /// fault pass queued move behind the fresh traffic: the order the
+    /// model defines, which the flat placement's stable sort keeps per
+    /// sender.
+    fn merge_outboxes(&mut self) {
+        let due = self.honest_outgoing.len();
         let n = self.graph().len();
         let arena = &mut self.arena_staged;
-        arena.payloads.clear();
         for u in 0..n {
             let outbox = &mut self.outboxes[u];
             if outbox.is_empty() {
@@ -899,30 +812,34 @@ where
             }
             let from = NodeId(u as u32);
             let targets = self.delivery_map.targets_of(u);
-            if record_metrics {
-                let (count, bits, max_bits) = outbox_sizes(outbox);
-                self.metrics.per_node[u].record_batch(count, bits, max_bits);
-            }
             let pbase = arena.take_payloads(&mut outbox.payloads);
             for (slot, payload) in outbox.sends.drain(..) {
                 let target = targets[slot as usize];
-                self.honest_outgoing
-                    .push((from, target.to, pbase + payload));
+                let entry = (from, target.to, pbase + (payload & !DUPLICATE));
+                self.honest_outgoing.push(entry);
                 self.honest_ranks.push(target.rank);
+                if payload & DUPLICATE != 0 {
+                    self.honest_outgoing.push(entry);
+                    self.honest_ranks.push(target.rank);
+                }
             }
         }
-        self.round_honest_messages = self.honest_outgoing.len() as u64;
+        self.honest_outgoing.rotate_left(due);
+        self.honest_ranks.rotate_left(due);
     }
 
-    /// The outbox feed's merge: records per-node metrics and scans every
-    /// outbox's slot sequence. Every send goes through the first slot of
-    /// its neighbour, so a **table round** — each outbox's slots strictly
-    /// increasing — sends at most one message per distinct directed edge,
-    /// each with its own position in the slot → position table, and
-    /// delivery needs no counting and no prefix sum. Any other round takes
-    /// the flat feed's placement. Outboxes are left full either way —
-    /// delivery drains them, after the adversary has committed.
+    /// The merge: records per-node metrics and scans every outbox's slot
+    /// sequence. Every send goes through the first slot of its neighbour,
+    /// so a **table round** — each outbox's slots strictly increasing —
+    /// sends at most one message per distinct directed edge, each with its
+    /// own position in the slot → position table, and delivery needs no
+    /// counting and no prefix sum. Any other round takes the flat
+    /// placement. Outboxes are left full either way — delivery drains
+    /// them, after the adversary has committed. It also recycles the
+    /// staged payload store, which the fault pass's redeliveries and then
+    /// delivery fill.
     fn merge_arena_count(&mut self) {
+        self.arena_staged.payloads.clear();
         let mut sent = 0u64;
         let mut table = true;
         for (u, (outbox, metrics)) in self
@@ -951,81 +868,39 @@ where
         self.table_round = table;
     }
 
-    /// Whether this round's Byzantine traffic fits behind the honest
-    /// messages of a table round: at most `byz_in_degree[v]` messages per
-    /// destination (one per Byzantine-incident edge). Uses `dest_counts` —
-    /// zero on a table round — as tally scratch and re-zeroes it.
-    fn byz_traffic_fits(&mut self) -> bool {
-        if self.byz_outgoing.is_empty() {
-            return true;
-        }
-        let mut fits = true;
-        for (_, to, _) in &self.byz_outgoing {
-            let v = to.index();
-            self.dest_counts[v] += 1;
-            fits &= self.dest_counts[v] <= self.byz_in_degree[v];
-        }
-        for (_, to, _) in &self.byz_outgoing {
-            self.dest_counts[to.index()] = 0;
-        }
-        fits
-    }
-
-    /// Arena delivery on the outbox feed. A table round whose Byzantine
-    /// traffic fits places its honest messages through the slot →
-    /// position table ([`Execution::deliver_arena_table`]). Any other
-    /// round drains the still-full outboxes in node order into
-    /// `honest_outgoing` (the merge's scan already recorded the metrics)
-    /// and takes the flat feed's placement ([`Execution::deliver_flat`]).
-    /// Its stable sort of every span gives the canonical order: a sender's
-    /// messages keep their merged order, and no sender is both honest and
-    /// Byzantine.
-    fn deliver_arena(&mut self) {
-        if self.table_round {
-            // A table round fills every table position iff it sends one
-            // message per (destination, distinct sender) pair — not one
-            // per directed edge: a multigraph's parallel edges share a
-            // position. Byzantine nodes never fill their outboxes, so a
-            // Byzantine node with a neighbour leaves a position unfilled
-            // and makes the round not full by itself.
-            let positions = self.sender_ranks.total() as u64;
-            let full = self.byz_outgoing.is_empty() && self.round_honest_messages == positions;
-            if full || self.byz_traffic_fits() {
-                self.deliver_arena_table(full);
-                return;
-            }
-        }
-        self.merge_outboxes(false);
-        self.deliver_flat();
-    }
-
     /// The table paths' delivery. Outboxes drain in natural node order
     /// (sequential memory, not the pid permutation): each send writes only
     /// its reference, at `slot_pos[slot]`. Every other plane comes from
     /// the static tables.
     ///
-    /// * A **full** round (every table position filled, no Byzantine
-    ///   traffic — the steady state of flooding protocols) is done after
-    ///   the fill: its spans are the table's, and the sender plane and
-    ///   span lengths stay invariant from the previous full round.
+    /// * A **full** round (every table position filled, nothing faulted,
+    ///   no Byzantine traffic — the steady state of flooding protocols) is
+    ///   done after the fill: its spans are the table's, and the sender
+    ///   plane and span lengths stay invariant from the previous full
+    ///   round.
     /// * Otherwise the **compacted** path pre-marks every position a
     ///   [`HOLE`], and after the fill one sequential pass over the spans
     ///   closes the holes: it copies each kept reference and its static
     ///   sender down to the span's next free position (plus the sender's
-    ///   rank, `p - offsets[v]`, in Byzantine-adjacent spans) and sets the
+    ///   rank, `p - offsets[v]`, in spans that get extras) and sets the
     ///   span's length. The spans come out in sender-pid order, the
-    ///   table's position order; the Byzantine traffic is
-    ///   appended behind them and the Byzantine-adjacent spans are
-    ///   counting-sorted.
+    ///   table's position order. The extras the fill and the fault pass
+    ///   collected — duplicates, then due redeliveries — and the Byzantine
+    ///   traffic are appended behind them, and the spans that got extras
+    ///   are counting-sorted; the stable sort puts a duplicate right after
+    ///   its original and a redelivery after its sender's fresh message.
+    ///   A span has room for as many messages as its node's degree; one
+    ///   whose kept messages and extras need more is **spilled**: it
+    ///   closes up at the arena's tail instead, past the degree prefix.
     fn deliver_arena_table(&mut self, full: bool) {
         let slot_total = self.delivery_map.total_slots();
         let n = self.graph().len();
+        let due = self.honest_outgoing.len();
         let arena = &mut self.arena_staged;
         arena.grow_to(slot_total);
-        arena.payloads.clear();
         if !arena.offsets_static {
-            // A flat-placed round repacked the offsets; restore the static
-            // degree prefix.
+            // A flat-placed or spilled round moved the offsets; restore the
+            // static degree prefix.
             arena.offsets.copy_from_slice(&self.deg_offsets);
             arena.offsets_static = true;
         }
@@ -1051,39 +926,61 @@ where
             let slot_pos = &self.slot_pos[self.delivery_map.slot_range(u)];
             let pbase = arena.take_payloads(&mut outbox.payloads);
             for (slot, payload) in outbox.sends.drain(..) {
-                arena.refs[slot_pos[slot as usize] as usize] = pbase + payload;
+                let r = pbase + (payload & !DUPLICATE);
+                arena.refs[slot_pos[slot as usize] as usize] = r;
+                if payload & DUPLICATE != 0 {
+                    let target = self.delivery_map.targets_of(u)[slot as usize];
+                    self.honest_outgoing.push((NodeId(u as u32), target.to, r));
+                    self.honest_ranks.push(target.rank);
+                }
             }
         }
         if full {
-            // No Byzantine node has a neighbour on a full round, so no
-            // span needs a counting sort: the table *is* the sorted order.
-            debug_assert!(self.byz_adjacent_nodes.is_empty());
+            // Nothing to append and no span to sort: the table *is* the
+            // sorted order.
+            debug_assert!(self.honest_outgoing.is_empty() && self.byz_outgoing.is_empty());
             return;
+        }
+        // Each span's extras: the duplicates the fill collected, the due
+        // redeliveries, and the Byzantine traffic.
+        let honest = self.honest_outgoing.iter().map(|&(_, to, _)| to);
+        for to in honest.chain(self.byz_outgoing.iter().map(|&(_, to, _)| to)) {
+            self.dest_counts[to.index()] += 1;
         }
         // Compaction, one span at a time. Most spans are empty (a quiet
         // round) or whole (a forwarding wave), and a vectorised count of
         // the kept references tells which: an empty span only gets its
-        // length, a whole one keeps its references in place and copies
-        // its sender plane. (A Byzantine-adjacent span is never whole: its
-        // Byzantine senders' positions stay holes.) A span with holes
-        // closes up in place — `k` trails `p`, branch-free: a hole is
-        // copied too, and overwritten by the next kept message or left
-        // past the span's end.
+        // length, a whole one without extras keeps its references in place
+        // and copies its sender plane. A span with holes closes up in
+        // place — `k` trails `p`, branch-free: a hole is copied too, and
+        // overwritten by the next kept message or left past the span's
+        // end. A span whose kept messages and extras overflow its degree
+        // moves to the arena's tail and closes up there.
+        let g: &Graph = self.graph.borrow();
+        let mut tail = slot_total;
         for v in 0..n {
             let o = arena.offsets[v] as usize;
             let end = o + self.full_lens[v] as usize;
             let kept = arena.refs[o..end].iter().filter(|&&r| r != HOLE).count();
+            let extras = self.dest_counts[v] as usize;
+            let mut base = o;
+            if extras > 0 && kept + extras > g.degree(NodeId(v as u32)) {
+                base = tail;
+                tail += kept + extras;
+                arena.grow_to(tail);
+                arena.offsets[v] = base as u32;
+                arena.offsets_static = false;
+            }
             arena.lens[v] = kept as u32;
             if kept == 0 {
                 continue;
             }
-            let ranked = self.byz_adjacent[v];
-            if kept == end - o {
-                debug_assert!(!ranked);
+            let ranked = extras != 0;
+            if kept == end - o && !ranked {
                 arena.senders[o..end].copy_from_slice(&self.static_senders[o..end]);
                 continue;
             }
-            let mut k = o;
+            let mut k = base;
             for p in o..end {
                 let r = arena.refs[p];
                 arena.refs[k] = r;
@@ -1094,28 +991,49 @@ where
                 k += usize::from(r != HOLE);
             }
         }
-        // Then the Byzantine traffic in emission order, behind each span's
-        // honest messages.
+        if self.honest_outgoing.is_empty() && self.byz_outgoing.is_empty() {
+            return;
+        }
+        // Then the extras behind each span's honest messages: the
+        // duplicates, the redeliveries in the order they were withheld,
+        // and the Byzantine traffic in emission order.
+        self.honest_outgoing.rotate_left(due);
+        self.honest_ranks.rotate_left(due);
+        let honest = self
+            .honest_outgoing
+            .drain(..)
+            .zip(self.honest_ranks.drain(..));
+        for ((from, to, r), rank) in honest {
+            let v = to.index();
+            let pos = (arena.offsets[v] + arena.lens[v]) as usize;
+            arena.lens[v] += 1;
+            arena.senders[pos] = from;
+            arena.refs[pos] = r;
+            arena.ranks[pos] = rank;
+        }
         for ((from, to, msg), rank) in self.byz_outgoing.drain(..).zip(self.byz_ranks.drain(..)) {
             let v = to.index();
-            let len = arena.lens[v];
-            arena.lens[v] = len + 1;
-            let pos = (arena.offsets[v] + len) as usize;
+            let pos = (arena.offsets[v] + arena.lens[v]) as usize;
+            arena.lens[v] += 1;
             arena.senders[pos] = from;
             arena.refs[pos] = push_payload(&mut arena.payloads, msg);
             arena.ranks[pos] = rank;
         }
-        self.sort_byz_adjacent_spans();
+        for v in 0..n {
+            if self.dest_counts[v] != 0 {
+                self.dest_counts[v] = 0;
+                self.sort_staged_span(v);
+            }
+        }
     }
 
-    /// The flat feed's delivery: the node-order `honest_outgoing` vector
-    /// (exactly as the fault pass and the adversary saw it; its payloads
-    /// already sit in the staged store) and the Byzantine traffic go
-    /// through one count → prefix-sum → scatter, then **every** non-empty
-    /// span is counting-sorted — node order is not pid order, so no span
-    /// is sorted as scattered. The sort is stable, so a sender's messages
-    /// keep their merged order. The outbox feed's rounds that the table
-    /// cannot place come here too.
+    /// The flat placement's delivery: the node-order `honest_outgoing`
+    /// vector [`Execution::merge_outboxes`] built (its payloads already sit
+    /// in the staged store) and the Byzantine traffic go through one count
+    /// → prefix-sum → scatter, then **every** non-empty span is
+    /// counting-sorted — node order is not pid order, so no span is sorted
+    /// as scattered. The sort is stable, so a sender's messages keep their
+    /// merged order, and no sender is both honest and Byzantine.
     fn deliver_flat(&mut self) {
         let honest = self.honest_outgoing.iter().map(|&(_, to, _)| to);
         for to in honest.chain(self.byz_outgoing.iter().map(|(_, to, _)| *to)) {
@@ -1153,7 +1071,7 @@ where
         }
     }
 
-    /// The flat feed's prefix-sum placement: turns the
+    /// The flat placement's prefix-sum step: turns the
     /// per-destination tallies in `dest_counts` into packed spans of the
     /// staged arena, replaces each tally with its span's write cursor, and
     /// returns the round's message total.
@@ -1177,16 +1095,6 @@ where
         running as usize
     }
 
-    /// Counting sort of the staged spans where Byzantine traffic can
-    /// interleave with a table round's pid-ordered honest messages — the
-    /// table paths' only spans not sorted as placed.
-    fn sort_byz_adjacent_spans(&mut self) {
-        for i in 0..self.byz_adjacent_nodes.len() {
-            let v = self.byz_adjacent_nodes[i] as usize;
-            self.sort_staged_span(v);
-        }
-    }
-
     /// Stable counting sort of node `v`'s staged span by sender rank — an
     /// index-permuting cycle walk over the small parallel arrays.
     fn sort_staged_span(&mut self, v: usize) {
@@ -1202,17 +1110,16 @@ where
             &mut arena.senders[o0..o1],
             &mut arena.refs[o0..o1],
             &arena.ranks[o0..o1],
-            &mut self.inbox_pos[v],
+            &mut self.inbox_pos,
             &mut self.sender_counts[c0..c1],
         );
     }
 
     /// Rushing adversary phase: the adversary observes the complete honest
     /// states and this round's in-flight honest messages before committing
-    /// the Byzantine traffic. The traffic view reads the outboxes, then the
-    /// merged vector: on the outbox feed the vector is empty and the
-    /// outboxes still full, on the flat feed the merge drained the
-    /// outboxes into the vector.
+    /// the Byzantine traffic. The traffic view reads the outboxes in place
+    /// (as the fault pass left them), then the due redeliveries the fault
+    /// pass queued.
     fn adversary_phase(&mut self) {
         debug_assert!(self.byz_outgoing.is_empty());
         let view = FullInfoView {
@@ -1241,11 +1148,14 @@ where
     }
 
     /// Delivery: accounts and rank-resolves the Byzantine traffic, places
-    /// the round's messages into the staged arena through the execution's
-    /// feed, sorts what needs sorting, and swaps the double buffer.
-    fn deliver(&mut self) {
+    /// the round's messages into the staged arena, sorts what needs
+    /// sorting, and swaps the double buffer. A table round places through
+    /// the slot → position table ([`Execution::deliver_arena_table`]); any
+    /// other round drains the outboxes into `honest_outgoing` and takes
+    /// the flat placement ([`Execution::deliver_flat`]). `faulted` says
+    /// whether the fault pass changed the round's traffic.
+    fn deliver(&mut self, faulted: bool) {
         debug_assert_eq!(self.honest_ranks.len(), self.honest_outgoing.len());
-        debug_assert!(!self.outbox_feed() || self.honest_outgoing.is_empty());
         debug_assert!(self.byz_ranks.is_empty());
         let honest_messages = self.round_honest_messages;
         let byzantine_messages = self.byz_outgoing.len() as u64;
@@ -1259,9 +1169,23 @@ where
                 .expect("byzantine sender is a graph neighbor");
             self.byz_ranks.push(rank);
         }
-        if self.outbox_feed() {
-            self.deliver_arena();
+        // A table round fills every table position iff it sends one message
+        // per (destination, distinct sender) pair — not one per directed
+        // edge: a multigraph's parallel edges share a position. Byzantine
+        // nodes never fill their outboxes, so a Byzantine node with a
+        // neighbour leaves a position unfilled and makes the round not full
+        // by itself. The count alone is not enough once the fault pass
+        // changed anything: one drop plus one duplicate keeps it at the
+        // number of positions and leaves a hole.
+        let positions = self.sender_ranks.total() as u64;
+        let full = self.table_round
+            && !faulted
+            && self.byz_outgoing.is_empty()
+            && self.round_honest_messages == positions;
+        if self.table_round {
+            self.deliver_arena_table(full);
         } else {
+            self.merge_outboxes();
             self.deliver_flat();
         }
         std::mem::swap(&mut self.arena, &mut self.arena_staged);
@@ -1281,6 +1205,22 @@ where
                 decided,
                 halted,
             });
+        }
+    }
+
+    /// How the last executed round was placed — `"full"`, `"compacted"`,
+    /// `"spilled"` (compacted, with a span at the arena's tail) or
+    /// `"flat"` (whose spans are packed) — read off the delivered
+    /// generation.
+    #[cfg(test)]
+    pub(crate) fn last_placement(&self) -> &'static str {
+        let a = &self.arena;
+        let packed = (1..a.offsets.len()).all(|v| a.offsets[v] == a.offsets[v - 1] + a.lens[v - 1]);
+        match (a.offsets_static, a.lens_full) {
+            (false, _) if packed && a.offsets[0] == 0 => "flat",
+            (false, _) => "spilled",
+            (true, true) => "full",
+            (true, false) => "compacted",
         }
     }
 
@@ -1873,9 +1813,9 @@ mod tests {
         };
         let mut sim = Execution::new(&g, &[], |_, _| Spray { got: 0 }, NullAdversary, cfg);
         // Three sends through one slot: the table cannot place the round,
-        // so the flat feed's placement packed the delivered generation.
+        // so the flat placement packed the delivered generation.
         sim.step();
-        assert!(sim.outbox_feed() && !sim.table_round);
+        assert!(!sim.table_round);
         assert!(!sim.arena.offsets_static);
         let report = sim.run();
         assert_eq!(report.outputs, vec![Some(3), Some(3)]);
@@ -1963,22 +1903,22 @@ mod tests {
     }
 
     #[test]
-    fn feed_follows_the_fault_plan() {
-        let g = cycle(8).unwrap();
-        let byz = [NodeId(0)];
-        // No fault plan: the outbox feed, whatever the adversary.
-        let sim = flood_sim(&g, &byz, SimConfig::default());
-        assert!(sim.outbox_feed());
-        let sim = Execution::new(&g, &byz, flood_factory, MaxFaker, SimConfig::default());
-        assert!(sim.outbox_feed());
-        // A non-empty fault plan needs the node-order vector.
+    fn dropped_broadcast_rounds_stay_on_the_table() {
+        // Round 1 of flood-max is a full broadcast. Drops remove sends
+        // from the outboxes in place, so the slots still increase and the
+        // round is a table round — compacted, with holes — not a flat one.
+        let g = cycle(64).unwrap();
         let faulty = SimConfig {
             fault: FaultPlan {
-                drop_per_mille: 1,
+                drop_per_mille: 100,
                 ..FaultPlan::default()
             },
             ..SimConfig::default()
         };
-        assert!(!flood_sim(&g, &byz, faulty).outbox_feed());
+        let mut sim = flood_sim(&g, &[], faulty);
+        sim.step();
+        assert!(sim.metrics().dropped > 0);
+        assert!(sim.table_round);
+        assert_eq!(sim.last_placement(), "compacted");
     }
 }

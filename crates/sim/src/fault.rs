@@ -12,21 +12,26 @@
 //!   replayed over different protocol seeds (and vice versa).
 //! * Link-fault rates are integers in *per-mille* (`0..=1000`), so plans
 //!   are exactly comparable (`Eq`) and serialize without float drift.
-//! * One uniform draw in `[0, 1000)` decides each merged honest
-//!   message's fate, partitioned `drop < duplicate < delay < pass` —
-//!   the draw count equals the merged message count, independent of the
-//!   rates, so tweaking one rate never shifts another message's draw.
+//! * One uniform draw in `[0, 1000)` decides each honest send's fate,
+//!   partitioned `drop < duplicate < delay < pass` — the draw count
+//!   equals the round's send count, independent of the rates, so
+//!   tweaking one rate never shifts another message's draw.
 //!
-//! The plan alone picks the engine's feed. A non-empty plan selects the
-//! flat feed: the fault pass rolls over the node-order traffic vector, so
-//! the transcript is the one the model defines whatever the pool size —
-//! the reference-executor unit tests diff it round by round. A
-//! crash-only plan whose crashes lie past the last round faults nothing
-//! and draws no fault randomness, so it selects the flat feed alone.
+//! The engine's fault pass rolls over the outboxes in node order and send
+//! order, so the transcript is the one the model defines whatever the
+//! pool size — the reference-executor unit tests diff it round by round.
+//! It rewrites the outboxes in place: a drop or a delay removes its send,
+//! and a duplicate marks it with `DUPLICATE`. A crash-only plan draws no
+//! fault randomness at all.
 
 use serde::{Deserialize, Serialize};
 
 use crate::execution::ConfigError;
+
+/// The fault pass's mark on a duplicated send: this bit set on an outbox
+/// send's payload index means the send is delivered twice, back to back.
+/// Payload indices count one node's payloads of one round, far below it.
+pub(crate) const DUPLICATE: u32 = 1 << 31;
 
 /// One scheduled crash-stop: `node` stops participating permanently at
 /// the *start* of `round` (it neither computes nor sends from that round
@@ -44,8 +49,8 @@ pub struct CrashEvent {
 /// A deterministic fault-injection plan; see the [module docs](self).
 ///
 /// The empty plan (no crashes, all rates zero — [`FaultPlan::is_empty`])
-/// is inert: the engine skips the fault phase entirely and runs the
-/// outbox feed. [`FaultPlan::validate`] is enforced by
+/// is inert: the engine skips the crash and fault passes entirely.
+/// [`FaultPlan::validate`] is enforced by
 /// [`crate::SimConfigBuilder::build`]; field-poked configs fall back to
 /// the same documented semantics (rates are capped by the partition).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,8 +88,8 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// Whether the plan injects nothing — the engine treats an empty
-    /// plan exactly like no plan at all (same feed, no fault RNG draws,
-    /// byte-identical to a config without the field).
+    /// plan exactly like no plan at all (no crash or fault pass, no fault
+    /// RNG draws, byte-identical to a config without the field).
     pub fn is_empty(&self) -> bool {
         self.crashes.is_empty() && self.link_rate_total() == 0
     }

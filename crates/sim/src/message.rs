@@ -271,9 +271,9 @@ impl<M: fmt::Debug> fmt::Debug for Inbox<'_, M> {
 /// offsets are the **degree prefix sums precomputed once per execution**
 /// (a table round delivers at most in-degree messages per node — exact
 /// capacity, no growth checks, no per-node allocations, no counting
-/// pass); on the flat feed, and for an outbox-feed round the table cannot
-/// place, the flat feed's count/prefix-sum placement recomputes exact
-/// packed spans instead (see the engine docs). Two arenas are
+/// pass); for a round the table cannot place, the flat placement's
+/// count/prefix-sum step recomputes exact packed spans instead (see the
+/// engine docs). Two arenas are
 /// double-buffered (swapped, never rebuilt), and the arrays grow only to
 /// the high-water message count of an execution — capacity is
 /// pre-reserved from the delivery map's slot total (the sum of degrees),
@@ -283,7 +283,8 @@ impl<M: fmt::Debug> fmt::Debug for Inbox<'_, M> {
 /// recipient: `payloads` holds the generation's payloads once per send
 /// operation (one per broadcast, one per unicast, one per Byzantine
 /// message), moved in from the outboxes, and each arena slot's `refs`
-/// entry indexes it. Delivery clears the store and appends each sender's
+/// entry indexes it. The round's merge clears the store, the fault pass
+/// appends the due redeliveries, and delivery appends each sender's
 /// payloads in turn (`pbase` = the store length before them), writing
 /// `pbase + idx` for a send that referenced outbox payload `idx`. The
 /// counting sort permutes the `u32` references, never a payload.
@@ -313,11 +314,12 @@ pub(crate) struct InboxArena<M> {
     /// spans are retained as warm capacity and never exposed).
     pub(crate) refs: Vec<u32>,
     /// The generation's payload store, one entry per send operation;
-    /// cleared (dropping last generation's payloads) by each delivery.
+    /// cleared (dropping the payloads of two rounds back) by each round's
+    /// merge.
     pub(crate) payloads: Vec<M>,
     /// Counting-sort rank tag of every message — written (and read) only
-    /// within the spans delivery sorts: Byzantine-adjacent spans on the
-    /// outbox feed, every span on the flat feed.
+    /// within the spans delivery sorts: the spans that get extras on a
+    /// table round, every span on a flat-placed one.
     pub(crate) ranks: Vec<u32>,
 }
 

@@ -3,11 +3,10 @@
 //! graphs; silent, beacon-spamming, double-sending, and observing
 //! adversaries; same-sender multi-send ties; mixed unicast/broadcast/repeat
 //! sends sharing payloads; unicasts to random neighbour subsets (the
-//! outbox feed's compacted table path, and repeated slots of parallel
-//! edges); proptest-generated fault plans; event-driven relays; and worker
-//! pools of 1, 4, and 8 threads. The fault plan alone picks the feed, so
-//! flat-feed cases without faults run a plan that faults nothing
-//! ([`flat_feed`]).
+//! compacted table path, and repeated slots of parallel edges); fault
+//! plans that drop, duplicate and delay ([`with_faults`], proptest-generated
+//! ones, and full broadcast under faults on every placement); event-driven
+//! relays; and worker pools of 1, 4, and 8 threads.
 
 use super::{assert_lockstep, Reference};
 use crate::adversary::{Adversary, ByzantineContext, FullInfoView, NullAdversary};
@@ -147,9 +146,7 @@ fn relay(u: NodeId, init: &NodeInit) -> FrontierRelay {
 
 /// Beacon spam that ignores the traffic: every Byzantine node broadcasts a
 /// fresh random beacon on two rounds out of three, twice on every fifth
-/// round — overflowing the table paths' Byzantine budget (one message per
-/// Byzantine-incident edge), so the outbox feed's flat fallback runs
-/// too.
+/// round — more than the spans it reaches have room for, so they spill.
 struct BeaconSpam;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for BeaconSpam {
@@ -167,10 +164,9 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for BeaconSpam {
     }
 }
 
-/// Two fresh messages per Byzantine-incident edge every round: always
-/// over the table paths' Byzantine budget, so every round with a
-/// Byzantine node that has a neighbour takes the outbox feed's flat
-/// fallback.
+/// Two fresh messages per Byzantine-incident edge every round: every
+/// span a Byzantine node reaches gets twice its Byzantine neighbours'
+/// share, so whole spans spill.
 struct DoubleSender;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for DoubleSender {
@@ -185,9 +181,8 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for DoubleSender {
 
 /// A rushing adversary that reads the round's in-flight honest traffic
 /// and its own inboxes, outbids the largest value in flight, and sends a
-/// second copy to one neighbour (a same-sender tie). That puts it over
-/// the table paths' Byzantine budget: on the outbox feed it reads the
-/// outboxes in place, and the round takes the flat fallback.
+/// second copy to one neighbour (a same-sender tie), which can spill that
+/// neighbour's span. It reads the outboxes in place.
 struct Rusher;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for Rusher {
@@ -214,9 +209,23 @@ fn config(seed: u64, max_rounds: u64) -> SimConfig {
     }
 }
 
-/// `cfg` on the flat feed without a fault: a crash-only plan (no fault
-/// randomness is drawn) whose one crash lies past the last round.
-fn flat_feed(mut cfg: SimConfig) -> SimConfig {
+/// `cfg` under a plan that drops, duplicates and delays, seeded from
+/// `cfg.seed`, with no crash.
+fn with_faults(cfg: SimConfig) -> SimConfig {
+    let fault = FaultPlan {
+        seed: cfg.seed ^ 0xFA17,
+        drop_per_mille: 60,
+        dup_per_mille: 60,
+        delay_per_mille: 60,
+        delay_rounds: 2,
+        ..FaultPlan::default()
+    };
+    SimConfig { fault, ..cfg }
+}
+
+/// `cfg` with a crash-only plan whose one crash lies past the last round:
+/// the crash pass runs, and no fault randomness is drawn.
+fn crash_only(mut cfg: SimConfig) -> SimConfig {
     let round = cfg.max_rounds + 1;
     cfg.fault.crashes.push(CrashEvent { round, node: 0 });
     cfg
@@ -267,7 +276,7 @@ fn engine_matches_reference_across_graphs_and_adversaries() {
 }
 
 #[test]
-fn frontier_relay_matches_reference_on_both_feeds() {
+fn frontier_relay_matches_reference_with_and_without_faults() {
     for seed in [3u64, 0xBEEF] {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = hnd(192, 8, &mut rng).unwrap();
@@ -276,10 +285,8 @@ fn frontier_relay_matches_reference_on_both_feeds() {
             stop_when: StopWhen::MaxRoundsOnly,
             ..config(seed, 60)
         };
-        // Without a fault plan the outbox feed runs (with its flat
-        // fallback for overflowing rounds), observed or not; a plan that
-        // faults nothing selects the flat feed.
-        for cfg in [cfg.clone(), flat_feed(cfg)] {
+        // Observed or not, without a fault plan and under one.
+        for cfg in [cfg.clone(), with_faults(cfg)] {
             check(&g, &byz, relay, || BeaconSpam, cfg.clone());
             check(&g, &byz, relay, || Rusher, cfg);
         }
@@ -356,10 +363,10 @@ fn chaos_plan(seed: u64) -> FaultPlan {
     }
 }
 
-/// Pool-size invariance against the reference: the engine on both feeds
-/// inside explicit pools of 1 (the honest compute as one leaf), 4, and 8
-/// workers (forked across the pool with the `parallel` feature; without
-/// it every pool is one thread wide).
+/// Pool-size invariance against the reference: the engine with and
+/// without faults inside explicit pools of 1 (the honest compute as one
+/// leaf), 4, and 8 workers (forked across the pool with the `parallel`
+/// feature; without it every pool is one thread wide).
 #[test]
 fn parallel_engine_matches_reference_at_every_pool_size() {
     let mut rng = ChaCha8Rng::seed_from_u64(42);
@@ -398,11 +405,84 @@ fn parallel_engine_matches_reference_at_every_pool_size() {
     }
 }
 
+/// One executed round of a full broadcast under faults, as the engine
+/// placed it (`"full"`, `"compacted"`, `"spilled"` or `"flat"`), whether
+/// the messages in flight equal the table's positions, and how many were
+/// redelivered.
+type Census = Vec<(&'static str, bool, u64)>;
+
+/// Steps the engine alone through `cfg` with every node broadcasting
+/// every round (no Byzantine node, no crash) and records each round's
+/// [`Census`] entry. Every round is a table round by shape.
+fn broadcast_census(g: &Graph, cfg: &SimConfig) -> Census {
+    let positions = (0..g.len())
+        .map(|v| {
+            let mut from: Vec<NodeId> = g.neighbors(NodeId(v as u32)).collect();
+            from.dedup();
+            from.len() as u64
+        })
+        .sum::<u64>();
+    let mut engine = Execution::new(g, &[], jitter(40), NullAdversary, cfg.clone());
+    let mut census = Census::new();
+    while engine.finished().is_none() {
+        let before = engine.metrics().clone();
+        engine.step();
+        let m = engine.metrics();
+        let in_flight = m.round_trace.last().expect("round stats").honest_messages;
+        let (dropped, delayed) = (m.dropped - before.dropped, m.delayed - before.delayed);
+        let duplicated = m.duplicated - before.duplicated;
+        let redelivered = in_flight + dropped + delayed - duplicated - positions;
+        census.push((engine.last_placement(), in_flight == positions, redelivered));
+    }
+    census
+}
+
+/// Full broadcast under drops, duplicates and delays, where every round
+/// fills every table position before the fault pass. The census pins
+/// that the run covers the three round kinds the fault pass makes: a
+/// compacted table round whose messages in flight still equal the
+/// table's positions (a hole and an extra in one span — never full), a
+/// round whose extras overflow a whole span (which spills to the arena's
+/// tail), and redeliveries on both. The engine matches the reference on
+/// all of them, in pools of 1, 4 and 8 workers.
+#[test]
+fn full_broadcast_faults_match_reference_on_every_placement() {
+    let g = cycle(12).unwrap();
+    let cfg = SimConfig {
+        fault: FaultPlan {
+            seed: 1,
+            drop_per_mille: 40,
+            dup_per_mille: 40,
+            delay_per_mille: 30,
+            delay_rounds: 1,
+            ..FaultPlan::default()
+        },
+        ..config(3, 60)
+    };
+    let census = broadcast_census(&g, &cfg);
+    let saw = |kind: &str, at_positions: bool, redelivered: bool| {
+        census
+            .iter()
+            .any(|&(k, p, r)| k == kind && (p || !at_positions) && (r > 0 || !redelivered))
+    };
+    assert!(saw("compacted", true, false), "{census:?}");
+    assert!(saw("spilled", false, false), "{census:?}");
+    assert!(saw("compacted", false, true), "{census:?}");
+    assert!(saw("spilled", false, true), "{census:?}");
+    for threads in [1usize, 4, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build test pool");
+        pool.install(|| check(&g, &[], jitter(40), || NullAdversary, cfg.clone()));
+    }
+}
+
 /// Mixes send shapes so that every delivery path's `pbase + idx` payload
 /// remap shows in inbox order. Odd rounds: a unicast, a broadcast, a
 /// second broadcast and a repeat send to one neighbour — four payloads per
 /// outbox, with references out of slot order (non-monotone: the flat
-/// fallback). Even rounds: a distinct unicast to every distinct neighbour
+/// placement). Even rounds: a distinct unicast to every distinct neighbour
 /// in slot order — one payload per send, and a full table round wherever
 /// no node is Byzantine.
 #[derive(Debug, Clone)]
@@ -446,15 +526,14 @@ impl Protocol for MixedSends {
     }
 }
 
-/// [`MixedSends`] on both feeds — the outbox feed with and without
-/// Byzantine nodes (table full or compacted, flat fallback), also under
-/// an observing adversary, and the flat feed under an observing
-/// adversary with a plan that faults nothing and under a fault plan — in
-/// pools of 1, 4, and 8 workers. On the torus and on the multigraph alike the even
-/// rounds are full table rounds: `send` resolves a doubled neighbour to
-/// the first slot of the parallel edge.
+/// [`MixedSends`] with and without Byzantine nodes (table full or
+/// compacted, flat placement), also under an observing adversary, and
+/// under fault plans with a silent and an observing adversary — in pools
+/// of 1, 4, and 8 workers. On the torus and on the multigraph alike the
+/// even rounds are full table rounds without faults: `send` resolves a
+/// doubled neighbour to the first slot of the parallel edge.
 #[test]
-fn mixed_send_shapes_match_reference_on_both_feeds() {
+fn mixed_send_shapes_match_reference() {
     let torus = torus2d(9, 8).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(42);
     let g = hnd(160, 8, &mut rng).unwrap();
@@ -478,7 +557,7 @@ fn mixed_send_shapes_match_reference_on_both_feeds() {
             check(&g, &[], mixed, || NullAdversary, cfg.clone());
             check(&g, &byz, mixed, || BeaconSpam, cfg.clone());
             check(&g, &byz, mixed, || Rusher, cfg.clone());
-            check(&g, &byz, mixed, || Rusher, flat_feed(cfg.clone()));
+            check(&g, &byz, mixed, || Rusher, with_faults(cfg.clone()));
             check(&g, &byz, mixed, || BeaconSpam, faulty.clone());
         });
     }
@@ -487,10 +566,10 @@ fn mixed_send_shapes_match_reference_on_both_feeds() {
 /// The rushing view itself: an observing adversary sees, round by round,
 /// exactly the `(from, to, msg)` vector the reference builds — in node
 /// order, after the fault pass — and never an empty honest round here.
-/// It broadcasts once per Byzantine node, within the table paths'
-/// budget, so on the outbox feed (no plan) it reads the full outboxes of
-/// table rounds; a plan that faults nothing and a faulty plan run the
-/// flat feed.
+/// It broadcasts once per Byzantine node, within every span's room, so it
+/// reads the outboxes of table rounds: full without a plan
+/// and under a crash-only plan that crashes nothing, and rewritten in
+/// place — duplicates marked, redeliveries behind — under a faulty plan.
 #[test]
 fn observing_adversary_sees_the_reference_traffic() {
     type Seen = Rc<RefCell<Vec<Vec<(NodeId, NodeId, Pid)>>>>;
@@ -523,7 +602,7 @@ fn observing_adversary_sees_the_reference_traffic() {
         fault: faulty,
         ..config(5, 6)
     };
-    for cfg in [config(5, 6), flat_feed(config(5, 6)), faulty] {
+    for cfg in [config(5, 6), crash_only(config(5, 6)), faulty] {
         let (engine_seen, reference_seen) = (Seen::default(), Seen::default());
         let mut engine = Execution::new(
             &g,
@@ -558,9 +637,9 @@ fn build_graph(kind: u8, n: usize, seed: u64) -> Graph {
 /// no node is Byzantine). Every third round a picked doubled neighbour is
 /// sent to once per parallel edge: `send` resolves each of those sends to
 /// the first slot, so the slot repeats and the round takes the flat
-/// fallback. Every fourth round a node whose last neighbour is doubled
+/// placement. Every fourth round a node whose last neighbour is doubled
 /// instead broadcasts and then sends once more to that neighbour, which
-/// repeats the broadcast's last slot — the flat fallback again.
+/// repeats the broadcast's last slot — the flat placement again.
 #[derive(Debug, Clone)]
 struct SubsetUnicast {
     acc: u64,
@@ -615,9 +694,9 @@ fn has_doubled_neighbor(g: &Graph) -> bool {
     })
 }
 
-/// [`SubsetUnicast`] on the outbox feed with no Byzantine node, silent
-/// Byzantine nodes, beacon spam, and a double-sender over the Byzantine
-/// budget, in pools of 1 and 4 workers.
+/// [`SubsetUnicast`] with no Byzantine node, silent
+/// Byzantine nodes, beacon spam, and a double-sender whose bursts spill
+/// spans, in pools of 1 and 4 workers.
 fn check_subset_unicasts(g: &Graph, byz: &[NodeId], seed: u64, rounds: u64) {
     let subset = |_: NodeId, init: &NodeInit| SubsetUnicast { acc: init.pid.0 };
     let cfg = SimConfig {
@@ -646,7 +725,7 @@ fn subset_unicasts_match_reference_on_every_table_path() {
         let g = hnd(n, 8, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
         let byz = [NodeId(3), NodeId(n as u32 / 2)];
         // The multigraph has parallel edges, so the repeated-slot rounds
-        // really ran (the flat fallback), not only the table rounds.
+        // really ran (the flat placement), not only the table rounds.
         assert!(has_doubled_neighbor(&g));
         check_subset_unicasts(&g, &byz, seed, 16);
     }
@@ -657,8 +736,8 @@ proptest! {
 
     /// Same-sender ties on both traffic classes: honest multi-sends with
     /// distinct payloads, and Byzantine double sends, silent or observing
-    /// (bit 0 of `shape`), on either feed (bit 1 adds a plan that faults
-    /// nothing).
+    /// (bit 0 of `shape`), with or without faults (bit 1 adds a plan that
+    /// drops, duplicates and delays).
     #[test]
     fn multi_send_ties_match_reference(
         seed in 0u64..1_000_000,
@@ -674,7 +753,7 @@ proptest! {
             .map(|i| NodeId((i * n / byz_count.max(1)) as u32))
             .collect();
         let cfg = SimConfig { stop_when: StopWhen::MaxRoundsOnly, ..config(seed, rounds) };
-        let cfg = if shape & 2 != 0 { flat_feed(cfg) } else { cfg };
+        let cfg = if shape & 2 != 0 { with_faults(cfg) } else { cfg };
         let spray = |_: NodeId, init: &NodeInit| SprayFlood { acc: init.pid.0 };
         if shape & 1 != 0 {
             check(&g, &byz, spray, || Rusher, cfg);

@@ -2,15 +2,15 @@
 //! workers must produce **bit-identical** [`SimReport`]s to the same
 //! execution inside a one-thread pool — same pids, rounds, metrics,
 //! outputs, decided rounds, halt flags, and stop reason — across seeds,
-//! topologies and both message-plane feeds.
+//! topologies and fault plans.
 //!
 //! The honest compute phase always goes through the pool's splitter: a
 //! one-thread pool runs it as one leaf over every node, and a wider pool
-//! forks it across the workers; the merge and delivery stay serial on
-//! both feeds. The fault plan alone picks the feed: `NoisyEcho` runs the
-//! outbox feed, and `NoisyRusher`, which reads the in-flight honest
-//! traffic, runs it too and the flat feed under a plan that faults
-//! nothing (one crash past the last round). The same
+//! forks it across the workers; the merge, the fault pass and delivery
+//! stay serial. `NoisyEcho` runs without a fault plan, and `NoisyRusher`,
+//! which reads the in-flight honest traffic, runs without one, under a
+//! crash-only plan that crashes nothing (one crash past the last round),
+//! and under a plan that drops, duplicates and delays. The same
 //! workload shapes are also diffed round by round against the crate's
 //! reference executor in its unit tests (`src/reference/tests.rs`), which
 //! an integration test cannot reach.
@@ -67,10 +67,9 @@ impl Protocol for JitterFlood {
 }
 
 /// A rushing adversary with its own randomness that never reads
-/// `honest_outgoing`. The double broadcast
-/// every fifth round overflows the table paths' Byzantine budget (one
-/// message per Byzantine-incident edge), forcing those rounds through the
-/// flat fallback.
+/// `honest_outgoing`. The double broadcast every fifth round gives the
+/// spans it reaches more messages than their degree, so those rounds spill
+/// spans to the arena's tail.
 struct NoisyEcho;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for NoisyEcho {
@@ -89,8 +88,8 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for NoisyEcho {
 }
 
 /// A rushing adversary that outbids the largest value in flight — it
-/// reads `honest_outgoing`, in place on the outbox feed and as the
-/// merged vector on the flat feed.
+/// reads `honest_outgoing`: the outboxes in place, as the fault pass
+/// rewrote them, then the redeliveries.
 struct NoisyRusher;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for NoisyRusher {
@@ -103,20 +102,35 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for NoisyRusher {
     }
 }
 
-/// Runs 60 rounds at most; `flat` selects the flat feed with a fault
-/// plan that faults nothing: its one crash lies past the last round, and
-/// a crash-only plan draws no fault randomness.
+/// A crash-only plan whose one crash lies past [`run`]'s last round: the
+/// crash pass runs, and no fault randomness is drawn.
+fn crash_only() -> FaultPlan {
+    FaultPlan {
+        crashes: vec![CrashEvent { round: 61, node: 0 }],
+        ..FaultPlan::default()
+    }
+}
+
+/// A plan that drops, duplicates and delays, seeded by `seed`.
+fn faulty(seed: u64) -> FaultPlan {
+    FaultPlan {
+        seed,
+        drop_per_mille: 60,
+        dup_per_mille: 60,
+        delay_per_mille: 60,
+        delay_rounds: 2,
+        ..FaultPlan::default()
+    }
+}
+
+/// Runs 60 rounds at most under `fault`.
 fn run<A: Adversary<JitterFlood>>(
     g: &Graph,
     byz: &[NodeId],
     seed: u64,
     adversary: A,
-    flat: bool,
+    fault: FaultPlan,
 ) -> SimReport<u64> {
-    let mut fault = FaultPlan::default();
-    if flat {
-        fault.crashes.push(CrashEvent { round: 61, node: 0 });
-    }
     let mut sim = Execution::new(
         g,
         byz,
@@ -157,15 +171,19 @@ fn assert_identical(a: &SimReport<u64>, b: &SimReport<u64>) {
     assert_eq!(a.stop_reason, b.stop_reason, "stop reason diverged");
 }
 
-/// A four-worker pool against a one-thread pool on both feeds.
+/// A four-worker pool against a one-thread pool, with and without faults.
 fn assert_parallel_matches_serial(g: &Graph, byz: &[NodeId], seed: u64) {
-    let serial = in_pool(1, || run(g, byz, seed, NoisyEcho, false));
-    assert_identical(&serial, &in_pool(4, || run(g, byz, seed, NoisyEcho, false)));
-    for flat in [false, true] {
-        let serial = in_pool(1, || run(g, byz, seed, NoisyRusher, flat));
+    let none = FaultPlan::default;
+    let serial = in_pool(1, || run(g, byz, seed, NoisyEcho, none()));
+    assert_identical(
+        &serial,
+        &in_pool(4, || run(g, byz, seed, NoisyEcho, none())),
+    );
+    for plan in [none(), crash_only(), faulty(seed)] {
+        let serial = in_pool(1, || run(g, byz, seed, NoisyRusher, plan.clone()));
         assert_identical(
             &serial,
-            &in_pool(4, || run(g, byz, seed, NoisyRusher, flat)),
+            &in_pool(4, || run(g, byz, seed, NoisyRusher, plan.clone())),
         );
     }
 }
@@ -195,7 +213,8 @@ fn parallel_matches_serial_without_byzantine_nodes() {
     assert_parallel_matches_serial(&cycle(100).unwrap(), &[], 5);
 }
 
-/// Pool-size invariance: both feeds, executed inside explicit worker
+/// Pool-size invariance: without a plan, under a crash-only plan and
+/// under drops, duplicates and delays, executed inside explicit worker
 /// pools of size 2, 4, and 8 (more workers than the compute phase's
 /// 64-node leaves can occupy on this graph, so some deques stay starved),
 /// must reproduce the one-thread pool's transcript (one leaf, no fork)
@@ -207,12 +226,16 @@ fn parallel_is_pool_size_invariant() {
     let mut rng = ChaCha8Rng::seed_from_u64(42);
     let g = hnd(160, 8, &mut rng).unwrap();
     let byz = [NodeId(5), NodeId(80)];
-    let echo = in_pool(1, || run(&g, &byz, 42, NoisyEcho, false));
-    let rusher = in_pool(1, || run(&g, &byz, 42, NoisyRusher, true));
+    let echo = in_pool(1, || run(&g, &byz, 42, NoisyEcho, FaultPlan::default()));
+    let rusher = in_pool(1, || run(&g, &byz, 42, NoisyRusher, crash_only()));
+    let faulted = in_pool(1, || run(&g, &byz, 42, NoisyRusher, faulty(42)));
+    let m = &faulted.metrics;
+    assert!(m.dropped > 0 && m.duplicated > 0 && m.delayed > 0);
     for threads in [2usize, 4, 8] {
         in_pool(threads, || {
-            assert_identical(&echo, &run(&g, &byz, 42, NoisyEcho, false));
-            assert_identical(&rusher, &run(&g, &byz, 42, NoisyRusher, true));
+            assert_identical(&echo, &run(&g, &byz, 42, NoisyEcho, FaultPlan::default()));
+            assert_identical(&rusher, &run(&g, &byz, 42, NoisyRusher, crash_only()));
+            assert_identical(&faulted, &run(&g, &byz, 42, NoisyRusher, faulty(42)));
         });
     }
 }
@@ -280,7 +303,7 @@ fn run_relay(g: &Graph, byz: &[NodeId], seed: u64) -> SimReport<u64> {
     .run()
 }
 
-/// The event-driven relay on the outbox feed, with most outboxes empty
+/// The event-driven relay without faults, with most outboxes empty
 /// in most rounds: a pool of four workers reproduces the one-thread
 /// pool's transcript, per-round decided/halted census included.
 #[test]

@@ -5,9 +5,9 @@
 //! must keep honest survivors deciding when the crashed set stays within
 //! the paper's bound, and the fault counters must account exactly.
 //!
-//! A non-empty plan selects the engine's flat feed (the fault pass rolls
-//! over the node-order traffic vector), whatever the adversary declares;
-//! the suite proves the dedicated fault stream is untouched by the
+//! A non-empty plan turns on the engine's fault pass, which rolls over
+//! the outboxes in node order and send order, whatever the adversary
+//! does; the suite proves the dedicated fault stream is untouched by the
 //! compute schedule. The same workload shapes are also diffed round by
 //! round against the crate's reference executor in its unit tests
 //! (`src/reference/tests.rs`), which an integration test cannot reach.
@@ -59,9 +59,7 @@ impl Protocol for FaultFlood {
     }
 }
 
-/// A rushing adversary with its own RNG stream. Without a fault plan the
-/// engine would run the outbox feed; the non-empty plan selects the flat
-/// feed.
+/// A rushing adversary with its own RNG stream.
 struct NoisyEcho;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for NoisyEcho {

@@ -3,13 +3,13 @@
 //! payload per recipient. Measured with a payload type that counts its
 //! own clones.
 //!
-//! * On the outbox feed, rounds of full broadcasts clone no payload — on
-//!   the full table, compacted table and flat fallback paths, under an
+//! * Without faults, rounds of full broadcasts clone no payload — on
+//!   the full table, compacted table and flat placement paths, under an
 //!   event-driven relay whose nodes first send late, and in pools of 1
 //!   and 4 workers (the latter forks the honest compute with the
 //!   `parallel` feature).
-//! * On the flat feed under a drop/duplicate/delay plan, the only clones
-//!   are the delayed messages' copies: clones equal [`Metrics::delayed`].
+//! * Under a drop/duplicate/delay plan, the only clones are the delayed
+//!   messages' copies: clones equal [`Metrics::delayed`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -49,7 +49,7 @@ enum Shape {
     /// One broadcast.
     Broadcast,
     /// A broadcast, then a repeat send to the first neighbour (a
-    /// non-monotone slot sequence: the flat fallback).
+    /// non-monotone slot sequence: the flat placement).
     BroadcastAndRepeat,
 }
 
@@ -150,12 +150,13 @@ fn flood(g: &Graph, byz: &[NodeId], shape: Shape, cfg: SimConfig) -> (u64, Metri
 }
 
 #[test]
-fn outbox_feed_broadcasts_clone_no_payload() {
+fn broadcasts_clone_no_payload() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let g = hnd(256, 8, &mut ChaCha8Rng::seed_from_u64(3)).unwrap();
     let byz = [NodeId(9), NodeId(130)];
     // The full table path (no Byzantine node), the compacted table path
-    // with the Byzantine-adjacent sort, and the flat fallback.
+    // with the sort of the spans Byzantine traffic reaches, and the flat
+    // placement.
     let cases = [
         (&[][..], Shape::Broadcast),
         (&byz[..], Shape::Broadcast),
@@ -204,7 +205,7 @@ fn event_driven_relay_clones_no_payload() {
 }
 
 #[test]
-fn flat_feed_clones_only_delayed_payloads() {
+fn faulty_rounds_clone_only_delayed_payloads() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let g = hnd(128, 8, &mut ChaCha8Rng::seed_from_u64(5)).unwrap();
     let plan = FaultPlan {

@@ -1,9 +1,9 @@
 //! Large-`n` smoke test for the scale tier: builds an H(n, 8) random
 //! regular graph at n = 65536 through the streaming CSR path, runs a few
-//! rounds through the compact-plane engine on both feeds (the outbox feed
-//! without a fault plan, the flat feed selected by a plan that faults
-//! nothing), checks that they agree, and holds the process's peak RSS
-//! under a budget.
+//! rounds through the compact-plane engine without a fault plan, under a
+//! crash-only plan that crashes nothing (which must agree with it), and
+//! under a plan that drops, duplicates and delays, and holds the
+//! process's peak RSS under a budget.
 //!
 //! Ignored by default (it is a memory test, and peak RSS is a
 //! process-global high-water mark that other tests in the same process
@@ -65,14 +65,8 @@ impl Protocol for Wave {
     }
 }
 
-/// Eight rounds of the wave; `flat` selects the flat feed with a fault
-/// plan that faults nothing: its one crash lies past the last round, and
-/// a crash-only plan draws no fault randomness.
-fn run_wave(g: &bcount_graph::Graph, flat: bool) -> SimReport<u64> {
-    let mut fault = FaultPlan::default();
-    if flat {
-        fault.crashes.push(CrashEvent { round: 9, node: 0 });
-    }
+/// Eight rounds of the wave under `fault`.
+fn run_wave(g: &bcount_graph::Graph, fault: FaultPlan) -> SimReport<u64> {
     Execution::new(
         g,
         &[NodeId(3), NodeId(40_000)],
@@ -101,18 +95,44 @@ fn scale_65536_smoke_under_rss_budget() {
     assert_eq!(g.len(), n);
     assert!(g.degree_sum() >= 8 * n, "8 random cycles worth of edges");
 
-    let flat = run_wave(&g, true);
-    let outbox = run_wave(&g, false);
-    assert_eq!(flat.rounds, 8);
-    assert_eq!(flat.outputs, outbox.outputs);
+    // A crash-only plan whose one crash lies past the last round: the
+    // crash pass runs, crashes nothing and draws no fault randomness.
+    let crash_only = FaultPlan {
+        crashes: vec![CrashEvent { round: 9, node: 0 }],
+        ..FaultPlan::default()
+    };
+    let crash_pass = run_wave(&g, crash_only);
+    let plain = run_wave(&g, FaultPlan::default());
+    assert_eq!(crash_pass.rounds, 8);
+    assert_eq!(crash_pass.outputs, plain.outputs);
     assert_eq!(
-        flat.metrics.total_messages(0..n),
-        outbox.metrics.total_messages(0..n)
+        crash_pass.metrics.total_messages(0..n),
+        plain.metrics.total_messages(0..n)
     );
-    let reached = flat.outputs.iter().flatten().count();
+    let reached = crash_pass.outputs.iter().flatten().count();
     assert!(
         reached > n / 2,
         "the wave must cover most of an expander ({reached}/{n} reached)"
+    );
+    // The fault pass at scale: drops, duplicates and delays rewrite the
+    // outboxes of every wave round, and the wave still covers most of the
+    // graph.
+    let faulty = FaultPlan {
+        seed: 5,
+        drop_per_mille: 50,
+        dup_per_mille: 50,
+        delay_per_mille: 50,
+        delay_rounds: 1,
+        ..FaultPlan::default()
+    };
+    let faulted = run_wave(&g, faulty);
+    assert_eq!(faulted.rounds, 8);
+    let m = &faulted.metrics;
+    assert!(m.dropped > 0 && m.duplicated > 0 && m.delayed > 0);
+    let reached = faulted.outputs.iter().flatten().count();
+    assert!(
+        reached > n / 2,
+        "the faulted wave must cover most of an expander ({reached}/{n} reached)"
     );
 
     let budget_kb: u64 = std::env::var("BCOUNT_SCALE_RSS_BUDGET_KB")

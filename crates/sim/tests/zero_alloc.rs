@@ -10,6 +10,13 @@
 //! allocates once more when it does; `assert_rewarm_after_unicast_switch`
 //! pins that bound.
 //!
+//! Under a fault plan that drops and duplicates, the bound stays zero on
+//! table and flat-placed rounds alike: the fault pass rewrites the
+//! outboxes in place. A delay clones its payload into the redelivery
+//! queue by design, so `assert_delays_clone_once` bounds a delaying plan
+//! at one allocation per delayed message, with a payload whose every
+//! clone allocates once.
+//!
 //! Runs with `harness = false` (see the `[[test]]` entry in Cargo.toml):
 //! the allocation counter is process-global and libtest's bookkeeping
 //! threads would otherwise pollute the measured window. For the same
@@ -78,8 +85,8 @@ impl Protocol for Chatter {
 
 /// Like [`Chatter`], but every round it additionally re-sends to its
 /// first neighbour *after* the broadcast — a non-monotone slot sequence,
-/// which the table cannot place, so the outbox feed takes the flat feed's
-/// placement every single round.
+/// which the table cannot place, so every single round takes the flat
+/// placement.
 #[derive(Debug, Clone)]
 struct DoubleChatter(Pid);
 
@@ -106,8 +113,8 @@ impl Protocol for DoubleChatter {
 
 /// Every round, a distinct unicast to each distinct neighbour in a seeded
 /// random half of them, in slot order: strictly increasing first slots
-/// with holes anywhere in the spans — the outbox feed's compacted table
-/// path (fill, then compaction) every round.
+/// with holes anywhere in the spans — the compacted table path (fill,
+/// then compaction) every round.
 #[derive(Debug, Clone)]
 struct SubsetChatter(Pid);
 
@@ -209,24 +216,38 @@ fn chatter_config() -> SimConfig {
     }
 }
 
-/// [`chatter_config`] on the flat feed without a fault: a crash-only plan
-/// (no fault randomness is drawn) whose one crash lies past any round
-/// these tests reach.
-fn flat_config() -> SimConfig {
+/// [`chatter_config`] under a plan that drops and duplicates (no delay,
+/// whose clones allocate by design) and crashes nothing.
+fn faulty_config() -> SimConfig {
+    SimConfig {
+        fault: FaultPlan {
+            seed: 11,
+            drop_per_mille: 50,
+            dup_per_mille: 50,
+            ..FaultPlan::default()
+        },
+        ..chatter_config()
+    }
+}
+
+/// [`chatter_config`] with a crash-only plan whose one crash lies past any
+/// round these tests reach: the crash pass runs, and crashes nothing.
+fn crash_only_config() -> SimConfig {
     let mut cfg = chatter_config();
-    let round = u64::MAX;
-    cfg.fault.crashes.push(CrashEvent { round, node: 0 });
+    cfg.fault.crashes.push(CrashEvent {
+        round: u64::MAX,
+        node: 0,
+    });
     cfg
 }
 
-/// The outbox feed (`NullAdversary` licenses it): the full table path
-/// without Byzantine nodes, and with a silent Byzantine node (whose
-/// unfilled table positions make every round a compacted one) the
-/// compacted table path plus the Byzantine-adjacent sort — the
-/// sender-rank table, per-span permutation scratch, and the SoA arena's
-/// parallel arrays are all built or grown during warm-up and only reused
-/// afterwards.
-fn assert_zero_alloc_outbox_feed(byz: bool) {
+/// The full table path without Byzantine nodes, and with a silent
+/// Byzantine node (whose unfilled table positions make every round a
+/// compacted one) the compacted table path plus the sort of the spans
+/// that get Byzantine traffic — the sender-rank table, the permutation
+/// scratch, and the SoA arena's parallel arrays are all built or grown
+/// during warm-up and only reused afterwards.
+fn assert_zero_alloc_table(byz: bool) {
     let g = cycle(96).unwrap();
     let byz: &[NodeId] = if byz { &[NodeId(17)] } else { &[] };
     let sim = Execution::new(
@@ -236,14 +257,13 @@ fn assert_zero_alloc_outbox_feed(byz: bool) {
         NullAdversary,
         chatter_config(),
     );
-    assert_steady_state_allocation_free(sim, &format!("outbox feed, byz={}", !byz.is_empty()));
+    assert_steady_state_allocation_free(sim, &format!("table, byz={}", !byz.is_empty()));
 }
 
 /// An observing adversary: it walks the round's in-flight honest traffic
-/// (the outboxes in place on the outbox feed, the merged vector on the
-/// flat feed) and, with `burst` set, answers from every Byzantine node
-/// with two messages per incident edge — more than the outbox feed's
-/// table paths would take.
+/// (the outboxes in place, duplicates twice, then any redeliveries) and,
+/// with `burst` set, answers from every Byzantine node with two messages
+/// per incident edge — more than a span has room for.
 /// It answers with two [`ByzantineContext::broadcast`]s, which walk the
 /// graph's neighbour spans in place.
 struct Observer {
@@ -265,18 +285,13 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for Observer {
 }
 
 /// A steady broadcast under a silent observer, and a Byzantine burst
-/// every round. On the outbox feed the observer reads the full outboxes
-/// in place before the compacted table path (silent) or the flat fallback
-/// (burst) delivers them; on the flat feed (a plan that faults nothing
-/// selects it) the node-order vector, the count/prefix-sum scatter, and
-/// the sort of every span all run on warmed capacity.
-fn assert_zero_alloc_observed(flat: bool, burst: bool) {
+/// every round, under `cfg`'s plan (`plan` names it). The observer reads
+/// the outboxes in place before the compacted table path delivers them,
+/// spilling the spans a burst or a faulted round's duplicates overflow;
+/// the spill, the append of the extras and the sort of the spans they
+/// reach all run on warmed capacity.
+fn assert_zero_alloc_observed(cfg: SimConfig, plan: &str, burst: bool) {
     let g = cycle(96).unwrap();
-    let cfg = if flat {
-        flat_config()
-    } else {
-        chatter_config()
-    };
     let sim = Execution::new(
         &g,
         &[NodeId(17)],
@@ -284,17 +299,13 @@ fn assert_zero_alloc_observed(flat: bool, burst: bool) {
         Observer { burst },
         cfg,
     );
-    let feed = if flat {
-        "flat feed"
-    } else {
-        "observed outbox feed"
-    };
-    assert_steady_state_allocation_free(sim, &format!("{feed}, burst={burst}"));
+    let case = format!("observed, {plan}, burst={burst}");
+    assert_steady_state_allocation_free(sim, &case);
 }
 
-/// Beacon spam that ignores the traffic, on the outbox feed: every
+/// Beacon spam that ignores the traffic: every
 /// Byzantine node broadcasts a fresh beacon every round, one message per
-/// incident edge — within the table paths' Byzantine budget.
+/// incident edge — within the room of every span.
 struct SilentSpam;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for SilentSpam {
@@ -306,7 +317,7 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for SilentSpam {
     }
 }
 
-/// Random-subset unicasts under beacon spam on the outbox feed: the
+/// Random-subset unicasts under beacon spam: the
 /// compacted table path's hole marking, node-order fill, compaction, the
 /// Byzantine append behind the compacted spans and their counting sort
 /// all run on warmed capacity.
@@ -319,14 +330,12 @@ fn assert_zero_alloc_compacted_spam() {
         SilentSpam,
         chatter_config(),
     );
-    assert_steady_state_allocation_free(sim, "outbox feed, subset unicasts under beacon spam");
+    assert_steady_state_allocation_free(sim, "subset unicasts under beacon spam");
 }
 
-/// The outbox feed's flat fallback, which runs when a round's slot
-/// sequences are non-monotone, must also be allocation-free in steady
-/// state. Its first round warms `honest_outgoing` (empty on the outbox
-/// feed until then) and the sort scratch of the spans that are not
-/// Byzantine-adjacent, once.
+/// The flat placement, which runs when a round's slot sequences are
+/// non-monotone, must also be allocation-free in steady state. Its first
+/// round warms `honest_outgoing` (empty until then), once.
 fn assert_zero_alloc_fallback() {
     let g = cycle(96).unwrap();
     let sim = Execution::new(
@@ -336,7 +345,103 @@ fn assert_zero_alloc_fallback() {
         NullAdversary,
         chatter_config(),
     );
-    assert_steady_state_allocation_free(sim, "outbox feed, flat fallback");
+    assert_steady_state_allocation_free(sim, "flat placement");
+}
+
+/// A plan that drops and duplicates, on three send shapes: a full
+/// broadcast (compacted table rounds where the duplicates fit behind the
+/// drops' holes, spilled ones where a duplicate overflows a whole
+/// span), random-subset unicasts (compacted table rounds, the
+/// duplicates appended behind spans with holes), and non-monotone sends
+/// (flat-placed every round, a duplicate as two entries). The fault pass
+/// marks and removes sends in place, so nothing allocates: bound 0.
+fn assert_zero_alloc_faulty() {
+    let g = cycle(96).unwrap();
+    let byz: &[NodeId] = &[];
+    let sim = Execution::new(
+        &g,
+        byz,
+        |_, init| Chatter(init.pid),
+        NullAdversary,
+        faulty_config(),
+    );
+    assert_steady_state_allocation_free(sim, "drop + duplicate, broadcast");
+    let init = |_: NodeId, init: &NodeInit| SubsetChatter(init.pid);
+    let sim = Execution::new(&g, byz, init, NullAdversary, faulty_config());
+    assert_steady_state_allocation_free(sim, "drop + duplicate, subset unicasts");
+    let init = |_: NodeId, init: &NodeInit| DoubleChatter(init.pid);
+    let sim = Execution::new(&g, byz, init, NullAdversary, faulty_config());
+    assert_steady_state_allocation_free(sim, "drop + duplicate, non-monotone sends");
+}
+
+/// A payload whose every clone allocates exactly once (building one
+/// allocates nothing): the unit of the delay bound.
+#[derive(Debug)]
+struct CloneAllocates(u64);
+
+impl Clone for CloneAllocates {
+    fn clone(&self) -> Self {
+        std::hint::black_box(Box::new(self.0));
+        CloneAllocates(self.0)
+    }
+}
+
+impl MessageSize for CloneAllocates {
+    fn size_bits(&self, _id_bits: u32) -> u64 {
+        64
+    }
+}
+
+/// [`Chatter`] with a [`CloneAllocates`] payload.
+#[derive(Debug, Clone)]
+struct CloneChatter(u64);
+
+impl Protocol for CloneChatter {
+    type Message = CloneAllocates;
+    type Output = ();
+
+    fn on_round(&mut self, ctx: &mut NodeContext<'_, CloneAllocates>) {
+        let heard = ctx.inbox().len() as u64;
+        ctx.broadcast(CloneAllocates(self.0.wrapping_add(heard)));
+    }
+
+    fn output(&self) -> Option<()> {
+        None
+    }
+}
+
+/// A plan that drops, duplicates and delays: a delayed message clones its
+/// payload into the redelivery queue — the one clone of the plane — and
+/// nothing else allocates. Bound: allocations over the 200 steady-state
+/// rounds at most the messages those rounds delayed, with a payload whose
+/// every clone allocates once.
+fn assert_delays_clone_once() {
+    let g = cycle(96).unwrap();
+    let cfg = SimConfig {
+        fault: FaultPlan {
+            delay_per_mille: 50,
+            delay_rounds: 2,
+            ..faulty_config().fault
+        },
+        ..chatter_config()
+    };
+    let init = |_: NodeId, init: &NodeInit| CloneChatter(init.pid.0);
+    let mut sim = Execution::new(&g, &[], init, NullAdversary, cfg);
+    for _ in 0..30 {
+        sim.step();
+    }
+    let delayed_before = sim.metrics().delayed;
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..200 {
+        sim.step();
+    }
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let delayed = sim.metrics().delayed - delayed_before;
+    assert!(delayed > 0, "the plan must delay something");
+    assert!(
+        allocations <= delayed,
+        "{allocations} allocations over 200 rounds that delayed {delayed} messages"
+    );
 }
 
 /// The limit of the steady-state claim: payload
@@ -346,8 +451,9 @@ fn assert_zero_alloc_fallback() {
 /// again — each outbox plane and each arena generation's store grows to
 /// its new high-water mark within the first two switched rounds, bounded
 /// by two growths per node plus a few per store — and from then on
-/// nothing allocates. Checked on both feeds.
-fn assert_rewarm_after_unicast_switch(flat: bool) {
+/// nothing allocates. Checked with and without a plan that drops and
+/// duplicates.
+fn assert_rewarm_after_unicast_switch(faulty: bool) {
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let g = hnd(96, 8, &mut rng).unwrap();
     let n = g.len() as u64;
@@ -357,12 +463,12 @@ fn assert_rewarm_after_unicast_switch(flat: bool) {
         switch,
     };
     let byz: &[NodeId] = &[NodeId(17)];
-    if flat {
-        let sim = Execution::new(&g, byz, init, NullAdversary, flat_config());
-        rewarm_then_steady(sim, switch, 2 * n + 16, "flat feed");
+    if faulty {
+        let sim = Execution::new(&g, byz, init, NullAdversary, faulty_config());
+        rewarm_then_steady(sim, switch, 2 * n + 16, "drop + duplicate");
     } else {
         let sim = Execution::new(&g, byz, init, NullAdversary, chatter_config());
-        rewarm_then_steady(sim, switch, 2 * n + 16, "outbox feed");
+        rewarm_then_steady(sim, switch, 2 * n + 16, "no faults");
     }
 }
 
@@ -407,21 +513,30 @@ fn main() {
         .build()
         .expect("build size-1 pool");
     pool.install(|| {
-        // Outbox feed: the full table path (no Byzantine nodes), the
-        // compacted table path (silent Byzantine node, and subset
-        // unicasts under beacon spam), and the flat fallback
-        // (non-monotone sends).
-        assert_zero_alloc_outbox_feed(false);
-        assert_zero_alloc_outbox_feed(true);
+        // The full table path (no Byzantine nodes), the compacted table
+        // path (silent Byzantine node, and subset unicasts under beacon
+        // spam), and the flat placement (non-monotone sends).
+        assert_zero_alloc_table(false);
+        assert_zero_alloc_table(true);
         assert_zero_alloc_compacted_spam();
         assert_zero_alloc_fallback();
-        // An observing adversary on both feeds: steady broadcast, and a
-        // Byzantine burst every round (on the outbox feed, over the
-        // budget: the flat fallback).
-        for flat in [false, true] {
-            assert_zero_alloc_observed(flat, false);
-            assert_zero_alloc_observed(flat, true);
+        // Drops and duplicates on table and flat-placed rounds: bound 0.
+        assert_zero_alloc_faulty();
+        // An observing adversary without a plan, under a crash-only plan
+        // and under drops and duplicates: steady broadcast, and a
+        // Byzantine burst every round (more than a span has room for: the
+        // spans it reaches spill).
+        let plans = [
+            (chatter_config(), "no plan"),
+            (crash_only_config(), "crash-only"),
+            (faulty_config(), "drop + duplicate"),
+        ];
+        for (cfg, plan) in plans {
+            assert_zero_alloc_observed(cfg.clone(), plan, false);
+            assert_zero_alloc_observed(cfg, plan, true);
         }
+        // Delays: at most one allocation per delayed message.
+        assert_delays_clone_once();
         // A late switch to per-neighbour unicasts: a bounded
         // re-warm, then zero again.
         assert_rewarm_after_unicast_switch(false);
@@ -429,7 +544,8 @@ fn main() {
     });
     println!(
         "zero_alloc: ok (0 allocations over 200 steady-state rounds; \
-         outbox feed full/compacted/spam/fallback/observed, flat feed steady/burst, \
-         re-warm after a unicast switch on both feeds; size-1 pool)"
+         table full/compacted/spam, flat placement, drop + duplicate on both placements, \
+         observed with and without faults; delays at most one clone each; \
+         re-warm after a unicast switch with and without faults; size-1 pool)"
     );
 }

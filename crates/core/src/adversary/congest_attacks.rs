@@ -1,12 +1,13 @@
 //! Byzantine strategies against Algorithm 2 (the CONGEST protocol).
 
 use std::iter;
-use std::sync::Arc;
 
 use bcount_sim::{Adversary, ByzantineContext, FullInfoView, Pid};
 use rand::Rng;
 
-use crate::congest::{CongestCounting, CongestMsg, CongestParams, PhaseClock, RoundPosition};
+use crate::congest::{
+    BeaconPath, CongestCounting, CongestMsg, CongestParams, PhaseClock, RoundPosition,
+};
 
 /// The headline threat of Section 5: Byzantine nodes fabricate a fresh
 /// beacon every beacon round — with a path prefix of never-seen phantom
@@ -72,9 +73,10 @@ impl Adversary<CongestCounting> for BeaconSpamAdversary {
 }
 
 /// A beacon path of `prefix_len` phantom IDs, drawn from the adversary's
-/// stream in order, ending in the sender's own identity — collected
-/// straight into the shared path (one allocation).
-fn fabricate(ctx: &mut ByzantineContext<'_, CongestMsg>, prefix_len: usize, me: Pid) -> Arc<[Pid]> {
+/// stream in order, ending in the sender's own identity — filled straight
+/// into the path (inline up to [`crate::congest::INLINE_PATH`] entries,
+/// else one shared allocation).
+fn fabricate(ctx: &mut ByzantineContext<'_, CongestMsg>, prefix_len: usize, me: Pid) -> BeaconPath {
     (0..prefix_len)
         .map(|_| Pid(ctx.rng().gen()))
         .chain(iter::once(me))

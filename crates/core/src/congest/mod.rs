@@ -30,7 +30,7 @@ mod params;
 mod protocol;
 mod schedule;
 
-pub use beacon::CongestMsg;
+pub use beacon::{BeaconPath, CongestMsg, INLINE_PATH};
 pub use params::CongestParams;
 pub use protocol::{CongestCounting, CongestEstimate, CongestTrigger};
 pub use schedule::{PhaseClock, RoundPosition};

@@ -2,14 +2,12 @@
 
 use std::collections::HashSet;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
-use std::iter;
-use std::sync::Arc;
 
 use bcount_sim::{Inbox, NodeContext, NodeInit, Pid, Protocol};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use super::beacon::CongestMsg;
+use super::beacon::{BeaconPath, CongestMsg};
 use super::params::CongestParams;
 use super::schedule::{PhaseClock, RoundPosition};
 
@@ -88,8 +86,9 @@ pub struct CongestCounting {
     /// isolated node).
     activation: f64,
     /// Per-iteration `shortestPath` (Line 4): the accepted beacon's path,
-    /// origin first, sender last. Shared with the beacon it came from.
-    shortest_path: Option<Arc<[Pid]>>,
+    /// origin first, sender last. A copy of the beacon's path (inline, or
+    /// a reference-count bump on a shared one).
+    shortest_path: Option<BeaconPath>,
     /// Whether a `⟨continue⟩` arrived during the current continue window.
     heard_continue: bool,
     /// Flood dedup: forwarded a continue already in this window.
@@ -185,7 +184,7 @@ impl CongestCounting {
     fn valid_beacons(
         inbox: Inbox<'_, CongestMsg>,
         phase: u32,
-    ) -> impl Iterator<Item = &Arc<[Pid]>> {
+    ) -> impl Iterator<Item = &BeaconPath> {
         inbox.iter().filter_map(move |env| match env.msg {
             CongestMsg::Beacon { path } if Self::beacon_is_valid(path, env.sender, phase) => {
                 Some(path)
@@ -245,8 +244,8 @@ impl Protocol for CongestCounting {
             // activation coin, and originate a beacon if active.
             self.shortest_path = None;
             if self.activation > 0.0 && ctx.rng().gen_bool(self.activation) {
-                let path: Arc<[Pid]> = Arc::from([self.me]);
-                self.shortest_path = Some(Arc::clone(&path));
+                let path = BeaconPath::extended(&[], self.me);
+                self.shortest_path = Some(path.clone());
                 ctx.broadcast(CongestMsg::Beacon { path });
             }
             return;
@@ -267,11 +266,11 @@ impl Protocol for CongestCounting {
                 .nth(pick)
                 .expect("pick is below the valid count");
             if pos.can_forward_beacon() {
-                let fwd: Arc<[Pid]> = path.iter().copied().chain(iter::once(self.me)).collect();
+                let fwd = BeaconPath::extended(path, self.me);
                 ctx.broadcast(CongestMsg::Beacon { path: fwd });
             }
             if self.shortest_path.is_none() && self.passes_blacklist(path) {
-                self.shortest_path = Some(Arc::clone(path));
+                self.shortest_path = Some(path.clone());
             }
             return;
         }

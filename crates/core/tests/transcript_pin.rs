@@ -15,7 +15,9 @@
 use bcount_core::adversary::{
     BeaconSpamAdversary, EdgeInjectorAdversary, OscillatingSpamAdversary, PathTamperAdversary,
 };
-use bcount_core::congest::{CongestCounting, CongestEstimate, CongestParams, CongestTrigger};
+use bcount_core::congest::{
+    CongestCounting, CongestEstimate, CongestMsg, CongestParams, CongestTrigger, INLINE_PATH,
+};
 use bcount_core::local::{LocalConfig, LocalCounting, LocalEstimate, LocalTrigger};
 use bcount_graph::gen::hnd;
 use bcount_graph::{Graph, NodeId};
@@ -334,24 +336,57 @@ fn congest_without_blacklisting_transcript_is_pinned() {
     check("congest without blacklisting", pin, CONGEST_NO_BLACKLIST);
 }
 
-#[test]
-fn congest_derived_first_phase_transcript_is_pinned() {
+/// The derived-first-phase cell: beacon spam from two Byzantine nodes on
+/// H(256, 8), starting at the analysis' phase 15.
+fn derived_first_phase() -> Execution<Graph, CongestCounting, BeaconSpamAdversary> {
     let n = 256;
     let params = CongestParams {
         start_phase: None,
         ..CongestParams::default()
     };
     assert_eq!(params.first_phase(), 15);
-    let exec = Execution::new(
+    Execution::new(
         network(n, 0x0F15),
         &spread(n, 2),
         |_, init| CongestCounting::new(params, init),
         BeaconSpamAdversary::new(params),
         congest_config(0x0F16, None),
-    );
-    let (pin, last) = transcript(exec, congest_raw, fold_congest);
+    )
+}
+
+#[test]
+fn congest_derived_first_phase_transcript_is_pinned() {
+    let (pin, last) = transcript(derived_first_phase(), congest_raw, fold_congest);
     assert!(last.decided > 0);
     check("congest derived first phase", pin, CONGEST_FIRST_PHASE_15);
+}
+
+/// From phase 15 on, honest forwards and Byzantine fabrications grow
+/// past the inline capacity, so this cell carries both path forms; each
+/// path's form follows from its length.
+#[test]
+fn congest_derived_first_phase_carries_both_path_forms() {
+    let mut exec = derived_first_phase();
+    let (mut inline, mut shared) = (0u64, 0u64);
+    while exec.finished().is_none() {
+        exec.step();
+        for v in exec.graph().nodes() {
+            for env in exec.inbox(v) {
+                if let CongestMsg::Beacon { path } = &env.msg {
+                    assert_eq!(path.is_inline(), path.len() <= INLINE_PATH, "{path:?}");
+                    if path.is_inline() {
+                        inline += 1;
+                    } else {
+                        shared += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        inline > 0 && shared > 0,
+        "{inline} inline and {shared} shared paths delivered"
+    );
 }
 
 #[test]

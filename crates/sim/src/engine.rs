@@ -840,6 +840,25 @@ where
     /// delivery fill.
     fn merge_arena_count(&mut self) {
         self.arena_staged.payloads.clear();
+        if self.arena_staged.payloads.capacity() == 0 {
+            // A store's first round reserves room for one in which every
+            // honest node broadcasts once and every Byzantine node sends
+            // over each of its edges (one stored payload per message), so
+            // it reaches that working size without a trail of doublings,
+            // whose freed chunks stay resident for a large payload.
+            let g: &Graph = self.graph.borrow();
+            let room = g
+                .nodes()
+                .map(|v| {
+                    if self.is_byzantine[v.index()] {
+                        g.degree(v)
+                    } else {
+                        1
+                    }
+                })
+                .sum();
+            self.arena_staged.payloads.reserve_exact(room);
+        }
         let mut sent = 0u64;
         let mut table = true;
         for (u, (outbox, metrics)) in self
@@ -1819,6 +1838,18 @@ mod tests {
         assert!(!sim.arena.offsets_static);
         let report = sim.run();
         assert_eq!(report.outputs, vec![Some(3), Some(3)]);
+    }
+
+    #[test]
+    fn broadcast_only_payload_planes_keep_one_slot() {
+        // Every node broadcasts in round 1 and whenever its maximum
+        // changes; delivery drains the planes and keeps their capacity.
+        let g = cycle(16).unwrap();
+        let mut sim = flood_sim(&g, &[], SimConfig::default());
+        for _ in 0..12 {
+            sim.step();
+        }
+        assert!(sim.outboxes.iter().all(|o| o.payloads.capacity() == 1));
     }
 
     #[test]

@@ -163,9 +163,17 @@ impl<'a, M> NodeContext<'a, M> {
 
     /// Sends `msg` to every distinct neighbour. The message is stored
     /// once, not cloned per recipient: every send references it.
+    ///
+    /// The first payload an empty plane receives from a broadcast
+    /// reserves room for exactly one, so a node that only broadcasts
+    /// holds one payload slot rather than `Vec`'s minimum of four; a
+    /// second payload in a round grows the plane as usual.
     pub fn broadcast(&mut self, msg: M) {
         if self.neighbors.is_empty() {
             return;
+        }
+        if self.outgoing.payloads.capacity() == 0 {
+            self.outgoing.payloads.reserve_exact(1);
         }
         let payload = push_payload(&mut self.outgoing.payloads, msg);
         let mut last: Option<Pid> = None;
@@ -269,6 +277,36 @@ mod tests {
         let mut out = Outbox::with_capacity(0);
         let mut c = ctx(&neighbors, EMPTY, &mut rng, &mut out);
         c.send(Pid(9), 1);
+    }
+
+    #[test]
+    fn broadcasts_reserve_one_payload_and_unicasts_grow_as_usual() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let neighbors = [Pid(1), Pid(2), Pid(3)];
+        let mut out = Outbox::with_capacity(0);
+        for msg in 0..4 {
+            ctx(&neighbors, EMPTY, &mut rng, &mut out).broadcast(msg);
+            assert_eq!(out.payloads.capacity(), 1, "after broadcast {msg}");
+            out.clear();
+        }
+        // Unicasts into an empty plane take `Vec`'s usual first growth.
+        let mut fresh = Outbox::with_capacity(0);
+        ctx(&neighbors, EMPTY, &mut rng, &mut fresh).send(Pid(2), 1);
+        let mut reference: Vec<u8> = Vec::new();
+        reference.extend([1]);
+        assert_eq!(fresh.payloads.capacity(), reference.capacity());
+        // A broadcast-warmed plane grows once for a round of unicasts,
+        // as a plain `Vec` would from one slot, and keeps what it grew.
+        let mut c = ctx(&neighbors, EMPTY, &mut rng, &mut out);
+        for to in [1, 2, 3] {
+            c.send(Pid(to), to as u8);
+        }
+        let mut reference: Vec<u8> = Vec::with_capacity(1);
+        reference.extend([1u8, 2, 3]);
+        assert_eq!(out.payloads.capacity(), reference.capacity());
+        out.clear();
+        ctx(&neighbors, EMPTY, &mut rng, &mut out).broadcast(9);
+        assert_eq!(out.payloads.capacity(), reference.capacity());
     }
 
     #[test]

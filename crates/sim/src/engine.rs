@@ -52,7 +52,7 @@
 //! rounds (every node merges whole topology views), while Algorithm 2's
 //! cheap rounds are bound by the message plane.
 //!
-//! # One feed, two placements
+//! # One feed, one placement
 //!
 //! The arena is the only delivered-message plane, and every round's
 //! honest traffic reaches it the same way: the outboxes stay full until
@@ -65,45 +65,36 @@
 //! adversary reads the outboxes in place ([`FullInfoView::honest_outgoing`]
 //! resolves each send's slot through the [`DeliveryMap`], yields a marked
 //! send twice, then the redeliveries); delivery runs after it commits.
-//! The round's shape picks one of two placements:
 //!
-//! 1. a **table round** (each outbox's slots strictly increasing — every
-//!    send resolves to the first slot of a distinct neighbour) places
-//!    through the **slot → position table**, built once per execution:
-//!    the first slot of each distinct neighbour owns the position
-//!    `deg_offsets[to] + rank` of its destination's degree-prefix span.
-//!    Outboxes drain in natural node order, one table load and one
-//!    reference write per message, so every span's honest messages land
-//!    in **sender-pid order** — the canonical inbox order is
-//!    stable-by-sender-pid. A **full** round (every table position filled,
-//!    nothing faulted, no Byzantine traffic — the steady state of flooding
-//!    protocols) is then done: sender plane and span lengths are static.
-//!    Otherwise the round is **compacted**: positions no send wrote keep a
-//!    hole mark, one sequential pass closes each span's holes, copying the
-//!    static senders, and the round's **extras** — duplicates, due
-//!    redeliveries and Byzantine traffic — are appended behind their
-//!    spans, which alone are rank-tagged and counting-sorted. A span has
-//!    room for its node's degree; one whose kept messages and extras need
-//!    more **spills**: it closes up at the arena's tail instead;
-//! 2. a round the table cannot place (slots out of order — several sends
-//!    to one neighbour, or sends out of neighbour order) takes the **flat
-//!    placement**: the outboxes drain in node order into the flat
-//!    `honest_outgoing` vector of `(from, to, payload reference)` (a
-//!    marked send as two entries, the redeliveries behind), which goes
-//!    with the Byzantine traffic through
-//!    one count → prefix-sum → scatter: count messages per destination,
-//!    prefix-sum the tallies into packed spans and write cursors, scatter
-//!    every message once into its final slot. Node order is not pid
-//!    order, so *every* non-empty span is then counting-sorted.
+//! Every round places through the **slot → position table**, built once
+//! per execution: the first slot of each distinct neighbour owns the
+//! position `deg_offsets[to] + rank` of its destination's degree-prefix
+//! span. Outboxes drain in natural node order, one table load and one
+//! reference write per message, so every span's honest messages land in
+//! **sender-pid order** — the canonical inbox order is
+//! stable-by-sender-pid. A **full** round (each outbox's slots strictly
+//! increasing, every table position filled, nothing faulted, no Byzantine
+//! traffic — the steady state of flooding protocols) is then done: sender
+//! plane and span lengths are static. Otherwise the round is
+//! **compacted**: positions no send wrote keep a hole mark, one sequential
+//! pass closes each span's holes, copying the static senders, and the
+//! round's **extras** — duplicates, sends to a neighbour whose position
+//! the round already filled, due redeliveries and Byzantine traffic — are
+//! appended behind their spans, which alone are rank-tagged and
+//! counting-sorted. A span has room for its node's degree; one whose kept
+//! messages and extras need more **spills**: it closes up at the arena's
+//! tail instead. A send to a distinct neighbour owns its position
+//! whatever its place in the outbox, so sends out of neighbour order need
+//! no extra.
 //!
-//! Transcripts never depend on the placement, the round shape, or the
-//! pool size: every path is stable per sender and lands each inbox in the
-//! canonical order. The crate's unit tests diff the engine, inbox
-//! by inbox at every round, against a literal reference executor that
-//! uses none of this machinery (no delivery map, ranks, or arena);
-//! `tests/determinism_parallel.rs` and `tests/fault_plan.rs` pin a
-//! one-thread pool's transcripts against pools of 2, 4 and 8 workers, and
-//! `tests/zero_alloc.rs` proves every steady-state pipeline
+//! Transcripts never depend on the round's shape (full, compacted or
+//! spilled) or the pool size: every path is stable per sender and lands
+//! each inbox in the canonical order. The crate's unit tests diff the
+//! engine, inbox by inbox at every round, against a literal reference
+//! executor that uses none of this machinery (no delivery map, ranks, or
+//! arena); `tests/determinism_parallel.rs` and `tests/fault_plan.rs` pin
+//! a one-thread pool's transcripts against pools of 2, 4 and 8 workers,
+//! and `tests/zero_alloc.rs` proves every steady-state round shape
 //! allocation-free.
 
 use bcount_graph::{Graph, NodeId};
@@ -295,19 +286,17 @@ pub struct Execution<G, P: Protocol, A> {
     arena: InboxArena<P::Message>,
     /// Arena staging for the round in flight.
     arena_staged: InboxArena<P::Message>,
-    /// Per-destination message tallies of the flat placement — counted by
-    /// [`Execution::deliver_flat`], consumed (as write cursors) by the
-    /// prefix-sum placement and scatter, then re-zeroed. A table round
-    /// borrows it as the per-span extras tally, which the compaction reads
-    /// and the sort re-zeroes.
+    /// Per-destination extras tally of a compacted round: counted after
+    /// the fill, read by the compaction (room and spill), re-zeroed by the
+    /// sort.
     dest_counts: Vec<u32>,
     /// The static per-node arena offsets, precomputed once per execution
-    /// as the prefix sums of the [`DeliveryMap`] in-degrees — the table
-    /// paths' placement (a table round delivers at most one honest message
+    /// as the prefix sums of the [`DeliveryMap`] in-degrees — the
+    /// placement's spans (the table delivers at most one honest message
     /// per distinct honest neighbour; a span whose extras overflow its
     /// in-degree spills past the prefix).
     deg_offsets: Vec<u32>,
-    /// The **slot → position table** of the table paths, indexed by
+    /// The **slot → position table**, indexed by
     /// delivery-map slot: the arena position a send through the first
     /// slot of each distinct neighbour takes, `deg_offsets[to] + rank`
     /// (the destination's degree-prefix offset plus the sender's rank
@@ -328,17 +317,18 @@ pub struct Execution<G, P: Protocol, A> {
     /// Whether each outbox's slots strictly increase this round (set by
     /// the merge's scan; the fault pass keeps it). Every send goes through
     /// a first slot, so that is at most one message per distinct directed
-    /// edge, each with its own table position — the precondition of the
-    /// table paths. Any other round takes the flat placement.
-    table_round: bool,
+    /// edge, each with its own table position: the **full** path needs
+    /// it, and the compacted fill skips its per-send repeat check under
+    /// it. Any other round is compacted.
+    slots_increase: bool,
     /// Per-node outgoing scratch lent to [`NodeContext`] each round:
     /// (neighbour slot, payload index) sends plus the payload plane.
     outboxes: Vec<Outbox<P::Message>>,
     /// Honest traffic outside the outboxes, as (from, to, index into the
     /// staged arena's payload store): the round's due redeliveries, queued
-    /// by the fault pass; at delivery, the duplicates a table round
-    /// appends, or every message of a flat-placed round, drained from the
-    /// outboxes in node order, with the redeliveries moved behind them.
+    /// by the fault pass; at delivery, also the honest extras of a
+    /// compacted round — duplicates and repeated sends to one neighbour —
+    /// which the fill collects in node order, ahead of the redeliveries.
     honest_outgoing: Vec<(NodeId, NodeId, u32)>,
     /// Destination sender-ranks aligned entry-for-entry with
     /// `honest_outgoing` (kept separate so the adversary's view of the
@@ -543,7 +533,7 @@ where
             slot_pos,
             full_lens,
             static_senders,
-            table_round: false,
+            slots_increase: false,
             honest_outgoing: Vec::with_capacity(staged_cap),
             honest_ranks: Vec::with_capacity(staged_cap),
             byz_outgoing: Vec::new(),
@@ -665,7 +655,7 @@ where
     /// and before the rushing adversary observes the traffic, so the
     /// adversary sees what the faulty links actually carry. A drop or a
     /// delay removes its send, a duplicate marks it with [`DUPLICATE`]:
-    /// slots keep strictly increasing, so a table round stays one. Only a
+    /// no send moves, so the merge's slot scan stands. Only a
     /// delayed message clones its payload, into the redelivery queue; every
     /// delayed message that comes due is then queued in `honest_outgoing`,
     /// its payload moved into the staged store. Redelivered messages are
@@ -791,51 +781,14 @@ where
         );
     }
 
-    /// The flat placement's merge, for a round the table cannot place:
-    /// drains every honest outbox in node order into `honest_outgoing`,
-    /// moving its payloads into the staged arena's store and resolving
-    /// each slot-addressed send to its destination and counting-sort rank
-    /// through the precomputed [`DeliveryMap`] (one flat-array load — no
-    /// per-message identity search). A send the fault pass marked with
-    /// [`DUPLICATE`] becomes two entries, and the due redeliveries the
-    /// fault pass queued move behind the fresh traffic: the order the
-    /// model defines, which the flat placement's stable sort keeps per
-    /// sender.
-    fn merge_outboxes(&mut self) {
-        let due = self.honest_outgoing.len();
-        let n = self.graph().len();
-        let arena = &mut self.arena_staged;
-        for u in 0..n {
-            let outbox = &mut self.outboxes[u];
-            if outbox.is_empty() {
-                continue;
-            }
-            let from = NodeId(u as u32);
-            let targets = self.delivery_map.targets_of(u);
-            let pbase = arena.take_payloads(&mut outbox.payloads);
-            for (slot, payload) in outbox.sends.drain(..) {
-                let target = targets[slot as usize];
-                let entry = (from, target.to, pbase + (payload & !DUPLICATE));
-                self.honest_outgoing.push(entry);
-                self.honest_ranks.push(target.rank);
-                if payload & DUPLICATE != 0 {
-                    self.honest_outgoing.push(entry);
-                    self.honest_ranks.push(target.rank);
-                }
-            }
-        }
-        self.honest_outgoing.rotate_left(due);
-        self.honest_ranks.rotate_left(due);
-    }
-
     /// The merge: records per-node metrics and scans every outbox's slot
     /// sequence. Every send goes through the first slot of its neighbour,
-    /// so a **table round** — each outbox's slots strictly increasing —
-    /// sends at most one message per distinct directed edge, each with its
-    /// own position in the slot → position table, and delivery needs no
-    /// counting and no prefix sum. Any other round takes the flat
-    /// placement. Outboxes are left full either way — delivery drains
-    /// them, after the adversary has committed. It also recycles the
+    /// so when each outbox's slots strictly increase the round sends at
+    /// most one message per distinct directed edge, each with its own
+    /// position in the slot → position table — the one shape the full
+    /// path can place, and one with no repeat for the compacted fill to
+    /// look for. Outboxes are left full — delivery drains them,
+    /// after the adversary has committed. It also recycles the
     /// staged payload store, which the fault pass's redeliveries and then
     /// delivery fill.
     fn merge_arena_count(&mut self) {
@@ -860,7 +813,7 @@ where
             self.arena_staged.payloads.reserve_exact(room);
         }
         let mut sent = 0u64;
-        let mut table = true;
+        let mut increasing = true;
         for (u, (outbox, metrics)) in self
             .outboxes
             .iter()
@@ -876,7 +829,7 @@ where
                     self.slot_pos[self.delivery_map.slot_range(u)][slot as usize] != HOLE,
                     "every send goes through a first slot"
                 );
-                table &= slot >= next;
+                increasing &= slot >= next;
                 next = slot + 1;
             }
             let (count, bits, max_bits) = outbox_sizes(outbox);
@@ -884,42 +837,46 @@ where
             sent += count;
         }
         self.round_honest_messages = sent;
-        self.table_round = table;
+        self.slots_increase = increasing;
     }
 
-    /// The table paths' delivery. Outboxes drain in natural node order
-    /// (sequential memory, not the pid permutation): each send writes only
-    /// its reference, at `slot_pos[slot]`. Every other plane comes from
-    /// the static tables.
+    /// The placement. Outboxes drain in natural node order (sequential
+    /// memory, not the pid permutation): each send writes only its
+    /// reference, at `slot_pos[slot]`. Every other plane comes from the
+    /// static tables.
     ///
-    /// * A **full** round (every table position filled, nothing faulted,
-    ///   no Byzantine traffic — the steady state of flooding protocols) is
-    ///   done after the fill: its spans are the table's, and the sender
-    ///   plane and span lengths stay invariant from the previous full
-    ///   round.
+    /// * A **full** round (slots strictly increasing, every table position
+    ///   filled, nothing faulted, no Byzantine traffic — the steady state
+    ///   of flooding protocols) is done after the fill: its spans are the
+    ///   table's, and the sender plane and span lengths stay invariant
+    ///   from the previous full round.
     /// * Otherwise the **compacted** path pre-marks every position a
-    ///   [`HOLE`], and after the fill one sequential pass over the spans
-    ///   closes the holes: it copies each kept reference and its static
-    ///   sender down to the span's next free position (plus the sender's
-    ///   rank, `p - offsets[v]`, in spans that get extras) and sets the
-    ///   span's length. The spans come out in sender-pid order, the
-    ///   table's position order. The extras the fill and the fault pass
-    ///   collected — duplicates, then due redeliveries — and the Byzantine
-    ///   traffic are appended behind them, and the spans that got extras
-    ///   are counting-sorted; the stable sort puts a duplicate right after
-    ///   its original and a redelivery after its sender's fresh message.
-    ///   A span has room for as many messages as its node's degree; one
-    ///   whose kept messages and extras need more is **spilled**: it
-    ///   closes up at the arena's tail instead, past the degree prefix.
+    ///   [`HOLE`]. In a round whose slots do not increase, a send whose
+    ///   position the fill already wrote (a repeat to one neighbour)
+    ///   becomes an extra, as a duplicate does. After the fill one sequential pass over the spans closes
+    ///   the holes: it copies each kept reference and its static sender
+    ///   down to the span's next free position (plus the sender's rank,
+    ///   `p - offsets[v]`, in spans that get extras) and sets the span's
+    ///   length. The spans come out in sender-pid order, the table's
+    ///   position order. The extras the fill and the fault pass collected
+    ///   — duplicates and repeats in send order, then due redeliveries —
+    ///   and the Byzantine traffic are appended behind them, and the spans
+    ///   that got extras are counting-sorted; the stable sort puts each
+    ///   extra behind its sender's first message in send order, and a
+    ///   redelivery after its sender's fresh messages. A span has room for
+    ///   as many messages as its node's degree; one whose kept messages
+    ///   and extras need more is **spilled**: it closes up at the arena's
+    ///   tail instead, past the degree prefix.
     fn deliver_arena_table(&mut self, full: bool) {
         let slot_total = self.delivery_map.total_slots();
         let n = self.graph().len();
         let due = self.honest_outgoing.len();
+        let increasing = self.slots_increase;
         let arena = &mut self.arena_staged;
         arena.grow_to(slot_total);
         if !arena.offsets_static {
-            // A flat-placed or spilled round moved the offsets; restore the
-            // static degree prefix.
+            // A spilled round moved the offsets; restore the static degree
+            // prefix.
             arena.offsets.copy_from_slice(&self.deg_offsets);
             arena.offsets_static = true;
         }
@@ -946,9 +903,20 @@ where
             let pbase = arena.take_payloads(&mut outbox.payloads);
             for (slot, payload) in outbox.sends.drain(..) {
                 let r = pbase + (payload & !DUPLICATE);
-                arena.refs[slot_pos[slot as usize] as usize] = r;
-                if payload & DUPLICATE != 0 {
-                    let target = self.delivery_map.targets_of(u)[slot as usize];
+                let pos = slot_pos[slot as usize] as usize;
+                // Only a round whose slots do not increase can repeat a
+                // position. A repeat keeps the first send's reference in
+                // place and becomes an extra, as a duplicate does.
+                let repeat = !increasing && arena.refs[pos] != HOLE;
+                if !repeat {
+                    arena.refs[pos] = r;
+                    if payload & DUPLICATE == 0 {
+                        continue;
+                    }
+                }
+                // One extra, and a second for a duplicated repeat.
+                let target = self.delivery_map.targets_of(u)[slot as usize];
+                for _ in 0..1 + usize::from(repeat && payload & DUPLICATE != 0) {
                     self.honest_outgoing.push((NodeId(u as u32), target.to, r));
                     self.honest_ranks.push(target.rank);
                 }
@@ -960,8 +928,8 @@ where
             debug_assert!(self.honest_outgoing.is_empty() && self.byz_outgoing.is_empty());
             return;
         }
-        // Each span's extras: the duplicates the fill collected, the due
-        // redeliveries, and the Byzantine traffic.
+        // Each span's extras: the duplicates and repeats the fill
+        // collected, the due redeliveries, and the Byzantine traffic.
         let honest = self.honest_outgoing.iter().map(|&(_, to, _)| to);
         for to in honest.chain(self.byz_outgoing.iter().map(|&(_, to, _)| to)) {
             self.dest_counts[to.index()] += 1;
@@ -1014,8 +982,8 @@ where
             return;
         }
         // Then the extras behind each span's honest messages: the
-        // duplicates, the redeliveries in the order they were withheld,
-        // and the Byzantine traffic in emission order.
+        // duplicates and repeats, the redeliveries in the order they were
+        // withheld, and the Byzantine traffic in emission order.
         self.honest_outgoing.rotate_left(due);
         self.honest_ranks.rotate_left(due);
         let honest = self
@@ -1044,74 +1012,6 @@ where
                 self.sort_staged_span(v);
             }
         }
-    }
-
-    /// The flat placement's delivery: the node-order `honest_outgoing`
-    /// vector [`Execution::merge_outboxes`] built (its payloads already sit
-    /// in the staged store) and the Byzantine traffic go through one count
-    /// → prefix-sum → scatter, then **every** non-empty span is
-    /// counting-sorted — node order is not pid order, so no span is sorted
-    /// as scattered. The sort is stable, so a sender's messages keep their
-    /// merged order, and no sender is both honest and Byzantine.
-    fn deliver_flat(&mut self) {
-        let honest = self.honest_outgoing.iter().map(|&(_, to, _)| to);
-        for to in honest.chain(self.byz_outgoing.iter().map(|(_, to, _)| *to)) {
-            self.dest_counts[to.index()] += 1;
-        }
-        let total = self.place_spans();
-        let arena = &mut self.arena_staged;
-        arena.grow_to(total);
-        // Byzantine message `i` is referenced at `byz_base + i`; its
-        // payload moves into the store after the scatter.
-        let byz_base = arena.payloads.len() as u32;
-        let byzantine = (byz_base..).zip(&self.byz_outgoing);
-        let traffic = self
-            .honest_outgoing
-            .drain(..)
-            .chain(byzantine.map(|(payload, &(from, to, _))| (from, to, payload)))
-            .zip(self.honest_ranks.drain(..).chain(self.byz_ranks.drain(..)));
-        for ((from, to, payload), rank) in traffic {
-            let v = to.index();
-            let pos = self.dest_counts[v];
-            self.dest_counts[v] = pos + 1;
-            let pos = pos as usize;
-            arena.senders[pos] = from;
-            arena.refs[pos] = payload;
-            arena.ranks[pos] = rank;
-        }
-        arena
-            .payloads
-            .extend(self.byz_outgoing.drain(..).map(|(_, _, msg)| msg));
-        for c in &mut self.dest_counts {
-            *c = 0;
-        }
-        for v in 0..self.graph().len() {
-            self.sort_staged_span(v);
-        }
-    }
-
-    /// The flat placement's prefix-sum step: turns the
-    /// per-destination tallies in `dest_counts` into packed spans of the
-    /// staged arena, replaces each tally with its span's write cursor, and
-    /// returns the round's message total.
-    fn place_spans(&mut self) -> usize {
-        let arena = &mut self.arena_staged;
-        arena.offsets_static = false;
-        arena.senders_static = false;
-        arena.lens_full = false;
-        let mut running = 0u32;
-        for ((offset, len), count) in arena
-            .offsets
-            .iter_mut()
-            .zip(arena.lens.iter_mut())
-            .zip(self.dest_counts.iter_mut())
-        {
-            *offset = running;
-            *len = *count;
-            running += *count;
-            *count = *offset;
-        }
-        running as usize
     }
 
     /// Stable counting sort of node `v`'s staged span by sender rank — an
@@ -1167,12 +1067,10 @@ where
     }
 
     /// Delivery: accounts and rank-resolves the Byzantine traffic, places
-    /// the round's messages into the staged arena, sorts what needs
-    /// sorting, and swaps the double buffer. A table round places through
-    /// the slot → position table ([`Execution::deliver_arena_table`]); any
-    /// other round drains the outboxes into `honest_outgoing` and takes
-    /// the flat placement ([`Execution::deliver_flat`]). `faulted` says
-    /// whether the fault pass changed the round's traffic.
+    /// the round's messages into the staged arena through the slot →
+    /// position table ([`Execution::deliver_arena_table`]), sorts what
+    /// needs sorting, and swaps the double buffer. `faulted` says whether
+    /// the fault pass changed the round's traffic.
     fn deliver(&mut self, faulted: bool) {
         debug_assert_eq!(self.honest_ranks.len(), self.honest_outgoing.len());
         debug_assert!(self.byz_ranks.is_empty());
@@ -1188,25 +1086,20 @@ where
                 .expect("byzantine sender is a graph neighbor");
             self.byz_ranks.push(rank);
         }
-        // A table round fills every table position iff it sends one message
-        // per (destination, distinct sender) pair — not one per directed
-        // edge: a multigraph's parallel edges share a position. Byzantine
-        // nodes never fill their outboxes, so a Byzantine node with a
-        // neighbour leaves a position unfilled and makes the round not full
-        // by itself. The count alone is not enough once the fault pass
+        // A round whose slots increase fills every table position iff it
+        // sends one message per (destination, distinct sender) pair — not
+        // one per directed edge: a multigraph's parallel edges share a
+        // position. Byzantine nodes never fill their outboxes, so a
+        // Byzantine node with a neighbour leaves a position unfilled and
+        // makes the round not full by itself. The count alone is not enough once the fault pass
         // changed anything: one drop plus one duplicate keeps it at the
         // number of positions and leaves a hole.
         let positions = self.sender_ranks.total() as u64;
-        let full = self.table_round
+        let full = self.slots_increase
             && !faulted
             && self.byz_outgoing.is_empty()
             && self.round_honest_messages == positions;
-        if self.table_round {
-            self.deliver_arena_table(full);
-        } else {
-            self.merge_outboxes();
-            self.deliver_flat();
-        }
+        self.deliver_arena_table(full);
         std::mem::swap(&mut self.arena, &mut self.arena_staged);
         self.metrics.rounds = self.round;
         if self.config.record_round_stats {
@@ -1227,16 +1120,13 @@ where
         }
     }
 
-    /// How the last executed round was placed — `"full"`, `"compacted"`,
-    /// `"spilled"` (compacted, with a span at the arena's tail) or
-    /// `"flat"` (whose spans are packed) — read off the delivered
-    /// generation.
+    /// How the last executed round was placed — `"full"`, `"compacted"`
+    /// or `"spilled"` (compacted, with a span at the arena's tail) — read
+    /// off the delivered generation.
     #[cfg(test)]
     pub(crate) fn last_placement(&self) -> &'static str {
         let a = &self.arena;
-        let packed = (1..a.offsets.len()).all(|v| a.offsets[v] == a.offsets[v - 1] + a.lens[v - 1]);
         match (a.offsets_static, a.lens_full) {
-            (false, _) if packed && a.offsets[0] == 0 => "flat",
             (false, _) => "spilled",
             (true, true) => "full",
             (true, false) => "compacted",
@@ -1800,44 +1690,50 @@ mod tests {
 
     #[test]
     fn multiple_sends_to_same_neighbor_all_deliver() {
+        /// Sends `copies` distinct messages to its first neighbour in
+        /// round 1.
         struct Spray {
-            got: usize,
+            copies: u64,
         }
         impl Protocol for Spray {
             type Message = Pid;
-            type Output = usize;
+            type Output = ();
             fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
                 if ctx.round() == 1 {
                     let to = ctx.neighbors()[0];
-                    let me = ctx.my_id();
-                    ctx.send(to, me);
-                    ctx.send(to, me);
-                    ctx.send(to, me);
-                } else {
-                    self.got += ctx.inbox().len();
+                    (0..self.copies).for_each(|c| ctx.send(to, Pid(c)));
                 }
             }
-            fn output(&self) -> Option<usize> {
-                Some(self.got)
-            }
-            fn has_halted(&self) -> bool {
-                false
+            fn output(&self) -> Option<()> {
+                None
             }
         }
-        let g = path(2).unwrap();
-        let cfg = SimConfig {
-            max_rounds: 2,
-            stop_when: StopWhen::MaxRoundsOnly,
-            ..SimConfig::default()
+        let inbox = |sim: &Execution<&Graph, Spray, NullAdversary>, v: u32| -> Vec<(Pid, Pid)> {
+            let inbox = sim.inbox(NodeId(v)).iter();
+            inbox.map(|e| (e.sender, *e.msg)).collect()
         };
-        let mut sim = Execution::new(&g, &[], |_, _| Spray { got: 0 }, NullAdversary, cfg);
-        // Three sends through one slot: the table cannot place the round,
-        // so the flat placement packed the delivered generation.
+        // Three sends through one slot each way: the first takes the
+        // position, the two repeats are extras, and three messages overflow
+        // a span of degree 1, which spills to the arena's tail.
+        let g = path(2).unwrap();
+        let spray = |_, _: &NodeInit| Spray { copies: 3 };
+        let mut sim = Execution::new(&g, &[], spray, NullAdversary, SimConfig::default());
         sim.step();
-        assert!(!sim.table_round);
-        assert!(!sim.arena.offsets_static);
-        let report = sim.run();
-        assert_eq!(report.outputs, vec![Some(3), Some(3)]);
+        assert!(!sim.slots_increase);
+        assert_eq!(sim.last_placement(), "spilled");
+        let from = |v: usize| (0..3).map(|c| (sim.pids[v], Pid(c))).collect::<Vec<_>>();
+        assert_eq!((inbox(&sim, 0), inbox(&sim, 1)), (from(1), from(0)));
+        // On the path 0 - 1 - 2 only node 0 sends, twice: the repeat fits
+        // node 1's span of degree 2 behind its original, so nothing spills.
+        let g = path(3).unwrap();
+        let spray = |u: NodeId, _: &NodeInit| Spray {
+            copies: if u == NodeId(0) { 2 } else { 0 },
+        };
+        let mut sim = Execution::new(&g, &[], spray, NullAdversary, SimConfig::default());
+        sim.step();
+        assert_eq!(sim.last_placement(), "compacted");
+        let p0 = sim.pids[0];
+        assert_eq!(inbox(&sim, 1), vec![(p0, Pid(0)), (p0, Pid(1))]);
     }
 
     #[test]
@@ -1891,8 +1787,8 @@ mod tests {
         // The graph has parallel edges.
         assert!(sim.sender_ranks.total() < g.degree_sum());
         sim.step();
-        assert!(sim.table_round);
-        assert!(sim.arena.senders_static && sim.arena.lens_full);
+        assert!(sim.slots_increase);
+        assert_eq!(sim.last_placement(), "full");
     }
 
     #[test]
@@ -1927,7 +1823,7 @@ mod tests {
         assert!(sim.sender_ranks.total() < g.degree_sum());
         // Round 1: every node broadcasts.
         sim.step();
-        assert!(sim.table_round);
+        assert!(sim.slots_increase);
         // The delivered generation kept the full path's static planes;
         // a compacted round would have cleared both flags.
         assert!(sim.arena.senders_static && sim.arena.lens_full);
@@ -1936,8 +1832,8 @@ mod tests {
     #[test]
     fn dropped_broadcast_rounds_stay_on_the_table() {
         // Round 1 of flood-max is a full broadcast. Drops remove sends
-        // from the outboxes in place, so the slots still increase and the
-        // round is a table round — compacted, with holes — not a flat one.
+        // from the outboxes in place, so the slots still increase, and the
+        // round is compacted, with holes, not spilled.
         let g = cycle(64).unwrap();
         let faulty = SimConfig {
             fault: FaultPlan {
@@ -1949,7 +1845,7 @@ mod tests {
         let mut sim = flood_sim(&g, &[], faulty);
         sim.step();
         assert!(sim.metrics().dropped > 0);
-        assert!(sim.table_round);
+        assert!(sim.slots_increase);
         assert_eq!(sim.last_placement(), "compacted");
     }
 }

@@ -267,13 +267,12 @@ impl<M: fmt::Debug> fmt::Debug for Inbox<'_, M> {
 /// Envelope fields are split into parallel arrays — `senders`, the `u32`
 /// payload references `refs`, and the counting-sort `ranks` tag — and
 /// node `v`'s span is
-/// `offsets[v]..offsets[v] + lens[v]`. On the engine's table paths the
-/// offsets are the **degree prefix sums precomputed once per execution**
-/// (a table round delivers at most in-degree messages per node — exact
-/// capacity, no growth checks, no per-node allocations, no counting
-/// pass); for a round the table cannot place, the flat placement's
-/// count/prefix-sum step recomputes exact packed spans instead (see the
-/// engine docs). Two arenas are
+/// `offsets[v]..offsets[v] + lens[v]`. The offsets are the **degree
+/// prefix sums precomputed once per execution** (the slot → position
+/// table delivers at most in-degree messages per node — exact capacity,
+/// no growth checks, no per-node allocations, no counting pass); a span
+/// whose extras overflow its degree spills to the arena's tail instead
+/// (see the engine docs). Two arenas are
 /// double-buffered (swapped, never rebuilt), and the arrays grow only to
 /// the high-water message count of an execution — capacity is
 /// pre-reserved from the delivery map's slot total (the sum of degrees),
@@ -293,9 +292,9 @@ pub(crate) struct InboxArena<M> {
     pub(crate) offsets: Vec<u32>,
     /// Per-node span lengths, length `n`.
     pub(crate) lens: Vec<u32>,
-    /// Whether `offsets` currently holds the static degree prefix (the
-    /// table paths' invariant; a flat-placed round overwrites the offsets
-    /// and clears this, and the next table round restores them).
+    /// Whether `offsets` currently holds the static degree prefix (a
+    /// spilled round moves a span's offset and clears this, and the next
+    /// round restores them).
     pub(crate) offsets_static: bool,
     /// Whether `senders[..slot_total]` currently holds the static
     /// full-round sender plane (one entry per table position, in inbox
@@ -318,8 +317,7 @@ pub(crate) struct InboxArena<M> {
     /// merge.
     pub(crate) payloads: Vec<M>,
     /// Counting-sort rank tag of every message — written (and read) only
-    /// within the spans delivery sorts: the spans that get extras on a
-    /// table round, every span on a flat-placed one.
+    /// within the spans delivery sorts: the spans that get extras.
     pub(crate) ranks: Vec<u32>,
 }
 

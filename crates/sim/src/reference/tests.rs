@@ -3,7 +3,8 @@
 //! graphs; silent, beacon-spamming, double-sending, and observing
 //! adversaries; same-sender multi-send ties; mixed unicast/broadcast/repeat
 //! sends sharing payloads; unicasts to random neighbour subsets (the
-//! compacted table path, and repeated slots of parallel edges); fault
+//! compacted table path, and repeated slots of parallel edges) and to
+//! every distinct neighbour in reverse slot order; fault
 //! plans that drop, duplicate and delay ([`with_faults`], proptest-generated
 //! ones, and full broadcast under faults on every placement); event-driven
 //! relays; and worker pools of 1, 4, and 8 threads.
@@ -406,14 +407,14 @@ fn parallel_engine_matches_reference_at_every_pool_size() {
 }
 
 /// One executed round of a full broadcast under faults, as the engine
-/// placed it (`"full"`, `"compacted"`, `"spilled"` or `"flat"`), whether
-/// the messages in flight equal the table's positions, and how many were
+/// placed it (`"full"`, `"compacted"` or `"spilled"`), whether the
+/// messages in flight equal the table's positions, and how many were
 /// redelivered.
 type Census = Vec<(&'static str, bool, u64)>;
 
 /// Steps the engine alone through `cfg` with every node broadcasting
 /// every round (no Byzantine node, no crash) and records each round's
-/// [`Census`] entry. Every round is a table round by shape.
+/// [`Census`] entry. Every outbox's slots increase.
 fn broadcast_census(g: &Graph, cfg: &SimConfig) -> Census {
     let positions = (0..g.len())
         .map(|v| {
@@ -481,8 +482,8 @@ fn full_broadcast_faults_match_reference_on_every_placement() {
 /// Mixes send shapes so that every delivery path's `pbase + idx` payload
 /// remap shows in inbox order. Odd rounds: a unicast, a broadcast, a
 /// second broadcast and a repeat send to one neighbour — four payloads per
-/// outbox, with references out of slot order (non-monotone: the flat
-/// placement). Even rounds: a distinct unicast to every distinct neighbour
+/// outbox, with references out of slot order and every slot repeated (each
+/// repeat an extra of a compacted round). Even rounds: a distinct unicast to every distinct neighbour
 /// in slot order — one payload per send, and a full table round wherever
 /// no node is Byzantine.
 #[derive(Debug, Clone)]
@@ -526,8 +527,8 @@ impl Protocol for MixedSends {
     }
 }
 
-/// [`MixedSends`] with and without Byzantine nodes (table full or
-/// compacted, flat placement), also under an observing adversary, and
+/// [`MixedSends`] with and without Byzantine nodes (full or compacted
+/// rounds, repeats as extras), also under an observing adversary, and
 /// under fault plans with a silent and an observing adversary — in pools
 /// of 1, 4, and 8 workers. On the torus and on the multigraph alike the
 /// even rounds are full table rounds without faults: `send` resolves a
@@ -636,10 +637,10 @@ fn build_graph(kind: u8, n: usize, seed: u64) -> Graph {
 /// Every fifth round reaches every distinct neighbour (a full round when
 /// no node is Byzantine). Every third round a picked doubled neighbour is
 /// sent to once per parallel edge: `send` resolves each of those sends to
-/// the first slot, so the slot repeats and the round takes the flat
-/// placement. Every fourth round a node whose last neighbour is doubled
-/// instead broadcasts and then sends once more to that neighbour, which
-/// repeats the broadcast's last slot — the flat placement again.
+/// the first slot, so the slot repeats and each repeat is an extra. Every
+/// fourth round a node whose last neighbour is doubled instead broadcasts
+/// and then sends once more to that neighbour, which repeats the
+/// broadcast's last slot — an extra again.
 #[derive(Debug, Clone)]
 struct SubsetUnicast {
     acc: u64,
@@ -725,9 +726,72 @@ fn subset_unicasts_match_reference_on_every_table_path() {
         let g = hnd(n, 8, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
         let byz = [NodeId(3), NodeId(n as u32 / 2)];
         // The multigraph has parallel edges, so the repeated-slot rounds
-        // really ran (the flat placement), not only the table rounds.
+        // really ran (repeats as extras), not only one send per neighbour.
         assert!(has_doubled_neighbor(&g));
         check_subset_unicasts(&g, &byz, seed, 16);
+    }
+}
+
+/// One distinct unicast to every distinct neighbour, in reverse slot
+/// order: each send owns its table position, so the round needs no extra,
+/// but its slots decrease, which only the compacted path places.
+#[derive(Debug, Clone)]
+struct ReverseUnicast {
+    acc: u64,
+}
+
+impl Protocol for ReverseUnicast {
+    type Message = Pid;
+    type Output = u64;
+
+    fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
+        for env in ctx.inbox() {
+            self.acc = self
+                .acc
+                .wrapping_mul(31)
+                .wrapping_add(env.msg.0 ^ env.sender.0);
+        }
+        for i in (0..ctx.degree()).rev() {
+            let to = ctx.neighbors()[i];
+            if i == 0 || ctx.neighbors()[i - 1] != to {
+                ctx.send(to, Pid(self.acc ^ (i as u64 + 1)));
+            }
+        }
+    }
+
+    fn output(&self) -> Option<u64> {
+        Some(self.acc)
+    }
+}
+
+/// [`ReverseUnicast`] fills every table position each round out of slot
+/// order: every round is compacted, with no hole and no extra. The engine
+/// matches the reference on it, alone, under beacon spam and under a
+/// fault plan, in pools of 1, 4 and 8 workers.
+#[test]
+fn reverse_slot_unicasts_are_placed_on_the_table() {
+    let g = hnd(96, 8, &mut ChaCha8Rng::seed_from_u64(23)).unwrap();
+    let byz = [NodeId(4), NodeId(50)];
+    let reverse = |_: NodeId, init: &NodeInit| ReverseUnicast { acc: init.pid.0 };
+    let cfg = SimConfig {
+        stop_when: StopWhen::MaxRoundsOnly,
+        ..config(23, 12)
+    };
+    let mut engine = Execution::new(&g, &[], reverse, NullAdversary, cfg.clone());
+    while engine.finished().is_none() {
+        engine.step();
+        assert_eq!(engine.last_placement(), "compacted");
+    }
+    for threads in [1usize, 4, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build test pool");
+        pool.install(|| {
+            check(&g, &[], reverse, || NullAdversary, cfg.clone());
+            check(&g, &byz, reverse, || BeaconSpam, cfg.clone());
+            check(&g, &byz, reverse, || Rusher, with_faults(cfg.clone()));
+        });
     }
 }
 

@@ -4,7 +4,7 @@
 //! own clones.
 //!
 //! * Without faults, rounds of full broadcasts clone no payload — on
-//!   the full table, compacted table and flat placement paths, under an
+//!   full and compacted rounds, repeated sends as extras, under an
 //!   event-driven relay whose nodes first send late, and in pools of 1
 //!   and 4 workers (the latter forks the honest compute with the
 //!   `parallel` feature).
@@ -49,7 +49,7 @@ enum Shape {
     /// One broadcast.
     Broadcast,
     /// A broadcast, then a repeat send to the first neighbour (a
-    /// non-monotone slot sequence: the flat placement).
+    /// repeated, out-of-order slot: an extra behind the broadcast).
     BroadcastAndRepeat,
 }
 
@@ -155,8 +155,8 @@ fn broadcasts_clone_no_payload() {
     let g = hnd(256, 8, &mut ChaCha8Rng::seed_from_u64(3)).unwrap();
     let byz = [NodeId(9), NodeId(130)];
     // The full table path (no Byzantine node), the compacted table path
-    // with the sort of the spans Byzantine traffic reaches, and the flat
-    // placement.
+    // with the sort of the spans Byzantine traffic reaches, and repeated
+    // sends, which the compacted fill appends as extras.
     let cases = [
         (&[][..], Shape::Broadcast),
         (&byz[..], Shape::Broadcast),

@@ -11,7 +11,7 @@
 //! pins that bound.
 //!
 //! Under a fault plan that drops and duplicates, the bound stays zero on
-//! table and flat-placed rounds alike: the fault pass rewrites the
+//! full, compacted and spilled rounds alike: the fault pass rewrites the
 //! outboxes in place. A delay clones its payload into the redelivery
 //! queue by design, so `assert_delays_clone_once` bounds a delaying plan
 //! at one allocation per delayed message, with a payload whose every
@@ -84,9 +84,10 @@ impl Protocol for Chatter {
 }
 
 /// Like [`Chatter`], but every round it additionally re-sends to its
-/// first neighbour *after* the broadcast — a non-monotone slot sequence,
-/// which the table cannot place, so every single round takes the flat
-/// placement.
+/// first neighbour *after* the broadcast — a repeated, out-of-order slot,
+/// so every round is compacted, the repeat an extra behind its sender's
+/// broadcast (and, on a cycle, spilled: a span gets more messages than
+/// its degree).
 #[derive(Debug, Clone)]
 struct DoubleChatter(Pid);
 
@@ -333,10 +334,10 @@ fn assert_zero_alloc_compacted_spam() {
     assert_steady_state_allocation_free(sim, "subset unicasts under beacon spam");
 }
 
-/// The flat placement, which runs when a round's slot sequences are
-/// non-monotone, must also be allocation-free in steady state. Its first
-/// round warms `honest_outgoing` (empty until then), once.
-fn assert_zero_alloc_fallback() {
+/// Repeated, out-of-order sends, whose repeats are extras (spilled every
+/// round), must also be allocation-free in steady state. The first round
+/// warms `honest_outgoing` and the arena's spill room, once.
+fn assert_zero_alloc_repeated_sends() {
     let g = cycle(96).unwrap();
     let sim = Execution::new(
         &g,
@@ -345,15 +346,16 @@ fn assert_zero_alloc_fallback() {
         NullAdversary,
         chatter_config(),
     );
-    assert_steady_state_allocation_free(sim, "flat placement");
+    assert_steady_state_allocation_free(sim, "repeated, out-of-order sends");
 }
 
 /// A plan that drops and duplicates, on three send shapes: a full
 /// broadcast (compacted table rounds where the duplicates fit behind the
 /// drops' holes, spilled ones where a duplicate overflows a whole
 /// span), random-subset unicasts (compacted table rounds, the
-/// duplicates appended behind spans with holes), and non-monotone sends
-/// (flat-placed every round, a duplicate as two entries). The fault pass
+/// duplicates appended behind spans with holes), and repeated,
+/// out-of-order sends (spilled every round, a duplicated repeat as two
+/// extras). The fault pass
 /// marks and removes sends in place, so nothing allocates: bound 0.
 fn assert_zero_alloc_faulty() {
     let g = cycle(96).unwrap();
@@ -371,7 +373,7 @@ fn assert_zero_alloc_faulty() {
     assert_steady_state_allocation_free(sim, "drop + duplicate, subset unicasts");
     let init = |_: NodeId, init: &NodeInit| DoubleChatter(init.pid);
     let sim = Execution::new(&g, byz, init, NullAdversary, faulty_config());
-    assert_steady_state_allocation_free(sim, "drop + duplicate, non-monotone sends");
+    assert_steady_state_allocation_free(sim, "drop + duplicate, repeated sends");
 }
 
 /// A payload whose every clone allocates exactly once (building one
@@ -515,12 +517,13 @@ fn main() {
     pool.install(|| {
         // The full table path (no Byzantine nodes), the compacted table
         // path (silent Byzantine node, and subset unicasts under beacon
-        // spam), and the flat placement (non-monotone sends).
+        // spam), and repeated, out-of-order sends (spilled).
         assert_zero_alloc_table(false);
         assert_zero_alloc_table(true);
         assert_zero_alloc_compacted_spam();
-        assert_zero_alloc_fallback();
-        // Drops and duplicates on table and flat-placed rounds: bound 0.
+        assert_zero_alloc_repeated_sends();
+        // Drops and duplicates on full, compacted and spilled rounds:
+        // bound 0.
         assert_zero_alloc_faulty();
         // An observing adversary without a plan, under a crash-only plan
         // and under drops and duplicates: steady broadcast, and a
@@ -544,7 +547,7 @@ fn main() {
     });
     println!(
         "zero_alloc: ok (0 allocations over 200 steady-state rounds; \
-         table full/compacted/spam, flat placement, drop + duplicate on both placements, \
+         table full/compacted/spam, repeated sends, drop + duplicate on every shape, \
          observed with and without faults; delays at most one clone each; \
          re-warm after a unicast switch with and without faults; size-1 pool)"
     );

@@ -7,15 +7,15 @@
 //! the steady-state round loop alone (one long-lived simulation stepped
 //! in place — the zero-alloc hot path). `reuse_buffers` runs without a
 //! fault plan: on this all-broadcast workload every round is a **full**
-//! table round (no hole, no Byzantine traffic). `reuse_buffers_faulty`
+//! table round (no hole, no Byzantine node). `reuse_buffers_faulty`
 //! adds a mixed fault plan, whose fault pass rewrites the outboxes in
 //! place: its rounds are compacted table rounds, the duplicates and
 //! redeliveries appended behind their spans, and a span they overflow
 //! spilled to the arena's tail. `reuse_buffers_spam` (n = 1024 and
-//! 4096) puts Theorem 2's budget of Byzantine spammers on the engine, so
-//! every round is a **compacted** table round: hole marking, node-order
-//! fill, compaction, the Byzantine append and the sort of the spans it
-//! reaches. The
+//! 4096) puts Theorem 2's budget of Byzantine spammers on the engine:
+//! each broadcasts once per round, and its messages place through the
+//! table, so every round is a **full** table round with Byzantine
+//! traffic (and the repeat test's bitset pass over it). The
 //! `full_execution` benchmarks include construction, pid
 //! assignment, and buffer warm-up. With `--features parallel` every lane
 //! runs at the pool's width (`BCOUNT_POOL_THREADS` sizes it): a wider
@@ -172,9 +172,8 @@ fn bench_engine(c: &mut Criterion) {
 
         // Byzantine traffic: Theorem 2's budget of
         // spammers spread over the id space, as in Algorithm 2's
-        // beacon-spam cells. Their silent honest slots leave holes, so
-        // every round takes the compacted table path (fill, compaction,
-        // Byzantine append, sort of the spans it reaches).
+        // beacon-spam cells. Each broadcasts once per round into the
+        // positions its honest slots leave, so every round is full.
         if n >= 1024 {
             let byz = spread_byzantine(n, theorem2_budget(n, 0.05));
             let mut bsim = warmed(&g, &byz, chatter_config(), Spammer(0));

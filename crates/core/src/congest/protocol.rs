@@ -64,6 +64,39 @@ impl Hasher for PidHasher {
     }
 }
 
+/// How many valid beacons [`pick_one`] keeps on the stack while it counts
+/// them: twice what a node of degree 8 receives unless a Byzantine
+/// neighbour sends it more than one beacon.
+const PICK_KEPT: usize = 16;
+
+/// One uniformly drawn item of `items`, or `None` when it is empty. It
+/// makes the draws of counting the items and then drawing
+/// `gen_range(0..count)` (none for an empty iterator), and picks the item
+/// that draw names, while walking `items` once: the first [`PICK_KEPT`]
+/// items stay on the stack, and only a draw past them walks a clone of
+/// the iterator to its item.
+fn pick_one<'a, T: ?Sized>(
+    items: impl Iterator<Item = &'a T> + Clone,
+    rng: &mut impl Rng,
+) -> Option<&'a T> {
+    let mut kept: [Option<&T>; PICK_KEPT] = [None; PICK_KEPT];
+    let mut count = 0;
+    for item in items.clone() {
+        if count < PICK_KEPT {
+            kept[count] = Some(item);
+        }
+        count += 1;
+    }
+    if count == 0 {
+        return None;
+    }
+    let pick = rng.gen_range(0..count);
+    match kept.get(pick) {
+        Some(item) => *item,
+        None => items.skip(PICK_KEPT).nth(pick - PICK_KEPT),
+    }
+}
+
 /// One honest node executing Algorithm 2 (see [module docs](super)).
 ///
 /// Construct one per node via [`CongestCounting::new`] inside the
@@ -184,7 +217,7 @@ impl CongestCounting {
     fn valid_beacons(
         inbox: Inbox<'_, CongestMsg>,
         phase: u32,
-    ) -> impl Iterator<Item = &BeaconPath> {
+    ) -> impl Iterator<Item = &BeaconPath> + Clone {
         inbox.iter().filter_map(move |env| match env.msg {
             CongestMsg::Beacon { path } if Self::beacon_is_valid(path, env.sender, phase) => {
                 Some(path)
@@ -254,17 +287,11 @@ impl Protocol for CongestCounting {
         if pos.in_beacon_window() {
             // Beacon receipt (Lines 13–26): keep one arbitrarily chosen
             // valid beacon, forward it (window permitting), and run the
-            // acceptance test. The pick is taken by reference: count the
-            // valid beacons, draw once, and walk to the drawn one.
-            let inbox = ctx.inbox();
-            let valid = Self::valid_beacons(inbox, i).count();
-            if valid == 0 {
+            // acceptance test. The pick is taken by reference.
+            let valid = Self::valid_beacons(ctx.inbox(), i);
+            let Some(path) = pick_one(valid, ctx.rng()) else {
                 return;
-            }
-            let pick = ctx.rng().gen_range(0..valid);
-            let path = Self::valid_beacons(inbox, i)
-                .nth(pick)
-                .expect("pick is below the valid count");
+            };
             if pos.can_forward_beacon() {
                 let fwd = BeaconPath::extended(path, self.me);
                 ctx.broadcast(CongestMsg::Beacon { path: fwd });
@@ -381,6 +408,24 @@ mod tests {
             el.median_ratio * (512f64).ln(),
             es.median_ratio * (64f64).ln()
         );
+    }
+
+    #[test]
+    fn pick_one_matches_a_counted_draw() {
+        // Against a count, one draw and a walk to the drawn item, at
+        // lengths on both sides of the kept prefix: the same item, and
+        // the same stream left behind.
+        let items: Vec<u64> = (0..40).collect();
+        for len in 0..items.len() {
+            for seed in 0..64 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut counted = rng.clone();
+                let got = pick_one(items[..len].iter(), &mut rng);
+                let want = (len > 0).then(|| &items[counted.gen_range(0..len)]);
+                assert_eq!(got.map(|x| x as *const u64), want.map(|x| x as *const u64));
+                assert_eq!(rng.gen::<u64>(), counted.gen::<u64>(), "len {len}");
+            }
+        }
     }
 
     #[test]

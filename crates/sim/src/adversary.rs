@@ -29,7 +29,7 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::fault::DUPLICATE;
 use crate::idspace::{Pid, PidIndex};
-use crate::message::{DeliveryMap, Inbox, InboxesView};
+use crate::message::{push_payload, DeliveryMap, Inbox, InboxesView};
 use crate::protocol::{Outbox, Protocol};
 
 /// Everything the adversary can observe in a round (full information).
@@ -193,17 +193,20 @@ impl<'a, M> HonestTraffic<'a, M> {
 
 /// Outgoing-message sink for the Byzantine nodes.
 ///
-/// The sink borrows a persistent scratch buffer owned by the engine
-/// (drained each round with its capacity kept), mirroring the honest
-/// nodes' zero-alloc outboxes.
+/// The sink borrows persistent scratch owned by the engine (drained each
+/// round with its capacity kept), mirroring the honest nodes' zero-alloc
+/// outboxes: `(from, to, payload index)` sends plus a payload plane, so a
+/// broadcast stores its message once, and delivery moves each payload
+/// into the arena's store without a clone.
 pub struct ByzantineContext<'a, M> {
     pub(crate) graph: &'a Graph,
     pub(crate) is_byzantine: &'a [bool],
     pub(crate) rng: &'a mut ChaCha8Rng,
-    pub(crate) outgoing: &'a mut Vec<(NodeId, NodeId, M)>,
+    pub(crate) outgoing: &'a mut Vec<(NodeId, NodeId, u32)>,
+    pub(crate) payloads: &'a mut Vec<M>,
 }
 
-impl<'a, M: Clone> ByzantineContext<'a, M> {
+impl<'a, M> ByzantineContext<'a, M> {
     /// Sends `msg` from Byzantine node `from` to its neighbour `to`.
     ///
     /// The recipient sees the *authentic* sender identity.
@@ -221,11 +224,13 @@ impl<'a, M: Clone> ByzantineContext<'a, M> {
             self.graph.has_edge(from, to),
             "adversary tried to use non-edge {from} -> {to}"
         );
-        self.outgoing.push((from, to, msg));
+        let payload = push_payload(self.payloads, msg);
+        self.outgoing.push((from, to, payload));
     }
 
     /// Sends `msg` from `from` to every distinct neighbour of `from`, in
-    /// increasing node order.
+    /// increasing node order. The message is stored once, and every send
+    /// references it.
     ///
     /// Walks the graph's neighbour span in place (the builders sort every
     /// span, so parallel edges are adjacent and skipped): no allocation
@@ -245,13 +250,14 @@ impl<'a, M: Clone> ByzantineContext<'a, M> {
             nbrs.windows(2).all(|w| w[0] <= w[1]),
             "neighbour span of {from} is not sorted"
         );
+        let payload = push_payload(self.payloads, msg);
         let mut last = None;
         for &to in nbrs {
             if last == Some(to) {
                 continue;
             }
             last = Some(to);
-            self.outgoing.push((from, to, msg.clone()));
+            self.outgoing.push((from, to, payload));
         }
     }
 
@@ -299,12 +305,13 @@ mod tests {
         let g = cycle(4).unwrap();
         let is_byz = vec![false, true, false, false];
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut out = Vec::new();
+        let (mut out, mut payloads) = (Vec::new(), Vec::new());
         let mut ctx: ByzantineContext<'_, ()> = ByzantineContext {
             graph: &g,
             is_byzantine: &is_byz,
             rng: &mut rng,
             outgoing: &mut out,
+            payloads: &mut payloads,
         };
         ctx.send(NodeId(0), NodeId(1), ());
     }
@@ -315,12 +322,13 @@ mod tests {
         let g = cycle(4).unwrap();
         let is_byz = vec![false, true, false, false];
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut out = Vec::new();
+        let (mut out, mut payloads) = (Vec::new(), Vec::new());
         let mut ctx: ByzantineContext<'_, ()> = ByzantineContext {
             graph: &g,
             is_byzantine: &is_byz,
             rng: &mut rng,
             outgoing: &mut out,
+            payloads: &mut payloads,
         };
         ctx.send(NodeId(1), NodeId(3), ());
     }
@@ -330,17 +338,20 @@ mod tests {
         let g = cycle(4).unwrap();
         let is_byz = vec![false, true, false, false];
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut out = Vec::new();
+        let (mut out, mut payloads) = (Vec::new(), Vec::new());
         let mut ctx: ByzantineContext<'_, u32> = ByzantineContext {
             graph: &g,
             is_byzantine: &is_byz,
             rng: &mut rng,
             outgoing: &mut out,
+            payloads: &mut payloads,
         };
         ctx.broadcast(NodeId(1), 5);
+        // One stored payload, referenced by both sends.
         assert_eq!(
             out,
-            vec![(NodeId(1), NodeId(0), 5), (NodeId(1), NodeId(2), 5)]
+            vec![(NodeId(1), NodeId(0), 0), (NodeId(1), NodeId(2), 0)]
         );
+        assert_eq!(payloads, vec![5]);
     }
 }

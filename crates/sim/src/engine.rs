@@ -15,12 +15,13 @@
 //! * **One payload per send** — a message is stored once per send
 //!   *operation*, not once per recipient. Each node owns a persistent
 //!   outbox (`(slot, payload index)` sends plus a payload plane) which
-//!   [`NodeContext`] borrows for the duration of [`Protocol::on_round`]; a
-//!   broadcast stores its message once. Delivery moves each sender's
-//!   payloads into the arena generation's payload store and writes
-//!   `pbase + idx` references (capacity kept on both sides), so no path
-//!   clones a payload per recipient — only a message the fault plan
-//!   delays is cloned, into its redelivery queue.
+//!   [`NodeContext`] borrows for the duration of [`Protocol::on_round`],
+//!   and the adversary's [`ByzantineContext`] has one of its own (`(from,
+//!   to, payload index)` sends); a broadcast stores its message once.
+//!   Delivery moves each sender's payloads into the arena generation's
+//!   payload store and writes `pbase + idx` references (capacity kept on
+//!   both sides), so no path clones a payload per recipient — only a
+//!   message the fault plan delays is cloned, into its redelivery queue.
 //! * **Slot-addressed routing** — outboxes store sends as *neighbour
 //!   slots*; a precomputed [`DeliveryMap`] resolves a slot to its
 //!   destination node and counting-sort rank with one flat-array load, so
@@ -31,10 +32,10 @@
 //!   a *stable counting sort* over the small dense sender ranks of the
 //!   once-built [`SenderRanks`] table (an in-place permutation; no
 //!   allocation, no comparisons).
-//! * **Persistent phase scratch** — the honest- and Byzantine-outgoing
-//!   staging vectors and per-span permutation buffers live on the
-//!   execution and are drained, not rebuilt. The counting sort permutes
-//!   `u32` references, never payloads.
+//! * **Persistent phase scratch** — the extras and Byzantine staging
+//!   vectors, the sparse path's span lists and the per-span permutation
+//!   buffers live on the execution and are drained, not rebuilt. The
+//!   counting sort permutes `u32` references, never payloads.
 //!
 //! Every round drives every live honest node, silent or not: both of the
 //! paper's algorithms act on silent rounds (Algorithm 1 floods its view,
@@ -72,23 +73,34 @@
 //! span. Outboxes drain in natural node order, one table load and one
 //! reference write per message, so every span's honest messages land in
 //! **sender-pid order** — the canonical inbox order is
-//! stable-by-sender-pid. A **full** round (each outbox's slots strictly
-//! increasing, every table position filled, nothing faulted, no Byzantine
-//! traffic — the steady state of flooding protocols) is then done: sender
-//! plane and span lengths are static. Otherwise the round is
-//! **compacted**: positions no send wrote keep a hole mark, one sequential
-//! pass closes each span's holes, copying the static senders, and the
-//! round's **extras** — duplicates, sends to a neighbour whose position
-//! the round already filled, due redeliveries and Byzantine traffic — are
-//! appended behind their spans, which alone are rank-tagged and
-//! counting-sorted. A span has room for its node's degree; one whose kept
-//! messages and extras need more **spills**: it closes up at the arena's
-//! tail instead. A send to a distinct neighbour owns its position
-//! whatever its place in the outbox, so sends out of neighbour order need
-//! no extra.
+//! stable-by-sender-pid. Byzantine messages place through the same
+//! table: a Byzantine sender's first message to a neighbour takes its
+//! position there. A **full** round (each outbox's slots strictly
+//! increasing, no Byzantine sender repeating, every table position filled
+//! once, nothing faulted — the steady state of flooding protocols, and a
+//! forwarding wave under beacon spam) is then done: sender plane and span
+//! lengths are static. Otherwise the round is **compacted**: positions no
+//! message wrote keep a hole mark, one sequential pass closes each span's
+//! holes, copying the static senders, and the round's **extras** —
+//! duplicates, repeated sends to one neighbour (honest or Byzantine) and
+//! due redeliveries — are appended behind their spans, which alone are
+//! rank-tagged and counting-sorted. A span has room for its node's
+//! degree; one whose kept messages and extras need more **spills**: it
+//! closes up at the arena's tail instead. A send to a distinct neighbour
+//! owns its position whatever its place in the outbox, so sends out of
+//! neighbour order need no extra.
 //!
-//! Transcripts never depend on the round's shape (full, compacted or
-//! spilled) or the pool size: every path is stable per sender and lands
+//! A compacted round that carries at most `n / 4` messages is **sparse**
+//! (about half of Algorithm 2's rounds: iteration starts and continue
+//! windows). It lists the spans its sends, redeliveries and Byzantine
+//! messages reach and marks, compacts and sorts only those; the hole
+//! marks outside them survive in the arena generation, so the next sparse
+//! round there re-marks only the spans this one listed. A **dense** round
+//! marks the whole reference plane and sweeps every span, with no
+//! per-message bookkeeping.
+//!
+//! Transcripts never depend on the round's shape (full, dense or sparse,
+//! spilled or not) or the pool size: every path is stable per sender and lands
 //! each inbox in the canonical order. The crate's unit tests diff the
 //! engine, inbox by inbox at every round, against a literal reference
 //! executor that uses none of this machinery (no delivery map, ranks, or
@@ -144,6 +156,26 @@ impl<T> PhaseShared for T {}
 /// send resolves to). Payload references index a store far smaller than
 /// `u32::MAX` entries.
 const HOLE: u32 = u32::MAX;
+
+/// A compacted round that carries at most `n / SPARSE_SHARE` messages
+/// (honest, redelivered and Byzantine) is **sparse**: it lists the spans
+/// its messages reach and marks, compacts and sorts those alone, where a
+/// dense one sweeps the whole reference plane and every span. About half
+/// of Algorithm 2's rounds (iteration starts, continue windows) are
+/// sparse at this share.
+const SPARSE_SHARE: u64 = 4;
+
+/// How a round places its messages; see
+/// [`Execution::deliver_arena_table`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Placement {
+    /// Every table position filled once: the static planes stand.
+    Full,
+    /// Compacted, over the whole reference plane and every span.
+    Dense,
+    /// Compacted, over the spans the round's messages reach.
+    Sparse,
+}
 
 /// When the engine should stop (always additionally bounded by
 /// [`SimConfig::max_rounds`]).
@@ -324,20 +356,31 @@ pub struct Execution<G, P: Protocol, A> {
     /// Per-node outgoing scratch lent to [`NodeContext`] each round:
     /// (neighbour slot, payload index) sends plus the payload plane.
     outboxes: Vec<Outbox<P::Message>>,
-    /// Honest traffic outside the outboxes, as (from, to, index into the
-    /// staged arena's payload store): the round's due redeliveries, queued
-    /// by the fault pass; at delivery, also the honest extras of a
-    /// compacted round — duplicates and repeated sends to one neighbour —
-    /// which the fill collects in node order, ahead of the redeliveries.
-    honest_outgoing: Vec<(NodeId, NodeId, u32)>,
-    /// Destination sender-ranks aligned entry-for-entry with
-    /// `honest_outgoing` (kept separate so the adversary's view of the
-    /// traffic stays a plain `(from, to, payload)` slice).
-    honest_ranks: Vec<u32>,
-    /// The adversary's traffic of the round in flight.
-    byz_outgoing: Vec<(NodeId, NodeId, P::Message)>,
+    /// The round's messages without a table position of their own, as
+    /// (from, to, index into the staged arena's payload store): the due
+    /// redeliveries, queued by the fault pass (the adversary's view reads
+    /// them here); at delivery, also the other extras of a compacted
+    /// round — duplicates and repeated sends to one neighbour, which the
+    /// fill collects in node order ahead of the redeliveries, and then the
+    /// Byzantine repeats.
+    extras: Vec<(NodeId, NodeId, u32)>,
+    /// Destination sender-ranks aligned entry-for-entry with `extras`
+    /// (kept separate so the adversary's view of the redeliveries stays a
+    /// plain `(from, to, payload)` slice).
+    extra_ranks: Vec<u32>,
+    /// The adversary's traffic of the round in flight, as (from, to,
+    /// index into `byz_payloads`).
+    byz_outgoing: Vec<(NodeId, NodeId, u32)>,
+    /// The adversary's payload plane: each message it sends stored once
+    /// (a Byzantine broadcast, once for all its recipients), moved into
+    /// the staged arena's payload store at delivery.
+    byz_payloads: Vec<P::Message>,
     /// Destination sender-ranks aligned with `byz_outgoing`.
     byz_ranks: Vec<u32>,
+    /// One bit per table position, all clear between rounds: the full
+    /// test sets one per Byzantine message to find a Byzantine sender's
+    /// repeat, then clears them.
+    byz_seen: Vec<u64>,
     /// Permutation scratch for the in-place counting sort of one span
     /// (delivery is serial, so one serves every span).
     inbox_pos: Vec<u32>,
@@ -504,7 +547,7 @@ where
             (0..n).map(|v| Outbox::with_capacity(degree(v))).collect();
         // A duplicating plan can deliver up to twice the messages of a
         // round that sends once per slot, and twice a node's degree into
-        // one span, and it stages its duplicates in `honest_outgoing`.
+        // one span, and it stages its duplicates in `extras`.
         // Reserving that room (address space, not resident memory, until a
         // round needs it) keeps a rare burst of duplicates from growing a
         // buffer long after warm-up.
@@ -534,10 +577,12 @@ where
             full_lens,
             static_senders,
             slots_increase: false,
-            honest_outgoing: Vec::with_capacity(staged_cap),
-            honest_ranks: Vec::with_capacity(staged_cap),
+            extras: Vec::with_capacity(staged_cap),
+            extra_ranks: Vec::with_capacity(staged_cap),
             byz_outgoing: Vec::new(),
+            byz_payloads: Vec::new(),
             byz_ranks: Vec::new(),
+            byz_seen: vec![0; slot_total.div_ceil(64)],
             inbox_pos,
             sender_counts,
             round_honest_messages: 0,
@@ -657,7 +702,7 @@ where
     /// delay removes its send, a duplicate marks it with [`DUPLICATE`]:
     /// no send moves, so the merge's slot scan stands. Only a
     /// delayed message clones its payload, into the redelivery queue; every
-    /// delayed message that comes due is then queued in `honest_outgoing`,
+    /// delayed message that comes due is then queued in `extras`,
     /// its payload moved into the staged store. Redelivered messages are
     /// never re-faulted, and crash-only plans (all rates zero) make no RNG
     /// draws at all. Returns whether the pass changed the round's traffic.
@@ -715,8 +760,8 @@ where
             }
             let d = self.delayed.pop_front().expect("front checked");
             let payload = push_payload(&mut self.arena_staged.payloads, d.msg);
-            self.honest_outgoing.push((d.from, d.to, payload));
-            self.honest_ranks.push(d.rank);
+            self.extras.push((d.from, d.to, payload));
+            self.extra_ranks.push(d.rank);
             added += 1;
         }
         self.round_honest_messages = self.round_honest_messages + added - removed;
@@ -795,22 +840,12 @@ where
         self.arena_staged.payloads.clear();
         if self.arena_staged.payloads.capacity() == 0 {
             // A store's first round reserves room for one in which every
-            // honest node broadcasts once and every Byzantine node sends
-            // over each of its edges (one stored payload per message), so
-            // it reaches that working size without a trail of doublings,
-            // whose freed chunks stay resident for a large payload.
-            let g: &Graph = self.graph.borrow();
-            let room = g
-                .nodes()
-                .map(|v| {
-                    if self.is_byzantine[v.index()] {
-                        g.degree(v)
-                    } else {
-                        1
-                    }
-                })
-                .sum();
-            self.arena_staged.payloads.reserve_exact(room);
+            // node, honest or Byzantine, broadcasts once (one stored
+            // payload per broadcast), so it reaches that working size
+            // without a trail of doublings, whose freed chunks stay
+            // resident for a large payload.
+            let n = self.graph().len();
+            self.arena_staged.payloads.reserve_exact(n);
         }
         let mut sent = 0u64;
         let mut increasing = true;
@@ -842,38 +877,57 @@ where
 
     /// The placement. Outboxes drain in natural node order (sequential
     /// memory, not the pid permutation): each send writes only its
-    /// reference, at `slot_pos[slot]`. Every other plane comes from the
-    /// static tables.
+    /// reference, at `slot_pos[slot]`. The Byzantine messages follow, each
+    /// at its sender's position in its destination's span,
+    /// `deg_offsets[to] + rank`. Every other plane comes from the static
+    /// tables.
     ///
     /// * A **full** round (slots strictly increasing, every table position
-    ///   filled, nothing faulted, no Byzantine traffic — the steady state
-    ///   of flooding protocols) is done after the fill: its spans are the
+    ///   filled once by an honest or a Byzantine message, nothing faulted
+    ///   — the steady state of flooding protocols, and a forwarding wave
+    ///   under beacon spam) is done after the fill: its spans are the
     ///   table's, and the sender plane and span lengths stay invariant
     ///   from the previous full round.
-    /// * Otherwise the **compacted** path pre-marks every position a
-    ///   [`HOLE`]. In a round whose slots do not increase, a send whose
-    ///   position the fill already wrote (a repeat to one neighbour)
-    ///   becomes an extra, as a duplicate does. After the fill one sequential pass over the spans closes
-    ///   the holes: it copies each kept reference and its static sender
-    ///   down to the span's next free position (plus the sender's rank,
-    ///   `p - offsets[v]`, in spans that get extras) and sets the span's
-    ///   length. The spans come out in sender-pid order, the table's
-    ///   position order. The extras the fill and the fault pass collected
-    ///   — duplicates and repeats in send order, then due redeliveries —
-    ///   and the Byzantine traffic are appended behind them, and the spans
+    /// * Otherwise the round is **compacted**. Every table position it
+    ///   reaches is a [`HOLE`] before the fill. A message whose position
+    ///   the fill already wrote — a repeat to one neighbour, honest (only
+    ///   in a round whose slots do not increase) or Byzantine — keeps the
+    ///   first message's reference in place and becomes an **extra**, as
+    ///   a duplicate does. After the fill one sequential pass over the
+    ///   spans closes the holes: it copies each kept reference and its
+    ///   static sender down to the span's next free position (plus the
+    ///   sender's rank, `p - offsets[v]`, in spans that get extras) and
+    ///   sets the span's length. The spans come out in sender-pid order,
+    ///   the table's position order. The extras — honest duplicates and
+    ///   repeats in send order, Byzantine repeats in emission order, then
+    ///   the due redeliveries — are appended behind them, and the spans
     ///   that got extras are counting-sorted; the stable sort puts each
     ///   extra behind its sender's first message in send order, and a
     ///   redelivery after its sender's fresh messages. A span has room for
     ///   as many messages as its node's degree; one whose kept messages
     ///   and extras need more is **spilled**: it closes up at the arena's
     ///   tail instead, past the degree prefix.
-    fn deliver_arena_table(&mut self, full: bool) {
+    /// * A compacted round is **dense** when it carries more than
+    ///   `n / SPARSE_SHARE` messages: it marks the whole reference plane,
+    ///   and compacts and sorts over every span, with no per-message
+    ///   bookkeeping. A **sparse** round lists the spans its sends, due
+    ///   redeliveries and Byzantine messages reach
+    ///   ([`Execution::ready_sparse`]) and marks, compacts and sorts only
+    ///   those.
+    fn deliver_arena_table(&mut self, placement: Placement) {
         let slot_total = self.delivery_map.total_slots();
         let n = self.graph().len();
-        let due = self.honest_outgoing.len();
+        let due = self.extras.len();
         let increasing = self.slots_increase;
+        let full = placement == Placement::Full;
+        self.arena_staged.grow_to(slot_total);
+        match placement {
+            Placement::Full => {}
+            Placement::Dense => self.arena_staged.refs[..slot_total].fill(HOLE),
+            Placement::Sparse => self.ready_sparse(),
+        }
         let arena = &mut self.arena_staged;
-        arena.grow_to(slot_total);
+        arena.sparse = placement == Placement::Sparse;
         if !arena.offsets_static {
             // A spilled round moved the offsets; restore the static degree
             // prefix.
@@ -892,7 +946,6 @@ where
         } else {
             arena.senders_static = false;
             arena.lens_full = false;
-            arena.refs[..slot_total].fill(HOLE);
         }
         for u in 0..n {
             let outbox = &mut self.outboxes[u];
@@ -917,100 +970,156 @@ where
                 // One extra, and a second for a duplicated repeat.
                 let target = self.delivery_map.targets_of(u)[slot as usize];
                 for _ in 0..1 + usize::from(repeat && payload & DUPLICATE != 0) {
-                    self.honest_outgoing.push((NodeId(u as u32), target.to, r));
-                    self.honest_ranks.push(target.rank);
+                    self.extras.push((NodeId(u as u32), target.to, r));
+                    self.extra_ranks.push(target.rank);
                 }
+            }
+        }
+        // The Byzantine messages, through the same table: a sender's first
+        // message to a neighbour takes its position, a repeat becomes an
+        // extra. A full round has no repeat.
+        let pbase = arena.take_payloads(&mut self.byz_payloads);
+        let byzantine = self.byz_outgoing.drain(..).zip(self.byz_ranks.drain(..));
+        for ((from, to, payload), rank) in byzantine {
+            let pos = (self.deg_offsets[to.index()] + rank) as usize;
+            let r = pbase + payload;
+            if full || arena.refs[pos] == HOLE {
+                arena.refs[pos] = r;
+            } else {
+                self.extras.push((from, to, r));
+                self.extra_ranks.push(rank);
             }
         }
         if full {
             // Nothing to append and no span to sort: the table *is* the
             // sorted order.
-            debug_assert!(self.honest_outgoing.is_empty() && self.byz_outgoing.is_empty());
+            debug_assert!(self.extras.is_empty());
             return;
         }
-        // Each span's extras: the duplicates and repeats the fill
-        // collected, the due redeliveries, and the Byzantine traffic.
-        let honest = self.honest_outgoing.iter().map(|&(_, to, _)| to);
-        for to in honest.chain(self.byz_outgoing.iter().map(|&(_, to, _)| to)) {
+        // Each span's extras: the duplicates and the honest and Byzantine
+        // repeats the fills collected, and the due redeliveries.
+        for &(_, to, _) in &self.extras {
             self.dest_counts[to.index()] += 1;
         }
-        // Compaction, one span at a time. Most spans are empty (a quiet
-        // round) or whole (a forwarding wave), and a vectorised count of
-        // the kept references tells which: an empty span only gets its
-        // length, a whole one without extras keeps its references in place
-        // and copies its sender plane. A span with holes closes up in
-        // place — `k` trails `p`, branch-free: a hole is copied too, and
-        // overwritten by the next kept message or left past the span's
-        // end. A span whose kept messages and extras overflow its degree
-        // moves to the arena's tail and closes up there.
-        let g: &Graph = self.graph.borrow();
+        // Compaction, then the extras behind each span's kept messages,
+        // and the sort of the spans that got them: over every span of a
+        // dense round, over the listed ones of a sparse round.
+        let dirty = std::mem::take(&mut self.arena_staged.dirty);
+        let spans = (placement == Placement::Sparse).then_some(dirty.as_slice());
         let mut tail = slot_total;
-        for v in 0..n {
-            let o = arena.offsets[v] as usize;
-            let end = o + self.full_lens[v] as usize;
-            let kept = arena.refs[o..end].iter().filter(|&&r| r != HOLE).count();
-            let extras = self.dest_counts[v] as usize;
-            let mut base = o;
-            if extras > 0 && kept + extras > g.degree(NodeId(v as u32)) {
-                base = tail;
-                tail += kept + extras;
-                arena.grow_to(tail);
-                arena.offsets[v] = base as u32;
-                arena.offsets_static = false;
+        for_each_span(spans, n, |v| self.compact_span(v, &mut tail));
+        if !self.extras.is_empty() {
+            // Honest duplicates and repeats, then Byzantine repeats, then
+            // the redeliveries in the order they were withheld.
+            self.extras.rotate_left(due);
+            self.extra_ranks.rotate_left(due);
+            let arena = &mut self.arena_staged;
+            let extras = self.extras.drain(..).zip(self.extra_ranks.drain(..));
+            for ((from, to, r), rank) in extras {
+                let v = to.index();
+                let pos = (arena.offsets[v] + arena.lens[v]) as usize;
+                arena.lens[v] += 1;
+                arena.senders[pos] = from;
+                arena.refs[pos] = r;
+                arena.ranks[pos] = rank;
             }
-            arena.lens[v] = kept as u32;
-            if kept == 0 {
-                continue;
-            }
-            let ranked = extras != 0;
-            if kept == end - o && !ranked {
-                arena.senders[o..end].copy_from_slice(&self.static_senders[o..end]);
-                continue;
-            }
-            let mut k = base;
-            for p in o..end {
-                let r = arena.refs[p];
-                arena.refs[k] = r;
-                arena.senders[k] = self.static_senders[p];
-                if ranked {
-                    arena.ranks[k] = (p - o) as u32;
+            for_each_span(spans, n, |v| {
+                if self.dest_counts[v] != 0 {
+                    self.dest_counts[v] = 0;
+                    self.sort_staged_span(v);
                 }
-                k += usize::from(r != HOLE);
+            });
+        }
+        self.arena_staged.dirty = dirty;
+    }
+
+    /// Readies the staged generation for a sparse round, whose table
+    /// positions must be holes in every span it reaches. When the
+    /// generation's last round was sparse too, every position outside
+    /// the spans that round listed still is one, so re-marking those
+    /// spans suffices; after any other round the whole plane is marked.
+    /// Then the span lengths are zeroed, and `dirty` lists each span the
+    /// round's sends, due redeliveries and Byzantine messages reach, once
+    /// (a listed span's length is 1 until its compaction sets it).
+    fn ready_sparse(&mut self) {
+        let arena = &mut self.arena_staged;
+        if arena.sparse {
+            for &v in &arena.dirty {
+                let o = self.deg_offsets[v as usize] as usize;
+                let end = o + self.full_lens[v as usize] as usize;
+                arena.refs[o..end].fill(HOLE);
+            }
+        } else {
+            arena.refs[..self.delivery_map.total_slots()].fill(HOLE);
+        }
+        arena.dirty.clear();
+        arena.lens.fill(0);
+        let InboxArena { lens, dirty, .. } = arena;
+        let mut reach = |to: NodeId| {
+            let v = to.index();
+            if lens[v] == 0 {
+                lens[v] = 1;
+                dirty.push(v as u32);
+            }
+        };
+        for (u, outbox) in self.outboxes.iter().enumerate() {
+            if outbox.is_empty() {
+                continue;
+            }
+            let targets = self.delivery_map.targets_of(u);
+            for &(slot, _) in &outbox.sends {
+                reach(targets[slot as usize].to);
             }
         }
-        if self.honest_outgoing.is_empty() && self.byz_outgoing.is_empty() {
+        let byzantine = self.byz_outgoing.iter().map(|&(_, to, _)| to);
+        let redelivered = self.extras.iter().map(|&(_, to, _)| to);
+        redelivered.chain(byzantine).for_each(reach);
+    }
+
+    /// Closes span `v`'s holes in the staged generation and sets its
+    /// length to the messages it kept. Most spans are empty (a quiet
+    /// round) or whole (a forwarding wave), and a vectorised count of the
+    /// kept references tells which: an empty span only gets its length, a
+    /// whole one without extras keeps its references in place and copies
+    /// its sender plane. A span with holes closes up in place — `k` trails
+    /// `p`, branch-free: a hole is copied too, and overwritten by the next
+    /// kept message or left past the span's end. A span whose kept
+    /// messages and extras overflow its degree moves to the arena's
+    /// `tail` (advanced past it) and closes up there.
+    #[inline(always)]
+    fn compact_span(&mut self, v: usize, tail: &mut usize) {
+        let g: &Graph = self.graph.borrow();
+        let arena = &mut self.arena_staged;
+        let o = arena.offsets[v] as usize;
+        let end = o + self.full_lens[v] as usize;
+        let kept = arena.refs[o..end].iter().filter(|&&r| r != HOLE).count();
+        let extras = self.dest_counts[v] as usize;
+        let mut base = o;
+        if extras > 0 && kept + extras > g.degree(NodeId(v as u32)) {
+            base = *tail;
+            *tail += kept + extras;
+            arena.grow_to(*tail);
+            arena.offsets[v] = base as u32;
+            arena.offsets_static = false;
+        }
+        arena.lens[v] = kept as u32;
+        if kept == 0 {
             return;
         }
-        // Then the extras behind each span's honest messages: the
-        // duplicates and repeats, the redeliveries in the order they were
-        // withheld, and the Byzantine traffic in emission order.
-        self.honest_outgoing.rotate_left(due);
-        self.honest_ranks.rotate_left(due);
-        let honest = self
-            .honest_outgoing
-            .drain(..)
-            .zip(self.honest_ranks.drain(..));
-        for ((from, to, r), rank) in honest {
-            let v = to.index();
-            let pos = (arena.offsets[v] + arena.lens[v]) as usize;
-            arena.lens[v] += 1;
-            arena.senders[pos] = from;
-            arena.refs[pos] = r;
-            arena.ranks[pos] = rank;
+        let ranked = extras != 0;
+        if kept == end - o && !ranked {
+            arena.senders[o..end].copy_from_slice(&self.static_senders[o..end]);
+            return;
         }
-        for ((from, to, msg), rank) in self.byz_outgoing.drain(..).zip(self.byz_ranks.drain(..)) {
-            let v = to.index();
-            let pos = (arena.offsets[v] + arena.lens[v]) as usize;
-            arena.lens[v] += 1;
-            arena.senders[pos] = from;
-            arena.refs[pos] = push_payload(&mut arena.payloads, msg);
-            arena.ranks[pos] = rank;
-        }
-        for v in 0..n {
-            if self.dest_counts[v] != 0 {
-                self.dest_counts[v] = 0;
-                self.sort_staged_span(v);
+        let mut k = base;
+        for p in o..end {
+            let r = arena.refs[p];
+            arena.refs[k] = r;
+            arena.senders[k] = self.static_senders[p];
+            if ranked {
+                arena.ranks[k] = (p - o) as u32;
             }
+            k += usize::from(r != HOLE);
         }
     }
 
@@ -1040,7 +1149,7 @@ where
     /// (as the fault pass left them), then the due redeliveries the fault
     /// pass queued.
     fn adversary_phase(&mut self) {
-        debug_assert!(self.byz_outgoing.is_empty());
+        debug_assert!(self.byz_outgoing.is_empty() && self.byz_payloads.is_empty());
         let view = FullInfoView {
             round: self.round,
             graph: self.graph.borrow(),
@@ -1051,7 +1160,7 @@ where
             honest_outgoing: HonestTraffic {
                 outboxes: &self.outboxes,
                 routes: &self.delivery_map,
-                sends: &self.honest_outgoing,
+                sends: &self.extras,
                 payloads: &self.arena_staged.payloads,
                 len: self.round_honest_messages as usize,
             },
@@ -1062,44 +1171,56 @@ where
             is_byzantine: &self.is_byzantine,
             rng: &mut self.adversary_rng,
             outgoing: &mut self.byz_outgoing,
+            payloads: &mut self.byz_payloads,
         };
         self.adversary.on_round(&view, &mut ctx);
     }
 
-    /// Delivery: accounts and rank-resolves the Byzantine traffic, places
-    /// the round's messages into the staged arena through the slot →
-    /// position table ([`Execution::deliver_arena_table`]), sorts what
-    /// needs sorting, and swaps the double buffer. `faulted` says whether
-    /// the fault pass changed the round's traffic.
+    /// Delivery: accounts and rank-resolves the Byzantine traffic, picks
+    /// the round's [`Placement`], places the round's messages into the
+    /// staged arena through the slot → position table
+    /// ([`Execution::deliver_arena_table`]), sorts what needs sorting,
+    /// and swaps the double buffer. `faulted` says whether the fault pass
+    /// changed the round's traffic.
     fn deliver(&mut self, faulted: bool) {
-        debug_assert_eq!(self.honest_ranks.len(), self.honest_outgoing.len());
+        debug_assert_eq!(self.extra_ranks.len(), self.extras.len());
         debug_assert!(self.byz_ranks.is_empty());
         let honest_messages = self.round_honest_messages;
         let byzantine_messages = self.byz_outgoing.len() as u64;
         // Account and rank-resolve the Byzantine traffic up front: the
         // adversary's (from, to) pairs carry no precomputed slot.
-        for (from, to, msg) in &self.byz_outgoing {
+        for &(from, to, payload) in &self.byz_outgoing {
+            let msg = &self.byz_payloads[payload as usize];
             self.metrics.per_node[from.index()].record(msg.size_bits(Pid::BITS));
             let rank = self
                 .sender_ranks
-                .rank_of(*to, self.pids[from.index()])
+                .rank_of(to, self.pids[from.index()])
                 .expect("byzantine sender is a graph neighbor");
             self.byz_ranks.push(rank);
         }
-        // A round whose slots increase fills every table position iff it
-        // sends one message per (destination, distinct sender) pair — not
-        // one per directed edge: a multigraph's parallel edges share a
-        // position. Byzantine nodes never fill their outboxes, so a
-        // Byzantine node with a neighbour leaves a position unfilled and
-        // makes the round not full by itself. The count alone is not enough once the fault pass
-        // changed anything: one drop plus one duplicate keeps it at the
-        // number of positions and leaves a hole.
+        // A round whose honest slots increase and whose Byzantine senders
+        // do not repeat fills every table position iff it sends one
+        // message per (destination, distinct sender) pair — not one per
+        // directed edge: a multigraph's parallel edges share a position.
+        // The count alone is not enough once the fault pass changed
+        // anything (one drop plus one duplicate keeps it at the number of
+        // positions and leaves a hole), nor when a Byzantine sender sends
+        // twice to one neighbour and not at all to another; the repeat
+        // test runs only when the count matches.
         let positions = self.sender_ranks.total() as u64;
-        let full = self.slots_increase
+        let messages = honest_messages + byzantine_messages;
+        let placement = if self.slots_increase
             && !faulted
-            && self.byz_outgoing.is_empty()
-            && self.round_honest_messages == positions;
-        self.deliver_arena_table(full);
+            && messages == positions
+            && !self.byzantine_repeats()
+        {
+            Placement::Full
+        } else if messages <= self.graph().len() as u64 / SPARSE_SHARE {
+            Placement::Sparse
+        } else {
+            Placement::Dense
+        };
+        self.deliver_arena_table(placement);
         std::mem::swap(&mut self.arena, &mut self.arena_staged);
         self.metrics.rounds = self.round;
         if self.config.record_round_stats {
@@ -1120,16 +1241,39 @@ where
         }
     }
 
+    /// Whether a Byzantine sender sends twice to one neighbour this round
+    /// (two messages for one table position). Sets one bit of `byz_seen`
+    /// per Byzantine message, then clears the words it touched.
+    fn byzantine_repeats(&mut self) -> bool {
+        let positions = self.byz_outgoing.iter().zip(&self.byz_ranks);
+        let words = positions.map(|(&(_, to, _), &rank)| {
+            let pos = (self.deg_offsets[to.index()] + rank) as usize;
+            (pos / 64, 1u64 << (pos % 64))
+        });
+        let mut repeat = false;
+        for (word, bit) in words.clone() {
+            repeat |= self.byz_seen[word] & bit != 0;
+            self.byz_seen[word] |= bit;
+        }
+        for (word, _) in words {
+            self.byz_seen[word] = 0;
+        }
+        repeat
+    }
+
     /// How the last executed round was placed — `"full"`, `"compacted"`
-    /// or `"spilled"` (compacted, with a span at the arena's tail) — read
-    /// off the delivered generation.
+    /// (dense), `"spilled"` (dense, with a span at the arena's tail),
+    /// `"sparse"` or `"sparse, spilled"` — read off the delivered
+    /// generation.
     #[cfg(test)]
     pub(crate) fn last_placement(&self) -> &'static str {
         let a = &self.arena;
-        match (a.offsets_static, a.lens_full) {
-            (false, _) => "spilled",
-            (true, true) => "full",
-            (true, false) => "compacted",
+        match (a.sparse, a.offsets_static, a.lens_full) {
+            (true, true, _) => "sparse",
+            (true, false, _) => "sparse, spilled",
+            (false, false, _) => "spilled",
+            (false, true, true) => "full",
+            (false, true, false) => "compacted",
         }
     }
 
@@ -1187,6 +1331,15 @@ where
             metrics: self.metrics.clone(),
             stop_reason,
         })
+    }
+}
+
+/// Calls `f` on each span of `list`, or on every span `0..n` without one.
+#[inline(always)]
+fn for_each_span(list: Option<&[u32]>, n: usize, mut f: impl FnMut(usize)) {
+    match list {
+        Some(list) => list.iter().for_each(|&v| f(v as usize)),
+        None => (0..n).for_each(f),
     }
 }
 

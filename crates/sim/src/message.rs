@@ -218,6 +218,17 @@ pub struct InboxIter<'a, M> {
     next: usize,
 }
 
+// Manual impl: `derive` would demand `M: Clone` although only references
+// are copied.
+impl<M> Clone for InboxIter<'_, M> {
+    fn clone(&self) -> Self {
+        InboxIter {
+            inbox: self.inbox,
+            next: self.next,
+        }
+    }
+}
+
 impl<'a, M> Iterator for InboxIter<'a, M> {
     type Item = EnvelopeRef<'a, M>;
 
@@ -280,12 +291,13 @@ impl<M: fmt::Debug> fmt::Debug for Inbox<'_, M> {
 ///
 /// **The payload plane.** A message's payload is not stored per
 /// recipient: `payloads` holds the generation's payloads once per send
-/// operation (one per broadcast, one per unicast, one per Byzantine
-/// message), moved in from the outboxes, and each arena slot's `refs`
-/// entry indexes it. The round's merge clears the store, the fault pass
-/// appends the due redeliveries, and delivery appends each sender's
-/// payloads in turn (`pbase` = the store length before them), writing
-/// `pbase + idx` for a send that referenced outbox payload `idx`. The
+/// operation (one per broadcast, one per unicast, honest or Byzantine),
+/// moved in from the outboxes and the adversary's payload plane, and each
+/// arena slot's `refs` entry indexes it. The round's merge clears the
+/// store, the fault pass appends the due redeliveries, and delivery
+/// appends each sender's payloads in turn, then the adversary's (`pbase`
+/// = the store length before them), writing `pbase + idx` for a send that
+/// referenced payload `idx` of its plane. The
 /// counting sort permutes the `u32` references, never a payload.
 pub(crate) struct InboxArena<M> {
     /// Per-node span starts, length `n`.
@@ -304,6 +316,14 @@ pub(crate) struct InboxArena<M> {
     /// Whether `lens` currently equals the distinct in-degree table (the
     /// full-round invariant).
     pub(crate) lens_full: bool,
+    /// Whether the last round placed in this generation was sparse: then
+    /// every table position of `refs` outside the spans `dirty` lists
+    /// still holds the hole mark, and the next sparse round re-marks only
+    /// those spans.
+    pub(crate) sparse: bool,
+    /// The spans the generation's last sparse round reached (node
+    /// indices, each once).
+    pub(crate) dirty: Vec<u32>,
     /// Dense node index of every message's sender, arena-indexed — four
     /// bytes per message instead of a `Pid`'s eight; the pid table widens
     /// it back at the [`Inbox`] view boundary.
@@ -333,6 +353,8 @@ impl<M> InboxArena<M> {
             offsets_static: true,
             senders_static: false,
             lens_full: false,
+            sparse: false,
+            dirty: Vec::new(),
             senders: Vec::with_capacity(slot_capacity),
             refs: Vec::with_capacity(slot_capacity),
             ranks: Vec::with_capacity(slot_capacity),
@@ -419,6 +441,7 @@ impl<'a, M> InboxesView<'a, M> {
     /// Node `v`'s inbox. Empty spans short-circuit: with the static
     /// degree offsets the arrays may not even cover an empty node's
     /// nominal span yet (e.g. before the first message ever flowed).
+    #[inline]
     pub(crate) fn inbox(&self, v: usize) -> Inbox<'a, M> {
         let len = self.lens[v] as usize;
         if len == 0 {

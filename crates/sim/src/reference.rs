@@ -218,7 +218,7 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
 
         // 4. The rushing adversary sees the honest states and the vector;
         // a crashed Byzantine node stays silent whoever controls it.
-        let mut byzantine: Vec<Sent<P::Message>> = Vec::new();
+        let (mut byz_sends, mut byz_payloads) = (Vec::new(), Vec::new());
         let sends: Vec<(NodeId, NodeId, u32)> = traffic
             .iter()
             .enumerate()
@@ -239,9 +239,14 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
             graph: self.graph,
             is_byzantine: &self.is_byzantine,
             rng: &mut self.adversary_rng,
-            outgoing: &mut byzantine,
+            outgoing: &mut byz_sends,
+            payloads: &mut byz_payloads,
         };
         self.adversary.on_round(&view, &mut ctx);
+        let mut byzantine: Vec<Sent<P::Message>> = byz_sends
+            .iter()
+            .map(|&(from, to, payload)| (from, to, byz_payloads[payload as usize].clone()))
+            .collect();
         byzantine.retain(|(from, _, _)| !self.crashed[from.index()]);
         for (from, _, msg) in &byzantine {
             self.metrics.per_node[from.index()].record(msg.size_bits(id_bits));

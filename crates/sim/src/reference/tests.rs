@@ -4,16 +4,20 @@
 //! adversaries; same-sender multi-send ties; mixed unicast/broadcast/repeat
 //! sends sharing payloads; unicasts to random neighbour subsets (the
 //! compacted table path, and repeated slots of parallel edges) and to
-//! every distinct neighbour in reverse slot order; fault
-//! plans that drop, duplicate and delay ([`with_faults`], proptest-generated
-//! ones, and full broadcast under faults on every placement); event-driven
-//! relays; and worker pools of 1, 4, and 8 threads.
+//! every distinct neighbour in reverse slot order; Byzantine traffic on
+//! the table (full spam rounds, and a Byzantine repeat); a schedule that
+//! walks each arena generation through every pair of round kinds (sparse,
+//! dense, full, spilled); fault plans that drop, duplicate and delay
+//! ([`with_faults`], proptest-generated ones, and full broadcast under
+//! faults on every placement); event-driven relays; and worker pools of
+//! 1, 4, and 8 threads.
 
 use super::{assert_lockstep, Reference};
 use crate::adversary::{Adversary, ByzantineContext, FullInfoView, NullAdversary};
 use crate::engine::{Execution, NodeInit, SimConfig, SimReport, StopReason, StopWhen};
 use crate::fault::{CrashEvent, FaultPlan};
 use crate::idspace::Pid;
+use crate::message::Envelope;
 use crate::protocol::{NodeContext, Protocol};
 use bcount_graph::gen::{cycle, hnd, path, torus2d};
 use bcount_graph::{Graph, NodeId};
@@ -793,6 +797,278 @@ fn reverse_slot_unicasts_are_placed_on_the_table() {
             check(&g, &byz, reverse, || Rusher, with_faults(cfg.clone()));
         });
     }
+}
+
+/// Runs `f` inside explicit pools of 1, 4 and 8 workers.
+fn in_pools(f: impl Fn() + Sync) {
+    for threads in [1usize, 4, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build test pool");
+        pool.install(&f);
+    }
+}
+
+/// Beacon spam on a forwarding wave: every Byzantine node broadcasts one
+/// fresh beacon every round, one message per distinct neighbour.
+struct ForwardingSpam;
+
+impl<P: Protocol<Message = Pid>> Adversary<P> for ForwardingSpam {
+    fn on_round(&mut self, view: &FullInfoView<'_, P>, ctx: &mut ByzantineContext<'_, Pid>) {
+        let beacon = Pid(ctx.rng().gen());
+        for b in view.byzantine_nodes() {
+            ctx.broadcast(b, beacon);
+        }
+    }
+}
+
+/// Every honest node broadcasts every round and every Byzantine node
+/// spams one beacon per distinct neighbour: Byzantine messages place
+/// through the table, so each round fills every position once and is
+/// full. The engine matches the reference on it in pools of 1, 4 and 8.
+#[test]
+fn beacon_spam_forwarding_rounds_are_full() {
+    let g = hnd(128, 8, &mut ChaCha8Rng::seed_from_u64(25)).unwrap();
+    let byz = [NodeId(3), NodeId(70)];
+    let cfg = config(25, 40);
+    let mut engine = Execution::new(&g, &byz, jitter(20), ForwardingSpam, cfg.clone());
+    while engine.finished().is_none() {
+        engine.step();
+        assert_eq!(engine.last_placement(), "full", "round {}", engine.round());
+    }
+    assert!(engine.metrics().per_node[3].messages_sent > 0);
+    in_pools(|| {
+        check(&g, &byz, jitter(20), || ForwardingSpam, cfg.clone());
+    });
+}
+
+/// The distinct neighbours of `v`, in node order.
+fn distinct_neighbors(g: &Graph, v: NodeId) -> Vec<NodeId> {
+    let mut nbrs: Vec<NodeId> = g.neighbors(v).collect();
+    nbrs.dedup();
+    nbrs
+}
+
+/// Byzantine node `b`'s repeat target: its first neighbour with a
+/// parallel edge (a span with room for one message past its distinct
+/// senders), else its first neighbour.
+fn repeat_target(g: &Graph, b: NodeId) -> NodeId {
+    let nbrs = distinct_neighbors(g, b);
+    let roomy = nbrs
+        .iter()
+        .find(|&&v| distinct_neighbors(g, v).len() < g.degree(v));
+    *roomy.unwrap_or(&nbrs[0])
+}
+
+/// Each Byzantine node sends one message to every distinct neighbour but
+/// one, and a second, different message to its [`repeat_target`]: as
+/// many messages as a broadcast, with one repeat and one hole.
+struct RepeatForOne;
+
+impl<P: Protocol<Message = Pid>> Adversary<P> for RepeatForOne {
+    fn on_round(&mut self, view: &FullInfoView<'_, P>, ctx: &mut ByzantineContext<'_, Pid>) {
+        let beacon: u64 = ctx.rng().gen();
+        for b in view.byzantine_nodes() {
+            let nbrs = distinct_neighbors(view.graph(), b);
+            let target = repeat_target(view.graph(), b);
+            let skip = if nbrs[0] == target { nbrs[1] } else { nbrs[0] };
+            for &to in nbrs.iter().filter(|&&to| to != skip) {
+                ctx.send(b, to, Pid(beacon));
+            }
+            ctx.send(b, target, Pid(!beacon));
+        }
+    }
+}
+
+/// A Byzantine sender sends twice to one neighbour in an otherwise full
+/// broadcast round: the round carries exactly as many messages as the
+/// table has positions, but the repeat leaves a hole, so the round is
+/// compacted, and the repeat, which fits the span of a neighbour with a
+/// parallel edge, lands right behind its sender's first message. The
+/// engine matches the reference on it in pools of 1, 4 and 8.
+#[test]
+fn byzantine_repeat_in_a_broadcast_round_is_compacted() {
+    let g = hnd(96, 8, &mut ChaCha8Rng::seed_from_u64(24)).unwrap();
+    let roomy = (0..g.len() as u32)
+        .map(NodeId)
+        .find(|&v| distinct_neighbors(&g, v).len() < g.degree(v))
+        .expect("H(96, 8) has a parallel edge");
+    let b = distinct_neighbors(&g, roomy)[0];
+    let target = repeat_target(&g, b);
+    assert_eq!(distinct_neighbors(&g, target).len() + 1, g.degree(target));
+    let positions: u64 = (0..g.len() as u32)
+        .map(|v| distinct_neighbors(&g, NodeId(v)).len() as u64)
+        .sum();
+    let cfg = config(24, 40);
+    let mut engine = Execution::new(&g, &[b], jitter(12), RepeatForOne, cfg.clone());
+    while engine.finished().is_none() {
+        engine.step();
+        let trace = engine.metrics().round_trace.last().expect("round stats");
+        assert_eq!(trace.honest_messages + trace.byzantine_messages, positions);
+        assert_eq!(
+            engine.last_placement(),
+            "compacted",
+            "round {}",
+            engine.round()
+        );
+        // The target hears `b` twice: the first message, then right
+        // behind it the repeat, its complement.
+        let inbox = engine.inbox(target).to_vec();
+        let repeat = |w: &[Envelope<Pid>]| w[0].sender == w[1].sender && w[1].msg.0 == !w[0].msg.0;
+        assert!(inbox.windows(2).any(repeat), "{inbox:?}");
+    }
+    in_pools(|| {
+        check(&g, &[b], jitter(12), || RepeatForOne, cfg.clone());
+    });
+}
+
+/// The round kinds [`Scheduled`] cycles through, as
+/// `Execution::last_placement` names them.
+const KINDS: [&str; 5] = ["sparse", "sparse, spilled", "compacted", "spilled", "full"];
+
+/// A de Bruijn sequence over the five [`KINDS`]: every ordered pair of
+/// kinds appears once as consecutive entries (cyclically).
+const KIND_ORDER: [usize; 25] = [
+    0, 0, 1, 0, 2, 0, 3, 0, 4, 1, 1, 2, 1, 3, 1, 4, 2, 2, 3, 2, 4, 3, 3, 4, 4,
+];
+
+/// The kind of round `round` (1-based). Rounds `r` and `r + 2` place into
+/// one arena generation, so each generation steps through [`KIND_ORDER`].
+fn scheduled_kind(round: u64) -> usize {
+    KIND_ORDER[((round - 1) / 2) as usize % KIND_ORDER.len()]
+}
+
+/// Node count of the [`Scheduled`] graph; the Byzantine nodes sit past
+/// the node indices the first 60 rounds name.
+const SCHEDULED_N: usize = 96;
+
+/// Sends each round's [`scheduled_kind`] on H(96, 8): a sparse round is
+/// one unicast from every twelfth node, a spilled sparse round adds nine
+/// sends from node `round % n` to one neighbour (more than its span has
+/// room for), a dense round is a broadcast from three nodes in four, a
+/// spilled dense round a broadcast from every node plus eight more sends
+/// from node `round % n`, and a full round a broadcast from every node.
+#[derive(Debug, Clone)]
+struct Scheduled {
+    index: usize,
+    acc: u64,
+}
+
+impl Protocol for Scheduled {
+    type Message = Pid;
+    type Output = u64;
+
+    fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
+        for env in ctx.inbox() {
+            self.acc = self
+                .acc
+                .wrapping_mul(31)
+                .wrapping_add(env.msg.0 ^ env.sender.0);
+        }
+        let round = ctx.round();
+        let spiller = self.index == round as usize % SCHEDULED_N;
+        let first = ctx.neighbors()[0];
+        let (broadcast, spill) = match scheduled_kind(round) {
+            0 | 1 => {
+                if (self.index + round as usize).is_multiple_of(12) {
+                    let to = ctx.neighbors()[self.acc as usize % ctx.degree()];
+                    ctx.send(to, Pid(self.acc));
+                }
+                (false, if scheduled_kind(round) == 1 { 9 } else { 0 })
+            }
+            2 => (!self.index.is_multiple_of(4), 0),
+            3 => (true, 8),
+            _ => (true, 0),
+        };
+        if broadcast {
+            ctx.broadcast(Pid(self.acc ^ round));
+        }
+        if spiller {
+            for copy in 0..spill {
+                ctx.send(first, Pid(self.acc ^ copy));
+            }
+        }
+    }
+
+    fn output(&self) -> Option<u64> {
+        Some(self.acc)
+    }
+}
+
+/// The Byzantine side of [`Scheduled`]: on sparse rounds each Byzantine
+/// node sends twice to its first neighbour (a repeat on the sparse
+/// path), on every other round it broadcasts once.
+struct ScheduledSpam;
+
+impl<P: Protocol<Message = Pid>> Adversary<P> for ScheduledSpam {
+    fn on_round(&mut self, view: &FullInfoView<'_, P>, ctx: &mut ByzantineContext<'_, Pid>) {
+        let beacon: u64 = ctx.rng().gen();
+        for b in view.byzantine_nodes() {
+            if scheduled_kind(view.round()) <= 1 {
+                let first = view.graph().neighbors(b).next().expect("a neighbour");
+                ctx.send(b, first, Pid(beacon));
+                ctx.send(b, first, Pid(!beacon));
+            } else {
+                ctx.broadcast(b, Pid(beacon));
+            }
+        }
+    }
+}
+
+/// [`Scheduled`] under [`ScheduledSpam`] places every round as its kind
+/// says, and over 54 rounds each arena generation follows every round
+/// kind with every other (and itself): a sparse round re-marks its
+/// generation's last sparse spans, or the whole plane after any other
+/// kind. The engine matches the reference on the schedule without
+/// faults, and under a plan that drops, duplicates and delays (whose
+/// redeliveries reach spans no fresh sparse send reaches), in pools of
+/// 1, 4 and 8.
+#[test]
+fn every_round_kind_follows_every_other_in_each_generation() {
+    let g = hnd(SCHEDULED_N, 8, &mut ChaCha8Rng::seed_from_u64(26)).unwrap();
+    let byz = [NodeId(70), NodeId(90)];
+    let scheduled = |u: NodeId, init: &NodeInit| Scheduled {
+        index: u.index(),
+        acc: init.pid.0,
+    };
+    let cfg = SimConfig {
+        stop_when: StopWhen::MaxRoundsOnly,
+        ..config(26, 54)
+    };
+    let mut engine = Execution::new(&g, &byz, scheduled, ScheduledSpam, cfg.clone());
+    let mut placed = Vec::new();
+    while engine.finished().is_none() {
+        engine.step();
+        let kind = KINDS[scheduled_kind(engine.round())];
+        assert_eq!(engine.last_placement(), kind, "round {}", engine.round());
+        placed.push(kind);
+    }
+    for parity in 0..2 {
+        let generation: Vec<&str> = placed.iter().skip(parity).step_by(2).copied().collect();
+        let pairs: std::collections::BTreeSet<(&str, &str)> =
+            generation.windows(2).map(|w| (w[0], w[1])).collect();
+        assert_eq!(
+            pairs.len(),
+            KINDS.len() * KINDS.len(),
+            "generation {parity}"
+        );
+    }
+    let faulty = SimConfig {
+        fault: FaultPlan {
+            seed: 26,
+            drop_per_mille: 60,
+            dup_per_mille: 60,
+            delay_per_mille: 150,
+            delay_rounds: 2,
+            ..FaultPlan::default()
+        },
+        ..cfg.clone()
+    };
+    in_pools(|| {
+        check(&g, &byz, scheduled, || ScheduledSpam, cfg.clone());
+        check(&g, &byz, scheduled, || ScheduledSpam, faulty.clone());
+    });
 }
 
 proptest! {

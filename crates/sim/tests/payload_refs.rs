@@ -8,6 +8,9 @@
 //!   event-driven relay whose nodes first send late, and in pools of 1
 //!   and 4 workers (the latter forks the honest compute with the
 //!   `parallel` feature).
+//! * A Byzantine broadcast stores its message once too: an adversary
+//!   that broadcasts from every Byzantine node every round clones no
+//!   payload, on full rounds and on compacted ones.
 //! * Under a drop/duplicate/delay plan, the only clones are the delayed
 //!   messages' copies: clones equal [`Metrics::delayed`].
 
@@ -181,6 +184,41 @@ fn broadcasts_clone_no_payload() {
                 byz.len()
             );
         }
+    }
+}
+
+/// Every Byzantine node broadcasts a fresh [`Counted`] every round.
+struct CountedSpam;
+
+impl<P: Protocol<Message = Counted>> Adversary<P> for CountedSpam {
+    fn on_round(&mut self, view: &FullInfoView<'_, P>, ctx: &mut ByzantineContext<'_, Counted>) {
+        for b in view.byzantine_nodes() {
+            ctx.broadcast(b, Counted(view.round()));
+        }
+    }
+}
+
+#[test]
+fn byzantine_broadcasts_clone_no_payload() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let g = hnd(256, 8, &mut ChaCha8Rng::seed_from_u64(3)).unwrap();
+    let byz = [NodeId(9), NodeId(130)];
+    // Honest broadcasts with the spam (full table rounds), and with
+    // repeated sends (compacted ones).
+    for shape in [Shape::Broadcast, Shape::BroadcastAndRepeat] {
+        let sim = Execution::new(
+            &g,
+            &byz,
+            |_, init: &NodeInit| Flood {
+                best: init.pid.0 % 1000,
+                shape,
+            },
+            CountedSpam,
+            config(12),
+        );
+        let (clones, metrics) = clones_over(sim, 12);
+        assert!(metrics.per_node[9].messages_sent > 0);
+        assert_eq!(clones, 0, "{shape:?}");
     }
 }
 

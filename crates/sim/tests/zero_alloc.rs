@@ -11,8 +11,10 @@
 //! pins that bound.
 //!
 //! Under a fault plan that drops and duplicates, the bound stays zero on
-//! full, compacted and spilled rounds alike: the fault pass rewrites the
-//! outboxes in place. A delay clones its payload into the redelivery
+//! full, compacted (dense and sparse) and spilled rounds alike: the fault
+//! pass rewrites the outboxes in place. Byzantine messages are stored
+//! once per send operation too, and the sparse path's span list warms up
+//! with the first sparse rounds. A delay clones its payload into the redelivery
 //! queue by design, so `assert_delays_clone_once` bounds a delaying plan
 //! at one allocation per delayed message, with a payload whose every
 //! clone allocates once.
@@ -146,6 +148,35 @@ impl Protocol for SubsetChatter {
     }
 }
 
+/// A broadcast from every sixteenth node each round, a different
+/// sixteenth every round: a sparse round on a cycle (two messages per
+/// broadcaster, well under a quarter of the node count).
+#[derive(Debug, Clone)]
+struct SparseChatter {
+    me: Pid,
+    index: u64,
+}
+
+impl Protocol for SparseChatter {
+    type Message = Pid;
+    type Output = ();
+
+    fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
+        let heard = ctx.inbox().len() as u64;
+        if (self.index + ctx.round()).is_multiple_of(16) {
+            ctx.broadcast(Pid(self.me.0.wrapping_add(heard)));
+        }
+    }
+
+    fn output(&self) -> Option<()> {
+        None
+    }
+
+    fn has_halted(&self) -> bool {
+        false
+    }
+}
+
 /// Silent on odd nodes and a broadcaster on even ones until round
 /// `switch`; from then on every node unicasts a distinct message to each
 /// distinct neighbour — more payloads per node and per round than any
@@ -244,10 +275,9 @@ fn crash_only_config() -> SimConfig {
 
 /// The full table path without Byzantine nodes, and with a silent
 /// Byzantine node (whose unfilled table positions make every round a
-/// compacted one) the compacted table path plus the sort of the spans
-/// that get Byzantine traffic — the sender-rank table, the permutation
-/// scratch, and the SoA arena's parallel arrays are all built or grown
-/// during warm-up and only reused afterwards.
+/// compacted one) the compacted table path — the sender-rank table, the
+/// permutation scratch, and the SoA arena's parallel arrays are all
+/// built or grown during warm-up and only reused afterwards.
 fn assert_zero_alloc_table(byz: bool) {
     let g = cycle(96).unwrap();
     let byz: &[NodeId] = if byz { &[NodeId(17)] } else { &[] };
@@ -334,9 +364,46 @@ fn assert_zero_alloc_compacted_spam() {
     assert_steady_state_allocation_free(sim, "subset unicasts under beacon spam");
 }
 
+/// Beacon spam on a full broadcast: every honest node broadcasts and
+/// every Byzantine node spams one beacon per neighbour, so without a
+/// plan every round is a full table round with Byzantine traffic placed
+/// on the table, and under a plan that drops and duplicates a compacted
+/// one. The Byzantine repeat test's position bitset is sized once, at
+/// construction.
+fn assert_zero_alloc_byzantine_full(cfg: SimConfig, plan: &str) {
+    let g = cycle(96).unwrap();
+    let sim = Execution::new(
+        &g,
+        &[NodeId(17), NodeId(60)],
+        |_, init| Chatter(init.pid),
+        SilentSpam,
+        cfg,
+    );
+    assert_steady_state_allocation_free(sim, &format!("Byzantine-full spam, {plan}"));
+}
+
+/// Sparse rounds (a few broadcasters and beacon spam, under a quarter of
+/// the node count in messages): the re-marking of the generation's last
+/// sparse spans, the span list, the compaction and sort of the listed
+/// spans. The span list warms up once.
+fn assert_zero_alloc_sparse(cfg: SimConfig, plan: &str) {
+    let g = cycle(96).unwrap();
+    let sim = Execution::new(
+        &g,
+        &[NodeId(17)],
+        |u, init| SparseChatter {
+            me: init.pid,
+            index: u.index() as u64,
+        },
+        SilentSpam,
+        cfg,
+    );
+    assert_steady_state_allocation_free(sim, &format!("sparse rounds, {plan}"));
+}
+
 /// Repeated, out-of-order sends, whose repeats are extras (spilled every
 /// round), must also be allocation-free in steady state. The first round
-/// warms `honest_outgoing` and the arena's spill room, once.
+/// warms the engine's extras queue and the arena's spill room, once.
 fn assert_zero_alloc_repeated_sends() {
     let g = cycle(96).unwrap();
     let sim = Execution::new(
@@ -522,6 +589,15 @@ fn main() {
         assert_zero_alloc_table(true);
         assert_zero_alloc_compacted_spam();
         assert_zero_alloc_repeated_sends();
+        // Byzantine traffic on the table (full rounds without a plan) and
+        // sparse rounds, without a plan and under drops and duplicates.
+        for (cfg, plan) in [
+            (chatter_config(), "no plan"),
+            (faulty_config(), "drop + duplicate"),
+        ] {
+            assert_zero_alloc_byzantine_full(cfg.clone(), plan);
+            assert_zero_alloc_sparse(cfg, plan);
+        }
         // Drops and duplicates on full, compacted and spilled rounds:
         // bound 0.
         assert_zero_alloc_faulty();
@@ -547,7 +623,8 @@ fn main() {
     });
     println!(
         "zero_alloc: ok (0 allocations over 200 steady-state rounds; \
-         table full/compacted/spam, repeated sends, drop + duplicate on every shape, \
+         table full/compacted/spam, Byzantine-full spam, sparse rounds, repeated sends, \
+         drop + duplicate on every shape, \
          observed with and without faults; delays at most one clone each; \
          re-warm after a unicast switch with and without faults; size-1 pool)"
     );

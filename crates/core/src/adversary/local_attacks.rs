@@ -203,7 +203,16 @@ impl Adversary<LocalCounting> for EdgeInjectorAdversary {
             let mut real: Vec<Pid> = graph.neighbors(b).map(|w| view.pid(w)).collect();
             real.sort_unstable();
             real.dedup();
-            let phantom = Pid(rng.gen());
+            // The stream is seeded from the round, so in the round where
+            // `seed ^ round` is the engine's seed it repeats the pid draws;
+            // a phantom that is `b` itself would contradict `b`'s own
+            // announcement.
+            let phantom = loop {
+                let p = Pid(rng.gen());
+                if p != me {
+                    break p;
+                }
+            };
             let mut targets: Vec<NodeId> = graph.neighbors(b).collect();
             targets.sort_unstable();
             targets.dedup();

@@ -43,6 +43,7 @@ impl BeaconPath {
     /// `path` with `me` appended: what a forwarder broadcasts (an
     /// originator extends the empty path). Inline up to [`INLINE_PATH`]
     /// entries, else one shared allocation.
+    #[inline]
     pub fn extended(path: &[Pid], me: Pid) -> Self {
         let len = path.len();
         if len < INLINE_PATH {
@@ -75,6 +76,7 @@ impl BeaconPath {
 impl Deref for BeaconPath {
     type Target = [Pid];
 
+    #[inline]
     fn deref(&self) -> &[Pid] {
         match &self.0 {
             Repr::Inline { len, ids } => &ids[..usize::from(*len)],
@@ -170,6 +172,7 @@ impl CongestMsg {
 }
 
 impl MessageSize for CongestMsg {
+    #[inline]
     fn size_bits(&self, id_bits: u32) -> u64 {
         match self {
             // 2-bit tag plus the path IDs.

@@ -110,6 +110,7 @@ impl PhaseClock {
     /// # Panics
     ///
     /// Panics if `round == 0`.
+    #[inline]
     pub fn locate(&mut self, round: u64) -> RoundPosition {
         assert!(round >= 1, "rounds are 1-based");
         if round < self.start {

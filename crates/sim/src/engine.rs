@@ -109,6 +109,8 @@
 //! and `tests/zero_alloc.rs` proves every steady-state round shape
 //! allocation-free.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use bcount_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -410,8 +412,36 @@ pub struct Execution<G, P: Protocol, A> {
     delayed: std::collections::VecDeque<Delayed<P::Message>>,
     decided_round: Vec<Option<u64>>,
     halted: Vec<bool>,
+    /// Each node's decision as the engine recorded it (`None` for
+    /// Byzantine and undecided nodes): [`Protocol::output`] at
+    /// construction, then again in the round the node first decides.
+    /// Decisions are irrevocable, so snapshots and reports read this
+    /// dense table instead of the protocol instances.
+    outputs: Vec<Option<P::Output>>,
+    /// The node census, kept where the state changes.
+    census: Census,
     metrics: Metrics,
     round: u64,
+}
+
+/// Tallies the engine keeps where the state changes, so the stop check,
+/// the round trace and a snapshot read them in O(1): the compute leaves
+/// count decisions and halts, the crash pass takes a crashed node out,
+/// the merge adds up the honest sends.
+#[derive(Default)]
+pub(crate) struct Census {
+    /// Byzantine nodes (fixed at construction).
+    pub(crate) byzantine: usize,
+    /// Honest nodes not crash-stopped.
+    pub(crate) live: usize,
+    /// Live honest nodes that have decided (have a decided round).
+    pub(crate) decided: usize,
+    /// Live honest nodes that have halted.
+    pub(crate) halted: usize,
+    /// Messages honest nodes sent so far.
+    pub(crate) messages: u64,
+    /// Bits honest nodes sent so far.
+    pub(crate) bits: u64,
 }
 
 /// A delayed message in the pending-redelivery queue: the round it
@@ -486,6 +516,17 @@ where
                 }
             })
             .collect();
+        // A node may be decided before its first round.
+        let outputs = protocols
+            .iter()
+            .map(|p| p.as_ref().and_then(P::output))
+            .collect();
+        let byzantine = is_byzantine.iter().filter(|b| **b).count();
+        let census = Census {
+            byzantine,
+            live: n - byzantine,
+            ..Census::default()
+        };
         let sender_counts = vec![0; sender_ranks.total()];
         let faults_active = !config.fault.is_empty();
         let mut crash_schedule = config.fault.crashes.clone();
@@ -594,6 +635,8 @@ where
             delayed: std::collections::VecDeque::new(),
             decided_round: vec![None; n],
             halted: vec![false; n],
+            outputs,
+            census,
             metrics: Metrics::new(n),
             round: 0,
         }
@@ -629,6 +672,16 @@ where
     /// Per-node crash-stop indicator (all `false` without a fault plan).
     pub(crate) fn crashed_flags(&self) -> &[bool] {
         &self.crashed
+    }
+
+    /// Each node's recorded decision, indexed by graph node.
+    pub(crate) fn outputs(&self) -> &[Option<P::Output>] {
+        &self.outputs
+    }
+
+    /// The node census and honest send totals.
+    pub(crate) fn census(&self) -> &Census {
+        &self.census
     }
 
     /// The protocol instance of an honest, in-flight node.
@@ -678,7 +731,7 @@ where
 
     /// Applies every crash event scheduled at or before the current
     /// round. Idempotent per node; each first-time crash is counted in
-    /// [`Metrics::crashed`].
+    /// [`Metrics::crashed`], and a crashed honest node leaves the census.
     fn apply_crashes(&mut self) {
         while let Some(ev) = self.crash_schedule.get(self.crash_cursor) {
             if ev.round > self.round {
@@ -688,6 +741,11 @@ where
             if !self.crashed[u] {
                 self.crashed[u] = true;
                 self.metrics.crashed += 1;
+                if !self.is_byzantine[u] {
+                    self.census.live -= 1;
+                    self.census.decided -= usize::from(self.decided_round[u].is_some());
+                    self.census.halted -= usize::from(self.halted[u]);
+                }
             }
             self.crash_cursor += 1;
         }
@@ -803,6 +861,7 @@ where
         } else {
             n
         };
+        let tally = LaneTally::default();
         let shared = PhaseInputs {
             round: self.round,
             pids: &self.pids,
@@ -810,6 +869,7 @@ where
             inboxes: self.arena.view(&self.pids),
             is_byzantine: &self.is_byzantine,
             crashed: &self.crashed,
+            tally: &tally,
         };
         let lane = PhaseLane {
             base: 0,
@@ -824,6 +884,26 @@ where
             &|lane: PhaseLane<'_, P>| split_phase_lane(lane, chunk),
             &|lane: PhaseLane<'_, P>| phase_lane_leaf(shared, lane),
         );
+        self.record_decisions(tally);
+    }
+
+    /// Adds the compute leaves' tallies to the census and records the
+    /// round's decisions in the output table. A lane cannot carry
+    /// [`Protocol::Output`] values onto the pool's workers (the output type
+    /// need not be `Send`), so the copy runs here, serially, and only in a
+    /// round in which a node decided.
+    fn record_decisions(&mut self, tally: LaneTally) {
+        let decided = tally.decided.into_inner();
+        self.census.decided += decided;
+        self.census.halted += tally.halted.into_inner();
+        if decided == 0 {
+            return;
+        }
+        for (u, round) in self.decided_round.iter().enumerate() {
+            if *round == Some(self.round) {
+                self.outputs[u] = self.protocols[u].as_ref().and_then(P::output);
+            }
+        }
     }
 
     /// The merge: records per-node metrics and scans every outbox's slot
@@ -847,7 +927,7 @@ where
             let n = self.graph().len();
             self.arena_staged.payloads.reserve_exact(n);
         }
-        let mut sent = 0u64;
+        let (mut sent, mut sent_bits) = (0u64, 0u64);
         let mut increasing = true;
         for (u, (outbox, metrics)) in self
             .outboxes
@@ -870,7 +950,10 @@ where
             let (count, bits, max_bits) = outbox_sizes(outbox);
             metrics.record_batch(count, bits, max_bits);
             sent += count;
+            sent_bits += bits;
         }
+        self.census.messages += sent;
+        self.census.bits += sent_bits;
         self.round_honest_messages = sent;
         self.slots_increase = increasing;
     }
@@ -1224,19 +1307,12 @@ where
         std::mem::swap(&mut self.arena, &mut self.arena_staged);
         self.metrics.rounds = self.round;
         if self.config.record_round_stats {
-            let n = self.graph().len();
-            let live = |u: &usize| !self.is_byzantine[*u] && !self.crashed[*u];
-            let decided = (0..n)
-                .filter(live)
-                .filter(|&u| self.decided_round[u].is_some())
-                .count();
-            let halted = (0..n).filter(live).filter(|&u| self.halted[u]).count();
             self.metrics.round_trace.push(crate::trace::RoundTrace {
                 round: self.round,
                 honest_messages,
                 byzantine_messages,
-                decided,
-                halted,
+                decided: self.census.decided,
+                halted: self.census.halted,
             });
         }
     }
@@ -1288,18 +1364,15 @@ where
 
     /// `Some(reason)` once the configured stop condition holds — the check
     /// [`Execution::step`] makes before each round, so a finished
-    /// execution will not step further. Only the census the condition
-    /// actually needs is computed, and each scan short-circuits at the
-    /// first still-running node.
+    /// execution will not step further. It reads the engine's census, so
+    /// it costs the same at every size.
     pub fn finished(&self) -> Option<StopReason> {
         // Crashed nodes leave the census: the stop condition is about
         // the *surviving* honest nodes.
-        let live = (0..self.graph().len()).filter(|&u| !self.is_byzantine[u] && !self.crashed[u]);
-        let all_halted = || live.clone().all(|u| self.halted[u]);
-        let all_decided = || live.clone().all(|u| self.decided_round[u].is_some());
+        let c = &self.census;
         match self.config.stop_when {
-            StopWhen::AllHonestHalted if all_halted() => Some(StopReason::AllHalted),
-            StopWhen::AllHonestDecided if all_decided() => Some(StopReason::AllDecided),
+            StopWhen::AllHonestHalted if c.halted == c.live => Some(StopReason::AllHalted),
+            StopWhen::AllHonestDecided if c.decided == c.live => Some(StopReason::AllDecided),
             _ if self.round >= self.config.max_rounds => Some(StopReason::MaxRounds),
             _ => None,
         }
@@ -1314,16 +1387,14 @@ where
     }
 
     /// The full typed report of the current state, available once the
-    /// execution finished.
+    /// execution finished. Its outputs are the engine's record of each
+    /// node's decision (see [`Protocol::output`]), not a fresh read of
+    /// the protocol instances.
     pub fn report(&self) -> Option<SimReport<P::Output>> {
         let stop_reason = self.finished()?;
         Some(SimReport {
             rounds: self.round,
-            outputs: self
-                .protocols
-                .iter()
-                .map(|p| p.as_ref().and_then(|p| p.output()))
-                .collect(),
+            outputs: self.outputs.clone(),
             decided_round: self.decided_round.clone(),
             halted: self.halted.clone(),
             is_byzantine: self.is_byzantine.clone(),
@@ -1431,6 +1502,17 @@ struct PhaseInputs<'a, P: Protocol> {
     inboxes: crate::message::InboxesView<'a, P::Message>,
     is_byzantine: &'a [bool],
     crashed: &'a [bool],
+    tally: &'a LaneTally,
+}
+
+/// What the compute leaves count, added up after the join: decisions and
+/// halts. Each leaf adds its lane's counts once, `Relaxed`: the counts
+/// publish no other data, and the pool's join orders every add before
+/// the reads.
+#[derive(Default)]
+struct LaneTally {
+    decided: AtomicUsize,
+    halted: AtomicUsize,
 }
 
 impl<'a, P: Protocol> Clone for PhaseInputs<'a, P> {
@@ -1489,6 +1571,7 @@ fn split_phase_lane<P: Protocol>(
 /// Drives one lane's live honest nodes in order, each against its own
 /// inbox, RNG and outbox.
 fn phase_lane_leaf<P: Protocol>(shared: PhaseInputs<'_, P>, lane: PhaseLane<'_, P>) {
+    let (mut decided, mut halts) = (0, 0);
     let nodes = lane
         .protocols
         .iter_mut()
@@ -1517,9 +1600,13 @@ fn phase_lane_leaf<P: Protocol>(shared: PhaseInputs<'_, P>, lane: PhaseLane<'_, 
         proto.on_round(&mut ctx);
         if decided_round.is_none() && proto.output().is_some() {
             *decided_round = Some(shared.round);
+            decided += 1;
         }
         *halted = proto.has_halted();
+        halts += usize::from(*halted);
     }
+    shared.tally.decided.fetch_add(decided, Ordering::Relaxed);
+    shared.tally.halted.fetch_add(halts, Ordering::Relaxed);
 }
 
 /// What a node legitimately knows at start-up: its own identity and its

@@ -26,7 +26,7 @@
 use std::borrow::Borrow;
 use std::fmt;
 
-use bcount_graph::{Graph, NodeId};
+use bcount_graph::Graph;
 
 use crate::adversary::Adversary;
 use crate::engine::{Execution, PhaseSend, PhaseShared, SimConfig, StopReason, StopWhen};
@@ -180,47 +180,35 @@ where
     /// Aggregate snapshot of the current state. `raw` lowers a node's
     /// typed output to its raw numeric estimate (identity for counting
     /// protocols; e.g. `|o| *o as f64`).
+    ///
+    /// Counts and totals come from the engine's census and the estimates
+    /// from its record of each node's decision (see [`Protocol::output`]),
+    /// so a snapshot reads no protocol instance: its only per-node work is
+    /// collecting the live honest estimates for the summary.
     pub fn snapshot_with(&self, raw: impl Fn(&P::Output) -> f64) -> ExecutionSnapshot {
         let n = self.graph().len();
-        let byz = self.byzantine_flags();
-        let halted = self.halted_flags();
-        let crashed = self.crashed_flags();
-        let decided_rounds = self.decided_rounds();
-        let byzantine = byz.iter().filter(|b| **b).count();
-        let mut decided = 0usize;
-        let mut halted_count = 0usize;
-        // At most one estimate per honest node: size it once instead of
-        // growing it through every doubling on each call.
-        let mut estimates: Vec<f64> = Vec::with_capacity(n - byzantine);
-        for u in 0..n {
-            // Crashed nodes leave the census, matching the engine's stop
-            // condition: a crash-stopped node will never decide or halt.
-            if byz[u] || crashed[u] {
-                continue;
-            }
-            if halted[u] {
-                halted_count += 1;
-            }
-            if decided_rounds[u].is_some() {
-                decided += 1;
-            }
-            if let Some(out) = self.protocol(NodeId(u as u32)).and_then(|p| p.output()) {
-                estimates.push(raw(&out));
+        let census = self.census();
+        // Crashed nodes leave the census, matching the engine's stop
+        // condition: a crash-stopped node will never decide or halt.
+        let live = self.byzantine_flags().iter().zip(self.crashed_flags());
+        let mut estimates: Vec<f64> = Vec::with_capacity(census.live);
+        for (out, (byz, crashed)) in self.outputs().iter().zip(live) {
+            if let (Some(out), false, false) = (out, *byz, *crashed) {
+                estimates.push(raw(out));
             }
         }
         let metrics = self.metrics();
-        let honest_nodes = || (0..n).filter(|&u| !byz[u]);
         ExecutionSnapshot {
             round: self.round(),
             n,
-            honest: n - byzantine,
-            byzantine,
-            decided,
-            halted: halted_count,
+            honest: n - census.byzantine,
+            byzantine: census.byzantine,
+            decided: census.decided,
+            halted: census.halted,
             stop: self.finished(),
             estimate: EstimateSummary::from_values(&mut estimates),
-            messages_total: metrics.total_messages(honest_nodes()),
-            bits_total: metrics.total_bits(honest_nodes()),
+            messages_total: census.messages,
+            bits_total: census.bits,
             dropped: metrics.dropped,
             duplicated: metrics.duplicated,
             delayed: metrics.delayed,
@@ -228,22 +216,21 @@ where
         }
     }
 
-    /// Per-node state rows (index = graph node). `raw` as in
+    /// Per-node state rows (index = graph node), from the engine's flags
+    /// and its record of each node's decision. `raw` as in
     /// [`Execution::snapshot_with`].
     pub fn node_states_with(&self, raw: impl Fn(&P::Output) -> f64) -> Vec<NodeState> {
-        let n = self.graph().len();
         let byz = self.byzantine_flags();
         let halted = self.halted_flags();
         let decided_rounds = self.decided_rounds();
-        (0..n)
-            .map(|u| NodeState {
+        self.outputs()
+            .iter()
+            .enumerate()
+            .map(|(u, out)| NodeState {
                 byzantine: byz[u],
                 halted: halted[u],
                 decided_round: decided_rounds[u],
-                estimate: self
-                    .protocol(NodeId(u as u32))
-                    .and_then(|p| p.output())
-                    .map(|out| raw(&out)),
+                estimate: out.as_ref().map(&raw),
             })
             .collect()
     }

@@ -152,6 +152,7 @@ impl SenderRanks {
 
     /// The rank of `sender` in `v`'s inbox order, if `sender` is a
     /// neighbour of `v`.
+    #[inline]
     pub fn rank_of(&self, v: NodeId, sender: Pid) -> Option<u32> {
         self.senders(v)
             .binary_search(&sender)

@@ -30,6 +30,7 @@ impl NodeMetrics {
     /// to `bits` with maximum `max_bits`. The merge accumulates per node
     /// in registers and commits once, keeping the per-message loop free of
     /// read-modify-write traffic on this struct.
+    #[inline]
     pub(crate) fn record_batch(&mut self, count: u64, bits: u64, max_bits: u64) {
         self.messages_sent += count;
         self.bits_sent += bits;

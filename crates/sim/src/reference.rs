@@ -59,6 +59,9 @@ pub(crate) struct Reference<'g, P: Protocol, A> {
     msgs: Vec<P::Message>,
     decided_round: Vec<Option<u64>>,
     halted: Vec<bool>,
+    /// Each node's decision: its output at construction, then its output
+    /// in the round it first decides.
+    outputs: Vec<Option<P::Output>>,
     metrics: Metrics,
     round: u64,
 }
@@ -93,7 +96,7 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
                 of_u
             })
             .collect();
-        let protocols = (0..n)
+        let protocols: Vec<Option<P>> = (0..n)
             .map(|u| {
                 let init = NodeInit {
                     pid: pids[u],
@@ -101,6 +104,10 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
                 };
                 (!is_byzantine[u]).then(|| factory(NodeId(u as u32), &init))
             })
+            .collect();
+        let outputs = protocols
+            .iter()
+            .map(|p| p.as_ref().and_then(P::output))
             .collect();
         Reference {
             graph,
@@ -123,6 +130,7 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
             msgs: Vec::new(),
             decided_round: vec![None; n],
             halted: vec![false; n],
+            outputs,
             metrics: Metrics::new(n),
             round: 0,
         }
@@ -166,8 +174,11 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
                 rng: &mut self.rngs[u],
                 outgoing,
             });
-            if self.decided_round[u].is_none() && proto.output().is_some() {
-                self.decided_round[u] = Some(self.round);
+            if self.decided_round[u].is_none() {
+                if let Some(out) = proto.output() {
+                    self.decided_round[u] = Some(self.round);
+                    self.outputs[u] = Some(out);
+                }
             }
             self.halted[u] = proto.has_halted();
         }
@@ -325,11 +336,7 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
     pub(crate) fn report(&self, stop_reason: StopReason) -> SimReport<P::Output> {
         SimReport {
             rounds: self.round,
-            outputs: self
-                .protocols
-                .iter()
-                .map(|p| p.as_ref().and_then(|p| p.output()))
-                .collect(),
+            outputs: self.outputs.clone(),
             decided_round: self.decided_round.clone(),
             halted: self.halted.clone(),
             is_byzantine: self.is_byzantine.clone(),
@@ -341,8 +348,10 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
 }
 
 /// Steps `engine` and `reference` in lockstep to their stop condition,
-/// asserting identical stop checks and inboxes at every round and an
-/// identical [`SimReport`] at the end, which it returns.
+/// asserting identical stop checks and inboxes at every round, and at the
+/// end an identical [`SimReport`], which it returns, and identical live
+/// protocol outputs (a test protocol may expose state through an output
+/// that keeps changing after its decision).
 pub(crate) fn assert_lockstep<G, P, A, B>(
     engine: &mut Execution<G, P, A>,
     reference: &mut Reference<'_, P, B>,
@@ -366,6 +375,13 @@ where
         if let Some(reason) = stop {
             let report = engine.report().expect("finished");
             assert_eq!(report, reference.report(reason), "final report");
+            for u in engine.graph().nodes() {
+                assert_eq!(
+                    engine.protocol(u).and_then(P::output),
+                    reference.protocols[u.index()].as_ref().and_then(P::output),
+                    "live output of {u}"
+                );
+            }
             return report;
         }
         engine.step();

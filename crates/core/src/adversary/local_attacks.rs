@@ -351,4 +351,26 @@ mod tests {
             "some neighbour must catch the contradiction"
         );
     }
+
+    /// In round `r` the attack's stream is seeded with `seed ^ r`; when
+    /// that is the engine's seed, its first draw is the first pid the
+    /// engine assigned, node 0's, and node 0 is the Byzantine node. The
+    /// phantom is redrawn, so the attack runs through that round.
+    #[test]
+    fn edge_injector_never_names_itself_as_the_phantom() {
+        let (seed, r) = (31u64, 2u64);
+        let cfg = LocalConfig {
+            max_degree: 8,
+            ..LocalConfig::default()
+        };
+        let (report, _, byz) =
+            run_attack(64, 6, 1, EdgeInjectorAdversary::new(seed ^ r), cfg, seed);
+        assert_eq!(byz, [NodeId(0)]);
+        let first_draw = Pid(ChaCha8Rng::seed_from_u64(seed).gen());
+        assert_eq!(
+            report.pids[0], first_draw,
+            "round {r} repeats the pid stream"
+        );
+        assert!(report.rounds > r, "the run went past round {r}");
+    }
 }

@@ -282,8 +282,12 @@ impl Protocol for FrontierRelay {
     }
 }
 
-fn run_relay(g: &Graph, byz: &[NodeId], seed: u64) -> SimReport<u64> {
-    Execution::new(
+/// Runs the relay for its whole budget. The report carries each node's
+/// first decision; the relay keeps folding traffic and randomness into
+/// its output after that, so the live outputs at the end are returned
+/// too, and they digest every round.
+fn run_relay(g: &Graph, byz: &[NodeId], seed: u64) -> (SimReport<u64>, Vec<Option<u64>>) {
+    let mut sim = Execution::new(
         g,
         byz,
         |u, init| FrontierRelay {
@@ -299,23 +303,34 @@ fn run_relay(g: &Graph, byz: &[NodeId], seed: u64) -> SimReport<u64> {
             record_round_stats: true,
             ..SimConfig::default()
         },
-    )
-    .run()
+    );
+    let report = sim.run();
+    let live = g
+        .nodes()
+        .map(|u| sim.protocol(u).and_then(Protocol::output))
+        .collect();
+    (report, live)
 }
 
 /// The event-driven relay without faults, with most outboxes empty
 /// in most rounds: a pool of four workers reproduces the one-thread
-/// pool's transcript, per-round decided/halted census included.
+/// pool's transcript, per-round decided/halted census included, and
+/// every node's live output at the end.
 #[test]
 fn frontier_relay_is_pool_size_invariant() {
     for seed in [3u64, 0xBEEF] {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = hnd(192, 8, &mut rng).unwrap();
         let byz = [NodeId(2), NodeId(90)];
-        let serial = in_pool(1, || run_relay(&g, &byz, seed));
+        let (serial, serial_live) = in_pool(1, || run_relay(&g, &byz, seed));
         assert_eq!(serial.rounds, 60, "fixed-budget run");
-        let pooled = in_pool(4, || run_relay(&g, &byz, seed));
+        assert_ne!(
+            serial.outputs, serial_live,
+            "the relay keeps changing its output after its first decision"
+        );
+        let (pooled, pooled_live) = in_pool(4, || run_relay(&g, &byz, seed));
         assert_identical(&serial, &pooled);
+        assert_eq!(serial_live, pooled_live, "live outputs diverged");
     }
 }
 

@@ -65,9 +65,11 @@ impl Protocol for Wave {
     }
 }
 
-/// Eight rounds of the wave under `fault`.
-fn run_wave(g: &bcount_graph::Graph, fault: FaultPlan) -> SimReport<u64> {
-    Execution::new(
+/// Eight rounds of the wave under `fault`. The report carries each
+/// node's first decision; a node keeps counting what it hears after
+/// that, so the live outputs at the end are returned too.
+fn run_wave(g: &bcount_graph::Graph, fault: FaultPlan) -> (SimReport<u64>, Vec<Option<u64>>) {
+    let mut sim = Execution::new(
         g,
         &[NodeId(3), NodeId(40_000)],
         |u, _| Wave {
@@ -82,8 +84,13 @@ fn run_wave(g: &bcount_graph::Graph, fault: FaultPlan) -> SimReport<u64> {
             fault,
             ..SimConfig::default()
         },
-    )
-    .run()
+    );
+    let report = sim.run();
+    let live = g
+        .nodes()
+        .map(|u| sim.protocol(u).and_then(Protocol::output))
+        .collect();
+    (report, live)
 }
 
 #[test]
@@ -101,10 +108,15 @@ fn scale_65536_smoke_under_rss_budget() {
         crashes: vec![CrashEvent { round: 9, node: 0 }],
         ..FaultPlan::default()
     };
-    let crash_pass = run_wave(&g, crash_only);
-    let plain = run_wave(&g, FaultPlan::default());
+    let (crash_pass, crash_pass_live) = run_wave(&g, crash_only);
+    let (plain, plain_live) = run_wave(&g, FaultPlan::default());
     assert_eq!(crash_pass.rounds, 8);
     assert_eq!(crash_pass.outputs, plain.outputs);
+    assert_eq!(crash_pass_live, plain_live);
+    assert_ne!(
+        plain.outputs, plain_live,
+        "a node keeps counting after its first decision"
+    );
     assert_eq!(
         crash_pass.metrics.total_messages(0..n),
         plain.metrics.total_messages(0..n)
@@ -125,7 +137,7 @@ fn scale_65536_smoke_under_rss_budget() {
         delay_rounds: 1,
         ..FaultPlan::default()
     };
-    let faulted = run_wave(&g, faulty);
+    let (faulted, _) = run_wave(&g, faulty);
     assert_eq!(faulted.rounds, 8);
     let m = &faulted.metrics;
     assert!(m.dropped > 0 && m.duplicated > 0 && m.delayed > 0);

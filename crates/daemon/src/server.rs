@@ -592,8 +592,9 @@ impl Server {
             ("snapshot", session.snapshot.to_json()),
         ];
         if with_nodes {
-            // node_states re-reads protocol outputs, so it can run
-            // arbitrary session code — same isolation as stepping.
+            // node_states reads the engine's recorded outputs, not the
+            // protocols; the one session code it runs is the registry's
+            // `raw` hook on each output — isolated as stepping is.
             match catch_unwind(AssertUnwindSafe(|| session.exec.node_states())) {
                 Ok(nodes) => pairs.push(("nodes", nodes.to_json())),
                 Err(payload) => {

@@ -10,12 +10,20 @@ use crate::{Graph, NodeId};
 /// handshake convention), matching the configuration-model semantics used by
 /// the random graph generators.
 ///
+/// The builder records each undirected edge once in one flat vector (8
+/// bytes per edge) and assembles the CSR arrays in two passes at
+/// [`GraphBuilder::build`] time: a degree-count pass, a prefix sum over the
+/// counts, then a cursor scatter directly into the final neighbour array.
+/// Peak memory is the edge list plus the finished CSR — no per-node
+/// adjacency vectors (at `n = 10⁶` those would be a million small
+/// allocations).
+///
 /// # Example
 ///
 /// ```
 /// use bcount_graph::{GraphBuilder, NodeId};
 ///
-/// let mut b = GraphBuilder::new(4);
+/// let mut b = GraphBuilder::with_edge_capacity(4, 3);
 /// for i in 0..3u32 {
 ///     b.add_edge(NodeId(i), NodeId(i + 1));
 /// }
@@ -25,15 +33,22 @@ use crate::{Graph, NodeId};
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     n: usize,
-    adj: Vec<Vec<NodeId>>,
+    edges: Vec<(NodeId, NodeId)>,
 }
 
 impl GraphBuilder {
     /// Creates a builder for a graph on `n` nodes.
     pub fn new(n: usize) -> Self {
+        GraphBuilder::with_edge_capacity(n, 0)
+    }
+
+    /// Creates a builder for `n` nodes with room for `m` edges — the
+    /// generators know their exact (or expected) edge counts, so the edge
+    /// list never reallocates during emission.
+    pub fn with_edge_capacity(n: usize, m: usize) -> Self {
         GraphBuilder {
             n,
-            adj: vec![Vec::new(); n],
+            edges: Vec::with_capacity(m),
         }
     }
 
@@ -55,130 +70,12 @@ impl GraphBuilder {
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
         assert!(u.index() < self.n, "node {u} out of range (n = {})", self.n);
         assert!(v.index() < self.n, "node {v} out of range (n = {})", self.n);
-        self.adj[u.index()].push(v);
-        if u == v {
-            // Self-loop: second slot on the same node (handshake convention).
-            self.adj[u.index()].push(v);
-        } else {
-            self.adj[v.index()].push(u);
-        }
-    }
-
-    /// Whether `{u, v}` has already been added at least once.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.adj[u.index()].contains(&v)
-    }
-
-    /// Current degree of `u` (with multiplicity).
-    pub fn degree(&self, u: NodeId) -> usize {
-        self.adj[u.index()].len()
-    }
-
-    /// Finalizes into a CSR [`Graph`].
-    ///
-    /// Neighbour lists are sorted for deterministic iteration order
-    /// regardless of insertion order.
-    pub fn build(mut self) -> Graph {
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        offsets.push(0usize);
-        // Degree-presize the concatenation: the per-node lists already
-        // know the final slot total, so the CSR array never reallocates.
-        let total: usize = self.adj.iter().map(Vec::len).sum();
-        let mut neighbors = Vec::with_capacity(total);
-        for list in &mut self.adj {
-            list.sort_unstable();
-            neighbors.extend_from_slice(list);
-            offsets.push(neighbors.len());
-        }
-        Graph::from_csr(offsets, neighbors)
-    }
-}
-
-/// Streaming two-pass CSR builder: a flat edge list instead of per-node
-/// `Vec<Vec<_>>` adjacency.
-///
-/// [`GraphBuilder`] materializes one heap allocation per node before the
-/// final CSR concatenation — at `n = 10⁶` that is a million small vectors
-/// and roughly twice the peak footprint of the finished graph. This builder
-/// records each undirected edge exactly once in a single flat vector (8
-/// bytes per edge) and assembles the CSR arrays in two passes at
-/// [`CsrBuilder::build`] time: a degree-count pass, a prefix sum over the
-/// counts, then a cursor scatter directly into the final neighbour array.
-/// Peak memory is the edge list plus the finished CSR — no intermediate
-/// adjacency spike.
-///
-/// Edge semantics are identical to [`GraphBuilder`]: edges are undirected,
-/// duplicates become parallel edges, and `add_edge(u, u)` is a self-loop
-/// occupying two adjacency slots on `u` (the handshake convention). Each
-/// node's neighbour span is sorted at the end, so for the same edge multiset
-/// the built [`Graph`] is byte-identical to [`GraphBuilder`]'s output.
-///
-/// # Example
-///
-/// ```
-/// use bcount_graph::{CsrBuilder, NodeId};
-///
-/// let mut b = CsrBuilder::with_edge_capacity(4, 3);
-/// for i in 0..3u32 {
-///     b.add_edge(NodeId(i), NodeId(i + 1));
-/// }
-/// let g = b.build();
-/// assert_eq!(g.edge_count(), 3);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CsrBuilder {
-    n: usize,
-    edges: Vec<(NodeId, NodeId)>,
-}
-
-impl CsrBuilder {
-    /// Creates a builder for a graph on `n` nodes.
-    pub fn new(n: usize) -> Self {
-        CsrBuilder {
-            n,
-            edges: Vec::new(),
-        }
-    }
-
-    /// Creates a builder for `n` nodes with room for `m` edges — the
-    /// generators know their exact (or expected) edge counts, so the edge
-    /// list never reallocates during emission.
-    pub fn with_edge_capacity(n: usize, m: usize) -> Self {
-        CsrBuilder {
-            n,
-            edges: Vec::with_capacity(m),
-        }
-    }
-
-    /// Number of nodes the built graph will have.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the builder was created with zero nodes.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of edges recorded so far (with multiplicity).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Records the undirected edge `{u, v}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of range.
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
-        assert!(u.index() < self.n, "node {u} out of range (n = {})", self.n);
-        assert!(v.index() < self.n, "node {v} out of range (n = {})", self.n);
         self.edges.push((u, v));
     }
 
     /// Finalizes into a CSR [`Graph`] with the two-pass count/prefix-sum
-    /// assembly. Neighbour spans are sorted, matching
-    /// [`GraphBuilder::build`] exactly.
+    /// assembly. Neighbour spans are sorted, so the graph does not depend
+    /// on insertion order.
     pub fn build(self) -> Graph {
         let n = self.n;
         // Pass 1: adjacency-slot counts (a self-loop takes both its slots
@@ -238,11 +135,16 @@ mod tests {
 
     #[test]
     fn builds_sorted_adjacency() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(NodeId(0), NodeId(2));
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(NodeId(0), NodeId(3));
         b.add_edge(NodeId(0), NodeId(1));
+        b.add_edge(NodeId(2), NodeId(0));
         let g = b.build();
-        assert_eq!(g.neighbor_slice(NodeId(0)), &[NodeId(1), NodeId(2)]);
+        assert_eq!(
+            g.neighbor_slice(NodeId(0)),
+            &[NodeId(1), NodeId(2), NodeId(3)]
+        );
+        assert_eq!(g.neighbor_slice(NodeId(2)), &[NodeId(0)]);
     }
 
     #[test]
@@ -256,14 +158,26 @@ mod tests {
     }
 
     #[test]
-    fn degree_tracks_insertions() {
-        let mut b = GraphBuilder::new(2);
-        assert_eq!(b.degree(NodeId(0)), 0);
-        b.add_edge(NodeId(0), NodeId(1));
-        assert_eq!(b.degree(NodeId(0)), 1);
-        assert_eq!(b.degree(NodeId(1)), 1);
-        assert!(b.has_edge(NodeId(0), NodeId(1)));
-        assert!(b.has_edge(NodeId(1), NodeId(0)));
+    fn self_loop_occupies_two_slots() {
+        let mut b = GraphBuilder::new(1);
+        b.add_edge(NodeId(0), NodeId(0));
+        let g = b.build();
+        assert_eq!(g.degree(NodeId(0)), 2);
+        assert_eq!(g.edge_count(), 1);
+    }
+
+    #[test]
+    fn parallel_edges_keep_their_multiplicity() {
+        let mut b = GraphBuilder::with_edge_capacity(3, 3);
+        b.add_edge(NodeId(0), NodeId(2));
+        b.add_edge(NodeId(2), NodeId(0));
+        b.add_edge(NodeId(1), NodeId(2));
+        let g = b.build();
+        assert_eq!(
+            g.neighbor_slice(NodeId(2)),
+            &[NodeId(0), NodeId(0), NodeId(1)]
+        );
+        assert_eq!(g.edge_count(), 3);
     }
 
     #[test]
@@ -278,66 +192,7 @@ mod tests {
         let b = GraphBuilder::new(0);
         assert!(b.is_empty());
         assert!(b.build().is_empty());
-    }
-
-    #[test]
-    fn csr_builder_matches_graph_builder() {
-        // Same edge multiset (parallel edges, a self-loop, arbitrary
-        // insertion order) must produce byte-identical graphs.
-        let edges = [
-            (NodeId(0), NodeId(2)),
-            (NodeId(0), NodeId(1)),
-            (NodeId(3), NodeId(1)),
-            (NodeId(0), NodeId(2)), // parallel
-            (NodeId(2), NodeId(2)), // self-loop
-            (NodeId(4), NodeId(0)),
-        ];
-        let mut a = GraphBuilder::new(5);
-        let mut b = CsrBuilder::with_edge_capacity(5, edges.len());
-        for &(u, v) in &edges {
-            a.add_edge(u, v);
-            b.add_edge(u, v);
-        }
-        assert_eq!(b.len(), 5);
-        assert!(!b.is_empty());
-        assert_eq!(b.edge_count(), edges.len());
-        assert_eq!(a.build(), b.build());
-    }
-
-    #[test]
-    fn csr_builder_self_loop_occupies_two_slots() {
-        let mut b = CsrBuilder::new(1);
-        b.add_edge(NodeId(0), NodeId(0));
-        let g = b.build();
-        assert_eq!(g.degree(NodeId(0)), 2);
-        assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
-    fn csr_builder_sorts_neighbor_spans() {
-        let mut b = CsrBuilder::new(4);
-        b.add_edge(NodeId(0), NodeId(3));
-        b.add_edge(NodeId(0), NodeId(1));
-        b.add_edge(NodeId(0), NodeId(2));
-        let g = b.build();
-        assert_eq!(
-            g.neighbor_slice(NodeId(0)),
-            &[NodeId(1), NodeId(2), NodeId(3)]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn csr_builder_rejects_out_of_range() {
-        let mut b = CsrBuilder::new(1);
-        b.add_edge(NodeId(0), NodeId(1));
-    }
-
-    #[test]
-    fn csr_builder_empty() {
-        assert!(CsrBuilder::new(0).is_empty());
-        assert!(CsrBuilder::new(0).build().is_empty());
-        let g = CsrBuilder::new(3).build();
+        let g = GraphBuilder::new(3).build();
         assert_eq!(g.len(), 3);
         assert_eq!(g.edge_count(), 0);
     }

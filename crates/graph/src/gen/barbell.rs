@@ -7,7 +7,7 @@
 
 use rand::Rng;
 
-use crate::{CsrBuilder, Graph, GraphError, NodeId};
+use crate::{Graph, GraphBuilder, GraphError, NodeId};
 
 /// Two cliques of size `clique` joined by a path of `bridge` intermediate
 /// nodes (a classic barbell; `bridge = 0` joins them with a single edge).
@@ -21,8 +21,8 @@ pub fn barbell(clique: usize, bridge: usize) -> Result<Graph, GraphError> {
     }
     let n = 2 * clique + bridge;
     let m = clique * (clique - 1) + bridge + 1;
-    let mut b = CsrBuilder::with_edge_capacity(n, m);
-    let add_clique = |b: &mut CsrBuilder, base: usize| {
+    let mut b = GraphBuilder::with_edge_capacity(n, m);
+    let add_clique = |b: &mut GraphBuilder, base: usize| {
         for i in base..base + clique {
             for j in i + 1..base + clique {
                 b.add_edge(NodeId(i as u32), NodeId(j as u32));
@@ -58,7 +58,7 @@ pub fn bridged_expanders<R: Rng + ?Sized>(
 ) -> Result<Graph, GraphError> {
     let a = crate::gen::hamiltonian::hnd(m, d, rng)?;
     let b = crate::gen::hamiltonian::hnd(m, d, rng)?;
-    let mut builder = CsrBuilder::with_edge_capacity(2 * m, m * d + 1);
+    let mut builder = GraphBuilder::with_edge_capacity(2 * m, m * d + 1);
     for (u, v) in a.edges() {
         builder.add_edge(u, v);
     }

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::{CsrBuilder, Graph, GraphError, NodeId};
+use crate::{Graph, GraphBuilder, GraphError, NodeId};
 
 /// The complete graph `K_n`.
 ///
@@ -17,7 +17,7 @@ pub fn complete(n: usize) -> Result<Graph, GraphError> {
     if n < 1 {
         return Err(GraphError::TooFewNodes { n, min: 1 });
     }
-    let mut b = CsrBuilder::with_edge_capacity(n, n * (n - 1) / 2);
+    let mut b = GraphBuilder::with_edge_capacity(n, n * (n - 1) / 2);
     for i in 0..n {
         for j in i + 1..n {
             b.add_edge(NodeId(i as u32), NodeId(j as u32));
@@ -38,7 +38,7 @@ pub fn star(n: usize) -> Result<Graph, GraphError> {
     if n < 2 {
         return Err(GraphError::TooFewNodes { n, min: 2 });
     }
-    let mut b = CsrBuilder::with_edge_capacity(n, n - 1);
+    let mut b = GraphBuilder::with_edge_capacity(n, n - 1);
     for i in 1..n {
         b.add_edge(NodeId(0), NodeId(i as u32));
     }
@@ -70,7 +70,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Gra
     let expected = pairs as f64 * p;
     let margin = 4.0 * (expected * (1.0 - p)).sqrt();
     let cap = ((expected + margin) as usize).min(pairs);
-    let mut b = CsrBuilder::with_edge_capacity(n, cap);
+    let mut b = GraphBuilder::with_edge_capacity(n, cap);
     for i in 0..n {
         for j in i + 1..n {
             if rng.gen_bool(p) {

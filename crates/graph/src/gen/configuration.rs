@@ -8,7 +8,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::{CsrBuilder, Graph, GraphError, NodeId};
+use crate::{Graph, GraphBuilder, GraphError, NodeId};
 
 /// Generates a `d`-regular multigraph from the configuration model.
 ///
@@ -45,7 +45,7 @@ pub fn configuration_model<R: Rng + ?Sized>(
         .flat_map(|u| std::iter::repeat_n(NodeId(u), d))
         .collect();
     stubs.shuffle(rng);
-    let mut b = CsrBuilder::with_edge_capacity(n, n * d / 2);
+    let mut b = GraphBuilder::with_edge_capacity(n, n * d / 2);
     for pair in stubs.chunks_exact(2) {
         b.add_edge(pair[0], pair[1]);
     }

@@ -11,7 +11,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::{CsrBuilder, Graph, GraphError, NodeId};
+use crate::{Graph, GraphBuilder, GraphError, NodeId};
 
 /// Generates an `H(n, d)` random regular multigraph.
 ///
@@ -50,7 +50,7 @@ pub fn hnd<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Result<Graph, Gr
     }
     // Streaming construction: d/2 cycles of n edges each, emitted into the
     // exactly-presized two-pass CSR builder — no per-node Vec adjacency.
-    let mut b = CsrBuilder::with_edge_capacity(n, n * d / 2);
+    let mut b = GraphBuilder::with_edge_capacity(n, n * d / 2);
     let mut perm: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
     for _ in 0..d / 2 {
         perm.shuffle(rng);

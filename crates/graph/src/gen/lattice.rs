@@ -5,7 +5,7 @@
 //! assumption: a cycle has vertex expansion `Θ(1/n)` and a `√n × √n` torus
 //! `Θ(1/√n)`, so neither supports Byzantine counting.
 
-use crate::{CsrBuilder, Graph, GraphError, NodeId};
+use crate::{Graph, GraphBuilder, GraphError, NodeId};
 
 /// The cycle `C_n` (ring).
 ///
@@ -16,7 +16,7 @@ pub fn cycle(n: usize) -> Result<Graph, GraphError> {
     if n < 3 {
         return Err(GraphError::TooFewNodes { n, min: 3 });
     }
-    let mut b = CsrBuilder::with_edge_capacity(n, n);
+    let mut b = GraphBuilder::with_edge_capacity(n, n);
     for u in 0..n {
         b.add_edge(NodeId(u as u32), NodeId(((u + 1) % n) as u32));
     }
@@ -32,7 +32,7 @@ pub fn path(n: usize) -> Result<Graph, GraphError> {
     if n < 2 {
         return Err(GraphError::TooFewNodes { n, min: 2 });
     }
-    let mut b = CsrBuilder::with_edge_capacity(n, n - 1);
+    let mut b = GraphBuilder::with_edge_capacity(n, n - 1);
     for u in 0..n - 1 {
         b.add_edge(NodeId(u as u32), NodeId((u + 1) as u32));
     }
@@ -53,7 +53,7 @@ pub fn torus2d(rows: usize, cols: usize) -> Result<Graph, GraphError> {
         });
     }
     let id = |r: usize, c: usize| NodeId((r * cols + c) as u32);
-    let mut b = CsrBuilder::with_edge_capacity(rows * cols, 2 * rows * cols);
+    let mut b = GraphBuilder::with_edge_capacity(rows * cols, 2 * rows * cols);
     for r in 0..rows {
         for c in 0..cols {
             b.add_edge(id(r, c), id(r, (c + 1) % cols));

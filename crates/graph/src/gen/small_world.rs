@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use crate::{CsrBuilder, Graph, GraphError, NodeId};
+use crate::{Graph, GraphBuilder, GraphError, NodeId};
 
 /// Generates a Watts–Strogatz small-world graph.
 ///
@@ -77,7 +77,7 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
         }
     }
     // Rewiring never adds edges, so the lattice's n·k is an exact ceiling.
-    let mut b = CsrBuilder::with_edge_capacity(n, n * k);
+    let mut b = GraphBuilder::with_edge_capacity(n, n * k);
     for (u, set) in adj.iter().enumerate() {
         for &v in set {
             if (u as u32) < v {

@@ -204,11 +204,16 @@ impl Graph {
     /// Returns a simple version of this graph: parallel edges collapsed and
     /// self-loops removed.
     pub fn simplify(&self) -> Graph {
-        let mut b = crate::GraphBuilder::new(self.len());
-        for (u, v) in self.edges() {
-            if u != v && !b.has_edge(u, v) {
-                b.add_edge(u, v);
-            }
+        let mut pairs: Vec<(NodeId, NodeId)> = self
+            .edges()
+            .filter(|&(u, v)| u != v)
+            .map(|(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut b = crate::GraphBuilder::with_edge_capacity(self.len(), pairs.len());
+        for (u, v) in pairs {
+            b.add_edge(u, v);
         }
         b.build()
     }

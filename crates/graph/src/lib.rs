@@ -44,7 +44,7 @@ pub mod gen;
 pub mod graph;
 pub mod view;
 
-pub use builder::{CsrBuilder, GraphBuilder};
+pub use builder::GraphBuilder;
 pub use graph::{Graph, NodeId};
 pub use view::TopologyView;
 

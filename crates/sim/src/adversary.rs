@@ -116,7 +116,7 @@ impl<'a, P: Protocol> FullInfoView<'a, P> {
 /// The view borrows the engine's state in place and copies nothing. It
 /// reads the honest outboxes as the fault pass left them — the outboxes
 /// stay full until delivery, which runs after the adversary commits —
-/// resolving each send's neighbour slot through the [`DeliveryMap`] and
+/// resolving each send's neighbour slot through the engine's routing table and
 /// yielding a send marked as duplicated twice. Then it reads this round's
 /// redeliveries, `(from, to, payload reference)` entries in the order they
 /// were withheld. That is the sequence the model defines: node order and
@@ -143,7 +143,7 @@ impl<M> Copy for HonestTraffic<'_, M> {}
 
 impl<'a, M> HonestTraffic<'a, M> {
     /// A view of a node-order vector alone (read as the redeliveries are),
-    /// for the reference executor, which routes without a [`DeliveryMap`].
+    /// for the reference executor, which routes without a routing table.
     #[cfg(test)]
     pub(crate) fn flat(sends: &'a [(NodeId, NodeId, u32)], payloads: &'a [M]) -> Self {
         static NO_ROUTES: DeliveryMap = DeliveryMap::EMPTY;
@@ -176,11 +176,11 @@ impl<'a, M> HonestTraffic<'a, M> {
             ..
         } = self;
         let queued = outboxes.iter().enumerate().flat_map(move |(u, outbox)| {
-            let targets = routes.targets_of(u);
+            let to = &routes.to[routes.slots(u)];
             outbox.sends.iter().flat_map(move |&(slot, payload)| {
                 let msg = &outbox.payloads[(payload & !DUPLICATE) as usize];
                 let copies = 1 + usize::from(payload & DUPLICATE != 0);
-                let sent = (NodeId(u as u32), targets[slot as usize].to, msg);
+                let sent = (NodeId(u as u32), to[slot as usize], msg);
                 std::iter::repeat_n(sent, copies)
             })
         });

@@ -23,15 +23,16 @@
 //!   both sides), so no path clones a payload per recipient — only a
 //!   message the fault plan delays is cloned, into its redelivery queue.
 //! * **Slot-addressed routing** — outboxes store sends as *neighbour
-//!   slots*; a precomputed [`DeliveryMap`] resolves a slot to its
-//!   destination node and counting-sort rank with one flat-array load, so
-//!   no per-message identity search (`HashMap` or binary search) runs on
-//!   the merge path.
+//!   slots*; one routing table, built once per execution (`DeliveryMap`),
+//!   resolves a slot to its destination node and its arena position with
+//!   one flat-array load each, so no per-message identity search
+//!   (`HashMap` or binary search) runs on the merge path.
 //! * **Counting-sort delivery** — inboxes are kept sorted by sender not
 //!   with a per-round comparison sort over opaque 64-bit [`Pid`]s but with
-//!   a *stable counting sort* over the small dense sender ranks of the
-//!   once-built [`SenderRanks`] table (an in-place permutation; no
-//!   allocation, no comparisons).
+//!   a *stable counting sort* of the spans that need one, keyed by each
+//!   message's sender rank (its table position minus the span's start;
+//!   an in-place permutation with one counter scratch sized to the
+//!   largest distinct in-degree; no allocation, no comparisons).
 //! * **Persistent phase scratch** — the extras and Byzantine staging
 //!   vectors, the sparse path's span lists and the per-span permutation
 //!   buffers live on the execution and are drained, not rebuilt. The
@@ -64,29 +65,31 @@
 //! removed, a duplicated one is marked with `DUPLICATE`, and the
 //! delayed messages that come due are queued as redeliveries. The rushing
 //! adversary reads the outboxes in place ([`FullInfoView::honest_outgoing`]
-//! resolves each send's slot through the [`DeliveryMap`], yields a marked
+//! resolves each send's slot through the routing table, yields a marked
 //! send twice, then the redeliveries); delivery runs after it commits.
 //!
-//! Every round places through the **slot → position table**, built once
-//! per execution: the first slot of each distinct neighbour owns the
-//! position `deg_offsets[to] + rank` of its destination's degree-prefix
-//! span. Outboxes drain in natural node order, one table load and one
+//! Every round places through the routing table's **slot → position**
+//! plane: the first slot of each distinct neighbour owns one position of
+//! its destination's degree-prefix span, at the sender's rank among the
+//! destination's distinct neighbours in pid order. Outboxes drain in natural node order, one table load and one
 //! reference write per message, so every span's honest messages land in
 //! **sender-pid order** — the canonical inbox order is
 //! stable-by-sender-pid. Byzantine messages place through the same
-//! table: a Byzantine sender's first message to a neighbour takes its
-//! position there. A **full** round (each outbox's slots strictly
+//! table: a Byzantine `(from, to)` resolves as [`NodeContext::send`] does,
+//! to the first slot of `to` among `from`'s neighbours, and its first
+//! message takes that slot's position. A **full** round (each outbox's slots strictly
 //! increasing, no Byzantine sender repeating, every table position filled
 //! once, nothing faulted — the steady state of flooding protocols, and a
 //! forwarding wave under beacon spam) is then done: sender plane and span
 //! lengths are static. Otherwise the round is **compacted**: positions no
 //! message wrote keep a hole mark, one sequential pass closes each span's
-//! holes, copying the static senders, and the round's **extras** —
-//! duplicates, repeated sends to one neighbour (honest or Byzantine) and
-//! due redeliveries — are appended behind their spans, which alone are
-//! rank-tagged and counting-sorted. A span has room for its node's
-//! degree; one whose kept messages and extras need more **spills**: it
-//! closes up at the arena's tail instead. A send to a distinct neighbour
+//! holes, copying the table's static senders, and the round's **extras**
+//! — duplicates, repeated sends to one neighbour (honest or Byzantine)
+//! and due redeliveries, each carrying its table position — are appended
+//! behind their spans, which alone are rank-tagged and counting-sorted.
+//! A span has room for its node's degree; one whose kept messages and
+//! extras need more **spills**: it closes up at the arena's tail
+//! instead. A send to a distinct neighbour
 //! owns its position whatever its place in the outbox, so sends out of
 //! neighbour order need no extra.
 //!
@@ -103,8 +106,8 @@
 //! spilled or not) or the pool size: every path is stable per sender and lands
 //! each inbox in the canonical order. The crate's unit tests diff the
 //! engine, inbox by inbox at every round, against a literal reference
-//! executor that uses none of this machinery (no delivery map, ranks, or
-//! arena); `tests/determinism_parallel.rs` and `tests/fault_plan.rs` pin
+//! executor that uses none of this machinery (no routing table, ranks,
+//! or arena); `tests/determinism_parallel.rs` and `tests/fault_plan.rs` pin
 //! a one-thread pool's transcripts against pools of 2, 4 and 8 workers,
 //! and `tests/zero_alloc.rs` proves every steady-state round shape
 //! allocation-free.
@@ -117,8 +120,8 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::adversary::{Adversary, ByzantineContext, FullInfoView, HonestTraffic};
 use crate::fault::{CrashEvent, FaultPlan, DUPLICATE};
-use crate::idspace::{assign_pids, Pid, PidIndex, SenderRanks};
-use crate::message::{push_payload, DeliveryMap, Inbox, InboxArena, MessageSize};
+use crate::idspace::{assign_pids, Pid, PidIndex};
+use crate::message::{push_payload, DeliveryMap, Inbox, InboxArena, MessageSize, HOLE};
 use crate::metrics::Metrics;
 use crate::protocol::{NodeContext, Outbox, Protocol};
 
@@ -152,13 +155,6 @@ pub trait PhaseShared {}
 #[cfg(not(feature = "parallel"))]
 impl<T> PhaseShared for T {}
 
-/// The table paths' sentinel: a reference no send wrote (an arena
-/// position the compaction skips), and in the slot → position table a
-/// slot with no position (a repeated slot of a parallel edge, which no
-/// send resolves to). Payload references index a store far smaller than
-/// `u32::MAX` entries.
-const HOLE: u32 = u32::MAX;
-
 /// A compacted round that carries at most `n / SPARSE_SHARE` messages
 /// (honest, redelivered and Byzantine) is **sparse**: it lists the spans
 /// its messages reach and marks, compacts and sorts those alone, where a
@@ -170,7 +166,7 @@ const SPARSE_SHARE: u64 = 4;
 /// How a round places its messages; see
 /// [`Execution::deliver_arena_table`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Placement {
+pub(crate) enum Placement {
     /// Every table position filled once: the static planes stand.
     Full,
     /// Compacted, over the whole reference plane and every span.
@@ -306,10 +302,16 @@ pub struct Execution<G, P: Protocol, A> {
     adversary: A,
     pids: Vec<Pid>,
     pid_index: PidIndex,
-    /// Per-destination distinct-sender rank table: the counting-sort keys.
-    sender_ranks: SenderRanks,
-    /// Per-slot routing: outbox slot → (destination, sender rank there).
-    delivery_map: DeliveryMap,
+    /// The routing table (`DeliveryMap`), built once: every slot's
+    /// destination and arena position, every node's degree-prefix offset
+    /// and distinct in-degree, every position's static sender. Each
+    /// distinct sender owns one position of its destination's span, in
+    /// sender-pid order; a repeated slot of a parallel edge holds
+    /// [`HOLE`], as [`NodeContext::send`] and [`NodeContext::broadcast`]
+    /// never resolve to one. A full round copies the static senders and
+    /// in-degrees into an arena once, and they stay invariant across
+    /// consecutive full rounds.
+    routes: DeliveryMap,
     neighbor_pids: Vec<Vec<Pid>>,
     is_byzantine: Vec<bool>,
     protocols: Vec<Option<P>>,
@@ -324,30 +326,6 @@ pub struct Execution<G, P: Protocol, A> {
     /// the fill, read by the compaction (room and spill), re-zeroed by the
     /// sort.
     dest_counts: Vec<u32>,
-    /// The static per-node arena offsets, precomputed once per execution
-    /// as the prefix sums of the [`DeliveryMap`] in-degrees — the
-    /// placement's spans (the table delivers at most one honest message
-    /// per distinct honest neighbour; a span whose extras overflow its
-    /// in-degree spills past the prefix).
-    deg_offsets: Vec<u32>,
-    /// The **slot → position table**, indexed by
-    /// delivery-map slot: the arena position a send through the first
-    /// slot of each distinct neighbour takes, `deg_offsets[to] + rank`
-    /// (the destination's degree-prefix offset plus the sender's rank
-    /// there), so every distinct sender owns one position of its
-    /// destination's span, in sender-pid order. A repeated slot of a
-    /// parallel edge holds [`HOLE`]: [`NodeContext::send`] and
-    /// [`NodeContext::broadcast`] never resolve to one.
-    slot_pos: Vec<u32>,
-    /// Per-node inbox length of a full round (distinct in-degree): the
-    /// table positions each span owns.
-    full_lens: Vec<u32>,
-    /// The sender plane of a full round — the dense sender node id at
-    /// every table position (the [`Pid`] table widens at the inbox
-    /// boundary). A full round copies it into an arena once, and it stays
-    /// invariant across consecutive full rounds; a compacted round reads
-    /// it for every message it keeps.
-    static_senders: Vec<NodeId>,
     /// Whether each outbox's slots strictly increase this round (set by
     /// the merge's scan; the fault pass keeps it). Every send goes through
     /// a first slot, so that is at most one message per distinct directed
@@ -366,10 +344,11 @@ pub struct Execution<G, P: Protocol, A> {
     /// fill collects in node order ahead of the redeliveries, and then the
     /// Byzantine repeats.
     extras: Vec<(NodeId, NodeId, u32)>,
-    /// Destination sender-ranks aligned entry-for-entry with `extras`
-    /// (kept separate so the adversary's view of the redeliveries stays a
-    /// plain `(from, to, payload)` slice).
-    extra_ranks: Vec<u32>,
+    /// Table positions aligned entry-for-entry with `extras`, whose
+    /// counting-sort ranks they give (kept separate so the adversary's
+    /// view of the redeliveries stays a plain `(from, to, payload)`
+    /// slice).
+    extra_pos: Vec<u32>,
     /// The adversary's traffic of the round in flight, as (from, to,
     /// index into `byz_payloads`).
     byz_outgoing: Vec<(NodeId, NodeId, u32)>,
@@ -377,8 +356,8 @@ pub struct Execution<G, P: Protocol, A> {
     /// (a Byzantine broadcast, once for all its recipients), moved into
     /// the staged arena's payload store at delivery.
     byz_payloads: Vec<P::Message>,
-    /// Destination sender-ranks aligned with `byz_outgoing`.
-    byz_ranks: Vec<u32>,
+    /// Table positions aligned with `byz_outgoing`.
+    byz_pos: Vec<u32>,
     /// One bit per table position, all clear between rounds: the full
     /// test sets one per Byzantine message to find a Byzantine sender's
     /// repeat, then clears them.
@@ -386,9 +365,9 @@ pub struct Execution<G, P: Protocol, A> {
     /// Permutation scratch for the in-place counting sort of one span
     /// (delivery is serial, so one serves every span).
     inbox_pos: Vec<u32>,
-    /// Flat per-(destination, distinct sender) counters, CSR-aligned with
-    /// `sender_ranks`; zeroed between uses.
-    sender_counts: Vec<u32>,
+    /// Per-rank counters of the span being sorted, sized to the largest
+    /// distinct in-degree; zeroed between uses.
+    rank_counts: Vec<u32>,
     /// Honest messages in flight this round: the merge's count, as the
     /// fault pass leaves it — the adversary's [`HonestTraffic::len`].
     round_honest_messages: u64,
@@ -445,14 +424,14 @@ pub(crate) struct Census {
 }
 
 /// A delayed message in the pending-redelivery queue: the round it
-/// becomes deliverable, plus the send routed through the delivery map. It
+/// becomes deliverable, plus the send routed through the table. It
 /// owns a clone of its payload (the round's payload store
 /// is recycled long before the message comes due).
 struct Delayed<M> {
     due: u64,
     from: NodeId,
     to: NodeId,
-    rank: u32,
+    pos: u32,
     msg: M,
 }
 
@@ -492,8 +471,7 @@ where
         let mut master = ChaCha8Rng::seed_from_u64(config.seed);
         let pids = assign_pids(n, &mut master);
         let pid_index = PidIndex::new(&pids);
-        let sender_ranks = SenderRanks::new(g, &pids);
-        let (neighbor_pids, delivery_map) = DeliveryMap::build(g, &pids, &sender_ranks);
+        let (neighbor_pids, routes) = DeliveryMap::build(g, &pids);
         let mut is_byzantine = vec![false; n];
         for &b in byzantine {
             assert!(b.index() < n, "byzantine node {b} out of range");
@@ -527,7 +505,7 @@ where
             live: n - byzantine,
             ..Census::default()
         };
-        let sender_counts = vec![0; sender_ranks.total()];
+        let max_distinct = routes.distinct.iter().max().copied().unwrap_or(0);
         let faults_active = !config.fault.is_empty();
         let mut crash_schedule = config.fault.crashes.clone();
         crash_schedule.sort_unstable_by_key(|ev| (ev.round, ev.node));
@@ -546,40 +524,6 @@ where
         // warm-up growth check on those paths; heavier protocols still
         // grow amortized.
         let degree = |v: usize| g.degree(NodeId(v as u32));
-        // The table paths' static placement (and the arena's initial
-        // layout): node v's span starts at the prefix sum of in-degrees
-        // (undirected: degree) before it.
-        let deg_offsets: Vec<u32> = {
-            let mut running = 0u32;
-            (0..n)
-                .map(|v| {
-                    let start = running;
-                    running += degree(v) as u32;
-                    start
-                })
-                .collect()
-        };
-        // The table paths' slot → position table: the first slot of each
-        // distinct neighbour places at the destination's degree-prefix
-        // offset plus the sender's rank there, so each span's positions
-        // run in sender-pid order.
-        let mut slot_pos = vec![HOLE; slot_total];
-        let mut static_senders = vec![NodeId(0); slot_total];
-        for u in 0..n {
-            let range = delivery_map.slot_range(u);
-            let targets = delivery_map.targets_of(u);
-            for (s, target) in targets.iter().enumerate() {
-                if s > 0 && targets[s - 1].to == target.to {
-                    continue;
-                }
-                let pos = deg_offsets[target.to.index()] + target.rank;
-                slot_pos[range.start + s] = pos;
-                static_senders[pos as usize] = NodeId(u as u32);
-            }
-        }
-        let full_lens = (0..n)
-            .map(|v| sender_ranks.sender_count(NodeId(v as u32)) as u32)
-            .collect();
         // Built before the struct literal: these capacity closures borrow
         // the graph through `g`, and the literal moves `graph` itself.
         // Payload planes warm up with each node's first send, so setup
@@ -602,30 +546,25 @@ where
             adversary,
             pids,
             pid_index,
-            sender_ranks,
-            delivery_map,
             neighbor_pids,
             is_byzantine,
             protocols,
             rngs,
             adversary_rng,
             outboxes,
-            arena: InboxArena::new(n, &deg_offsets, arena_cap),
-            arena_staged: InboxArena::new(n, &deg_offsets, arena_cap),
+            arena: InboxArena::new(n, &routes.offsets[..n], arena_cap),
+            arena_staged: InboxArena::new(n, &routes.offsets[..n], arena_cap),
             dest_counts: vec![0; n],
-            deg_offsets,
-            slot_pos,
-            full_lens,
-            static_senders,
+            routes,
             slots_increase: false,
             extras: Vec::with_capacity(staged_cap),
-            extra_ranks: Vec::with_capacity(staged_cap),
+            extra_pos: Vec::with_capacity(staged_cap),
             byz_outgoing: Vec::new(),
             byz_payloads: Vec::new(),
-            byz_ranks: Vec::new(),
+            byz_pos: Vec::new(),
             byz_seen: vec![0; slot_total.div_ceil(64)],
             inbox_pos,
-            sender_counts,
+            rank_counts: vec![0; max_distinct as usize],
             round_honest_messages: 0,
             faults_active,
             fault_rng,
@@ -776,7 +715,8 @@ where
                 if outbox.is_empty() {
                     continue;
                 }
-                let targets = self.delivery_map.targets_of(u);
+                let slots = self.routes.slots(u);
+                let (to, pos) = (&self.routes.to[slots.clone()], &self.routes.pos[slots]);
                 let Outbox { sends, payloads } = outbox;
                 sends.retain_mut(|(slot, payload)| {
                     let roll: u32 = self.fault_rng.gen_range(0..1000);
@@ -792,12 +732,11 @@ where
                         return true;
                     } else {
                         self.metrics.delayed += 1;
-                        let target = targets[*slot as usize];
                         self.delayed.push_back(Delayed {
                             due,
                             from: NodeId(u as u32),
-                            to: target.to,
-                            rank: target.rank,
+                            to: to[*slot as usize],
+                            pos: pos[*slot as usize],
                             msg: payloads[*payload as usize].clone(),
                         });
                     }
@@ -819,7 +758,7 @@ where
             let d = self.delayed.pop_front().expect("front checked");
             let payload = push_payload(&mut self.arena_staged.payloads, d.msg);
             self.extras.push((d.from, d.to, payload));
-            self.extra_ranks.push(d.rank);
+            self.extra_pos.push(d.pos);
             added += 1;
         }
         self.round_honest_messages = self.round_honest_messages + added - removed;
@@ -941,7 +880,7 @@ where
             let mut next = 0;
             for &(slot, _) in &outbox.sends {
                 debug_assert!(
-                    self.slot_pos[self.delivery_map.slot_range(u)][slot as usize] != HOLE,
+                    self.routes.pos[self.routes.slots(u)][slot as usize] != HOLE,
                     "every send goes through a first slot"
                 );
                 increasing &= slot >= next;
@@ -960,10 +899,9 @@ where
 
     /// The placement. Outboxes drain in natural node order (sequential
     /// memory, not the pid permutation): each send writes only its
-    /// reference, at `slot_pos[slot]`. The Byzantine messages follow, each
-    /// at its sender's position in its destination's span,
-    /// `deg_offsets[to] + rank`. Every other plane comes from the static
-    /// tables.
+    /// reference, at its slot's table position. The Byzantine messages
+    /// follow, each at the position [`Execution::deliver`] resolved for
+    /// it. Every other plane comes from the routing table.
     ///
     /// * A **full** round (slots strictly increasing, every table position
     ///   filled once by an honest or a Byzantine message, nothing faulted
@@ -979,7 +917,8 @@ where
     ///   a duplicate does. After the fill one sequential pass over the
     ///   spans closes the holes: it copies each kept reference and its
     ///   static sender down to the span's next free position (plus the
-    ///   sender's rank, `p - offsets[v]`, in spans that get extras) and
+    ///   sender's rank, `p - offsets[v]`, in spans that get extras; an
+    ///   extra's rank is its table position less the same offset) and
     ///   sets the span's length. The spans come out in sender-pid order,
     ///   the table's position order. The extras — honest duplicates and
     ///   repeats in send order, Byzantine repeats in emission order, then
@@ -998,7 +937,7 @@ where
     ///   ([`Execution::ready_sparse`]) and marks, compacts and sorts only
     ///   those.
     fn deliver_arena_table(&mut self, placement: Placement) {
-        let slot_total = self.delivery_map.total_slots();
+        let slot_total = self.routes.total_slots();
         let n = self.graph().len();
         let due = self.extras.len();
         let increasing = self.slots_increase;
@@ -1010,36 +949,28 @@ where
             Placement::Sparse => self.ready_sparse(),
         }
         let arena = &mut self.arena_staged;
-        arena.sparse = placement == Placement::Sparse;
         if !arena.offsets_static {
             // A spilled round moved the offsets; restore the static degree
             // prefix.
-            arena.offsets.copy_from_slice(&self.deg_offsets);
+            arena.offsets.copy_from_slice(&self.routes.offsets[..n]);
             arena.offsets_static = true;
         }
-        if full {
-            if !arena.senders_static {
-                arena.senders[..slot_total].copy_from_slice(&self.static_senders);
-                arena.senders_static = true;
-            }
-            if !arena.lens_full {
-                arena.lens.copy_from_slice(&self.full_lens);
-                arena.lens_full = true;
-            }
-        } else {
-            arena.senders_static = false;
-            arena.lens_full = false;
+        if full && arena.placed != Placement::Full {
+            arena.senders[..slot_total].copy_from_slice(&self.routes.senders);
+            arena.lens.copy_from_slice(&self.routes.distinct);
         }
+        arena.placed = placement;
         for u in 0..n {
             let outbox = &mut self.outboxes[u];
             if outbox.is_empty() {
                 continue;
             }
-            let slot_pos = &self.slot_pos[self.delivery_map.slot_range(u)];
+            let slots = self.routes.slots(u);
+            let table = &self.routes.pos[slots.clone()];
             let pbase = arena.take_payloads(&mut outbox.payloads);
             for (slot, payload) in outbox.sends.drain(..) {
                 let r = pbase + (payload & !DUPLICATE);
-                let pos = slot_pos[slot as usize] as usize;
+                let pos = table[slot as usize] as usize;
                 // Only a round whose slots do not increase can repeat a
                 // position. A repeat keeps the first send's reference in
                 // place and becomes an extra, as a duplicate does.
@@ -1051,10 +982,10 @@ where
                     }
                 }
                 // One extra, and a second for a duplicated repeat.
-                let target = self.delivery_map.targets_of(u)[slot as usize];
+                let to = self.routes.to[slots.start + slot as usize];
                 for _ in 0..1 + usize::from(repeat && payload & DUPLICATE != 0) {
-                    self.extras.push((NodeId(u as u32), target.to, r));
-                    self.extra_ranks.push(target.rank);
+                    self.extras.push((NodeId(u as u32), to, r));
+                    self.extra_pos.push(pos as u32);
                 }
             }
         }
@@ -1062,15 +993,14 @@ where
         // message to a neighbour takes its position, a repeat becomes an
         // extra. A full round has no repeat.
         let pbase = arena.take_payloads(&mut self.byz_payloads);
-        let byzantine = self.byz_outgoing.drain(..).zip(self.byz_ranks.drain(..));
-        for ((from, to, payload), rank) in byzantine {
-            let pos = (self.deg_offsets[to.index()] + rank) as usize;
+        let byzantine = self.byz_outgoing.drain(..).zip(self.byz_pos.drain(..));
+        for ((from, to, payload), pos) in byzantine {
             let r = pbase + payload;
-            if full || arena.refs[pos] == HOLE {
-                arena.refs[pos] = r;
+            if full || arena.refs[pos as usize] == HOLE {
+                arena.refs[pos as usize] = r;
             } else {
                 self.extras.push((from, to, r));
-                self.extra_ranks.push(rank);
+                self.extra_pos.push(pos);
             }
         }
         if full {
@@ -1095,16 +1025,16 @@ where
             // Honest duplicates and repeats, then Byzantine repeats, then
             // the redeliveries in the order they were withheld.
             self.extras.rotate_left(due);
-            self.extra_ranks.rotate_left(due);
+            self.extra_pos.rotate_left(due);
             let arena = &mut self.arena_staged;
-            let extras = self.extras.drain(..).zip(self.extra_ranks.drain(..));
-            for ((from, to, r), rank) in extras {
+            let extras = self.extras.drain(..).zip(self.extra_pos.drain(..));
+            for ((from, to, r), p) in extras {
                 let v = to.index();
                 let pos = (arena.offsets[v] + arena.lens[v]) as usize;
                 arena.lens[v] += 1;
                 arena.senders[pos] = from;
                 arena.refs[pos] = r;
-                arena.ranks[pos] = rank;
+                arena.ranks[pos] = p - self.routes.offsets[v];
             }
             for_each_span(spans, n, |v| {
                 if self.dest_counts[v] != 0 {
@@ -1126,14 +1056,14 @@ where
     /// (a listed span's length is 1 until its compaction sets it).
     fn ready_sparse(&mut self) {
         let arena = &mut self.arena_staged;
-        if arena.sparse {
+        if arena.placed == Placement::Sparse {
             for &v in &arena.dirty {
-                let o = self.deg_offsets[v as usize] as usize;
-                let end = o + self.full_lens[v as usize] as usize;
+                let o = self.routes.offsets[v as usize] as usize;
+                let end = o + self.routes.distinct[v as usize] as usize;
                 arena.refs[o..end].fill(HOLE);
             }
         } else {
-            arena.refs[..self.delivery_map.total_slots()].fill(HOLE);
+            arena.refs[..self.routes.total_slots()].fill(HOLE);
         }
         arena.dirty.clear();
         arena.lens.fill(0);
@@ -1149,9 +1079,9 @@ where
             if outbox.is_empty() {
                 continue;
             }
-            let targets = self.delivery_map.targets_of(u);
+            let to = &self.routes.to[self.routes.slots(u)];
             for &(slot, _) in &outbox.sends {
-                reach(targets[slot as usize].to);
+                reach(to[slot as usize]);
             }
         }
         let byzantine = self.byz_outgoing.iter().map(|&(_, to, _)| to);
@@ -1174,7 +1104,7 @@ where
         let g: &Graph = self.graph.borrow();
         let arena = &mut self.arena_staged;
         let o = arena.offsets[v] as usize;
-        let end = o + self.full_lens[v] as usize;
+        let end = o + self.routes.distinct[v] as usize;
         let kept = arena.refs[o..end].iter().filter(|&&r| r != HOLE).count();
         let extras = self.dest_counts[v] as usize;
         let mut base = o;
@@ -1191,14 +1121,14 @@ where
         }
         let ranked = extras != 0;
         if kept == end - o && !ranked {
-            arena.senders[o..end].copy_from_slice(&self.static_senders[o..end]);
+            arena.senders[o..end].copy_from_slice(&self.routes.senders[o..end]);
             return;
         }
         let mut k = base;
         for p in o..end {
             let r = arena.refs[p];
             arena.refs[k] = r;
-            arena.senders[k] = self.static_senders[p];
+            arena.senders[k] = self.routes.senders[p];
             if ranked {
                 arena.ranks[k] = (p - o) as u32;
             }
@@ -1215,14 +1145,12 @@ where
         }
         let o0 = arena.offsets[v] as usize;
         let o1 = o0 + arena.lens[v] as usize;
-        let c0 = self.sender_ranks.offset(v);
-        let c1 = self.sender_ranks.offset(v + 1);
         finish_inbox_soa(
             &mut arena.senders[o0..o1],
             &mut arena.refs[o0..o1],
             &arena.ranks[o0..o1],
             &mut self.inbox_pos,
-            &mut self.sender_counts[c0..c1],
+            &mut self.rank_counts[..self.routes.distinct[v] as usize],
         );
     }
 
@@ -1242,7 +1170,7 @@ where
             honest_states: &self.protocols,
             honest_outgoing: HonestTraffic {
                 outboxes: &self.outboxes,
-                routes: &self.delivery_map,
+                routes: &self.routes,
                 sends: &self.extras,
                 payloads: &self.arena_staged.payloads,
                 len: self.round_honest_messages as usize,
@@ -1259,27 +1187,29 @@ where
         self.adversary.on_round(&view, &mut ctx);
     }
 
-    /// Delivery: accounts and rank-resolves the Byzantine traffic, picks
+    /// Delivery: accounts the Byzantine traffic and resolves its table
+    /// positions, picks
     /// the round's [`Placement`], places the round's messages into the
     /// staged arena through the slot → position table
     /// ([`Execution::deliver_arena_table`]), sorts what needs sorting,
     /// and swaps the double buffer. `faulted` says whether the fault pass
     /// changed the round's traffic.
     fn deliver(&mut self, faulted: bool) {
-        debug_assert_eq!(self.extra_ranks.len(), self.extras.len());
-        debug_assert!(self.byz_ranks.is_empty());
+        debug_assert_eq!(self.extra_pos.len(), self.extras.len());
+        debug_assert!(self.byz_pos.is_empty());
         let honest_messages = self.round_honest_messages;
         let byzantine_messages = self.byz_outgoing.len() as u64;
-        // Account and rank-resolve the Byzantine traffic up front: the
-        // adversary's (from, to) pairs carry no precomputed slot.
+        // Account and route the Byzantine traffic up front: the
+        // adversary's (from, to) pairs carry no slot, so each resolves as
+        // `NodeContext::send` does, to the first slot of `to` in `from`'s
+        // sorted neighbour pids, and takes that slot's position.
         for &(from, to, payload) in &self.byz_outgoing {
             let msg = &self.byz_payloads[payload as usize];
             self.metrics.per_node[from.index()].record(msg.size_bits(Pid::BITS));
-            let rank = self
-                .sender_ranks
-                .rank_of(to, self.pids[from.index()])
-                .expect("byzantine sender is a graph neighbor");
-            self.byz_ranks.push(rank);
+            let to_pid = self.pids[to.index()];
+            let slot = self.neighbor_pids[from.index()].partition_point(|&p| p < to_pid);
+            self.byz_pos
+                .push(self.routes.pos[self.routes.slots(from.index()).start + slot]);
         }
         // A round whose honest slots increase and whose Byzantine senders
         // do not repeat fills every table position iff it sends one
@@ -1290,11 +1220,10 @@ where
         // positions and leaves a hole), nor when a Byzantine sender sends
         // twice to one neighbour and not at all to another; the repeat
         // test runs only when the count matches.
-        let positions = self.sender_ranks.total() as u64;
         let messages = honest_messages + byzantine_messages;
         let placement = if self.slots_increase
             && !faulted
-            && messages == positions
+            && messages == self.routes.positions
             && !self.byzantine_repeats()
         {
             Placement::Full
@@ -1321,11 +1250,10 @@ where
     /// (two messages for one table position). Sets one bit of `byz_seen`
     /// per Byzantine message, then clears the words it touched.
     fn byzantine_repeats(&mut self) -> bool {
-        let positions = self.byz_outgoing.iter().zip(&self.byz_ranks);
-        let words = positions.map(|(&(_, to, _), &rank)| {
-            let pos = (self.deg_offsets[to.index()] + rank) as usize;
-            (pos / 64, 1u64 << (pos % 64))
-        });
+        let words = self
+            .byz_pos
+            .iter()
+            .map(|&pos| (pos as usize / 64, 1u64 << (pos % 64)));
         let mut repeat = false;
         for (word, bit) in words.clone() {
             repeat |= self.byz_seen[word] & bit != 0;
@@ -1344,12 +1272,12 @@ where
     #[cfg(test)]
     pub(crate) fn last_placement(&self) -> &'static str {
         let a = &self.arena;
-        match (a.sparse, a.offsets_static, a.lens_full) {
-            (true, true, _) => "sparse",
-            (true, false, _) => "sparse, spilled",
-            (false, false, _) => "spilled",
-            (false, true, true) => "full",
-            (false, true, false) => "compacted",
+        match (a.placed, a.offsets_static) {
+            (Placement::Full, _) => "full",
+            (Placement::Dense, true) => "compacted",
+            (Placement::Dense, false) => "spilled",
+            (Placement::Sparse, true) => "sparse",
+            (Placement::Sparse, false) => "sparse, spilled",
         }
     }
 
@@ -2025,7 +1953,7 @@ mod tests {
             SimConfig::default(),
         );
         // The graph has parallel edges.
-        assert!(sim.sender_ranks.total() < g.degree_sum());
+        assert!(sim.routes.positions < g.degree_sum() as u64);
         sim.step();
         assert!(sim.slots_increase);
         assert_eq!(sim.last_placement(), "full");
@@ -2060,13 +1988,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let g = bcount_graph::gen::hnd(64, 8, &mut rng).unwrap();
         let mut sim = flood_sim(&g, &[], SimConfig::default());
-        assert!(sim.sender_ranks.total() < g.degree_sum());
+        assert!(sim.routes.positions < g.degree_sum() as u64);
         // Round 1: every node broadcasts.
         sim.step();
         assert!(sim.slots_increase);
-        // The delivered generation kept the full path's static planes;
-        // a compacted round would have cleared both flags.
-        assert!(sim.arena.senders_static && sim.arena.lens_full);
+        // The delivered generation holds the full path's static planes.
+        assert_eq!(sim.arena.placed, Placement::Full);
     }
 
     #[test]

@@ -88,8 +88,8 @@ pub use execution::{
     ConfigError, DynExecution, EstimateSummary, ExecutionSnapshot, NodeState, SimConfigBuilder,
 };
 pub use fault::{CrashEvent, FaultPlan};
-pub use idspace::{Pid, PidIndex, SenderRanks};
-pub use message::{DeliveryMap, Envelope, EnvelopeRef, Inbox, InboxIter, MessageSize, SlotTarget};
+pub use idspace::{Pid, PidIndex};
+pub use message::{Envelope, EnvelopeRef, Inbox, InboxIter, MessageSize};
 pub use metrics::{Metrics, NodeMetrics};
 pub use protocol::{NodeContext, Protocol};
 pub use rss::peak_rss_kb;
@@ -107,10 +107,8 @@ pub mod prelude {
         ConfigError, DynExecution, EstimateSummary, ExecutionSnapshot, NodeState, SimConfigBuilder,
     };
     pub use crate::fault::{CrashEvent, FaultPlan};
-    pub use crate::idspace::{Pid, PidIndex, SenderRanks};
-    pub use crate::message::{
-        DeliveryMap, Envelope, EnvelopeRef, Inbox, InboxIter, MessageSize, SlotTarget,
-    };
+    pub use crate::idspace::{Pid, PidIndex};
+    pub use crate::message::{Envelope, EnvelopeRef, Inbox, InboxIter, MessageSize};
     pub use crate::metrics::{Metrics, NodeMetrics};
     pub use crate::protocol::{NodeContext, Protocol};
     pub use crate::trace::{validate_trace, RoundTrace};

@@ -1,7 +1,8 @@
 //! Message envelopes, size accounting, the flat SoA inbox arena, and the
 //! precomputed delivery map.
 
-use crate::idspace::{Pid, SenderRanks};
+use crate::engine::Placement;
+use crate::idspace::Pid;
 use bcount_graph::{Graph, NodeId};
 use std::fmt;
 
@@ -308,19 +309,13 @@ pub(crate) struct InboxArena<M> {
     /// spilled round moves a span's offset and clears this, and the next
     /// round restores them).
     pub(crate) offsets_static: bool,
-    /// Whether `senders[..slot_total]` currently holds the static
-    /// full-round sender plane (one entry per table position, in inbox
-    /// order) — the full table path's invariant, letting it skip the
-    /// per-message sender write entirely.
-    pub(crate) senders_static: bool,
-    /// Whether `lens` currently equals the distinct in-degree table (the
-    /// full-round invariant).
-    pub(crate) lens_full: bool,
-    /// Whether the last round placed in this generation was sparse: then
-    /// every table position of `refs` outside the spans `dirty` lists
-    /// still holds the hole mark, and the next sparse round re-marks only
-    /// those spans.
-    pub(crate) sparse: bool,
+    /// How the generation's last round was placed. After a
+    /// [`Placement::Full`] round `senders[..slot_total]` holds the static
+    /// sender plane and `lens` the distinct in-degrees, which the next
+    /// full round keeps; after a [`Placement::Sparse`] one every table
+    /// position of `refs` outside the spans `dirty` lists still holds the
+    /// hole mark, and the next sparse round re-marks only those spans.
+    pub(crate) placed: Placement,
     /// The spans the generation's last sparse round reached (node
     /// indices, each once).
     pub(crate) dirty: Vec<u32>,
@@ -351,9 +346,7 @@ impl<M> InboxArena<M> {
             offsets: deg_offsets.to_vec(),
             lens: vec![0; n],
             offsets_static: true,
-            senders_static: false,
-            lens_full: false,
-            sparse: false,
+            placed: Placement::Dense,
             dirty: Vec::new(),
             senders: Vec::with_capacity(slot_capacity),
             refs: Vec::with_capacity(slot_capacity),
@@ -458,38 +451,51 @@ impl<'a, M> InboxesView<'a, M> {
     }
 }
 
-/// Where one outbox slot delivers: the destination node and the sender's
-/// rank in that destination's inbox order.
-///
-/// See [`DeliveryMap`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotTarget {
-    /// The destination graph node.
-    pub to: NodeId,
-    /// The sender's rank among the destination's distinct neighbours
-    /// (its [`SenderRanks`] rank) — the counting-sort key of the message.
-    pub rank: u32,
-}
+/// The slot → position table's sentinel: a reference no send wrote (an
+/// arena position the compaction skips), and in the table a slot with no
+/// position (a repeated slot of a parallel edge, which no send resolves
+/// to). Payload references index a store far smaller than `u32::MAX`
+/// entries.
+pub(crate) const HOLE: u32 = u32::MAX;
 
-/// Precomputed routing for every (sender, neighbour-slot) pair.
+/// The routing table: where every send lands, built once per execution.
 ///
 /// A node's outbox addresses its sends by *slot*: the index into its own
-/// sorted neighbour [`Pid`] list. This map resolves a slot straight to a
-/// [`SlotTarget`] — destination [`bcount_graph::NodeId`] plus the sender's
-/// rank at that destination — in one flat-array load, replacing both the
-/// per-message `Pid → NodeId` binary search on the merge path and the
-/// per-inbox comparison sort on the delivery path.
+/// sorted neighbour [`Pid`] list. Node `u`'s slots are
+/// `offsets[u]..offsets[u + 1]`, and the same range is `u`'s inbox span of
+/// arena positions: both are the degree prefix sums. Per slot the table
+/// holds the destination `to` and the arena position `pos`. The first slot
+/// of each distinct neighbour owns one position of the destination's span,
+/// at the sender's rank among the destination's distinct neighbours in pid
+/// order, so every span's positions run in sender-pid order; a repeated
+/// slot of a parallel edge holds [`HOLE`]. Per node the table holds the
+/// distinct in-degree (the positions a span owns), and per position the
+/// static sender: node `v`'s distinct neighbours in pid order, which are
+/// `v`'s own first-of-run slots. A message's counting-sort rank in its
+/// span is `pos - offsets[to]`.
 ///
-/// Built once per execution; flat CSR layout mirroring the graph's own
-/// adjacency structure (one entry per directed edge, multiplicity kept).
+/// One flat-array load resolves a send, replacing both a per-message
+/// `Pid → NodeId` search on the merge path and a per-inbox comparison
+/// sort on the delivery path.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeliveryMap {
-    /// `offsets[u]..offsets[u + 1]` spans `u`'s slots in `targets` — `u32`
-    /// offsets (the slot total is the degree sum, far below `u32::MAX` for
-    /// any simulatable graph), halving the footprint of this plane.
-    offsets: Vec<u32>,
-    /// Per-slot routing, aligned with each node's sorted neighbour list.
-    targets: Vec<SlotTarget>,
+pub(crate) struct DeliveryMap {
+    /// Degree prefix sums, length `n + 1`: node `u`'s slots and its span
+    /// of table positions are both `offsets[u]..offsets[u + 1]` (`u32`:
+    /// the slot total is far below `u32::MAX` for any simulatable graph).
+    pub(crate) offsets: Vec<u32>,
+    /// Destination of every slot, aligned with each node's sorted
+    /// neighbour pid list.
+    pub(crate) to: Vec<NodeId>,
+    /// Table position of every slot; [`HOLE`] on a repeated slot.
+    pub(crate) pos: Vec<u32>,
+    /// Distinct in-degree of every node: the positions its span owns, at
+    /// the span's start.
+    pub(crate) distinct: Vec<u32>,
+    /// The sender of every table position (dense node id); entries past a
+    /// span's distinct in-degree are unused.
+    pub(crate) senders: Vec<NodeId>,
+    /// Number of table positions: the distinct in-degrees' sum.
+    pub(crate) positions: u64,
 }
 
 impl DeliveryMap {
@@ -497,32 +503,40 @@ impl DeliveryMap {
     #[cfg(test)]
     pub(crate) const EMPTY: DeliveryMap = DeliveryMap {
         offsets: Vec::new(),
-        targets: Vec::new(),
+        to: Vec::new(),
+        pos: Vec::new(),
+        distinct: Vec::new(),
+        senders: Vec::new(),
+        positions: 0,
     };
 
-    /// Builds the map for `graph` under identity assignment `pids`,
+    /// Builds the table for `graph` under identity assignment `pids`,
     /// together with every node's sorted neighbour pid list (with edge
     /// multiplicity).
     ///
-    /// The two are built from one shared ordering pass because they *must*
-    /// agree slot-for-slot: `neighbor_pids[u][s]` is the identity a send
-    /// through slot `s` reaches, and `map.targets_of(u)[s]` is where the
-    /// engine physically delivers it.
+    /// The two come from one ordering pass because they *must* agree
+    /// slot for slot: `neighbor_pids[u][s]` is the identity a send
+    /// through slot `s` reaches, and `to[offsets[u] + s]` is where the
+    /// engine delivers it. A sender's position is then found the way
+    /// [`crate::NodeContext::send`] resolves a neighbour: its first slot.
     ///
     /// # Panics
     ///
     /// Panics if `pids.len()` differs from the graph's node count.
-    pub fn build(graph: &Graph, pids: &[Pid], ranks: &SenderRanks) -> (Vec<Vec<Pid>>, DeliveryMap) {
+    pub(crate) fn build(graph: &Graph, pids: &[Pid]) -> (Vec<Vec<Pid>>, DeliveryMap) {
         let n = graph.len();
         assert_eq!(pids.len(), n, "one pid per graph node");
+        let slot_total = graph.degree_sum();
         assert!(
-            u32::try_from(graph.degree_sum()).is_ok(),
+            u32::try_from(slot_total).is_ok(),
             "slot total exceeds the u32 delivery plane"
         );
         let mut neighbor_pids: Vec<Vec<Pid>> = Vec::with_capacity(n);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
-        let mut targets = Vec::with_capacity(graph.degree_sum());
+        let mut to = Vec::with_capacity(slot_total);
+        let mut distinct = Vec::with_capacity(n);
+        let mut senders = vec![NodeId(0); slot_total];
         let mut scratch: Vec<(Pid, NodeId)> = Vec::new();
         for u in 0..n {
             scratch.clear();
@@ -535,32 +549,49 @@ impl DeliveryMap {
             // only between parallel edges to the same node.
             scratch.sort_unstable();
             neighbor_pids.push(scratch.iter().map(|&(p, _)| p).collect());
+            // The first-of-run slots, in order, are the senders of u's
+            // own span.
+            let start = to.len();
+            let mut k = start;
             for &(_, w) in &scratch {
-                let rank = ranks
-                    .rank_of(w, pids[u])
-                    .expect("undirected graph: u is a neighbor of w");
-                targets.push(SlotTarget { to: w, rank });
+                if to[start..].last() != Some(&w) {
+                    senders[k] = w;
+                    k += 1;
+                }
+                to.push(w);
             }
-            offsets.push(targets.len() as u32);
+            distinct.push((k - start) as u32);
+            offsets.push(to.len() as u32);
         }
-        (neighbor_pids, DeliveryMap { offsets, targets })
+        let mut pos = vec![HOLE; slot_total];
+        for v in 0..n {
+            let span = offsets[v] as usize..(offsets[v] + distinct[v]) as usize;
+            for p in span {
+                let u = senders[p].index();
+                let slot = neighbor_pids[u].partition_point(|&q| q < pids[v]);
+                pos[offsets[u] as usize + slot] = p as u32;
+            }
+        }
+        let positions = distinct.iter().map(|&d| u64::from(d)).sum();
+        let map = DeliveryMap {
+            offsets,
+            to,
+            pos,
+            distinct,
+            senders,
+            positions,
+        };
+        (neighbor_pids, map)
     }
 
-    /// The routing of every outbox slot of node `u`, aligned with `u`'s
-    /// sorted neighbour pid list.
-    pub fn targets_of(&self, u: usize) -> &[SlotTarget] {
-        &self.targets[self.slot_range(u)]
-    }
-
-    /// Node `u`'s slots as indices into the map's flat slot order (the
-    /// index space of per-slot tables aligned with the map).
-    pub(crate) fn slot_range(&self, u: usize) -> std::ops::Range<usize> {
+    /// Node `u`'s slots as indices into the table's slot planes.
+    pub(crate) fn slots(&self, u: usize) -> std::ops::Range<usize> {
         self.offsets[u] as usize..self.offsets[u + 1] as usize
     }
 
-    /// Total number of slots (directed edges) in the map.
-    pub fn total_slots(&self) -> usize {
-        self.targets.len()
+    /// Total number of slots (directed edges) in the table.
+    pub(crate) fn total_slots(&self) -> usize {
+        self.to.len()
     }
 }
 
@@ -590,63 +621,63 @@ mod tests {
     }
 
     #[test]
-    fn delivery_map_routes_slots_to_ranked_destinations() {
+    fn routing_table_follows_pid_order() {
         use bcount_graph::gen::path;
         // path(3): 0 – 1 – 2, pids chosen so sorted orders are non-trivial.
         let g = path(3).unwrap();
         let pids = [Pid(50), Pid(10), Pid(30)];
-        let ranks = SenderRanks::new(&g, &pids);
-        let (neighbor_pids, map) = DeliveryMap::build(&g, &pids, &ranks);
+        let (neighbor_pids, map) = DeliveryMap::build(&g, &pids);
         // Node 1's neighbours sorted by pid: 30 (node 2), 50 (node 0).
         assert_eq!(neighbor_pids[1], vec![Pid(30), Pid(50)]);
-        let t = map.targets_of(1);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].to, NodeId(2));
-        assert_eq!(t[1].to, NodeId(0));
-        // Node 2's only potential sender is pid 10 → rank 0; node 0 same.
-        assert_eq!(t[0].rank, 0);
-        assert_eq!(t[1].rank, 0);
-        // Node 0's single slot reaches node 1; sender pid 50 ranks above
-        // pid 30 among node 1's senders {30, 50}.
-        let t0 = map.targets_of(0);
-        assert_eq!(
-            t0,
-            &[SlotTarget {
-                to: NodeId(1),
-                rank: 1
-            }]
-        );
-        // And the slot ordering agrees with the neighbour pid list
-        // everywhere.
+        assert_eq!(map.offsets, [0, 1, 3, 4]);
+        assert_eq!(map.to, [NodeId(1), NodeId(2), NodeId(0), NodeId(1)]);
+        // Node 1's span (positions 1 and 2) holds node 2 (pid 30), then
+        // node 0 (pid 50): node 0's one slot takes position 2.
+        assert_eq!(map.pos, [2, 3, 0, 1]);
+        assert_eq!(map.distinct, [1, 2, 1]);
+        assert_eq!(map.senders, [NodeId(1), NodeId(2), NodeId(0), NodeId(1)]);
+        assert_eq!(map.positions, 4);
         for (u, pids) in neighbor_pids.iter().enumerate() {
-            assert_eq!(pids.len(), map.targets_of(u).len());
+            assert_eq!(pids.len(), map.slots(u).len());
         }
     }
 
     #[test]
-    fn delivery_map_keeps_multi_edge_slots() {
+    fn routing_table_gives_a_doubled_edge_one_position() {
         use bcount_graph::GraphBuilder;
         let mut b = GraphBuilder::new(2);
         b.add_edge(NodeId(0), NodeId(1));
         b.add_edge(NodeId(0), NodeId(1));
         let g = b.build();
         let pids = [Pid(1), Pid(2)];
-        let ranks = SenderRanks::new(&g, &pids);
-        let (neighbor_pids, map) = DeliveryMap::build(&g, &pids, &ranks);
-        // Multiplicity kept in both views, rank deduped at the receiver.
+        let (neighbor_pids, map) = DeliveryMap::build(&g, &pids);
+        // Both slots reach the one neighbour; only the first owns its
+        // position in the neighbour's span.
         assert_eq!(neighbor_pids[0], vec![Pid(2), Pid(2)]);
-        assert_eq!(
-            map.targets_of(0),
-            &[
-                SlotTarget {
-                    to: NodeId(1),
-                    rank: 0
-                },
-                SlotTarget {
-                    to: NodeId(1),
-                    rank: 0
-                }
-            ]
-        );
+        assert_eq!(map.to, [NodeId(1), NodeId(1), NodeId(0), NodeId(0)]);
+        assert_eq!(map.pos, [2, HOLE, 0, HOLE]);
+        assert_eq!(map.distinct, [1, 1]);
+        assert_eq!((map.senders[0], map.senders[2]), (NodeId(1), NodeId(0)));
+        assert_eq!(map.positions, 2);
+    }
+
+    #[test]
+    fn routing_table_places_a_self_loop_once() {
+        use bcount_graph::GraphBuilder;
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(NodeId(0), NodeId(0));
+        b.add_edge(NodeId(0), NodeId(1));
+        let g = b.build();
+        let pids = [Pid(5), Pid(3)];
+        let (neighbor_pids, map) = DeliveryMap::build(&g, &pids);
+        // Node 0 hears node 1 (pid 3), then itself (pid 5), once each.
+        assert_eq!(neighbor_pids[0], vec![Pid(3), Pid(5), Pid(5)]);
+        assert_eq!(map.offsets, [0, 3, 4]);
+        assert_eq!(map.to, [NodeId(1), NodeId(0), NodeId(0), NodeId(0)]);
+        assert_eq!(map.pos, [3, 1, HOLE, 0]);
+        assert_eq!(map.distinct, [2, 1]);
+        assert_eq!(&map.senders[..2], [NodeId(1), NodeId(0)]);
+        assert_eq!(map.senders[3], NodeId(0));
+        assert_eq!(map.positions, 3);
     }
 }

@@ -826,18 +826,35 @@ impl<P: Protocol<Message = Pid>> Adversary<P> for ForwardingSpam {
 /// Every honest node broadcasts every round and every Byzantine node
 /// spams one beacon per distinct neighbour: Byzantine messages place
 /// through the table, so each round fills every position once and is
-/// full. The engine matches the reference on it in pools of 1, 4 and 8.
+/// full. One Byzantine node reaches a neighbour over a parallel edge, and
+/// its one message lands at its single position in that neighbour's span.
+/// The engine matches the reference on it in pools of 1, 4 and 8.
 #[test]
 fn beacon_spam_forwarding_rounds_are_full() {
     let g = hnd(128, 8, &mut ChaCha8Rng::seed_from_u64(25)).unwrap();
-    let byz = [NodeId(3), NodeId(70)];
+    let doubled = |&b: &NodeId| distinct_neighbors(&g, b).len() < g.degree(b);
+    let b = (0..g.len() as u32)
+        .map(NodeId)
+        .find(doubled)
+        .expect("a parallel edge");
+    let nbrs: Vec<NodeId> = g.neighbors(b).collect();
+    let twice = nbrs
+        .windows(2)
+        .find(|w| w[0] == w[1])
+        .expect("a doubled neighbour")[0];
+    let byz = [b, NodeId(70)];
     let cfg = config(25, 40);
     let mut engine = Execution::new(&g, &byz, jitter(20), ForwardingSpam, cfg.clone());
     while engine.finished().is_none() {
         engine.step();
         assert_eq!(engine.last_placement(), "full", "round {}", engine.round());
+        // `twice` hears each distinct neighbour once, `b` included, in
+        // sender-pid order.
+        let senders: Vec<Pid> = engine.inbox(twice).iter().map(|e| e.sender).collect();
+        assert!(senders.windows(2).all(|w| w[0] < w[1]), "{senders:?}");
+        assert_eq!(senders.len(), distinct_neighbors(&g, twice).len());
     }
-    assert!(engine.metrics().per_node[3].messages_sent > 0);
+    assert!(engine.metrics().per_node[b.index()].messages_sent > 0);
     in_pools(|| {
         check(&g, &byz, jitter(20), || ForwardingSpam, cfg.clone());
     });

@@ -176,7 +176,7 @@ impl<'a, M> HonestTraffic<'a, M> {
             ..
         } = self;
         let queued = outboxes.iter().enumerate().flat_map(move |(u, outbox)| {
-            let to = &routes.to[routes.slots(u)];
+            let to = routes.to(u);
             outbox.sends.iter().flat_map(move |&(slot, payload)| {
                 let msg = &outbox.payloads[(payload & !DUPLICATE) as usize];
                 let copies = 1 + usize::from(payload & DUPLICATE != 0);

@@ -505,7 +505,7 @@ where
             live: n - byzantine,
             ..Census::default()
         };
-        let max_distinct = routes.distinct.iter().max().copied().unwrap_or(0);
+        let max_distinct = routes.distinct().iter().max().copied().unwrap_or(0);
         let faults_active = !config.fault.is_empty();
         let mut crash_schedule = config.fault.crashes.clone();
         crash_schedule.sort_unstable_by_key(|ev| (ev.round, ev.node));
@@ -552,8 +552,8 @@ where
             rngs,
             adversary_rng,
             outboxes,
-            arena: InboxArena::new(n, &routes.offsets[..n], arena_cap),
-            arena_staged: InboxArena::new(n, &routes.offsets[..n], arena_cap),
+            arena: InboxArena::new(n, routes.span_starts(), arena_cap),
+            arena_staged: InboxArena::new(n, routes.span_starts(), arena_cap),
             dest_counts: vec![0; n],
             routes,
             slots_increase: false,
@@ -715,8 +715,7 @@ where
                 if outbox.is_empty() {
                     continue;
                 }
-                let slots = self.routes.slots(u);
-                let (to, pos) = (&self.routes.to[slots.clone()], &self.routes.pos[slots]);
+                let (to, pos) = (self.routes.to(u), self.routes.pos(u));
                 let Outbox { sends, payloads } = outbox;
                 sends.retain_mut(|(slot, payload)| {
                     let roll: u32 = self.fault_rng.gen_range(0..1000);
@@ -880,7 +879,7 @@ where
             let mut next = 0;
             for &(slot, _) in &outbox.sends {
                 debug_assert!(
-                    self.routes.pos[self.routes.slots(u)][slot as usize] != HOLE,
+                    self.routes.pos(u)[slot as usize] != HOLE,
                     "every send goes through a first slot"
                 );
                 increasing &= slot >= next;
@@ -952,12 +951,12 @@ where
         if !arena.offsets_static {
             // A spilled round moved the offsets; restore the static degree
             // prefix.
-            arena.offsets.copy_from_slice(&self.routes.offsets[..n]);
+            arena.offsets.copy_from_slice(self.routes.span_starts());
             arena.offsets_static = true;
         }
         if full && arena.placed != Placement::Full {
-            arena.senders[..slot_total].copy_from_slice(&self.routes.senders);
-            arena.lens.copy_from_slice(&self.routes.distinct);
+            arena.senders[..slot_total].copy_from_slice(self.routes.senders());
+            arena.lens.copy_from_slice(self.routes.distinct());
         }
         arena.placed = placement;
         for u in 0..n {
@@ -965,8 +964,7 @@ where
             if outbox.is_empty() {
                 continue;
             }
-            let slots = self.routes.slots(u);
-            let table = &self.routes.pos[slots.clone()];
+            let table = self.routes.pos(u);
             let pbase = arena.take_payloads(&mut outbox.payloads);
             for (slot, payload) in outbox.sends.drain(..) {
                 let r = pbase + (payload & !DUPLICATE);
@@ -982,7 +980,7 @@ where
                     }
                 }
                 // One extra, and a second for a duplicated repeat.
-                let to = self.routes.to[slots.start + slot as usize];
+                let to = self.routes.to(u)[slot as usize];
                 for _ in 0..1 + usize::from(repeat && payload & DUPLICATE != 0) {
                     self.extras.push((NodeId(u as u32), to, r));
                     self.extra_pos.push(pos as u32);
@@ -1034,7 +1032,7 @@ where
                 arena.lens[v] += 1;
                 arena.senders[pos] = from;
                 arena.refs[pos] = r;
-                arena.ranks[pos] = p - self.routes.offsets[v];
+                arena.ranks[pos] = p - self.routes.span_starts()[v];
             }
             for_each_span(spans, n, |v| {
                 if self.dest_counts[v] != 0 {
@@ -1058,8 +1056,8 @@ where
         let arena = &mut self.arena_staged;
         if arena.placed == Placement::Sparse {
             for &v in &arena.dirty {
-                let o = self.routes.offsets[v as usize] as usize;
-                let end = o + self.routes.distinct[v as usize] as usize;
+                let o = self.routes.span_starts()[v as usize] as usize;
+                let end = o + self.routes.distinct()[v as usize] as usize;
                 arena.refs[o..end].fill(HOLE);
             }
         } else {
@@ -1079,7 +1077,7 @@ where
             if outbox.is_empty() {
                 continue;
             }
-            let to = &self.routes.to[self.routes.slots(u)];
+            let to = self.routes.to(u);
             for &(slot, _) in &outbox.sends {
                 reach(to[slot as usize]);
             }
@@ -1104,7 +1102,7 @@ where
         let g: &Graph = self.graph.borrow();
         let arena = &mut self.arena_staged;
         let o = arena.offsets[v] as usize;
-        let end = o + self.routes.distinct[v] as usize;
+        let end = o + self.routes.distinct()[v] as usize;
         let kept = arena.refs[o..end].iter().filter(|&&r| r != HOLE).count();
         let extras = self.dest_counts[v] as usize;
         let mut base = o;
@@ -1121,14 +1119,14 @@ where
         }
         let ranked = extras != 0;
         if kept == end - o && !ranked {
-            arena.senders[o..end].copy_from_slice(&self.routes.senders[o..end]);
+            arena.senders[o..end].copy_from_slice(&self.routes.senders()[o..end]);
             return;
         }
         let mut k = base;
         for p in o..end {
             let r = arena.refs[p];
             arena.refs[k] = r;
-            arena.senders[k] = self.routes.senders[p];
+            arena.senders[k] = self.routes.senders()[p];
             if ranked {
                 arena.ranks[k] = (p - o) as u32;
             }
@@ -1150,7 +1148,7 @@ where
             &mut arena.refs[o0..o1],
             &arena.ranks[o0..o1],
             &mut self.inbox_pos,
-            &mut self.rank_counts[..self.routes.distinct[v] as usize],
+            &mut self.rank_counts[..self.routes.distinct()[v] as usize],
         );
     }
 
@@ -1208,8 +1206,7 @@ where
             self.metrics.per_node[from.index()].record(msg.size_bits(Pid::BITS));
             let to_pid = self.pids[to.index()];
             let slot = self.neighbor_pids[from.index()].partition_point(|&p| p < to_pid);
-            self.byz_pos
-                .push(self.routes.pos[self.routes.slots(from.index()).start + slot]);
+            self.byz_pos.push(self.routes.pos(from.index())[slot]);
         }
         // A round whose honest slots increase and whose Byzantine senders
         // do not repeat fills every table position iff it sends one
@@ -1223,7 +1220,7 @@ where
         let messages = honest_messages + byzantine_messages;
         let placement = if self.slots_increase
             && !faulted
-            && messages == self.routes.positions
+            && messages == self.routes.positions()
             && !self.byzantine_repeats()
         {
             Placement::Full
@@ -1953,7 +1950,7 @@ mod tests {
             SimConfig::default(),
         );
         // The graph has parallel edges.
-        assert!(sim.routes.positions < g.degree_sum() as u64);
+        assert!(sim.routes.positions() < g.degree_sum() as u64);
         sim.step();
         assert!(sim.slots_increase);
         assert_eq!(sim.last_placement(), "full");
@@ -1988,7 +1985,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let g = bcount_graph::gen::hnd(64, 8, &mut rng).unwrap();
         let mut sim = flood_sim(&g, &[], SimConfig::default());
-        assert!(sim.routes.positions < g.degree_sum() as u64);
+        assert!(sim.routes.positions() < g.degree_sum() as u64);
         // Round 1: every node broadcasts.
         sim.step();
         assert!(sim.slots_increase);

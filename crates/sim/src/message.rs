@@ -482,20 +482,20 @@ pub(crate) struct DeliveryMap {
     /// Degree prefix sums, length `n + 1`: node `u`'s slots and its span
     /// of table positions are both `offsets[u]..offsets[u + 1]` (`u32`:
     /// the slot total is far below `u32::MAX` for any simulatable graph).
-    pub(crate) offsets: Vec<u32>,
+    offsets: Vec<u32>,
     /// Destination of every slot, aligned with each node's sorted
     /// neighbour pid list.
-    pub(crate) to: Vec<NodeId>,
+    to: Vec<NodeId>,
     /// Table position of every slot; [`HOLE`] on a repeated slot.
-    pub(crate) pos: Vec<u32>,
+    pos: Vec<u32>,
     /// Distinct in-degree of every node: the positions its span owns, at
     /// the span's start.
-    pub(crate) distinct: Vec<u32>,
+    distinct: Vec<u32>,
     /// The sender of every table position (dense node id); entries past a
     /// span's distinct in-degree are unused.
-    pub(crate) senders: Vec<NodeId>,
+    senders: Vec<NodeId>,
     /// Number of table positions: the distinct in-degrees' sum.
-    pub(crate) positions: u64,
+    positions: u64,
 }
 
 impl DeliveryMap {
@@ -585,8 +585,44 @@ impl DeliveryMap {
     }
 
     /// Node `u`'s slots as indices into the table's slot planes.
-    pub(crate) fn slots(&self, u: usize) -> std::ops::Range<usize> {
+    fn slots(&self, u: usize) -> std::ops::Range<usize> {
         self.offsets[u] as usize..self.offsets[u + 1] as usize
+    }
+
+    /// The destination of each of node `u`'s slots.
+    #[inline]
+    pub(crate) fn to(&self, u: usize) -> &[NodeId] {
+        &self.to[self.slots(u)]
+    }
+
+    /// The table position of each of node `u`'s slots ([`HOLE`] on a
+    /// repeated slot).
+    #[inline]
+    pub(crate) fn pos(&self, u: usize) -> &[u32] {
+        &self.pos[self.slots(u)]
+    }
+
+    /// Every node's span start: the degree prefix sums, one per node.
+    #[inline]
+    pub(crate) fn span_starts(&self) -> &[u32] {
+        &self.offsets[..self.distinct.len()]
+    }
+
+    /// Every node's distinct in-degree: the positions its span owns.
+    #[inline]
+    pub(crate) fn distinct(&self) -> &[u32] {
+        &self.distinct
+    }
+
+    /// The static sender of every table position.
+    #[inline]
+    pub(crate) fn senders(&self) -> &[NodeId] {
+        &self.senders
+    }
+
+    /// Number of table positions: the distinct in-degrees' sum.
+    pub(crate) fn positions(&self) -> u64 {
+        self.positions
     }
 
     /// Total number of slots (directed edges) in the table.

@@ -71,27 +71,27 @@
 //! Every round places through the routing table's **slot → position**
 //! plane: the first slot of each distinct neighbour owns one position of
 //! its destination's degree-prefix span, at the sender's rank among the
-//! destination's distinct neighbours in pid order. Outboxes drain in natural node order, one table load and one
-//! reference write per message, so every span's honest messages land in
-//! **sender-pid order** — the canonical inbox order is
-//! stable-by-sender-pid. Byzantine messages place through the same
-//! table: a Byzantine `(from, to)` resolves as [`NodeContext::send`] does,
-//! to the first slot of `to` among `from`'s neighbours, and its first
-//! message takes that slot's position. A **full** round (each outbox's slots strictly
-//! increasing, no Byzantine sender repeating, every table position filled
-//! once, nothing faulted — the steady state of flooding protocols, and a
+//! destination's distinct neighbours in pid order. Outboxes drain in
+//! natural node order, one table load and one reference write per
+//! message, so every span's honest messages land in **sender-pid order**
+//! — the canonical inbox order is stable-by-sender-pid. Byzantine
+//! messages place through the same table: a Byzantine `(from, to)`
+//! resolves as [`NodeContext::send`] does, to the first slot of `to`
+//! among `from`'s neighbours, and its first message takes that slot's
+//! position. A **full** round (each outbox's slots strictly increasing,
+//! no Byzantine sender repeating, every table position filled once,
+//! nothing faulted — the steady state of flooding protocols, and a
 //! forwarding wave under beacon spam) is then done: sender plane and span
 //! lengths are static. Otherwise the round is **compacted**: positions no
 //! message wrote keep a hole mark, one sequential pass closes each span's
 //! holes, copying the table's static senders, and the round's **extras**
 //! — duplicates, repeated sends to one neighbour (honest or Byzantine)
 //! and due redeliveries, each carrying its table position — are appended
-//! behind their spans, which alone are rank-tagged and counting-sorted.
-//! A span has room for its node's degree; one whose kept messages and
-//! extras need more **spills**: it closes up at the arena's tail
-//! instead. A send to a distinct neighbour
-//! owns its position whatever its place in the outbox, so sends out of
-//! neighbour order need no extra.
+//! behind their spans, which alone are rank-tagged and counting-sorted. A
+//! span has room for its node's degree; one whose kept messages and
+//! extras need more **spills**: it closes up at the arena's tail instead.
+//! A send to a distinct neighbour owns its position whatever its place in
+//! the outbox, so sends out of neighbour order need no extra.
 //!
 //! A compacted round that carries at most `n / 4` messages is **sparse**
 //! (about half of Algorithm 2's rounds: iteration starts and continue
@@ -1186,9 +1186,8 @@ where
     }
 
     /// Delivery: accounts the Byzantine traffic and resolves its table
-    /// positions, picks
-    /// the round's [`Placement`], places the round's messages into the
-    /// staged arena through the slot → position table
+    /// positions, picks the round's [`Placement`], places the round's
+    /// messages into the staged arena through the slot → position table
     /// ([`Execution::deliver_arena_table`]), sorts what needs sorting,
     /// and swaps the double buffer. `faulted` says whether the fault pass
     /// changed the round's traffic.
@@ -1205,7 +1204,13 @@ where
             let msg = &self.byz_payloads[payload as usize];
             self.metrics.per_node[from.index()].record(msg.size_bits(Pid::BITS));
             let to_pid = self.pids[to.index()];
-            let slot = self.neighbor_pids[from.index()].partition_point(|&p| p < to_pid);
+            let nbrs = &self.neighbor_pids[from.index()];
+            let slot = nbrs.partition_point(|&p| p < to_pid);
+            debug_assert_eq!(
+                nbrs.get(slot),
+                Some(&to_pid),
+                "byzantine edge checked at send"
+            );
             self.byz_pos.push(self.routes.pos(from.index())[slot]);
         }
         // A round whose honest slots increase and whose Byzantine senders

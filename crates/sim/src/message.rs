@@ -477,7 +477,6 @@ pub(crate) const HOLE: u32 = u32::MAX;
 /// One flat-array load resolves a send, replacing both a per-message
 /// `Pid → NodeId` search on the merge path and a per-inbox comparison
 /// sort on the delivery path.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct DeliveryMap {
     /// Degree prefix sums, length `n + 1`: node `u`'s slots and its span
     /// of table positions are both `offsets[u]..offsets[u + 1]` (`u32`:

@@ -810,15 +810,19 @@ fn in_pools(f: impl Fn() + Sync) {
     }
 }
 
-/// Beacon spam on a forwarding wave: every Byzantine node broadcasts one
-/// fresh beacon every round, one message per distinct neighbour.
+/// Beacon spam on a forwarding wave: every round every Byzantine node
+/// sends each distinct neighbour a fresh beacon of its own, one message
+/// per neighbour, so a message placed in the wrong span shows in the
+/// inboxes.
 struct ForwardingSpam;
 
 impl<P: Protocol<Message = Pid>> Adversary<P> for ForwardingSpam {
     fn on_round(&mut self, view: &FullInfoView<'_, P>, ctx: &mut ByzantineContext<'_, Pid>) {
-        let beacon = Pid(ctx.rng().gen());
+        let beacon: u64 = ctx.rng().gen();
         for b in view.byzantine_nodes() {
-            ctx.broadcast(b, beacon);
+            for to in distinct_neighbors(view.graph(), b) {
+                ctx.send(b, to, Pid(beacon ^ u64::from(to.0)));
+            }
         }
     }
 }

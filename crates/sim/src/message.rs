@@ -1,5 +1,5 @@
 //! Message envelopes, size accounting, the flat SoA inbox arena, and the
-//! precomputed delivery map.
+//! routing table.
 
 use crate::engine::Placement;
 use crate::idspace::Pid;

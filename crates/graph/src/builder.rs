@@ -121,11 +121,7 @@ impl FromIterator<(NodeId, NodeId)> for GraphBuilder {
             .map(|&(u, v)| u.index().max(v.index()) + 1)
             .max()
             .unwrap_or(0);
-        let mut b = GraphBuilder::new(n);
-        for (u, v) in edges {
-            b.add_edge(u, v);
-        }
-        b
+        GraphBuilder { n, edges }
     }
 }
 

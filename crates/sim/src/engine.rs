@@ -112,6 +112,7 @@
 //! and `tests/zero_alloc.rs` proves every steady-state round shape
 //! allocation-free.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bcount_graph::{Graph, NodeId};
@@ -119,6 +120,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::adversary::{Adversary, ByzantineContext, FullInfoView, HonestTraffic};
+use crate::execution::Ranked;
 use crate::fault::{CrashEvent, FaultPlan, DUPLICATE};
 use crate::idspace::{assign_pids, Pid, PidIndex};
 use crate::message::{push_payload, DeliveryMap, Inbox, InboxArena, MessageSize, HOLE};
@@ -312,7 +314,9 @@ pub struct Execution<G, P: Protocol, A> {
     /// in-degrees into an arena once, and they stay invariant across
     /// consecutive full rounds.
     routes: DeliveryMap,
-    neighbor_pids: Vec<Vec<Pid>>,
+    /// Every node's sorted neighbour pids, flat in the table's slot order:
+    /// node `u`'s are `neighbor_pids[routes.slots(u)]`.
+    neighbor_pids: Vec<Pid>,
     is_byzantine: Vec<bool>,
     protocols: Vec<Option<P>>,
     rngs: Vec<ChaCha8Rng>,
@@ -397,6 +401,14 @@ pub struct Execution<G, P: Protocol, A> {
     /// Decisions are irrevocable, so snapshots and reports read this
     /// dense table instead of the protocol instances.
     outputs: Vec<Option<P::Output>>,
+    /// Every node whose recorded output went from `None` to `Some`, in
+    /// the order it did (construction first, then round by round): each
+    /// decided honest node once. Snapshots merge the entries added since
+    /// their last read into `ranked`.
+    decision_log: Vec<u32>,
+    /// The live decided honest nodes in rank order, kept across snapshots
+    /// (see [`Execution::snapshot_with`]).
+    ranked: RefCell<Ranked>,
     /// The node census, kept where the state changes.
     census: Census,
     metrics: Metrics,
@@ -488,18 +500,22 @@ where
                 } else {
                     let init = NodeInit {
                         pid: pids[u],
-                        neighbors: neighbor_pids[u].clone(),
+                        neighbors: neighbor_pids[routes.slots(u)].to_vec(),
                     };
                     Some(factory(NodeId(u as u32), &init))
                 }
             })
             .collect();
         // A node may be decided before its first round.
-        let outputs = protocols
+        let outputs: Vec<Option<P::Output>> = protocols
             .iter()
             .map(|p| p.as_ref().and_then(P::output))
             .collect();
         let byzantine = is_byzantine.iter().filter(|b| **b).count();
+        // Room for every honest node's one entry, so recording a decision
+        // never grows the log.
+        let mut decision_log = Vec::with_capacity(n - byzantine);
+        decision_log.extend((0..n as u32).filter(|&u| outputs[u as usize].is_some()));
         let census = Census {
             byzantine,
             live: n - byzantine,
@@ -575,6 +591,8 @@ where
             decided_round: vec![None; n],
             halted: vec![false; n],
             outputs,
+            decision_log,
+            ranked: RefCell::default(),
             census,
             metrics: Metrics::new(n),
             round: 0,
@@ -616,6 +634,16 @@ where
     /// Each node's recorded decision, indexed by graph node.
     pub(crate) fn outputs(&self) -> &[Option<P::Output>] {
         &self.outputs
+    }
+
+    /// Every decided honest node, in the order its decision was recorded.
+    pub(crate) fn decision_log(&self) -> &[u32] {
+        &self.decision_log
+    }
+
+    /// The rank order [`Execution::snapshot_with`] keeps between calls.
+    pub(crate) fn ranked(&self) -> &RefCell<Ranked> {
+        &self.ranked
     }
 
     /// The node census and honest send totals.
@@ -804,6 +832,7 @@ where
             round: self.round,
             pids: &self.pids,
             neighbor_pids: &self.neighbor_pids,
+            routes: &self.routes,
             inboxes: self.arena.view(&self.pids),
             is_byzantine: &self.is_byzantine,
             crashed: &self.crashed,
@@ -826,7 +855,9 @@ where
     }
 
     /// Adds the compute leaves' tallies to the census and records the
-    /// round's decisions in the output table. A lane cannot carry
+    /// round's decisions in the output table, logging each node whose
+    /// output is new (a node decided at construction is recorded again in
+    /// its first round, and was logged then). A lane cannot carry
     /// [`Protocol::Output`] values onto the pool's workers (the output type
     /// need not be `Send`), so the copy runs here, serially, and only in a
     /// round in which a node decided.
@@ -839,7 +870,11 @@ where
         }
         for (u, round) in self.decided_round.iter().enumerate() {
             if *round == Some(self.round) {
-                self.outputs[u] = self.protocols[u].as_ref().and_then(P::output);
+                let out = self.protocols[u].as_ref().and_then(P::output);
+                if self.outputs[u].is_none() && out.is_some() {
+                    self.decision_log.push(u as u32);
+                }
+                self.outputs[u] = out;
             }
         }
     }
@@ -1204,7 +1239,7 @@ where
             let msg = &self.byz_payloads[payload as usize];
             self.metrics.per_node[from.index()].record(msg.size_bits(Pid::BITS));
             let to_pid = self.pids[to.index()];
-            let nbrs = &self.neighbor_pids[from.index()];
+            let nbrs = &self.neighbor_pids[self.routes.slots(from.index())];
             let slot = nbrs.partition_point(|&p| p < to_pid);
             debug_assert_eq!(
                 nbrs.get(slot),
@@ -1428,7 +1463,8 @@ fn outbox_sizes<M: MessageSize>(outbox: &Outbox<M>) -> (u64, u64, u64) {
 struct PhaseInputs<'a, P: Protocol> {
     round: u64,
     pids: &'a [Pid],
-    neighbor_pids: &'a [Vec<Pid>],
+    neighbor_pids: &'a [Pid],
+    routes: &'a DeliveryMap,
     inboxes: crate::message::InboxesView<'a, P::Message>,
     is_byzantine: &'a [bool],
     crashed: &'a [bool],
@@ -1522,7 +1558,7 @@ fn phase_lane_leaf<P: Protocol>(shared: PhaseInputs<'_, P>, lane: PhaseLane<'_, 
         let mut ctx = NodeContext {
             round: shared.round,
             me: shared.pids[u],
-            neighbors: &shared.neighbor_pids[u],
+            neighbors: &shared.neighbor_pids[shared.routes.slots(u)],
             inbox: shared.inboxes.inbox(u),
             rng,
             outgoing: outbox,

@@ -24,6 +24,7 @@
 //!   [`Execution::erase`]; everything else is already type-free.
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
 
 use bcount_graph::Graph;
@@ -183,20 +184,29 @@ where
     ///
     /// Counts and totals come from the engine's census and the estimates
     /// from its record of each node's decision (see [`Protocol::output`]),
-    /// so a snapshot reads no protocol instance: its only per-node work is
-    /// collecting the live honest estimates for the summary.
+    /// so a snapshot reads no protocol instance. Crashed nodes leave the
+    /// summary, as they leave the census.
+    ///
+    /// The execution keeps the live decided honest nodes ranked by
+    /// `(raw estimate, node index)` between calls — the order a stable
+    /// sort of the estimates in node order gives, `-0.0` and `+0.0` tied.
+    /// Decisions are irrevocable, so a call removes the nodes crashed
+    /// since the last one, merges the few that decided since (sorted
+    /// among themselves, each placed by binary search), then reads the
+    /// summary in one pass over the ranking: no sort and, once the
+    /// ranking's buffers hold every honest node, no allocation. That pass
+    /// also checks the order under this call's `raw`; if it does not hold
+    /// (another `raw` than last time), or the ranking's length is not the
+    /// census's decided count, the call ranks every live decided node
+    /// afresh. The summary is therefore exact for any `raw`, equal to
+    /// [`EstimateSummary::from_values`] over the live estimates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `raw` gives NaN for one of two or more estimates.
     pub fn snapshot_with(&self, raw: impl Fn(&P::Output) -> f64) -> ExecutionSnapshot {
         let n = self.graph().len();
         let census = self.census();
-        // Crashed nodes leave the census, matching the engine's stop
-        // condition: a crash-stopped node will never decide or halt.
-        let live = self.byzantine_flags().iter().zip(self.crashed_flags());
-        let mut estimates: Vec<f64> = Vec::with_capacity(census.live);
-        for (out, (byz, crashed)) in self.outputs().iter().zip(live) {
-            if let (Some(out), false, false) = (out, *byz, *crashed) {
-                estimates.push(raw(out));
-            }
-        }
         let metrics = self.metrics();
         ExecutionSnapshot {
             round: self.round(),
@@ -206,7 +216,7 @@ where
             decided: census.decided,
             halted: census.halted,
             stop: self.finished(),
-            estimate: EstimateSummary::from_values(&mut estimates),
+            estimate: self.ranked_summary(&raw),
             messages_total: census.messages,
             bits_total: census.bits,
             dropped: metrics.dropped,
@@ -214,6 +224,44 @@ where
             delayed: metrics.delayed,
             crashed: metrics.crashed,
         }
+    }
+
+    /// The summary of the live decided honest estimates, read off the
+    /// kept ranking (see [`Execution::snapshot_with`]).
+    fn ranked_summary(&self, raw: &impl Fn(&P::Output) -> f64) -> EstimateSummary {
+        let outputs = self.outputs();
+        let key = |u: u32| raw(outputs[u as usize].as_ref().expect("ranked nodes decided"));
+        let crashed = self.crashed_flags();
+        let log = self.decision_log();
+        let census = self.census();
+        let mut ranked = self.ranked().borrow_mut();
+        ranked.reserve(self.graph().len() - census.byzantine);
+        let crash_count = self.metrics().crashed;
+        if ranked.crashed != crash_count {
+            ranked.order.retain(|&u| !crashed[u as usize]);
+            ranked.crashed = crash_count;
+        }
+        let cursor = ranked.cursor;
+        if cursor < log.len() {
+            ranked.merge(&log[cursor..], crashed, key);
+            // Only once the merge is written: a `raw` that panics
+            // mid-merge leaves these entries to the next call.
+            ranked.cursor = log.len();
+        }
+        if ranked.order.len() == census.decided {
+            if let Some(summary) = summarize(&ranked.order, key) {
+                return summary;
+            }
+        }
+        let byzantine = self.byzantine_flags();
+        let live_decided = (0..outputs.len() as u32).filter(|&u| {
+            let u = u as usize;
+            outputs[u].is_some() && !byzantine[u] && !crashed[u]
+        });
+        ranked.rebuild(live_decided, key);
+        ranked.cursor = log.len();
+        ranked.crashed = crash_count;
+        summarize(&ranked.order, key).expect("a fresh ranking is in rank order")
     }
 
     /// Per-node state rows (index = graph node), from the engine's flags
@@ -330,6 +378,122 @@ impl EstimateSummary {
     }
 }
 
+/// The live decided honest nodes of an execution in rank order, kept
+/// between snapshots (see [`Execution::snapshot_with`]).
+#[derive(Default)]
+pub(crate) struct Ranked {
+    /// Node indices sorted by `(raw estimate, node index)`.
+    order: Vec<u32>,
+    /// How much of the execution's decision log `order` has taken in.
+    cursor: usize,
+    /// [`Metrics::crashed`] when crashed nodes last left `order`.
+    crashed: u64,
+    /// A merge's new nodes, sorted among themselves (scratch).
+    fresh: Vec<u32>,
+    /// The merged order, swapped into `order` (scratch).
+    merged: Vec<u32>,
+    /// From-scratch rankings so far.
+    #[cfg(test)]
+    rebuilds: usize,
+}
+
+/// Rank order of two nodes given their estimates: by estimate, equal
+/// estimates (`-0.0` and `+0.0` included) by node index.
+fn rank_cmp((x, u): (f64, u32), (y, v): (f64, u32)) -> Ordering {
+    x.partial_cmp(&y)
+        .expect("estimates must not be NaN")
+        .then(u.cmp(&v))
+}
+
+impl Ranked {
+    /// Gives every buffer room for all `honest` nodes, once, so neither a
+    /// merge nor a ranking afresh grows one later.
+    fn reserve(&mut self, honest: usize) {
+        for buf in [&mut self.order, &mut self.fresh, &mut self.merged] {
+            buf.reserve_exact(honest.saturating_sub(buf.len()));
+        }
+    }
+
+    /// Merges the logged nodes `new` that are not `crashed` into `order`:
+    /// sorts them, then places each by binary search past the previous
+    /// one and copies the ranked runs between them.
+    fn merge(&mut self, new: &[u32], crashed: &[bool], key: impl Fn(u32) -> f64) {
+        let cmp = |&u: &u32, &v: &u32| rank_cmp((key(u), u), (key(v), v));
+        self.fresh.clear();
+        self.fresh
+            .extend(new.iter().copied().filter(|&u| !crashed[u as usize]));
+        if self.fresh.is_empty() {
+            return;
+        }
+        self.fresh.sort_unstable_by(cmp);
+        self.merged.clear();
+        let mut from = 0;
+        for u in &self.fresh {
+            let rest = &self.order[from..];
+            let at = from + rest.partition_point(|v| cmp(v, u) == Ordering::Less);
+            self.merged.extend_from_slice(&self.order[from..at]);
+            self.merged.push(*u);
+            from = at;
+        }
+        self.merged.extend_from_slice(&self.order[from..]);
+        std::mem::swap(&mut self.order, &mut self.merged);
+    }
+
+    /// Ranks `nodes` afresh.
+    fn rebuild(&mut self, nodes: impl Iterator<Item = u32>, key: impl Fn(u32) -> f64) {
+        self.order.clear();
+        self.order.extend(nodes);
+        self.order
+            .sort_unstable_by(|&u, &v| rank_cmp((key(u), u), (key(v), v)));
+        #[cfg(test)]
+        {
+            self.rebuilds += 1;
+        }
+    }
+}
+
+/// The summary of the estimates of `order`'s nodes in one pass, if
+/// `order` is in rank order under `key` (`None` otherwise). The sum runs
+/// in rank order from `-0.0`, as [`Iterator::sum`] does in
+/// [`EstimateSummary::from_values`], so the two agree to the bit.
+fn summarize(order: &[u32], key: impl Fn(u32) -> f64) -> Option<EstimateSummary> {
+    let (&first, rest) = match order.split_first() {
+        Some(split) => split,
+        None => return Some(EstimateSummary::default()),
+    };
+    let count = order.len();
+    let mid = count / 2;
+    let min = key(first);
+    let (mut prev, mut last) = (first, min);
+    let mut sum = -0.0 + min;
+    let (mut below_mid, mut at_mid) = (min, min);
+    for (i, &u) in rest.iter().enumerate() {
+        let x = key(u);
+        if rank_cmp((last, prev), (x, u)) != Ordering::Less {
+            return None;
+        }
+        sum += x;
+        if i + 2 == mid {
+            below_mid = x;
+        } else if i + 1 == mid {
+            at_mid = x;
+        }
+        (prev, last) = (u, x);
+    }
+    let median = if count % 2 == 1 {
+        at_mid
+    } else {
+        ((below_mid + at_mid) / 2.0).clamp(f64::MIN, f64::MAX)
+    };
+    Some(EstimateSummary {
+        count,
+        min,
+        max: last,
+        mean: (sum / count as f64).clamp(f64::MIN, f64::MAX),
+        median,
+    })
+}
+
 /// One node's state row in a `session.query {nodes: true}` reply.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeState {
@@ -408,6 +572,7 @@ mod tests {
     use crate::adversary::NullAdversary;
     use crate::protocol::NodeContext;
     use bcount_graph::gen::cycle;
+    use bcount_graph::NodeId;
 
     /// Flood-max consensus toy: every node broadcasts the largest pid
     /// seen; decides (and halts) once its value has been stable for the
@@ -616,6 +781,216 @@ mod tests {
                 ..SimConfig::default()
             }
         );
+    }
+
+    /// Decides in round `decide_at` (0: at construction) on `value`, and
+    /// sends nothing.
+    struct Ranker {
+        decide_at: u64,
+        value: u64,
+        decided: bool,
+    }
+
+    impl Protocol for Ranker {
+        type Message = crate::idspace::Pid;
+        type Output = u64;
+
+        fn on_round(&mut self, ctx: &mut NodeContext<'_, crate::idspace::Pid>) {
+            self.decided |= ctx.round() >= self.decide_at;
+        }
+
+        fn output(&self) -> Option<u64> {
+            self.decided.then_some(self.value)
+        }
+    }
+
+    const RANKERS: usize = 200;
+
+    /// Decision rounds 0..=100 scattered over the node indices, so equal
+    /// values decide out of index order.
+    fn decide_at(u: usize) -> u64 {
+        (u as u64 * 37) % 101
+    }
+
+    /// Eleven values over 200 nodes: every value is tied many times.
+    fn value(u: usize) -> u64 {
+        (u as u64 * 7) % 11
+    }
+
+    /// Crashes a node decided at construction in round 1, then in each of
+    /// rounds 40, 41, 77 and 120 a node that decided before that round.
+    fn ranker_crashes() -> FaultPlan {
+        let mut crashes: Vec<crate::fault::CrashEvent> = Vec::new();
+        for round in [1, 40, 41, 77, 120] {
+            let node = (0..RANKERS)
+                .find(|&u| {
+                    let picked = crashes.iter().any(|ev| ev.node as usize == u);
+                    !picked && (decide_at(u) == 0 || decide_at(u) + 1 < round)
+                })
+                .expect("a decided node to crash") as u32;
+            crashes.push(crate::fault::CrashEvent { round, node });
+        }
+        FaultPlan {
+            crashes,
+            ..FaultPlan::default()
+        }
+    }
+
+    fn rankers(graph: &Graph) -> Execution<&Graph, Ranker, NullAdversary> {
+        let config = SimConfig::builder()
+            .max_rounds(150)
+            .stop_when(StopWhen::MaxRoundsOnly)
+            .fault_plan(ranker_crashes())
+            .build()
+            .unwrap();
+        Execution::new(
+            graph,
+            &[],
+            |u, _| Ranker {
+                decide_at: decide_at(u.index()),
+                value: value(u.index()),
+                decided: decide_at(u.index()) == 0,
+            },
+            NullAdversary,
+            config,
+        )
+    }
+
+    /// The literal summary: every node not crashed by now, asked for its
+    /// output, summarized by [`EstimateSummary::from_values`].
+    fn recount(
+        exec: &Execution<&Graph, Ranker, NullAdversary>,
+        raw: impl Fn(&u64) -> f64,
+    ) -> EstimateSummary {
+        let plan = ranker_crashes();
+        let crashed = |u: usize| {
+            plan.crashes
+                .iter()
+                .any(|ev| ev.node as usize == u && ev.round <= exec.round())
+        };
+        let mut values: Vec<f64> = (0..RANKERS)
+            .filter(|&u| !crashed(u))
+            .filter_map(|u| exec.protocol(NodeId(u as u32)).and_then(|p| p.output()))
+            .map(|o| raw(&o))
+            .collect();
+        EstimateSummary::from_values(&mut values)
+    }
+
+    /// A summary as bits, so `-0.0` and `+0.0` differ.
+    fn bits(s: &EstimateSummary) -> (usize, [u64; 4]) {
+        let f = [s.min, s.max, s.mean, s.median];
+        (s.count, f.map(f64::to_bits))
+    }
+
+    /// Checks the ranked summary under `raw` against the recount.
+    fn assert_exact(exec: &Execution<&Graph, Ranker, NullAdversary>, raw: impl Fn(&u64) -> f64) {
+        let got = exec.snapshot_with(&raw).estimate;
+        let want = recount(exec, &raw);
+        assert_eq!(bits(&got), bits(&want), "round {}", exec.round());
+    }
+
+    fn rebuilds(exec: &Execution<&Graph, Ranker, NullAdversary>) -> usize {
+        exec.ranked().borrow().rebuilds
+    }
+
+    /// Snapshots every `k` rounds merge everything decided in between —
+    /// one node, or about a hundred — and drop the crashed nodes, without
+    /// ever ranking afresh under one `raw`.
+    #[test]
+    fn ranked_summary_matches_a_recount_every_k_rounds() {
+        let g = cycle(RANKERS).unwrap();
+        for k in [1, 7, 50] {
+            let mut exec = rankers(&g);
+            let identity = |o: &u64| *o as f64;
+            while exec.step_rounds(k).is_none() {
+                assert_exact(&exec, identity);
+            }
+            assert_exact(&exec, identity);
+            assert_eq!(exec.metrics().crashed, 5);
+            assert_eq!(rebuilds(&exec), 0, "every {k} rounds");
+        }
+    }
+
+    /// A node that decided, ranked by one snapshot and crashed before the
+    /// next, leaves the ranking.
+    #[test]
+    fn ranked_summary_drops_a_node_crashed_between_snapshots() {
+        let g = cycle(RANKERS).unwrap();
+        let mut exec = rankers(&g);
+        let identity = |o: &u64| *o as f64;
+        exec.step_rounds(76);
+        let before = exec.snapshot_with(identity).estimate.count;
+        assert_exact(&exec, identity);
+        exec.step();
+        let crashed = ranker_crashes().crashes[3];
+        assert_eq!(crashed.round, exec.round());
+        assert!(decide_at(crashed.node as usize) < 76);
+        let decided_now = (0..RANKERS).filter(|&u| decide_at(u) == 77).count();
+        assert_eq!(
+            exec.snapshot_with(identity).estimate.count,
+            before - 1 + decided_now
+        );
+        assert_exact(&exec, identity);
+        assert_eq!(rebuilds(&exec), 0);
+    }
+
+    /// Two hooks taking turns, one the reverse of the other: each call
+    /// finds the ranking out of order under its `raw` and ranks afresh,
+    /// still exact. Once the hook stays (the last turn's `up`), the
+    /// ranking is kept again.
+    #[test]
+    fn ranked_summary_reranks_under_alternating_hooks() {
+        let g = cycle(RANKERS).unwrap();
+        let mut exec = rankers(&g);
+        let up = |o: &u64| *o as f64;
+        let down = |o: &u64| -(*o as f64);
+        for round in 1..=60 {
+            exec.step();
+            if round % 2 == 0 {
+                assert_exact(&exec, up);
+            } else {
+                assert_exact(&exec, down);
+            }
+        }
+        // Every turn but the first, which merged the log under `down`.
+        assert_eq!(rebuilds(&exec), 59);
+        exec.step();
+        assert_exact(&exec, up);
+        exec.step();
+        assert_exact(&exec, up);
+        assert_eq!(rebuilds(&exec), 59);
+    }
+
+    /// `-0.0` and `+0.0` tie and rank by node index, as the stable sort
+    /// leaves them; the sum starts from `-0.0`, so an all-`-0.0` mean stays
+    /// `-0.0`.
+    #[test]
+    fn ranked_summary_orders_signed_zeros_by_node_index() {
+        let g = cycle(RANKERS).unwrap();
+        let mut exec = rankers(&g);
+        let signed = |o: &u64| match o % 3 {
+            0 => -0.0,
+            1 => 0.0,
+            _ => *o as f64,
+        };
+        let negative = |_: &u64| -0.0;
+        while exec.step_rounds(3).is_none() {
+            assert_exact(&exec, signed);
+            assert_exact(&exec, signed);
+            assert_exact(&exec, negative);
+        }
+        let s = exec.snapshot_with(negative).estimate;
+        assert!(s.mean.is_sign_negative() && s.median.is_sign_negative());
+    }
+
+    /// A NaN estimate panics with the summary's message.
+    #[test]
+    #[should_panic(expected = "estimates must not be NaN")]
+    fn ranked_summary_panics_on_a_nan_estimate() {
+        let g = cycle(RANKERS).unwrap();
+        let mut exec = rankers(&g);
+        exec.step_rounds(20);
+        exec.snapshot_with(|o| if *o == 3 { f64::NAN } else { *o as f64 });
     }
 
     #[test]

@@ -510,19 +510,20 @@ impl DeliveryMap {
     };
 
     /// Builds the table for `graph` under identity assignment `pids`,
-    /// together with every node's sorted neighbour pid list (with edge
-    /// multiplicity).
+    /// together with every node's sorted neighbour pids (with edge
+    /// multiplicity), flat in the table's slot order: node `u`'s list is
+    /// the slice [`DeliveryMap::slots`]`(u)`.
     ///
     /// The two come from one ordering pass because they *must* agree
-    /// slot for slot: `neighbor_pids[u][s]` is the identity a send
-    /// through slot `s` reaches, and `to[offsets[u] + s]` is where the
-    /// engine delivers it. A sender's position is then found the way
+    /// slot for slot: `neighbor_pids[offsets[u] + s]` is the identity a
+    /// send through slot `s` reaches, and `to[offsets[u] + s]` is where
+    /// the engine delivers it. A sender's position is then found the way
     /// [`crate::NodeContext::send`] resolves a neighbour: its first slot.
     ///
     /// # Panics
     ///
     /// Panics if `pids.len()` differs from the graph's node count.
-    pub(crate) fn build(graph: &Graph, pids: &[Pid]) -> (Vec<Vec<Pid>>, DeliveryMap) {
+    pub(crate) fn build(graph: &Graph, pids: &[Pid]) -> (Vec<Pid>, DeliveryMap) {
         let n = graph.len();
         assert_eq!(pids.len(), n, "one pid per graph node");
         let slot_total = graph.degree_sum();
@@ -530,7 +531,7 @@ impl DeliveryMap {
             u32::try_from(slot_total).is_ok(),
             "slot total exceeds the u32 delivery plane"
         );
-        let mut neighbor_pids: Vec<Vec<Pid>> = Vec::with_capacity(n);
+        let mut neighbor_pids: Vec<Pid> = Vec::with_capacity(slot_total);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         let mut to = Vec::with_capacity(slot_total);
@@ -547,7 +548,7 @@ impl DeliveryMap {
             // Sorting by pid is total: pids are distinct, so ties occur
             // only between parallel edges to the same node.
             scratch.sort_unstable();
-            neighbor_pids.push(scratch.iter().map(|&(p, _)| p).collect());
+            neighbor_pids.extend(scratch.iter().map(|&(p, _)| p));
             // The first-of-run slots, in order, are the senders of u's
             // own span.
             let start = to.len();
@@ -567,7 +568,8 @@ impl DeliveryMap {
             let span = offsets[v] as usize..(offsets[v] + distinct[v]) as usize;
             for p in span {
                 let u = senders[p].index();
-                let slot = neighbor_pids[u].partition_point(|&q| q < pids[v]);
+                let slots = offsets[u] as usize..offsets[u + 1] as usize;
+                let slot = neighbor_pids[slots].partition_point(|&q| q < pids[v]);
                 pos[offsets[u] as usize + slot] = p as u32;
             }
         }
@@ -583,8 +585,10 @@ impl DeliveryMap {
         (neighbor_pids, map)
     }
 
-    /// Node `u`'s slots as indices into the table's slot planes.
-    fn slots(&self, u: usize) -> std::ops::Range<usize> {
+    /// Node `u`'s slots as indices into the table's slot planes (and into
+    /// the flat neighbour pids [`DeliveryMap::build`] returns).
+    #[inline]
+    pub(crate) fn slots(&self, u: usize) -> std::ops::Range<usize> {
         self.offsets[u] as usize..self.offsets[u + 1] as usize
     }
 
@@ -663,7 +667,7 @@ mod tests {
         let pids = [Pid(50), Pid(10), Pid(30)];
         let (neighbor_pids, map) = DeliveryMap::build(&g, &pids);
         // Node 1's neighbours sorted by pid: 30 (node 2), 50 (node 0).
-        assert_eq!(neighbor_pids[1], vec![Pid(30), Pid(50)]);
+        assert_eq!(neighbor_pids[map.slots(1)], [Pid(30), Pid(50)]);
         assert_eq!(map.offsets, [0, 1, 3, 4]);
         assert_eq!(map.to, [NodeId(1), NodeId(2), NodeId(0), NodeId(1)]);
         // Node 1's span (positions 1 and 2) holds node 2 (pid 30), then
@@ -672,9 +676,7 @@ mod tests {
         assert_eq!(map.distinct, [1, 2, 1]);
         assert_eq!(map.senders, [NodeId(1), NodeId(2), NodeId(0), NodeId(1)]);
         assert_eq!(map.positions, 4);
-        for (u, pids) in neighbor_pids.iter().enumerate() {
-            assert_eq!(pids.len(), map.slots(u).len());
-        }
+        assert_eq!(neighbor_pids, [Pid(10), Pid(30), Pid(50), Pid(10)]);
     }
 
     #[test]
@@ -688,7 +690,7 @@ mod tests {
         let (neighbor_pids, map) = DeliveryMap::build(&g, &pids);
         // Both slots reach the one neighbour; only the first owns its
         // position in the neighbour's span.
-        assert_eq!(neighbor_pids[0], vec![Pid(2), Pid(2)]);
+        assert_eq!(neighbor_pids[map.slots(0)], [Pid(2), Pid(2)]);
         assert_eq!(map.to, [NodeId(1), NodeId(1), NodeId(0), NodeId(0)]);
         assert_eq!(map.pos, [2, HOLE, 0, HOLE]);
         assert_eq!(map.distinct, [1, 1]);
@@ -706,7 +708,7 @@ mod tests {
         let pids = [Pid(5), Pid(3)];
         let (neighbor_pids, map) = DeliveryMap::build(&g, &pids);
         // Node 0 hears node 1 (pid 3), then itself (pid 5), once each.
-        assert_eq!(neighbor_pids[0], vec![Pid(3), Pid(5), Pid(5)]);
+        assert_eq!(neighbor_pids[map.slots(0)], [Pid(3), Pid(5), Pid(5)]);
         assert_eq!(map.offsets, [0, 3, 4]);
         assert_eq!(map.to, [NodeId(1), NodeId(0), NodeId(0), NodeId(0)]);
         assert_eq!(map.pos, [3, 1, HOLE, 0]);

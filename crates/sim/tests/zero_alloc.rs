@@ -19,6 +19,11 @@
 //! at one allocation per delayed message, with a payload whose every
 //! clone allocates once.
 //!
+//! A host's read between rounds allocates nothing either:
+//! `assert_zero_alloc_snapshots` takes an [`Execution::snapshot_with`]
+//! after every round, in rounds where no node decides and in rounds where
+//! one does, under a plan that crashes decided nodes.
+//!
 //! Runs with `harness = false` (see the `[[test]]` entry in Cargo.toml):
 //! the allocation counter is process-global and libtest's bookkeeping
 //! threads would otherwise pollute the measured window. For the same
@@ -216,6 +221,77 @@ impl Protocol for LateUnicaster {
     fn has_halted(&self) -> bool {
         false
     }
+}
+
+/// [`Chatter`] that decides in round `decide_at` on its own pid.
+#[derive(Debug, Clone)]
+struct Decider {
+    me: Pid,
+    decide_at: u64,
+    decided: bool,
+}
+
+impl Protocol for Decider {
+    type Message = Pid;
+    type Output = u64;
+
+    fn on_round(&mut self, ctx: &mut NodeContext<'_, Pid>) {
+        let heard = ctx.inbox().len() as u64;
+        ctx.broadcast(Pid(self.me.0.wrapping_add(heard)));
+        self.decided |= ctx.round() >= self.decide_at;
+    }
+
+    fn output(&self) -> Option<u64> {
+        self.decided.then_some(self.me.0 % 7)
+    }
+}
+
+/// A snapshot after every round, on an execution whose 96 nodes decide
+/// one at a time in rounds 5 to 304 (about a third of the rounds have a
+/// decision), with equal estimates, under a plan that crashes four
+/// decided nodes in the measured window: after a 30-round warm-up the
+/// next 200 rounds and their snapshots allocate nothing. The first
+/// snapshot gives the kept ranking room for every honest node, and the
+/// decision log has it from construction.
+fn assert_zero_alloc_snapshots() {
+    let g = cycle(96).unwrap();
+    let decide_at = |u: usize| 5 + (u as u64 * 37) % 300;
+    let mut cfg = chatter_config();
+    for (round, node) in [(60, 1), (61, 9), (150, 2), (200, 10)] {
+        assert!(decide_at(node) < round);
+        cfg.fault.crashes.push(CrashEvent {
+            round,
+            node: node as u32,
+        });
+    }
+    let init = |u: NodeId, init: &NodeInit| Decider {
+        me: init.pid,
+        decide_at: decide_at(u.index()),
+        decided: false,
+    };
+    let mut sim = Execution::new(&g, &[NodeId(17)], init, NullAdversary, cfg);
+    let raw = |o: &u64| *o as f64;
+    for _ in 0..30 {
+        sim.step();
+        std::hint::black_box(sim.snapshot_with(raw));
+    }
+    let decided_before = sim.snapshot_with(raw).decided;
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..200 {
+        sim.step();
+        std::hint::black_box(sim.snapshot_with(raw));
+    }
+    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let snapshot = sim.snapshot_with(raw);
+    assert!(
+        snapshot.decided > decided_before + 20,
+        "the measured rounds must decide nodes"
+    );
+    assert_eq!(snapshot.crashed, 4);
+    assert_eq!(
+        delta, 0,
+        "snapshots must not allocate (saw {delta} allocations over 200 rounds)"
+    );
 }
 
 /// Steps `sim` through a 30-round warm-up, then asserts the next 200
@@ -620,12 +696,15 @@ fn main() {
         // re-warm, then zero again.
         assert_rewarm_after_unicast_switch(false);
         assert_rewarm_after_unicast_switch(true);
+        // A snapshot after every round, decisions and crashes included.
+        assert_zero_alloc_snapshots();
     });
     println!(
         "zero_alloc: ok (0 allocations over 200 steady-state rounds; \
          table full/compacted/spam, Byzantine-full spam, sparse rounds, repeated sends, \
          drop + duplicate on every shape, \
          observed with and without faults; delays at most one clone each; \
-         re-warm after a unicast switch with and without faults; size-1 pool)"
+         re-warm after a unicast switch with and without faults; \
+         a snapshot after every round; size-1 pool)"
     );
 }

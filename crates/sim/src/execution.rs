@@ -197,9 +197,11 @@ where
     /// ranking's buffers hold every honest node, no allocation. That pass
     /// also checks the order under this call's `raw`; if it does not hold
     /// (another `raw` than last time), or the ranking's length is not the
-    /// census's decided count, the call ranks every live decided node
-    /// afresh. The summary is therefore exact for any `raw`, equal to
-    /// [`EstimateSummary::from_values`] over the live estimates.
+    /// census's decided count (as before round 1, when the census does not
+    /// yet count decisions made at construction), the call ranks every
+    /// live decided node afresh. The summary is therefore exact for any
+    /// `raw`, equal to [`EstimateSummary::from_values`] over the live
+    /// estimates.
     ///
     /// # Panics
     ///
@@ -259,8 +261,6 @@ where
             outputs[u].is_some() && !byzantine[u] && !crashed[u]
         });
         ranked.rebuild(live_decided, key);
-        ranked.cursor = log.len();
-        ranked.crashed = crash_count;
         summarize(&ranked.order, key).expect("a fresh ranking is in rank order")
     }
 
@@ -422,9 +422,6 @@ impl Ranked {
         self.fresh.clear();
         self.fresh
             .extend(new.iter().copied().filter(|&u| !crashed[u as usize]));
-        if self.fresh.is_empty() {
-            return;
-        }
         self.fresh.sort_unstable_by(cmp);
         self.merged.clear();
         let mut from = 0;
@@ -453,37 +450,32 @@ impl Ranked {
 }
 
 /// The summary of the estimates of `order`'s nodes in one pass, if
-/// `order` is in rank order under `key` (`None` otherwise). The sum runs
-/// in rank order from `-0.0`, as [`Iterator::sum`] does in
+/// `order` is in rank order under `key` (`None` otherwise, NaN included:
+/// the ranking afresh then panics on it). The sum runs in rank order
+/// from `-0.0`, as [`Iterator::sum`] does in
 /// [`EstimateSummary::from_values`], so the two agree to the bit.
 fn summarize(order: &[u32], key: impl Fn(u32) -> f64) -> Option<EstimateSummary> {
     let (&first, rest) = match order.split_first() {
         Some(split) => split,
         None => return Some(EstimateSummary::default()),
     };
-    let count = order.len();
-    let mid = count / 2;
     let min = key(first);
     let (mut prev, mut last) = (first, min);
     let mut sum = -0.0 + min;
-    let (mut below_mid, mut at_mid) = (min, min);
-    for (i, &u) in rest.iter().enumerate() {
+    for &u in rest {
         let x = key(u);
-        if rank_cmp((last, prev), (x, u)) != Ordering::Less {
+        if !(last < x || (last == x && prev < u)) {
             return None;
         }
         sum += x;
-        if i + 2 == mid {
-            below_mid = x;
-        } else if i + 1 == mid {
-            at_mid = x;
-        }
         (prev, last) = (u, x);
     }
+    let count = order.len();
+    let at_mid = key(order[count / 2]);
     let median = if count % 2 == 1 {
         at_mid
     } else {
-        ((below_mid + at_mid) / 2.0).clamp(f64::MIN, f64::MAX)
+        ((key(order[count / 2 - 1]) + at_mid) / 2.0).clamp(f64::MIN, f64::MAX)
     };
     Some(EstimateSummary {
         count,

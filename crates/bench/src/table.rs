@@ -1,6 +1,6 @@
 //! Minimal table formatting for experiment output.
 
-use bcount_json::{field, FromJson, Json, JsonError, ToJson};
+use bcount_json::{Json, ToJson};
 use std::fmt;
 
 /// A printable experiment result table (GitHub-markdown compatible).
@@ -79,25 +79,6 @@ impl ToJson for Table {
     }
 }
 
-impl FromJson for Table {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let table = Table {
-            title: field(json, "title")?,
-            headers: field(json, "headers")?,
-            rows: field(json, "rows")?,
-        };
-        if let Some(bad) = table.rows.iter().find(|r| r.len() != table.headers.len()) {
-            return Err(JsonError::Shape(format!(
-                "table '{}': row width {} does not match {} headers",
-                table.title,
-                bad.len(),
-                table.headers.len()
-            )));
-        }
-        Ok(table)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,18 +92,6 @@ mod tests {
         assert!(md.contains("### E0: demo"));
         assert!(md.contains("| n   | value |"));
         assert!(md.contains("| 128 | 2.25  |"));
-    }
-
-    #[test]
-    fn json_round_trips_and_validates_width() {
-        let mut t = Table::new("E0: demo", &["n", "value"]);
-        t.push_row(vec!["64".into(), "1.5".into()]);
-        let text = t.to_json().render().unwrap();
-        let back = Table::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, t);
-        // A ragged artifact is rejected on read, mirroring push_row.
-        let ragged = r#"{"title":"bad","headers":["a","b"],"rows":[["1"]]}"#;
-        assert!(Table::from_json(&Json::parse(ragged).unwrap()).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! decided, how many landed in the constant-factor band, and summary
 //! statistics of `L_u / ln n`.
 
-use bcount_json::{field, FromJson, Json, JsonError, ToJson};
+use bcount_json::{Json, ToJson};
 use serde::{Deserialize, Serialize};
 
 /// A constant-factor acceptance band for estimates of `ln n`.
@@ -143,17 +143,6 @@ impl ToJson for Band {
     }
 }
 
-impl FromJson for Band {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let lo: f64 = field(json, "lo")?;
-        let hi: f64 = field(json, "hi")?;
-        if !(lo >= 0.0 && hi >= lo) {
-            return Err(JsonError::Shape(format!("invalid band [{lo}, {hi}]")));
-        }
-        Ok(Band { lo, hi })
-    }
-}
-
 impl ToJson for EstimateReport {
     fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -166,21 +155,6 @@ impl ToJson for EstimateReport {
             ("mean_ratio", self.mean_ratio.to_json()),
             ("median_ratio", self.median_ratio.to_json()),
         ])
-    }
-}
-
-impl FromJson for EstimateReport {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(EstimateReport {
-            n: field(json, "n")?,
-            honest: field(json, "honest")?,
-            decided: field(json, "decided")?,
-            in_band: field(json, "in_band")?,
-            min_estimate: field(json, "min_estimate")?,
-            max_estimate: field(json, "max_estimate")?,
-            mean_ratio: field(json, "mean_ratio")?,
-            median_ratio: field(json, "median_ratio")?,
-        })
     }
 }
 
@@ -291,23 +265,6 @@ mod tests {
         assert_eq!(r.max_estimate, 0.0);
         assert_eq!(r.mean_ratio, 0.0);
         assert_eq!(r.median_ratio, 0.0);
-    }
-
-    #[test]
-    fn estimate_report_round_trips_as_json() {
-        let r = EstimateReport::evaluate(
-            1000,
-            vec![Some(6.9), Some(3.5), Some(100.0), None],
-            Band::new(0.5, 2.0),
-        );
-        let text = r.to_json().render().unwrap();
-        let back = EstimateReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
-        let b = Band::new(0.25, 1.75);
-        let btext = b.to_json().render().unwrap();
-        assert_eq!(Band::from_json(&Json::parse(&btext).unwrap()).unwrap(), b);
-        // A structurally invalid band is rejected on read.
-        assert!(Band::from_json(&Json::parse(r#"{"lo":2.0,"hi":1.0}"#).unwrap()).is_err());
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! Design points:
 //!
 //! * **Integer fidelity** — [`Number`] keeps `u64` / `i64` values exact
-//!   instead of routing everything through `f64`, so round-tripping the
-//!   simulator's 64-bit counters is lossless (`read(write(x)) == x`, the
-//!   property `crates/sim/tests/json_roundtrip.rs` enforces).
+//!   instead of routing everything through `f64`, so 64-bit seeds and
+//!   counters read back exactly (`read(write(x)) == x` for every `u64`,
+//!   the property `crates/sim/tests/json_roundtrip.rs` enforces).
 //! * **Non-finite rejection** — JSON has no NaN/Infinity token. Rendering
 //!   a non-finite number returns [`JsonError::NonFinite`] rather than
 //!   emitting an unparseable artifact.

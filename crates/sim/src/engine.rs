@@ -241,7 +241,9 @@ pub struct SimReport<O> {
     /// Each node's decision (`None` for Byzantine nodes and undecided
     /// honest nodes), indexed by graph node.
     pub outputs: Vec<Option<O>>,
-    /// Round at which each node first reported an output.
+    /// Round at which each node first reported an output: the first
+    /// round it ran after deciding, so at least 1 (`None` for Byzantine
+    /// and undecided nodes).
     pub decided_round: Vec<Option<u64>>,
     /// Whether each honest node had halted when the engine stopped
     /// (`false` for Byzantine nodes).
@@ -317,7 +319,7 @@ pub struct Execution<G, P: Protocol, A> {
     /// Every node's sorted neighbour pids, flat in the table's slot order:
     /// node `u`'s are `neighbor_pids[routes.slots(u)]`.
     neighbor_pids: Vec<Pid>,
-    is_byzantine: Vec<bool>,
+    pub(crate) is_byzantine: Vec<bool>,
     protocols: Vec<Option<P>>,
     rngs: Vec<ChaCha8Rng>,
     adversary_rng: ChaCha8Rng,
@@ -389,28 +391,31 @@ pub struct Execution<G, P: Protocol, A> {
     /// Crash-stop indicator per node: a crashed node neither computes
     /// nor sends from its crash round on (but keeps receiving — its
     /// inbox just goes unread) and leaves the stop-condition census.
-    crashed: Vec<bool>,
+    pub(crate) crashed: Vec<bool>,
     /// Delayed messages awaiting redelivery, in due-round order (the
     /// constant per-plan delay makes push order due-order).
     delayed: std::collections::VecDeque<Delayed<P::Message>>,
-    decided_round: Vec<Option<u64>>,
-    halted: Vec<bool>,
+    /// Round at which each node first reported an output (`None` for
+    /// undecided and Byzantine nodes).
+    pub(crate) decided_round: Vec<Option<u64>>,
+    /// Whether each node has halted (`false` for Byzantine nodes).
+    pub(crate) halted: Vec<bool>,
     /// Each node's decision as the engine recorded it (`None` for
-    /// Byzantine and undecided nodes): [`Protocol::output`] at
-    /// construction, then again in the round the node first decides.
-    /// Decisions are irrevocable, so snapshots and reports read this
-    /// dense table instead of the protocol instances.
-    outputs: Vec<Option<P::Output>>,
-    /// Every node whose recorded output went from `None` to `Some`, in
-    /// the order it did (construction first, then round by round): each
+    /// Byzantine and undecided nodes): [`Protocol::output`] in the round
+    /// the node first decides. Decisions are irrevocable, so snapshots
+    /// and reports read this dense table instead of the protocol
+    /// instances.
+    pub(crate) outputs: Vec<Option<P::Output>>,
+    /// Every node whose decision was recorded, round by round: each
     /// decided honest node once. Snapshots merge the entries added since
     /// their last read into `ranked`.
-    decision_log: Vec<u32>,
+    pub(crate) decision_log: Vec<u32>,
     /// The live decided honest nodes in rank order, kept across snapshots
-    /// (see [`Execution::snapshot_with`]).
-    ranked: RefCell<Ranked>,
+    /// (see [`Execution::snapshot_with`]); the crash pass takes crashed
+    /// nodes out.
+    pub(crate) ranked: RefCell<Ranked>,
     /// The node census, kept where the state changes.
-    census: Census,
+    pub(crate) census: Census,
     metrics: Metrics,
     round: u64,
 }
@@ -506,16 +511,7 @@ where
                 }
             })
             .collect();
-        // A node may be decided before its first round.
-        let outputs: Vec<Option<P::Output>> = protocols
-            .iter()
-            .map(|p| p.as_ref().and_then(P::output))
-            .collect();
         let byzantine = is_byzantine.iter().filter(|b| **b).count();
-        // Room for every honest node's one entry, so recording a decision
-        // never grows the log.
-        let mut decision_log = Vec::with_capacity(n - byzantine);
-        decision_log.extend((0..n as u32).filter(|&u| outputs[u as usize].is_some()));
         let census = Census {
             byzantine,
             live: n - byzantine,
@@ -590,8 +586,10 @@ where
             delayed: std::collections::VecDeque::new(),
             decided_round: vec![None; n],
             halted: vec![false; n],
-            outputs,
-            decision_log,
+            outputs: vec![None; n],
+            // Room for every honest node's one entry, so recording a
+            // decision never grows the log.
+            decision_log: Vec::with_capacity(n - byzantine),
             ranked: RefCell::default(),
             census,
             metrics: Metrics::new(n),
@@ -608,47 +606,6 @@ where
     /// clone of this at stop time).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Round at which each node first reported an output, indexed by
-    /// graph node (`None` for undecided and Byzantine nodes).
-    pub(crate) fn decided_rounds(&self) -> &[Option<u64>] {
-        &self.decided_round
-    }
-
-    /// Per-node halted flags (`false` for Byzantine nodes).
-    pub(crate) fn halted_flags(&self) -> &[bool] {
-        &self.halted
-    }
-
-    /// Per-node Byzantine indicator.
-    pub(crate) fn byzantine_flags(&self) -> &[bool] {
-        &self.is_byzantine
-    }
-
-    /// Per-node crash-stop indicator (all `false` without a fault plan).
-    pub(crate) fn crashed_flags(&self) -> &[bool] {
-        &self.crashed
-    }
-
-    /// Each node's recorded decision, indexed by graph node.
-    pub(crate) fn outputs(&self) -> &[Option<P::Output>] {
-        &self.outputs
-    }
-
-    /// Every decided honest node, in the order its decision was recorded.
-    pub(crate) fn decision_log(&self) -> &[u32] {
-        &self.decision_log
-    }
-
-    /// The rank order [`Execution::snapshot_with`] keeps between calls.
-    pub(crate) fn ranked(&self) -> &RefCell<Ranked> {
-        &self.ranked
-    }
-
-    /// The node census and honest send totals.
-    pub(crate) fn census(&self) -> &Census {
-        &self.census
     }
 
     /// The protocol instance of an honest, in-flight node.
@@ -698,8 +655,10 @@ where
 
     /// Applies every crash event scheduled at or before the current
     /// round. Idempotent per node; each first-time crash is counted in
-    /// [`Metrics::crashed`], and a crashed honest node leaves the census.
+    /// [`Metrics::crashed`], and a crashed honest node leaves the census
+    /// and the kept ranking.
     fn apply_crashes(&mut self) {
+        let before = self.metrics.crashed;
         while let Some(ev) = self.crash_schedule.get(self.crash_cursor) {
             if ev.round > self.round {
                 break;
@@ -715,6 +674,11 @@ where
                 }
             }
             self.crash_cursor += 1;
+        }
+        if self.metrics.crashed != before {
+            let crashed = &self.crashed;
+            let order = &mut self.ranked.get_mut().order;
+            order.retain(|&u| !crashed[u as usize]);
         }
     }
 
@@ -855,9 +819,8 @@ where
     }
 
     /// Adds the compute leaves' tallies to the census and records the
-    /// round's decisions in the output table, logging each node whose
-    /// output is new (a node decided at construction is recorded again in
-    /// its first round, and was logged then). A lane cannot carry
+    /// round's decisions in the output table, logging each node decided
+    /// in this round. A lane cannot carry
     /// [`Protocol::Output`] values onto the pool's workers (the output type
     /// need not be `Send`), so the copy runs here, serially, and only in a
     /// round in which a node decided.
@@ -870,11 +833,8 @@ where
         }
         for (u, round) in self.decided_round.iter().enumerate() {
             if *round == Some(self.round) {
-                let out = self.protocols[u].as_ref().and_then(P::output);
-                if self.outputs[u].is_none() && out.is_some() {
-                    self.decision_log.push(u as u32);
-                }
-                self.outputs[u] = out;
+                self.outputs[u] = self.protocols[u].as_ref().and_then(P::output);
+                self.decision_log.push(u as u32);
             }
         }
     }

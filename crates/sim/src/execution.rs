@@ -190,17 +190,16 @@ where
     /// The execution keeps the live decided honest nodes ranked by
     /// `(raw estimate, node index)` between calls — the order a stable
     /// sort of the estimates in node order gives, `-0.0` and `+0.0` tied.
-    /// Decisions are irrevocable, so a call removes the nodes crashed
-    /// since the last one, merges the few that decided since (sorted
-    /// among themselves, each placed by binary search), then reads the
-    /// summary in one pass over the ranking: no sort and, once the
-    /// ranking's buffers hold every honest node, no allocation. That pass
-    /// also checks the order under this call's `raw`; if it does not hold
-    /// (another `raw` than last time), or the ranking's length is not the
-    /// census's decided count (as before round 1, when the census does not
-    /// yet count decisions made at construction), the call ranks every
-    /// live decided node afresh. The summary is therefore exact for any
-    /// `raw`, equal to [`EstimateSummary::from_values`] over the live
+    /// Decisions are irrevocable and the crash pass takes crashed nodes
+    /// out of the ranking, so a call merges the few nodes that decided
+    /// since the last one (sorted among themselves, each placed by binary
+    /// search), then reads the summary in one pass over the ranking: no
+    /// sort and, once the ranking's buffers hold every honest node, no
+    /// allocation. That pass also checks the order under this call's
+    /// `raw`; if it does not hold (another `raw` than last time), or the
+    /// ranking's length is not the census's decided count, the call ranks
+    /// every live decided node afresh. The summary is therefore exact for
+    /// any `raw`, equal to [`EstimateSummary::from_values`] over the live
     /// estimates.
     ///
     /// # Panics
@@ -208,7 +207,7 @@ where
     /// Panics if `raw` gives NaN for one of two or more estimates.
     pub fn snapshot_with(&self, raw: impl Fn(&P::Output) -> f64) -> ExecutionSnapshot {
         let n = self.graph().len();
-        let census = self.census();
+        let census = &self.census;
         let metrics = self.metrics();
         ExecutionSnapshot {
             round: self.round(),
@@ -231,18 +230,13 @@ where
     /// The summary of the live decided honest estimates, read off the
     /// kept ranking (see [`Execution::snapshot_with`]).
     fn ranked_summary(&self, raw: &impl Fn(&P::Output) -> f64) -> EstimateSummary {
-        let outputs = self.outputs();
+        let outputs = &self.outputs;
         let key = |u: u32| raw(outputs[u as usize].as_ref().expect("ranked nodes decided"));
-        let crashed = self.crashed_flags();
-        let log = self.decision_log();
-        let census = self.census();
-        let mut ranked = self.ranked().borrow_mut();
+        let crashed = &self.crashed;
+        let log = &self.decision_log;
+        let census = &self.census;
+        let mut ranked = self.ranked.borrow_mut();
         ranked.reserve(self.graph().len() - census.byzantine);
-        let crash_count = self.metrics().crashed;
-        if ranked.crashed != crash_count {
-            ranked.order.retain(|&u| !crashed[u as usize]);
-            ranked.crashed = crash_count;
-        }
         let cursor = ranked.cursor;
         if cursor < log.len() {
             ranked.merge(&log[cursor..], crashed, key);
@@ -255,7 +249,7 @@ where
                 return summary;
             }
         }
-        let byzantine = self.byzantine_flags();
+        let byzantine = &self.is_byzantine;
         let live_decided = (0..outputs.len() as u32).filter(|&u| {
             let u = u as usize;
             outputs[u].is_some() && !byzantine[u] && !crashed[u]
@@ -268,16 +262,13 @@ where
     /// and its record of each node's decision. `raw` as in
     /// [`Execution::snapshot_with`].
     pub fn node_states_with(&self, raw: impl Fn(&P::Output) -> f64) -> Vec<NodeState> {
-        let byz = self.byzantine_flags();
-        let halted = self.halted_flags();
-        let decided_rounds = self.decided_rounds();
-        self.outputs()
+        self.outputs
             .iter()
             .enumerate()
             .map(|(u, out)| NodeState {
-                byzantine: byz[u],
-                halted: halted[u],
-                decided_round: decided_rounds[u],
+                byzantine: self.is_byzantine[u],
+                halted: self.halted[u],
+                decided_round: self.decided_round[u],
                 estimate: out.as_ref().map(&raw),
             })
             .collect()
@@ -383,11 +374,9 @@ impl EstimateSummary {
 #[derive(Default)]
 pub(crate) struct Ranked {
     /// Node indices sorted by `(raw estimate, node index)`.
-    order: Vec<u32>,
+    pub(crate) order: Vec<u32>,
     /// How much of the execution's decision log `order` has taken in.
     cursor: usize,
-    /// [`Metrics::crashed`] when crashed nodes last left `order`.
-    crashed: u64,
     /// A merge's new nodes, sorted among themselves (scratch).
     fresh: Vec<u32>,
     /// The merged order, swapped into `order` (scratch).
@@ -882,7 +871,7 @@ mod tests {
     }
 
     fn rebuilds(exec: &Execution<&Graph, Ranker, NullAdversary>) -> usize {
-        exec.ranked().borrow().rebuilds
+        exec.ranked.borrow().rebuilds
     }
 
     /// Snapshots every `k` rounds merge everything decided in between —
@@ -923,6 +912,29 @@ mod tests {
             before - 1 + decided_now
         );
         assert_exact(&exec, identity);
+        assert_eq!(rebuilds(&exec), 0);
+    }
+
+    /// Before round 1 nothing is recorded, decisions made at construction
+    /// included, so round-0 snapshots read an empty summary off the kept
+    /// ranking; rounds 1 and 2 merge their decisions without ranking
+    /// afresh.
+    #[test]
+    fn ranked_summary_keeps_the_ranking_from_round_zero() {
+        let g = cycle(RANKERS).unwrap();
+        let mut exec = rankers(&g);
+        let identity = |o: &u64| *o as f64;
+        for _ in 0..2 {
+            let snapshot = exec.snapshot_with(identity);
+            assert_eq!((snapshot.decided, snapshot.estimate.count), (0, 0));
+        }
+        for _ in 0..2 {
+            exec.step();
+            let snapshot = exec.snapshot_with(identity);
+            assert!(snapshot.decided > 0);
+            assert_eq!(snapshot.decided, snapshot.estimate.count);
+            assert_exact(&exec, identity);
+        }
         assert_eq!(rebuilds(&exec), 0);
     }
 

@@ -29,9 +29,9 @@ pub trait Protocol {
     /// The node's decision, if it has decided. Decisions are irrevocable:
     /// once `Some`, the value must never change (tests enforce this).
     ///
-    /// The engine relies on that: it records a node's output at
-    /// construction and again in the round the node first decides, and
-    /// serves [`crate::Execution::snapshot_with`],
+    /// The engine relies on that: it records a node's output in the round
+    /// it first reports one (a node decided at construction: in its first
+    /// round), and serves [`crate::Execution::snapshot_with`],
     /// [`crate::Execution::node_states_with`] and
     /// [`crate::Execution::report`] from that record — it does not call
     /// `output` again. A value that changes after the decision is not seen.

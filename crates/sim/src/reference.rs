@@ -59,8 +59,7 @@ pub(crate) struct Reference<'g, P: Protocol, A> {
     msgs: Vec<P::Message>,
     decided_round: Vec<Option<u64>>,
     halted: Vec<bool>,
-    /// Each node's decision: its output at construction, then its output
-    /// in the round it first decides.
+    /// Each node's decision: its output in the round it first decides.
     outputs: Vec<Option<P::Output>>,
     metrics: Metrics,
     round: u64,
@@ -105,10 +104,6 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
                 (!is_byzantine[u]).then(|| factory(NodeId(u as u32), &init))
             })
             .collect();
-        let outputs = protocols
-            .iter()
-            .map(|p| p.as_ref().and_then(P::output))
-            .collect();
         Reference {
             graph,
             adversary,
@@ -130,7 +125,7 @@ impl<'g, P: Protocol, A: Adversary<P>> Reference<'g, P, A> {
             msgs: Vec::new(),
             decided_round: vec![None; n],
             halted: vec![false; n],
-            outputs,
+            outputs: vec![None; n],
             metrics: Metrics::new(n),
             round: 0,
         }

@@ -3,8 +3,10 @@
 //! [`Execution::report`] from tallies it keeps where the state changes and
 //! from its own record of each node's decision. This suite recounts all of
 //! it literally, at every round, from what the protocol instances report
-//! ([`Protocol::output`], [`Protocol::has_halted`]), the Byzantine and
-//! crash flags, and [`Metrics::per_node`] — under a fault plan that crashes
+//! ([`Protocol::output`], [`Protocol::has_halted`]) after each round they
+//! run, the Byzantine and crash flags, and [`Metrics::per_node`]. A
+//! decision counts from the round that first sees it, so nothing is
+//! decided before round 1. All of it runs under a fault plan that crashes
 //! decided, halted, undecided, decided-before-round-1 and Byzantine nodes,
 //! with the round trace on, in pools of 1 and 4 workers (the second forks
 //! the compute with the `parallel` feature).
@@ -214,10 +216,9 @@ impl Recount {
         exec: &Execution<&Graph, Staged, A>,
     ) -> ExecutionSnapshot {
         let round = exec.round();
-        let output = |u: usize| exec.protocol(NodeId(u as u32)).and_then(|p| p.output());
         let mut estimates: Vec<f64> = (0..N)
             .filter(|&u| self.live(u, round))
-            .filter_map(|u| output(u).map(|o| raw(&o)))
+            .filter_map(|u| self.estimate(exec, u))
             .collect();
         let per_node = &exec.metrics().per_node;
         let honest = || (0..N).filter(|&u| !is_byzantine(u)).map(|u| per_node[u]);
@@ -250,12 +251,20 @@ impl Recount {
                 byzantine: is_byzantine(u),
                 halted: self.halted[u],
                 decided_round: self.decided_round[u],
-                estimate: exec
-                    .protocol(NodeId(u as u32))
-                    .and_then(|p| p.output())
-                    .map(|o| raw(&o)),
+                estimate: self.estimate(exec, u),
             })
             .collect()
+    }
+
+    /// Node `u`'s raw estimate, once a round has seen it decide.
+    fn estimate<A: Adversary<Staged>>(
+        &self,
+        exec: &Execution<&Graph, Staged, A>,
+        u: usize,
+    ) -> Option<f64> {
+        self.decided_round[u]?;
+        let out = exec.protocol(NodeId(u as u32))?.output()?;
+        Some(raw(&out))
     }
 }
 
@@ -296,7 +305,9 @@ fn check(graph: &Graph, settle: bool, stop_when: StopWhen) -> (SimReport<u64>, u
     loop {
         let round = exec.round();
         let want = recount.snapshot(&exec);
-        assert_eq!(exec.snapshot_with(raw), want, "snapshot, round {round}");
+        let got = exec.snapshot_with(raw);
+        assert_eq!(got, want, "snapshot, round {round}");
+        assert_eq!(got.decided, got.estimate.count, "round {round}");
         assert_eq!(exec.finished(), want.stop, "finished, round {round}");
         assert_eq!(
             exec.node_states_with(raw),
@@ -320,7 +331,10 @@ fn check(graph: &Graph, settle: bool, stop_when: StopWhen) -> (SimReport<u64>, u
     }
     let report = exec.report().expect("finished");
     let outputs: Vec<Option<u64>> = (0..N)
-        .map(|u| exec.protocol(NodeId(u as u32)).and_then(|p| p.output()))
+        .map(|u| {
+            recount.decided_round[u]?;
+            exec.protocol(NodeId(u as u32))?.output()
+        })
         .collect();
     assert_eq!(report.outputs, outputs, "report outputs");
     (report, exec.round())
@@ -357,12 +371,14 @@ fn census_matches_a_literal_recount_at_every_round() {
     }
 }
 
-/// A node decided before its first round shows in a round-0 snapshot's
-/// estimates (it has no decided round yet) and in its node state.
+/// A node decided before its first round is recorded in round 1, as a
+/// node that decides in round 1 is: a round-0 snapshot reads no decision
+/// and no estimate, and after one step both count it, with decided round
+/// 1.
 #[test]
-fn decisions_made_at_construction_show_before_round_one() {
+fn decisions_made_at_construction_are_recorded_in_round_one() {
     let g = graph();
-    let exec = Execution::new(
+    let mut exec = Execution::new(
         &g,
         &[],
         |u, init| Staged {
@@ -376,10 +392,21 @@ fn decisions_made_at_construction_show_before_round_one() {
         NullAdversary,
         SimConfig::default(),
     );
-    let pre_decided = (0..N).filter(|&u| decide_at(u) == 0).count();
+    let pre_decided: Vec<usize> = (0..N).filter(|&u| decide_at(u) == 0).collect();
     let snapshot = exec.snapshot_with(raw);
-    assert_eq!((snapshot.round, snapshot.decided), (0, 0));
-    assert_eq!(snapshot.estimate.count, pre_decided);
-    let states = exec.node_states_with(raw);
-    assert_eq!(states.iter().flat_map(|s| s.estimate).count(), pre_decided);
+    assert_eq!(snapshot.round, 0);
+    assert_eq!((snapshot.decided, snapshot.estimate.count), (0, 0));
+    assert!(exec
+        .node_states_with(raw)
+        .iter()
+        .all(|s| s.estimate.is_none() && s.decided_round.is_none()));
+    exec.step();
+    let snapshot = exec.snapshot_with(raw);
+    assert_eq!(snapshot.decided, pre_decided.len());
+    assert_eq!(snapshot.estimate.count, pre_decided.len());
+    for (u, state) in exec.node_states_with(raw).iter().enumerate() {
+        let decided = pre_decided.contains(&u);
+        assert_eq!(state.decided_round, decided.then_some(1), "node {u}");
+        assert_eq!(state.estimate.is_some(), decided, "node {u}");
+    }
 }

@@ -1,122 +1,79 @@
-//! Property tests for the JSON persistence layer: for random [`Metrics`]
-//! and [`SimReport`] values, `read(write(x)) == x` — including string
-//! escaping and non-finite-float rejection.
+//! Property tests for the JSON layer the simulator writes through:
+//! integers and finite floats read back exactly, strings survive
+//! escaping, non-finite floats are refused, and a rendered
+//! [`ExecutionSnapshot`] parses to the same document pretty or compact.
 
 use bcount_json::{FromJson, Json, JsonError, ToJson};
-use bcount_sim::{Metrics, NodeMetrics, Pid, RoundTrace, SimReport, StopReason};
+use bcount_sim::{EstimateSummary, ExecutionSnapshot, StopReason};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-fn node_metrics_strategy() -> impl Strategy<Value = NodeMetrics> {
-    (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(messages_sent, bits_sent, max)| {
-        NodeMetrics {
-            messages_sent,
-            bits_sent,
-            max_message_bits: max,
-        }
+fn stop_strategy() -> impl Strategy<Value = Option<StopReason>> {
+    (0u8..4).prop_map(|k| match k {
+        0 => Some(StopReason::AllHalted),
+        1 => Some(StopReason::AllDecided),
+        2 => Some(StopReason::MaxRounds),
+        _ => None,
     })
 }
 
-fn round_trace_strategy() -> impl Strategy<Value = RoundTrace> {
+fn estimate_strategy() -> impl Strategy<Value = EstimateSummary> {
+    (any::<usize>(), any::<f64>(), any::<f64>(), any::<f64>(), any::<f64>()).prop_map(
+        |(count, min, max, mean, median)| EstimateSummary {
+            count,
+            min,
+            max,
+            mean,
+            median,
+        },
+    )
+}
+
+fn snapshot_strategy() -> impl Strategy<Value = ExecutionSnapshot> {
     (
-        1u64..1000,
-        any::<u64>(),
-        any::<u64>(),
-        0usize..100,
-        0usize..100,
+        (any::<u64>(), any::<usize>(), any::<usize>(), any::<usize>()),
+        (any::<usize>(), any::<usize>(), stop_strategy(), estimate_strategy()),
+        (any::<u64>(), any::<u64>(), any::<u64>()),
+        (any::<u64>(), any::<u64>(), any::<u64>()),
     )
         .prop_map(
-            |(round, honest_messages, byzantine_messages, decided, halted)| RoundTrace {
+            |(
+                (round, n, honest, byzantine),
+                (decided, halted, stop, estimate),
+                (messages_total, bits_total, dropped),
+                (duplicated, delayed, crashed),
+            )| ExecutionSnapshot {
                 round,
-                honest_messages,
-                byzantine_messages,
+                n,
+                honest,
+                byzantine,
                 decided,
                 halted,
-            },
-        )
-}
-
-fn metrics_strategy() -> impl Strategy<Value = Metrics> {
-    (
-        vec(node_metrics_strategy(), 0..8),
-        any::<u64>(),
-        vec(round_trace_strategy(), 0..4),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-    )
-        .prop_map(|(per_node, rounds, round_trace, fault)| Metrics {
-            per_node,
-            rounds,
-            round_trace,
-            dropped: fault.0,
-            duplicated: fault.1,
-            delayed: fault.2,
-            crashed: fault.3,
-        })
-}
-
-fn stop_reason_strategy() -> impl Strategy<Value = StopReason> {
-    (0u8..3).prop_map(|k| match k {
-        0 => StopReason::AllHalted,
-        1 => StopReason::AllDecided,
-        _ => StopReason::MaxRounds,
-    })
-}
-
-fn report_strategy() -> impl Strategy<Value = SimReport<u64>> {
-    (
-        (
-            any::<u64>(),
-            vec(any::<u64>(), 0..6),
-            vec((any::<bool>(), any::<u64>()), 0..6),
-            vec((any::<bool>(), 1u64..500), 0..6),
-        ),
-        (
-            vec(any::<bool>(), 0..6),
-            vec(any::<bool>(), 0..6),
-            metrics_strategy(),
-            stop_reason_strategy(),
-        ),
-    )
-        .prop_map(
-            |((rounds, pids, outputs, decided), (halted, is_byz, metrics, stop))| SimReport {
-                rounds,
-                outputs: outputs
-                    .into_iter()
-                    .map(|(some, v)| some.then_some(v))
-                    .collect(),
-                decided_round: decided
-                    .into_iter()
-                    .map(|(some, r)| some.then_some(r))
-                    .collect(),
-                halted,
-                is_byzantine: is_byz,
-                pids: pids.into_iter().map(Pid).collect(),
-                metrics,
-                stop_reason: stop,
+                stop,
+                estimate,
+                messages_total,
+                bits_total,
+                dropped,
+                duplicated,
+                delayed,
+                crashed,
             },
         )
 }
 
 proptest! {
     #[test]
-    fn metrics_round_trip(m in metrics_strategy()) {
-        let text = m.to_json().render().expect("metrics render");
-        let back = Metrics::from_json(&Json::parse(&text).expect("parse")).expect("from_json");
-        prop_assert_eq!(back, m);
+    fn integers_keep_all_64_bits(v in any::<u64>()) {
+        // The daemon's seeds are u64 and must not pass through an f64.
+        let rendered = v.to_json().render().expect("render");
+        let back = u64::from_json(&Json::parse(&rendered).expect("parse")).expect("from_json");
+        prop_assert_eq!(back, v);
     }
 
     #[test]
-    fn sim_report_round_trip(r in report_strategy()) {
-        let text = r.to_json().render().expect("report render");
-        let back =
-            SimReport::<u64>::from_json(&Json::parse(&text).expect("parse")).expect("from_json");
-        prop_assert_eq!(back, r);
-    }
-
-    #[test]
-    fn pretty_and_compact_agree(m in metrics_strategy()) {
-        let compact = m.to_json().render().expect("render");
-        let pretty = m.to_json().render_pretty().expect("render pretty");
+    fn pretty_and_compact_agree(s in snapshot_strategy()) {
+        let compact = s.to_json().render().expect("render");
+        let pretty = s.to_json().render_pretty().expect("render pretty");
         prop_assert_eq!(
             Json::parse(&compact).expect("compact"),
             Json::parse(&pretty).expect("pretty")

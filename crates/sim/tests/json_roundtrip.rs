@@ -18,21 +18,31 @@ fn stop_strategy() -> impl Strategy<Value = Option<StopReason>> {
 }
 
 fn estimate_strategy() -> impl Strategy<Value = EstimateSummary> {
-    (any::<usize>(), any::<f64>(), any::<f64>(), any::<f64>(), any::<f64>()).prop_map(
-        |(count, min, max, mean, median)| EstimateSummary {
+    (
+        any::<usize>(),
+        any::<f64>(),
+        any::<f64>(),
+        any::<f64>(),
+        any::<f64>(),
+    )
+        .prop_map(|(count, min, max, mean, median)| EstimateSummary {
             count,
             min,
             max,
             mean,
             median,
-        },
-    )
+        })
 }
 
 fn snapshot_strategy() -> impl Strategy<Value = ExecutionSnapshot> {
     (
         (any::<u64>(), any::<usize>(), any::<usize>(), any::<usize>()),
-        (any::<usize>(), any::<usize>(), stop_strategy(), estimate_strategy()),
+        (
+            any::<usize>(),
+            any::<usize>(),
+            stop_strategy(),
+            estimate_strategy(),
+        ),
         (any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>()),
     )

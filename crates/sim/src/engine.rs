@@ -241,9 +241,9 @@ pub struct SimReport<O> {
     /// Each node's decision (`None` for Byzantine nodes and undecided
     /// honest nodes), indexed by graph node.
     pub outputs: Vec<Option<O>>,
-    /// Round at which each node first reported an output: the first
-    /// round it ran after deciding, so at least 1 (`None` for Byzantine
-    /// and undecided nodes).
+    /// Round at which each node first reported an output: the round it
+    /// decided in, round 1 for a node decided at construction (`None` for
+    /// Byzantine and undecided nodes).
     pub decided_round: Vec<Option<u64>>,
     /// Whether each honest node had halted when the engine stopped
     /// (`false` for Byzantine nodes).
@@ -677,8 +677,7 @@ where
         }
         if self.metrics.crashed != before {
             let crashed = &self.crashed;
-            let order = &mut self.ranked.get_mut().order;
-            order.retain(|&u| !crashed[u as usize]);
+            self.ranked.get_mut().order.retain(|&u| !crashed[u as usize]);
         }
     }
 
@@ -819,11 +818,10 @@ where
     }
 
     /// Adds the compute leaves' tallies to the census and records the
-    /// round's decisions in the output table, logging each node decided
-    /// in this round. A lane cannot carry
-    /// [`Protocol::Output`] values onto the pool's workers (the output type
-    /// need not be `Send`), so the copy runs here, serially, and only in a
-    /// round in which a node decided.
+    /// round's decisions in the output table and the decision log. A lane
+    /// cannot carry [`Protocol::Output`] values onto the pool's workers
+    /// (the output type need not be `Send`), so the copy runs here,
+    /// serially, and only in a round in which a node decided.
     fn record_decisions(&mut self, tally: LaneTally) {
         let decided = tally.decided.into_inner();
         self.census.decided += decided;

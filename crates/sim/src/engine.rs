@@ -677,7 +677,8 @@ where
         }
         if self.metrics.crashed != before {
             let crashed = &self.crashed;
-            self.ranked.get_mut().order.retain(|&u| !crashed[u as usize]);
+            let order = &mut self.ranked.get_mut().order;
+            order.retain(|&u| !crashed[u as usize]);
         }
     }
 
